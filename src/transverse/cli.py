@@ -96,7 +96,13 @@ def parse_input(document, field_override=None) -> JobSpec:
     if field_spec == "rational":
         field = QQ
     elif isinstance(field_spec, dict) and "prime" in field_spec:
-        field = PrimeField(int(field_spec["prime"]))
+        try:
+            p = int(field_spec["prime"])
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"ring.field.prime: expected an integer, got {field_spec['prime']!r}"
+            )
+        field = PrimeField(p)
     else:
         raise ParseError(
             f"ring.field: expected 'rational' or {{'prime': p}}, got {field_spec!r}"
@@ -106,8 +112,11 @@ def parse_input(document, field_override=None) -> JobSpec:
     except AlgebraError as e:
         raise ParseError(f"ring: {e}")
     ideals = {}
-    for name, gens in (document.get("ideals") or {}).items():
-        if not isinstance(gens, list):
+    ideal_specs = document.get("ideals") or {}
+    if not isinstance(ideal_specs, dict):
+        raise ParseError("ideals: expected an object of named generator lists")
+    for name, gens in ideal_specs.items():
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
             raise ParseError(f"ideals.{name}: expected a list of monomial strings")
         mons = []
         for k, g in enumerate(gens):
@@ -124,6 +133,9 @@ def parse_input(document, field_override=None) -> JobSpec:
     args = document.get("args") or {}
     if not isinstance(args, dict):
         raise ParseError("args: expected an object")
+    for key in ("n_max", "bound"):
+        if args.get(key) is not None and type(args[key]) is not int:
+            raise ParseError(f"args.{key}: expected an integer, got {args[key]!r}")
     fmt = document.get("format", "text")
     if fmt not in ("json", "text"):
         raise ParseError("format: expected 'json' or 'text'")
@@ -151,6 +163,13 @@ def _ideal_list(spec: JobSpec):
     if not isinstance(names, list) or len(names) < 2:
         raise ParseError("args.ideals: expected a list of at least two ideal names")
     return [spec.ideal(n) for n in names]
+
+
+def _ci_monomials(spec: JobSpec):
+    ci = spec.args.get("ci")
+    if not isinstance(ci, list) or not ci or not all(isinstance(s, str) for s in ci):
+        raise ParseError("args.ci: expected a list of monomial strings")
+    return [spec.ring.parse_monomial(s) for s in ci]
 
 
 def _star_with_product(spec: JobSpec, ideals_list):
@@ -320,16 +339,11 @@ def cmd_dispatch(spec: JobSpec):
 
     if spec.command == "module-action":
         ideals_list = _ideal_list(spec)
-        ci = spec.args.get("ci")
-        if not isinstance(ci, list) or not ci:
-            raise ParseError("args.ci: expected a list of monomial strings")
+        ci = _ci_monomials(spec)
         C, prod = _star_with_product(spec, ideals_list)
         from .poly import Polynomial
 
-        elems = [
-            Polynomial.from_monomial(spec.ring, spec.ring.parse_monomial(s))
-            for s in ci
-        ]
+        elems = [Polynomial.from_monomial(spec.ring, m) for m in ci]
         action = dg.koszul_module_action(C, prod, elems)
         cert = action.certificate
         report = {
@@ -343,10 +357,7 @@ def cmd_dispatch(spec: JobSpec):
 
     if spec.command == "obstruction":
         M = spec.ideal(spec.args.get("module", "M"))
-        ci = spec.args.get("ci")
-        if not isinstance(ci, list) or not ci:
-            raise ParseError("args.ci: expected a list of monomial strings")
-        seq = [spec.ring.parse_monomial(s) for s in ci]
+        seq = _ci_monomials(spec)
         rep = obstructions.avramov_obstruction(seq, M, bound)
         report = {"command": "obstruction", "report": rep.to_json(),
                   "table": rep.table()}
@@ -355,10 +366,7 @@ def cmd_dispatch(spec: JobSpec):
     if spec.command == "injectivity-verify":
         I = spec.ideal(spec.args.get("left", "I"))
         J = spec.ideal(spec.args.get("right", "J"))
-        ci = spec.args.get("ci")
-        if not isinstance(ci, list) or not ci:
-            raise ParseError("args.ci: expected a list of monomial strings")
-        seq = [spec.ring.parse_monomial(s) for s in ci]
+        seq = _ci_monomials(spec)
         cert = obstructions.verify_injectivity(seq, I, J, bound or 4)
         report = {
             "command": "injectivity-verify",
@@ -447,7 +455,9 @@ def main(argv=None) -> int:
     if opts.field:
         if opts.field == "rational":
             field_override = "rational"
-        elif opts.field.startswith("prime"):
+        elif opts.field == "prime" or (
+            opts.field.startswith("prime:") and opts.field[6:].isdecimal()
+        ):
             _, _, p = opts.field.partition(":")
             field_override = {"prime": int(p) if p else 32003}
         else:

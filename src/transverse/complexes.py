@@ -13,10 +13,11 @@ the left factor carrying the sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, degree_basis_mod_ideal
 from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
 
 
@@ -208,15 +209,11 @@ def stupid_truncation(C: GradedFreeComplex, n: int) -> GradedFreeComplex:
     return GradedFreeComplex(C.ring, degrees, diffs, labels)
 
 
-def star_components(F: GradedFreeComplex, G: GradedFreeComplex, n: int):
-    """The (i, j) bidegrees contributing to (F*G)_n, i+j = n+1, i,j >= 1."""
-    return [(i, n + 1 - i) for i in range(1, n + 1)]
-
-
 def star_basis(F: GradedFreeComplex, G: GradedFreeComplex, n: int):
     """Basis of (F*G)_n for n >= 1 as (i, j, fi, gj), ordered by (i, fi, gj)."""
     out = []
-    for i, j in star_components(F, G, n):
+    for i in range(1, n + 1):
+        j = n + 1 - i
         for fi in range(F.rank(i)):
             for gj in range(G.rank(j)):
                 out.append((i, j, fi, gj))
@@ -237,45 +234,22 @@ def star_product(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComple
             raise DomainError(f"{name} star factor is not a complex: {rep.problems[0]}")
     ring = F.ring
     length = F.length + G.length - 1
+    # (F*G)_n = (F_{>=1} (x) G_{>=1})_{n+1} for n >= 1, with the same basis
+    # order and the same differentials from d_2 on
+    T = tensor_complexes(stupid_truncation(F, 1), stupid_truncation(G, 1))
     bases = {n: star_basis(F, G, n) for n in range(1, length + 1)}
-    degrees = [(0,)] + [
-        [F.degs(i)[fi] + G.degs(j)[gj] for i, j, fi, gj in bases[n]]
-        for n in range(1, length + 1)
-    ]
+    degrees = [(0,)] + list(T.degrees[2:])
     labels = [("1",)] + [
         [f"{F.labels[i][fi]}*{G.labels[j][gj]}" for i, j, fi, gj in bases[n]]
         for n in range(1, length + 1)
     ]
-    diffs = []
     # d_1 = d1^F (x) d1^G : entries are products of the two column entries
     entries = {}
     for col, (i, j, fi, gj) in enumerate(bases[1]):
         p = F.diff(1).entry(0, fi) * G.diff(1).entry(0, gj)
         if not p.is_zero:
             entries[(0, col)] = p
-    diffs.append(PolyMatrix(ring, 1, len(bases[1]), entries))
-    for n in range(2, length + 1):
-        idx = {key: k for k, key in enumerate(bases[n - 1])}
-        entries = {}
-        for col, (i, j, fi, gj) in enumerate(bases[n]):
-            if i - 1 >= 1:
-                for (r, cc), p in F.diff(i).entries.items():
-                    if cc != fi:
-                        continue
-                    row = idx[(i - 1, j, r, gj)]
-                    entries[(row, col)] = entries.get(
-                        (row, col), Polynomial.zero(ring)
-                    ) + p
-            if j - 1 >= 1:
-                sign = -1 if i % 2 else 1
-                for (r, cc), p in G.diff(j).entries.items():
-                    if cc != gj:
-                        continue
-                    row = idx[(i, j - 1, fi, r)]
-                    entries[(row, col)] = entries.get(
-                        (row, col), Polynomial.zero(ring)
-                    ) + p.scale(sign)
-        diffs.append(PolyMatrix(ring, len(bases[n - 1]), len(bases[n]), entries))
+    diffs = [PolyMatrix(ring, 1, len(bases[1]), entries)] + list(T.diffs[2:])
     return GradedFreeComplex(
         ring, degrees, diffs, labels, meta={"star_factors": (F, G)}
     )
@@ -297,10 +271,12 @@ def strand_basis(C: GradedFreeComplex, i: int, t: int, extra=()):
     """Basis of the degree-t strand of (C (x) R/Q)_i as (generator, monomial)
     pairs, ordered by (generator, descending lex)."""
     extra = _extra_gens(extra)
+    by_degree: dict = {}
     out = []
     for g, dg in enumerate(C.degs(i)):
-        for m in monomials_of_degree(C.ring, t - dg, extra):
-            out.append((g, m))
+        if dg not in by_degree:
+            by_degree[dg] = monomials_of_degree(C.ring, t - dg, extra)
+        out.extend((g, m) for m in by_degree[dg])
     return out
 
 
@@ -312,20 +288,25 @@ def strand_matrix(C, i, t, extra=(), basis_hi=None, basis_lo=None):
         basis_hi = strand_basis(C, i, t, extra)
     if basis_lo is None:
         basis_lo = strand_basis(C, i - 1, t, extra)
-    idx = {bm: k for k, bm in enumerate(basis_lo)}
+    # for a homogeneous entry, m*mono is nonzero in R/Q exactly when it is in
+    # the lower basis; a miss is only looked at to skip it or to fail loudly
+    idx = {(r, m.exps): k for k, (r, m) in enumerate(basis_lo)}
     rows = [dict() for _ in basis_lo]
     kills = C.ring.kills
-    mat = C.diff(i)
     by_col: dict[int, list] = {}
-    for (r, c), p in mat.entries.items():
-        by_col.setdefault(c, []).append((r, p))
+    for (r, c), p in C.diff(i).entries.items():
+        terms = [(mono.exps, coeff) for mono, coeff in p.term_dict().items()]
+        by_col.setdefault(c, []).append((r, terms))
     for col, (g, m) in enumerate(basis_hi):
-        for r, p in by_col.get(g, ()):
-            for mono, coeff in p.term_dict().items():
-                mm = m * mono
-                if kills(mm) or any(q.divides(mm) for q in extra):
-                    continue
-                row = idx[(r, mm)]
+        for r, terms in by_col.get(g, ()):
+            for exps, coeff in terms:
+                mm = tuple(map(add, m.exps, exps))
+                row = idx.get((r, mm))
+                if row is None:
+                    mono = Monomial(mm)
+                    if kills(mono) or any(q.divides(mono) for q in extra):
+                        continue
+                    raise DomainError(f"d_{i}[{r},{g}] is not homogeneous")
                 cur = rows[row].get(col)
                 s = coeff if cur is None else cur + coeff
                 if s:
@@ -386,10 +367,7 @@ def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
     basis_hi = strand_basis(C, i + 1, t, extra)
     if basis_hi:
         rows_up = strand_matrix(C, i + 1, t, extra, basis_hi, basis_i)
-        bcols = [dict() for _ in basis_hi]
-        for r, row in enumerate(rows_up):
-            for c, v in row.items():
-                bcols[c][r] = v
+        bcols = linalg.rows_from_columns(rows_up, len(basis_hi))
         bound = linalg.echelon(bcols, n, field)
     else:
         bound = linalg.EchelonForm(n, [], [], field)
@@ -401,24 +379,47 @@ def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
     )
 
 
+def strand_homology_dims(C: GradedFreeComplex, Q, t: int, lo: int, hi: int):
+    """{i: dim H_i} of the degree-t strand of C (x) R/Q for lo <= i <= hi.
+
+    Each strand basis B_i is enumerated once and each rank r_i of
+    d_i : B_i -> B_{i-1} taken once, so dim H_i = |B_i| - r_i - r_{i+1};
+    dim H_0 is the dimension of coker d_1.
+    """
+    extra = _extra_gens(Q)
+    bases = {i: strand_basis(C, i, t, extra) for i in range(lo - 1, hi + 2)}
+    ranks = {}
+    for i in range(lo, hi + 2):
+        ranks[i] = 0
+        if bases[i] and bases[i - 1]:
+            rows = strand_matrix(C, i, t, extra, bases[i], bases[i - 1])
+            ranks[i] = linalg.rank(rows, C.ring.field)
+    return {
+        i: len(bases[i]) - ranks[i] - ranks[i + 1] for i in range(lo, hi + 1)
+    }
+
+
+def resolution_failures(C: GradedFreeComplex, top: int, D: int, hilbert):
+    """Where C fails to resolve a module M on the strands t <= D.
+
+    Returns ``(strand_failures, coker_failures)``, both ordered by t, then i:
+    (i, t, dim H_i) for each 1 <= i <= top with H_i != 0, and
+    (t, dim coker d_1, hilbert(t)) wherever coker d_1 misses M's Hilbert
+    function ``hilbert``.
+    """
+    strand_failures, coker_failures = [], []
+    for t in range(0, D + 1):
+        dims = strand_homology_dims(C, None, t, 0, top)
+        strand_failures += [(i, t, dims[i]) for i in range(1, top + 1) if dims[i]]
+        want = hilbert(t)
+        if dims[0] != want:
+            coker_failures.append((t, dims[0], want))
+    return strand_failures, coker_failures
+
+
 def strand_homology_dim(C: GradedFreeComplex, Q, t: int, i: int) -> int:
     """Fast dimension-only strand homology (forward elimination ranks)."""
-    extra = _extra_gens(Q)
-    field = C.ring.field
-    basis_i = strand_basis(C, i, t, extra)
-    if not basis_i:
-        return 0
-    if i >= 1:
-        rows = strand_matrix(C, i, t, extra, basis_i, None)
-        r_out = linalg.rank(rows, field)
-    else:
-        r_out = 0
-    basis_hi = strand_basis(C, i + 1, t, extra)
-    r_in = 0
-    if basis_hi:
-        rows_up = strand_matrix(C, i + 1, t, extra, basis_hi, basis_i)
-        r_in = linalg.rank(rows_up, field)
-    return len(basis_i) - r_out - r_in
+    return strand_homology_dims(C, Q, t, i, i)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -538,29 +539,9 @@ def verify_resolution(
 
     if D is None:
         D = C.max_degree() + 2
-    field = C.ring.field
-    strand_failures = []
-    coker_failures = []
-    from .ideals import degree_basis_mod_ideal
-
-    for t in range(0, D + 1):
-        bases = {i: strand_basis(C, i, t) for i in range(0, C.length + 2)}
-        ranks = {}
-        for i in range(1, C.length + 2):
-            if bases.get(i) and bases.get(i - 1) is not None:
-                rows = strand_matrix(C, i, t, (), bases[i], bases[i - 1])
-                ranks[i] = linalg.rank(rows, field)
-            else:
-                ranks[i] = 0
-        for i in range(1, C.length + 1):
-            dim = len(bases[i]) - ranks[i] - ranks[i + 1]
-            if dim:
-                strand_failures.append((i, t, dim))
-        coker = len(bases[0]) - ranks[1]
-        want = len(degree_basis_mod_ideal(I, t))
-        if coker != want:
-            coker_failures.append((t, coker, want))
-
+    strand_failures, coker_failures = resolution_failures(
+        C, C.length, D, lambda t: len(degree_basis_mod_ideal(I, t))
+    )
     got = betti_table(minimize_complex(C, certify=False))
     want_table = betti_table(minimize_complex(taylor_complex(I), certify=False))
     return ResolutionCertificate(

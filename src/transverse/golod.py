@@ -12,10 +12,9 @@ from .complexes import (
     GradedFreeComplex,
     StrandHomology,
     is_minimal,
-    strand_basis,
+    resolution_failures,
     strand_homology,
-    strand_homology_dim,
-    strand_matrix,
+    strand_homology_dims,
     validate_complex,
 )
 from .errors import CertificationError, DomainError
@@ -255,11 +254,10 @@ def tor_independence(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -
     F = minimize_complex(taylor_complex(I), certify=False)
     if D is None:
         D = F.max_degree() + J.max_gen_degree() + 2
-    for i in range(1, F.length + 1):
-        for t in range(0, D + 1):
-            if strand_homology_dim(F, J, t, i):
-                return False
-    return True
+    return not any(
+        any(strand_homology_dims(F, J, t, 1, F.length).values())
+        for t in range(0, D + 1)
+    )
 
 
 def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
@@ -268,12 +266,11 @@ def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
     if D is None:
         D = F.max_degree() + J.max_gen_degree() + 2
     out = {}
-    for i in range(1, F.length + 1):
-        for t in range(0, D + 1):
-            d = strand_homology_dim(F, J, t, i)
+    for t in range(0, D + 1):
+        for i, d in strand_homology_dims(F, J, t, 1, F.length).items():
             if d:
                 out[(i, t)] = d
-    return out
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -502,20 +499,10 @@ def golod_resolution(
     )
 
     rep = validate_complex(C)
-    strand_failures = []
-    for i in range(1, n_max):
-        for t in range(0, D + 1):
-            d = strand_homology_dim(C, None, t, i)
-            if d:
-                strand_failures.append((i, t, d))
-    coker_failures = []
-    for t in range(0, D + 1):
-        want = 1 if t == 0 else 0
-        b0 = strand_basis(C, 0, t)
-        b1 = strand_basis(C, 1, t)
-        r1 = linalg.rank(strand_matrix(C, 1, t, (), b1, b0), S.field) if b1 else 0
-        if len(b0) - r1 != want:
-            coker_failures.append((t, len(b0) - r1, want))
+    strand_failures, coker_failures = resolution_failures(
+        C, n_max - 1, D, lambda t: int(t == 0)
+    )
+    strand_failures.sort()
     cert = GolodCertificate(
         C.total_ranks(), (), True, rep.ok, is_minimal(C), strand_failures,
         coker_failures,

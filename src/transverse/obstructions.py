@@ -18,9 +18,8 @@ from . import linalg
 from .complexes import (
     GradedFreeComplex,
     is_minimal,
-    strand_basis,
+    resolution_failures,
     strand_homology,
-    strand_matrix,
     validate_complex,
 )
 from .errors import CertificationError, DomainError
@@ -185,22 +184,10 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     rep = validate_complex(C)
     minimal = is_minimal(C)
     D = max((max(d, default=0) for d in degrees), default=0) + 1
-    strand_failures = []
-    for i in range(1, n_max):
-        for t in range(0, D + 1):
-            from .complexes import strand_homology_dim
-
-            d = strand_homology_dim(C, None, t, i)
-            if d:
-                strand_failures.append((i, t, d))
-    coker_failures = []
-    for t in range(0, D + 1):
-        b0 = strand_basis(C, 0, t)
-        b1 = strand_basis(C, 1, t)
-        r1 = linalg.rank(strand_matrix(C, 1, t, (), b1, b0), S.field) if b1 else 0
-        want = 1 if t == 0 else 0
-        if len(b0) - r1 != want:
-            coker_failures.append((t, len(b0) - r1, want))
+    strand_failures, coker_failures = resolution_failures(
+        C, n_max - 1, D, lambda t: int(t == 0)
+    )
+    strand_failures.sort()
     cert = {
         "valid": rep.ok,
         "minimal": minimal,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DimensionError, DomainError, ParseError, RingMismatchError
 from .fields import QQ, PrimeField, Rationals
@@ -111,6 +112,7 @@ class Ring:
                 raise DimensionError("modulus monomial has wrong variable count")
             if m.is_one:
                 raise DomainError("cannot quotient by the unit ideal")
+        object.__setattr__(self, "_one", Monomial((0,) * self.nvars))
 
     @property
     def nvars(self) -> int:
@@ -122,7 +124,7 @@ class Ring:
         return Monomial(tuple(exps))
 
     def one_monomial(self) -> Monomial:
-        return Monomial((0,) * self.nvars)
+        return self._one
 
     def kills(self, m: Monomial) -> bool:
         """True iff m is zero in this ring (divisible by a modulus generator)."""
@@ -184,24 +186,37 @@ class Ring:
 def monomials_of_degree(ring: Ring, t: int, extra: tuple[Monomial, ...] = ()):
     """All degree-t monomials nonzero in ``ring`` and killed by no ``extra``
     generator, in canonical (descending lex) order."""
+    return list(_degree_monomials(ring, t, tuple(extra)))
+
+
+def _exponent_vectors(t: int, n: int):
+    """Exponent vectors of degree t in n variables, descending lex."""
+    if n == 1:
+        yield (t,)
+    elif n > 1:
+        for e in range(t, -1, -1):
+            for rest in _exponent_vectors(t - e, n - 1):
+                yield (e,) + rest
+    elif t == 0:
+        yield ()
+
+
+@lru_cache(maxsize=128)
+def _degree_monomials(ring: Ring, t: int, extra: tuple[Monomial, ...]):
+    """Cached body of :func:`monomials_of_degree`: the kill test runs on raw
+    exponent vectors, and a Monomial is built only for the survivors."""
     if t < 0:
-        return []
-    n = ring.nvars
-    out: list[Monomial] = []
-
-    def rec(prefix: list[int], i: int, rest: int):
-        if i == n - 1:
-            cand = Monomial(tuple(prefix + [rest]))
-            if not ring.kills(cand) and not any(g.divides(cand) for g in extra):
-                out.append(cand)
-            return
-        for e in range(rest, -1, -1):
-            rec(prefix + [e], i + 1, rest - e)
-
-    if n == 0:
-        return [Monomial(())] if t == 0 else []
-    rec([], 0, t)
-    return out
+        return ()
+    # each generator as its (variable, exponent) pairs with exponent > 0
+    gens = [
+        [(k, e) for k, e in enumerate(g.exps) if e]
+        for g in ring.modulus + extra
+    ]
+    return tuple(
+        Monomial(exps)
+        for exps in _exponent_vectors(t, ring.nvars)
+        if not any(all(exps[k] >= e for k, e in g) for g in gens)
+    )
 
 
 class Polynomial:

@@ -192,6 +192,46 @@ class TestMain:
         assert out1 == out2
 
 
+class TestInputErrorsExitTwo:
+    """Malformed input exits 2 with a one-line message, never a traceback."""
+
+    @staticmethod
+    def run(tmp_path, capsys, doc, *flags):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        code = main([str(path), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_field_override_not_a_number(self, tmp_path, capsys):
+        doc = job("koszul-homology", {"ideal": "I"})
+        err = self.run(tmp_path, capsys, doc, "--field", "prime:abc")
+        assert "--field" in err
+
+    def test_document_prime_not_a_number(self, tmp_path, capsys):
+        doc = job("koszul-homology", {"ideal": "I"})
+        doc["ring"] = {"vars": ["x1", "x2", "x3", "x4"], "field": {"prime": "q"}}
+        assert "ring.field.prime" in self.run(tmp_path, capsys, doc)
+
+    def test_n_max_as_string(self, tmp_path, capsys):
+        doc = job("golod", {"left": "I", "right": "J", "n_max": "5"})
+        assert "args.n_max" in self.run(tmp_path, capsys, doc)
+
+    def test_ideals_as_list(self, tmp_path, capsys):
+        doc = job("koszul-homology", {"ideal": "I"}, ideals=["x1"])
+        assert "ideals:" in self.run(tmp_path, capsys, doc)
+
+    def test_generator_not_a_string(self, tmp_path, capsys):
+        doc = job("koszul-homology", {"ideal": "I"}, ideals={"I": [3]})
+        assert "ideals.I" in self.run(tmp_path, capsys, doc)
+
+    def test_ci_entry_not_a_string(self, tmp_path, capsys):
+        doc = job("obstruction", {"module": "I", "ci": [3]})
+        assert "args.ci" in self.run(tmp_path, capsys, doc)
+
+
 def test_resolve_staircase_rendered(capsys, tmp_path):
     path = tmp_path / "job.json"
     path.write_text(

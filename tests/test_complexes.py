@@ -9,14 +9,15 @@ from transverse.complexes import (
     star_product,
     strand_homology,
     strand_homology_dim,
+    strand_homology_dims,
     stupid_truncation,
     tensor_complexes,
     validate_complex,
     verify_resolution,
 )
-from transverse.errors import DomainError
+from transverse.errors import CertificationError, DomainError
 from transverse.ideals import MonomialIdeal, ideal_product
-from transverse.poly import Monomial, PolyMatrix
+from transverse.poly import Monomial, PolyMatrix, Ring
 from transverse.resolutions import koszul_complex, minimize_complex, taylor_complex
 
 from conftest import ideal
@@ -346,3 +347,59 @@ def test_strand_dim_paths_agree(R4):
                 sh = strand_homology(T, I, t, i)
                 assert sh.dim == strand_homology_dim(T, I, t, i)
                 assert sh.dim == sh.cycle_dim - sh.boundary_dim
+
+
+class TestStrandEngine:
+    """strand_homology_dims (one rank per differential per strand) against
+    the representative path, on complexes with homology."""
+
+    @staticmethod
+    def assert_dims_agree(C, Q, tmax=6):
+        nonzero = 0
+        for t in range(0, tmax + 1):
+            dims = strand_homology_dims(C, Q, t, 0, C.length)
+            for i in range(0, C.length + 1):
+                assert dims[i] == strand_homology(C, Q, t, i).dim, (i, t)
+                nonzero += i >= 1 and dims[i] > 0
+        assert nonzero  # the complex is not exact, so the check has teeth
+
+    def test_koszul_over_quotient_ring(self):
+        base = Ring(("x1", "x2", "x3"))
+        mod = tuple(base.parse_monomial(m) for m in ("x1^2", "x1*x2", "x3^3"))
+        quotient = Ring(base.names, modulus=mod)
+        self.assert_dims_agree(koszul_complex(quotient.variables()), None)
+
+    def test_koszul_with_extra_generators(self, R4):
+        K = koszul_complex(_vars(R4, 0, 1, 2, 3))
+        self.assert_dims_agree(K, ideal(R4, "x1*x2", "x2*x3^2", "x4^2"))
+
+    def test_star_with_a_column_of_d2_zeroed(self, R4):
+        F = minimize_complex(taylor_complex(ideal(R4, "x1^2", "x1*x2", "x2^2")))
+        d2 = F.diff(2)
+        broken = PolyMatrix(
+            R4, d2.nrows, d2.ncols,
+            {(r, c): p for (r, c), p in d2.entries.items() if c != 0},
+        )
+        F = GradedFreeComplex(R4, F.degrees, [F.diff(1), broken], F.labels)
+        S = star_product(F, koszul_complex(_vars(R4, 2, 3)))
+        self.assert_dims_agree(S, None)
+
+    def test_golod_certificate_catches_a_missing_symbol(self, R4, flagship):
+        from dataclasses import replace
+
+        from transverse.golod import golod_basis, golod_resolution
+
+        I, J = flagship
+        basis = golod_basis(I, J)
+        # without v_(0,0) nothing kills the class it stands for in H_1
+        crippled = replace(basis, pairs=basis.pairs[1:], h=basis.h[1:])
+        with pytest.raises(CertificationError, match=r"\[\(1, 2, 1\), \(3, 4, 3\)\]"):
+            golod_resolution(I, J, 4, basis=crippled)
+
+    def test_inhomogeneous_entry_fails_loudly(self, Rxy):
+        x, y = Rxy.variables()
+        C = GradedFreeComplex(
+            Rxy, [(0,), (1,)], [PolyMatrix(Rxy, 1, 1, {(0, 0): x + y * y})]
+        )
+        with pytest.raises(DomainError, match="not homogeneous"):
+            strand_homology_dim(C, None, 1, 1)

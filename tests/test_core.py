@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from transverse.poly import (
     Monomial,
     PolyMatrix,
     Polynomial,
+    Ring,
     matrix_apply,
     monomial_divides,
     monomial_lcm,
@@ -204,6 +206,47 @@ def test_monomials_of_degree_order(R4):
     # descending lex, so x1^2 first, x4^2 last
     assert ms[0] == R4.parse_monomial("x1^2")
     assert ms[-1] == R4.parse_monomial("x4^2")
+
+
+def _brute_force_degree(ring, t, extra):
+    """Reference enumeration: every exponent vector, filtered and sorted."""
+    gens = ring.modulus + tuple(extra)
+    cands = (
+        Monomial(e)
+        for e in itertools.product(range(t + 1), repeat=ring.nvars)
+        if sum(e) == t
+    )
+    kept = [m for m in cands if not any(g.divides(m) for g in gens)]
+    return sorted(kept, key=Monomial.sort_key)
+
+
+@pytest.mark.parametrize(
+    "names, modulus, extra",
+    [
+        (("x",), (), ()),
+        (("x", "y"), ("x*y",), ()),
+        (("x1", "x2", "x3"), (), ("x1^2", "x2*x3")),
+        (("x1", "x2", "x3", "x4"), ("x1*x2", "x3^3"), ("x4^2", "x1*x3")),
+        (("a", "b", "c", "d", "e"), ("a^2*b",), ()),
+    ],
+)
+def test_monomials_of_degree_matches_brute_force(names, modulus, extra):
+    base = Ring(names)
+    ring = Ring(names, modulus=tuple(base.parse_monomial(m) for m in modulus))
+    extra = tuple(ring.parse_monomial(m) for m in extra)
+    for t in range(0, 7):
+        assert monomials_of_degree(ring, t, extra) == _brute_force_degree(
+            ring, t, extra
+        )
+    assert monomials_of_degree(ring, -1, extra) == []
+
+
+def test_monomials_of_degree_returns_fresh_list(R4):
+    first = monomials_of_degree(R4, 2)
+    first.clear()
+    again = monomials_of_degree(R4, 2)
+    assert len(again) == 10
+    assert again is not first
 
 
 class TestScalarRankFull:
