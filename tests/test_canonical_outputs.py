@@ -1,0 +1,242 @@
+"""Byte-identity pins for canonical outputs.
+
+Each case renders one output as text and compares its sha256 digest with a
+value captured once from a known-good revision.  The cases cover one job
+per CLI command (the JSON report plus the exit code) and the objects that
+no report prints: degree-one product tables, the Golod and Tate complexes,
+Koszul class representatives, comparison maps and module-action tables,
+and the associativity probe's findings.
+
+A refactor that changes no algorithm, basis order or canonical choice must
+leave every digest unchanged, so the digests are never edited; print the
+current ones with ``PYTHONPATH=src python tests/test_canonical_outputs.py``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from transverse.cli import COMMANDS, cmd_dispatch, parse_input, render_report
+from transverse.complexes import complex_to_json
+from transverse.dg import (
+    associativity_probe,
+    koszul_dg_product,
+    koszul_module_action,
+    star_degree_one_product,
+    taylor_dg_product,
+)
+from transverse.golod import golod_resolution, koszul_homology
+from transverse.ideals import ideal_product, is_sequentially_transverse
+from transverse.obstructions import tate_resolution
+from transverse.poly import Polynomial, Ring
+from transverse.resolutions import koszul_complex, taylor_complex
+
+from conftest import ideal
+
+VARS4 = ["x1", "x2", "x3", "x4"]
+VARS5 = ["x1", "x2", "x3", "x4", "x5"]
+
+# one small job per CLI command: (ring variables, ideals, args)
+JOBS = {
+    "check-transverse": (
+        VARS4, {"I": ["x1*x2", "x3"], "J": ["x2*x4", "x3^2"]},
+        {"left": "I", "right": "J"},
+    ),
+    "resolve": (
+        VARS4, {"I": ["x1^2", "x1*x2", "x2*x3"]},
+        {"ideal": "I", "method": "taylor"},
+    ),
+    "star-resolve": (
+        VARS4, {"I": ["x1^2", "x1*x2"], "J": ["x3", "x4^2"]},
+        {"left": "I", "right": "J"},
+    ),
+    "koszul-homology": (
+        VARS4, {"I": ["x1*x2", "x2*x3", "x3*x4"]}, {"ideal": "I"},
+    ),
+    "kunneth-verify": (
+        VARS4, {"I": ["x1^2", "x1*x2"], "J": ["x3", "x4"]},
+        {"left": "I", "right": "J"},
+    ),
+    "golod": (
+        VARS4, {"I": ["x1", "x2"], "J": ["x3^2", "x3*x4"]},
+        {"left": "I", "right": "J", "mode": "verify", "n_max": 3},
+    ),
+    "dg-verify": (
+        VARS5, {"A": ["x1^2", "x1*x2"], "B": ["x3", "x4"], "C": ["x5^2"]},
+        {"ideals": ["A", "B", "C"]},
+    ),
+    "module-action": (
+        VARS4, {"I": ["x1^2", "x1*x2"], "J": ["x3", "x4"]},
+        {"ideals": ["I", "J"], "ci": ["x1^2*x3"]},
+    ),
+    "obstruction": (
+        VARS4, {"M": ["x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2"]},
+        {"module": "M", "ci": ["x1^2", "x4^2"], "n_max": 4},
+    ),
+    "injectivity-verify": (
+        VARS4, {"I": ["x1", "x2"], "J": ["x3", "x4"]},
+        {"left": "I", "right": "J", "ci": ["x1*x3"], "n_max": 3},
+    ),
+    "associativity-probe": (
+        VARS4, {"I": ["x1^2", "x1*x2"], "J": ["x3", "x4"]},
+        {"ideals": ["I", "J"]},
+    ),
+}
+
+
+def _run_job(command: str) -> str:
+    names, ideals, args = JOBS[command]
+    spec = parse_input({
+        "ring": {"vars": names, "field": "rational"},
+        "ideals": ideals,
+        "command": command,
+        "args": args,
+        "format": "json",
+    })
+    report, code = cmd_dispatch(spec)
+    return f"exit {code}\n" + render_report(report, "json")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True)
+
+
+def _matrix(A) -> list:
+    return [A.nrows, A.ncols,
+            [[r, c, str(p)] for (r, c), p in sorted(A.entries.items())]]
+
+
+def _vec(v: dict) -> dict:
+    return {str(k): str(p) for k, p in sorted(v.items())}
+
+
+def _star_triple() -> str:
+    R = Ring(tuple(VARS5))
+    ideals = [ideal(R, "x1^2", "x1*x2"), ideal(R, "x3", "x4"), ideal(R, "x5^2")]
+    assert is_sequentially_transverse(ideals)
+    C = taylor_complex(ideals[0])
+    prod = taylor_dg_product(ideals[0], C)
+    for I in ideals[1:]:
+        D = taylor_complex(I)
+        prod = star_degree_one_product(C, D, prod, taylor_dg_product(I, D))
+        C = prod.complex
+    return _dumps(prod.to_json())
+
+
+def _golod_flagship() -> str:
+    R = Ring(tuple(VARS4))
+    C = golod_resolution(ideal(R, "x1", "x2"), ideal(R, "x3", "x4"), 4)
+    return _dumps(complex_to_json(C))
+
+
+def _tate() -> str:
+    R = Ring(tuple(VARS4))
+    seq = [R.parse_monomial("x1^2"), R.parse_monomial("x2*x3")]
+    return _dumps(complex_to_json(tate_resolution(seq, R, 4).complex))
+
+
+def _koszul_reps() -> str:
+    R = Ring(tuple(VARS4))
+    IJ = ideal_product(ideal(R, "x1^2", "x1*x2"), ideal(R, "x3", "x4^2"))
+    H = koszul_homology(IJ)
+    return _dumps([
+        [c.i, c.t, c.index, c.label,
+         [[list(S), str(p)] for S, p in sorted(c.rep.items())]]
+        for c in H.classes
+    ])
+
+
+def _module_action() -> str:
+    R = Ring(tuple(VARS4))
+    F = taylor_complex(ideal(R, "x1^2", "x1*x2"))
+    G = koszul_complex([R.variable(2), R.variable(3)])
+    sp = star_degree_one_product(
+        F, G, taylor_dg_product(ideal(R, "x1^2", "x1*x2"), F),
+        koszul_dg_product(G),
+    )
+    ci = [Polynomial.from_monomial(R, R.parse_monomial("x1^2*x3"))]
+    act = koszul_module_action(sp.complex, sp, ci)
+    return _dumps({
+        "phi": [_matrix(A) for A in act.phi],
+        "tables": [
+            [i, j, [[list(S), v, _vec(val)]
+                    for (S, v), val in sorted(tab.items())]]
+            for (i, j), tab in sorted(act.tables.items())
+        ],
+        "checked": act.certificate.checked,
+        "ok": act.certificate.ok,
+    })
+
+
+def _probe() -> str:
+    R = Ring(tuple(VARS5))
+    F = koszul_complex([R.variable(0), R.variable(1)])
+    G = koszul_complex([R.variable(2), R.variable(3), R.variable(4)])
+    sp = star_degree_one_product(F, G, koszul_dg_product(F), koszul_dg_product(G))
+    rep = associativity_probe(sp.complex, sp)
+    return _dumps({
+        "bound": rep.bound,
+        "stages": [
+            [s.n, [list(b) for b in s.blocks], s.variables, s.assoc_enforced,
+             repr(s.leibniz_unsolvable)]
+            for s in rep.stages
+        ],
+        "tested_triples": rep.tested_triples,
+        "residual_triples": repr(rep.residual_triples),
+    })
+
+
+OBJECTS = {
+    "star_degree_one_triple": _star_triple,
+    "golod_resolution_flagship": _golod_flagship,
+    "tate_resolution": _tate,
+    "koszul_representatives": _koszul_reps,
+    "module_action": _module_action,
+    "associativity_probe": _probe,
+}
+
+DIGESTS = {
+    "cli:check-transverse": "8b4201919f1950a0ef232095c654737ed46c249c9b654eddb6be1deebf853462",
+    "cli:resolve": "d2e1eef33ed7605f8c86245e47637e0544acd5f1d4596f82cb071480c965a034",
+    "cli:star-resolve": "32eb6057bfe780f4e0a7f091109f00f1abeb0bccada951f1063363961acfbdd5",
+    "cli:koszul-homology": "b49f79f1f95ed21e7e4bffa32b5d0365a49622f5f789e7412daf2ed59edf3135",
+    "cli:kunneth-verify": "f43844e418f39311819d776eafc2259319fece5d1f3c19d2b320331d1b1dff6f",
+    "cli:golod": "4f80379ca409b8a84be239aa1ab908fc363abbacffcf497d19d5d3cf7e8365d8",
+    "cli:dg-verify": "3a2515e2258d085aac450d25d7a8e2c25e829a23be93a101e855f3d74c2e4b03",
+    "cli:module-action": "89c5fad9726d386686d1980b05f1e687871d555b3d497f3c1f0f1ce0f386f0de",
+    "cli:obstruction": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
+    "cli:injectivity-verify": "275742692612ad4d807b7886b196d43f865e299b0abcb61387ebaba3de84d54d",
+    "cli:associativity-probe": "9ecb8da0017ed3dc47e1c8bc72a39b58f3460c257ce6f930d963dcc5f9d5aa80",
+    "obj:associativity_probe": "c9b31c34d4ad65d860458b342dac2f964ade177edaba4dd1f9e49495770b227b",
+    "obj:golod_resolution_flagship": "49372344b27926061a5360db86b3d099cb5649412bf73e35327d0ea1c5edf124",
+    "obj:koszul_representatives": "c408e6d4b6e10cc257072bb019995401df61d5b6e99babcabba8a329d59052c6",
+    "obj:module_action": "9faf94b859d9a6fa978284aa67c52dc7d31c8f28ca47daa5aad571eae0ddd38f",
+    "obj:star_degree_one_triple": "df734b90182cd3ed6756e37cbfe520038191493b456b4852f11e6c7fcf973279",
+    "obj:tate_resolution": "391c86e2cff17ab3cf4e9ba0201a6519b381e289d0727b09fbde0d2f62c7a955",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_command_has_a_job():
+    assert set(JOBS) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_report_unchanged(command):
+    assert _digest(_run_job(command)) == DIGESTS[f"cli:{command}"]
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_object_unchanged(name):
+    assert _digest(OBJECTS[name]()) == DIGESTS[f"obj:{name}"]
+
+
+if __name__ == "__main__":
+    for command in COMMANDS:
+        print(f'    "cli:{command}": "{_digest(_run_job(command))}",')
+    for name in sorted(OBJECTS):
+        print(f'    "obj:{name}": "{_digest(OBJECTS[name]())}",')
