@@ -51,6 +51,8 @@ class JobSpec:
         self.format = fmt
 
     def ideal(self, name: str) -> MonomialIdeal:
+        if not isinstance(name, str):
+            raise ParseError(f"args: expected an ideal name, got {name!r}")
         if name not in self.ideals:
             raise ParseError(f"args reference undefined ideal {name!r}")
         return self.ideals[name]
@@ -287,7 +289,7 @@ def cmd_dispatch(spec: JobSpec):
         I = spec.ideal(spec.args.get("left", "I"))
         J = spec.ideal(spec.args.get("right", "J"))
         mode = spec.args.get("mode", "verify")
-        n_max = bound or 5
+        n_max = 5 if bound is None else bound
         if mode == "series":
             ps = golod.golod_poincare(I, J, n_max)
             report = {
@@ -367,7 +369,8 @@ def cmd_dispatch(spec: JobSpec):
         I = spec.ideal(spec.args.get("left", "I"))
         J = spec.ideal(spec.args.get("right", "J"))
         seq = _ci_monomials(spec)
-        cert = obstructions.verify_injectivity(seq, I, J, bound or 4)
+        n_max = 4 if bound is None else bound
+        cert = obstructions.verify_injectivity(seq, I, J, n_max)
         report = {
             "command": "injectivity-verify",
             "pass": cert.ok,

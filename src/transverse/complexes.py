@@ -17,8 +17,9 @@ from operator import add
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
+from .exterior import k_acc
 from .ideals import MonomialIdeal, degree_basis_mod_ideal
-from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
+from .poly import Monomial, PolyMatrix, monomials_of_degree
 
 
 class GradedFreeComplex:
@@ -167,23 +168,11 @@ def tensor_complexes(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeCo
         idx = {key: k for k, key in enumerate(bases[n - 1])}
         entries = {}
         for col, (i, j, fi, gj) in enumerate(bases[n]):
-            if i >= 1:
-                for (r, cc), p in F.diff(i).entries.items():
-                    if cc != fi:
-                        continue
-                    row = idx[(i - 1, j, r, gj)]
-                    entries[(row, col)] = entries.get(
-                        (row, col), Polynomial.zero(ring)
-                    ) + p
-            if j >= 1:
-                sign = -1 if i % 2 else 1
-                for (r, cc), p in G.diff(j).entries.items():
-                    if cc != gj:
-                        continue
-                    row = idx[(i, j - 1, fi, r)]
-                    entries[(row, col)] = entries.get(
-                        (row, col), Polynomial.zero(ring)
-                    ) + p.scale(sign)
+            for r, p in F.diff(i).column(fi).items():
+                k_acc(entries, (idx[(i - 1, j, r, gj)], col), p)
+            sign = -1 if i % 2 else 1
+            for r, p in G.diff(j).column(gj).items():
+                k_acc(entries, (idx[(i, j - 1, fi, r)], col), p.scale(sign))
         diffs.append(PolyMatrix(ring, len(bases[n - 1]), len(bases[n]), entries))
     return GradedFreeComplex(ring, degrees, diffs, labels)
 

@@ -21,53 +21,19 @@ from .complexes import (
     strand_matrix,
 )
 from .errors import CertificationError, DomainError
-from .exterior import wedge_subsets
+from .exterior import (
+    KElement,
+    k_acc,
+    k_apply,
+    k_axpy,
+    k_bilinear,
+    k_coords,
+    k_element,
+    wedge_subsets,
+)
 from .ideals import MonomialIdeal
 from .poly import Monomial, Polynomial
 from .resolutions import koszul_complex, lift_comparison_map, taylor_complex
-
-Vec = dict  # generator index -> Polynomial
-
-
-def _vec_add(ring, x: Vec, y: Vec) -> Vec:
-    out = dict(x)
-    for k, p in y.items():
-        s = out.get(k, Polynomial.zero(ring)) + p
-        if s.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _vec_scale(x: Vec, p: Polynomial) -> Vec:
-    out = {}
-    for k, q in x.items():
-        s = p * q
-        if not s.is_zero:
-            out[k] = s
-    return out
-
-
-def _vec_is_zero(x: Vec) -> bool:
-    return not x
-
-
-def _diff_column(C: GradedFreeComplex, i: int, v: int) -> Vec:
-    return {r: p for (r, c), p in C.diff(i).entries.items() if c == v}
-
-
-def _apply_diff(C: GradedFreeComplex, i: int, vec: Vec) -> Vec:
-    out: Vec = {}
-    ring = C.ring
-    for v, p in vec.items():
-        for r, q in _diff_column(C, i, v).items():
-            s = out.get(r, Polynomial.zero(ring)) + q * p
-            if s.is_zero:
-                out.pop(r, None)
-            else:
-                out[r] = s
-    return out
 
 
 class DegreeOneProduct:
@@ -75,22 +41,14 @@ class DegreeOneProduct:
 
     def __init__(self, complex: GradedFreeComplex, tables: dict):
         self.complex = complex
-        self.tables = tables  # j -> {(u, v): Vec}
+        self.tables = tables  # j -> {(u, v): KElement}
 
-    def value(self, j: int, u: int, v: int) -> Vec:
+    def value(self, j: int, u: int, v: int) -> KElement:
         return self.tables.get(j, {}).get((u, v), {})
 
-    def apply(self, j: int, left: Vec, right: Vec) -> Vec:
+    def apply(self, j: int, left: KElement, right: KElement) -> KElement:
         """Bilinear extension with polynomial coefficients on both slots."""
-        ring = self.complex.ring
-        out: Vec = {}
-        for u, p in left.items():
-            for v, q in right.items():
-                val = self.value(j, u, v)
-                if not val:
-                    continue
-                out = _vec_add(ring, out, _vec_scale(val, p * q))
-        return out
+        return k_bilinear(self.tables.get(j, {}), left, right)
 
     def to_json(self) -> dict:
         """Tables as triple lists: [left index, right index, result vector]."""
@@ -108,21 +66,13 @@ class FullProduct:
 
     def __init__(self, complex: GradedFreeComplex, tables: dict):
         self.complex = complex
-        self.tables = tables  # (i, j) -> {(u, v): Vec}
+        self.tables = tables  # (i, j) -> {(u, v): KElement}
 
-    def value(self, i: int, j: int, u: int, v: int) -> Vec:
+    def value(self, i: int, j: int, u: int, v: int) -> KElement:
         return self.tables.get((i, j), {}).get((u, v), {})
 
-    def apply(self, i: int, j: int, left: Vec, right: Vec) -> Vec:
-        ring = self.complex.ring
-        out: Vec = {}
-        for u, p in left.items():
-            for v, q in right.items():
-                val = self.value(i, j, u, v)
-                if not val:
-                    continue
-                out = _vec_add(ring, out, _vec_scale(val, p * q))
-        return out
+    def apply(self, i: int, j: int, left: KElement, right: KElement) -> KElement:
+        return k_bilinear(self.tables.get((i, j), {}), left, right)
 
     def degree_one(self) -> DegreeOneProduct:
         tables = {}
@@ -222,35 +172,29 @@ def certify_full_dg(prod: FullProduct) -> ProductCertificate:
     """All four DG-algebra axioms plus associativity, exhaustively on basis
     pairs and triples."""
     C = prod.complex
-    ring = C.ring
     cert = ProductCertificate()
     top = C.length
-    one = Polynomial.one(ring)
+    one = Polynomial.one(C.ring)
     for i in range(0, top + 1):
         for j in range(0, top - i + 1):
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
                     cert.checked_pairs += 1
                     uv = prod.value(i, j, u, v)
-                    # Leibniz: d(xy) = dx.y + (-1)^i x.dy
-                    lhs = _apply_diff(C, i + j, uv) if i + j >= 1 else {}
-                    rhs: Vec = {}
+                    # Leibniz: d(xy) - dx.y - (-1)^i x.dy = 0
+                    res = k_apply(C.diff(i + j), uv) if i + j >= 1 else {}
                     if i >= 1:
-                        rhs = prod.apply(i - 1, j, _diff_column(C, i, u), {v: one})
+                        term = prod.apply(i - 1, j, C.diff(i).column(u), {v: one})
+                        k_axpy(res, -1, term)
                     if j >= 1:
-                        term = prod.apply(i, j - 1, {u: one}, _diff_column(C, j, v))
-                        if i % 2:
-                            term = {k: -p for k, p in term.items()}
-                        rhs = _vec_add(ring, rhs, term)
-                    if not _vec_is_zero(_vec_add(ring, lhs, {k: -p for k, p in rhs.items()})):
+                        term = prod.apply(i, j - 1, {u: one}, C.diff(j).column(v))
+                        k_axpy(res, 1 if i % 2 else -1, term)
+                    if res:
                         cert.leibniz_failures.append((i, j, u, v))
-                    # graded commutativity: xy = (-1)^(ij) yx
-                    vu = prod.value(j, i, v, u)
-                    if (i * j) % 2:
-                        vu = {k: -p for k, p in vu.items()}
-                    if not _vec_is_zero(
-                        _vec_add(ring, dict(uv), {k: -p for k, p in vu.items()})
-                    ):
+                    # graded commutativity: xy - (-1)^(ij) yx = 0
+                    res = dict(uv)
+                    k_axpy(res, 1 if (i * j) % 2 else -1, prod.value(j, i, v, u))
+                    if res:
                         cert.commutativity_failures.append((i, j, u, v))
             if i % 2 and i == j:
                 for u in range(C.rank(i)):
@@ -263,17 +207,14 @@ def certify_full_dg(prod: FullProduct) -> ProductCertificate:
                     for v in range(C.rank(j)):
                         for w in range(C.rank(k)):
                             cert.checked_triples += 1
-                            left = prod.apply(
+                            res = prod.apply(
                                 i + j, k, prod.value(i, j, u, v), {w: one}
                             )
                             right = prod.apply(
                                 i, j + k, {u: one}, prod.value(j, k, v, w)
                             )
-                            if not _vec_is_zero(
-                                _vec_add(
-                                    ring, left, {x: -p for x, p in right.items()}
-                                )
-                            ):
+                            k_axpy(res, -1, right)
+                            if res:
                                 cert.associativity_failures.append(
                                     (i, j, k, u, v, w)
                                 )
@@ -285,9 +226,8 @@ def certify_degree_one(prod: DegreeOneProduct) -> ProductCertificate:
     (a) d(f1.fj) = d(f1) fj - f1.d(fj), and (b) f1.(f1.fj) = 0, together
     with the degree-one squares f1.f1 = 0 that iterated constructions need."""
     C = prod.complex
-    ring = C.ring
     cert = ProductCertificate()
-    one = Polynomial.one(ring)
+    one = Polynomial.one(C.ring)
     if C.rank(0) != 1:
         raise DomainError("degree-one certification expects C_0 = R")
     for j in sorted(set(prod.tables) | set(range(1, C.length + 1))):
@@ -298,20 +238,18 @@ def certify_degree_one(prod: DegreeOneProduct) -> ProductCertificate:
             for v in range(C.rank(j)):
                 cert.checked_pairs += 1
                 uv = prod.value(j, u, v)
-                lhs = _apply_diff(C, j + 1, uv)
-                rhs = {v: alpha}
+                # d(f1.fj) - d(f1) fj + f1.d(fj) = 0
+                res = k_apply(C.diff(j + 1), uv)
+                k_acc(res, v, -alpha)
                 if j == 1:
-                    beta = C.diff(1).entry(0, v)
-                    rhs = _vec_add(ring, rhs, {u: -beta})
+                    k_acc(res, u, C.diff(1).entry(0, v))
                 else:
-                    term = prod.apply(j - 1, {u: one}, _diff_column(C, j, v))
-                    rhs = _vec_add(ring, rhs, {k: -p for k, p in term.items()})
-                if not _vec_is_zero(
-                    _vec_add(ring, lhs, {k: -p for k, p in rhs.items()})
-                ):
+                    term = prod.apply(j - 1, {u: one}, C.diff(j).column(v))
+                    k_axpy(res, 1, term)
+                if res:
                     cert.leibniz_failures.append(("leibniz", j, u, v))
                 sq = prod.apply(j + 1, {u: one}, uv)
-                if not _vec_is_zero(sq):
+                if sq:
                     cert.square_failures.append(("square", j, u, v))
         if j == 1:
             for u in range(C.rank(1)):
@@ -351,7 +289,6 @@ def star_degree_one_product(
                     f"{name} input product fails the degree-one identities"
                 )
     S = star_product(F, G)
-    ring = S.ring
     bases = {n: star_basis(F, G, n) for n in range(1, S.length + 1)}
     index = {n: {key: k for k, key in enumerate(bases[n])} for n in bases}
     tables: dict = {}
@@ -361,30 +298,18 @@ def star_degree_one_product(
         for p_idx, (_, _, uf, ug) in enumerate(bases[1]):
             alpha = F.diff(1).entry(0, uf)
             for x_idx, (a, b, fa, gb) in enumerate(bases[j]):
-                out: Vec = {}
+                out: KElement = {}
                 sign = -1 if a % 2 else 1
                 for w, q in prodG.value(b, ug, gb).items():
                     key = (a, b + 1, fa, w)
                     if key in target:
-                        s = out.get(target[key], Polynomial.zero(ring)) + (
-                            alpha * q
-                        ).scale(sign)
-                        if s.is_zero:
-                            out.pop(target[key], None)
-                        else:
-                            out[target[key]] = s
+                        k_acc(out, target[key], (alpha * q).scale(sign))
                 if b == 1:
                     beta = G.diff(1).entry(0, gb)
                     for w, q in prodF.value(a, uf, fa).items():
                         key = (a + 1, 1, w, ug)
                         if key in target:
-                            s = out.get(
-                                target[key], Polynomial.zero(ring)
-                            ) + beta * q
-                            if s.is_zero:
-                                out.pop(target[key], None)
-                            else:
-                                out[target[key]] = s
+                            k_acc(out, target[key], beta * q)
                 if out:
                     tab[(p_idx, x_idx)] = out
         tables[j] = tab
@@ -421,18 +346,12 @@ class ModuleAction:
     koszul: GradedFreeComplex
     complex: GradedFreeComplex
     phi: list
-    tables: dict  # (i, j) -> {(subset, v): Vec}
+    tables: dict  # (i, j) -> {(subset, v): KElement}
     certificate: ActionCertificate
 
-    def act(self, i: int, j: int, S: tuple, vec: Vec) -> Vec:
-        ring = self.complex.ring
-        out: Vec = {}
-        tab = self.tables.get((i, j), {})
-        for v, p in vec.items():
-            val = tab.get((S, v))
-            if val:
-                out = _vec_add(ring, out, _vec_scale(val, p))
-        return out
+    def act(self, i: int, j: int, S: tuple, vec: KElement) -> KElement:
+        one = Polynomial.one(self.complex.ring)
+        return k_bilinear(self.tables.get((i, j), {}), {S: one}, vec)
 
 
 def koszul_module_action(
@@ -476,12 +395,9 @@ def koszul_module_action(
                 raise DomainError(f"{p} is not in the resolved ideal")
     K = koszul_complex(polys)
     phi = lift_comparison_map(K, C)
-    phi1_cols = [
-        {r: q for (r, c), q in phi[1].entries.items() if c == s}
-        for s in range(len(polys))
-    ]
+    phi1_cols = [phi[1].column(s) for s in range(len(polys))]
 
-    def act1(s: int, j: int, vec: Vec) -> Vec:
+    def act1(s: int, j: int, vec: KElement) -> KElement:
         return prod.apply(j, phi1_cols[s], vec)
 
     subsets = K.meta["subsets"]
@@ -502,7 +418,7 @@ def koszul_module_action(
             tab = {}
             for S in subsets[i]:
                 for v in range(C.rank(j)):
-                    vec: Vec = {v: one}
+                    vec: KElement = {v: one}
                     jj = j
                     for s in reversed(S):
                         vec = act1(s, jj, vec)
@@ -520,11 +436,11 @@ def koszul_module_action(
                     cert.checked += 1
                     a = act1(s, j + 1, act1(s2, j, {v: one}))
                     if s == s2:
-                        if not _vec_is_zero(a):
+                        if a:
                             cert.relation_failures.append((s, s2, j, v))
                         continue
-                    b = act1(s2, j + 1, act1(s, j, {v: one}))
-                    if not _vec_is_zero(_vec_add(ring, a, b)):
+                    k_axpy(a, 1, act1(s2, j + 1, act1(s, j, {v: one})))
+                    if a:
                         cert.relation_failures.append((s, s2, j, v))
     # module Leibniz: d(e_S * f) = d(e_S) * f + (-1)^|S| e_S * d(f)
     action = ModuleAction(K, C, phi, tables, cert)
@@ -534,36 +450,26 @@ def koszul_module_action(
                 continue
             tab = tables.get((i, j), {})
             for Sidx, S in enumerate(subsets[i]):
-                dS = _diff_column(K, i, Sidx)
+                dS = K.diff(i).column(Sidx)
+                sign = 1 if i % 2 else -1
                 for v in range(C.rank(j)):
                     cert.checked += 1
-                    lhs = _apply_diff(C, i + j, tab.get((S, v), {}))
-                    rhs: Vec = {}
+                    res = k_apply(C.diff(i + j), tab.get((S, v), {}))
                     for r, q in dS.items():
-                        Sr = subsets[i - 1][r]
                         if i - 1 == 0:
-                            rhs = _vec_add(ring, rhs, {v: q})
+                            k_acc(res, v, -q)
                         else:
-                            rhs = _vec_add(
-                                ring,
-                                rhs,
-                                _vec_scale(
-                                    action.act(i - 1, j, Sr, {v: one}), q
-                                ),
-                            )
+                            Sr = subsets[i - 1][r]
+                            k_axpy(res, -q, action.act(i - 1, j, Sr, {v: one}))
                     if j == 1:
                         # d(f) lands in C_0 = R: e_S acts through its
                         # iterated product on the unit
                         beta = C.diff(1).entry(0, v)
-                        term = _vec_scale(scalar_act[S], beta)
+                        k_axpy(res, beta.scale(sign), scalar_act[S])
                     else:
-                        term = action.act(i, j - 1, S, _diff_column(C, j, v))
-                    if i % 2:
-                        term = {k: -p for k, p in term.items()}
-                    rhs = _vec_add(ring, rhs, term)
-                    if not _vec_is_zero(
-                        _vec_add(ring, lhs, {k: -p for k, p in rhs.items()})
-                    ):
+                        term = action.act(i, j - 1, S, C.diff(j).column(v))
+                        k_axpy(res, sign, term)
+                    if res:
                         cert.leibniz_failures.append((i, j, S, v))
     return action
 
@@ -626,20 +532,14 @@ def associativity_probe(
     for j, tab in prod.tables.items():
         known[(1, j)] = dict(tab)
 
-    def mul(i: int, j: int, left: Vec, right: Vec) -> Vec:
+    def mul(i: int, j: int, left: KElement, right: KElement) -> KElement:
+        out: KElement = {}
         if i == 0:
-            p = left.get(0, Polynomial.zero(ring))
-            return _vec_scale(right, p)
-        if j == 0:
-            p = right.get(0, Polynomial.zero(ring))
-            return _vec_scale(left, p)
-        tab = known.get((i, j), {})
-        out: Vec = {}
-        for u, p in left.items():
-            for v, q in right.items():
-                val = tab.get((u, v))
-                if val:
-                    out = _vec_add(ring, out, _vec_scale(val, p * q))
+            k_axpy(out, left.get(0, Polynomial.zero(ring)), right)
+        elif j == 0:
+            k_axpy(out, right.get(0, Polynomial.zero(ring)), left)
+        else:
+            out = k_bilinear(known.get((i, j), {}), left, right)
         return out
 
     stages = []
@@ -672,19 +572,6 @@ def associativity_probe(
         leibniz_rhs: dict = {}
         unsolvable = []
 
-        def vec_to_coords(vec: Vec, level, t):
-            _, idx = strand(level, t)
-            out = {}
-            for g, p in vec.items():
-                for mono, coeff in p.term_dict().items():
-                    k = idx[(g, mono)]
-                    s = out.get(k, 0) + coeff
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return out
-
         def emit_unknown(rowmap, block, pair, t_pair, coeff_poly, level_t, sign):
             """Add sign * coeff_poly * m_block(pair) into rowmap coordinates."""
             basis_src, _ = strand(n, t_pair)
@@ -712,12 +599,10 @@ def associativity_probe(
                     t = C.degs(i)[u] + C.degs(j)[v]
                     basis_n, _ = strand(n, t)
                     basis_lo, idx_lo = strand(n - 1, t)
-                    rhs_vec = mul(i - 1, j, _diff_column(C, i, u), {v: one})
-                    term = mul(i, j - 1, {u: one}, _diff_column(C, j, v))
-                    if i % 2:
-                        term = {k: -p for k, p in term.items()}
-                    rhs_vec = _vec_add(ring, rhs_vec, term)
-                    rhs_coords = vec_to_coords(rhs_vec, n - 1, t)
+                    rhs_vec = mul(i - 1, j, C.diff(i).column(u), {v: one})
+                    term = mul(i, j - 1, {u: one}, C.diff(j).column(v))
+                    k_axpy(rhs_vec, -1 if i % 2 else 1, term)
+                    rhs_coords = k_coords(rhs_vec, idx_lo)
                     if not basis_n:
                         if rhs_coords:
                             unsolvable.append(((i, j), (u, v)))
@@ -752,7 +637,7 @@ def associativity_probe(
                                 C.degs(a)[x] + C.degs(b)[y] + C.degs(c_deg)[z]
                             )
                             rowmap: dict = {}
-                            const: Vec = {}
+                            const: KElement = {}
                             # left: m_{a+b,c}(m_ab(x,y), z) - unknown block
                             for w, p in xy.items():
                                 t_pair = C.degs(a + b)[w] + C.degs(c_deg)[z]
@@ -771,7 +656,7 @@ def associativity_probe(
                                         rowmap, (a, b + c_deg), (x, w), t_pair,
                                         p, t_total, -1,
                                     )
-                            const_coords = vec_to_coords(const, n, t_total)
+                            const_coords = k_coords(const, strand(n, t_total)[1])
                             for k in set(rowmap) | set(const_coords):
                                 row = rowmap.get(k, {})
                                 if row or k in const_coords:
@@ -811,15 +696,7 @@ def associativity_probe(
                     if not coords:
                         continue
                     t = C.degs(i)[u] + C.degs(j)[v]
-                    basis_n, _ = strand(n, t)
-                    acc: dict = {}
-                    for c, val in coords.items():
-                        g, m = basis_n[c]
-                        acc.setdefault(g, {})[m] = val
-                    vec = {
-                        g: Polynomial(ring, terms) for g, terms in acc.items()
-                    }
-                    vec = {g: p for g, p in vec.items() if not p.is_zero}
+                    vec = k_element(coords, strand(n, t)[0], ring)
                     if vec:
                         tab[(u, v)] = vec
             known[(i, j)] = tab
@@ -836,13 +713,10 @@ def associativity_probe(
                         xy = mul(a, b, {x: one}, {y: one})
                         for z in range(C.rank(c_deg)):
                             report.tested_triples += 1
-                            left = mul(a + b, c_deg, xy, {z: one})
+                            res = mul(a + b, c_deg, xy, {z: one})
                             yz = mul(b, c_deg, {y: one}, {z: one})
-                            right = mul(a, b + c_deg, {x: one}, yz)
-                            res = _vec_add(
-                                ring, left, {k: -p for k, p in right.items()}
-                            )
-                            if not _vec_is_zero(res):
+                            k_axpy(res, -1, mul(a, b + c_deg, {x: one}, yz))
+                            if res:
                                 report.residual_triples.append(
                                     ((a, b, c_deg), (x, y, z))
                                 )

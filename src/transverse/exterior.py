@@ -1,16 +1,23 @@
-"""Elements of the Koszul exterior algebra with polynomial coefficients.
+"""Sparse elements of free modules with polynomial coefficients.
 
-An element of K (x) R/Q is a dict mapping sorted index tuples (exterior
-basis subsets) to polynomial coefficients over the quotient ring.  These
-are the cycles, wedges, and Massey values that the Golod and obstruction
-machinery manipulates.
+An element is a plain dict mapping a basis key to a nonzero polynomial
+coefficient.  The key is a generator index of a free module (a term of a
+resolution) or a sorted index tuple (an exterior basis subset of the
+Koszul algebra K (x) R/Q).  These are the cycles, wedges, Massey values,
+product tables and comparison-map columns that the Golod, DG and
+obstruction machinery manipulates.
+
+The accumulating helpers write in place, and only into dicts their caller
+created; every other helper returns a fresh element.  A strand basis is a
+list of (key, monomial) pairs, and :func:`k_coords` and :func:`k_element`
+convert between elements and scalar coordinates on it.
 """
 
 from __future__ import annotations
 
-from .poly import Polynomial, Ring
+from .poly import Monomial, PolyMatrix, Polynomial, Ring
 
-KElement = dict  # tuple[int, ...] -> Polynomial
+KElement = dict  # generator index or subset tuple -> Polynomial
 
 
 def wedge_subsets(S: tuple, T: tuple):
@@ -22,32 +29,43 @@ def wedge_subsets(S: tuple, T: tuple):
     return sign, tuple(sorted(S + T))
 
 
-def k_add(x: KElement, y: KElement) -> KElement:
-    out = dict(x)
-    for S, p in y.items():
-        q = out.get(S)
-        s = p if q is None else q + p
-        if s.is_zero:
-            out.pop(S, None)
-        else:
-            out[S] = s
-    return out
+def k_acc(acc: dict, key, p: Polynomial) -> None:
+    """acc[key] += p in place, dropping the key when the sum is zero."""
+    cur = acc.get(key)
+    s = p if cur is None else cur + p
+    if s.is_zero:
+        acc.pop(key, None)
+    else:
+        acc[key] = s
 
 
-def k_scale(x: KElement, c) -> KElement:
-    out = {}
-    for S, p in x.items():
-        q = p.scale(c) if not isinstance(c, Polynomial) else p * c
-        if not q.is_zero:
-            out[S] = q
-    return out
+def k_axpy(acc: KElement, c, x: KElement) -> None:
+    """acc += c x in place; c is a scalar or a polynomial."""
+    for key, p in x.items():
+        k_acc(acc, key, p * c)
 
-
-def k_neg(x: KElement) -> KElement:
-    return {S: -p for S, p in x.items()}
 
 def k_is_zero(x: KElement) -> bool:
     return not x
+
+
+def k_apply(A: PolyMatrix, x: KElement) -> KElement:
+    """A x for an element keyed by the column indices of A."""
+    out: KElement = {}
+    for c, p in x.items():
+        k_axpy(out, p, A.column(c))
+    return out
+
+
+def k_bilinear(table: dict, x: KElement, y: KElement) -> KElement:
+    """The bilinear map with values table[(u, v)] on basis pairs, at (x, y)."""
+    out: KElement = {}
+    for u, p in x.items():
+        for v, q in y.items():
+            val = table.get((u, v))
+            if val:
+                k_axpy(out, p * q, val)
+    return out
 
 
 def k_wedge(x: KElement, y: KElement) -> KElement:
@@ -55,26 +73,14 @@ def k_wedge(x: KElement, y: KElement) -> KElement:
     for S, p in x.items():
         for T, q in y.items():
             st = wedge_subsets(S, T)
-            if st is None:
-                continue
-            sign, U = st
-            term = (p * q).scale(sign)
-            if term.is_zero:
-                continue
-            cur = out.get(U)
-            s = term if cur is None else cur + term
-            if s.is_zero:
-                out.pop(U, None)
-            else:
-                out[U] = s
+            if st is not None:
+                k_acc(out, st[1], (p * q).scale(st[0]))
     return out
 
 
 def _var_monomial(ring: Ring, j: int):
     exps = [0] * ring.nvars
     exps[j] = 1
-    from .poly import Monomial
-
     return Monomial(tuple(exps))
 
 
@@ -86,15 +92,7 @@ def k_diff(ring: Ring, x: KElement) -> KElement:
         for pos, j in enumerate(S):
             rest = tuple(v for v in S if v != j)
             sign = 1 if pos % 2 == 0 else -1
-            term = p.mul_monomial(_var_monomial(ring, j)).scale(sign)
-            if term.is_zero:
-                continue
-            cur = out.get(rest)
-            s = term if cur is None else cur + term
-            if s.is_zero:
-                out.pop(rest, None)
-            else:
-                out[rest] = s
+            k_acc(out, rest, p.mul_monomial(_var_monomial(ring, j)).scale(sign))
     return out
 
 
@@ -107,27 +105,22 @@ def k_with_ring(x: KElement, ring: Ring) -> KElement:
     return out
 
 
-def k_to_strand_vector(x: KElement, index: dict) -> dict:
-    """Coordinates of ``x`` in a strand basis {(subset, monomial): column}.
+def k_coords(x: KElement, index: dict) -> dict:
+    """Coordinates of ``x`` in a strand basis {(key, monomial): column}.
 
     Raises KeyError if some term lies outside the strand (wrong degree)."""
-    vec = {}
-    for S, p in x.items():
-        for mono, coeff in p.term_dict().items():
-            col = index[(S, mono)]
-            cur = vec.get(col, 0)
-            s = cur + coeff
-            if s:
-                vec[col] = s
-            else:
-                vec.pop(col, None)
-    return vec
+    return {
+        index[(key, mono)]: coeff
+        for key, p in x.items()
+        for mono, coeff in p.term_dict().items()
+    }
 
 
-def k_from_strand_vector(vec: dict, basis: list, ring: Ring) -> KElement:
-    """Inverse of :func:`k_to_strand_vector` for basis [(subset, monomial)]."""
+def k_element(vec: dict, basis: list, ring: Ring) -> KElement:
+    """Inverse of :func:`k_coords` for a strand basis [(key, monomial)] of
+    monomials nonzero in ``ring``."""
     acc: dict = {}
     for col, coeff in vec.items():
-        S, mono = basis[col]
-        acc.setdefault(S, {})[mono] = coeff
-    return {S: Polynomial(ring, terms) for S, terms in acc.items()}
+        key, mono = basis[col]
+        acc.setdefault(key, {})[mono] = coeff
+    return {key: Polynomial(ring, terms) for key, terms in acc.items()}

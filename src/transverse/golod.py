@@ -20,12 +20,12 @@ from .complexes import (
 from .errors import CertificationError, DomainError
 from .exterior import (
     KElement,
-    k_add,
+    k_acc,
+    k_axpy,
+    k_coords,
     k_diff,
-    k_from_strand_vector,
+    k_element,
     k_is_zero,
-    k_neg,
-    k_to_strand_vector,
     k_wedge,
     k_with_ring,
 )
@@ -86,7 +86,7 @@ class KoszulHomology:
                         f"from the Taylor oracle value {table[(i, t)]}"
                     )
                 for v in sh.representatives:
-                    rep = k_from_strand_vector(
+                    rep = k_element(
                         v, [(self._subset(i, g), m) for g, m in sh.basis], ring
                     )
                     classes.append(
@@ -127,14 +127,22 @@ class KoszulHomology:
     def express(self, i: int, t: int, x: KElement):
         """Coordinates of the class of a cycle in the canonical basis."""
         sh = self.stratum(i, t)
-        vec = k_to_strand_vector(x, self.strand_index(i, t))
-        return sh.express(vec)
+        return sh.express(k_coords(x, self.strand_index(i, t)))
+
+    def class_coords(self, i: int, t: int, x: KElement):
+        """The class of a cycle as a sparse vector over ``classes_at(i)``,
+        or None if it is not a cycle class."""
+        lam = self.express(i, t, x)
+        if lam is None:
+            return None
+        at = [k for k, c in enumerate(self.classes_at(i)) if c.t == t]
+        return {k: v for k, v in zip(at, lam) if v}
 
     def is_boundary(self, i: int, t: int, x: KElement) -> bool:
         if k_is_zero(x):
             return True
         sh = self.stratum(i, t)
-        return sh.is_boundary(k_to_strand_vector(x, self.strand_index(i, t)))
+        return sh.is_boundary(k_coords(x, self.strand_index(i, t)))
 
 
 def _betti_oracle(I: MonomialIdeal) -> dict:
@@ -214,25 +222,16 @@ def kunneth_map(
             (a, b) for a in HI.classes for b in HJ.classes if a.i + b.i == n + 1
         ]
         target = HIJ.classes_at(n)
-        tindex = {c.index: k for k, c in enumerate(target)}
         cols = []
         for a, b in pairs:
             za = k_with_ring(a.rep, quotient)
             zb = k_with_ring(b.rep, quotient)
             image = k_wedge(za, k_diff(quotient, zb))
-            t = a.t + b.t
-            coords = HIJ.express(n, t, k_with_ring(image, ring))
-            if coords is None:
+            col = HIJ.class_coords(n, a.t + b.t, k_with_ring(image, ring))
+            if col is None:
                 raise CertificationError(
                     f"Kunneth image of ({a.label},{b.label}) is not a cycle class"
                 )
-            # coords are relative to the (n, t) stratum's representatives;
-            # place them against the classes of that stratum
-            col = {}
-            stratum_classes = [c for c in target if c.t == t]
-            for lam, cls in zip(coords, stratum_classes):
-                if lam:
-                    col[tindex[cls.index]] = lam
             cols.append(col)
         rows_mat = linalg.rows_from_columns(cols, len(target))
         rank = linalg.rank(rows_mat, ring.field)
@@ -354,19 +353,19 @@ def mu_bar(basis: GolodBasis, word: tuple) -> KElement:
     the defining equality chain: bar carries (-1)^(w+1) where w is the sum of
     |z_a| + |z_b| over the tuple (one more than the homological degree of the
     wedge itself, whose leading factor is a differential)."""
-    val = massey_mu(basis, word)
     w = sum(basis.vdeg(k) for k in word)
-    return val if (w + 1) % 2 == 0 else k_neg(val)
+    out: KElement = {}
+    k_axpy(out, 1 if (w + 1) % 2 == 0 else -1, massey_mu(basis, word))
+    return out
 
 
 def massey_identity_residual(basis: GolodBasis, word: tuple) -> KElement:
     """d mu(word) - sum_i bar(mu(prefix)) ^ mu(suffix); zero exactly when the
     defining trivial-Massey identity holds for this tuple."""
-    lhs = k_diff(basis.quotient, massey_mu(basis, word))
-    rhs: KElement = {}
+    res = k_diff(basis.quotient, massey_mu(basis, word))
     for i in range(1, len(word)):
-        rhs = k_add(rhs, k_wedge(mu_bar(basis, word[:i]), massey_mu(basis, word[i:])))
-    return k_add(lhs, k_neg(rhs))
+        k_axpy(res, -1, k_wedge(mu_bar(basis, word[:i]), massey_mu(basis, word[i:])))
+    return res
 
 
 @dataclass
@@ -463,24 +462,11 @@ def golod_resolution(
     for deg in range(1, n_max + 1):
         idx = {sw: r for r, sw in enumerate(levels[deg - 1])}
         entries: dict = {}
-
-        def add(row_key, col, poly):
-            if poly.is_zero:
-                return
-            row = idx[row_key]
-            key = (row, col)
-            cur = entries.get(key)
-            s = poly if cur is None else cur + poly
-            if s.is_zero:
-                entries.pop(key, None)
-            else:
-                entries[key] = s
-
         for col, (Ssub, w) in enumerate(levels[deg]):
             # Koszul part d(e_S) (x) word
             front: KElement = {Ssub: Polynomial.one(S)}
             for T, p in k_diff(S, front).items():
-                add((T, w), col, p)
+                k_acc(entries, (idx[(T, w)], col), p)
             # Massey corrections: (-1)^|S| e_S ^ mu(prefix) (x) suffix, the
             # prefix value normalized by (-1)^(j+1) so that the bar-twisted
             # Massey identity makes the squares cancel
@@ -490,7 +476,7 @@ def golod_resolution(
                 val = k_wedge(front, mu)
                 sign = base_sign * (1 if (j + 1) % 2 == 0 else -1)
                 for T, p in val.items():
-                    add((T, w[j:]), col, p.scale(sign))
+                    k_acc(entries, (idx[(T, w[j:])], col), p.scale(sign))
         diffs.append(
             PolyMatrix(S, len(levels[deg - 1]), len(levels[deg]), entries)
         )

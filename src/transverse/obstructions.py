@@ -23,7 +23,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import CertificationError, DomainError
-from .exterior import k_wedge, k_with_ring
+from .exterior import KElement, k_acc, k_coords, k_wedge, k_with_ring
 from .golod import KoszulHomology
 from .ideals import MonomialIdeal, is_transverse, ideal_product
 from .poly import Monomial, PolyMatrix, Polynomial, Ring
@@ -139,26 +139,14 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     for deg in range(1, n_max + 1):
         idx = {sm: r for r, sm in enumerate(levels[deg - 1])}
         entries: dict = {}
-
-        def add(key, col, poly):
-            if poly.is_zero:
-                return
-            row = idx[key]
-            cur = entries.get((row, col))
-            s = poly if cur is None else cur + poly
-            if s.is_zero:
-                entries.pop((row, col), None)
-            else:
-                entries[(row, col)] = s
-
         for col, (Ssub, m) in enumerate(levels[deg]):
             for pos, s in enumerate(Ssub):
                 rest = tuple(x for x in Ssub if x != s)
                 sign = 1 if pos % 2 == 0 else -1
                 exps = [0] * n
                 exps[s] = 1
-                add(
-                    (rest, m), col,
+                k_acc(
+                    entries, (idx[(rest, m)], col),
                     Polynomial.from_monomial(S, Monomial(tuple(exps)),
                                              S.field.from_int(sign)),
                 )
@@ -172,8 +160,8 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
                 wsign = (-1) ** sum(1 for s in Ssub if s > i)
                 m2 = tuple(e - 1 if k == j else e for k, e in enumerate(m))
                 union = tuple(sorted(Ssub + (i,)))
-                add(
-                    (union, m2), col,
+                k_acc(
+                    entries, (idx[(union, m2)], col),
                     Polynomial.from_monomial(
                         S, cof, S.field.from_int(ssign * wsign)
                     ),
@@ -221,6 +209,17 @@ class QuotientTor:
                 self.tate.complex, self.M, t, i
             )
         return self.strata[key]
+
+    def express(self, i: int, t: int, x: KElement):
+        """Coordinates, in the canonical basis, of the class of an exterior
+        cycle included into the Tate complex, or None if it is not a cycle
+        class."""
+        sh = self.stratum(i, t)
+        index = {
+            (self.tate.basis[i][g], m): k for k, (g, m) in enumerate(sh.basis)
+        }
+        zero = (0,) * len(self.tate.sequence)
+        return sh.express(k_coords({(S, zero): p for S, p in x.items()}, index))
 
     def dims(self, i: int, tmax: int) -> dict:
         return {
@@ -286,19 +285,7 @@ def change_of_rings_map(
         offsets[t] = total_target
         total_target += sh.dim
     for cls in srcs:
-        sh = qt.stratum(i, cls.t)
-        basis_index = {
-            (bm[0], bm[1]): k for k, bm in enumerate(
-                [(qt.tate.basis[i][g], m) for g, m in sh.basis]
-            )
-        }
-        vec = {}
-        for S, p in cls.rep.items():
-            for mono, coeff in p.term_dict().items():
-                key = ((S, (0,) * len(qt.tate.sequence)), mono)
-                vec_k = basis_index[key]
-                vec[vec_k] = coeff
-        lam = sh.express(vec)
+        lam = qt.express(i, cls.t, cls.rep)
         if lam is None:
             raise CertificationError(
                 f"exterior image of class {cls.label} is not a cycle class"
@@ -348,22 +335,15 @@ def tor_product_subspace(
     vectors = []
     cycles = []
     n_i = len(source.classes_at(i))
-    index_of = {c.index: k for k, c in enumerate(source.classes_at(i))}
     for z, (zm) in zip(zs, mons):
         for w, tw in lowers:
             wedge = k_wedge(z, w)
             t = zm.degree + tw
-            if all(p.is_zero for p in wedge.values()):
+            if not wedge:
                 continue
-            lam = source.express(i, t, k_with_ring(wedge, ring))
-            if lam is None:
+            vec = source.class_coords(i, t, k_with_ring(wedge, ring))
+            if vec is None:
                 raise CertificationError("product wedge is not a cycle class")
-            vec = {}
-            for k, cls in enumerate(
-                [c for c in source.classes_at(i) if c.t == t]
-            ):
-                if lam[k]:
-                    vec[index_of[cls.index]] = lam[k]
             vectors.append(vec)
             cycles.append((wedge, t))
     ech = linalg.echelon(vectors, n_i, ring.field)
@@ -458,17 +438,7 @@ def avramov_obstruction(
         ech, cycles = tor_product_subspace(mons, M, i, source=source)
         # certify the induced map is well defined: products map to zero
         for wedge, t in cycles:
-            sh = qt.stratum(i, t)
-            basis_index = {
-                ((qt.tate.basis[i][g], m)): k
-                for k, (g, m) in enumerate(sh.basis)
-            }
-            vec = {}
-            for Ssub, p in wedge.items():
-                for mono, coeff in p.term_dict().items():
-                    key = ((Ssub, (0,) * len(mons)), mono)
-                    vec[basis_index[key]] = coeff
-            lam = sh.express(vec)
+            lam = qt.express(i, t, wedge)
             if lam is None or any(lam):
                 product_ok = False
         dim_torS = sum(qt.dims(i, D).values())
@@ -492,6 +462,8 @@ def verify_injectivity(a, I: MonomialIdeal, J: MonomialIdeal, n_max: int = 4):
     """Certify that Tor_i^R(R/IJ,k) -> Tor_i^S(R/IJ,k) is injective for
     2 <= i <= n_max, the change-of-rings consequence of a trivial Tor
     algebra."""
+    if n_max < 2:
+        raise DomainError("n_max must be at least 2: obstructions start at i = 2")
     if not is_transverse(I, J):
         raise DomainError("injectivity certificate needs transverse ideals")
     M = ideal_product(I, J)

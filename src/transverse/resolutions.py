@@ -13,6 +13,7 @@ from .complexes import (
     strand_matrix,
 )
 from .errors import DomainError, ExactnessError
+from .exterior import k_acc, k_apply, k_coords, k_element
 from .ideals import MonomialIdeal
 from .poly import PolyMatrix, Polynomial, Ring
 
@@ -150,14 +151,7 @@ def minimize_complex(C: GradedFreeComplex, certify: bool = True) -> GradedFreeCo
         colvals = {rr: p for (rr, cc), p in mat.items() if cc == c and rr != r}
         for rr, pc in colvals.items():
             for cc, pr in rowvals.items():
-                key = (rr, cc)
-                corr = (pc * pr).scale(1 / u)
-                cur = mat.get(key, Polynomial.zero(ring))
-                new = cur - corr
-                if new.is_zero:
-                    mat.pop(key, None)
-                else:
-                    mat[key] = new
+                k_acc(mat, (rr, cc), -(pc * pr).scale(1 / u))
         for key in [k for k in mat if k[0] == r or k[1] == c]:
             del mat[key]
         if i <= length - 1:
@@ -228,20 +222,12 @@ def lift_comparison_map(
         entries = {}
         for e in range(source.rank(i)):
             t = source.degs(i)[e]
-            # rhs = phi_{i-1}(d^S_i e) as a vector over target_{i-1}
-            rhs_polys = [Polynomial.zero(ring) for _ in range(target.rank(i - 1))]
-            for (r, c), p in source.diff(i).entries.items():
-                if c != e:
-                    continue
-                for (rr, cc), q in phis[i - 1].entries.items():
-                    if cc == r:
-                        rhs_polys[rr] = rhs_polys[rr] + q * p
+            # rhs = phi_{i-1}(d^S_i e) in strand coordinates of target_{i-1}
             basis_lo = strand_basis(target, i - 1, t)
-            idx_lo = {bm: k for k, bm in enumerate(basis_lo)}
-            rhs = {}
-            for g, poly in enumerate(rhs_polys):
-                for mono, coeff in poly.term_dict().items():
-                    rhs[idx_lo[(g, mono)]] = coeff
+            rhs = k_coords(
+                k_apply(phis[i - 1], source.diff(i).column(e)),
+                {bm: k for k, bm in enumerate(basis_lo)},
+            )
             basis_hi = strand_basis(target, i, t)
             if not basis_hi:
                 if rhs:
@@ -257,11 +243,7 @@ def lift_comparison_map(
                     f"target not exact in degree {i}, strand {t}: "
                     f"comparison map cannot be lifted"
                 )
-            cols: dict[int, dict] = {}
-            for k, v in sol.items():
-                g, mono = basis_hi[k]
-                cols.setdefault(g, {})[mono] = v
-            for g, terms in cols.items():
-                entries[(g, e)] = Polynomial(ring, terms)
+            for g, p in k_element(sol, basis_hi, ring).items():
+                entries[(g, e)] = p
         phis.append(PolyMatrix(ring, target.rank(i), source.rank(i), entries))
     return phis

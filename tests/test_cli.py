@@ -231,6 +231,34 @@ class TestInputErrorsExitTwo:
         doc = job("obstruction", {"module": "I", "ci": [3]})
         assert "args.ci" in self.run(tmp_path, capsys, doc)
 
+    def test_golod_resolution_n_max_zero(self, tmp_path, capsys):
+        # an explicit 0 is used as given, not replaced by the default
+        doc = job("golod", {"left": "I", "right": "J", "mode": "resolution",
+                            "n_max": 0})
+        assert "n_max" in self.run(tmp_path, capsys, doc)
+
+    def test_golod_verify_bound_zero(self, tmp_path, capsys):
+        doc = job("golod", {"left": "I", "right": "J", "mode": "verify"})
+        assert "n_max" in self.run(tmp_path, capsys, doc, "--bound", "0")
+
+    def test_injectivity_n_max_zero(self, tmp_path, capsys):
+        doc = job("injectivity-verify",
+                  {"left": "I", "right": "J", "ci": ["x1*x3"], "n_max": 0})
+        assert "n_max" in self.run(tmp_path, capsys, doc)
+
+    def test_injectivity_n_max_one(self, tmp_path, capsys):
+        doc = job("injectivity-verify",
+                  {"left": "I", "right": "J", "ci": ["x1*x3"], "n_max": 1})
+        assert "n_max" in self.run(tmp_path, capsys, doc)
+
+    def test_ideal_reference_not_a_string(self, tmp_path, capsys):
+        doc = job("check-transverse", {"left": ["I"], "right": "J"})
+        assert "ideal name" in self.run(tmp_path, capsys, doc)
+
+    def test_ideal_list_entry_not_a_string(self, tmp_path, capsys):
+        doc = job("dg-verify", {"ideals": ["I", ["J"]]})
+        assert "ideal name" in self.run(tmp_path, capsys, doc)
+
 
 def test_resolve_staircase_rendered(capsys, tmp_path):
     path = tmp_path / "job.json"

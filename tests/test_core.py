@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from transverse import linalg
+from transverse.complexes import strand_basis
 from transverse.errors import DimensionError
+from transverse.exterior import k_acc, k_apply, k_axpy, k_coords, k_element
 from transverse.fields import QQ, PrimeField
+from transverse.ideals import minimalize_generators
 from transverse.poly import (
     Monomial,
     PolyMatrix,
@@ -18,6 +21,7 @@ from transverse.poly import (
     monomials_of_degree,
     poly_mul,
 )
+from transverse.resolutions import koszul_on_variables, taylor_complex
 
 
 class TestMonomials:
@@ -316,3 +320,93 @@ class TestAgainstDenseOracle:
                 for row in sparse:
                     s = sum(row.get(c, Fraction(0)) * vc for c, vc in v.items())
                     assert s == 0
+
+
+class TestElements:
+    """Sparse free-module elements {key: Polynomial} and their one
+    accumulate, apply and strand-coordinate path."""
+
+    def test_cancelling_sum_drops_key(self, Rxy):
+        x, y = Rxy.variable(0), Rxy.variable(1)
+        acc = {0: x, 1: y}
+        k_acc(acc, 0, -x)
+        assert acc == {1: y}
+        k_acc(acc, 2, Polynomial.zero(Rxy))
+        assert acc == {1: y}
+        k_axpy(acc, -1, {1: y})
+        assert acc == {}
+
+    def test_axpy_polynomial_over_quotient_drops_killed_terms(self):
+        base = Ring(("x", "y"))
+        Q = base.quotient([base.parse_monomial("x^2"), base.parse_monomial("x*y")])
+        x, y = Q.variable(0), Q.variable(1)
+        acc = {(0,): y * y}
+        # x * (x + y) = 0 and x * y = 0 in Q: both targets vanish
+        k_axpy(acc, x, {(0,): x + y, (1,): y})
+        assert acc == {(0,): y * y}
+        k_axpy(acc, y, {(0,): x + y})
+        assert acc == {(0,): (y * y).scale(2)}
+        # a scalar coefficient scales without touching the caller's element
+        x_elem = {(1,): y}
+        k_axpy(acc, 3, x_elem)
+        assert acc[(1,)] == y.scale(3) and x_elem == {(1,): y}
+
+    @staticmethod
+    def _round_trip(basis, ring, seed):
+        rng = random.Random(seed)
+        index = {bm: k for k, bm in enumerate(basis)}
+        vec = {k: Fraction(rng.randint(-3, 3)) for k in range(len(basis))}
+        vec = {k: v for k, v in vec.items() if v}
+        x = k_element(vec, basis, ring)
+        assert k_coords(x, index) == vec
+        assert all(not p.is_zero for p in x.values())
+        assert k_element(k_coords(x, index), basis, ring) == x
+        return x
+
+    def test_coordinates_round_trip_koszul_strand(self, R4):
+        K = koszul_on_variables(R4)
+        subsets = K.meta["subsets"]
+        Q = [R4.parse_monomial("x1^2"), R4.parse_monomial("x2*x3")]
+        for i, t in ((1, 3), (2, 3), (2, 4)):
+            basis = [
+                (subsets[i][g], m) for g, m in strand_basis(K, i, t, Q)
+            ]
+            assert basis
+            x = self._round_trip(basis, R4, seed=10 * i + t)
+            assert all(len(S) == i for S in x)
+
+    def test_coordinates_round_trip_taylor_strand(self, R4):
+        I = minimalize_generators(
+            R4, [R4.parse_monomial(g) for g in ("x1^2", "x1*x2", "x3*x4")]
+        )
+        C = taylor_complex(I)
+        for i, t in ((1, 3), (2, 4), (3, 5)):
+            basis = strand_basis(C, i, t)
+            assert basis
+            x = self._round_trip(basis, R4, seed=10 * i + t)
+            assert all(0 <= g < C.rank(i) for g in x)
+
+    def test_coordinates_reject_terms_outside_the_strand(self, R4):
+        K = koszul_on_variables(R4)
+        basis = [(K.meta["subsets"][1][g], m) for g, m in strand_basis(K, 1, 2)]
+        index = {bm: k for k, bm in enumerate(basis)}
+        with pytest.raises(KeyError):
+            k_coords({(0,): R4.variable(1) * R4.variable(1)}, index)
+
+    def test_apply_matches_polymatrix_apply(self, R4):
+        I = minimalize_generators(
+            R4, [R4.parse_monomial(g) for g in ("x1^2", "x1*x2", "x2*x3", "x4")]
+        )
+        C = taylor_complex(I)
+        rng = random.Random(7)
+        gens = R4.variables() + [Polynomial.one(R4)]
+        for i in range(1, C.length + 1):
+            A = C.diff(i)
+            for _ in range(5):
+                dense = [
+                    rng.choice(gens).scale(rng.randint(-2, 2))
+                    for _ in range(A.ncols)
+                ]
+                x = {c: p for c, p in enumerate(dense) if not p.is_zero}
+                want = {r: p for r, p in enumerate(A.apply(dense)) if not p.is_zero}
+                assert k_apply(A, x) == want
