@@ -3,7 +3,9 @@
 Each case renders one output as text and compares its sha256 digest with a
 value captured once from a known-good revision.  The cases cover one job
 per CLI command (the JSON report plus the exit code) and the objects that
-no report prints: degree-one product tables, the Golod and Tate complexes,
+no report prints: degree-one product tables, the Golod and Tate complexes
+(a minimal one, a non-minimal one and one over an empty sequence), the
+Koszul, Taylor (with a redundant generator), tensor and star complexes,
 Koszul class representatives, comparison maps and module-action tables,
 and the associativity probe's findings.
 
@@ -18,7 +20,7 @@ import json
 import pytest
 
 from transverse.cli import COMMANDS, cmd_dispatch, parse_input, render_report
-from transverse.complexes import complex_to_json
+from transverse.complexes import complex_to_json, star_product, tensor_complexes
 from transverse.dg import (
     associativity_probe,
     koszul_dg_product,
@@ -136,6 +138,46 @@ def _tate() -> str:
     return _dumps(complex_to_json(tate_resolution(seq, R, 4).complex))
 
 
+def _tate_non_minimal() -> str:
+    # x1 is killed in S, so d(y1) = e1 has a unit entry
+    R = Ring(tuple(VARS4))
+    seq = [R.parse_monomial("x1"), R.parse_monomial("x3^2")]
+    return _dumps(complex_to_json(tate_resolution(seq, R, 4).complex))
+
+
+def _tate_empty() -> str:
+    R = Ring(tuple(VARS4))
+    return _dumps(complex_to_json(tate_resolution([], R, 3).complex))
+
+
+def _taylor_tensor_koszul() -> str:
+    R = Ring(tuple(VARS4))
+    F = taylor_complex(ideal(R, "x1^2", "x1*x2"))
+    G = koszul_complex([R.variable(2), R.variable(3)])
+    return _dumps(complex_to_json(tensor_complexes(F, G)))
+
+
+def _star_taylor_koszul() -> str:
+    R = Ring(tuple(VARS4))
+    F = taylor_complex(ideal(R, "x1^2", "x1*x2"))
+    G = koszul_complex([R.variable(2), R.variable(3)])
+    return _dumps(complex_to_json(star_product(F, G)))
+
+
+def _koszul_mixed() -> str:
+    R = Ring(tuple(VARS4))
+    elems = [Polynomial.from_monomial(R, R.parse_monomial(g))
+             for g in ("x1^2", "x2*x3", "x4")]
+    return _dumps(complex_to_json(koszul_complex(elems)))
+
+
+def _taylor_redundant() -> str:
+    R = Ring(tuple(VARS4))
+    I = ideal(R, "x1^2", "x1*x2")
+    gens = list(I.gens) + [R.parse_monomial("x1^2*x2")]
+    return _dumps(complex_to_json(taylor_complex(I, gens=gens)))
+
+
 def _koszul_reps() -> str:
     R = Ring(tuple(VARS4))
     IJ = ideal_product(ideal(R, "x1^2", "x1*x2"), ideal(R, "x3", "x4^2"))
@@ -191,6 +233,12 @@ OBJECTS = {
     "star_degree_one_triple": _star_triple,
     "golod_resolution_flagship": _golod_flagship,
     "tate_resolution": _tate,
+    "tate_resolution_non_minimal": _tate_non_minimal,
+    "tate_resolution_empty": _tate_empty,
+    "tensor_taylor_koszul": _taylor_tensor_koszul,
+    "star_taylor_koszul": _star_taylor_koszul,
+    "koszul_mixed_degrees": _koszul_mixed,
+    "taylor_redundant_generator": _taylor_redundant,
     "koszul_representatives": _koszul_reps,
     "module_action": _module_action,
     "associativity_probe": _probe,
@@ -210,10 +258,16 @@ DIGESTS = {
     "cli:associativity-probe": "9ecb8da0017ed3dc47e1c8bc72a39b58f3460c257ce6f930d963dcc5f9d5aa80",
     "obj:associativity_probe": "c9b31c34d4ad65d860458b342dac2f964ade177edaba4dd1f9e49495770b227b",
     "obj:golod_resolution_flagship": "49372344b27926061a5360db86b3d099cb5649412bf73e35327d0ea1c5edf124",
+    "obj:koszul_mixed_degrees": "95d55551ba1f66c2ef9f1aca6a361a60672ed47dcdbbd8101fba4505a6050510",
     "obj:koszul_representatives": "c408e6d4b6e10cc257072bb019995401df61d5b6e99babcabba8a329d59052c6",
     "obj:module_action": "9faf94b859d9a6fa978284aa67c52dc7d31c8f28ca47daa5aad571eae0ddd38f",
     "obj:star_degree_one_triple": "df734b90182cd3ed6756e37cbfe520038191493b456b4852f11e6c7fcf973279",
+    "obj:star_taylor_koszul": "79ade5b29fab3532c58b27289dba084c78b9572ed2fca914804a03852f07a851",
     "obj:tate_resolution": "391c86e2cff17ab3cf4e9ba0201a6519b381e289d0727b09fbde0d2f62c7a955",
+    "obj:tate_resolution_empty": "045becf092d77520e812124a5f902b348d9c6cbda88c856eb233ea9feef9abbb",
+    "obj:tate_resolution_non_minimal": "0c6a79fb911bc455083bcd892ba12f031d9f7c6f6d87a905d7666e2711beea0b",
+    "obj:taylor_redundant_generator": "e2a6a269d3191c80a3e24ef3185f41d15b17a9f4ba67c0f90698e4961441226f",
+    "obj:tensor_taylor_koszul": "b3b8018048bedbc02e82543269c2bc368087b2e72090880badc84656bdf6ce35",
 }
 
 
