@@ -154,9 +154,7 @@ def _resolution_for(spec: JobSpec, I: MonomialIdeal, method: str):
             [Polynomial.from_monomial(I.ring, g) for g in I.gens]
         )
     if method == "minimal":
-        return resolutions.minimize_complex(
-            resolutions.taylor_complex(I), certify=False
-        )
+        return resolutions.minimal_resolution(I)
     raise ParseError(f"args.method: unknown method {method!r}")
 
 
@@ -227,12 +225,8 @@ def cmd_dispatch(spec: JobSpec):
     if spec.command == "star-resolve":
         I = spec.ideal(spec.args.get("left", "I"))
         J = spec.ideal(spec.args.get("right", "J"))
-        F = resolutions.minimize_complex(
-            resolutions.taylor_complex(I), certify=False
-        )
-        G = resolutions.minimize_complex(
-            resolutions.taylor_complex(J), certify=False
-        )
+        F = resolutions.minimal_resolution(I)
+        G = resolutions.minimal_resolution(J)
         S = complexes.star_product(F, G)
         IJ = ideal_product(I, J)
         report = {

@@ -136,6 +136,26 @@ def is_minimal(C: GradedFreeComplex) -> bool:
     return True
 
 
+def complex_from_boundary(ring, levels, degree, label, boundary, meta=None):
+    """The free complex with basis keys ``levels[i]`` in homological degree
+    i, generator degrees ``degree(key)`` and labels ``label(key)``.
+
+    ``boundary(key)`` is d(key) as an element keyed by the previous level;
+    column order follows ``levels[i]`` and row order ``levels[i - 1]``.
+    """
+    diffs = []
+    for i in range(1, len(levels)):
+        idx = {key: r for r, key in enumerate(levels[i - 1])}
+        entries: dict = {}
+        for col, key in enumerate(levels[i]):
+            for lower, p in boundary(key).items():
+                k_acc(entries, (idx[lower], col), p)
+        diffs.append(PolyMatrix(ring, len(levels[i - 1]), len(levels[i]), entries))
+    degrees = [[degree(key) for key in lvl] for lvl in levels]
+    labels = [[label(key) for key in lvl] for lvl in levels]
+    return GradedFreeComplex(ring, degrees, diffs, labels, meta)
+
+
 # ---------------------------------------------------------------------------
 # tensor products, truncation, star product
 
@@ -151,30 +171,35 @@ def tensor_basis(F: GradedFreeComplex, G: GradedFreeComplex, n: int):
     return out
 
 
+def _tensor_boundary(F: GradedFreeComplex, G: GradedFreeComplex, lo: int = 0):
+    """d(f (x) g) = d(f) (x) g + (-1)^|f| f (x) d(g) on keys (i, j, fi, gj),
+    without the terms whose factor drops below homological degree ``lo``."""
+
+    def boundary(key):
+        i, j, fi, gj = key
+        out: dict = {}
+        if i > lo:
+            for r, p in F.diff(i).column(fi).items():
+                k_acc(out, (i - 1, j, r, gj), p)
+        if j > lo:
+            sign = -1 if i % 2 else 1
+            for r, p in G.diff(j).column(gj).items():
+                k_acc(out, (i, j - 1, fi, r), p.scale(sign))
+        return out
+
+    return boundary
+
+
 def tensor_complexes(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComplex:
     if F.ring != G.ring:
         raise RingMismatchError("tensor factors over different rings")
-    ring = F.ring
-    length = F.length + G.length
-    bases = [tensor_basis(F, G, n) for n in range(length + 1)]
-    degrees, labels = [], []
-    for n in range(length + 1):
-        degrees.append([F.degs(i)[fi] + G.degs(j)[gj] for i, j, fi, gj in bases[n]])
-        labels.append(
-            [f"{F.labels[i][fi]}(x){G.labels[j][gj]}" for i, j, fi, gj in bases[n]]
-        )
-    diffs = []
-    for n in range(1, length + 1):
-        idx = {key: k for k, key in enumerate(bases[n - 1])}
-        entries = {}
-        for col, (i, j, fi, gj) in enumerate(bases[n]):
-            for r, p in F.diff(i).column(fi).items():
-                k_acc(entries, (idx[(i - 1, j, r, gj)], col), p)
-            sign = -1 if i % 2 else 1
-            for r, p in G.diff(j).column(gj).items():
-                k_acc(entries, (idx[(i, j - 1, fi, r)], col), p.scale(sign))
-        diffs.append(PolyMatrix(ring, len(bases[n - 1]), len(bases[n]), entries))
-    return GradedFreeComplex(ring, degrees, diffs, labels)
+    return complex_from_boundary(
+        F.ring,
+        [tensor_basis(F, G, n) for n in range(F.length + G.length + 1)],
+        lambda k: F.degs(k[0])[k[2]] + G.degs(k[1])[k[3]],
+        lambda k: f"{F.labels[k[0]][k[2]]}(x){G.labels[k[1]][k[3]]}",
+        _tensor_boundary(F, G),
+    )
 
 
 def stupid_truncation(C: GradedFreeComplex, n: int) -> GradedFreeComplex:
@@ -200,19 +225,14 @@ def stupid_truncation(C: GradedFreeComplex, n: int) -> GradedFreeComplex:
 
 def star_basis(F: GradedFreeComplex, G: GradedFreeComplex, n: int):
     """Basis of (F*G)_n for n >= 1 as (i, j, fi, gj), ordered by (i, fi, gj)."""
-    out = []
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        for fi in range(F.rank(i)):
-            for gj in range(G.rank(j)):
-                out.append((i, j, fi, gj))
-    return out
+    return [k for k in tensor_basis(F, G, n + 1) if k[0] >= 1 and k[1] >= 1]
 
 
 def star_product(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComplex:
     """The star product: (F*G)_0 = R, (F*G)_n = sum of F_i (x) G_j over
     i+j = n+1 with i,j >= 1; the front differential is d1^F (x) d1^G and the
-    higher ones come from the tensor product of the brutal truncations."""
+    higher ones are the tensor differential without its i = 0 and j = 0
+    terms."""
     if F.ring != G.ring:
         raise RingMismatchError("star factors over different rings")
     if F.rank(0) != 1 or G.rank(0) != 1:
@@ -221,26 +241,24 @@ def star_product(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComple
         rep = validate_complex(X)
         if not rep:
             raise DomainError(f"{name} star factor is not a complex: {rep.problems[0]}")
-    ring = F.ring
-    length = F.length + G.length - 1
-    # (F*G)_n = (F_{>=1} (x) G_{>=1})_{n+1} for n >= 1, with the same basis
-    # order and the same differentials from d_2 on
-    T = tensor_complexes(stupid_truncation(F, 1), stupid_truncation(G, 1))
-    bases = {n: star_basis(F, G, n) for n in range(1, length + 1)}
-    degrees = [(0,)] + list(T.degrees[2:])
-    labels = [("1",)] + [
-        [f"{F.labels[i][fi]}*{G.labels[j][gj]}" for i, j, fi, gj in bases[n]]
-        for n in range(1, length + 1)
-    ]
-    # d_1 = d1^F (x) d1^G : entries are products of the two column entries
-    entries = {}
-    for col, (i, j, fi, gj) in enumerate(bases[1]):
+    # the generator 1 of (F*G)_0 is keyed as f_0 (x) g_0
+    unit = (0, 0, 0, 0)
+    higher = _tensor_boundary(F, G, lo=1)
+
+    def boundary(key):
+        i, j, fi, gj = key
+        if i + j > 2:
+            return higher(key)
         p = F.diff(1).entry(0, fi) * G.diff(1).entry(0, gj)
-        if not p.is_zero:
-            entries[(0, col)] = p
-    diffs = [PolyMatrix(ring, 1, len(bases[1]), entries)] + list(T.diffs[2:])
-    return GradedFreeComplex(
-        ring, degrees, diffs, labels, meta={"star_factors": (F, G)}
+        return {} if p.is_zero else {unit: p}
+
+    return complex_from_boundary(
+        F.ring,
+        [[unit]] + [star_basis(F, G, n) for n in range(1, F.length + G.length)],
+        lambda k: F.degs(k[0])[k[2]] + G.degs(k[1])[k[3]] if k[0] else 0,
+        lambda k: f"{F.labels[k[0]][k[2]]}*{G.labels[k[1]][k[3]]}" if k[0] else "1",
+        boundary,
+        meta={"star_factors": (F, G)},
     )
 
 
@@ -406,6 +424,21 @@ def resolution_failures(C: GradedFreeComplex, top: int, D: int, hilbert):
     return strand_failures, coker_failures
 
 
+def resolves_k_failures(C: GradedFreeComplex, top: int, D: int):
+    """The "C resolves the residue field" certificate on the strands t <= D.
+
+    Returns ``(validation, minimal, strand_failures, coker_failures)``: the
+    d o d = 0 and homogeneity report, whether C is minimal, and the failures
+    of :func:`resolution_failures` for H_i, 1 <= i <= top, and coker d_1 = k,
+    the strand failures ordered by (i, t).
+    """
+    strand_failures, coker_failures = resolution_failures(
+        C, top, D, lambda t: int(t == 0)
+    )
+    strand_failures.sort()
+    return validate_complex(C), is_minimal(C), strand_failures, coker_failures
+
+
 def strand_homology_dim(C: GradedFreeComplex, Q, t: int, i: int) -> int:
     """Fast dimension-only strand homology (forward elimination ranks)."""
     return strand_homology_dims(C, Q, t, i, i)[i]
@@ -524,7 +557,7 @@ def verify_resolution(
     Taylor resolution of I — the oracle that makes the finite strand check a
     sound certificate.
     """
-    from .resolutions import minimize_complex, taylor_complex
+    from .resolutions import minimal_resolution, minimize_complex
 
     if D is None:
         D = C.max_degree() + 2
@@ -532,7 +565,7 @@ def verify_resolution(
         C, C.length, D, lambda t: len(degree_basis_mod_ideal(I, t))
     )
     got = betti_table(minimize_complex(C, certify=False))
-    want_table = betti_table(minimize_complex(taylor_complex(I), certify=False))
+    want_table = betti_table(minimal_resolution(I))
     return ResolutionCertificate(
         I, D, strand_failures, coker_failures, got == want_table, got, want_table
     )

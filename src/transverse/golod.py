@@ -11,11 +11,10 @@ from . import linalg
 from .complexes import (
     GradedFreeComplex,
     StrandHomology,
-    is_minimal,
-    resolution_failures,
+    complex_from_boundary,
+    resolves_k_failures,
     strand_homology,
     strand_homology_dims,
-    validate_complex,
 )
 from .errors import CertificationError, DomainError
 from .exterior import (
@@ -30,8 +29,8 @@ from .exterior import (
     k_with_ring,
 )
 from .ideals import MonomialIdeal, ideal_product, is_transverse
-from .poly import PolyMatrix, Polynomial, Ring
-from .resolutions import koszul_on_variables, minimize_complex, taylor_complex
+from .poly import Polynomial, Ring
+from .resolutions import koszul_on_variables, minimal_resolution
 
 
 @dataclass(frozen=True)
@@ -150,10 +149,8 @@ def _betti_oracle(I: MonomialIdeal) -> dict:
     Taylor resolution."""
     from .complexes import betti_table
 
-    mini = minimize_complex(taylor_complex(I), certify=False)
-    return {
-        (i, t): v for (i, t), v in betti_table(mini).entries.items() if i >= 1
-    }
+    table = betti_table(minimal_resolution(I)).entries
+    return {(i, t): v for (i, t), v in table.items() if i >= 1}
 
 
 def koszul_homology(I: MonomialIdeal) -> KoszulHomology:
@@ -250,7 +247,7 @@ def tor_independence(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -
     for K in (I, J):
         if K.is_zero or K.is_unit:
             raise DomainError("Tor independence needs nonzero proper ideals")
-    F = minimize_complex(taylor_complex(I), certify=False)
+    F = minimal_resolution(I)
     if D is None:
         D = F.max_degree() + J.max_gen_degree() + 2
     return not any(
@@ -261,7 +258,7 @@ def tor_independence(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -
 
 def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
     """Graded dims of Tor_i(R/I, R/J) for i >= 1 up to the strand bound."""
-    F = minimize_complex(taylor_complex(I), certify=False)
+    F = minimal_resolution(I)
     if D is None:
         D = F.max_degree() + J.max_gen_degree() + 2
     out = {}
@@ -444,56 +441,43 @@ def golod_resolution(
     for lvl in levels:
         lvl.sort(key=lambda sw: (len(sw[1]), sw[1], len(sw[0]), sw[0]))
 
-    def internal_degree(Ssub, w):
+    def boundary(key):
+        Ssub, w = key
+        # Koszul part d(e_S) (x) word
+        front: KElement = {Ssub: Polynomial.one(S)}
+        out = {(T, w): p for T, p in k_diff(S, front).items()}
+        # Massey corrections: (-1)^|S| e_S ^ mu(prefix) (x) suffix, the
+        # prefix value normalized by (-1)^(j+1) so that the bar-twisted
+        # Massey identity makes the squares cancel
+        base_sign = -1 if len(Ssub) % 2 else 1
+        for j in range(1, len(w) + 1):
+            val = k_wedge(front, massey_mu(basis, w[:j]))
+            sign = base_sign * (1 if (j + 1) % 2 == 0 else -1)
+            for T, p in val.items():
+                k_acc(out, (T, w[j:]), p.scale(sign))
+        return out
+
+    def degree(key):
+        Ssub, w = key
         return len(Ssub) + sum(basis.vdeg_internal(k) for k in w)
 
-    degrees = [
-        [internal_degree(Ssub, w) for Ssub, w in lvl] for lvl in levels
-    ]
-    labels = [
-        [
-            "e{" + ",".join(str(s + 1) for s in Ssub) + "}"
-            + "".join(f"v({a},{b})" for a, b in (basis.pairs[k] for k in w))
-            for Ssub, w in lvl
-        ]
-        for lvl in levels
-    ]
-    diffs = []
-    for deg in range(1, n_max + 1):
-        idx = {sw: r for r, sw in enumerate(levels[deg - 1])}
-        entries: dict = {}
-        for col, (Ssub, w) in enumerate(levels[deg]):
-            # Koszul part d(e_S) (x) word
-            front: KElement = {Ssub: Polynomial.one(S)}
-            for T, p in k_diff(S, front).items():
-                k_acc(entries, (idx[(T, w)], col), p)
-            # Massey corrections: (-1)^|S| e_S ^ mu(prefix) (x) suffix, the
-            # prefix value normalized by (-1)^(j+1) so that the bar-twisted
-            # Massey identity makes the squares cancel
-            base_sign = -1 if len(Ssub) % 2 else 1
-            for j in range(1, len(w) + 1):
-                mu = massey_mu(basis, w[:j])
-                val = k_wedge(front, mu)
-                sign = base_sign * (1 if (j + 1) % 2 == 0 else -1)
-                for T, p in val.items():
-                    k_acc(entries, (idx[(T, w[j:])], col), p.scale(sign))
-        diffs.append(
-            PolyMatrix(S, len(levels[deg - 1]), len(levels[deg]), entries)
+    def label(key):
+        Ssub, w = key
+        return "e{" + ",".join(str(s + 1) for s in Ssub) + "}" + "".join(
+            f"v({a},{b})" for a, b in (basis.pairs[k] for k in w)
         )
-    C = GradedFreeComplex(
-        S, degrees, diffs, labels, meta={"golod_basis": basis, "levels": levels}
-    )
 
-    rep = validate_complex(C)
-    strand_failures, coker_failures = resolution_failures(
-        C, n_max - 1, D, lambda t: int(t == 0)
+    C = complex_from_boundary(
+        S, levels, degree, label, boundary, meta={"golod_basis": basis}
     )
-    strand_failures.sort()
+    rep, minimal, strand_failures, coker_failures = resolves_k_failures(
+        C, n_max - 1, D
+    )
     cert = GolodCertificate(
-        C.total_ranks(), (), True, rep.ok, is_minimal(C), strand_failures,
+        C.total_ranks(), (), True, rep.ok, minimal, strand_failures,
         coker_failures,
     )
-    if not (rep.ok and cert.minimal and not strand_failures and not coker_failures):
+    if not (rep.ok and minimal and not strand_failures and not coker_failures):
         raise CertificationError(
             "Golod resolution failed its own certificate: "
             + ("; ".join(rep.problems) or f"strands {strand_failures[:3]}, "
@@ -519,6 +503,8 @@ def golod_poincare(
     I: MonomialIdeal, J: MonomialIdeal, n_max: int = 6,
     HIJ: KoszulHomology | None = None,
 ) -> PoincareSeries:
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
     if not is_transverse(I, J):
         raise DomainError("the Golod series requires transverse ideals")
     n = I.ring.nvars

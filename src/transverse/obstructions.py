@@ -11,23 +11,22 @@ subspace is the obstruction to DG-module structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
 from .complexes import (
     GradedFreeComplex,
-    is_minimal,
-    resolution_failures,
+    complex_from_boundary,
+    resolves_k_failures,
     strand_homology,
-    validate_complex,
 )
 from .errors import CertificationError, DomainError
-from .exterior import KElement, k_acc, k_coords, k_wedge, k_with_ring
+from .exterior import KElement, k_acc, k_coords, k_diff, k_wedge, k_with_ring
 from .golod import KoszulHomology
 from .ideals import MonomialIdeal, is_transverse, ideal_product
-from .poly import Monomial, PolyMatrix, Polynomial, Ring
-from .resolutions import minimize_complex, taylor_complex
+from .poly import Monomial, Polynomial, Ring
+from .resolutions import minimal_resolution
 
 
 def _check_regular_sequence(ring: Ring, elems) -> list[Monomial]:
@@ -52,13 +51,22 @@ def _check_regular_sequence(ring: Ring, elems) -> list[Monomial]:
     return mons
 
 
+def _tate_cycle(ring: Ring, a: Monomial) -> KElement:
+    """z = (a / x_i) e_i over ``ring`` for the smallest variable index i
+    dividing a, so that d(z) = a; any other choice differs by a boundary."""
+    i = min(a.support())
+    exps = [0] * ring.nvars
+    exps[i] = 1
+    return {(i,): Polynomial.from_monomial(ring, a.divide(Monomial(tuple(exps))))}
+
+
 @dataclass
 class TateComplex:
     """Truncated Tate resolution of k over S = R/(a)."""
 
     ring: Ring  # the quotient ring S
     sequence: list
-    cycles: list  # z_j as (variable index, cofactor monomial)
+    cycles: list  # z_j as exterior elements over S, see _tate_cycle
     complex: GradedFreeComplex
     basis: list  # per homological degree: list of (subset, exponent tuple)
     certificate: dict
@@ -69,11 +77,8 @@ class TateComplex:
 
 
 def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
-    """Build and certify the Tate complex through homological degree n_max.
-
-    z_j is chosen as (a_j / x_i) e_i for the smallest variable index i
-    dividing a_j; any other choice differs by a boundary.
-    """
+    """Build and certify the Tate complex through homological degree n_max,
+    with the cycles z_j of :func:`_tate_cycle`."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     if ring is None:
@@ -87,12 +92,7 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     S = ring.quotient(mons) if mons else ring
     n = ring.nvars
     c = len(mons)
-    cycles = []
-    for m in mons:
-        i = min(m.support())
-        exps = [0] * n
-        exps[i] = 1
-        cycles.append((i, m.divide(Monomial(tuple(exps)))))
+    zs = [_tate_cycle(S, m) for m in mons]
 
     def weights(total):
         # exponent tuples m with 2 * sum(m) == total
@@ -123,59 +123,34 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
         lvl.sort(key=lambda sm: (sm[1], sm[0]))
         levels.append(lvl)
 
-    def internal(Ssub, m):
+    def boundary(key):
+        # d(e_S y^(m)) = d(e_S) y^(m) + (-1)^|S| e_S ^ z_j y^(m - 1_j)
+        Ssub, m = key
+        front: KElement = {Ssub: Polynomial.one(S)}
+        out = {(T, m): p for T, p in k_diff(S, front).items()}
+        sign = -1 if len(Ssub) % 2 else 1
+        for j, z in enumerate(zs):
+            if m[j]:
+                m2 = m[:j] + (m[j] - 1,) + m[j + 1:]
+                for T, p in k_wedge(front, z).items():
+                    k_acc(out, (T, m2), p.scale(sign))
+        return out
+
+    def degree(key):
+        Ssub, m = key
         return len(Ssub) + sum(e * mons[j].degree for j, e in enumerate(m))
 
-    degrees = [[internal(Ssub, m) for Ssub, m in lvl] for lvl in levels]
-    labels = [
-        [
-            "e{" + ",".join(str(s + 1) for s in Ssub) + "}"
-            + "".join(f"y{j + 1}^({e})" for j, e in enumerate(m) if e)
-            for Ssub, m in lvl
-        ]
-        for lvl in levels
-    ]
-    diffs = []
-    for deg in range(1, n_max + 1):
-        idx = {sm: r for r, sm in enumerate(levels[deg - 1])}
-        entries: dict = {}
-        for col, (Ssub, m) in enumerate(levels[deg]):
-            for pos, s in enumerate(Ssub):
-                rest = tuple(x for x in Ssub if x != s)
-                sign = 1 if pos % 2 == 0 else -1
-                exps = [0] * n
-                exps[s] = 1
-                k_acc(
-                    entries, (idx[(rest, m)], col),
-                    Polynomial.from_monomial(S, Monomial(tuple(exps)),
-                                             S.field.from_int(sign)),
-                )
-            ssign = -1 if len(Ssub) % 2 else 1
-            for j in range(c):
-                if m[j] == 0:
-                    continue
-                i, cof = cycles[j]
-                if i in Ssub:
-                    continue
-                wsign = (-1) ** sum(1 for s in Ssub if s > i)
-                m2 = tuple(e - 1 if k == j else e for k, e in enumerate(m))
-                union = tuple(sorted(Ssub + (i,)))
-                k_acc(
-                    entries, (idx[(union, m2)], col),
-                    Polynomial.from_monomial(
-                        S, cof, S.field.from_int(ssign * wsign)
-                    ),
-                )
-        diffs.append(PolyMatrix(S, len(levels[deg - 1]), len(levels[deg]), entries))
-    C = GradedFreeComplex(S, degrees, diffs, labels, meta={"tate_basis": levels})
+    def label(key):
+        Ssub, m = key
+        return "e{" + ",".join(str(s + 1) for s in Ssub) + "}" + "".join(
+            f"y{j + 1}^({e})" for j, e in enumerate(m) if e
+        )
 
-    rep = validate_complex(C)
-    minimal = is_minimal(C)
-    D = max((max(d, default=0) for d in degrees), default=0) + 1
-    strand_failures, coker_failures = resolution_failures(
-        C, n_max - 1, D, lambda t: int(t == 0)
+    C = complex_from_boundary(S, levels, degree, label, boundary)
+    # a linear a_j leaves a unit entry, so minimality is reported, not required
+    rep, minimal, strand_failures, coker_failures = resolves_k_failures(
+        C, n_max - 1, C.max_degree() + 1
     )
-    strand_failures.sort()
     cert = {
         "valid": rep.ok,
         "minimal": minimal,
@@ -184,7 +159,7 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     }
     if not rep.ok or strand_failures or coker_failures:
         raise CertificationError(f"Tate complex failed its certificate: {cert}")
-    return TateComplex(S, mons, cycles, C, levels, cert)
+    return TateComplex(S, mons, zs, C, levels, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +217,7 @@ def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6, D: int | None = None)
         tate = tate_resolution(seq, M.ring, n_max + 1)
     qt = QuotientTor(tate, M)
     if D is None:
-        D = max(
-            (max(d, default=0) for d in tate.complex.degrees), default=0
-        ) + M.max_gen_degree() + 1
+        D = tate.complex.max_degree() + M.max_gen_degree() + 1
     return [sum(qt.dims(i, D).values()) for i in range(0, n_max + 1)]
 
 
@@ -317,15 +290,7 @@ def tor_product_subspace(
     if i < 1:
         raise DomainError("the product subspace lives in positive degrees")
     quotient = M.quotient_ring()
-    zs = []
-    for m in mons:
-        v = min(m.support())
-        exps = [0] * ring.nvars
-        exps[v] = 1
-        cof = m.divide(Monomial(tuple(exps)))
-        zs.append(
-            {(v,): Polynomial.from_monomial(quotient, cof)}
-        )
+    zs = [_tate_cycle(quotient, m) for m in mons]
     if i == 1:
         lowers = [({(): Polynomial.one(quotient)}, 0)]
     else:
@@ -404,8 +369,7 @@ class ObstructionReport:
 
 
 def projective_dimension(M: MonomialIdeal) -> int:
-    mini = minimize_complex(taylor_complex(M), certify=False)
-    return mini.length
+    return minimal_resolution(M).length
 
 
 def avramov_obstruction(
@@ -425,12 +389,12 @@ def avramov_obstruction(
             raise DomainError("the regular sequence must lie in M")
     if n_max is None:
         n_max = projective_dimension(M) + 1
+    elif n_max < 2:
+        raise DomainError("n_max must be at least 2: obstructions start at i = 2")
     source = KoszulHomology(M)
     tate = tate_resolution(mons, ring, n_max + 1)
     qt = QuotientTor(tate, M)
-    D = max(
-        (max(d, default=0) for d in tate.complex.degrees), default=0
-    ) + M.max_gen_degree() + 1
+    D = tate.complex.max_degree() + M.max_gen_degree() + 1
     rows = []
     product_ok = True
     for i in range(2, n_max + 1):
@@ -462,8 +426,6 @@ def verify_injectivity(a, I: MonomialIdeal, J: MonomialIdeal, n_max: int = 4):
     """Certify that Tor_i^R(R/IJ,k) -> Tor_i^S(R/IJ,k) is injective for
     2 <= i <= n_max, the change-of-rings consequence of a trivial Tor
     algebra."""
-    if n_max < 2:
-        raise DomainError("n_max must be at least 2: obstructions start at i = 2")
     if not is_transverse(I, J):
         raise DomainError("injectivity certificate needs transverse ideals")
     M = ideal_product(I, J)

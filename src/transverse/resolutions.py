@@ -8,6 +8,7 @@ from itertools import combinations
 from . import linalg
 from .complexes import (
     GradedFreeComplex,
+    complex_from_boundary,
     strand_basis,
     strand_homology_dim,
     strand_matrix,
@@ -41,22 +42,16 @@ def koszul_complex(elements: list[Polynomial]) -> GradedFreeComplex:
         degs.append(d)
     c = len(elements)
     subsets = [sorted(combinations(range(c), i)) for i in range(c + 1)]
-    degrees = [
-        [sum(degs[j] for j in S) for S in subsets[i]] for i in range(c + 1)
-    ]
-    labels = [[_subset_label("e", S) for S in subsets[i]] for i in range(c + 1)]
-    diffs = []
-    for i in range(1, c + 1):
-        idx = {S: k for k, S in enumerate(subsets[i - 1])}
-        entries = {}
-        for col, S in enumerate(subsets[i]):
-            for pos, j in enumerate(S):
-                rest = tuple(x for x in S if x != j)
-                sign = 1 if pos % 2 == 0 else -1
-                entries[(idx[rest], col)] = elements[j].scale(sign)
-        diffs.append(PolyMatrix(ring, len(subsets[i - 1]), len(subsets[i]), entries))
-    return GradedFreeComplex(
-        ring, degrees, diffs, labels, meta={"subsets": subsets}
+
+    def boundary(S):
+        return {
+            S[:pos] + S[pos + 1:]: elements[j].scale(1 if pos % 2 == 0 else -1)
+            for pos, j in enumerate(S)
+        }
+
+    return complex_from_boundary(
+        ring, subsets, lambda S: sum(degs[j] for j in S),
+        lambda S: _subset_label("e", S), boundary, meta={"subsets": subsets},
     )
 
 
@@ -89,25 +84,29 @@ def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
         return m
 
     lcms = [{S: lcm_of(S) for S in subsets[i]} for i in range(r + 1)]
-    degrees = [[lcms[i][S].degree for S in subsets[i]] for i in range(r + 1)]
-    labels = [[_subset_label("T", S) for S in subsets[i]] for i in range(r + 1)]
-    diffs = []
-    for i in range(1, r + 1):
-        idx = {S: k for k, S in enumerate(subsets[i - 1])}
-        entries = {}
-        for col, S in enumerate(subsets[i]):
-            big = lcms[i][S]
-            for pos, j in enumerate(S):
-                rest = tuple(x for x in S if x != j)
-                ratio = big.divide(lcms[i - 1][rest])
-                sign = 1 if pos % 2 == 0 else -1
-                entries[(idx[rest], col)] = Polynomial.from_monomial(
-                    ring, ratio, ring.field.from_int(sign)
-                )
-        diffs.append(PolyMatrix(ring, len(subsets[i - 1]), len(subsets[i]), entries))
-    return GradedFreeComplex(
-        ring, degrees, diffs, labels, meta={"subsets": subsets, "lcms": lcms}
+
+    def boundary(S):
+        out = {}
+        for pos in range(len(S)):
+            rest = S[:pos] + S[pos + 1:]
+            ratio = lcms[len(S)][S].divide(lcms[len(rest)][rest])
+            out[rest] = Polynomial.from_monomial(
+                ring, ratio, 1 if pos % 2 == 0 else -1
+            )
+        return out
+
+    return complex_from_boundary(
+        ring, subsets, lambda S: lcms[len(S)][S].degree,
+        lambda S: _subset_label("T", S), boundary,
+        meta={"subsets": subsets, "lcms": lcms},
     )
+
+
+def minimal_resolution(I: MonomialIdeal) -> GradedFreeComplex:
+    """The minimal free resolution of R/I: the minimized Taylor complex.
+
+    This is the package's Betti oracle."""
+    return minimize_complex(taylor_complex(I), certify=False)
 
 
 def minimize_complex(C: GradedFreeComplex, certify: bool = True) -> GradedFreeComplex:

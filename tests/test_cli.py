@@ -192,6 +192,9 @@ class TestMain:
         assert out1 == out2
 
 
+OBSTRUCTION_MODULE = {"M": ["x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2"]}
+
+
 class TestInputErrorsExitTwo:
     """Malformed input exits 2 with a one-line message, never a traceback."""
 
@@ -249,6 +252,27 @@ class TestInputErrorsExitTwo:
     def test_injectivity_n_max_one(self, tmp_path, capsys):
         doc = job("injectivity-verify",
                   {"left": "I", "right": "J", "ci": ["x1*x3"], "n_max": 1})
+        assert "n_max" in self.run(tmp_path, capsys, doc)
+
+    def test_obstruction_n_max_zero(self, tmp_path, capsys):
+        doc = job("obstruction", {"module": "M", "ci": ["x1^2", "x4^2"],
+                                  "n_max": 0}, ideals=OBSTRUCTION_MODULE)
+        assert "n_max" in self.run(tmp_path, capsys, doc)
+
+    def test_obstruction_n_max_one(self, tmp_path, capsys):
+        # no degree i >= 2 to check, so no vanishing may be claimed
+        doc = job("obstruction", {"module": "M", "ci": ["x1^2", "x4^2"],
+                                  "n_max": 1}, ideals=OBSTRUCTION_MODULE)
+        assert "n_max" in self.run(tmp_path, capsys, doc)
+
+    def test_obstruction_bound_one(self, tmp_path, capsys):
+        doc = job("obstruction", {"module": "M", "ci": ["x1^2", "x4^2"]},
+                  ideals=OBSTRUCTION_MODULE)
+        assert "n_max" in self.run(tmp_path, capsys, doc, "--bound", "1")
+
+    def test_golod_series_negative_n_max(self, tmp_path, capsys):
+        doc = job("golod", {"left": "I", "right": "J", "mode": "series",
+                            "n_max": -1})
         assert "n_max" in self.run(tmp_path, capsys, doc)
 
     def test_ideal_reference_not_a_string(self, tmp_path, capsys):

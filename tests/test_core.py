@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -410,3 +412,33 @@ class TestElements:
                 x = {c: p for c, p in enumerate(dense) if not p.is_zero}
                 want = {r: p for r, p in enumerate(A.apply(dense)) if not p.is_zero}
                 assert k_apply(A, x) == want
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``__future__`` excepted)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_unused_imports_detected():
+    src = "from a import b, c\nimport d.e\nimport f as g\nprint(c, d)\n"
+    assert _unused_imports(src) == ["b (line 1)", "g (line 3)"]
+
+
+def test_no_unused_imports():
+    package = Path(__file__).resolve().parent.parent / "src" / "transverse"
+    found = {
+        path.name: _unused_imports(path.read_text())
+        for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+    }
+    assert found and not {name: u for name, u in found.items() if u}

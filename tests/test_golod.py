@@ -230,6 +230,11 @@ class TestPoincare:
         )
         assert ps.coefficients == (1, 4, 10, 24, 58, 140, 338)
 
+    def test_series_bound(self, R4, flagship):
+        assert golod_poincare(*flagship, n_max=0).coefficients == (1,)
+        with pytest.raises(DomainError):
+            golod_poincare(*flagship, n_max=-1)
+
     def test_principal_series(self, Rxy):
         ps = golod_poincare(ideal(Rxy, "x"), ideal(Rxy, "y"), 6)
         assert ps.numerator == (1, 2, 1)
