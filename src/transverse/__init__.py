@@ -26,7 +26,6 @@ from .golod import (
     koszul_homology,
     kunneth_map,
     massey_mu,
-    tor_independence,
     verify_golod,
 )
 from .ideals import (
@@ -55,10 +54,12 @@ from .poly import (
     poly_mul,
 )
 from .resolutions import (
+    betti_numbers,
     koszul_complex,
     lift_comparison_map,
     minimize_complex,
     taylor_complex,
+    tor_independence,
 )
 
 __version__ = "0.1.0"

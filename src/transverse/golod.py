@@ -14,7 +14,6 @@ from .complexes import (
     complex_from_boundary,
     resolves_k_failures,
     strand_homology,
-    strand_homology_dims,
 )
 from .errors import CertificationError, DomainError
 from .exterior import (
@@ -30,7 +29,7 @@ from .exterior import (
 )
 from .ideals import MonomialIdeal, ideal_product, is_transverse
 from .poly import Polynomial, Ring
-from .resolutions import koszul_on_variables, minimal_resolution
+from .resolutions import betti_numbers, koszul_on_variables
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,12 @@ class KoszulHomology:
         self.ideal = I
         self.ring = ring
         self.K = koszul_on_variables(ring)
-        # the minimized Taylor resolution pins the exact (i, t) support of
-        # the homology; strand elimination then recomputes each dimension
+        # the lcm-lattice Betti numbers pin the exact (i, t) support of the
+        # homology; strand elimination then recomputes each dimension
         # independently and the two pipelines must agree on the nose
-        table = _betti_oracle(I)
+        table = {
+            (i, t): v for (i, t), v in betti_numbers(I).entries.items() if i >= 1
+        }
         top = max((i for i, _ in table), default=0)
         if max_i is not None:
             top = min(top, max_i)
@@ -82,7 +83,7 @@ class KoszulHomology:
                 if sh.dim != table[(i, t)]:
                     raise CertificationError(
                         f"strand homology dim {sh.dim} at ({i},{t}) deviates "
-                        f"from the Taylor oracle value {table[(i, t)]}"
+                        f"from the lcm-lattice Betti number {table[(i, t)]}"
                     )
                 for v in sh.representatives:
                     rep = k_element(
@@ -144,15 +145,6 @@ class KoszulHomology:
         return sh.is_boundary(k_coords(x, self.strand_index(i, t)))
 
 
-def _betti_oracle(I: MonomialIdeal) -> dict:
-    """Graded Betti numbers of R/I in positive degrees via the minimized
-    Taylor resolution."""
-    from .complexes import betti_table
-
-    table = betti_table(minimal_resolution(I)).entries
-    return {(i, t): v for (i, t), v in table.items() if i >= 1}
-
-
 def koszul_homology(I: MonomialIdeal) -> KoszulHomology:
     """Basis of H_{>=1}(R/I): Koszul homology of the quotient, with canonical
     representatives; total dimensions equal the Betti numbers of R/I."""
@@ -160,7 +152,7 @@ def koszul_homology(I: MonomialIdeal) -> KoszulHomology:
 
 
 # ---------------------------------------------------------------------------
-# Kunneth map and Tor independence
+# Kunneth map
 
 
 @dataclass
@@ -234,39 +226,6 @@ def kunneth_map(
         rank = linalg.rank(rows_mat, ring.field)
         rows.append(KunnethRow(n, len(pairs), len(target), rank))
     return KunnethCertificate(I, J, rows)
-
-
-def tor_independence(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> bool:
-    """True iff H_i(F (x) R/J) = 0 for all i >= 1 and strands t <= D, where F
-    is the minimal free resolution of R/I.
-
-    By rigidity of Tor over the polynomial ring this bounded check decides
-    Tor-independence outright: a nonzero Tor_1 = (I cap J)/IJ has a witness
-    below the generator-degree bound.
-    """
-    for K in (I, J):
-        if K.is_zero or K.is_unit:
-            raise DomainError("Tor independence needs nonzero proper ideals")
-    F = minimal_resolution(I)
-    if D is None:
-        D = F.max_degree() + J.max_gen_degree() + 2
-    return not any(
-        any(strand_homology_dims(F, J, t, 1, F.length).values())
-        for t in range(0, D + 1)
-    )
-
-
-def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
-    """Graded dims of Tor_i(R/I, R/J) for i >= 1 up to the strand bound."""
-    F = minimal_resolution(I)
-    if D is None:
-        D = F.max_degree() + J.max_gen_degree() + 2
-    out = {}
-    for t in range(0, D + 1):
-        for i, d in strand_homology_dims(F, J, t, 1, F.length).items():
-            if d:
-                out[(i, t)] = d
-    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .exterior import KElement, k_acc, k_coords, k_diff, k_wedge, k_with_ring
 from .golod import KoszulHomology
 from .ideals import MonomialIdeal, is_transverse, ideal_product
 from .poly import Monomial, Polynomial, Ring
-from .resolutions import minimal_resolution
+from .resolutions import betti_numbers
 
 
 def _check_regular_sequence(ring: Ring, elems) -> list[Monomial]:
@@ -369,7 +369,7 @@ class ObstructionReport:
 
 
 def projective_dimension(M: MonomialIdeal) -> int:
-    return minimal_resolution(M).length
+    return max(i for i, _ in betti_numbers(M).entries)
 
 
 def avramov_obstruction(

@@ -1,5 +1,6 @@
 """Constructors for the concrete resolutions: Koszul and Taylor complexes,
-minimization by unit-entry pruning, and comparison-map lifting."""
+minimization by unit-entry pruning, comparison-map lifting, the lcm-lattice
+Betti oracle and Tor dimensions read off the minimal resolution."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ from itertools import combinations
 
 from . import linalg
 from .complexes import (
+    BettiTable,
     GradedFreeComplex,
     complex_from_boundary,
     strand_basis,
     strand_homology_dim,
+    strand_homology_dims,
     strand_matrix,
 )
 from .errors import DomainError, ExactnessError
@@ -64,9 +67,8 @@ def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
     """The Taylor resolution of R/I: generators e_S indexed by subsets of the
     generators, internal degree deg lcm_S, with lcm-ratio entries.
 
-    This is the package's internal exactness oracle: it resolves every
-    monomial ideal, so comparing against its minimization certifies other
-    candidate resolutions.  ``gens`` overrides the (minimal) stored
+    It resolves every monomial ideal, and minimizing it gives
+    :func:`minimal_resolution`.  ``gens`` overrides the (minimal) stored
     generators with an explicit, possibly redundant, generating sequence.
     """
     if I.is_zero or I.is_unit:
@@ -102,10 +104,60 @@ def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
     )
 
 
-def minimal_resolution(I: MonomialIdeal) -> GradedFreeComplex:
-    """The minimal free resolution of R/I: the minimized Taylor complex.
+def betti_numbers(I: MonomialIdeal) -> BettiTable:
+    """Graded Betti numbers of R/I over the ring's field, from the lcm lattice.
 
-    This is the package's Betti oracle."""
+    For m in the lcm lattice, beta_{i,m}(R/I) is H_i of the scalar complex
+    on the subsets S of generators with lcm(S) = m, where S maps to
+    sum_pos (-1)^pos (S minus its pos-th element) over the faces whose lcm
+    is still m: the multidegree-m part of Taylor (x) k, i.e. the relative
+    crosscut complex of (0, m] (Gasharov-Peeva-Welker 1999).  Only scalar
+    ranks are taken, so no complex is built or minimized.
+
+    This is the package's Betti oracle; it shares only ``linalg`` with the
+    strand engine.
+    """
+    if I.is_zero or I.is_unit:
+        raise DomainError("Betti numbers need a nonzero proper ideal")
+    gens = [g.exps for g in I.gens]
+    one = (0,) * I.ring.nvars
+    lcm = {(): one}
+    blocks = {(one, 0): {(): 0}}  # (lcm, |S|) -> {S: index in the block}
+    for size in range(1, len(gens) + 1):
+        for S in combinations(range(len(gens)), size):
+            m = lcm[S] = tuple(map(max, lcm[S[:-1]], gens[S[-1]]))
+            block = blocks.setdefault((m, size), {})
+            block[S] = len(block)
+    ranks = {}  # rank of the boundary out of each block
+    for (m, size), block in blocks.items():
+        lower = blocks.get((m, size - 1))
+        if not lower:
+            continue
+        # the rank does not depend on the row order, but elimination in
+        # reverse lexicographic order fills in far less: 10x faster on the
+        # 16 generators of (x1,x2)^3 (x3,x4)^3, where 51,472 subsets share
+        # the top lcm
+        rows = []
+        for S in reversed(block):
+            row = {}
+            for pos in range(size):
+                face = lower.get(S[:pos] + S[pos + 1:])
+                if face is not None:
+                    row[face] = 1 if pos % 2 == 0 else -1
+            rows.append(row)
+        ranks[(m, size)] = linalg.rank(rows, I.ring.field)
+    entries: dict = {}
+    for (m, size), block in blocks.items():
+        b = len(block) - ranks.get((m, size), 0) - ranks.get((m, size + 1), 0)
+        if b:
+            key = (size, sum(m))
+            entries[key] = entries.get(key, 0) + b
+    return BettiTable(dict(sorted(entries.items())))
+
+
+def minimal_resolution(I: MonomialIdeal) -> GradedFreeComplex:
+    """The minimal free resolution of R/I as a complex: the minimized Taylor
+    complex.  Betti numbers alone come from :func:`betti_numbers`."""
     return minimize_complex(taylor_complex(I), certify=False)
 
 
@@ -194,6 +246,39 @@ def minimize_complex(C: GradedFreeComplex, certify: bool = True) -> GradedFreeCo
                     f"minimization changed H_{i} in strand {t}: {want} -> {got}"
                 )
     return out
+
+
+def tor_independence(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> bool:
+    """True iff H_i(F (x) R/J) = 0 for all i >= 1 and strands t <= D, where F
+    is the minimal free resolution of R/I.
+
+    By rigidity of Tor over the polynomial ring this bounded check decides
+    Tor-independence outright: a nonzero Tor_1 = (I cap J)/IJ has a witness
+    below the generator-degree bound.
+    """
+    for K in (I, J):
+        if K.is_zero or K.is_unit:
+            raise DomainError("Tor independence needs nonzero proper ideals")
+    F = minimal_resolution(I)
+    if D is None:
+        D = F.max_degree() + J.max_gen_degree() + 2
+    return not any(
+        any(strand_homology_dims(F, J, t, 1, F.length).values())
+        for t in range(0, D + 1)
+    )
+
+
+def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
+    """Graded dims of Tor_i(R/I, R/J) for i >= 1 up to the strand bound."""
+    F = minimal_resolution(I)
+    if D is None:
+        D = F.max_degree() + J.max_gen_degree() + 2
+    out = {}
+    for t in range(0, D + 1):
+        for i, d in strand_homology_dims(F, J, t, 1, F.length).items():
+            if d:
+                out[(i, t)] = d
+    return dict(sorted(out.items()))
 
 
 def lift_comparison_map(

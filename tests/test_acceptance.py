@@ -30,8 +30,6 @@ from transverse.golod import (
     koszul_homology,
     kunneth_map,
     massey_identity_residual,
-    tor_dims,
-    tor_independence,
     verify_golod,
 )
 from transverse.ideals import MonomialIdeal, ideal_product, is_transverse
@@ -41,7 +39,13 @@ from transverse.obstructions import (
     verify_injectivity,
 )
 from transverse.poly import Monomial, Ring
-from transverse.resolutions import koszul_complex, minimize_complex, taylor_complex
+from transverse.resolutions import (
+    koszul_complex,
+    minimize_complex,
+    taylor_complex,
+    tor_dims,
+    tor_independence,
+)
 
 from conftest import ideal
 
@@ -62,7 +66,8 @@ def _flagship_pair(R=None):
 def generated_transverse_pairs(count=10, seed=20250809):
     """Disjoint-support random pairs; transversality is then automatic and
     independently asserted.  Product generator counts are capped so the
-    Taylor oracle stays at desk scale."""
+    lcm-lattice Betti oracle, which visits every subset of the product's
+    generators, stays at desk scale."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:

@@ -13,12 +13,11 @@ from transverse.golod import (
     kunneth_map,
     massey_identity_residual,
     massey_mu,
-    tor_dims,
-    tor_independence,
     verify_golod,
 )
 from transverse.ideals import MonomialIdeal, ideal_product, is_transverse
 from transverse.poly import Monomial, Ring
+from transverse.resolutions import tor_dims, tor_independence
 
 from conftest import ideal
 

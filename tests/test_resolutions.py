@@ -1,20 +1,29 @@
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
+from transverse import resolutions
 from transverse.complexes import (
     betti_table,
     is_minimal,
+    star_product,
     strand_homology_dim,
     validate_complex,
     verify_resolution,
 )
 from transverse.errors import DomainError, ExactnessError
+from transverse.fields import QQ, PrimeField
+from transverse.golod import koszul_homology, kunneth_map
 from transverse.ideals import MonomialIdeal, ideal_product
-from transverse.poly import Polynomial
+from transverse.obstructions import projective_dimension
+from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import (
+    betti_numbers,
     koszul_complex,
     lift_comparison_map,
+    minimal_resolution,
     minimize_complex,
     taylor_complex,
 )
@@ -135,6 +144,73 @@ class TestMinimize:
                 strand_homology_dim(K, IJ, t, i) for t in range(0, 9)
             )
             assert total == strands
+
+
+# facets of the 6-vertex triangulation of the real projective plane
+RP2_FACETS = {
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+}
+
+
+def _rp2_ideal(field):
+    """Stanley-Reisner ideal of RP^2: its 1-skeleton is complete, so it is
+    generated by the 10 triangles that are not facets."""
+    R = Ring(tuple(f"x{v + 1}" for v in range(6)), field)
+    gens = [
+        Monomial(tuple(int(v in T) for v in range(6)))
+        for T in combinations(range(6), 3)
+        if T not in RP2_FACETS
+    ]
+    return MonomialIdeal(R, tuple(gens))
+
+
+class TestBettiOracle:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+    def test_agrees_with_minimized_taylor(self, field):
+        R = Ring(("x1", "x2", "x3", "x4"), field)
+        rng = random.Random(6)
+        for _ in range(12):
+            I = random_monomial_ideal(R, rng, max_gens=6)
+            assert betti_numbers(I) == betti_table(minimal_resolution(I))
+
+    def test_rp2_depends_on_characteristic(self):
+        char0 = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+        for field in (QQ, PrimeField(3)):
+            assert betti_numbers(_rp2_ideal(field)).entries == char0
+        char2 = dict(char0)
+        char2.update({(3, 6): 1, (4, 6): 1})
+        I = _rp2_ideal(PrimeField(2))
+        assert betti_numbers(I).entries == char2
+        assert betti_table(minimal_resolution(I)).entries == char2
+
+    def test_rejects_zero_and_unit(self, R4):
+        with pytest.raises(DomainError):
+            betti_numbers(MonomialIdeal(R4, ()))
+        with pytest.raises(DomainError):
+            betti_numbers(ideal(R4, "1"))
+
+    def test_oracle_paths_build_no_taylor_complex(self, R4, monkeypatch):
+        I = ideal(R4, "x1^2", "x1*x2", "x2^2")
+        J = ideal(R4, "x3", "x4^2")
+        S = star_product(minimal_resolution(I), minimal_resolution(J))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("taylor_complex called on an oracle path")
+
+        original = resolutions.taylor_complex
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] != "transverse":
+                continue
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, refuse)
+        IJ = ideal_product(I, J)
+        assert verify_resolution(S, IJ).ok
+        assert koszul_homology(IJ).dims() == {1: 6, 2: 7, 3: 2}
+        assert kunneth_map(I, J).ok
+        avramov = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
+        assert projective_dimension(avramov) == 4
 
 
 class TestLift:
