@@ -322,7 +322,7 @@ def cmd_dispatch(spec: JobSpec):
                 "reason": "ideals are not sequentially transverse",
             }, 1
         C, prod = _star_with_product(spec, ideals_list)
-        cert = dg.certify_degree_one(prod)
+        cert = prod.certificate
         report = {
             "command": "dg-verify",
             "pass": cert.ok,

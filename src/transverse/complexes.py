@@ -17,7 +17,7 @@ from operator import add
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
-from .exterior import k_acc
+from .exterior import k_acc, k_coords
 from .ideals import MonomialIdeal, degree_basis_mod_ideal
 from .poly import Monomial, PolyMatrix, monomials_of_degree
 
@@ -384,6 +384,43 @@ def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
     return StrandHomology(
         i, t, basis_i, len(reps), reps, len(cycles), bound.rank, bound, field
     )
+
+
+class Homology:
+    """Strand homology of C (x) R/Q with each (i, t) stratum computed once.
+
+    ``keys[i][g]`` names generator g of C_i, so that elements keyed by
+    those names can be expressed in the canonical basis of a stratum.
+    """
+
+    def __init__(self, C: GradedFreeComplex, Q, keys):
+        self.complex = C
+        self.Q = Q
+        self.keys = keys
+        self.strata: dict = {}
+
+    def stratum(self, i: int, t: int) -> StrandHomology:
+        key = (i, t)
+        if key not in self.strata:
+            self.strata[key] = strand_homology(self.complex, self.Q, t, i)
+        return self.strata[key]
+
+    def strand_index(self, i: int, t: int) -> dict:
+        """{(key, monomial): column} of the degree-t strand in degree i."""
+        keys = self.keys[i]
+        return {
+            (keys[g], m): col for col, (g, m) in enumerate(self.stratum(i, t).basis)
+        }
+
+    def express(self, i: int, t: int, x: dict):
+        """Coordinates of the class of a cycle in the canonical basis, or
+        None if it is not a cycle class."""
+        return self.stratum(i, t).express(k_coords(x, self.strand_index(i, t)))
+
+    def is_boundary(self, i: int, t: int, x: dict) -> bool:
+        if not x:
+            return True
+        return self.stratum(i, t).is_boundary(k_coords(x, self.strand_index(i, t)))
 
 
 def strand_homology_dims(C: GradedFreeComplex, Q, t: int, lo: int, hi: int):

@@ -11,6 +11,7 @@ exactly what the iterated star construction consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .complexes import (
@@ -31,8 +32,8 @@ from .exterior import (
     k_element,
     wedge_subsets,
 )
-from .ideals import MonomialIdeal
-from .poly import Monomial, Polynomial
+from .ideals import MonomialIdeal, regular_sequence
+from .poly import Polynomial
 from .resolutions import koszul_complex, lift_comparison_map, taylor_complex
 
 
@@ -49,6 +50,11 @@ class DegreeOneProduct:
     def apply(self, j: int, left: KElement, right: KElement) -> KElement:
         """Bilinear extension with polynomial coefficients on both slots."""
         return k_bilinear(self.tables.get(j, {}), left, right)
+
+    @cached_property
+    def certificate(self) -> ProductCertificate:
+        """The degree-one identities, certified once per product."""
+        return certify_degree_one(self)
 
     def to_json(self) -> dict:
         """Tables as triple lists: [left index, right index, result vector]."""
@@ -267,7 +273,6 @@ def star_degree_one_product(
     G: GradedFreeComplex,
     prodF: DegreeOneProduct | FullProduct,
     prodG: DegreeOneProduct | FullProduct,
-    certify: bool = True,
 ) -> DegreeOneProduct:
     """The two-case degree-one product on F*G:
 
@@ -281,13 +286,11 @@ def star_degree_one_product(
         prodF = prodF.degree_one()
     if isinstance(prodG, FullProduct):
         prodG = prodG.degree_one()
-    if certify:
-        for name, pr in (("left", prodF), ("right", prodG)):
-            c = certify_degree_one(pr)
-            if not c.ok:
-                raise CertificationError(
-                    f"{name} input product fails the degree-one identities"
-                )
+    for name, pr in (("left", prodF), ("right", prodG)):
+        if not pr.certificate.ok:
+            raise CertificationError(
+                f"{name} input product fails the degree-one identities"
+            )
     S = star_product(F, G)
     bases = {n: star_basis(F, G, n) for n in range(1, S.length + 1)}
     index = {n: {key: k for k, key in enumerate(bases[n])} for n in bases}
@@ -314,13 +317,12 @@ def star_degree_one_product(
                     tab[(p_idx, x_idx)] = out
         tables[j] = tab
     prod = DegreeOneProduct(S, tables)
-    if certify:
-        cert = certify_degree_one(prod)
-        if not cert.ok:
-            raise CertificationError(
-                f"star degree-one product failed: "
-                f"{(cert.leibniz_failures + cert.square_failures)[:3]}"
-            )
+    cert = prod.certificate
+    if not cert.ok:
+        raise CertificationError(
+            f"star degree-one product failed: "
+            f"{(cert.leibniz_failures + cert.square_failures)[:3]}"
+        )
     return prod
 
 
@@ -368,20 +370,8 @@ def koszul_module_action(
     if isinstance(prod, FullProduct):
         prod = prod.degree_one()
     ring = C.ring
-    polys = []
-    for a in elements:
-        if isinstance(a, Monomial):
-            a = Polynomial.from_monomial(ring, a)
-        if len(a.term_dict()) != 1:
-            raise DomainError("regular sequence elements must be monomials")
-        polys.append(a)
-    supports = [next(iter(p.term_dict())).support() for p in polys]
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            if supports[i] & supports[j]:
-                raise DomainError(
-                    "regular sequence needs pairwise disjoint supports"
-                )
+    mons = regular_sequence(ring, elements)
+    polys = [Polynomial.from_monomial(ring, m) for m in mons]
     d1_entries = [p for (_, _), p in sorted(C.diff(1).entries.items())]
     d1_monos = [
         next(iter(p.term_dict()))
@@ -389,8 +379,7 @@ def koszul_module_action(
         if len(p.term_dict()) == 1
     ]
     if len(d1_monos) == len(d1_entries):
-        for p in polys:
-            m = next(iter(p.term_dict()))
+        for m, p in zip(mons, polys):
             if not any(g.divides(m) for g in d1_monos):
                 raise DomainError(f"{p} is not in the resolved ideal")
     K = koszul_complex(polys)

@@ -8,28 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .complexes import (
-    GradedFreeComplex,
-    StrandHomology,
-    complex_from_boundary,
-    resolves_k_failures,
-    strand_homology,
-)
+from .complexes import GradedFreeComplex, Homology, resolves_k_failures
 from .errors import CertificationError, DomainError
-from .exterior import (
-    KElement,
-    k_acc,
-    k_axpy,
-    k_coords,
-    k_diff,
-    k_element,
-    k_is_zero,
-    k_wedge,
-    k_with_ring,
-)
+from .exterior import KElement, k_axpy, k_diff, k_element, k_wedge, k_with_ring
 from .ideals import MonomialIdeal, ideal_product, is_transverse
-from .poly import Polynomial, Ring
-from .resolutions import betti_numbers, koszul_on_variables
+from .poly import Ring
+from .resolutions import betti_numbers, koszul_on_variables, twisted_koszul
 
 
 @dataclass(frozen=True)
@@ -48,7 +32,7 @@ class KoszulClass:
     rep: KElement
 
 
-class KoszulHomology:
+class KoszulHomology(Homology):
     """Basis data for H_{>=1}(K (x) R/I) over the ambient polynomial ring.
 
     Strand homology objects are cached per (i, t) so classes can be
@@ -56,30 +40,24 @@ class KoszulHomology:
     matrices, product triviality checks).
     """
 
-    def __init__(self, I: MonomialIdeal, max_i=None):
+    def __init__(self, I: MonomialIdeal):
         if I.is_zero or I.is_unit:
             raise DomainError("Koszul homology needs a nonzero proper ideal")
         ring = I.ring
         if ring.modulus:
             raise DomainError("expected an ideal over the ambient polynomial ring")
-        self.ideal = I
-        self.ring = ring
-        self.K = koszul_on_variables(ring)
+        K = koszul_on_variables(ring)
+        super().__init__(K, I, K.meta["subsets"])
         # the lcm-lattice Betti numbers pin the exact (i, t) support of the
         # homology; strand elimination then recomputes each dimension
         # independently and the two pipelines must agree on the nose
         table = {
             (i, t): v for (i, t), v in betti_numbers(I).entries.items() if i >= 1
         }
-        top = max((i for i, _ in table), default=0)
-        if max_i is not None:
-            top = min(top, max_i)
-        self.strata: dict = {}
         classes = []
-        for i in range(1, top + 1):
+        for i in range(1, max((i for i, _ in table), default=0) + 1):
             for t in sorted(t for (ii, t) in table if ii == i):
-                sh = strand_homology(self.K, I, t, i)
-                self.strata[(i, t)] = sh
+                sh = self.stratum(i, t)
                 if sh.dim != table[(i, t)]:
                     raise CertificationError(
                         f"strand homology dim {sh.dim} at ({i},{t}) deviates "
@@ -87,27 +65,12 @@ class KoszulHomology:
                     )
                 for v in sh.representatives:
                     rep = k_element(
-                        v, [(self._subset(i, g), m) for g, m in sh.basis], ring
+                        v, [(self.keys[i][g], m) for g, m in sh.basis], ring
                     )
                     classes.append(
                         KoszulClass(i, t, len(classes), f"z{len(classes)}", rep)
                     )
         self.classes = tuple(classes)
-
-    def _subset(self, i, g):
-        return self.K.meta["subsets"][i][g]
-
-    def stratum(self, i: int, t: int) -> StrandHomology:
-        key = (i, t)
-        if key not in self.strata:
-            self.strata[key] = strand_homology(self.K, self.ideal, t, i)
-        return self.strata[key]
-
-    def strand_index(self, i: int, t: int) -> dict:
-        sh = self.stratum(i, t)
-        return {
-            (self._subset(i, g), m): col for col, (g, m) in enumerate(sh.basis)
-        }
 
     def dims(self) -> dict:
         out: dict = {}
@@ -124,11 +87,6 @@ class KoszulHomology:
     def classes_at(self, i: int):
         return [c for c in self.classes if c.i == i]
 
-    def express(self, i: int, t: int, x: KElement):
-        """Coordinates of the class of a cycle in the canonical basis."""
-        sh = self.stratum(i, t)
-        return sh.express(k_coords(x, self.strand_index(i, t)))
-
     def class_coords(self, i: int, t: int, x: KElement):
         """The class of a cycle as a sparse vector over ``classes_at(i)``,
         or None if it is not a cycle class."""
@@ -137,12 +95,6 @@ class KoszulHomology:
             return None
         at = [k for k, c in enumerate(self.classes_at(i)) if c.t == t]
         return {k: v for k, v in zip(at, lam) if v}
-
-    def is_boundary(self, i: int, t: int, x: KElement) -> bool:
-        if k_is_zero(x):
-            return True
-        sh = self.stratum(i, t)
-        return sh.is_boundary(k_coords(x, self.strand_index(i, t)))
 
 
 def koszul_homology(I: MonomialIdeal) -> KoszulHomology:
@@ -381,53 +333,23 @@ def golod_resolution(
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     basis = basis or golod_basis(I, J)
-    S = basis.quotient
-    n = S.nvars
-    from itertools import combinations
+    D = n_max * max(1, ideal_product(I, J).max_gen_degree())
 
-    subsets = [tuple(sorted(combinations(range(n), h))) for h in range(n + 1)]
-    maxdeg_gen = ideal_product(I, J).max_gen_degree()
-    D = n_max * max(1, maxdeg_gen)
-    words = [
-        (w, d, ti) for (w, d, ti) in _words(basis, D, n_max) if d <= n_max
-    ]
-    levels: list[list] = [[] for _ in range(n_max + 1)]
-    for w, d, ti in sorted(words, key=lambda x: (len(x[0]), x[0])):
-        for h in range(0, n + 1):
-            if d + h <= n_max:
-                for Ssub in subsets[h]:
-                    levels[d + h].append((Ssub, w))
-    for lvl in levels:
-        lvl.sort(key=lambda sw: (len(sw[1]), sw[1], len(sw[0]), sw[0]))
+    def twist(w):
+        # Massey corrections e_S ^ mu(prefix) (x) suffix, the prefix value
+        # normalized by (-1)^(j+1) so that the bar-twisted Massey identity
+        # makes the squares cancel
+        return [
+            (1 if (j + 1) % 2 == 0 else -1, massey_mu(basis, w[:j]), w[j:])
+            for j in range(1, len(w) + 1)
+        ]
 
-    def boundary(key):
-        Ssub, w = key
-        # Koszul part d(e_S) (x) word
-        front: KElement = {Ssub: Polynomial.one(S)}
-        out = {(T, w): p for T, p in k_diff(S, front).items()}
-        # Massey corrections: (-1)^|S| e_S ^ mu(prefix) (x) suffix, the
-        # prefix value normalized by (-1)^(j+1) so that the bar-twisted
-        # Massey identity makes the squares cancel
-        base_sign = -1 if len(Ssub) % 2 else 1
-        for j in range(1, len(w) + 1):
-            val = k_wedge(front, massey_mu(basis, w[:j]))
-            sign = base_sign * (1 if (j + 1) % 2 == 0 else -1)
-            for T, p in val.items():
-                k_acc(out, (T, w[j:]), p.scale(sign))
-        return out
+    def word_label(w):
+        return "".join(f"v({a},{b})" for a, b in (basis.pairs[k] for k in w))
 
-    def degree(key):
-        Ssub, w = key
-        return len(Ssub) + sum(basis.vdeg_internal(k) for k in w)
-
-    def label(key):
-        Ssub, w = key
-        return "e{" + ",".join(str(s + 1) for s in Ssub) + "}" + "".join(
-            f"v({a},{b})" for a, b in (basis.pairs[k] for k in w)
-        )
-
-    C = complex_from_boundary(
-        S, levels, degree, label, boundary, meta={"golod_basis": basis}
+    C, _ = twisted_koszul(
+        basis.quotient, _words(basis, D, n_max), n_max, twist, word_label,
+        meta={"golod_basis": basis},
     )
     rep, minimal, strand_failures, coker_failures = resolves_k_failures(
         C, n_max - 1, D

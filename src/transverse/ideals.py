@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DomainError, RingMismatchError
-from .poly import Monomial, Ring, minimal_monomials, monomials_of_degree
+from .poly import Monomial, Polynomial, Ring, minimal_monomials, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,31 @@ def transversality_witness(I: MonomialIdeal, J: MonomialIdeal):
         if not prod.contains(m):
             return m
     return None
+
+
+def regular_sequence(ring: Ring, elems) -> list[Monomial]:
+    """The monomials of a monomial regular sequence: nonunit monomials with
+    pairwise disjoint supports, given as monomials, one-term polynomials or
+    monomial strings."""
+    mons = []
+    for a in elems:
+        if isinstance(a, Polynomial):
+            terms = a.term_dict()
+            if len(terms) != 1:
+                raise DomainError("regular sequence entries must be monomials")
+            a = next(iter(terms))
+        if not isinstance(a, Monomial):
+            a = ring.parse_monomial(a)
+        if a.is_one or a.degree < 1:
+            raise DomainError("regular sequence entries must be nonunits")
+        mons.append(a)
+    for i in range(len(mons)):
+        for j in range(i + 1, len(mons)):
+            if mons[i].support() & mons[j].support():
+                raise DomainError(
+                    "regular sequence needs pairwise disjoint supports"
+                )
+    return mons
 
 
 def is_sequentially_transverse(ideals) -> bool:

@@ -12,43 +12,16 @@ subspace is the obstruction to DG-module structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
 
 from . import linalg
-from .complexes import (
-    GradedFreeComplex,
-    complex_from_boundary,
-    resolves_k_failures,
-    strand_homology,
-)
+from .complexes import GradedFreeComplex, Homology, resolves_k_failures
 from .errors import CertificationError, DomainError
-from .exterior import KElement, k_acc, k_coords, k_diff, k_wedge, k_with_ring
+from .exterior import KElement, k_wedge, k_with_ring
 from .golod import KoszulHomology
-from .ideals import MonomialIdeal, is_transverse, ideal_product
+from .ideals import MonomialIdeal, ideal_product, is_transverse, regular_sequence
 from .poly import Monomial, Polynomial, Ring
-from .resolutions import betti_numbers
-
-
-def _check_regular_sequence(ring: Ring, elems) -> list[Monomial]:
-    mons = []
-    for a in elems:
-        if isinstance(a, Polynomial):
-            terms = a.term_dict()
-            if len(terms) != 1:
-                raise DomainError("regular sequence entries must be monomials")
-            a = next(iter(terms))
-        if not isinstance(a, Monomial):
-            a = ring.parse_monomial(a)
-        if a.is_one or a.degree < 1:
-            raise DomainError("regular sequence entries must be nonunits")
-        mons.append(a)
-    for i in range(len(mons)):
-        for j in range(i + 1, len(mons)):
-            if mons[i].support() & mons[j].support():
-                raise DomainError(
-                    "regular sequence needs pairwise disjoint supports"
-                )
-    return mons
+from .resolutions import betti_numbers, twisted_koszul
 
 
 def _tate_cycle(ring: Ring, a: Monomial) -> KElement:
@@ -88,65 +61,26 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
         ring = first.ring if isinstance(first, Polynomial) else None
         if ring is None:
             raise DomainError("pass the ambient ring explicitly")
-    mons = _check_regular_sequence(ring, a)
+    mons = regular_sequence(ring, a)
     S = ring.quotient(mons) if mons else ring
-    n = ring.nvars
-    c = len(mons)
     zs = [_tate_cycle(S, m) for m in mons]
+    # d(e_S y^(m)) = d(e_S) y^(m) + (-1)^|S| e_S ^ z_j y^(m - 1_j)
+    words = [
+        (m, 2 * sum(m), sum(e * g.degree for e, g in zip(m, mons)))
+        for m in product(range(n_max // 2 + 1), repeat=len(mons))
+        if 2 * sum(m) <= n_max
+    ]
 
-    def weights(total):
-        # exponent tuples m with 2 * sum(m) == total
-        if total % 2:
-            return []
-        out = []
+    def twist(m):
+        return [
+            (1, z, m[:j] + (m[j] - 1,) + m[j + 1:])
+            for j, z in enumerate(zs) if m[j]
+        ]
 
-        def rec(prefix, rest, k):
-            if k == c - 1:
-                out.append(tuple(prefix + [rest]))
-                return
-            for e in range(rest, -1, -1):
-                rec(prefix + [e], rest - e, k + 1)
+    def word_label(m):
+        return "".join(f"y{j + 1}^({e})" for j, e in enumerate(m) if e)
 
-        w = total // 2
-        if c == 0:
-            return [()] if w == 0 else []
-        rec([], w, 0)
-        return out
-
-    levels = []
-    for deg in range(n_max + 1):
-        lvl = []
-        for h in range(min(n, deg) + 1):
-            for m in weights(deg - h):
-                for Ssub in combinations(range(n), h):
-                    lvl.append((tuple(Ssub), m))
-        lvl.sort(key=lambda sm: (sm[1], sm[0]))
-        levels.append(lvl)
-
-    def boundary(key):
-        # d(e_S y^(m)) = d(e_S) y^(m) + (-1)^|S| e_S ^ z_j y^(m - 1_j)
-        Ssub, m = key
-        front: KElement = {Ssub: Polynomial.one(S)}
-        out = {(T, m): p for T, p in k_diff(S, front).items()}
-        sign = -1 if len(Ssub) % 2 else 1
-        for j, z in enumerate(zs):
-            if m[j]:
-                m2 = m[:j] + (m[j] - 1,) + m[j + 1:]
-                for T, p in k_wedge(front, z).items():
-                    k_acc(out, (T, m2), p.scale(sign))
-        return out
-
-    def degree(key):
-        Ssub, m = key
-        return len(Ssub) + sum(e * mons[j].degree for j, e in enumerate(m))
-
-    def label(key):
-        Ssub, m = key
-        return "e{" + ",".join(str(s + 1) for s in Ssub) + "}" + "".join(
-            f"y{j + 1}^({e})" for j, e in enumerate(m) if e
-        )
-
-    C = complex_from_boundary(S, levels, degree, label, boundary)
+    C, levels = twisted_koszul(S, words, n_max, twist, word_label)
     # a linear a_j leaves a unit entry, so minimality is reported, not required
     rep, minimal, strand_failures, coker_failures = resolves_k_failures(
         C, n_max - 1, C.max_degree() + 1
@@ -166,35 +100,22 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
 # Tor over the quotient and the change-of-rings data
 
 
-class QuotientTor:
+class QuotientTor(Homology):
     """Strand homology data of T (x)_S R/M with cached strata."""
 
     def __init__(self, tate: TateComplex, M: MonomialIdeal):
         for a in tate.sequence:
             if not M.contains(a):
                 raise DomainError("the regular sequence must lie in M")
+        super().__init__(tate.complex, M, tate.basis)
         self.tate = tate
-        self.M = M
-        self.strata: dict = {}
-
-    def stratum(self, i: int, t: int):
-        key = (i, t)
-        if key not in self.strata:
-            self.strata[key] = strand_homology(
-                self.tate.complex, self.M, t, i
-            )
-        return self.strata[key]
 
     def express(self, i: int, t: int, x: KElement):
         """Coordinates, in the canonical basis, of the class of an exterior
         cycle included into the Tate complex, or None if it is not a cycle
         class."""
-        sh = self.stratum(i, t)
-        index = {
-            (self.tate.basis[i][g], m): k for k, (g, m) in enumerate(sh.basis)
-        }
         zero = (0,) * len(self.tate.sequence)
-        return sh.express(k_coords({(S, zero): p for S, p in x.items()}, index))
+        return super().express(i, t, {(S, zero): p for S, p in x.items()})
 
     def dims(self, i: int, tmax: int) -> dict:
         return {
@@ -281,7 +202,7 @@ def tor_product_subspace(
     spanned by classes [z_j ^ w]; returned as echelonized coordinate vectors
     in the canonical basis of H_i together with the raw wedge cycles."""
     ring = M.ring
-    mons = _check_regular_sequence(ring, a)
+    mons = regular_sequence(ring, a)
     for m in mons:
         if not M.contains(m):
             raise DomainError("the regular sequence must lie in M")
@@ -383,7 +304,7 @@ def avramov_obstruction(
     is pushed through the change-of-rings map and must land on zero.
     """
     ring = M.ring
-    mons = _check_regular_sequence(ring, a)
+    mons = regular_sequence(ring, a)
     for m in mons:
         if not M.contains(m):
             raise DomainError("the regular sequence must lie in M")

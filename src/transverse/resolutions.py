@@ -1,4 +1,5 @@
 """Constructors for the concrete resolutions: Koszul and Taylor complexes,
+the twisted Koszul complexes behind the Golod and Tate resolutions,
 minimization by unit-entry pruning, comparison-map lifting, the lcm-lattice
 Betti oracle and Tor dimensions read off the minimal resolution."""
 
@@ -17,7 +18,7 @@ from .complexes import (
     strand_matrix,
 )
 from .errors import DomainError, ExactnessError
-from .exterior import k_acc, k_apply, k_coords, k_element
+from .exterior import k_acc, k_apply, k_coords, k_diff, k_element, k_wedge
 from .ideals import MonomialIdeal
 from .poly import PolyMatrix, Polynomial, Ring
 
@@ -61,6 +62,47 @@ def koszul_complex(elements: list[Polynomial]) -> GradedFreeComplex:
 def koszul_on_variables(ring: Ring) -> GradedFreeComplex:
     """The Koszul complex resolving the residue field over ``ring``."""
     return koszul_complex(ring.variables())
+
+
+def twisted_koszul(S: Ring, words, n_max: int, twist, word_label, meta=None):
+    """The Koszul complex on the variables of ``S`` tensored with adjoined
+    symbols, with a differential twisted by chosen cycles, through
+    homological degree n_max (Tate 1957; Avramov 1998, section 5).
+
+    ``words`` lists (word, homological degree, internal degree) triples in
+    basis order.  A basis key (T, w) stands for e_T (x) w, of homological
+    degree |T| + deg w, labelled "e{T}" + ``word_label(w)``; its boundary is
+    d(e_T) w + (-1)^|T| sum s e_T ^ a w' over the triples (s, a, w') of
+    ``twist(w)``, which is computed once per word.  Returns the complex and
+    its basis keys per level.
+    """
+    n = S.nvars
+    levels: list[list] = [[] for _ in range(n_max + 1)]
+    internal = {}
+    for w, d, ti in words:
+        internal[w] = ti
+        for h in range(min(n, n_max - d) + 1):
+            levels[d + h].extend((T, w) for T in combinations(range(n), h))
+    twists: dict = {}
+
+    def boundary(key):
+        T, w = key
+        front = {T: Polynomial.one(S)}
+        out = {(U, w): p for U, p in k_diff(S, front).items()}
+        if w not in twists:
+            twists[w] = twist(w)
+        base = -1 if len(T) % 2 else 1
+        for s, a, rest in twists[w]:
+            for U, p in k_wedge(front, a).items():
+                k_acc(out, (U, rest), p.scale(base * s))
+        return out
+
+    C = complex_from_boundary(
+        S, levels, lambda key: len(key[0]) + internal[key[1]],
+        lambda key: _subset_label("e", key[0]) + word_label(key[1]),
+        boundary, meta,
+    )
+    return C, levels
 
 
 def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
@@ -282,9 +324,7 @@ def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
 
 
 def lift_comparison_map(
-    source: GradedFreeComplex,
-    target: GradedFreeComplex,
-    phi0: PolyMatrix | None = None,
+    source: GradedFreeComplex, target: GradedFreeComplex
 ) -> list[PolyMatrix]:
     """Lift the identity on degree 0 to a chain map source -> target.
 
@@ -298,9 +338,7 @@ def lift_comparison_map(
         raise DomainError("source and target over different rings")
     if source.rank(0) != 1 or target.rank(0) != 1:
         raise DomainError("comparison lifting needs rank-1 degree-0 terms")
-    if phi0 is None:
-        phi0 = PolyMatrix.identity(ring, 1)
-    phis = [phi0]
+    phis = [PolyMatrix.identity(ring, 1)]
     field = ring.field
     for i in range(1, source.length + 1):
         entries = {}

@@ -405,3 +405,35 @@ class TestStrandEngine:
         )
         with pytest.raises(DomainError, match="not homogeneous"):
             strand_homology_dim(C, None, 1, 1)
+
+
+class TestHomology:
+    def test_stratum_is_cached(self, R4, flagship):
+        from transverse.complexes import Homology
+        from transverse.resolutions import koszul_on_variables
+
+        K = koszul_on_variables(R4)
+        H = Homology(K, ideal_product(*flagship), K.meta["subsets"])
+        sh = H.stratum(2, 3)
+        assert H.stratum(2, 3) is sh
+        assert H.strata == {(2, 3): sh}
+
+    def test_subclasses_share_the_one_cache(self):
+        from transverse.golod import KoszulHomology
+        from transverse.obstructions import QuotientTor
+
+        for cls in (KoszulHomology, QuotientTor):
+            assert "stratum" not in vars(cls) and "strand_index" not in vars(cls)
+        # the tracer wraps KoszulHomology.__init__ on the class itself
+        assert "__init__" in vars(KoszulHomology)
+
+    def test_is_boundary_and_express(self, R4, flagship):
+        from transverse.golod import koszul_homology
+
+        H = koszul_homology(ideal_product(*flagship))
+        for c in H.classes:
+            assert not H.is_boundary(c.i, c.t, c.rep)
+            # a representative expresses as its own unit vector
+            peers = [d for d in H.classes_at(c.i) if d.t == c.t]
+            assert H.express(c.i, c.t, c.rep) == [int(d is c) for d in peers]
+        assert H.is_boundary(1, 2, {})

@@ -442,3 +442,35 @@ def test_no_unused_imports():
         for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
     }
     assert found and not {name: u for name, u in found.items() if u}
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of TARGETS in perfbench/tracer.py,
+    read from the source so that nothing is imported or written there."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    import importlib
+
+    targets = _tracer_targets()
+    assert targets
+    missing = []
+    for modname, attr in targets:
+        home = importlib.import_module(f"transverse.{modname}")
+        if "." in attr:
+            # the tracer patches a method in the class's own __dict__
+            cls_name, meth = attr.split(".")
+            cls = getattr(home, cls_name, None)
+            ok = cls is not None and meth in vars(cls)
+        else:
+            ok = callable(getattr(home, attr, None))
+        if not ok:
+            missing.append(f"{modname}.{attr}")
+    assert not missing

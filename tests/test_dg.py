@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from transverse.complexes import star_basis
@@ -246,3 +248,67 @@ def test_probe_taylor_koszul_star(R4):
     sp = star_degree_one_product(F, G, taylor_dg_product(I, F), koszul_dg_product(G))
     rep = associativity_probe(sp.complex, sp)
     assert rep.extension_found and rep.associative
+
+
+class TestRegularSequenceCheck:
+    """The module action takes its sequence through ideals.regular_sequence;
+    TestModuleAction covers overlapping supports."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda R: [R.variable(0) + R.variable(1)],
+            lambda R: [Polynomial.one(R)],
+        ],
+        ids=["two-term", "unit"],
+    )
+    def test_module_action_rejects(self, R4, make):
+        K = koszul_complex(_vars(R4, 0, 1))
+        with pytest.raises(DomainError, match="regular sequence"):
+            koszul_module_action(K, koszul_dg_product(K), make(R4))
+
+    @pytest.mark.parametrize(
+        "ci", [["x1*x3", "x2*x3"], ["1"]], ids=["overlapping-supports", "unit"]
+    )
+    def test_cli_exits_two(self, tmp_path, capsys, ci):
+        from transverse.cli import main
+
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "ring": {"vars": ["x1", "x2", "x3", "x4"]},
+            "ideals": {"I": ["x1", "x2"], "J": ["x3", "x4"]},
+            "command": "module-action",
+            "args": {"ideals": ["I", "J"], "ci": ci},
+        }))
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "regular sequence" in err and "Traceback" not in err
+
+
+def test_dg_verify_certifies_each_product_once(tmp_path, capsys, monkeypatch):
+    # A, B, C and the intermediate A*B and final A*B*C: five products, each
+    # certified once although A*B is an input of the second star step and
+    # the CLI reports the final certificate
+    from transverse import dg
+    from transverse.cli import main
+
+    calls = []
+    original = dg.certify_degree_one
+
+    def counting(prod):
+        calls.append(prod)
+        return original(prod)
+
+    monkeypatch.setattr(dg, "certify_degree_one", counting)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "ring": {"vars": ["x1", "x2", "x3", "x4", "x5", "x6"]},
+        "ideals": {"A": ["x1^2", "x2"], "B": ["x3", "x4"], "C": ["x5", "x6"]},
+        "command": "dg-verify",
+        "args": {"ideals": ["A", "B", "C"]},
+        "format": "json",
+    }))
+    assert main([str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(calls) == 5
+    assert len({id(p) for p in calls}) == 5

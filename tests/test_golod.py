@@ -218,6 +218,29 @@ class TestGolodResolution:
         with pytest.raises(DomainError):
             golod_resolution(ideal(R4, "x1", "x2"), ideal(R4, "x2", "x3"), 3)
 
+    def test_massey_mu_once_per_word_and_prefix(self, monkeypatch, flagship):
+        from collections import Counter
+
+        from transverse import golod
+
+        n_max = 5
+        basis = golod_basis(*flagship)
+        calls = Counter()
+        original = golod.massey_mu
+
+        def counting(b, word):
+            calls[word] += 1
+            return original(b, word)
+
+        monkeypatch.setattr(golod, "massey_mu", counting)
+        golod_resolution(*flagship, n_max=n_max, basis=basis)
+        # the internal bound of golod_resolution: n_max times the largest
+        # generator degree of IJ, which is 2 here
+        words = golod._words(basis, 2 * n_max, n_max)
+        assert calls == Counter(
+            w[:j] for w, _, _ in words for j in range(1, len(w) + 1)
+        )
+
 
 class TestPoincare:
     def test_flagship_series(self, R4, flagship):
