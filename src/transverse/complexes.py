@@ -289,31 +289,37 @@ def strand_basis(C: GradedFreeComplex, i: int, t: int, extra=()):
 
 def strand_matrix(C, i, t, extra=(), basis_hi=None, basis_lo=None):
     """Scalar rows of d_i on the degree-t strand (rows indexed by the strand
-    basis one degree down, columns by the degree-i strand basis)."""
+    basis one degree down, columns by the degree-i strand basis).
+
+    Raises DomainError if some entry of d_i is not homogeneous of degree
+    deg(column) - deg(row), even where its stray terms die in R/Q.
+    """
     extra = _extra_gens(extra)
     if basis_hi is None:
         basis_hi = strand_basis(C, i, t, extra)
     if basis_lo is None:
         basis_lo = strand_basis(C, i - 1, t, extra)
-    # for a homogeneous entry, m*mono is nonzero in R/Q exactly when it is in
-    # the lower basis; a miss is only looked at to skip it or to fail loudly
+    # every entry is checked once to be homogeneous of degree
+    # deg(col) - deg(row), so m*mono has the degree of the lower basis and a
+    # lookup that misses it can only be a monomial killed in R/Q
     idx = {(r, m.exps): k for k, (r, m) in enumerate(basis_lo)}
     rows = [dict() for _ in basis_lo]
-    kills = C.ring.kills
+    rdegs, cdegs = C.degs(i - 1), C.degs(i)
     by_col: dict[int, list] = {}
     for (r, c), p in C.diff(i).entries.items():
-        terms = [(mono.exps, coeff) for mono, coeff in p.term_dict().items()]
+        want = cdegs[c] - rdegs[r]
+        terms = []
+        for mono, coeff in p.term_dict().items():
+            if mono.degree != want:
+                raise DomainError(f"d_{i}[{r},{c}] is not homogeneous")
+            terms.append((mono.exps, coeff))
         by_col.setdefault(c, []).append((r, terms))
     for col, (g, m) in enumerate(basis_hi):
         for r, terms in by_col.get(g, ()):
             for exps, coeff in terms:
-                mm = tuple(map(add, m.exps, exps))
-                row = idx.get((r, mm))
+                row = idx.get((r, tuple(map(add, m.exps, exps))))
                 if row is None:
-                    mono = Monomial(mm)
-                    if kills(mono) or any(q.divides(mono) for q in extra):
-                        continue
-                    raise DomainError(f"d_{i}[{r},{g}] is not homogeneous")
+                    continue
                 cur = rows[row].get(col)
                 s = coeff if cur is None else cur + coeff
                 if s:
@@ -331,26 +337,32 @@ class StrandHomology:
     t: int
     basis: list
     dim: int
-    representatives: list[dict]
     cycle_dim: int
     boundary_dim: int
+    _classes: linalg.EchelonForm  # the RREF of the representatives
     _boundaries: linalg.EchelonForm
     _field: object
+
+    @property
+    def representatives(self) -> list[dict]:
+        return self._classes.rows
 
     def is_boundary(self, vec: dict) -> bool:
         return self._boundaries.contains(vec)
 
     def express(self, vec: dict):
         """Coordinates of a cycle's class in the representative basis, or
-        None if the vector is not a cycle class in this strand."""
-        k = len(self.representatives)
-        cols = self.representatives + self._boundaries.rows
-        rows = linalg.rows_from_columns(cols, len(self.basis))
-        sol = linalg.solve(rows, len(cols), vec, self._field)
-        if sol is None:
-            return None
+        None if the vector is not a cycle class in this strand.
+
+        The representatives vanish at the boundary pivots, so reducing by
+        the boundary RREF leaves the unique combination of representatives
+        in the class; being in RREF, they carry its coordinates at their
+        pivots.
+        """
+        v = self._boundaries.reduce(vec)
         zero = self._field.zero
-        return [sol.get(j, zero) for j in range(k)]
+        coords = [v.get(p, zero) for p in self._classes.pivots]
+        return None if self._classes.reduce(v) else coords
 
 
 def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
@@ -359,12 +371,11 @@ def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
     extra = _extra_gens(Q)
     field = C.ring.field
     basis_i = strand_basis(C, i, t, extra)
-    if not basis_i:
-        return StrandHomology(
-            i, t, basis_i, 0, [], 0, 0, linalg.EchelonForm(0, [], [], field), field
-        )
-    basis_lo = strand_basis(C, i - 1, t, extra) if i >= 1 else []
     n = len(basis_i)
+    empty = linalg.EchelonForm(n, [], [], field)
+    if not basis_i:
+        return StrandHomology(i, t, basis_i, 0, 0, 0, empty, empty, field)
+    basis_lo = strand_basis(C, i - 1, t, extra) if i >= 1 else []
     if i >= 1:
         rows = strand_matrix(C, i, t, extra, basis_i, basis_lo)
         cycles = linalg.kernel_basis(rows, n, field)
@@ -377,12 +388,13 @@ def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
         bcols = linalg.rows_from_columns(rows_up, len(basis_hi))
         bound = linalg.echelon(bcols, n, field)
     else:
-        bound = linalg.EchelonForm(n, [], [], field)
+        bound = empty
     reduced = [bound.reduce(z) for z in cycles]
     reduced = [v for v in reduced if v]
-    reps = linalg.echelon(reduced, n, field).rows if reduced else []
+    classes = linalg.echelon(reduced, n, field) if reduced else empty
     return StrandHomology(
-        i, t, basis_i, len(reps), reps, len(cycles), bound.rank, bound, field
+        i, t, basis_i, classes.rank, len(cycles), bound.rank, classes, bound,
+        field,
     )
 
 

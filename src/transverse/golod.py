@@ -334,15 +334,18 @@ def golod_resolution(
         raise DomainError("n_max must be at least 1")
     basis = basis or golod_basis(I, J)
     D = n_max * max(1, ideal_product(I, J).max_gen_degree())
+    mu: dict = {}  # prefix -> massey_mu(basis, prefix), one call per prefix
 
     def twist(w):
         # Massey corrections e_S ^ mu(prefix) (x) suffix, the prefix value
         # normalized by (-1)^(j+1) so that the bar-twisted Massey identity
         # makes the squares cancel
-        return [
-            (1 if (j + 1) % 2 == 0 else -1, massey_mu(basis, w[:j]), w[j:])
-            for j in range(1, len(w) + 1)
-        ]
+        out = []
+        for j in range(1, len(w) + 1):
+            if w[:j] not in mu:
+                mu[w[:j]] = massey_mu(basis, w[:j])
+            out.append((1 if (j + 1) % 2 == 0 else -1, mu[w[:j]], w[j:]))
+        return out
 
     def word_label(w):
         return "".join(f"v({a},{b})" for a, b in (basis.pairs[k] for k in w))

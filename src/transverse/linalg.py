@@ -10,9 +10,9 @@ unique RREF of the row space — canonical and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .fields import FpElement, PrimeField, QQ
 
@@ -25,19 +25,29 @@ class EchelonForm:
     pivots: list[int]
     rows: list[dict]  # rows[k][pivots[k]] == 1, fully reduced
     field: object
+    row_at: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.row_at = dict(zip(self.pivots, self.rows))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def reduce(self, vec: dict) -> dict:
-        """Subtract the projection of ``vec`` onto the row space."""
+        """Subtract the projection of ``vec`` onto the row space.
+
+        Each row vanishes at every other pivot, so subtracting it changes no
+        other pivot coordinate: only the pivots in the support of ``vec``
+        need a visit, in ascending order as a full sweep would make them.
+        """
         v = dict(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = v.get(p)
+        row_at = self.row_at
+        for p in sorted(c for c in vec if c in row_at):
+            c = v[p]
             if not c:
                 continue
-            for col, val in row.items():
+            for col, val in row_at[p].items():
                 s = v.get(col, 0) - c * val
                 if s:
                     v[col] = s
@@ -50,21 +60,15 @@ class EchelonForm:
 
 
 def _int_row(row: dict) -> dict[int, int]:
-    """Clear denominators and divide by the content."""
-    if not row:
-        return {}
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {c: int(v * denom) if isinstance(v, Fraction) else v * denom
-            for c, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
+    """Clear denominators and divide by the content, in integer arithmetic
+    on the numerators and denominators (ints have both)."""
+    denom = lcm(*(v.denominator for v in row.values()))
+    ints = {c: v.numerator * (denom // v.denominator)
+            for c, v in row.items() if v}
+    g = gcd(*ints.values())
     if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return {c: v for c, v in ints.items() if v}
+        return {c: v // g for c, v in ints.items()}
+    return ints
 
 
 def _axpy_int(a: int, row: dict, b: int, piv: dict) -> dict:
@@ -179,20 +183,17 @@ def kernel_basis(rows, ncols: int, field=QQ) -> list[dict]:
     RREF basis of the kernel.
     """
     ech = echelon(rows, ncols, field)
-    pivset = set(ech.pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     one = field.one
-    vecs = []
-    for f in free:
-        v = {f: one}
-        for p, row in zip(ech.pivots, ech.rows):
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        vecs.append(v)
-    if not vecs:
+    free = {c: {c: one} for c in range(ncols) if c not in ech.row_at}
+    # one pass over the RREF rows: the non-pivot columns of a row are free
+    for p, row in zip(ech.pivots, ech.rows):
+        for c, val in row.items():
+            v = free.get(c)
+            if v is not None and val:
+                v[p] = -val
+    if not free:
         return []
-    canon = echelon(vecs, ncols, field)
+    canon = echelon(list(free.values()), ncols, field)
     return canon.rows
 
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
-from .complexes import GradedFreeComplex, Homology, resolves_k_failures
+from .complexes import (
+    GradedFreeComplex, Homology, resolves_k_failures, strand_homology_dim,
+)
 from .errors import CertificationError, DomainError
 from .exterior import KElement, k_wedge, k_with_ring
 from .golod import KoszulHomology
@@ -118,11 +120,13 @@ class QuotientTor(Homology):
         return super().express(i, t, {(S, zero): p for S, p in x.items()})
 
     def dims(self, i: int, tmax: int) -> dict:
-        return {
-            t: self.stratum(i, t).dim
+        """{t: dim H_i} of the nonzero strands t <= tmax, from ranks alone:
+        no stratum is built or cached."""
+        dims = {
+            t: strand_homology_dim(self.complex, self.Q, t, i)
             for t in range(0, tmax + 1)
-            if self.stratum(i, t).dim
         }
+        return {t: d for t, d in dims.items() if d}
 
 
 def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6, D: int | None = None):

@@ -406,6 +406,23 @@ class TestStrandEngine:
         with pytest.raises(DomainError, match="not homogeneous"):
             strand_homology_dim(C, None, 1, 1)
 
+    def test_inhomogeneous_entry_fails_even_where_its_stray_term_dies(self, Rxy):
+        # over R/(x*y^2, y^3) the stray terms x*y^2 and y^3 of strand 2 die
+        S = Rxy.quotient([Rxy.parse_monomial("x*y^2"), Rxy.parse_monomial("y^3")])
+        x, y = S.variables()
+        C = GradedFreeComplex(
+            S, [(0,), (1,)], [PolyMatrix(S, 1, 1, {(0, 0): x + y * y})]
+        )
+        with pytest.raises(DomainError, match=r"d_1\[0,0\] is not homogeneous"):
+            strand_homology_dim(C, None, 2, 1)
+        # over R, the stray term y^2 of strand 1 dies modulo Q = (y^2)
+        x, y = Rxy.variables()
+        C = GradedFreeComplex(
+            Rxy, [(0,), (1,)], [PolyMatrix(Rxy, 1, 1, {(0, 0): x + y * y})]
+        )
+        with pytest.raises(DomainError, match=r"d_1\[0,0\] is not homogeneous"):
+            strand_homology_dim(C, [Rxy.parse_monomial("y^2")], 1, 1)
+
 
 class TestHomology:
     def test_stratum_is_cached(self, R4, flagship):

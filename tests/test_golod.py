@@ -218,7 +218,7 @@ class TestGolodResolution:
         with pytest.raises(DomainError):
             golod_resolution(ideal(R4, "x1", "x2"), ideal(R4, "x2", "x3"), 3)
 
-    def test_massey_mu_once_per_word_and_prefix(self, monkeypatch, flagship):
+    def test_massey_mu_once_per_distinct_prefix(self, monkeypatch, flagship):
         from collections import Counter
 
         from transverse import golod
@@ -238,7 +238,7 @@ class TestGolodResolution:
         # generator degree of IJ, which is 2 here
         words = golod._words(basis, 2 * n_max, n_max)
         assert calls == Counter(
-            w[:j] for w, _, _ in words for j in range(1, len(w) + 1)
+            {w[:j]: 1 for w, _, _ in words for j in range(1, len(w) + 1)}
         )
 
 

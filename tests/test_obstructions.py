@@ -186,6 +186,25 @@ class TestObstruction:
             assert 0 <= r.dim_obstruction <= r.dim_tor_R
 
 
+class TestQuotientTorDims:
+    def test_dims_from_ranks_match_the_strata(self, R4):
+        from transverse.obstructions import QuotientTor
+
+        M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
+        a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
+        tate = tate_resolution(a, R4, 6)
+        qt = QuotientTor(tate, M)
+        D = tate.complex.max_degree() + M.max_gen_degree() + 1
+        dims = {i: qt.dims(i, D) for i in range(0, 6)}
+        # dims builds no stratum
+        assert qt.strata == {}
+        ref = QuotientTor(tate, M)
+        for i, got in dims.items():
+            want = {t: ref.stratum(i, t).dim for t in range(0, D + 1)}
+            assert got == {t: d for t, d in want.items() if d}
+        assert sum(dims[4].values()) > 0
+
+
 class TestInjectivity:
     def test_flagship(self, R4, flagship):
         cert = verify_injectivity([R4.parse_monomial("x1*x3")], *flagship, n_max=4)
