@@ -138,6 +138,8 @@ def parse_input(document, field_override=None) -> JobSpec:
     for key in ("n_max", "bound"):
         if args.get(key) is not None and type(args[key]) is not int:
             raise ParseError(f"args.{key}: expected an integer, got {args[key]!r}")
+    if "verify" in args and type(args["verify"]) is not bool:
+        raise ParseError(f"args.verify: expected true or false, got {args['verify']!r}")
     fmt = document.get("format", "text")
     if fmt not in ("json", "text"):
         raise ParseError("format: expected 'json' or 'text'")
@@ -283,6 +285,10 @@ def cmd_dispatch(spec: JobSpec):
         I = spec.ideal(spec.args.get("left", "I"))
         J = spec.ideal(spec.args.get("right", "J"))
         mode = spec.args.get("mode", "verify")
+        if mode not in ("verify", "resolution", "series"):
+            raise ParseError(
+                f"args.mode: expected verify, resolution or series; got {mode!r}"
+            )
         n_max = 5 if bound is None else bound
         if mode == "series":
             ps = golod.golod_poincare(I, J, n_max)

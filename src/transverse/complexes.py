@@ -13,6 +13,7 @@ the left factor carrying the sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from operator import add
 
 from . import linalg
@@ -287,18 +288,13 @@ def strand_basis(C: GradedFreeComplex, i: int, t: int, extra=()):
     return out
 
 
-def strand_matrix(C, i, t, extra=(), basis_hi=None, basis_lo=None):
-    """Scalar rows of d_i on the degree-t strand (rows indexed by the strand
-    basis one degree down, columns by the degree-i strand basis).
+def strand_matrix(C: GradedFreeComplex, i: int, basis_hi, basis_lo):
+    """Scalar rows of d_i from the strand basis ``basis_hi`` in degree i to
+    ``basis_lo`` one degree down (rows indexed by ``basis_lo``).
 
     Raises DomainError if some entry of d_i is not homogeneous of degree
     deg(column) - deg(row), even where its stray terms die in R/Q.
     """
-    extra = _extra_gens(extra)
-    if basis_hi is None:
-        basis_hi = strand_basis(C, i, t, extra)
-    if basis_lo is None:
-        basis_lo = strand_basis(C, i - 1, t, extra)
     # every entry is checked once to be homogeneous of degree
     # deg(col) - deg(row), so m*mono has the degree of the lower basis and a
     # lookup that misses it can only be a monomial killed in R/Q
@@ -365,64 +361,110 @@ class StrandHomology:
         return None if self._classes.reduce(v) else coords
 
 
-def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
-    """dim H_i of the degree-t strand of C (x) R/Q, plus canonical
-    representatives (cycles reduced against the boundary RREF)."""
-    extra = _extra_gens(Q)
-    field = C.ring.field
-    basis_i = strand_basis(C, i, t, extra)
-    n = len(basis_i)
-    empty = linalg.EchelonForm(n, [], [], field)
-    if not basis_i:
-        return StrandHomology(i, t, basis_i, 0, 0, 0, empty, empty, field)
-    basis_lo = strand_basis(C, i - 1, t, extra) if i >= 1 else []
-    if i >= 1:
-        rows = strand_matrix(C, i, t, extra, basis_i, basis_lo)
-        cycles = linalg.kernel_basis(rows, n, field)
-    else:
-        one = field.one
-        cycles = [{k: one} for k in range(n)]
-    basis_hi = strand_basis(C, i + 1, t, extra)
-    if basis_hi:
-        rows_up = strand_matrix(C, i + 1, t, extra, basis_hi, basis_i)
-        bcols = linalg.rows_from_columns(rows_up, len(basis_hi))
-        bound = linalg.echelon(bcols, n, field)
-    else:
-        bound = empty
-    reduced = [bound.reduce(z) for z in cycles]
-    reduced = [v for v in reduced if v]
-    classes = linalg.echelon(reduced, n, field) if reduced else empty
-    return StrandHomology(
-        i, t, basis_i, classes.rank, len(cycles), bound.rank, classes, bound,
-        field,
-    )
-
-
 class Homology:
-    """Strand homology of C (x) R/Q with each (i, t) stratum computed once.
+    """Strand homology of C (x) R/Q: the one code that enumerates strand
+    bases, assembles strand matrices and eliminates them.
 
-    ``keys[i][g]`` names generator g of C_i, so that elements keyed by
-    those names can be expressed in the canonical basis of a stratum.
+    It keeps the rank of d_i on each strand (i, t) it has eliminated, each
+    stratum asked for and the keyed index of each strand an element is
+    expressed in, with the bases of those two; it keeps no matrix.
+    ``keys[i][g]`` names generator g of C_i (g itself when ``keys`` is None).
     """
 
-    def __init__(self, C: GradedFreeComplex, Q, keys):
+    def __init__(self, C: GradedFreeComplex, Q=None, keys=None):
         self.complex = C
-        self.Q = Q
         self.keys = keys
+        self.extra = _extra_gens(Q)
+        self.ranks: dict = {}  # (i, t) -> rank of d_i on the degree-t strand
         self.strata: dict = {}
+        self.indexes: dict = {}
+        self.bases: dict = {}  # the bases of the strata and indexes
+
+    def basis(self, i: int, t: int) -> list:
+        """The degree-t strand basis in degree i, kept for later queries."""
+        key = (i, t)
+        if key not in self.bases:
+            self.bases[key] = strand_basis(self.complex, i, t, self.extra)
+        return self.bases[key]
+
+    def _basis(self, i: int, t: int) -> list:
+        """The degree-t strand basis in degree i, not kept."""
+        kept = self.bases.get((i, t))
+        return strand_basis(self.complex, i, t, self.extra) if kept is None else kept
+
+    def matrix(self, i: int, t: int):
+        """Scalar rows of d_i on the degree-t strand, between kept bases."""
+        return strand_matrix(self.complex, i, self.basis(i, t), self.basis(i - 1, t))
+
+    def strand_dims(self, t: int, lo: int, hi: int) -> dict:
+        """{i: dim H_i} of the degree-t strand for lo <= i <= hi, from ranks
+        alone: dim H_i = |B_i| - r_i - r_{i+1} (dim coker d_1 for i = 0).
+        Each rank r_i is taken once per (i, t) for the life of this object.
+        """
+        @cache
+        def basis(j):
+            return self._basis(j, t)
+
+        def rank(j):
+            key = (j, t)
+            if key not in self.ranks:
+                self.ranks[key] = 0
+                if basis(j) and basis(j - 1):
+                    rows = strand_matrix(self.complex, j, basis(j), basis(j - 1))
+                    self.ranks[key] = linalg.rank(rows, self.complex.ring.field)
+            return self.ranks[key]
+
+        return {i: len(basis(i)) - rank(i) - rank(i + 1) for i in range(lo, hi + 1)}
+
+    def dim(self, i: int, t: int) -> int:
+        return self.strand_dims(t, i, i)[i]
 
     def stratum(self, i: int, t: int) -> StrandHomology:
+        """H_i of the degree-t strand with canonical representatives (cycles
+        reduced against the boundary RREF), computed once per (i, t)."""
         key = (i, t)
         if key not in self.strata:
-            self.strata[key] = strand_homology(self.complex, self.Q, t, i)
+            self.strata[key] = self._stratum(i, t)
         return self.strata[key]
 
+    def _stratum(self, i: int, t: int) -> StrandHomology:
+        C, field = self.complex, self.complex.ring.field
+        basis_i = self.basis(i, t)
+        n = len(basis_i)
+        empty = linalg.EchelonForm(n, [], [], field)
+        if not basis_i:
+            return StrandHomology(i, t, basis_i, 0, 0, 0, empty, empty, field)
+        if i >= 1:
+            rows = strand_matrix(C, i, basis_i, self._basis(i - 1, t))
+            cycles = linalg.kernel_basis(rows, n, field)
+        else:
+            cycles = [{k: field.one} for k in range(n)]
+        basis_hi = self._basis(i + 1, t)
+        bound = empty
+        if basis_hi:
+            rows_up = strand_matrix(C, i + 1, basis_hi, basis_i)
+            bcols = linalg.rows_from_columns(rows_up, len(basis_hi))
+            bound = linalg.echelon(bcols, n, field)
+        # the two eliminations give r_i = |B_i| - dim Z_i and r_{i+1} = dim B_i
+        self.ranks[(i, t)] = n - len(cycles)
+        self.ranks[(i + 1, t)] = bound.rank
+        reduced = [v for v in map(bound.reduce, cycles) if v]
+        classes = linalg.echelon(reduced, n, field) if reduced else empty
+        return StrandHomology(
+            i, t, basis_i, classes.rank, len(cycles), bound.rank, classes, bound,
+            field,
+        )
+
     def strand_index(self, i: int, t: int) -> dict:
-        """{(key, monomial): column} of the degree-t strand in degree i."""
-        keys = self.keys[i]
-        return {
-            (keys[g], m): col for col, (g, m) in enumerate(self.stratum(i, t).basis)
-        }
+        """{(key, monomial): column} of the degree-t strand in degree i,
+        built once per (i, t)."""
+        key = (i, t)
+        if key not in self.indexes:
+            basis = self.basis(i, t)
+            if self.keys is not None:
+                basis = [(self.keys[i][g], m) for g, m in basis]
+            self.indexes[key] = {bm: col for col, bm in enumerate(basis)}
+        return self.indexes[key]
 
     def express(self, i: int, t: int, x: dict):
         """Coordinates of the class of a cycle in the canonical basis, or
@@ -435,24 +477,14 @@ class Homology:
         return self.stratum(i, t).is_boundary(k_coords(x, self.strand_index(i, t)))
 
 
-def strand_homology_dims(C: GradedFreeComplex, Q, t: int, lo: int, hi: int):
-    """{i: dim H_i} of the degree-t strand of C (x) R/Q for lo <= i <= hi.
+def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
+    """H_i of the degree-t strand of C (x) R/Q with canonical representatives."""
+    return Homology(C, Q).stratum(i, t)
 
-    Each strand basis B_i is enumerated once and each rank r_i of
-    d_i : B_i -> B_{i-1} taken once, so dim H_i = |B_i| - r_i - r_{i+1};
-    dim H_0 is the dimension of coker d_1.
-    """
-    extra = _extra_gens(Q)
-    bases = {i: strand_basis(C, i, t, extra) for i in range(lo - 1, hi + 2)}
-    ranks = {}
-    for i in range(lo, hi + 2):
-        ranks[i] = 0
-        if bases[i] and bases[i - 1]:
-            rows = strand_matrix(C, i, t, extra, bases[i], bases[i - 1])
-            ranks[i] = linalg.rank(rows, C.ring.field)
-    return {
-        i: len(bases[i]) - ranks[i] - ranks[i + 1] for i in range(lo, hi + 1)
-    }
+
+def strand_homology_dim(C: GradedFreeComplex, Q, t: int, i: int) -> int:
+    """dim H_i of the degree-t strand of C (x) R/Q, from ranks alone."""
+    return Homology(C, Q).dim(i, t)
 
 
 def resolution_failures(C: GradedFreeComplex, top: int, D: int, hilbert):
@@ -463,9 +495,10 @@ def resolution_failures(C: GradedFreeComplex, top: int, D: int, hilbert):
     (t, dim coker d_1, hilbert(t)) wherever coker d_1 misses M's Hilbert
     function ``hilbert``.
     """
+    H = Homology(C)
     strand_failures, coker_failures = [], []
     for t in range(0, D + 1):
-        dims = strand_homology_dims(C, None, t, 0, top)
+        dims = H.strand_dims(t, 0, top)
         strand_failures += [(i, t, dims[i]) for i in range(1, top + 1) if dims[i]]
         want = hilbert(t)
         if dims[0] != want:
@@ -486,11 +519,6 @@ def resolves_k_failures(C: GradedFreeComplex, top: int, D: int):
     )
     strand_failures.sort()
     return validate_complex(C), is_minimal(C), strand_failures, coker_failures
-
-
-def strand_homology_dim(C: GradedFreeComplex, Q, t: int, i: int) -> int:
-    """Fast dimension-only strand homology (forward elimination ranks)."""
-    return strand_homology_dims(C, Q, t, i, i)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +590,12 @@ def betti_table(C: GradedFreeComplex) -> BettiTable:
 
 @dataclass
 class ResolutionCertificate:
-    """Outcome of the three-clause resolution check for a monomial ideal."""
+    """Outcome of the resolution check for a monomial ideal: C is a complex,
+    plus the three clauses of :func:`verify_resolution`."""
 
     ideal: MonomialIdeal
     bound: int
+    validation: ValidationReport  # d o d = 0 and homogeneity
     strand_failures: list  # (i, t, dim H_i)
     coker_failures: list  # (t, got, want)
     betti_ok: bool
@@ -582,10 +612,13 @@ class ResolutionCertificate:
 
     @property
     def ok(self) -> bool:
-        return self.exactness_ok and self.coker_ok and self.betti_ok
+        clauses = (self.validation.ok, self.exactness_ok, self.coker_ok, self.betti_ok)
+        return all(clauses)
 
     def summary(self) -> str:
         lines = [
+            "d o d = 0 and homogeneous: "
+            + ("PASS" if self.validation.ok else f"FAIL: {self.validation.problems}"),
             f"strand exactness (t <= {self.bound}): "
             + ("PASS" if self.exactness_ok else f"FAIL at {self.strand_failures[:3]}"),
             "cokernel of d_1 matches R/I: "
@@ -601,6 +634,9 @@ def verify_resolution(
 ) -> ResolutionCertificate:
     """Certify that C is a free resolution of R/I.
 
+    C must be a complex: :func:`validate_complex` finds d o d = 0 and every
+    entry homogeneous.  Without that, ranks give no homology and the strand
+    clauses prove nothing.
     Clause (a): every strand H_i vanishes for 1 <= i <= length, 0 <= t <= D.
     Clause (b): coker(d_1) has the Hilbert function of R/I up to D.
     Clause (c): the minimized Betti table equals the graded Betti numbers of
@@ -617,7 +653,8 @@ def verify_resolution(
     got = betti_table(minimize_complex(C, certify=False))
     want_table = betti_numbers(I)
     return ResolutionCertificate(
-        I, D, strand_failures, coker_failures, got == want_table, got, want_table
+        I, D, validate_complex(C), strand_failures, coker_failures,
+        got == want_table, got, want_table,
     )
 
 

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
-from .complexes import (
-    GradedFreeComplex,
-    star_basis,
-    star_product,
-    strand_basis,
-    strand_matrix,
-)
+from .complexes import GradedFreeComplex, Homology, star_basis, star_product
 from .errors import CertificationError, DomainError
 from .exterior import (
     KElement,
@@ -520,6 +514,7 @@ def associativity_probe(
     known: dict = {}
     for j, tab in prod.tables.items():
         known[(1, j)] = dict(tab)
+    H = Homology(C)
 
     def mul(i: int, j: int, left: KElement, right: KElement) -> KElement:
         out: KElement = {}
@@ -539,21 +534,11 @@ def associativity_probe(
         ]
         var_index: dict = {}
         var_meta = []
-        strand_cache: dict = {}
-
-        def strand(level, t):
-            key = (level, t)
-            if key not in strand_cache:
-                basis = strand_basis(C, level, t)
-                strand_cache[key] = (basis, {bm: k for k, bm in enumerate(basis)})
-            return strand_cache[key]
-
         for (i, j) in blocks:
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
                     t = C.degs(i)[u] + C.degs(j)[v]
-                    basis, _ = strand(n, t)
-                    for c in range(len(basis)):
+                    for c in range(len(H.basis(n, t))):
                         var_index[((i, j), (u, v), c)] = len(var_meta)
                         var_meta.append(((i, j), (u, v), c))
         nvars = len(var_meta)
@@ -563,9 +548,8 @@ def associativity_probe(
 
         def emit_unknown(rowmap, block, pair, t_pair, coeff_poly, level_t, sign):
             """Add sign * coeff_poly * m_block(pair) into rowmap coordinates."""
-            basis_src, _ = strand(n, t_pair)
-            _, idx_out = strand(n, level_t)
-            for c, (g, m) in enumerate(basis_src):
+            idx_out = H.strand_index(n, level_t)
+            for c, (g, m) in enumerate(H.basis(n, t_pair)):
                 var = var_index.get((block, pair, c))
                 if var is None:
                     continue
@@ -586,21 +570,17 @@ def associativity_probe(
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
                     t = C.degs(i)[u] + C.degs(j)[v]
-                    basis_n, _ = strand(n, t)
-                    basis_lo, idx_lo = strand(n - 1, t)
                     rhs_vec = mul(i - 1, j, C.diff(i).column(u), {v: one})
                     term = mul(i, j - 1, {u: one}, C.diff(j).column(v))
                     k_axpy(rhs_vec, -1 if i % 2 else 1, term)
-                    rhs_coords = k_coords(rhs_vec, idx_lo)
-                    if not basis_n:
+                    rhs_coords = k_coords(rhs_vec, H.strand_index(n - 1, t))
+                    if not H.basis(n, t):
                         if rhs_coords:
                             unsolvable.append(((i, j), (u, v)))
                         continue
-                    rows_mat = strand_matrix(C, n, t, (), basis_n, basis_lo)
-                    base = len(leibniz_rows)
-                    for k in range(len(basis_lo)):
+                    for k, row_k in enumerate(H.matrix(n, t)):
                         row = {}
-                        for c, val in rows_mat[k].items():
+                        for c, val in row_k.items():
                             var = var_index[((i, j), (u, v), c)]
                             row[var] = val
                         if row or k in rhs_coords:
@@ -645,7 +625,9 @@ def associativity_probe(
                                         rowmap, (a, b + c_deg), (x, w), t_pair,
                                         p, t_total, -1,
                                     )
-                            const_coords = k_coords(const, strand(n, t_total)[1])
+                            const_coords = k_coords(
+                                const, H.strand_index(n, t_total)
+                            )
                             for k in set(rowmap) | set(const_coords):
                                 row = rowmap.get(k, {})
                                 if row or k in const_coords:
@@ -685,7 +667,7 @@ def associativity_probe(
                     if not coords:
                         continue
                     t = C.degs(i)[u] + C.degs(j)[v]
-                    vec = k_element(coords, strand(n, t)[0], ring)
+                    vec = k_element(coords, H.basis(n, t), ring)
                     if vec:
                         tab[(u, v)] = vec
             known[(i, j)] = tab

@@ -63,10 +63,9 @@ class KoszulHomology(Homology):
                         f"strand homology dim {sh.dim} at ({i},{t}) deviates "
                         f"from the lcm-lattice Betti number {table[(i, t)]}"
                     )
+                keyed = [(self.keys[i][g], m) for g, m in sh.basis]
                 for v in sh.representatives:
-                    rep = k_element(
-                        v, [(self.keys[i][g], m) for g, m in sh.basis], ring
-                    )
+                    rep = k_element(v, keyed, ring)
                     classes.append(
                         KoszulClass(i, t, len(classes), f"z{len(classes)}", rep)
                     )

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
-from .complexes import (
-    GradedFreeComplex, Homology, resolves_k_failures, strand_homology_dim,
-)
+from .complexes import GradedFreeComplex, Homology, resolves_k_failures
 from .errors import CertificationError, DomainError
 from .exterior import KElement, k_wedge, k_with_ring
 from .golod import KoszulHomology
@@ -119,15 +117,6 @@ class QuotientTor(Homology):
         zero = (0,) * len(self.tate.sequence)
         return super().express(i, t, {(S, zero): p for S, p in x.items()})
 
-    def dims(self, i: int, tmax: int) -> dict:
-        """{t: dim H_i} of the nonzero strands t <= tmax, from ranks alone:
-        no stratum is built or cached."""
-        dims = {
-            t: strand_homology_dim(self.complex, self.Q, t, i)
-            for t in range(0, tmax + 1)
-        }
-        return {t: d for t, d in dims.items() if d}
-
 
 def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6, D: int | None = None):
     """Total dims of Tor_i^S(R/M, k) for 0 <= i <= n_max, summed over
@@ -143,7 +132,7 @@ def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6, D: int | None = None)
     qt = QuotientTor(tate, M)
     if D is None:
         D = tate.complex.max_degree() + M.max_gen_degree() + 1
-    return [sum(qt.dims(i, D).values()) for i in range(0, n_max + 1)]
+    return [sum(qt.dim(i, t) for t in range(D + 1)) for i in range(n_max + 1)]
 
 
 @dataclass
@@ -330,11 +319,11 @@ def avramov_obstruction(
             lam = qt.express(i, t, wedge)
             if lam is None or any(lam):
                 product_ok = False
-        dim_torS = sum(qt.dims(i, D).values())
-        s = phi.dim_source
-        p = ech.rank
-        o = (s - p) - phi.rank
-        rows.append(ObstructionRow(i, s, p, dim_torS, phi.rank, o))
+        s, p = phi.dim_source, ech.rank
+        rows.append(ObstructionRow(i, s, p, 0, phi.rank, (s - p) - phi.rank))
+    # dim Tor_i^S comes last, so that it reads the ranks the strata stored
+    for row in rows:
+        row.dim_tor_S = sum(qt.dim(row.i, t) for t in range(D + 1))
     return ObstructionReport(mons, M, rows, product_ok)
 
 

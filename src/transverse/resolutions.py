@@ -8,15 +8,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
-from .complexes import (
-    BettiTable,
-    GradedFreeComplex,
-    complex_from_boundary,
-    strand_basis,
-    strand_homology_dim,
-    strand_homology_dims,
-    strand_matrix,
-)
+from .complexes import BettiTable, GradedFreeComplex, Homology, complex_from_boundary
 from .errors import DomainError, ExactnessError
 from .exterior import k_acc, k_apply, k_coords, k_diff, k_element, k_wedge
 from .ideals import MonomialIdeal
@@ -220,10 +212,9 @@ def minimize_complex(C: GradedFreeComplex, certify: bool = True) -> GradedFreeCo
 
     if certify:
         tmax = min((d for d in degs[1]), default=0) + 2
+        H = Homology(C)
         before = {
-            (i, t): strand_homology_dim(C, None, t, i)
-            for i in range(1, length + 1)
-            for t in range(tmax + 1)
+            (i, t): H.dim(i, t) for i in range(1, length + 1) for t in range(tmax + 1)
         }
 
     def find_unit():
@@ -281,8 +272,9 @@ def minimize_complex(C: GradedFreeComplex, certify: bool = True) -> GradedFreeCo
         ring, new_degs[: top + 1], new_diffs[:top], new_labels[: top + 1]
     )
     if certify:
+        H = Homology(out)
         for (i, t), want in before.items():
-            got = strand_homology_dim(out, None, t, i)
+            got = H.dim(i, t)
             if got != want:
                 raise ExactnessError(
                     f"minimization changed H_{i} in strand {t}: {want} -> {got}"
@@ -290,37 +282,31 @@ def minimize_complex(C: GradedFreeComplex, certify: bool = True) -> GradedFreeCo
     return out
 
 
+def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
+    """Graded dims of Tor_i(R/I, R/J) for i >= 1 on the strands t <= D, read
+    off H_i(F (x) R/J) with F the minimal free resolution of R/I."""
+    if any(K.is_zero or K.is_unit for K in (I, J)):
+        raise DomainError("Tor dimensions need nonzero proper ideals")
+    F = minimal_resolution(I)
+    if D is None:
+        D = F.max_degree() + J.max_gen_degree() + 2
+    H = Homology(F, J)
+    out = {}
+    for t in range(0, D + 1):
+        for i, d in H.strand_dims(t, 1, F.length).items():
+            if d:
+                out[(i, t)] = d
+    return dict(sorted(out.items()))
+
+
 def tor_independence(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> bool:
-    """True iff H_i(F (x) R/J) = 0 for all i >= 1 and strands t <= D, where F
-    is the minimal free resolution of R/I.
+    """True iff Tor_i(R/I, R/J) = 0 for all i >= 1 on the strands t <= D.
 
     By rigidity of Tor over the polynomial ring this bounded check decides
     Tor-independence outright: a nonzero Tor_1 = (I cap J)/IJ has a witness
     below the generator-degree bound.
     """
-    for K in (I, J):
-        if K.is_zero or K.is_unit:
-            raise DomainError("Tor independence needs nonzero proper ideals")
-    F = minimal_resolution(I)
-    if D is None:
-        D = F.max_degree() + J.max_gen_degree() + 2
-    return not any(
-        any(strand_homology_dims(F, J, t, 1, F.length).values())
-        for t in range(0, D + 1)
-    )
-
-
-def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
-    """Graded dims of Tor_i(R/I, R/J) for i >= 1 up to the strand bound."""
-    F = minimal_resolution(I)
-    if D is None:
-        D = F.max_degree() + J.max_gen_degree() + 2
-    out = {}
-    for t in range(0, D + 1):
-        for i, d in strand_homology_dims(F, J, t, 1, F.length).items():
-            if d:
-                out[(i, t)] = d
-    return dict(sorted(out.items()))
+    return not tor_dims(I, J, D)
 
 
 def lift_comparison_map(
@@ -339,18 +325,17 @@ def lift_comparison_map(
     if source.rank(0) != 1 or target.rank(0) != 1:
         raise DomainError("comparison lifting needs rank-1 degree-0 terms")
     phis = [PolyMatrix.identity(ring, 1)]
-    field = ring.field
+    H = Homology(target)
     for i in range(1, source.length + 1):
         entries = {}
         for e in range(source.rank(i)):
             t = source.degs(i)[e]
             # rhs = phi_{i-1}(d^S_i e) in strand coordinates of target_{i-1}
-            basis_lo = strand_basis(target, i - 1, t)
             rhs = k_coords(
                 k_apply(phis[i - 1], source.diff(i).column(e)),
-                {bm: k for k, bm in enumerate(basis_lo)},
+                H.strand_index(i - 1, t),
             )
-            basis_hi = strand_basis(target, i, t)
+            basis_hi = H.basis(i, t)
             if not basis_hi:
                 if rhs:
                     raise ExactnessError(
@@ -358,8 +343,7 @@ def lift_comparison_map(
                         f"target has no strand {t}"
                     )
                 continue
-            rows = strand_matrix(target, i, t, (), basis_hi, basis_lo)
-            sol = linalg.solve(rows, len(basis_hi), rhs, field)
+            sol = linalg.solve(H.matrix(i, t), len(basis_hi), rhs, ring.field)
             if sol is None:
                 raise ExactnessError(
                     f"target not exact in degree {i}, strand {t}: "

@@ -275,6 +275,14 @@ class TestInputErrorsExitTwo:
                             "n_max": -1})
         assert "n_max" in self.run(tmp_path, capsys, doc)
 
+    def test_golod_unknown_mode(self, tmp_path, capsys):
+        doc = job("golod", {"left": "I", "right": "J", "mode": "seriez"})
+        assert "args.mode" in self.run(tmp_path, capsys, doc)
+
+    def test_star_resolve_verify_not_a_boolean(self, tmp_path, capsys):
+        doc = job("star-resolve", {"left": "I", "right": "J", "verify": "no"})
+        assert "args.verify" in self.run(tmp_path, capsys, doc)
+
     def test_ideal_reference_not_a_string(self, tmp_path, capsys):
         doc = job("check-transverse", {"left": ["I"], "right": "J"})
         assert "ideal name" in self.run(tmp_path, capsys, doc)

@@ -4,20 +4,21 @@ import pytest
 
 from transverse.complexes import (
     GradedFreeComplex,
+    Homology,
     betti_table,
     is_minimal,
     star_product,
     strand_homology,
     strand_homology_dim,
-    strand_homology_dims,
     stupid_truncation,
     tensor_complexes,
     validate_complex,
     verify_resolution,
 )
 from transverse.errors import CertificationError, DomainError
+from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal, ideal_product
-from transverse.poly import Monomial, PolyMatrix, Ring
+from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
 from transverse.resolutions import koszul_complex, minimize_complex, taylor_complex
 
 from conftest import ideal
@@ -271,6 +272,22 @@ class TestVerifyResolution:
         cert = verify_resolution(S, ideal_product(I, J))
         assert cert.ok
 
+    def test_non_complex_fails(self):
+        # over Q[x], d_1 = (x 0) and d_2 = (1 1)^T give d_1 d_2 = x != 0;
+        # every strand clause passes, so only the d o d = 0 clause can catch it
+        R = Ring(("x",))
+        (x,) = R.variables()
+        one = Polynomial.one(R)
+        C = GradedFreeComplex(
+            R, [(0,), (1, 1), (1,)],
+            [PolyMatrix(R, 1, 2, {(0, 0): x}),
+             PolyMatrix(R, 2, 1, {(0, 0): one, (1, 0): one})],
+        )
+        cert = verify_resolution(C, ideal(R, "x"))
+        assert cert.exactness_ok and cert.coker_ok and cert.betti_ok
+        assert not cert.validation.ok and not cert.ok
+        assert "d_1 o d_2 != 0" in cert.summary()
+
 
 class TestBettiTable:
     def test_koszul(self, R4):
@@ -352,14 +369,15 @@ def test_strand_dim_paths_agree(R4):
 
 
 class TestStrandEngine:
-    """strand_homology_dims (one rank per differential per strand) against
+    """Homology.strand_dims (one rank per differential per strand) against
     the representative path, on complexes with homology."""
 
     @staticmethod
     def assert_dims_agree(C, Q, tmax=6):
         nonzero = 0
+        H = Homology(C, Q)
         for t in range(0, tmax + 1):
-            dims = strand_homology_dims(C, Q, t, 0, C.length)
+            dims = H.strand_dims(t, 0, C.length)
             for i in range(0, C.length + 1):
                 assert dims[i] == strand_homology(C, Q, t, i).dim, (i, t)
                 nonzero += i >= 1 and dims[i] > 0
@@ -454,3 +472,95 @@ class TestHomology:
             peers = [d for d in H.classes_at(c.i) if d.t == c.t]
             assert H.express(c.i, c.t, c.rep) == [int(d is c) for d in peers]
         assert H.is_boundary(1, 2, {})
+
+
+class TestOneStrandEngine:
+    """Homology is the one door to strands: counts of one small job each."""
+
+    @staticmethod
+    def record_strand_matrices(monkeypatch):
+        """Wrap strand_basis and strand_matrix; returns the (complex, Q, i, t)
+        of every strand matrix assembled and of every one ranked."""
+        from transverse import complexes, linalg
+
+        keep, key_of, built, ranked = [], {}, [], []
+        basis, matrix, rank = (
+            complexes.strand_basis, complexes.strand_matrix, linalg.rank
+        )
+
+        def traced_basis(C, i, t, extra=()):
+            out = basis(C, i, t, extra)
+            keep.append(out)
+            key_of[id(out)] = (id(C), complexes._extra_gens(extra), i, t)
+            return out
+
+        def traced_matrix(C, i, basis_hi, basis_lo):
+            rows = matrix(C, i, basis_hi, basis_lo)
+            keep.append(rows)
+            key_of[id(rows)] = key_of[id(basis_hi)]
+            built.append(key_of[id(rows)])
+            return rows
+
+        def traced_rank(rows, field):
+            if id(rows) in key_of:
+                ranked.append(key_of[id(rows)])
+            return rank(rows, field)
+
+        monkeypatch.setattr(complexes, "strand_basis", traced_basis)
+        monkeypatch.setattr(complexes, "strand_matrix", traced_matrix)
+        monkeypatch.setattr(linalg, "rank", traced_rank)
+        return built, ranked
+
+    def test_classical_obstruction_assembles_each_strand_matrix_once(
+        self, R4, monkeypatch
+    ):
+        from transverse.obstructions import avramov_obstruction
+
+        built, ranked = self.record_strand_matrices(monkeypatch)
+        M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
+        a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
+        rep = avramov_obstruction(a, M, 6)
+        assert rep.nonzero_degrees() == [4]
+        # 83 strands, each assembled and eliminated once: the Tor^S
+        # dimensions read the ranks that the change-of-rings strata stored
+        assert len(built) == 83 and len(set(built)) == 83
+        assert ranked and set(ranked) < set(built)
+
+    def test_kunneth_builds_each_strand_index_once(self, R4, monkeypatch):
+        from transverse.golod import kunneth_map
+
+        built: dict = {}
+        index = Homology.strand_index
+
+        def traced_index(self, i, t):
+            out = index(self, i, t)
+            built.setdefault((id(self), i, t), []).append(out)
+            return out
+
+        monkeypatch.setattr(Homology, "strand_index", traced_index)
+        I, J = ideal(R4, "x1^2", "x1*x2"), ideal(R4, "x3*x4", "x4^2")
+        assert kunneth_map(I, J).ok
+        assert any(len(calls) > 1 for calls in built.values())
+        for calls in built.values():
+            assert all(c is calls[0] for c in calls)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+    @pytest.mark.parametrize("strata_first", [True, False])
+    def test_ranks_stored_by_strata_equal_a_rank_pass(self, field, strata_first):
+        from transverse.resolutions import koszul_on_variables
+
+        R = Ring(("x1", "x2", "x3", "x4"), field)
+        K = koszul_on_variables(R)
+        Q = ideal(R, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
+        strands = [(i, t) for i in range(0, K.length + 1) for t in range(0, 7)]
+        H = Homology(K, Q)
+        if strata_first:
+            strata = {key: H.stratum(*key).dim for key in strands}
+        dims = {(i, t): H.dim(i, t) for i, t in strands}
+        if not strata_first:
+            strata = {key: H.stratum(*key).dim for key in strands}
+        fresh = Homology(K, Q)
+        for t in range(0, 7):
+            fresh.strand_dims(t, 0, K.length)
+        assert H.ranks == fresh.ranks
+        assert dims == strata and any(dims.values())
