@@ -13,7 +13,7 @@ import sys
 
 from . import complexes, dg, golod, obstructions, resolutions
 from .errors import AlgebraError, ParseError
-from .fields import QQ, PrimeField
+from .fields import QQ, PrimeField, field_to_json
 from .ideals import (
     MonomialIdeal,
     ideal_intersection,
@@ -58,13 +58,9 @@ class JobSpec:
         return self.ideals[name]
 
     def to_document(self) -> dict:
-        field = (
-            "rational"
-            if not hasattr(self.ring.field, "p")
-            else {"prime": self.ring.field.p}
-        )
         return {
-            "ring": {"vars": list(self.ring.names), "field": field},
+            "ring": {"vars": list(self.ring.names),
+                     "field": field_to_json(self.ring.field)},
             "ideals": {
                 name: [self.ring.format_monomial(g) for g in I.gens]
                 for name, I in sorted(self.ideals.items())
@@ -381,9 +377,13 @@ def cmd_dispatch(spec: JobSpec):
         return report, 0 if cert.ok else 1
 
     if spec.command == "associativity-probe":
+        probe_bound = spec.args.get("bound")
+        # the first stage is n = 3; a smaller bound would test nothing
+        if probe_bound is not None and probe_bound < 3:
+            raise ParseError(f"args.bound: expected at least 3, got {probe_bound}")
         ideals_list = _ideal_list(spec)
         C, prod = _star_with_product(spec, ideals_list)
-        rep = dg.associativity_probe(C, prod, spec.args.get("bound"))
+        rep = dg.associativity_probe(C, prod, probe_bound)
         report = {
             "command": "associativity-probe",
             "note": "experimental findings only",

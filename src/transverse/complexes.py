@@ -19,6 +19,7 @@ from operator import add
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
 from .exterior import k_acc, k_coords
+from .fields import field_to_json
 from .ideals import MonomialIdeal, degree_basis_mod_ideal
 from .poly import Monomial, PolyMatrix, monomials_of_degree
 
@@ -259,7 +260,6 @@ def star_product(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComple
         lambda k: F.degs(k[0])[k[2]] + G.degs(k[1])[k[3]] if k[0] else 0,
         lambda k: f"{F.labels[k[0]][k[2]]}*{G.labels[k[1]][k[3]]}" if k[0] else "1",
         boundary,
-        meta={"star_factors": (F, G)},
     )
 
 
@@ -650,7 +650,7 @@ def verify_resolution(
     strand_failures, coker_failures = resolution_failures(
         C, C.length, D, lambda t: len(degree_basis_mod_ideal(I, t))
     )
-    got = betti_table(minimize_complex(C, certify=False))
+    got = betti_table(minimize_complex(C))
     want_table = betti_numbers(I)
     return ResolutionCertificate(
         I, D, validate_complex(C), strand_failures, coker_failures,
@@ -663,12 +663,7 @@ def verify_resolution(
 
 
 def complex_to_json(C: GradedFreeComplex) -> dict:
-    ring = {
-        "vars": list(C.ring.names),
-        "field": "rational"
-        if not hasattr(C.ring.field, "p")
-        else {"prime": C.ring.field.p},
-    }
+    ring = {"vars": list(C.ring.names), "field": field_to_json(C.ring.field)}
     if C.ring.modulus:
         ring["modulus"] = [C.ring.format_monomial(m) for m in C.ring.modulus]
     diffs = []

@@ -565,7 +565,9 @@ def associativity_probe(
                     else:
                         rowmap[k].pop(var, None)
 
-        # Leibniz constraints per block and basis pair
+        # Leibniz constraints per block and basis pair; d_n on each strand
+        # is assembled once per stage
+        matrices: dict = {}
         for (i, j) in blocks:
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
@@ -578,7 +580,9 @@ def associativity_probe(
                         if rhs_coords:
                             unsolvable.append(((i, j), (u, v)))
                         continue
-                    for k, row_k in enumerate(H.matrix(n, t)):
+                    if t not in matrices:
+                        matrices[t] = H.matrix(n, t)
+                    for k, row_k in enumerate(matrices[t]):
                         row = {}
                         for c, val in row_k.items():
                             var = var_index[((i, j), (u, v), c)]

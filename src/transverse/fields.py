@@ -183,3 +183,8 @@ class PrimeField:
 
 
 QQ = Rationals()
+
+
+def field_to_json(field) -> str | dict:
+    """The field as a job document names it: "rational" or {"prime": p}."""
+    return "rational" if not hasattr(field, "p") else {"prime": field.p}

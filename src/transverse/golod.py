@@ -350,8 +350,7 @@ def golod_resolution(
         return "".join(f"v({a},{b})" for a, b in (basis.pairs[k] for k in w))
 
     C, _ = twisted_koszul(
-        basis.quotient, _words(basis, D, n_max), n_max, twist, word_label,
-        meta={"golod_basis": basis},
+        basis.quotient, _words(basis, D, n_max), n_max, twist, word_label
     )
     rep, minimal, strand_failures, coker_failures = resolves_k_failures(
         C, n_max - 1, D

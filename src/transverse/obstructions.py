@@ -44,10 +44,6 @@ class TateComplex:
     basis: list  # per homological degree: list of (subset, exponent tuple)
     certificate: dict
 
-    @property
-    def n_max(self) -> int:
-        return self.complex.length
-
 
 def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     """Build and certify the Tate complex through homological degree n_max,
@@ -109,6 +105,7 @@ class QuotientTor(Homology):
                 raise DomainError("the regular sequence must lie in M")
         super().__init__(tate.complex, M, tate.basis)
         self.tate = tate
+        self.M = M
 
     def express(self, i: int, t: int, x: KElement):
         """Coordinates, in the canonical basis, of the class of an exterior
@@ -117,94 +114,67 @@ class QuotientTor(Homology):
         zero = (0,) * len(self.tate.sequence)
         return super().express(i, t, {(S, zero): p for S, p in x.items()})
 
+    def total_dim(self, i: int) -> int:
+        """dim Tor_i^S(R/M, k), summed over the internal degrees up to the
+        reporting bound: the top Tate degree plus the top generator degree
+        of M, plus one."""
+        D = self.tate.complex.max_degree() + self.M.max_gen_degree() + 1
+        return sum(self.dim(i, t) for t in range(D + 1))
 
-def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6, D: int | None = None):
-    """Total dims of Tor_i^S(R/M, k) for 0 <= i <= n_max, summed over
-    internal degrees up to the reporting bound.
+
+def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6):
+    """Total dims of Tor_i^S(R/M, k) for 0 <= i <= n_max, see
+    :meth:`QuotientTor.total_dim`.
 
     The Tate complex is built one level past n_max so the top homology is
     cut out by genuine boundaries, not by the truncation.
     """
-    tate = a if isinstance(a, TateComplex) else None
-    if tate is None or tate.n_max < n_max + 1:
-        seq = a.sequence if isinstance(a, TateComplex) else a
-        tate = tate_resolution(seq, M.ring, n_max + 1)
-    qt = QuotientTor(tate, M)
-    if D is None:
-        D = tate.complex.max_degree() + M.max_gen_degree() + 1
-    return [sum(qt.dim(i, t) for t in range(D + 1)) for i in range(n_max + 1)]
+    qt = QuotientTor(tate_resolution(a, M.ring, n_max + 1), M)
+    return [qt.total_dim(i) for i in range(n_max + 1)]
 
 
 @dataclass
 class ChangeOfRingsMap:
-    i: int
-    strands: list  # t values carrying source classes
-    matrix_rows: list
     dim_source: int
     dim_target_blocks: int
     rank: int
-    columns: list  # per source class: target coordinates (dict)
 
 
 def change_of_rings_map(
-    a, M: MonomialIdeal, i: int,
-    source: KoszulHomology | None = None,
-    qt: QuotientTor | None = None,
-    n_max: int | None = None,
+    source: KoszulHomology, qt: QuotientTor, i: int
 ) -> ChangeOfRingsMap:
     """The map H_i(K^R (x) R/M) -> H_i(T (x)_S R/M) induced by the exterior
     inclusion, assembled per strand in the canonical homology bases."""
-    ring = M.ring
-    if source is None:
-        source = KoszulHomology(M)
-    if qt is None:
-        tate = tate_resolution(a, ring, n_max or (i + 2))
-        qt = QuotientTor(tate, M)
     if i == 0:
-        return ChangeOfRingsMap(0, [0], [{0: ring.field.one}], 1, 1, 1, [{0: ring.field.one}])
+        return ChangeOfRingsMap(1, 1, 1)
     srcs = source.classes_at(i)
-    strands = sorted({c.t for c in srcs})
-    cols = []
     offsets: dict = {}
     total_target = 0
-    for t in strands:
-        sh = qt.stratum(i, t)
+    for t in sorted({c.t for c in srcs}):
         offsets[t] = total_target
-        total_target += sh.dim
+        total_target += qt.stratum(i, t).dim
+    cols = []
     for cls in srcs:
         lam = qt.express(i, cls.t, cls.rep)
         if lam is None:
             raise CertificationError(
                 f"exterior image of class {cls.label} is not a cycle class"
             )
-        col = {
-            offsets[cls.t] + k: v for k, v in enumerate(lam) if v
-        }
-        cols.append(col)
+        cols.append({offsets[cls.t] + k: v for k, v in enumerate(lam) if v})
     rows = linalg.rows_from_columns(cols, total_target)
-    rank = linalg.rank(rows, ring.field)
     return ChangeOfRingsMap(
-        i, strands, rows, len(srcs), total_target, rank, cols
+        len(srcs), total_target, linalg.rank(rows, qt.M.ring.field)
     )
 
 
-def tor_product_subspace(
-    a, M: MonomialIdeal, i: int, source: KoszulHomology | None = None
-):
+def tor_product_subspace(source: KoszulHomology, qt: QuotientTor, i: int):
     """The subspace Tor_1(S,k) . Tor_{i-1}(M-quotient,k) inside Tor_i,
     spanned by classes [z_j ^ w]; returned as echelonized coordinate vectors
     in the canonical basis of H_i together with the raw wedge cycles."""
-    ring = M.ring
-    mons = regular_sequence(ring, a)
-    for m in mons:
-        if not M.contains(m):
-            raise DomainError("the regular sequence must lie in M")
-    if source is None:
-        source = KoszulHomology(M)
     if i < 1:
         raise DomainError("the product subspace lives in positive degrees")
-    quotient = M.quotient_ring()
-    zs = [_tate_cycle(quotient, m) for m in mons]
+    ring = qt.M.ring
+    quotient = qt.M.quotient_ring()
     if i == 1:
         lowers = [({(): Polynomial.one(quotient)}, 0)]
     else:
@@ -213,8 +183,8 @@ def tor_product_subspace(
         ]
     vectors = []
     cycles = []
-    n_i = len(source.classes_at(i))
-    for z, (zm) in zip(zs, mons):
+    for z, zm in zip(qt.tate.cycles, qt.tate.sequence):
+        z = k_with_ring(z, quotient)
         for w, tw in lowers:
             wedge = k_wedge(z, w)
             t = zm.degree + tw
@@ -225,7 +195,7 @@ def tor_product_subspace(
                 raise CertificationError("product wedge is not a cycle class")
             vectors.append(vec)
             cycles.append((wedge, t))
-    ech = linalg.echelon(vectors, n_i, ring.field)
+    ech = linalg.echelon(vectors, len(source.classes_at(i)), ring.field)
     return ech, cycles
 
 
@@ -296,24 +266,19 @@ def avramov_obstruction(
     Well-definedness is certified, not assumed: every product-subspace class
     is pushed through the change-of-rings map and must land on zero.
     """
-    ring = M.ring
-    mons = regular_sequence(ring, a)
-    for m in mons:
-        if not M.contains(m):
-            raise DomainError("the regular sequence must lie in M")
     if n_max is None:
         n_max = projective_dimension(M) + 1
     elif n_max < 2:
         raise DomainError("n_max must be at least 2: obstructions start at i = 2")
+    # tate_resolution checks that a is a regular sequence, QuotientTor that
+    # it lies in M; the steps below take these objects and check nothing
+    qt = QuotientTor(tate_resolution(a, M.ring, n_max + 1), M)
     source = KoszulHomology(M)
-    tate = tate_resolution(mons, ring, n_max + 1)
-    qt = QuotientTor(tate, M)
-    D = tate.complex.max_degree() + M.max_gen_degree() + 1
     rows = []
     product_ok = True
     for i in range(2, n_max + 1):
-        phi = change_of_rings_map(mons, M, i, source=source, qt=qt)
-        ech, cycles = tor_product_subspace(mons, M, i, source=source)
+        phi = change_of_rings_map(source, qt, i)
+        ech, cycles = tor_product_subspace(source, qt, i)
         # certify the induced map is well defined: products map to zero
         for wedge, t in cycles:
             lam = qt.express(i, t, wedge)
@@ -323,8 +288,8 @@ def avramov_obstruction(
         rows.append(ObstructionRow(i, s, p, 0, phi.rank, (s - p) - phi.rank))
     # dim Tor_i^S comes last, so that it reads the ranks the strata stored
     for row in rows:
-        row.dim_tor_S = sum(qt.dim(row.i, t) for t in range(D + 1))
-    return ObstructionReport(mons, M, rows, product_ok)
+        row.dim_tor_S = qt.total_dim(row.i)
+    return ObstructionReport(qt.tate.sequence, M, rows, product_ok)
 
 
 @dataclass

@@ -128,7 +128,7 @@ def generated_non_transverse_pairs(count=6, seed=4242):
 
 
 def _minimal_resolution(I):
-    return minimize_complex(taylor_complex(I), certify=False)
+    return minimize_complex(taylor_complex(I))
 
 
 def test_criterion_1_star_product_resolutions():
@@ -140,7 +140,7 @@ def test_criterion_1_star_product_resolutions():
     IJ = ideal_product(I, J)
     cert = verify_resolution(S, IJ)
     assert cert.ok
-    assert betti_table(minimize_complex(S, certify=False)).totals() == (1, 4, 4, 1)
+    assert betti_table(minimize_complex(S)).totals() == (1, 4, 4, 1)
     assert cert.betti_want.totals() == (1, 4, 4, 1)
 
     pairs = generated_transverse_pairs(10)
@@ -341,7 +341,7 @@ def test_criterion_10_cross_pipeline_consistency():
     IJ = ideal_product(I, J)
     examples = [I, IJ, ideal(R, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")]
     for M in examples:
-        table = betti_table(minimize_complex(taylor_complex(M), certify=False))
+        table = betti_table(minimize_complex(taylor_complex(M)))
         H = koszul_homology(M)
         for i in range(1, 6):
             want = sum(v for (ii, _), v in table.entries.items() if ii == i)
@@ -360,8 +360,8 @@ def test_criterion_10_cross_pipeline_consistency():
     Rp = R.with_field(PrimeField(32003))
     for M in examples:
         Mp = MonomialIdeal(Rp, M.gens)
-        t_q = betti_table(minimize_complex(taylor_complex(M), certify=False))
-        t_p = betti_table(minimize_complex(taylor_complex(Mp), certify=False))
+        t_q = betti_table(minimize_complex(taylor_complex(M)))
+        t_p = betti_table(minimize_complex(taylor_complex(Mp)))
         assert t_q.entries == t_p.entries
         assert koszul_homology(M).graded_dims() == koszul_homology(Mp).graded_dims()
     Ip, Jp = MonomialIdeal(Rp, I.gens), MonomialIdeal(Rp, J.gens)

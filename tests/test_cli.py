@@ -287,6 +287,12 @@ class TestInputErrorsExitTwo:
         doc = job("check-transverse", {"left": ["I"], "right": "J"})
         assert "ideal name" in self.run(tmp_path, capsys, doc)
 
+    @pytest.mark.parametrize("bound", [0, 2])
+    def test_probe_bound_below_first_stage(self, tmp_path, capsys, bound):
+        # stages start at n = 3: a smaller bound tests no triple
+        doc = job("associativity-probe", {"ideals": ["I", "J"], "bound": bound})
+        assert "args.bound" in self.run(tmp_path, capsys, doc)
+
     def test_ideal_list_entry_not_a_string(self, tmp_path, capsys):
         doc = job("dg-verify", {"ideals": ["I", ["J"]]})
         assert "ideal name" in self.run(tmp_path, capsys, doc)

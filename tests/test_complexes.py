@@ -19,9 +19,9 @@ from transverse.errors import CertificationError, DomainError
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal, ideal_product
 from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
-from transverse.resolutions import koszul_complex, minimize_complex, taylor_complex
+from transverse.resolutions import koszul_complex, taylor_complex
 
-from conftest import ideal
+from conftest import ideal, minimize_checked
 
 
 def _vars(ring, *idx):
@@ -136,7 +136,7 @@ class TestStarProduct:
         assert S.degrees == ((0,), (2, 2, 2, 2), (3, 3, 3, 3), (4,))
         # oracle cross-check: minimized Taylor complex of the product ideal
         IJ = ideal_product(ideal(R4, "x1", "x2"), ideal(R4, "x3", "x4"))
-        M = minimize_complex(taylor_complex(IJ))
+        M = minimize_checked(taylor_complex(IJ))
         assert M.total_ranks() == S.total_ranks()
 
     def test_three_fold_principal(self, R4):
@@ -225,7 +225,7 @@ class TestStrandHomology:
     def test_agrees_with_betti(self, R4):
         # for a minimal complex, strand homology of C (x) k gives the ranks
         IJ = ideal_product(ideal(R4, "x1", "x2"), ideal(R4, "x3", "x4"))
-        M = minimize_complex(taylor_complex(IJ))
+        M = minimize_checked(taylor_complex(IJ))
         table = betti_table(M)
         full = MonomialIdeal(R4, tuple(R4.parse_monomial(v) for v in R4.names))
         for (i, t), want in table.entries.items():
@@ -297,7 +297,7 @@ class TestBettiTable:
 
     def test_flagship_totals(self, R4, flagship):
         IJ = ideal_product(*flagship)
-        M = minimize_complex(taylor_complex(IJ))
+        M = minimize_checked(taylor_complex(IJ))
         assert betti_table(M).totals() == (1, 4, 4, 1)
 
     def test_length_zero(self, R4):
@@ -311,7 +311,7 @@ class TestBettiTable:
 
     def test_staircase_render(self, R4, flagship):
         IJ = ideal_product(*flagship)
-        M = minimize_complex(taylor_complex(IJ))
+        M = minimize_checked(taylor_complex(IJ))
         text = betti_table(M).staircase()
         assert "total:" in text
         lines = text.splitlines()
@@ -329,7 +329,7 @@ def test_validate_all_constructors(R4, flagship):
     for C in (
         F,
         taylor_complex(IJ),
-        minimize_complex(taylor_complex(IJ)),
+        minimize_checked(taylor_complex(IJ)),
         tensor_complexes(F, G),
         stupid_truncation(F, 1),
         star_product(F, G),
@@ -394,7 +394,7 @@ class TestStrandEngine:
         self.assert_dims_agree(K, ideal(R4, "x1*x2", "x2*x3^2", "x4^2"))
 
     def test_star_with_a_column_of_d2_zeroed(self, R4):
-        F = minimize_complex(taylor_complex(ideal(R4, "x1^2", "x1*x2", "x2^2")))
+        F = minimize_checked(taylor_complex(ideal(R4, "x1^2", "x1*x2", "x2^2")))
         d2 = F.diff(2)
         broken = PolyMatrix(
             R4, d2.nrows, d2.ncols,
@@ -525,6 +525,23 @@ class TestOneStrandEngine:
         # dimensions read the ranks that the change-of-rings strata stored
         assert len(built) == 83 and len(set(built)) == 83
         assert ranked and set(ranked) < set(built)
+
+    def test_probe_assembles_each_strand_matrix_once(self, monkeypatch):
+        from transverse.dg import (
+            associativity_probe, koszul_dg_product, star_degree_one_product,
+        )
+
+        R = Ring(("x1", "x2", "x3", "x4", "x5"))
+        F = koszul_complex([R.variable(0), R.variable(1)])
+        G = koszul_complex([R.variable(2), R.variable(3), R.variable(4)])
+        sp = star_degree_one_product(
+            F, G, koszul_dg_product(F), koszul_dg_product(G)
+        )
+        built, _ = self.record_strand_matrices(monkeypatch)
+        rep = associativity_probe(sp.complex, sp)
+        assert rep.stages
+        # the Leibniz rows of every basis pair in a strand share one matrix
+        assert len(built) == 2 and len(set(built)) == 2
 
     def test_kunneth_builds_each_strand_index_once(self, R4, monkeypatch):
         from transverse.golod import kunneth_map

@@ -66,7 +66,7 @@ class TestKoszulHomology:
             if I.is_unit or I.is_zero:
                 continue
             H = koszul_homology(I)
-            table = betti_table(minimize_complex(taylor_complex(I), certify=False))
+            table = betti_table(minimize_complex(taylor_complex(I)))
             for i in range(1, 5):
                 want = sum(v for (ii, _), v in table.entries.items() if ii == i)
                 assert H.dims().get(i, 0) == want
@@ -327,7 +327,7 @@ def test_three_fold_star_resolves_triple_product():
         ideal(R6, "x3", "x4"),
         ideal(R6, "x5", "x6"),
     ]
-    F = [minimize_complex(taylor_complex(I), certify=False) for I in fam]
+    F = [minimize_complex(taylor_complex(I)) for I in fam]
     S = star_product(star_product(F[0], F[1]), F[2])
     assert S.total_ranks() == (1, 8, 12, 6, 1)
     assert verify_resolution(S, product_of(fam)).ok

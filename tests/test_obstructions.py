@@ -2,10 +2,12 @@ from math import comb
 
 import pytest
 
+from transverse import obstructions
 from transverse.errors import DomainError
 from transverse.golod import KoszulHomology
 from transverse.ideals import ideal_product
 from transverse.obstructions import (
+    QuotientTor,
     avramov_obstruction,
     change_of_rings_map,
     projective_dimension,
@@ -76,24 +78,30 @@ class TestTorOverQuotient:
             tor_over_quotient(a, ideal(Rxy, "x^2"), 3)
 
 
+def homologies(a, M, n_max):
+    """Koszul homology over R and Tor over S = R/(a), as the obstruction
+    pass builds them."""
+    return KoszulHomology(M), QuotientTor(tate_resolution(a, M.ring, n_max), M)
+
+
 class TestChangeOfRings:
     def test_exterior_part_full_rank(self, Rxy):
         a = [Rxy.parse_monomial("x*y")]
         m = ideal(Rxy, "x", "y")
-        phi = change_of_rings_map(a, m, 1)
+        phi = change_of_rings_map(*homologies(a, m, 3), 1)
         assert (phi.dim_source, phi.dim_target_blocks, phi.rank) == (2, 2, 2)
 
     def test_degree_two_injective_not_surjective(self, Rxy):
         a = [Rxy.parse_monomial("x*y")]
         m = ideal(Rxy, "x", "y")
-        phi = change_of_rings_map(a, m, 2)
+        phi = change_of_rings_map(*homologies(a, m, 4), 2)
         assert (phi.dim_source, phi.rank) == (1, 1)
         assert phi.dim_target_blocks == 2
 
     def test_degree_zero_identity(self, Rxy):
         a = [Rxy.parse_monomial("x*y")]
         m = ideal(Rxy, "x", "y")
-        phi = change_of_rings_map(a, m, 0)
+        phi = change_of_rings_map(*homologies(a, m, 2), 0)
         assert phi.rank == 1 and phi.dim_source == 1
 
 
@@ -101,22 +109,23 @@ class TestProductSubspace:
     def test_trivial_for_transverse_product(self, R4, flagship):
         IJ = ideal_product(*flagship)
         a = [R4.parse_monomial("x1*x3")]
+        source, qt = homologies(a, IJ, 4)
         for i in (2, 3):
-            ech, cycles = tor_product_subspace(a, IJ, i)
+            ech, cycles = tor_product_subspace(source, qt, i)
             assert ech.rank == 0
 
     def test_degree_one_sees_the_generator(self, R4, flagship):
         IJ = ideal_product(*flagship)
         a = [R4.parse_monomial("x1*x3")]
-        ech, _ = tor_product_subspace(a, IJ, 1)
+        ech, _ = tor_product_subspace(*homologies(a, IJ, 2), 1)
         assert ech.rank == 1
 
     def test_complete_intersection_fills_everything(self, R4):
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
         A = ideal(R4, "x1^2", "x4^2")
-        H = KoszulHomology(A)
+        H, qt = homologies(a, A, 3)
         for i in (1, 2):
-            ech, _ = tor_product_subspace(a, A, i, source=H)
+            ech, _ = tor_product_subspace(H, qt, i)
             assert ech.rank == len(H.classes_at(i))
 
 
@@ -188,8 +197,6 @@ class TestObstruction:
 
 class TestQuotientTorDims:
     def test_dims_from_ranks_match_the_strata(self, R4):
-        from transverse.obstructions import QuotientTor
-
         M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
         tate = tate_resolution(a, R4, 6)
@@ -202,6 +209,31 @@ class TestQuotientTorDims:
         for i, got in dims.items():
             assert got == {t: ref.stratum(i, t).dim for t in range(0, D + 1)}
         assert sum(dims[4].values()) > 0
+
+
+class TestOnePass:
+    def test_classical_example_builds_each_object_once(self, R4, monkeypatch):
+        # the per-degree steps take the Koszul homology and Tor over S that
+        # the pass built; the sequence is checked by tate_resolution alone
+        calls = {}
+        for name in ("regular_sequence", "_tate_cycle", "KoszulHomology",
+                     "tate_resolution"):
+            def counted(*args, _f=getattr(obstructions, name), _n=name):
+                calls[_n] = calls.get(_n, 0) + 1
+                return _f(*args)
+            monkeypatch.setattr(obstructions, name, counted)
+        M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
+        a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
+        rep = avramov_obstruction(a, M, 6)
+        assert rep.nonzero_degrees() == [4]
+        assert calls == {"regular_sequence": 1, "_tate_cycle": 2,
+                         "KoszulHomology": 1, "tate_resolution": 1}
+
+    def test_one_tor_bound(self, R4):
+        M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
+        a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
+        rep = avramov_obstruction(a, M, 5)
+        assert [r.dim_tor_S for r in rep.rows] == tor_over_quotient(a, M, 5)[2:]
 
 
 class TestInjectivity:

@@ -6,10 +6,12 @@ import pytest
 
 from transverse import resolutions
 from transverse.complexes import (
+    GradedFreeComplex,
     betti_table,
     is_minimal,
     star_product,
     strand_homology_dim,
+    stupid_truncation,
     validate_complex,
     verify_resolution,
 )
@@ -28,7 +30,7 @@ from transverse.resolutions import (
     taylor_complex,
 )
 
-from conftest import ideal
+from conftest import ideal, minimize_checked
 from test_complexes import random_monomial_ideal
 
 
@@ -102,13 +104,13 @@ class TestTaylor:
 class TestMinimize:
     def test_flagship(self, R4, flagship):
         IJ = ideal_product(*flagship)
-        M = minimize_complex(taylor_complex(IJ))
+        M = minimize_checked(taylor_complex(IJ))
         assert M.total_ranks() == (1, 4, 4, 1)
         assert is_minimal(M)
 
     def test_fixpoint_on_minimal(self, R4):
         K = koszul_complex(_vars(R4, 0, 1))
-        M = minimize_complex(K)
+        M = minimize_checked(K)
         assert M.total_ranks() == K.total_ranks()
         for i in (1, 2):
             assert M.diff(i).entries == K.diff(i).entries
@@ -118,7 +120,7 @@ class TestMinimize:
             ideal(Rxy, "x"),
             gens=[Rxy.parse_monomial("x"), Rxy.parse_monomial("x*y")],
         )
-        M = minimize_complex(T)
+        M = minimize_checked(T)
         assert M.total_ranks() == (1, 1)
         assert str(M.diff(1).entry(0, 0)) == "x"
 
@@ -129,13 +131,20 @@ class TestMinimize:
             if I.is_unit:
                 continue
             T = taylor_complex(I)
-            M = minimize_complex(T, certify=True)  # certification is the test
+            M = minimize_checked(T)  # the before/after comparison is the test
             assert is_minimal(M)
+
+    def test_length_zero_returned(self, R4):
+        K = koszul_complex(_vars(R4, 0, 1))
+        for C in (GradedFreeComplex(R4, [[0]], []),
+                  stupid_truncation(K, K.length + 1)):
+            M = minimize_complex(C)
+            assert (M.length, M.degrees) == (0, C.degrees)
 
     def test_betti_agrees_with_koszul_homology(self, R4, flagship):
         # Tor via minimized Taylor == Tor via Koszul strand dims
         IJ = ideal_product(*flagship)
-        M = minimize_complex(taylor_complex(IJ))
+        M = minimize_checked(taylor_complex(IJ))
         table = betti_table(M)
         K = koszul_complex(_vars(R4, 0, 1, 2, 3))
         for i in range(1, 4):
@@ -224,7 +233,7 @@ class TestLift:
 
     def test_lift_principal_into_star_resolution(self, R4, flagship):
         IJ = ideal_product(*flagship)
-        target = minimize_complex(taylor_complex(IJ))
+        target = minimize_checked(taylor_complex(IJ))
         src = koszul_complex(
             [Polynomial.from_monomial(R4, R4.parse_monomial("x1*x3"))]
         )
@@ -238,7 +247,7 @@ class TestLift:
 
     def test_lift_ci_into_avramov_resolution(self, R4):
         M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
-        target = minimize_complex(taylor_complex(M))
+        target = minimize_checked(taylor_complex(M))
         src = koszul_complex(
             [
                 Polynomial.from_monomial(R4, R4.parse_monomial("x1^2")),
