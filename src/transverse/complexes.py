@@ -129,6 +129,37 @@ def validate_complex(C: GradedFreeComplex) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
+def multidegrees(C: GradedFreeComplex) -> list[list[tuple[int, ...]]]:
+    """The Z^n-degree of every generator, read off the differentials.
+
+    C_0 = R sits in multidegree 0.  Each entry of d_i must be one term
+    c x^a, and then a generator of C_i has the multidegree of its row plus
+    a; every entry of its column must agree on it.  Raises DomainError for
+    a multi-term entry, a disagreeing column or a column with no entry.
+    """
+    zero = (0,) * C.ring.nvars
+    out = [[zero] * C.rank(0)]
+    for i in range(1, C.length + 1):
+        rows = out[i - 1]
+        level: list = [None] * C.rank(i)
+        for (r, c), p in C.diff(i).entries.items():
+            terms = p.term_dict()
+            if len(terms) != 1:
+                raise DomainError(f"d_{i}[{r},{c}] = {p} is not a single term")
+            m = tuple(map(add, rows[r], next(iter(terms)).exps))
+            if level[c] is None:
+                level[c] = m
+            elif level[c] != m:
+                raise DomainError(f"d_{i} column {c} disagrees on its multidegree")
+        for c, m in enumerate(level):
+            if m is None:
+                raise DomainError(
+                    f"d_{i} column {c} has no entry to fix its multidegree"
+                )
+        out.append(level)
+    return out
+
+
 def is_minimal(C: GradedFreeComplex) -> bool:
     """True iff no differential entry has a nonzero constant term."""
     for mat in C.diffs:

@@ -2,8 +2,9 @@
 
 A product is stored as an explicit table on basis pairs with values in the
 target term; all identities (Leibniz, square-zero, commutativity,
-associativity) are certified exactly on basis pairs/triples by matrix
-arithmetic.  Square-zero is a quadratic identity, so it is certified on
+associativity) are certified exactly on basis pairs/triples.  Every complex
+here is multigraded, so the certificates compare scalars of monomial
+matrices, not polynomials.  Square-zero is a quadratic identity, so it is certified on
 the spanning set of generators (diagonal plus S_1 squares), which is
 exactly what the iterated star construction consumes.
 """
@@ -14,7 +15,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
-from .complexes import GradedFreeComplex, Homology, star_basis, star_product
+from .complexes import (
+    GradedFreeComplex,
+    Homology,
+    multidegrees,
+    star_basis,
+    star_product,
+)
 from .errors import CertificationError, DomainError
 from .exterior import (
     KElement,
@@ -70,9 +77,6 @@ class FullProduct:
 
     def value(self, i: int, j: int, u: int, v: int) -> KElement:
         return self.tables.get((i, j), {}).get((u, v), {})
-
-    def apply(self, i: int, j: int, left: KElement, right: KElement) -> KElement:
-        return k_bilinear(self.tables.get((i, j), {}), left, right)
 
     def degree_one(self) -> DegreeOneProduct:
         tables = {}
@@ -168,53 +172,154 @@ def taylor_dg_product(I: MonomialIdeal, C: GradedFreeComplex | None = None) -> F
     return prod
 
 
+class _MonomialMatrices:
+    """The differentials of a multigraded complex, and products on it, as
+    monomial matrices (Miller-Sturmfels, Combinatorial Commutative Algebra,
+    ch. 1): every entry is one term c x^a with x^a forced by the
+    multidegrees, so an identity on a basis pair or triple is a sum of
+    scalars keyed by target generator.
+
+    QQ scalars are ints where integral and Fractions otherwise; GF(p)
+    scalars are the ints ``FpElement.value``, reduced mod p only at the zero
+    test.  Nothing divides, so every sum is exact.
+    """
+
+    def __init__(self, C: GradedFreeComplex):
+        self.md = multidegrees(C)
+        self.p = getattr(C.ring.field, "p", 0)
+        self.modulus = [g.exps for g in C.ring.modulus]
+        self.d: dict = {}  # i -> {col: [(row, c)]}
+        for i in range(1, C.length + 1):
+            cols: dict = {}
+            for (r, col), p in C.diff(i).entries.items():
+                (c,) = p.term_dict().values()
+                cols.setdefault(col, []).append((r, self.scalar(c)))
+            self.d[i] = cols
+
+    def scalar(self, c):
+        if self.p:
+            return c.value
+        return c.numerator if c.denominator == 1 else c
+
+    def table(self, i: int, j: int, tab: dict) -> dict:
+        """{(u, v): [(w, c)]} for a product C_i (x) C_j -> C_{i+j} given by
+        ``tab`` on basis pairs.  Raises DomainError unless each value is a
+        sum of terms c x^(m_u + m_v - m_w) f_w."""
+        md = self.md
+        level = md[i + j] if i + j < len(md) else []
+        out = {}
+        for (u, v), val in tab.items():
+            terms = []
+            for w, p in val.items():
+                t = list(p.term_dict().items())
+                if not t:
+                    continue
+                if not 0 <= w < len(level):
+                    raise DomainError(
+                        f"product ({i},{j})[{u},{v}] has a term outside the complex"
+                    )
+                want = tuple(
+                    a + b - e for a, b, e in zip(md[i][u], md[j][v], level[w])
+                )
+                if len(t) != 1 or t[0][0].exps != want:
+                    raise DomainError(
+                        f"product ({i},{j})[{u},{v}] has coefficient {p} at {w}, "
+                        f"not a multiple of the monomial with exponents {want}"
+                    )
+                terms.append((w, self.scalar(t[0][1])))
+            if terms:
+                out[(u, v)] = terms
+        return out
+
+    def vanishes(self, res: dict, level: int, sources) -> bool:
+        """True iff the sum with scalars ``res``, keyed by generator of
+        C_level, is zero in R/Q.  The sum lies in the multidegree of the
+        product of ``sources`` ((level, generator) pairs), so the monomial
+        of coefficient w is that minus m_w: one kill test per target."""
+        p = self.p
+        for w, s in res.items():
+            if (s % p if p else s) and not self._killed(level, w, sources):
+                return False
+        return True
+
+    def _killed(self, level: int, w: int, sources) -> bool:
+        if not self.modulus:
+            return False
+        md = self.md
+        m = [-e for e in md[level][w]]
+        for lv, g in sources:
+            m = [a + b for a, b in zip(m, md[lv][g])]
+        return any(all(a >= b for a, b in zip(m, g)) for g in self.modulus)
+
+
+def _axpy(res: dict, c, terms) -> None:
+    """res += c * terms on scalars keyed by generator."""
+    for w, e in terms:
+        res[w] = res.get(w, 0) + c * e
+
+
 def certify_full_dg(prod: FullProduct) -> ProductCertificate:
     """All four DG-algebra axioms plus associativity, exhaustively on basis
-    pairs and triples."""
+    pairs and triples, on the scalars of the monomial matrices."""
     C = prod.complex
-    cert = ProductCertificate()
     top = C.length
-    one = Polynomial.one(C.ring)
+    M = _MonomialMatrices(C)
+    P = {
+        (i, j): M.table(i, j, tab)
+        for (i, j), tab in prod.tables.items()
+        if i >= 0 and j >= 0 and i + j <= top
+    }
+    d = M.d
+    cert = ProductCertificate()
     for i in range(0, top + 1):
         for j in range(0, top - i + 1):
+            Pij, Pji = P.get((i, j), {}), P.get((j, i), {})
+            Pdi, Pdj = P.get((i - 1, j), {}), P.get((i, j - 1), {})
+            d_ij, d_i, d_j = d.get(i + j, {}), d.get(i, {}), d.get(j, {})
+            sign = 1 if i % 2 else -1
+            comm = 1 if (i * j) % 2 else -1
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
                     cert.checked_pairs += 1
-                    uv = prod.value(i, j, u, v)
+                    uv = Pij.get((u, v), ())
                     # Leibniz: d(xy) - dx.y - (-1)^i x.dy = 0
-                    res = k_apply(C.diff(i + j), uv) if i + j >= 1 else {}
-                    if i >= 1:
-                        term = prod.apply(i - 1, j, C.diff(i).column(u), {v: one})
-                        k_axpy(res, -1, term)
-                    if j >= 1:
-                        term = prod.apply(i, j - 1, {u: one}, C.diff(j).column(v))
-                        k_axpy(res, 1 if i % 2 else -1, term)
-                    if res:
+                    res: dict = {}
+                    for w, c in uv:
+                        _axpy(res, c, d_ij.get(w, ()))
+                    for r, e in d_i.get(u, ()):
+                        _axpy(res, -e, Pdi.get((r, v), ()))
+                    for r, e in d_j.get(v, ()):
+                        _axpy(res, sign * e, Pdj.get((u, r), ()))
+                    if not M.vanishes(res, i + j - 1, ((i, u), (j, v))):
                         cert.leibniz_failures.append((i, j, u, v))
                     # graded commutativity: xy - (-1)^(ij) yx = 0
                     res = dict(uv)
-                    k_axpy(res, 1 if (i * j) % 2 else -1, prod.value(j, i, v, u))
-                    if res:
+                    _axpy(res, comm, Pji.get((v, u), ()))
+                    if not M.vanishes(res, i + j, ((i, u), (j, v))):
                         cert.commutativity_failures.append((i, j, u, v))
             if i % 2 and i == j:
                 for u in range(C.rank(i)):
-                    if prod.value(i, i, u, u):
+                    if Pij.get((u, u)):
                         cert.square_failures.append((i, u))
     for i in range(1, top + 1):
         for j in range(1, top - i + 1):
             for k in range(1, top - i - j + 1):
+                Pij, Pij_k = P.get((i, j), {}), P.get((i + j, k), {})
+                Pjk, Pi_jk = P.get((j, k), {}), P.get((i, j + k), {})
                 for u in range(C.rank(i)):
                     for v in range(C.rank(j)):
+                        uv = Pij.get((u, v), ())
                         for w in range(C.rank(k)):
                             cert.checked_triples += 1
-                            res = prod.apply(
-                                i + j, k, prod.value(i, j, u, v), {w: one}
-                            )
-                            right = prod.apply(
-                                i, j + k, {u: one}, prod.value(j, k, v, w)
-                            )
-                            k_axpy(res, -1, right)
-                            if res:
+                            # (xy)z - x(yz) = 0
+                            res = {}
+                            for x, c in uv:
+                                _axpy(res, c, Pij_k.get((x, w), ()))
+                            for x, c in Pjk.get((v, w), ()):
+                                _axpy(res, -c, Pi_jk.get((u, x), ()))
+                            if not M.vanishes(
+                                res, i + j + k, ((i, u), (j, v), (k, w))
+                            ):
                                 cert.associativity_failures.append(
                                     (i, j, k, u, v, w)
                                 )
@@ -224,36 +329,44 @@ def certify_full_dg(prod: FullProduct) -> ProductCertificate:
 def certify_degree_one(prod: DegreeOneProduct) -> ProductCertificate:
     """The two degree-one identities, exhaustively on basis pairs:
     (a) d(f1.fj) = d(f1) fj - f1.d(fj), and (b) f1.(f1.fj) = 0, together
-    with the degree-one squares f1.f1 = 0 that iterated constructions need."""
+    with the degree-one squares f1.f1 = 0 that iterated constructions need;
+    on the scalars of the monomial matrices."""
     C = prod.complex
-    cert = ProductCertificate()
-    one = Polynomial.one(C.ring)
     if C.rank(0) != 1:
         raise DomainError("degree-one certification expects C_0 = R")
-    for j in sorted(set(prod.tables) | set(range(1, C.length + 1))):
-        if j < 1 or j > C.length:
-            continue
+    top = C.length
+    M = _MonomialMatrices(C)
+    P = {j: M.table(1, j, tab) for j, tab in prod.tables.items() if 1 <= j <= top}
+    d = M.d
+    alpha = [d[1][u][0][1] for u in range(C.rank(1))]
+    cert = ProductCertificate()
+    for j in range(1, top + 1):
+        Pj, Pdown, Pup = P.get(j, {}), P.get(j - 1, {}), P.get(j + 1, {})
+        d_up, d_j = d.get(j + 1, {}), d[j]
         for u in range(C.rank(1)):
-            alpha = C.diff(1).entry(0, u)
+            a = alpha[u]
             for v in range(C.rank(j)):
                 cert.checked_pairs += 1
-                uv = prod.value(j, u, v)
+                uv = Pj.get((u, v), ())
                 # d(f1.fj) - d(f1) fj + f1.d(fj) = 0
-                res = k_apply(C.diff(j + 1), uv)
-                k_acc(res, v, -alpha)
+                res = {v: -a}
+                for w, c in uv:
+                    _axpy(res, c, d_up.get(w, ()))
                 if j == 1:
-                    k_acc(res, u, C.diff(1).entry(0, v))
+                    res[u] = res.get(u, 0) + alpha[v]
                 else:
-                    term = prod.apply(j - 1, {u: one}, C.diff(j).column(v))
-                    k_axpy(res, 1, term)
-                if res:
+                    for r, e in d_j.get(v, ()):
+                        _axpy(res, e, Pdown.get((u, r), ()))
+                if not M.vanishes(res, j, ((1, u), (j, v))):
                     cert.leibniz_failures.append(("leibniz", j, u, v))
-                sq = prod.apply(j + 1, {u: one}, uv)
-                if sq:
+                sq: dict = {}
+                for w, c in uv:
+                    _axpy(sq, c, Pup.get((u, w), ()))
+                if not M.vanishes(sq, j + 2, ((1, u), (1, u), (j, v))):
                     cert.square_failures.append(("square", j, u, v))
         if j == 1:
             for u in range(C.rank(1)):
-                if prod.value(1, u, u):
+                if Pj.get((u, u)):
                     cert.square_failures.append(("self-square", u))
     return cert
 

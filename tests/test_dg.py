@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from transverse.complexes import star_basis
+from transverse.complexes import GradedFreeComplex, multidegrees, star_basis
 from transverse.dg import (
+    DegreeOneProduct,
     associativity_probe,
     certify_degree_one,
     certify_full_dg,
@@ -14,7 +15,7 @@ from transverse.dg import (
 )
 from transverse.errors import DomainError
 from transverse.ideals import ideal_product
-from transverse.poly import Polynomial, Ring
+from transverse.poly import PolyMatrix, Polynomial, Ring
 from transverse.resolutions import koszul_complex, taylor_complex
 
 from conftest import ideal
@@ -312,3 +313,101 @@ def test_dg_verify_certifies_each_product_once(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["pass"] is True
     assert len(calls) == 5
     assert len({id(p) for p in calls}) == 5
+
+
+def test_dg_verify_certificates_do_no_polynomial_arithmetic(
+    tmp_path, capsys, monkeypatch
+):
+    # the certificates work on scalars: no Polynomial product or scaling runs
+    # inside them, and they visit exactly the pairs and triples they did
+    # when they multiplied polynomials
+    from transverse import dg
+    from transverse.cli import main
+
+    inside = []
+    counts = []
+    polynomial_ops = []
+
+    def counted(name):
+        original = getattr(dg, name)
+
+        def run(prod):
+            inside.append(name)
+            try:
+                cert = original(prod)
+            finally:
+                inside.pop()
+            counts.append((name, cert.checked_pairs, cert.checked_triples))
+            return cert
+
+        monkeypatch.setattr(dg, name, run)
+
+    def watched(op):
+        original = getattr(Polynomial, op)
+
+        def run(*args):
+            if inside:
+                polynomial_ops.append((op, inside[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(Polynomial, op, run)
+
+    counted("certify_degree_one")
+    counted("certify_full_dg")
+    watched("__mul__")
+    watched("scale")
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "ring": {"vars": ["x1", "x2", "x3", "x4", "x5", "x6"]},
+        "ideals": {"A": ["x1^2", "x2"], "B": ["x3", "x4"], "C": ["x5", "x6"]},
+        "command": "dg-verify",
+        "args": {"ideals": ["A", "B", "C"]},
+        "format": "json",
+    }))
+    assert main([str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["checked_pairs"] == 216
+    assert polynomial_ops == []
+    full, one = "certify_full_dg", "certify_degree_one"
+    assert counts == [(full, 11, 0)] * 3 + [
+        (one, 6, 0), (one, 6, 0), (one, 36, 0), (one, 6, 0), (one, 216, 0)
+    ]
+
+
+class TestMultigrading:
+    """The certificates read every multidegree off the differentials; a
+    complex or product that is not multigraded is refused in one line."""
+
+    def test_taylor_multidegrees_are_the_lcms(self, R4):
+        C = taylor_complex(ideal(R4, "x1*x3", "x1*x4", "x2*x3"))
+        lcms = C.meta["lcms"]
+        want = [[lcms[i][S].exps for S in C.meta["subsets"][i]] for i in range(4)]
+        assert multidegrees(C) == want
+
+    def _refused(self, call):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert "\n" not in str(err.value)
+        return str(err.value)
+
+    def test_two_term_differential(self, R4):
+        x1, x2, x3 = _vars(R4, 0, 1, 2)
+        prod = koszul_dg_product(koszul_complex([x1 + x2, x3]))
+        assert "d_1[0,0]" in self._refused(lambda: certify_full_dg(prod))
+
+    def test_value_with_the_wrong_monomial(self, R4):
+        F = koszul_complex(_vars(R4, 0, 1))
+        G = koszul_complex(_vars(R4, 2, 3))
+        sp = star_degree_one_product(F, G, koszul_dg_product(F), koszul_dg_product(G))
+        tables = {j: dict(tab) for j, tab in sp.tables.items()}
+        pair, val = sorted(tables[1].items())[0]
+        x1 = R4.variable(0)
+        tables[1][pair] = {w: p * x1 for w, p in val.items()}
+        bad = DegreeOneProduct(sp.complex, tables)
+        assert "product (1,1)" in self._refused(lambda: certify_degree_one(bad))
+
+    def test_empty_column(self, R4):
+        x1 = R4.variable(0)
+        d1 = PolyMatrix(R4, 1, 2, {(0, 0): x1})
+        C = GradedFreeComplex(R4, [[0], [1, 1]], [d1])
+        assert "column 1" in self._refused(lambda: multidegrees(C))
+        self._refused(lambda: certify_degree_one(DegreeOneProduct(C, {})))
