@@ -17,7 +17,6 @@ from functools import cached_property
 from . import linalg
 from .complexes import (
     GradedFreeComplex,
-    Homology,
     multidegrees,
     star_basis,
     star_product,
@@ -29,8 +28,6 @@ from .exterior import (
     k_apply,
     k_axpy,
     k_bilinear,
-    k_coords,
-    k_element,
     wedge_subsets,
 )
 from .ideals import MonomialIdeal, regular_sequence
@@ -144,7 +141,9 @@ def _exterior_full_product(C: GradedFreeComplex, lcms=None) -> FullProduct:
                         coeff = Polynomial.from_monomial(
                             ring, mono, ring.field.from_int(sign)
                         )
-                    tab[(u, v)] = {index[i + j][U]: coeff}
+                    # R/Q may kill the coefficient: then the product is zero
+                    if not coeff.is_zero:
+                        tab[(u, v)] = {index[i + j][U]: coeff}
             tables[(i, j)] = tab
     return FullProduct(C, tables)
 
@@ -242,13 +241,28 @@ class _MonomialMatrices:
                 return False
         return True
 
-    def _killed(self, level: int, w: int, sources) -> bool:
-        if not self.modulus:
-            return False
+    def support(self, level: int, sources) -> list:
+        """The generators w of C_level that a sum in the multidegree of the
+        product of ``sources`` can reach: those where that multidegree
+        minus m_w is a monomial and R/Q does not kill it."""
+        md = self.md
+        return [
+            w for w in range(len(md[level]) if level < len(md) else 0)
+            if min(self._exponents(level, w, sources)) >= 0
+            and not self._killed(level, w, sources)
+        ]
+
+    def _exponents(self, level: int, w: int, sources) -> list:
         md = self.md
         m = [-e for e in md[level][w]]
         for lv, g in sources:
             m = [a + b for a, b in zip(m, md[lv][g])]
+        return m
+
+    def _killed(self, level: int, w: int, sources) -> bool:
+        if not self.modulus:
+            return False
+        m = self._exponents(level, w, sources)
         return any(all(a >= b for a, b in zip(m, g)) for g in self.modulus)
 
 
@@ -610,10 +624,16 @@ def associativity_probe(
     C: GradedFreeComplex, prod: DegreeOneProduct | FullProduct, bound=None
 ) -> ProbeReport:
     """Try to extend a degree-one product to C_i (x) C_j -> C_{i+j} for
-    i + j <= bound by solving the Leibniz constraints strand by strand,
+    i + j <= bound by solving the Leibniz constraints stage by stage,
     preferring solutions that also satisfy the associativity constraints
     that are linear at each stage; then report associator residuals on all
     basis triples.  Report-only: the outcome is data, not a theorem.
+
+    The unknowns are the scalars c_uvw of f_u.f_v = sum_w c_uvw
+    x^(m_u + m_v - m_w) f_w, one per generator w of C_{i+j} whose monomial
+    R/Q does not kill, and each constraint is a sum of scalars keyed by
+    target generator (see _MonomialMatrices).  C_0 = R acts as the unit.
+    Raises DomainError unless C and the product are multigraded.
     """
     if isinstance(prod, FullProduct):
         prod = prod.degree_one()
@@ -621,176 +641,121 @@ def associativity_probe(
         bound = C.length + 1
     if bound <= 0:
         return ProbeReport(bound=bound, stages=[])
-    ring = C.ring
-    field_ = ring.field
-    one = Polynomial.one(ring)
-    known: dict = {}
-    for j, tab in prod.tables.items():
-        known[(1, j)] = dict(tab)
-    H = Homology(C)
+    M = _MonomialMatrices(C)
+    d, p = M.d, M.p
+    known = {
+        (1, j): M.table(1, j, tab)
+        for j, tab in prod.tables.items()
+        if 1 <= j <= C.length
+    }
+    unit = {v: e for v, col in d.get(1, {}).items() for r, e in col if r == 0}
 
-    def mul(i: int, j: int, left: KElement, right: KElement) -> KElement:
-        out: KElement = {}
-        if i == 0:
-            k_axpy(out, left.get(0, Polynomial.zero(ring)), right)
-        elif j == 0:
-            k_axpy(out, right.get(0, Polynomial.zero(ring)), left)
-        else:
-            out = k_bilinear(known.get((i, j), {}), left, right)
-        return out
+    def value(i: int, j: int, u: int, v: int):
+        return known.get((i, j), {}).get((u, v), ())
+
+    def reduced(c):
+        return c % p if p else c
+
+    def emit(rows: list, rhs_of: dict, eqs: dict, rhs: dict, level: int, sources):
+        """Append one row per target generator of C_level whose monomial
+        R/Q does not kill; ``eqs`` holds its unknowns, ``rhs`` its right
+        side."""
+        for g in sorted(set(eqs) | set(rhs)):
+            if M._killed(level, g, sources):
+                continue
+            row = {x: c for x, c in eqs.get(g, {}).items() if reduced(c)}
+            c = reduced(rhs.get(g, 0))
+            if c:
+                rhs_of[len(rows)] = c
+            if row or c:
+                rows.append(row)
 
     stages = []
     for n in range(3, bound + 1):
-        blocks = [(i, n - i) for i in range(2, n) if n - i >= 1]
-        blocks = [
-            (i, j) for (i, j) in blocks if C.rank(i) and C.rank(j)
-        ]
-        var_index: dict = {}
-        var_meta = []
-        for (i, j) in blocks:
+        blocks = [(i, n - i) for i in range(2, n) if C.rank(i) and C.rank(n - i)]
+        # (i, j, u, v) -> {w: column}; columns in (block, pair, w) order
+        unknowns: dict = {}
+        nvars = 0
+        for i, j in blocks:
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
-                    t = C.degs(i)[u] + C.degs(j)[v]
-                    for c in range(len(H.basis(n, t))):
-                        var_index[((i, j), (u, v), c)] = len(var_meta)
-                        var_meta.append(((i, j), (u, v), c))
-        nvars = len(var_meta)
-        leibniz_rows: list = []
-        leibniz_rhs: dict = {}
+                    ws = M.support(n, ((i, u), (j, v)))
+                    unknowns[(i, j, u, v)] = {w: nvars + k for k, w in enumerate(ws)}
+                    nvars += len(ws)
+        rows: list = []
+        rhs_of: dict = {}
         unsolvable = []
 
-        def emit_unknown(rowmap, block, pair, t_pair, coeff_poly, level_t, sign):
-            """Add sign * coeff_poly * m_block(pair) into rowmap coordinates."""
-            idx_out = H.strand_index(n, level_t)
-            for c, (g, m) in enumerate(H.basis(n, t_pair)):
-                var = var_index.get((block, pair, c))
-                if var is None:
-                    continue
-                for mono, sc in coeff_poly.term_dict().items():
-                    mm = m * mono
-                    if ring.kills(mm):
-                        continue
-                    k = idx_out[(g, mm)]
-                    rowmap.setdefault(k, {})
-                    s = rowmap[k].get(var, 0) + (sc if sign > 0 else -sc)
-                    if s:
-                        rowmap[k][var] = s
-                    else:
-                        rowmap[k].pop(var, None)
-
-        # Leibniz constraints per block and basis pair; d_n on each strand
-        # is assembled once per stage
-        matrices: dict = {}
-        for (i, j) in blocks:
+        # Leibniz: d(f_u.f_v) = d(f_u).f_v + (-1)^i f_u.d(f_v)
+        d_n = d.get(n, {})
+        for i, j in blocks:
+            sign = -1 if i % 2 else 1
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
-                    t = C.degs(i)[u] + C.degs(j)[v]
-                    rhs_vec = mul(i - 1, j, C.diff(i).column(u), {v: one})
-                    term = mul(i, j - 1, {u: one}, C.diff(j).column(v))
-                    k_axpy(rhs_vec, -1 if i % 2 else 1, term)
-                    rhs_coords = k_coords(rhs_vec, H.strand_index(n - 1, t))
-                    if not H.basis(n, t):
-                        if rhs_coords:
+                    sources = ((i, u), (j, v))
+                    rhs: dict = {}
+                    for r, e in d[i].get(u, ()):
+                        _axpy(rhs, e, value(i - 1, j, r, v))
+                    if j == 1:
+                        rhs[u] = rhs.get(u, 0) + sign * unit.get(v, 0)
+                    else:
+                        for r, e in d[j].get(v, ()):
+                            _axpy(rhs, sign * e, value(i, j - 1, u, r))
+                    cols = unknowns[(i, j, u, v)]
+                    if not cols:
+                        if not M.vanishes(rhs, n - 1, sources):
                             unsolvable.append(((i, j), (u, v)))
                         continue
-                    if t not in matrices:
-                        matrices[t] = H.matrix(n, t)
-                    for k, row_k in enumerate(matrices[t]):
-                        row = {}
-                        for c, val in row_k.items():
-                            var = var_index[((i, j), (u, v), c)]
-                            row[var] = val
-                        if row or k in rhs_coords:
-                            leibniz_rows.append(row)
-                            if k in rhs_coords:
-                                leibniz_rhs[len(leibniz_rows) - 1] = rhs_coords[k]
+                    eqs: dict = {}
+                    for w, x in cols.items():
+                        for r, e in d_n.get(w, ()):
+                            eqs.setdefault(r, {})[x] = e
+                    emit(rows, rhs_of, eqs, rhs, n - 1, sources)
+        n_leibniz = len(rows)
 
-        # associativity constraints that are linear at this stage
-        assoc_rows: list = []
-        assoc_rhs: dict = {}
+        # associativity constraints that are linear at this stage:
+        # (f_x.f_y).f_z - f_x.(f_y.f_z) = 0
         for a in range(1, n - 1):
             for b in range(1, n - a):
                 c_deg = n - a - b
-                if c_deg < 1:
-                    continue
                 if not (C.rank(a) and C.rank(b) and C.rank(c_deg)):
                     continue
                 for x in range(C.rank(a)):
                     for y in range(C.rank(b)):
-                        xy = mul(a, b, {x: one}, {y: one})
+                        xy = value(a, b, x, y)
                         for z in range(C.rank(c_deg)):
-                            t_total = (
-                                C.degs(a)[x] + C.degs(b)[y] + C.degs(c_deg)[z]
-                            )
-                            rowmap: dict = {}
-                            const: KElement = {}
-                            # left: m_{a+b,c}(m_ab(x,y), z) - unknown block
-                            for w, p in xy.items():
-                                t_pair = C.degs(a + b)[w] + C.degs(c_deg)[z]
-                                emit_unknown(
-                                    rowmap, (a + b, c_deg), (w, z), t_pair,
-                                    p, t_total, +1,
-                                )
-                            # right: m_{a,b+c}(x, m_bc(y,z))
-                            yz = mul(b, c_deg, {y: one}, {z: one})
-                            if a == 1:
-                                const = mul(1, b + c_deg, {x: one}, yz)
-                            else:
-                                for w, p in yz.items():
-                                    t_pair = C.degs(a)[x] + C.degs(b + c_deg)[w]
-                                    emit_unknown(
-                                        rowmap, (a, b + c_deg), (x, w), t_pair,
-                                        p, t_total, -1,
-                                    )
-                            const_coords = k_coords(
-                                const, H.strand_index(n, t_total)
-                            )
-                            for k in set(rowmap) | set(const_coords):
-                                row = rowmap.get(k, {})
-                                if row or k in const_coords:
-                                    assoc_rows.append(row)
-                                    if k in const_coords:
-                                        assoc_rhs[len(assoc_rows) - 1] = (
-                                            const_coords[k]
-                                        )
+                            eqs, rhs = {}, {}
+                            for w, s in xy:
+                                for g, col in unknowns[(a + b, c_deg, w, z)].items():
+                                    eqs.setdefault(g, {})[col] = s
+                            for w, s in value(b, c_deg, y, z):
+                                if a == 1:
+                                    _axpy(rhs, s, value(1, b + c_deg, x, w))
+                                    continue
+                                for g, col in unknowns[(a, b + c_deg, x, w)].items():
+                                    eqs.setdefault(g, {})[col] = -s
+                            sources = ((a, x), (b, y), (c_deg, z))
+                            emit(rows, rhs_of, eqs, rhs, n, sources)
 
         sol = None
         assoc_enforced = False
-        if nvars or leibniz_rows or assoc_rows:
-            all_rows = leibniz_rows + assoc_rows
-            all_rhs = dict(leibniz_rhs)
-            for r, v in assoc_rhs.items():
-                all_rhs[len(leibniz_rows) + r] = v
-            sol = linalg.solve(all_rows, nvars, all_rhs, field_)
+        if nvars or rows:
+            sol = linalg.solve(rows, nvars, rhs_of, C.ring.field)
             if sol is not None:
                 assoc_enforced = True
             else:
-                sol = linalg.solve(leibniz_rows, nvars, leibniz_rhs, field_)
+                leibniz_rhs = {r: c for r, c in rhs_of.items() if r < n_leibniz}
+                sol = linalg.solve(rows[:n_leibniz], nvars, leibniz_rhs, C.ring.field)
                 if sol is None:
                     unsolvable.append(("stage", n))
-        if sol is None:
-            sol = {}
-        # install solved tables
-        per_block: dict = {}
-        for var, val in sol.items():
-            block, pair, c = var_meta[var]
-            per_block.setdefault(block, {}).setdefault(pair, {})[c] = val
-        for (i, j) in blocks:
-            tab: dict = {}
-            got = per_block.get((i, j), {})
-            for u in range(C.rank(i)):
-                for v in range(C.rank(j)):
-                    coords = got.get((u, v))
-                    if not coords:
-                        continue
-                    t = C.degs(i)[u] + C.degs(j)[v]
-                    vec = k_element(coords, H.basis(n, t), ring)
-                    if vec:
-                        tab[(u, v)] = vec
-            known[(i, j)] = tab
-        stages.append(
-            ProbeStage(n, blocks, nvars, assoc_enforced, unsolvable)
-        )
+        sol = sol or {}
+        for block in blocks:
+            known[block] = {}
+        for (i, j, u, v), cols in unknowns.items():
+            terms = [(w, M.scalar(sol[x])) for w, x in cols.items() if x in sol]
+            if terms:
+                known[(i, j)][(u, v)] = terms
+        stages.append(ProbeStage(n, blocks, nvars, assoc_enforced, unsolvable))
 
     report = ProbeReport(bound=bound, stages=stages)
     for a in range(1, bound - 1):
@@ -798,13 +763,16 @@ def associativity_probe(
             for c_deg in range(1, bound - a - b + 1):
                 for x in range(C.rank(a)):
                     for y in range(C.rank(b)):
-                        xy = mul(a, b, {x: one}, {y: one})
+                        xy = value(a, b, x, y)
                         for z in range(C.rank(c_deg)):
                             report.tested_triples += 1
-                            res = mul(a + b, c_deg, xy, {z: one})
-                            yz = mul(b, c_deg, {y: one}, {z: one})
-                            k_axpy(res, -1, mul(a, b + c_deg, {x: one}, yz))
-                            if res:
+                            res: dict = {}
+                            for w, s in xy:
+                                _axpy(res, s, value(a + b, c_deg, w, z))
+                            for w, s in value(b, c_deg, y, z):
+                                _axpy(res, -s, value(a, b + c_deg, x, w))
+                            sources = ((a, x), (b, y), (c_deg, z))
+                            if not M.vanishes(res, a + b + c_deg, sources):
                                 report.residual_triples.append(
                                     ((a, b, c_deg), (x, y, z))
                                 )

@@ -130,6 +130,28 @@ class TestDispatch:
         assert code == 0
         assert report["associative"] is True
 
+    def test_associativity_probe_four_variables(self, monkeypatch):
+        # the probe solves for about 1,500 multigraded scalars per stage;
+        # on strand vectors it had 69,030 unknowns at stage 4
+        from transverse import dg
+
+        stages = []
+        probe = dg.associativity_probe
+
+        def traced_probe(*args):
+            rep = probe(*args)
+            stages.extend(rep.stages)
+            return rep
+
+        monkeypatch.setattr(dg, "associativity_probe", traced_probe)
+        ideals = {"I": ["x1^2", "x1*x2", "x2^2"], "J": ["x3*x4", "x4^2", "x3^2"]}
+        spec = parse_input(job("associativity-probe", {"ideals": ["I", "J"]}, ideals))
+        report, code = cmd_dispatch(spec)
+        assert code == 0
+        assert report["extension_found"] is True and report["associative"] is True
+        assert report["tested_triples"] == 39366 and report["residual_triples"] == 0
+        assert [s.variables for s in stages] == [1014, 1494, 414, 0]
+
     def test_resolve_minimal(self):
         spec = parse_input(job("resolve", {"ideal": "I", "method": "minimal"}))
         report, code = cmd_dispatch(spec)

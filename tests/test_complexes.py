@@ -526,7 +526,8 @@ class TestOneStrandEngine:
         assert len(built) == 83 and len(set(built)) == 83
         assert ranked and set(ranked) < set(built)
 
-    def test_probe_assembles_each_strand_matrix_once(self, monkeypatch):
+    def test_probe_assembles_no_strand(self, monkeypatch):
+        from transverse import complexes
         from transverse.dg import (
             associativity_probe, koszul_dg_product, star_degree_one_product,
         )
@@ -538,10 +539,19 @@ class TestOneStrandEngine:
             F, G, koszul_dg_product(F), koszul_dg_product(G)
         )
         built, _ = self.record_strand_matrices(monkeypatch)
+        bases = []
+        basis = complexes.strand_basis
+
+        def traced_basis(*args, **kwargs):
+            bases.append(args)
+            return basis(*args, **kwargs)
+
+        monkeypatch.setattr(complexes, "strand_basis", traced_basis)
         rep = associativity_probe(sp.complex, sp)
-        assert rep.stages
-        # the Leibniz rows of every basis pair in a strand share one matrix
-        assert len(built) == 2 and len(set(built)) == 2
+        assert rep.stages and rep.associative
+        # the unknowns are multigraded scalars: no strand basis is
+        # enumerated and no strand matrix assembled
+        assert built == [] and bases == []
 
     def test_kunneth_builds_each_strand_index_once(self, R4, monkeypatch):
         from transverse.golod import kunneth_map

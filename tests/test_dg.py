@@ -184,6 +184,12 @@ class TestAssociativityProbe:
         assert rep.extension_found
         assert rep.associative
 
+    def test_not_multigraded(self, R4):
+        # x1 + x2 is not one term: the complex has no multidegrees
+        K = koszul_complex([R4.variable(0) + R4.variable(1), R4.variable(2)])
+        with pytest.raises(DomainError, match="not a single term"):
+            associativity_probe(K, koszul_dg_product(K))
+
     def test_zero_bound_empty(self, R4):
         F = koszul_complex(_vars(R4, 0, 1))
         G = koszul_complex(_vars(R4, 2, 3))
@@ -203,6 +209,16 @@ class TestSerialization:
             for u, v, vec in triples:
                 assert isinstance(u, int) and isinstance(v, int)
                 assert all(isinstance(p, str) for p in vec.values())
+
+    def test_killed_coefficient_stores_nothing(self, R4):
+        # R/Q kills lcm_S lcm_T / lcm_(S u T) = x1 x2 x3 x4 of e_{0,1}.e_{2,3}
+        Q = R4.quotient([R4.parse_monomial("x1*x2*x3*x4")])
+        prod = taylor_dg_product(ideal(Q, "x1*x3", "x2*x4", "x1*x4", "x2*x3"))
+        assert prod.value(2, 2, 2, 3) == {}
+        js = prod.to_json()
+        assert all(
+            p != "0" for tab in js.values() for _, _, vec in tab for p in vec.values()
+        )
 
     def test_full_product_tables(self, R4):
         I = ideal(R4, "x1*x3", "x1*x4")

@@ -22,6 +22,7 @@ from transverse.dg import (
     DegreeOneProduct,
     FullProduct,
     ProductCertificate,
+    _MonomialMatrices,
     certify_degree_one,
     certify_full_dg,
     star_degree_one_product,
@@ -246,14 +247,19 @@ def test_star_products_and_their_mutants(field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(32003)], ids=str)
-def test_taylor_products_over_a_quotient(field):
+def test_taylor_products_over_a_quotient(field, monkeypatch):
     rng = random.Random(f"taylor:{field}")
-    killed = failing = 0
+    kills = []
+    killed = _MonomialMatrices._killed
+
+    def traced_killed(self, *args):
+        out = killed(self, *args)
+        kills.append(out)
+        return out
+
+    monkeypatch.setattr(_MonomialMatrices, "_killed", traced_killed)
+    failing = 0
     for prod in quotient_taylor_cases(rng, field, 3):
-        killed += any(
-            not p for tab in prod.tables.values()
-            for val in tab.values() for p in val.values()
-        )
         cert = certify_full_dg(prod)
         assert cert.ok and cert.checked_triples
         assert cert == certify_full_dg_ref(prod)
@@ -265,7 +271,8 @@ def test_taylor_products_over_a_quotient(field):
             cert = certify_full_dg(mutant)
             assert cert == certify_full_dg_ref(mutant)
             failing += not cert.ok
-    assert killed and failing >= 6
+    # the kill test decides some target coefficients
+    assert any(kills) and failing >= 6
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
