@@ -256,7 +256,7 @@ DIGESTS = {
     "cli:obstruction": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
     "cli:injectivity-verify": "275742692612ad4d807b7886b196d43f865e299b0abcb61387ebaba3de84d54d",
     "cli:associativity-probe": "9ecb8da0017ed3dc47e1c8bc72a39b58f3460c257ce6f930d963dcc5f9d5aa80",
-    "obj:associativity_probe": "c9b31c34d4ad65d860458b342dac2f964ade177edaba4dd1f9e49495770b227b",
+    "obj:associativity_probe": "019b6fe10137ccfd46ecac0beaa0e1ce9d172cf7574b1446e68527dc297d98df",
     "obj:golod_resolution_flagship": "49372344b27926061a5360db86b3d099cb5649412bf73e35327d0ea1c5edf124",
     "obj:koszul_mixed_degrees": "95d55551ba1f66c2ef9f1aca6a361a60672ed47dcdbbd8101fba4505a6050510",
     "obj:koszul_representatives": "c408e6d4b6e10cc257072bb019995401df61d5b6e99babcabba8a329d59052c6",
