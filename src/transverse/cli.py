@@ -170,9 +170,16 @@ def _ci_monomials(spec: JobSpec):
     return [spec.ring.parse_monomial(s) for s in ci]
 
 
-def _star_with_product(spec: JobSpec, ideals_list):
+# the certified refusal of the star-product commands
+_NOT_TRANSVERSE = {"pass": False, "reason": "ideals are not sequentially transverse"}
+
+
+def _star_with_product(ideals_list):
     """Iterated star product of Taylor resolutions with the degree-one
-    product of each stage, certified along the way."""
+    product of each stage, certified along the way; None unless the ideals
+    are sequentially transverse, which the construction needs."""
+    if not is_sequentially_transverse(ideals_list):
+        return None
     items = []
     for I in ideals_list:
         C = resolutions.taylor_complex(I)
@@ -316,14 +323,10 @@ def cmd_dispatch(spec: JobSpec):
         return report, 0 if cert.ok else 1
 
     if spec.command == "dg-verify":
-        ideals_list = _ideal_list(spec)
-        if not is_sequentially_transverse(ideals_list):
-            return {
-                "command": "dg-verify",
-                "pass": False,
-                "reason": "ideals are not sequentially transverse",
-            }, 1
-        C, prod = _star_with_product(spec, ideals_list)
+        star = _star_with_product(_ideal_list(spec))
+        if star is None:
+            return {"command": spec.command, **_NOT_TRANSVERSE}, 1
+        C, prod = star
         cert = prod.certificate
         report = {
             "command": "dg-verify",
@@ -338,7 +341,10 @@ def cmd_dispatch(spec: JobSpec):
     if spec.command == "module-action":
         ideals_list = _ideal_list(spec)
         ci = _ci_monomials(spec)
-        C, prod = _star_with_product(spec, ideals_list)
+        star = _star_with_product(ideals_list)
+        if star is None:
+            return {"command": spec.command, **_NOT_TRANSVERSE}, 1
+        C, prod = star
         from .poly import Polynomial
 
         elems = [Polynomial.from_monomial(spec.ring, m) for m in ci]
@@ -381,8 +387,10 @@ def cmd_dispatch(spec: JobSpec):
         # the first stage is n = 3; a smaller bound would test nothing
         if probe_bound is not None and probe_bound < 3:
             raise ParseError(f"args.bound: expected at least 3, got {probe_bound}")
-        ideals_list = _ideal_list(spec)
-        C, prod = _star_with_product(spec, ideals_list)
+        star = _star_with_product(_ideal_list(spec))
+        if star is None:
+            return {"command": spec.command, **_NOT_TRANSVERSE}, 1
+        C, prod = star
         rep = dg.associativity_probe(C, prod, probe_bound)
         report = {
             "command": "associativity-probe",

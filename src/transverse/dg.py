@@ -31,16 +31,48 @@ from .exterior import (
     wedge_subsets,
 )
 from .ideals import MonomialIdeal, regular_sequence
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 from .resolutions import koszul_complex, lift_comparison_map, taylor_complex
 
 
 class DegreeOneProduct:
-    """A product C_1 (x) C_j -> C_{j+1} given by tables on basis pairs."""
+    """A product C_1 (x) C_j -> C_{j+1} given by tables on basis pairs.
+
+    ``tables`` holds the values as elements, ``scalars`` the same product
+    on the monomial matrices of the complex (see _MonomialMatrices).  A
+    product built from tables derives its scalars on first use; one built
+    by :meth:`from_scalars` builds its tables only when they are read.
+    """
 
     def __init__(self, complex: GradedFreeComplex, tables: dict):
         self.complex = complex
-        self.tables = tables  # j -> {(u, v): KElement}
+        self.tables = tables
+
+    @classmethod
+    def from_scalars(cls, matrices: _MonomialMatrices, scalars: dict):
+        prod = cls.__new__(cls)
+        prod.complex, prod.matrices, prod.scalars = matrices.complex, matrices, scalars
+        return prod
+
+    @cached_property
+    def tables(self) -> dict:
+        """j -> {(u, v): KElement}"""
+        M = self.matrices
+        return {j: M.elements(1, j, tab) for j, tab in self.scalars.items()}
+
+    @cached_property
+    def matrices(self) -> _MonomialMatrices:
+        return _MonomialMatrices(self.complex)
+
+    @cached_property
+    def scalars(self) -> dict:
+        """j -> {(u, v): [(w, c)]} for 1 <= j <= length."""
+        top = self.complex.length
+        return {
+            j: self.matrices.table(1, j, tab)
+            for j, tab in self.tables.items()
+            if 1 <= j <= top
+        }
 
     def value(self, j: int, u: int, v: int) -> KElement:
         return self.tables.get(j, {}).get((u, v), {})
@@ -184,6 +216,7 @@ class _MonomialMatrices:
     """
 
     def __init__(self, C: GradedFreeComplex):
+        self.complex = C
         self.md = multidegrees(C)
         self.p = getattr(C.ring.field, "p", 0)
         self.modulus = [g.exps for g in C.ring.modulus]
@@ -229,6 +262,20 @@ class _MonomialMatrices:
             if terms:
                 out[(u, v)] = terms
         return out
+
+    def elements(self, i: int, j: int, table: dict) -> dict:
+        """The inverse of :meth:`table`: {(u, v): {w: c x^(m_u + m_v - m_w)}}."""
+        md, ring = self.md, self.complex.ring
+        convert = ring.field.convert
+        return {
+            (u, v): {
+                w: Polynomial.from_monomial(ring, Monomial(tuple(
+                    a + b - e for a, b, e in zip(md[i][u], md[j][v], md[i + j][w])
+                )), convert(c))
+                for w, c in terms
+            }
+            for (u, v), terms in table.items()
+        }
 
     def vanishes(self, res: dict, level: int, sources) -> bool:
         """True iff the sum with scalars ``res``, keyed by generator of
@@ -349,8 +396,7 @@ def certify_degree_one(prod: DegreeOneProduct) -> ProductCertificate:
     if C.rank(0) != 1:
         raise DomainError("degree-one certification expects C_0 = R")
     top = C.length
-    M = _MonomialMatrices(C)
-    P = {j: M.table(1, j, tab) for j, tab in prod.tables.items() if 1 <= j <= top}
+    M, P = prod.matrices, prod.scalars
     d = M.d
     alpha = [d[1][u][0][1] for u in range(C.rank(1))]
     cert = ProductCertificate()
@@ -401,7 +447,10 @@ def star_degree_one_product(
     d(gb) f1.fa (x) g1 when b = 1.
 
     Inputs must satisfy the degree-one identities; the output is certified
-    the same way (exhaustively on basis pairs) before being returned.
+    the same way (exhaustively on basis pairs) before being returned.  The
+    table is assembled as scalars on the monomial matrices of F*G: the term
+    at target w is the product of the scalars of d(f1) or d(gb) and of the
+    input value, times x^(m_p + m_x - m_w).
     """
     if isinstance(prodF, FullProduct):
         prodF = prodF.degree_one()
@@ -413,31 +462,39 @@ def star_degree_one_product(
                 f"{name} input product fails the degree-one identities"
             )
     S = star_product(F, G)
+    M = _MonomialMatrices(S)
+    p = M.p
     bases = {n: star_basis(F, G, n) for n in range(1, S.length + 1)}
     index = {n: {key: k for k, key in enumerate(bases[n])} for n in bases}
-    tables: dict = {}
+    dF, dG = prodF.matrices.d[1], prodG.matrices.d[1]
+    PF, PG = prodF.scalars, prodG.scalars
+    scalars: dict = {}
     for j in range(1, S.length + 1):
         tab: dict = {}
         target = index.get(j + 1, {})
         for p_idx, (_, _, uf, ug) in enumerate(bases[1]):
-            alpha = F.diff(1).entry(0, uf)
+            ((_, alpha),) = dF[uf]
             for x_idx, (a, b, fa, gb) in enumerate(bases[j]):
-                out: KElement = {}
-                sign = -1 if a % 2 else 1
-                for w, q in prodG.value(b, ug, gb).items():
-                    key = (a, b + 1, fa, w)
-                    if key in target:
-                        k_acc(out, target[key], (alpha * q).scale(sign))
+                found = []
+                signed = -alpha if a % 2 else alpha
+                for w, q in PG.get(b, {}).get((ug, gb), ()):
+                    found.append((target[(a, b + 1, fa, w)], signed * q))
                 if b == 1:
-                    beta = G.diff(1).entry(0, gb)
-                    for w, q in prodF.value(a, uf, fa).items():
-                        key = (a + 1, 1, w, ug)
-                        if key in target:
-                            k_acc(out, target[key], beta * q)
-                if out:
-                    tab[(p_idx, x_idx)] = out
-        tables[j] = tab
-    prod = DegreeOneProduct(S, tables)
+                    ((_, beta),) = dG[gb]
+                    for w, q in PF.get(a, {}).get((uf, fa), ()):
+                        found.append((target[(a + 1, 1, w, ug)], beta * q))
+                # the two cases land on (a, b + 1, ., .) and (a + 1, 1, ., .),
+                # so each target has one term; R/Q may kill its monomial
+                sources = ((1, p_idx), (j, x_idx))
+                terms = []
+                for k, c in found:
+                    c = c % p if p else c
+                    if c and not M._killed(j + 1, k, sources):
+                        terms.append((k, c))
+                if terms:
+                    tab[(p_idx, x_idx)] = terms
+        scalars[j] = tab
+    prod = DegreeOneProduct.from_scalars(M, scalars)
     cert = prod.certificate
     if not cert.ok:
         raise CertificationError(
@@ -633,7 +690,8 @@ def associativity_probe(
     x^(m_u + m_v - m_w) f_w, one per generator w of C_{i+j} whose monomial
     R/Q does not kill, and each constraint is a sum of scalars keyed by
     target generator (see _MonomialMatrices).  C_0 = R acts as the unit.
-    Raises DomainError unless C and the product are multigraded.
+    C is the complex of the product; raises DomainError unless C and the
+    product are multigraded.
     """
     if isinstance(prod, FullProduct):
         prod = prod.degree_one()
@@ -641,13 +699,9 @@ def associativity_probe(
         bound = C.length + 1
     if bound <= 0:
         return ProbeReport(bound=bound, stages=[])
-    M = _MonomialMatrices(C)
+    M = prod.matrices
     d, p = M.d, M.p
-    known = {
-        (1, j): M.table(1, j, tab)
-        for j, tab in prod.tables.items()
-        if 1 <= j <= C.length
-    }
+    known = {(1, j): tab for j, tab in prod.scalars.items()}
     unit = {v: e for v, col in d.get(1, {}).items() for r, e in col if r == 0}
 
     def value(i: int, j: int, u: int, v: int):

@@ -159,6 +159,31 @@ class TestDispatch:
         assert report["ranks"] == [1, 2, 1]
 
 
+class TestNotSequentiallyTransverse:
+    """Every command that builds the star product with its degree-one
+    product refuses a pair that is not sequentially transverse."""
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("dg-verify", {}),
+            ("module-action", {"ci": ["x1*x3"]}),
+            ("associativity-probe", {}),
+        ],
+        ids=["dg-verify", "module-action", "associativity-probe"],
+    )
+    def test_certified_refusal(self, tmp_path, capsys, command, args):
+        ideals = {"I": ["x1", "x2"], "J": ["x2", "x3"]}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job(command, {"ideals": ["I", "J"], **args}, ideals)))
+        assert main([str(path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "command": command,
+            "pass": False,
+            "reason": "ideals are not sequentially transverse",
+        }
+
+
 class TestRender:
     def test_json_byte_stable(self):
         spec = parse_input(job("check-transverse", {"left": "I", "right": "J"}))

@@ -334,29 +334,38 @@ def test_dg_verify_certifies_each_product_once(tmp_path, capsys, monkeypatch):
 def test_dg_verify_certificates_do_no_polynomial_arithmetic(
     tmp_path, capsys, monkeypatch
 ):
-    # the certificates work on scalars: no Polynomial product or scaling runs
-    # inside them, and they visit exactly the pairs and triples they did
-    # when they multiplied polynomials
+    # the certificates and the star degree-one product work on scalars: no
+    # Polynomial product or scaling runs inside them, except in the
+    # differentials of star_product; the certificates visit exactly the
+    # pairs and triples they did when they multiplied polynomials, and no
+    # star product builds its polynomial tables
     from transverse import dg
     from transverse.cli import main
 
     inside = []
     counts = []
     polynomial_ops = []
+    stars = []
 
-    def counted(name):
+    def entered(name, done=None):
         original = getattr(dg, name)
 
-        def run(prod):
+        def run(*args):
             inside.append(name)
             try:
-                cert = original(prod)
+                out = original(*args)
             finally:
                 inside.pop()
-            counts.append((name, cert.checked_pairs, cert.checked_triples))
-            return cert
+            if done:
+                done(out)
+            return out
 
         monkeypatch.setattr(dg, name, run)
+
+    def counted(name):
+        entered(
+            name, lambda c: counts.append((name, c.checked_pairs, c.checked_triples))
+        )
 
     def watched(op):
         original = getattr(Polynomial, op)
@@ -370,6 +379,8 @@ def test_dg_verify_certificates_do_no_polynomial_arithmetic(
 
     counted("certify_degree_one")
     counted("certify_full_dg")
+    entered("star_degree_one_product", stars.append)
+    entered("star_product")
     watched("__mul__")
     watched("scale")
     path = tmp_path / "job.json"
@@ -382,11 +393,14 @@ def test_dg_verify_certificates_do_no_polynomial_arithmetic(
     }))
     assert main([str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["checked_pairs"] == 216
-    assert polynomial_ops == []
+    # d_1 of each star product multiplies the d_1 entries of its factors
+    assert {where for _, where in polynomial_ops} == {"star_product"}
     full, one = "certify_full_dg", "certify_degree_one"
     assert counts == [(full, 11, 0)] * 3 + [
         (one, 6, 0), (one, 6, 0), (one, 36, 0), (one, 6, 0), (one, 216, 0)
     ]
+    assert len(stars) == 2
+    assert not any("tables" in vars(prod) for prod in stars)
 
 
 class TestMultigrading:
