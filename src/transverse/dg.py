@@ -67,11 +67,9 @@ class DegreeOneProduct:
     @cached_property
     def scalars(self) -> dict:
         """j -> {(u, v): [(w, c)]} for 1 <= j <= length."""
-        top = self.complex.length
+        M, top = self.matrices, self.complex.length
         return {
-            j: self.matrices.table(1, j, tab)
-            for j, tab in self.tables.items()
-            if 1 <= j <= top
+            j: M.table(1, j, tab) for j, tab in self.tables.items() if 1 <= j <= top
         }
 
     def value(self, j: int, u: int, v: int) -> KElement:
