@@ -39,6 +39,12 @@ COMMANDS = (
     "associativity-probe",
 )
 
+DOCUMENT_KEYS = ("ring", "ideals", "command", "args", "format")
+RING_KEYS = ("vars", "field")
+# the args key that --bound sets, for the commands that take a bound
+BOUND_KEYS = dict.fromkeys(("golod", "obstruction", "injectivity-verify"), "n_max")
+BOUND_KEYS["associativity-probe"] = "bound"
+
 
 class JobSpec:
     """A validated job document."""
@@ -71,8 +77,17 @@ class JobSpec:
         }
 
 
+def _refuse_unknown_keys(spec: dict, known: tuple, where: str) -> None:
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ParseError(
+            f"{where}: unknown key {unknown[0]!r}; expected {', '.join(known)}"
+        )
+
+
 def parse_input(document, field_override=None) -> JobSpec:
-    """Validate a job document (dict or JSON text) into a JobSpec."""
+    """Validate a job document (dict or JSON text) into a JobSpec; unknown
+    keys of the document or its ring are refused (those of args vary)."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -80,9 +95,11 @@ def parse_input(document, field_override=None) -> JobSpec:
             raise ParseError(f"invalid JSON at line {e.lineno}, col {e.colno}: {e.msg}")
     if not isinstance(document, dict):
         raise ParseError("job document must be a JSON object")
+    _refuse_unknown_keys(document, DOCUMENT_KEYS, "job document")
     ring_spec = document.get("ring")
     if not isinstance(ring_spec, dict) or "vars" not in ring_spec:
         raise ParseError("ring: expected an object with a 'vars' list")
+    _refuse_unknown_keys(ring_spec, RING_KEYS, "ring")
     names = ring_spec["vars"]
     if (
         not isinstance(names, list)
@@ -445,12 +462,8 @@ def main(argv=None) -> int:
         help="override the ring field: 'rational' or 'prime[:p]'",
     )
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; computations are deterministic "
-        "and run single-threaded",
-    )
-    parser.add_argument(
-        "--bound", type=int, default=None, help="override args.n_max"
+        "--bound", type=int, default=None,
+        help="override args.n_max, or args.bound of associativity-probe",
     )
     opts = parser.parse_args(argv)
     try:
@@ -477,7 +490,9 @@ def main(argv=None) -> int:
     try:
         spec = parse_input(text, field_override)
         if opts.bound is not None:
-            spec.args["n_max"] = opts.bound
+            if spec.command not in BOUND_KEYS:
+                raise ParseError(f"--bound: {spec.command} takes no bound")
+            spec.args[BOUND_KEYS[spec.command]] = opts.bound
         if opts.format:
             spec.format = opts.format
         report, code = cmd_dispatch(spec)

@@ -509,12 +509,14 @@ class Homology:
 
 
 def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
-    """H_i of the degree-t strand of C (x) R/Q with canonical representatives."""
+    """H_i of the degree-t strand of C (x) R/Q with canonical representatives;
+    kept while perfbench/tracer.py names this wrapper as a span."""
     return Homology(C, Q).stratum(i, t)
 
 
 def strand_homology_dim(C: GradedFreeComplex, Q, t: int, i: int) -> int:
-    """dim H_i of the degree-t strand of C (x) R/Q, from ranks alone."""
+    """dim H_i of the degree-t strand of C (x) R/Q, from ranks alone; kept
+    while perfbench/tracer.py names this wrapper as a span."""
     return Homology(C, Q).dim(i, t)
 
 

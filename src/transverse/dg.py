@@ -1,12 +1,13 @@
 """Multiplicative structures on resolutions.
 
-A product is stored as an explicit table on basis pairs with values in the
-target term; all identities (Leibniz, square-zero, commutativity,
-associativity) are certified exactly on basis pairs/triples.  Every complex
-here is multigraded, so the certificates compare scalars of monomial
-matrices, not polynomials.  Square-zero is a quadratic identity, so it is certified on
-the spanning set of generators (diagonal plus S_1 squares), which is
-exactly what the iterated star construction consumes.
+Every complex here is multigraded, so a product or module action is stored
+once, as the scalars of monomial matrices on basis pairs (see
+_MonomialMatrices); its polynomial tables are a read-only view.  All
+identities (Leibniz, square-zero, commutativity, associativity) are
+certified exactly on basis pairs/triples by comparing scalars.  Square-zero
+is a quadratic identity, so it is certified on the spanning set of
+generators (diagonal plus S_1 squares), which is exactly what the iterated
+star construction consumes.
 """
 
 from __future__ import annotations
@@ -22,104 +23,86 @@ from .complexes import (
     star_product,
 )
 from .errors import CertificationError, DomainError
-from .exterior import (
-    KElement,
-    k_acc,
-    k_apply,
-    k_axpy,
-    k_bilinear,
-    wedge_subsets,
-)
+from .exterior import KElement, wedge_subsets
 from .ideals import MonomialIdeal, regular_sequence
 from .poly import Monomial, Polynomial
 from .resolutions import koszul_complex, lift_comparison_map, taylor_complex
 
 
-class DegreeOneProduct:
-    """A product C_1 (x) C_j -> C_{j+1} given by tables on basis pairs.
-
-    ``tables`` holds the values as elements, ``scalars`` the same product
-    on the monomial matrices of the complex (see _MonomialMatrices).  A
-    product built from tables derives its scalars on first use; one built
-    by :meth:`from_scalars` builds its tables only when they are read.
+class _Product:
+    """A product on basis pairs of a multigraded complex, stored as the
+    scalars of its monomial matrices (see _MonomialMatrices):
+    ``scalars[key][(u, v)]`` lists the (w, c) with
+    f_u . f_v = sum_w c x^(m_u + m_v - m_w) f_w.  ``tables`` is the same
+    product with polynomial values, a read-only view built when read.
     """
 
-    def __init__(self, complex: GradedFreeComplex, tables: dict):
-        self.complex = complex
-        self.tables = tables
-
-    @classmethod
-    def from_scalars(cls, matrices: _MonomialMatrices, scalars: dict):
-        prod = cls.__new__(cls)
-        prod.complex, prod.matrices, prod.scalars = matrices.complex, matrices, scalars
-        return prod
+    def __init__(self, matrices: _MonomialMatrices, scalars: dict):
+        self.matrices = matrices
+        self.complex = matrices.complex
+        self.scalars = scalars
 
     @cached_property
     def tables(self) -> dict:
-        """j -> {(u, v): KElement}"""
+        """key -> {(u, v): KElement}"""
         M = self.matrices
-        return {j: M.elements(1, j, tab) for j, tab in self.scalars.items()}
+        out = {}
+        for key, tab in self.scalars.items():
+            i, j = self._bidegree(key)
+            out[key] = M.elements(i + j, tab, M.md[i], M.md[j])
+        return out
 
-    @cached_property
-    def matrices(self) -> _MonomialMatrices:
-        return _MonomialMatrices(self.complex)
-
-    @cached_property
-    def scalars(self) -> dict:
-        """j -> {(u, v): [(w, c)]} for 1 <= j <= length."""
-        M, top = self.matrices, self.complex.length
+    def to_json(self) -> dict:
+        """Tables as triple lists: [left index, right index, result vector]."""
         return {
-            j: M.table(1, j, tab) for j, tab in self.tables.items() if 1 <= j <= top
+            self._label(key): [
+                [u, v, {str(w): str(p) for w, p in sorted(val.items())}]
+                for (u, v), val in sorted(tab.items())
+            ]
+            for key, tab in sorted(self.tables.items())
         }
+
+
+class DegreeOneProduct(_Product):
+    """A product C_1 (x) C_j -> C_{j+1}, keyed by j."""
+
+    @staticmethod
+    def _bidegree(j: int) -> tuple:
+        return 1, j
+
+    _label = str
 
     def value(self, j: int, u: int, v: int) -> KElement:
         return self.tables.get(j, {}).get((u, v), {})
 
-    def apply(self, j: int, left: KElement, right: KElement) -> KElement:
-        """Bilinear extension with polynomial coefficients on both slots."""
-        return k_bilinear(self.tables.get(j, {}), left, right)
+    def degree_one(self) -> DegreeOneProduct:
+        return self
 
     @cached_property
     def certificate(self) -> ProductCertificate:
         """The degree-one identities, certified once per product."""
         return certify_degree_one(self)
 
-    def to_json(self) -> dict:
-        """Tables as triple lists: [left index, right index, result vector]."""
-        return {
-            str(j): [
-                [u, v, {str(w): str(p) for w, p in sorted(val.items())}]
-                for (u, v), val in sorted(tab.items())
-            ]
-            for j, tab in sorted(self.tables.items())
-        }
 
+class FullProduct(_Product):
+    """A product on all bidegrees C_i (x) C_j -> C_{i+j}, keyed by (i, j)."""
 
-class FullProduct:
-    """A product on all bidegrees C_i (x) C_j -> C_{i+j}."""
+    @staticmethod
+    def _bidegree(key: tuple) -> tuple:
+        return key
 
-    def __init__(self, complex: GradedFreeComplex, tables: dict):
-        self.complex = complex
-        self.tables = tables  # (i, j) -> {(u, v): KElement}
+    @staticmethod
+    def _label(key: tuple) -> str:
+        return "%d,%d" % key
 
     def value(self, i: int, j: int, u: int, v: int) -> KElement:
         return self.tables.get((i, j), {}).get((u, v), {})
 
     def degree_one(self) -> DegreeOneProduct:
-        tables = {}
-        for (i, j), tab in self.tables.items():
-            if i == 1:
-                tables[j] = dict(tab)
-        return DegreeOneProduct(self.complex, tables)
-
-    def to_json(self) -> dict:
-        return {
-            f"{i},{j}": [
-                [u, v, {str(w): str(p) for w, p in sorted(val.items())}]
-                for (u, v), val in sorted(tab.items())
-            ]
-            for (i, j), tab in sorted(self.tables.items())
-        }
+        """The C_1 (x) C_j part, on the same matrices and scalars."""
+        return DegreeOneProduct(
+            self.matrices, {j: tab for (i, j), tab in self.scalars.items() if i == 1}
+        )
 
 
 @dataclass
@@ -145,15 +128,18 @@ class ProductCertificate:
 # exterior-type products on Koszul and Taylor complexes
 
 
-def _exterior_full_product(C: GradedFreeComplex, lcms=None) -> FullProduct:
-    """e_S . e_T = sign(S,T) c(S,T) e_{S u T} on a subset-indexed complex;
-    the coefficient is 1 for Koszul and lcm_S lcm_T / lcm_{S u T} for Taylor."""
+def _exterior_full_product(C: GradedFreeComplex) -> FullProduct:
+    """e_S . e_T = sign(S,T) x^(m_S + m_T - m_{S u T}) e_{S u T} on a
+    subset-indexed complex: the monomial is 1 on a Koszul complex and
+    lcm_S lcm_T / lcm_{S u T} on a Taylor complex.  A pair whose monomial
+    R/Q kills has no value."""
+    M = _MonomialMatrices(C)
+    md = M.md
     subsets = C.meta["subsets"]
     index = [
         {S: k for k, S in enumerate(subsets[i])} for i in range(len(subsets))
     ]
-    ring = C.ring
-    tables: dict = {}
+    scalars: dict = {}
     top = C.length
     for i in range(0, top + 1):
         for j in range(0, top - i + 1):
@@ -164,22 +150,18 @@ def _exterior_full_product(C: GradedFreeComplex, lcms=None) -> FullProduct:
                     if st is None:
                         continue
                     sign, U = st
-                    if lcms is None:
-                        coeff = Polynomial.constant(ring, sign)
-                    else:
-                        mono = (lcms[i][S] * lcms[j][T]).divide(lcms[i + j][U])
-                        coeff = Polynomial.from_monomial(
-                            ring, mono, ring.field.from_int(sign)
-                        )
-                    # R/Q may kill the coefficient: then the product is zero
-                    if not coeff.is_zero:
-                        tab[(u, v)] = {index[i + j][U]: coeff}
-            tables[(i, j)] = tab
-    return FullProduct(C, tables)
+                    terms = M.terms(
+                        [(index[i + j][U], sign)], i + j, (md[i][u], md[j][v])
+                    )
+                    if terms:
+                        tab[(u, v)] = terms
+            scalars[(i, j)] = tab
+    return FullProduct(M, scalars)
 
 
 def koszul_dg_product(K: GradedFreeComplex) -> FullProduct:
-    """The exterior-algebra product on a Koszul complex."""
+    """The exterior-algebra product on a Koszul complex; raises
+    DomainError unless K is multigraded."""
     if "subsets" not in K.meta:
         raise DomainError("expected a complex built by koszul_complex")
     return _exterior_full_product(K)
@@ -190,7 +172,7 @@ def taylor_dg_product(I: MonomialIdeal, C: GradedFreeComplex | None = None) -> F
     certified in full (Leibniz, graded commutativity, associativity, odd
     squares) before being returned."""
     C = C or taylor_complex(I)
-    prod = _exterior_full_product(C, C.meta["lcms"])
+    prod = _exterior_full_product(C)
     cert = certify_full_dg(prod)
     if not cert.ok:
         raise CertificationError(
@@ -231,60 +213,39 @@ class _MonomialMatrices:
             return c.value
         return c.numerator if c.denominator == 1 else c
 
-    def table(self, i: int, j: int, tab: dict) -> dict:
-        """{(u, v): [(w, c)]} for a product C_i (x) C_j -> C_{i+j} given by
-        ``tab`` on basis pairs.  Raises DomainError unless each value is a
-        sum of terms c x^(m_u + m_v - m_w) f_w."""
-        md = self.md
-        level = md[i + j] if i + j < len(md) else []
-        out = {}
-        for (u, v), val in tab.items():
-            terms = []
-            for w, p in val.items():
-                t = list(p.term_dict().items())
-                if not t:
-                    continue
-                if not 0 <= w < len(level):
-                    raise DomainError(
-                        f"product ({i},{j})[{u},{v}] has a term outside the complex"
-                    )
-                want = tuple(
-                    a + b - e for a, b, e in zip(md[i][u], md[j][v], level[w])
-                )
-                if len(t) != 1 or t[0][0].exps != want:
-                    raise DomainError(
-                        f"product ({i},{j})[{u},{v}] has coefficient {p} at {w}, "
-                        f"not a multiple of the monomial with exponents {want}"
-                    )
-                terms.append((w, self.scalar(t[0][1])))
-            if terms:
-                out[(u, v)] = terms
-        return out
-
-    def elements(self, i: int, j: int, table: dict) -> dict:
-        """The inverse of :meth:`table`: {(u, v): {w: c x^(m_u + m_v - m_w)}}."""
+    def elements(self, level: int, table: dict, left, right) -> dict:
+        """The polynomial values {(u, v): {w: c x^(left[u] + right[v] - m_w)}}
+        of the scalars ``table`` of a map into C_level; ``left`` and
+        ``right`` give the multidegrees of the sources."""
         md, ring = self.md, self.complex.ring
         convert = ring.field.convert
         return {
             (u, v): {
                 w: Polynomial.from_monomial(ring, Monomial(tuple(
-                    a + b - e for a, b, e in zip(md[i][u], md[j][v], md[i + j][w])
+                    a + b - e for a, b, e in zip(left[u], right[v], md[level][w])
                 )), convert(c))
                 for w, c in terms
             }
             for (u, v), terms in table.items()
         }
 
+    def terms(self, pairs, level: int, sources) -> list:
+        """The (w, c) of ``pairs``, scalars keyed by generator of C_level in
+        the multidegree of ``sources``, that are nonzero in R/Q, with c
+        reduced mod p."""
+        p, out = self.p, []
+        for w, c in pairs:
+            c = c % p if p else c
+            if c and not self._killed(level, w, sources):
+                out.append((w, c))
+        return out
+
     def vanishes(self, res: dict, level: int, sources) -> bool:
         """True iff the sum with scalars ``res``, keyed by generator of
         C_level, is zero in R/Q.  The sum lies in the multidegree of the
-        product of ``sources`` ((level, generator) pairs), so the monomial
-        of coefficient w is that minus m_w: one kill test per target."""
-        p = self.p
-        for w, s in res.items():
-            if (s % p if p else s) and not self._killed(level, w, sources):
-                return False
-        return True
+        product of ``sources`` (multidegree vectors), so the monomial of
+        coefficient w is that minus m_w: one kill test per target."""
+        return not self.terms(res.items(), level, sources)
 
     def support(self, level: int, sources) -> list:
         """The generators w of C_level that a sum in the multidegree of the
@@ -298,10 +259,9 @@ class _MonomialMatrices:
         ]
 
     def _exponents(self, level: int, w: int, sources) -> list:
-        md = self.md
-        m = [-e for e in md[level][w]]
-        for lv, g in sources:
-            m = [a + b for a, b in zip(m, md[lv][g])]
+        m = [-e for e in self.md[level][w]]
+        for s in sources:
+            m = [a + b for a, b in zip(m, s)]
         return m
 
     def _killed(self, level: int, w: int, sources) -> bool:
@@ -322,13 +282,8 @@ def certify_full_dg(prod: FullProduct) -> ProductCertificate:
     pairs and triples, on the scalars of the monomial matrices."""
     C = prod.complex
     top = C.length
-    M = _MonomialMatrices(C)
-    P = {
-        (i, j): M.table(i, j, tab)
-        for (i, j), tab in prod.tables.items()
-        if i >= 0 and j >= 0 and i + j <= top
-    }
-    d = M.d
+    M, P = prod.matrices, prod.scalars
+    d, md = M.d, M.md
     cert = ProductCertificate()
     for i in range(0, top + 1):
         for j in range(0, top - i + 1):
@@ -349,12 +304,13 @@ def certify_full_dg(prod: FullProduct) -> ProductCertificate:
                         _axpy(res, -e, Pdi.get((r, v), ()))
                     for r, e in d_j.get(v, ()):
                         _axpy(res, sign * e, Pdj.get((u, r), ()))
-                    if not M.vanishes(res, i + j - 1, ((i, u), (j, v))):
+                    sources = (md[i][u], md[j][v])
+                    if not M.vanishes(res, i + j - 1, sources):
                         cert.leibniz_failures.append((i, j, u, v))
                     # graded commutativity: xy - (-1)^(ij) yx = 0
                     res = dict(uv)
                     _axpy(res, comm, Pji.get((v, u), ()))
-                    if not M.vanishes(res, i + j, ((i, u), (j, v))):
+                    if not M.vanishes(res, i + j, sources):
                         cert.commutativity_failures.append((i, j, u, v))
             if i % 2 and i == j:
                 for u in range(C.rank(i)):
@@ -376,9 +332,8 @@ def certify_full_dg(prod: FullProduct) -> ProductCertificate:
                                 _axpy(res, c, Pij_k.get((x, w), ()))
                             for x, c in Pjk.get((v, w), ()):
                                 _axpy(res, -c, Pi_jk.get((u, x), ()))
-                            if not M.vanishes(
-                                res, i + j + k, ((i, u), (j, v), (k, w))
-                            ):
+                            sources = (md[i][u], md[j][v], md[k][w])
+                            if not M.vanishes(res, i + j + k, sources):
                                 cert.associativity_failures.append(
                                     (i, j, k, u, v, w)
                                 )
@@ -395,7 +350,7 @@ def certify_degree_one(prod: DegreeOneProduct) -> ProductCertificate:
         raise DomainError("degree-one certification expects C_0 = R")
     top = C.length
     M, P = prod.matrices, prod.scalars
-    d = M.d
+    d, md = M.d, M.md
     alpha = [d[1][u][0][1] for u in range(C.rank(1))]
     cert = ProductCertificate()
     for j in range(1, top + 1):
@@ -415,12 +370,12 @@ def certify_degree_one(prod: DegreeOneProduct) -> ProductCertificate:
                 else:
                     for r, e in d_j.get(v, ()):
                         _axpy(res, e, Pdown.get((u, r), ()))
-                if not M.vanishes(res, j, ((1, u), (j, v))):
+                if not M.vanishes(res, j, (md[1][u], md[j][v])):
                     cert.leibniz_failures.append(("leibniz", j, u, v))
                 sq: dict = {}
                 for w, c in uv:
                     _axpy(sq, c, Pup.get((u, w), ()))
-                if not M.vanishes(sq, j + 2, ((1, u), (1, u), (j, v))):
+                if not M.vanishes(sq, j + 2, (md[1][u], md[1][u], md[j][v])):
                     cert.square_failures.append(("square", j, u, v))
         if j == 1:
             for u in range(C.rank(1)):
@@ -450,10 +405,7 @@ def star_degree_one_product(
     at target w is the product of the scalars of d(f1) or d(gb) and of the
     input value, times x^(m_p + m_x - m_w).
     """
-    if isinstance(prodF, FullProduct):
-        prodF = prodF.degree_one()
-    if isinstance(prodG, FullProduct):
-        prodG = prodG.degree_one()
+    prodF, prodG = prodF.degree_one(), prodG.degree_one()
     for name, pr in (("left", prodF), ("right", prodG)):
         if not pr.certificate.ok:
             raise CertificationError(
@@ -461,7 +413,7 @@ def star_degree_one_product(
             )
     S = star_product(F, G)
     M = _MonomialMatrices(S)
-    p = M.p
+    md = M.md
     bases = {n: star_basis(F, G, n) for n in range(1, S.length + 1)}
     index = {n: {key: k for k, key in enumerate(bases[n])} for n in bases}
     dF, dG = prodF.matrices.d[1], prodG.matrices.d[1]
@@ -483,16 +435,11 @@ def star_degree_one_product(
                         found.append((target[(a + 1, 1, w, ug)], beta * q))
                 # the two cases land on (a, b + 1, ., .) and (a + 1, 1, ., .),
                 # so each target has one term; R/Q may kill its monomial
-                sources = ((1, p_idx), (j, x_idx))
-                terms = []
-                for k, c in found:
-                    c = c % p if p else c
-                    if c and not M._killed(j + 1, k, sources):
-                        terms.append((k, c))
+                terms = M.terms(found, j + 1, (md[1][p_idx], md[j][x_idx]))
                 if terms:
                     tab[(p_idx, x_idx)] = terms
         scalars[j] = tab
-    prod = DegreeOneProduct.from_scalars(M, scalars)
+    prod = DegreeOneProduct(M, scalars)
     cert = prod.certificate
     if not cert.ok:
         raise CertificationError(
@@ -519,17 +466,30 @@ class ActionCertificate:
 
 @dataclass
 class ModuleAction:
-    """A DG-module action of a Koszul complex on a resolution."""
+    """A DG-module action of a Koszul complex K on a resolution C, stored
+    as monomial-matrix scalars: ``scalars[(i, j)][(S, v)]`` lists the
+    (w, c) with e_S * f_v = sum_w c x^(m_S + m_v - m_w) f_w, for e_S in K_i
+    and f_v in C_j.  ``tables`` is the polynomial view, built when read."""
 
     koszul: GradedFreeComplex
-    complex: GradedFreeComplex
+    matrices: _MonomialMatrices
     phi: list
-    tables: dict  # (i, j) -> {(subset, v): KElement}
+    scalars: dict
     certificate: ActionCertificate
 
-    def act(self, i: int, j: int, S: tuple, vec: KElement) -> KElement:
-        one = Polynomial.one(self.complex.ring)
-        return k_bilinear(self.tables.get((i, j), {}), {S: one}, vec)
+    @property
+    def complex(self) -> GradedFreeComplex:
+        return self.matrices.complex
+
+    @cached_property
+    def tables(self) -> dict:
+        """(i, j) -> {(subset, v): KElement}"""
+        M, subsets = self.matrices, self.koszul.meta["subsets"]
+        mK = multidegrees(self.koszul)
+        return {
+            (i, j): M.elements(i + j, tab, dict(zip(subsets[i], mK[i])), M.md[j])
+            for (i, j), tab in self.scalars.items()
+        }
 
 
 def koszul_module_action(
@@ -541,102 +501,98 @@ def koszul_module_action(
 
     The extension is certified: the action kills the exterior relations on a
     spanning set (diagonal and polarized degree-one pairs) and satisfies the
-    module Leibniz rule on all basis pairs.
+    module Leibniz rule on all basis pairs.  Like the product, the action
+    works on monomial-matrix scalars: every value and identity is a sum of
+    scalars keyed by target generator, with one kill test per target.  C is
+    the complex of the product.
     """
-    if isinstance(prod, FullProduct):
-        prod = prod.degree_one()
+    prod = prod.degree_one()
+    M, P = prod.matrices, prod.scalars
+    d, md = M.d, M.md
     ring = C.ring
     mons = regular_sequence(ring, elements)
     polys = [Polynomial.from_monomial(ring, m) for m in mons]
-    d1_entries = [p for (_, _), p in sorted(C.diff(1).entries.items())]
-    d1_monos = [
-        next(iter(p.term_dict()))
-        for p in d1_entries
-        if len(p.term_dict()) == 1
-    ]
-    if len(d1_monos) == len(d1_entries):
-        for m, p in zip(mons, polys):
-            if not any(g.divides(m) for g in d1_monos):
-                raise DomainError(f"{p} is not in the resolved ideal")
+    for m, f in zip(mons, polys):
+        if not any(all(a >= b for a, b in zip(m.exps, g)) for g in md[1]):
+            raise DomainError(f"{f} is not in the resolved ideal")
     K = koszul_complex(polys)
     phi = lift_comparison_map(K, C)
-    phi1_cols = [phi[1].column(s) for s in range(len(polys))]
+    MK = _MonomialMatrices(K)
+    subsets, mK = K.meta["subsets"], MK.md
+    # the lift solves each strand system with its free unknowns at zero, so
+    # phi_1(e_s) lies in the multidegree block of a_s: its entry at w is
+    # one term c x^(mdeg a_s - m_w)
+    phi1: list = [[] for _ in mons]
+    for (w, s), f in phi[1].entries.items():
+        (c,) = f.term_dict().values()
+        phi1[s].append((w, M.scalar(c)))
 
-    def act1(s: int, j: int, vec: KElement) -> KElement:
-        return prod.apply(j, phi1_cols[s], vec)
+    def act(S: tuple, j: int, vec):
+        """e_S * vec on (generator of C_j, scalar) pairs: e_s * f =
+        phi_1(e_s) . f for each s in S, the last one first."""
+        for s in reversed(S):
+            out: dict = {}
+            Pj = P.get(j, {})
+            for w, a in phi1[s]:
+                for v, b in vec:
+                    _axpy(out, a * b, Pj.get((w, v), ()))
+            vec, j = out.items(), j + 1
+        return vec
 
-    subsets = K.meta["subsets"]
-    one = Polynomial.one(ring)
-
-    # e_S acting on 1 in C_0: the iterated product of the phi_1 images
-    scalar_act: dict = {(): {0: one}}
-    for i in range(1, K.length + 1):
-        for S in subsets[i]:
-            if i == 1:
-                scalar_act[S] = dict(phi1_cols[S[0]])
-            else:
-                scalar_act[S] = act1(S[0], i - 1, scalar_act[S[1:]])
-
-    tables: dict = {}
+    scalars: dict = {}
     for i in range(1, K.length + 1):
         for j in range(1, C.length + 1):
             tab = {}
-            for S in subsets[i]:
+            for S, mS in zip(subsets[i], mK[i]):
                 for v in range(C.rank(j)):
-                    vec: KElement = {v: one}
-                    jj = j
-                    for s in reversed(S):
-                        vec = act1(s, jj, vec)
-                        jj += 1
-                    if vec:
-                        tab[(S, v)] = vec
+                    terms = M.terms(act(S, j, [(v, 1)]), i + j, (mS, md[j][v]))
+                    if terms:
+                        tab[(S, v)] = terms
             if tab:
-                tables[(i, j)] = tab
+                scalars[(i, j)] = tab
     cert = ActionCertificate()
     # exterior relations on the spanning set: s.(s'.f) + s'.(s.f) = 0
-    for s in range(len(polys)):
-        for s2 in range(s, len(polys)):
+    for s in range(len(mons)):
+        for s2 in range(s, len(mons)):
             for j in range(1, C.length + 1):
                 for v in range(C.rank(j)):
                     cert.checked += 1
-                    a = act1(s, j + 1, act1(s2, j, {v: one}))
-                    if s == s2:
-                        if a:
-                            cert.relation_failures.append((s, s2, j, v))
-                        continue
-                    k_axpy(a, 1, act1(s2, j + 1, act1(s, j, {v: one})))
-                    if a:
+                    res = dict(act((s, s2), j, [(v, 1)]))
+                    if s != s2:
+                        _axpy(res, 1, act((s2, s), j, [(v, 1)]))
+                    sources = (mK[1][s], mK[1][s2], md[j][v])
+                    if not M.vanishes(res, j + 2, sources):
                         cert.relation_failures.append((s, s2, j, v))
     # module Leibniz: d(e_S * f) = d(e_S) * f + (-1)^|S| e_S * d(f)
-    action = ModuleAction(K, C, phi, tables, cert)
     for i in range(1, K.length + 1):
+        sign = 1 if i % 2 else -1
         for j in range(1, C.length + 1):
             if i + j > C.length + 1:
                 continue
-            tab = tables.get((i, j), {})
-            for Sidx, S in enumerate(subsets[i]):
-                dS = K.diff(i).column(Sidx)
-                sign = 1 if i % 2 else -1
+            tab, d_ij = scalars.get((i, j), {}), d.get(i + j, {})
+            lower, left = scalars.get((i - 1, j), {}), scalars.get((i, j - 1), {})
+            for Sidx, (S, mS) in enumerate(zip(subsets[i], mK[i])):
                 for v in range(C.rank(j)):
                     cert.checked += 1
-                    res = k_apply(C.diff(i + j), tab.get((S, v), {}))
-                    for r, q in dS.items():
-                        if i - 1 == 0:
-                            k_acc(res, v, -q)
+                    res = {}
+                    for w, c in tab.get((S, v), ()):
+                        _axpy(res, c, d_ij.get(w, ()))
+                    for r, q in MK.d[i][Sidx]:
+                        if i == 1:
+                            res[v] = res.get(v, 0) - q
                         else:
-                            Sr = subsets[i - 1][r]
-                            k_axpy(res, -q, action.act(i - 1, j, Sr, {v: one}))
+                            _axpy(res, -q, lower.get((subsets[i - 1][r], v), ()))
                     if j == 1:
-                        # d(f) lands in C_0 = R: e_S acts through its
-                        # iterated product on the unit
-                        beta = C.diff(1).entry(0, v)
-                        k_axpy(res, beta.scale(sign), scalar_act[S])
+                        # d(f) lands in C_0 = R, where e_s acts on the unit
+                        # as phi_1(e_s)
+                        ((_, beta),) = d[1][v]
+                        _axpy(res, sign * beta, act(S[:-1], 1, phi1[S[-1]]))
                     else:
-                        term = action.act(i, j - 1, S, C.diff(j).column(v))
-                        k_axpy(res, sign, term)
-                    if res:
+                        for r, e in d[j][v]:
+                            _axpy(res, sign * e, left.get((S, r), ()))
+                    if not M.vanishes(res, i + j - 1, (mS, md[j][v])):
                         cert.leibniz_failures.append((i, j, S, v))
-    return action
+    return ModuleAction(K, M, phi, scalars, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +647,13 @@ def associativity_probe(
     C is the complex of the product; raises DomainError unless C and the
     product are multigraded.
     """
-    if isinstance(prod, FullProduct):
-        prod = prod.degree_one()
+    prod = prod.degree_one()
     if bound is None:
         bound = C.length + 1
     if bound <= 0:
         return ProbeReport(bound=bound, stages=[])
     M = prod.matrices
-    d, p = M.d, M.p
+    d, md, p = M.d, M.md, M.p
     known = {(1, j): tab for j, tab in prod.scalars.items()}
     unit = {v: e for v, col in d.get(1, {}).items() for r, e in col if r == 0}
 
@@ -731,7 +686,7 @@ def associativity_probe(
         for i, j in blocks:
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
-                    ws = M.support(n, ((i, u), (j, v)))
+                    ws = M.support(n, (md[i][u], md[j][v]))
                     unknowns[(i, j, u, v)] = {w: nvars + k for k, w in enumerate(ws)}
                     nvars += len(ws)
         rows: list = []
@@ -744,7 +699,7 @@ def associativity_probe(
             sign = -1 if i % 2 else 1
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
-                    sources = ((i, u), (j, v))
+                    sources = (md[i][u], md[j][v])
                     rhs: dict = {}
                     for r, e in d[i].get(u, ()):
                         _axpy(rhs, e, value(i - 1, j, r, v))
@@ -786,7 +741,7 @@ def associativity_probe(
                                     continue
                                 for g, col in unknowns[(a, b + c_deg, x, w)].items():
                                     eqs.setdefault(g, {})[col] = -s
-                            sources = ((a, x), (b, y), (c_deg, z))
+                            sources = (md[a][x], md[b][y], md[c_deg][z])
                             emit(rows, rhs_of, eqs, rhs, n, sources)
 
         sol = None
@@ -823,7 +778,7 @@ def associativity_probe(
                                 _axpy(res, s, value(a + b, c_deg, w, z))
                             for w, s in value(b, c_deg, y, z):
                                 _axpy(res, -s, value(a, b + c_deg, x, w))
-                            sources = ((a, x), (b, y), (c_deg, z))
+                            sources = (md[a][x], md[b][y], md[c_deg][z])
                             if not M.vanishes(res, a + b + c_deg, sources):
                                 report.residual_triples.append(
                                     ((a, b, c_deg), (x, y, z))

@@ -3,9 +3,9 @@
 An element is a plain dict mapping a basis key to a nonzero polynomial
 coefficient.  The key is a generator index of a free module (a term of a
 resolution) or a sorted index tuple (an exterior basis subset of the
-Koszul algebra K (x) R/Q).  These are the cycles, wedges, Massey values,
-product tables and comparison-map columns that the Golod, DG and
-obstruction machinery manipulates.
+Koszul algebra K (x) R/Q).  These are the cycles, wedges, Massey values
+and comparison-map columns of the Golod and obstruction machinery; the DG
+products and module actions work on monomial-matrix scalars (see ``dg``).
 
 The accumulating helpers write in place, and only into dicts their caller
 created; every other helper returns a fresh element.  A strand basis is a
@@ -54,17 +54,6 @@ def k_apply(A: PolyMatrix, x: KElement) -> KElement:
     out: KElement = {}
     for c, p in x.items():
         k_axpy(out, p, A.column(c))
-    return out
-
-
-def k_bilinear(table: dict, x: KElement, y: KElement) -> KElement:
-    """The bilinear map with values table[(u, v)] on basis pairs, at (x, y)."""
-    out: KElement = {}
-    for u, p in x.items():
-        for v, q in y.items():
-            val = table.get((u, v))
-            if val:
-                k_axpy(out, p * q, val)
     return out
 
 

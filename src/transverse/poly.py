@@ -253,12 +253,6 @@ class Polynomial:
             coeff = ring.field.from_int(coeff)
         return cls(ring, {m: coeff})
 
-    @classmethod
-    def constant(cls, ring: Ring, c) -> "Polynomial":
-        if isinstance(c, int):
-            c = ring.field.from_int(c)
-        return cls(ring, {ring.one_monomial(): c})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -222,7 +224,7 @@ class TestMain:
     def test_field_override_and_threads(self, tmp_path, capsys):
         path = tmp_path / "job.json"
         path.write_text(json.dumps(job("koszul-homology", {"ideal": "I"})))
-        code = main([str(path), "--field", "prime:32003", "--threads", "4", "--format", "json"])
+        code = main([str(path), "--field", "prime:32003", "--format", "json"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["dims"] == {"1": 2, "2": 1}
@@ -234,7 +236,7 @@ class TestMain:
         )
         main([str(path)])
         out1 = capsys.readouterr().out
-        main([str(path), "--threads", "8"])
+        main([str(path)])
         out2 = capsys.readouterr().out
         assert out1 == out2
 
@@ -343,6 +345,45 @@ class TestInputErrorsExitTwo:
     def test_ideal_list_entry_not_a_string(self, tmp_path, capsys):
         doc = job("dg-verify", {"ideals": ["I", ["J"]]})
         assert "ideal name" in self.run(tmp_path, capsys, doc)
+
+    def test_unknown_document_key(self, tmp_path, capsys):
+        # a misspelt "format" would otherwise print text and exit 0
+        doc = job("check-transverse", {"left": "I", "right": "J"})
+        doc["fromat"] = doc.pop("format")
+        assert "'fromat'" in self.run(tmp_path, capsys, doc)
+
+    def test_unknown_ring_key(self, tmp_path, capsys):
+        # a misspelt "field" would otherwise compute over QQ and exit 0
+        doc = job("koszul-homology", {"ideal": "I"})
+        doc["ring"] = {"vars": ["x1", "x2", "x3", "x4"], "feild": {"prime": 2}}
+        assert "'feild'" in self.run(tmp_path, capsys, doc)
+
+    def test_probe_bound_flag_below_first_stage(self, tmp_path, capsys):
+        doc = job("associativity-probe", {"ideals": ["I", "J"]})
+        assert "args.bound" in self.run(tmp_path, capsys, doc, "--bound", "1")
+
+    def test_bound_flag_on_a_command_without_a_bound(self, tmp_path, capsys):
+        doc = job("dg-verify", {"ideals": ["I", "J"]})
+        assert "--bound" in self.run(tmp_path, capsys, doc, "--bound", "4")
+
+
+def test_probe_bound_flag_sets_the_probe_bound(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job("associativity-probe", {"ideals": ["I", "J"]})))
+    assert main([str(path), "--bound", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == 3
+
+
+def test_readme_job_documents_run(tmp_path, capsys):
+    # every ```json block of README.md is a job document that runs cleanly
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text("utf-8"), re.S)
+    assert blocks
+    path = tmp_path / "job.json"
+    for text in blocks:
+        path.write_text(text)
+        assert main([str(path)]) == 0, text
+        assert not capsys.readouterr().err
 
 
 def test_resolve_staircase_rendered(capsys, tmp_path):

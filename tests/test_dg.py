@@ -19,6 +19,7 @@ from transverse.poly import PolyMatrix, Polynomial, Ring
 from transverse.resolutions import koszul_complex, taylor_complex
 
 from conftest import ideal
+from test_dg_certificate_reference import from_tables
 
 
 def _vars(ring, *idx):
@@ -302,10 +303,24 @@ class TestRegularSequenceCheck:
         assert "regular sequence" in err and "Traceback" not in err
 
 
+def _dg_job(tmp_path, command, args):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "ring": {"vars": ["x1", "x2", "x3", "x4", "x5", "x6"]},
+        "ideals": {"A": ["x1^2", "x2"], "B": ["x3", "x4"], "C": ["x5", "x6"]},
+        "command": command,
+        "args": args,
+        "format": "json",
+    }))
+    return path
+
+
 def test_dg_verify_certifies_each_product_once(tmp_path, capsys, monkeypatch):
     # A, B, C and the intermediate A*B and final A*B*C: five products, each
     # certified once although A*B is an input of the second star step and
-    # the CLI reports the final certificate
+    # the CLI reports the final certificate; and five complexes, each with
+    # one set of monomial matrices (the degree-one part of a Taylor product
+    # shares those of its full product)
     from transverse import dg
     from transverse.cli import main
 
@@ -316,29 +331,32 @@ def test_dg_verify_certifies_each_product_once(tmp_path, capsys, monkeypatch):
         calls.append(prod)
         return original(prod)
 
+    built = []
+    build = dg._MonomialMatrices.__init__
+
+    def building(self, C):
+        built.append(C)
+        build(self, C)
+
     monkeypatch.setattr(dg, "certify_degree_one", counting)
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({
-        "ring": {"vars": ["x1", "x2", "x3", "x4", "x5", "x6"]},
-        "ideals": {"A": ["x1^2", "x2"], "B": ["x3", "x4"], "C": ["x5", "x6"]},
-        "command": "dg-verify",
-        "args": {"ideals": ["A", "B", "C"]},
-        "format": "json",
-    }))
+    monkeypatch.setattr(dg._MonomialMatrices, "__init__", building)
+    path = _dg_job(tmp_path, "dg-verify", {"ideals": ["A", "B", "C"]})
     assert main([str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
     assert len(calls) == 5
     assert len({id(p) for p in calls}) == 5
+    assert len(built) == 5
+    assert len({id(C) for C in built}) == 5
 
 
 def test_dg_verify_certificates_do_no_polynomial_arithmetic(
     tmp_path, capsys, monkeypatch
 ):
-    # the certificates and the star degree-one product work on scalars: no
-    # Polynomial product or scaling runs inside them, except in the
-    # differentials of star_product; the certificates visit exactly the
-    # pairs and triples they did when they multiplied polynomials, and no
-    # star product builds its polynomial tables
+    # the Taylor products, the certificates and the star degree-one product
+    # work on scalars: no Polynomial is built, multiplied or scaled inside
+    # them, except in the differentials of star_product; the certificates
+    # visit exactly the pairs and triples they did when they multiplied
+    # polynomials, and no product builds its polynomial tables
     from transverse import dg
     from transverse.cli import main
 
@@ -379,18 +397,13 @@ def test_dg_verify_certificates_do_no_polynomial_arithmetic(
 
     counted("certify_degree_one")
     counted("certify_full_dg")
+    entered("taylor_dg_product")
     entered("star_degree_one_product", stars.append)
     entered("star_product")
     watched("__mul__")
     watched("scale")
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({
-        "ring": {"vars": ["x1", "x2", "x3", "x4", "x5", "x6"]},
-        "ideals": {"A": ["x1^2", "x2"], "B": ["x3", "x4"], "C": ["x5", "x6"]},
-        "command": "dg-verify",
-        "args": {"ideals": ["A", "B", "C"]},
-        "format": "json",
-    }))
+    watched("__init__")
+    path = _dg_job(tmp_path, "dg-verify", {"ideals": ["A", "B", "C"]})
     assert main([str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["checked_pairs"] == 216
     # d_1 of each star product multiplies the d_1 entries of its factors
@@ -401,6 +414,52 @@ def test_dg_verify_certificates_do_no_polynomial_arithmetic(
     ]
     assert len(stars) == 2
     assert not any("tables" in vars(prod) for prod in stars)
+
+
+def test_module_action_does_no_polynomial_arithmetic(tmp_path, capsys, monkeypatch):
+    # the action works on scalars: Polynomial products and scalings inside
+    # koszul_module_action happen only where K and phi are built
+    from transverse import dg
+    from transverse.cli import main
+
+    inside = []
+    polynomial_ops = []
+
+    def entered(name):
+        original = getattr(dg, name)
+
+        def run(*args):
+            inside.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(dg, name, run)
+
+    def watched(op):
+        original = getattr(Polynomial, op)
+
+        def run(*args):
+            if "koszul_module_action" in inside:
+                polynomial_ops.append((op, inside[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(Polynomial, op, run)
+
+    for name in ("koszul_module_action", "koszul_complex", "lift_comparison_map"):
+        entered(name)
+    watched("__mul__")
+    watched("scale")
+    path = _dg_job(
+        tmp_path, "module-action", {"ideals": ["A", "B", "C"], "ci": ["x1^2*x3*x5"]}
+    )
+    assert main([str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert polynomial_ops
+    assert {where for _, where in polynomial_ops} <= {
+        "koszul_complex", "lift_comparison_map"
+    }
 
 
 class TestMultigrading:
@@ -420,9 +479,13 @@ class TestMultigrading:
         return str(err.value)
 
     def test_two_term_differential(self, R4):
+        # neither the product nor a module action can be built on K
         x1, x2, x3 = _vars(R4, 0, 1, 2)
-        prod = koszul_dg_product(koszul_complex([x1 + x2, x3]))
-        assert "d_1[0,0]" in self._refused(lambda: certify_full_dg(prod))
+        K = koszul_complex([x1 + x2, x3])
+        assert "d_1[0,0]" in self._refused(lambda: koszul_dg_product(K))
+        assert "d_1[0,0]" in self._refused(
+            lambda: koszul_module_action(K, koszul_dg_product(K), [x3])
+        )
 
     def test_value_with_the_wrong_monomial(self, R4):
         F = koszul_complex(_vars(R4, 0, 1))
@@ -432,12 +495,25 @@ class TestMultigrading:
         pair, val = sorted(tables[1].items())[0]
         x1 = R4.variable(0)
         tables[1][pair] = {w: p * x1 for w, p in val.items()}
-        bad = DegreeOneProduct(sp.complex, tables)
-        assert "product (1,1)" in self._refused(lambda: certify_degree_one(bad))
+        assert "product (1,1)" in self._refused(
+            lambda: from_tables(DegreeOneProduct, sp.complex, tables)
+        )
+
+    def test_value_beyond_the_top(self, R4):
+        # a (1, length) value would land in C_{length+1}, which is not there
+        F = koszul_complex(_vars(R4, 0, 1))
+        G = koszul_complex(_vars(R4, 2, 3))
+        sp = star_degree_one_product(F, G, koszul_dg_product(F), koszul_dg_product(G))
+        top = sp.complex.length
+        tables = {j: dict(tab) for j, tab in sp.tables.items()}
+        tables[top] = {(0, 0): {0: Polynomial.one(R4)}}
+        assert "outside the complex" in self._refused(
+            lambda: from_tables(DegreeOneProduct, sp.complex, tables)
+        )
 
     def test_empty_column(self, R4):
         x1 = R4.variable(0)
         d1 = PolyMatrix(R4, 1, 2, {(0, 0): x1})
         C = GradedFreeComplex(R4, [[0], [1, 1]], [d1])
         assert "column 1" in self._refused(lambda: multidegrees(C))
-        self._refused(lambda: certify_degree_one(DegreeOneProduct(C, {})))
+        self._refused(lambda: from_tables(DegreeOneProduct, C, {}))

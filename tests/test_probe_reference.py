@@ -34,13 +34,18 @@ from transverse.dg import (
     star_degree_one_product,
     taylor_dg_product,
 )
-from transverse.exterior import KElement, k_axpy, k_bilinear, k_coords, k_element
+from transverse.exterior import KElement, k_axpy, k_coords, k_element
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
 from transverse.poly import Polynomial, Ring
 from transverse.resolutions import koszul_complex, taylor_complex
 
-from test_dg_certificate_reference import mutants, random_ideal
+from test_dg_certificate_reference import (
+    from_tables,
+    k_bilinear,
+    mutants,
+    random_ideal,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
 NAMES = ("x1", "x2", "x3", "x4", "x5")
@@ -356,7 +361,7 @@ def test_mutants_match_reference():
         rng = random.Random(f"probe:{field}")
         prod = seeded_star(field, rng)
         for tables in mutants(rng, prod.tables, 2):
-            mutant = DegreeOneProduct(prod.complex, tables)
+            mutant = from_tables(DegreeOneProduct, prod.complex, tables)
             rep = associativity_probe(mutant.complex, mutant)
             ref = associativity_probe_ref(mutant.complex, mutant)
             assert rep.bound == ref.bound

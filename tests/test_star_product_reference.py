@@ -8,7 +8,7 @@ and builds its polynomial tables only when they are read.  The reference
 below is the earlier body, unchanged: it multiplies ``Polynomial`` values
 on every basis pair.  Each test asserts the same outcome from both: equal
 tables, with the pairs and the targets inside each value in the same order
-(``k_bilinear`` and the module action follow that order), and equal
+(the polynomial reference code follows that order), and equal
 certificates; or the same error with the same text.
 
 The inputs are Taylor products of ideals on disjoint variables, which makes
@@ -38,7 +38,12 @@ from transverse.ideals import MonomialIdeal
 from transverse.poly import Ring
 from transverse.resolutions import taylor_complex
 
-from test_dg_certificate_reference import certify_degree_one_ref, mutants, random_ideal
+from test_dg_certificate_reference import (
+    certify_degree_one_ref,
+    from_tables,
+    mutants,
+    random_ideal,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -102,7 +107,7 @@ def star_degree_one_product_ref(
                 if out:
                     tab[(p_idx, x_idx)] = out
         tables[j] = tab
-    prod = DegreeOneProduct(S, tables)
+    prod = from_tables(DegreeOneProduct, S, tables)
     cert = prod.certificate
     if not cert.ok:
         raise CertificationError(
@@ -147,7 +152,7 @@ def assert_same(F, G, prodF, prodG):
     assert snapshot(prod) == want
     assert certify_degree_one_ref(prod) == prod.certificate
     # the scalars are what the tables convert back to, reduced mod p
-    assert DegreeOneProduct(prod.complex, prod.tables).scalars == prod.scalars
+    assert from_tables(DegreeOneProduct, prod.complex, prod.tables).scalars == prod.scalars
     return prod
 
 
@@ -246,7 +251,7 @@ def test_mutated_inputs(field):
     for F, G, prodF, prodG, side in cases:
         mutated = prodF if side == "left" else prodG
         for tables in mutants(rng, mutated.tables, 2):
-            mutant = DegreeOneProduct(mutated.complex, tables)
+            mutant = from_tables(DegreeOneProduct, mutated.complex, tables)
             args = (mutant, prodG) if side == "left" else (prodF, mutant)
             if assert_same(F, G, *args) is None:
                 with pytest.raises(CertificationError, match=f"^{side} input"):
