@@ -13,8 +13,8 @@ the left factor carrying the sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from operator import add
+from functools import cache, cached_property
+from operator import add, ge, itemgetter, sub
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
@@ -323,17 +323,21 @@ def strand_matrix(C: GradedFreeComplex, i: int, basis_hi, basis_lo):
     """Scalar rows of d_i from the strand basis ``basis_hi`` in degree i to
     ``basis_lo`` one degree down (rows indexed by ``basis_lo``).
 
-    Raises DomainError if some entry of d_i is not homogeneous of degree
-    deg(column) - deg(row), even where its stray terms die in R/Q.
+    Raises DomainError if some entry of d_i in a column of ``basis_hi`` is
+    not homogeneous of degree deg(column) - deg(row), even where its stray
+    terms die in R/Q.
     """
-    # every entry is checked once to be homogeneous of degree
+    # every entry used is checked once to be homogeneous of degree
     # deg(col) - deg(row), so m*mono has the degree of the lower basis and a
     # lookup that misses it can only be a monomial killed in R/Q
     idx = {(r, m.exps): k for k, (r, m) in enumerate(basis_lo)}
     rows = [dict() for _ in basis_lo]
     rdegs, cdegs = C.degs(i - 1), C.degs(i)
+    cols = {g for g, _ in basis_hi}
     by_col: dict[int, list] = {}
     for (r, c), p in C.diff(i).entries.items():
+        if c not in cols:
+            continue
         want = cdegs[c] - rdegs[r]
         terms = []
         for mono, coeff in p.term_dict().items():
@@ -358,10 +362,11 @@ def strand_matrix(C: GradedFreeComplex, i: int, basis_hi, basis_lo):
 
 @dataclass
 class StrandHomology:
-    """Homology of one strand, with canonical (RREF) cycle representatives."""
+    """Homology of one strand or block, with canonical (RREF) cycle
+    representatives."""
 
     i: int
-    t: int
+    t: object  # the degree t of a strand or the multidegree b of a block
     basis: list
     dim: int
     cycle_dim: int
@@ -393,35 +398,83 @@ class StrandHomology:
 
 
 class Homology:
-    """Strand homology of C (x) R/Q: the one code that enumerates strand
-    bases, assembles strand matrices and eliminates them.
+    """Homology of C (x) R/Q: the one code that builds bases, assembles
+    matrices and eliminates them.
 
-    It keeps the rank of d_i on each strand (i, t) it has eliminated, each
-    stratum asked for and the keyed index of each strand an element is
-    expressed in, with the bases of those two; it keeps no matrix.
-    ``keys[i][g]`` names generator g of C_i (g itself when ``keys`` is None).
+    It works on pieces of strands.  Without a ``support``, the piece of
+    (i, t) is the whole degree-t strand.  With one, the pieces are the
+    multidegree blocks b of total degree t in ``support(i)``, a set that
+    holds every multidegree where H_i can be nonzero; the caller names the
+    theorem that says so.  The block of C_i at b has the basis
+    (g, x^(b - m_g)) over the generators g of multidegree m_g <= b
+    (``mdegs``) whose monomial survives in R/Q.  Blocks are complexes on
+    disjoint coordinates, and a strand is their direct sum.
+
+    It keeps the rank of d_i on each piece it has eliminated, each stratum
+    asked for and the keyed index of each piece an element is expressed
+    in, with the bases of those two; it keeps no matrix.  A strand is keyed
+    (i, t) and a block (i, b).  ``keys[i][g]`` names generator g of C_i
+    (g itself when ``keys`` is None).
     """
 
-    def __init__(self, C: GradedFreeComplex, Q=None, keys=None):
+    def __init__(self, C: GradedFreeComplex, Q=None, keys=None, support=None):
         self.complex = C
         self.keys = keys
         self.extra = _extra_gens(Q)
-        self.ranks: dict = {}  # (i, t) -> rank of d_i on the degree-t strand
+        self.support = support
+        self.ranks: dict = {}  # (i, piece) -> rank of d_i on the piece
         self.strata: dict = {}
         self.indexes: dict = {}
         self.bases: dict = {}  # the bases of the strata and indexes
+        self._blocks: dict = {}  # i -> {t: the supported blocks of degree t}
+        self._kill = [g.exps for g in C.ring.modulus + self.extra]
 
-    def basis(self, i: int, t: int) -> list:
-        """The degree-t strand basis in degree i, kept for later queries."""
-        key = (i, t)
+    @cached_property
+    def mdegs(self) -> list[dict]:
+        """{key: multidegree} of the generators of each C_i, in order."""
+        C = self.complex
+        keys = self.keys
+        if keys is None:
+            keys = [range(C.rank(i)) for i in range(C.length + 1)]
+        return [dict(zip(k, m)) for k, m in zip(keys, multidegrees(C))]
+
+    def _pieces(self, i: int, t: int):
+        """The pieces of the degree-t strand in degree i."""
+        if self.support is None:
+            return (t,)
+        if i not in self._blocks:
+            by_degree: dict = {}
+            for b in sorted(self.support(i)):
+                by_degree.setdefault(sum(b), []).append(b)
+            self._blocks[i] = by_degree
+        return self._blocks[i].get(t, ())
+
+    def basis(self, i: int, s) -> list:
+        """The basis in degree i of the strand s = t (with a support: of its
+        supported blocks, in strand order) or of the block s = b, kept for
+        later queries."""
+        key = (i, s)
         if key not in self.bases:
-            self.bases[key] = strand_basis(self.complex, i, t, self.extra)
+            self.bases[key] = self._basis(i, s)
         return self.bases[key]
 
-    def _basis(self, i: int, t: int) -> list:
-        """The degree-t strand basis in degree i, not kept."""
-        kept = self.bases.get((i, t))
-        return strand_basis(self.complex, i, t, self.extra) if kept is None else kept
+    def _basis(self, i: int, s) -> list:
+        """The basis of :meth:`basis`, not kept."""
+        kept = self.bases.get((i, s))
+        if kept is not None:
+            return kept
+        if self.support is None:
+            return strand_basis(self.complex, i, s, self.extra)
+        if isinstance(s, int):
+            out = [gm for b in self._pieces(i, s) for gm in self._basis(i, b)]
+            return sorted(out, key=lambda gm: (gm[0], gm[1].sort_key()))
+        mdegs = self.mdegs[i].values() if 0 <= i < len(self.mdegs) else ()
+        out = []
+        for g, m in enumerate(mdegs):
+            e = tuple(map(sub, s, m))
+            if min(e) >= 0 and not any(all(map(ge, e, k)) for k in self._kill):
+                out.append((g, Monomial(e)))
+        return out
 
     def matrix(self, i: int, t: int):
         """Scalar rows of d_i on the degree-t strand, between kept bases."""
@@ -429,83 +482,151 @@ class Homology:
 
     def strand_dims(self, t: int, lo: int, hi: int) -> dict:
         """{i: dim H_i} of the degree-t strand for lo <= i <= hi, from ranks
-        alone: dim H_i = |B_i| - r_i - r_{i+1} (dim coker d_1 for i = 0).
-        Each rank r_i is taken once per (i, t) for the life of this object.
+        alone: dim H_i = |B_i| - r_i - r_{i+1} (dim coker d_1 for i = 0),
+        summed over the pieces.  Each rank r_i is taken once per piece for
+        the life of this object.
         """
         @cache
-        def basis(j):
-            return self._basis(j, t)
+        def basis(j, s):
+            return self._basis(j, s)
 
-        def rank(j):
-            key = (j, t)
+        def rank(j, s):
+            key = (j, s)
             if key not in self.ranks:
                 self.ranks[key] = 0
-                if basis(j) and basis(j - 1):
-                    rows = strand_matrix(self.complex, j, basis(j), basis(j - 1))
+                if basis(j, s) and basis(j - 1, s):
+                    rows = strand_matrix(self.complex, j, basis(j, s), basis(j - 1, s))
                     self.ranks[key] = linalg.rank(rows, self.complex.ring.field)
             return self.ranks[key]
 
-        return {i: len(basis(i)) - rank(i) - rank(i + 1) for i in range(lo, hi + 1)}
+        return {
+            i: sum(
+                len(basis(i, s)) - rank(i, s) - rank(i + 1, s)
+                for s in self._pieces(i, t)
+            )
+            for i in range(lo, hi + 1)
+        }
 
     def dim(self, i: int, t: int) -> int:
         return self.strand_dims(t, i, i)[i]
 
-    def stratum(self, i: int, t: int) -> StrandHomology:
-        """H_i of the degree-t strand with canonical representatives (cycles
-        reduced against the boundary RREF), computed once per (i, t)."""
-        key = (i, t)
+    def stratum(self, i: int, s) -> StrandHomology:
+        """H_i of the strand s = t or the block s = b with canonical
+        representatives (cycles reduced against the boundary RREF),
+        computed once per (i, s)."""
+        key = (i, s)
         if key not in self.strata:
-            self.strata[key] = self._stratum(i, t)
+            if self.support is None or not isinstance(s, int):
+                self.strata[key] = self._stratum(i, s)
+            else:
+                self.strata[key] = self._direct_sum(i, s)
         return self.strata[key]
 
-    def _stratum(self, i: int, t: int) -> StrandHomology:
+    def _stratum(self, i: int, s) -> StrandHomology:
         C, field = self.complex, self.complex.ring.field
-        basis_i = self.basis(i, t)
+        basis_i = self.basis(i, s)
         n = len(basis_i)
         empty = linalg.EchelonForm(n, [], [], field)
         if not basis_i:
-            return StrandHomology(i, t, basis_i, 0, 0, 0, empty, empty, field)
+            return StrandHomology(i, s, basis_i, 0, 0, 0, empty, empty, field)
         if i >= 1:
-            rows = strand_matrix(C, i, basis_i, self._basis(i - 1, t))
+            rows = strand_matrix(C, i, basis_i, self._basis(i - 1, s))
             cycles = linalg.kernel_basis(rows, n, field)
         else:
             cycles = [{k: field.one} for k in range(n)]
-        basis_hi = self._basis(i + 1, t)
+        basis_hi = self._basis(i + 1, s)
         bound = empty
         if basis_hi:
             rows_up = strand_matrix(C, i + 1, basis_hi, basis_i)
             bcols = linalg.rows_from_columns(rows_up, len(basis_hi))
             bound = linalg.echelon(bcols, n, field)
         # the two eliminations give r_i = |B_i| - dim Z_i and r_{i+1} = dim B_i
-        self.ranks[(i, t)] = n - len(cycles)
-        self.ranks[(i + 1, t)] = bound.rank
+        self.ranks[(i, s)] = n - len(cycles)
+        self.ranks[(i + 1, s)] = bound.rank
         reduced = [v for v in map(bound.reduce, cycles) if v]
         classes = linalg.echelon(reduced, n, field) if reduced else empty
         return StrandHomology(
-            i, t, basis_i, classes.rank, len(cycles), bound.rank, classes, bound,
+            i, s, basis_i, classes.rank, len(cycles), bound.rank, classes, bound,
             field,
         )
 
-    def strand_index(self, i: int, t: int) -> dict:
-        """{(key, monomial): column} of the degree-t strand in degree i,
-        built once per (i, t)."""
-        key = (i, t)
+    def _direct_sum(self, i: int, t: int) -> StrandHomology:
+        """The stratum of the supported blocks of the degree-t strand.
+
+        The RREF of a direct sum on disjoint coordinates is the union of
+        the RREFs of its summands, so these are the representatives and
+        boundaries of the whole strand (where the skipped blocks carry no
+        homology), ordered by pivot in strand order."""
+        field = self.complex.ring.field
+        basis = self.basis(i, t)
+        col = {gm: k for k, gm in enumerate(basis)}
+        blocks = [self.stratum(i, b) for b in self._pieces(i, t)]
+
+        def union(forms):
+            rows = sorted(
+                (
+                    (col[sh.basis[p]], {col[sh.basis[c]]: v for c, v in row.items()})
+                    for sh, ech in forms
+                    for p, row in zip(ech.pivots, ech.rows)
+                ),
+                key=itemgetter(0),
+            )
+            return linalg.EchelonForm(
+                len(basis), [p for p, _ in rows], [row for _, row in rows], field
+            )
+
+        classes = union((sh, sh._classes) for sh in blocks)
+        bound = union((sh, sh._boundaries) for sh in blocks)
+        return StrandHomology(
+            i, t, basis, classes.rank, sum(sh.cycle_dim for sh in blocks),
+            bound.rank, classes, bound, field,
+        )
+
+    def strand_index(self, i: int, s) -> dict:
+        """{(key, monomial): column} of the strand or block s in degree i,
+        built once per (i, s)."""
+        key = (i, s)
         if key not in self.indexes:
-            basis = self.basis(i, t)
+            basis = self.basis(i, s)
             if self.keys is not None:
                 basis = [(self.keys[i][g], m) for g, m in basis]
             self.indexes[key] = {bm: col for col, bm in enumerate(basis)}
         return self.indexes[key]
 
+    def _coords(self, i: int, t: int, x: dict) -> dict:
+        """{s: coordinates}: x on the degree-t strand s = t, except that,
+        with a support, a term in a skipped block b goes to s = b."""
+        if self.support is None:
+            return {t: k_coords(x, self.strand_index(i, t))}
+        mdegs, kept = self.mdegs[i], set(self._pieces(i, t))
+        out: dict = {t: {}}
+        for key, p in x.items():
+            for mono, c in p.term_dict().items():
+                b = tuple(map(add, mdegs[key], mono.exps))
+                if sum(b) != t:
+                    raise KeyError((key, mono))
+                s = t if b in kept else b
+                out.setdefault(s, {})[self.strand_index(i, s)[(key, mono)]] = c
+        return out
+
     def express(self, i: int, t: int, x: dict):
         """Coordinates of the class of a cycle in the canonical basis, or
-        None if it is not a cycle class."""
-        return self.stratum(i, t).express(k_coords(x, self.strand_index(i, t)))
+        None if it is not a cycle class.  A part of x in a skipped block
+        has no class, but it must still be a cycle, so that block is
+        eliminated on demand."""
+        parts = self._coords(i, t, x)
+        for s, vec in parts.items():
+            if s != t and self.stratum(i, s).express(vec) is None:
+                return None
+        return self.stratum(i, t).express(parts[t])
 
     def is_boundary(self, i: int, t: int, x: dict) -> bool:
         if not x:
             return True
-        return self.stratum(i, t).is_boundary(k_coords(x, self.strand_index(i, t)))
+        return all(
+            self.stratum(i, s).is_boundary(vec)
+            for s, vec in self._coords(i, t, x).items() if vec
+        )
 
 
 def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:

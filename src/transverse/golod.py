@@ -11,7 +11,7 @@ from . import linalg
 from .complexes import GradedFreeComplex, Homology, resolves_k_failures
 from .errors import CertificationError, DomainError
 from .exterior import KElement, k_axpy, k_diff, k_element, k_wedge, k_with_ring
-from .ideals import MonomialIdeal, ideal_product, is_transverse
+from .ideals import MonomialIdeal, ideal_product, is_transverse, lcm_lattice
 from .poly import Ring
 from .resolutions import betti_numbers, koszul_on_variables, twisted_koszul
 
@@ -37,7 +37,10 @@ class KoszulHomology(Homology):
 
     Strand homology objects are cached per (i, t) so classes can be
     re-expressed in the canonical basis later (boundary tests, Kunneth
-    matrices, product triviality checks).
+    matrices, product triviality checks).  Only the multidegree blocks in
+    the lcm lattice L_I are eliminated: H_i(K (x) R/I)_b = Tor_i(R/I, k)_b,
+    which the Taylor resolution computes, vanishes unless b is in L_I
+    (Gasharov-Peeva-Welker, "The lcm-lattice in monomial resolutions", 1999).
     """
 
     def __init__(self, I: MonomialIdeal):
@@ -47,7 +50,8 @@ class KoszulHomology(Homology):
         if ring.modulus:
             raise DomainError("expected an ideal over the ambient polynomial ring")
         K = koszul_on_variables(ring)
-        super().__init__(K, I, K.meta["subsets"])
+        lattice = lcm_lattice(I)
+        super().__init__(K, I, K.meta["subsets"], lambda i: lattice)
         # the lcm-lattice Betti numbers pin the exact (i, t) support of the
         # homology; strand elimination then recomputes each dimension
         # independently and the two pipelines must agree on the nose

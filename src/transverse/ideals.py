@@ -91,6 +91,15 @@ def is_transverse(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     return ideal_intersection(I, J).gens == ideal_product(I, J).gens
 
 
+def lcm_lattice(I: MonomialIdeal) -> frozenset:
+    """The lcm lattice L_I: the exponent vectors of the lcms of all subsets
+    of the generators, the empty lcm 1 included."""
+    out = {(0,) * I.ring.nvars}
+    for g in I.gens:
+        out |= {tuple(map(max, m, g.exps)) for m in out}
+    return frozenset(out)
+
+
 def transversality_witness(I: MonomialIdeal, J: MonomialIdeal):
     """A minimal generator of the intersection outside the product, if any."""
     prod = ideal_product(I, J)

@@ -12,14 +12,18 @@ subspace is the obstruction to DG-module structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import add
 
 from . import linalg
 from .complexes import GradedFreeComplex, Homology, resolves_k_failures
 from .errors import CertificationError, DomainError
 from .exterior import KElement, k_wedge, k_with_ring
 from .golod import KoszulHomology
-from .ideals import MonomialIdeal, ideal_product, is_transverse, regular_sequence
+from .ideals import (
+    MonomialIdeal, ideal_product, is_transverse, lcm_lattice, regular_sequence,
+)
 from .poly import Monomial, Polynomial, Ring
 from .resolutions import betti_numbers, twisted_koszul
 
@@ -31,6 +35,14 @@ def _tate_cycle(ring: Ring, a: Monomial) -> KElement:
     exps = [0] * ring.nvars
     exps[i] = 1
     return {(i,): Polynomial.from_monomial(ring, a.divide(Monomial(tuple(exps))))}
+
+
+def _sequence_mdeg(tate, c) -> tuple:
+    """sum_j c_j mdeg(a_j) over the sequence a of ``tate``."""
+    return tuple(
+        sum(cj * a.exps[k] for cj, a in zip(c, tate.sequence))
+        for k in range(tate.ring.nvars)
+    )
 
 
 @dataclass
@@ -97,15 +109,49 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
 
 
 class QuotientTor(Homology):
-    """Strand homology data of T (x)_S R/M with cached strata."""
+    """Strand homology data of T (x)_S R/M with cached strata.
+
+    Only the multidegree blocks b = m + sum_j c_j mdeg(a_j) with m in the
+    lcm lattice L_M, c_j >= 0 and 2 sum_j c_j <= i are eliminated in
+    degree i: R/M has the S-free resolution F (x) D(y_1..y_c), F the
+    R-free resolution of R/M (generators in L_M) and y_j of homological
+    degree 2 and multidegree mdeg(a_j) (Shamash, J. Algebra 12, 1969;
+    Eisenbud, "Homological algebra on a complete intersection", Trans. AMS
+    260, 1980), so Tor_i^S(R/M, k)_b vanishes off these blocks.
+    """
 
     def __init__(self, tate: TateComplex, M: MonomialIdeal):
         for a in tate.sequence:
             if not M.contains(a):
                 raise DomainError("the regular sequence must lie in M")
-        super().__init__(tate.complex, M, tate.basis)
+        lattice = lcm_lattice(M)
+
+        def support(i):
+            out = set()
+            for c in product(range(i // 2 + 1), repeat=len(tate.sequence)):
+                if 2 * sum(c) <= i:
+                    shift = _sequence_mdeg(tate, c)
+                    out |= {tuple(map(add, m, shift)) for m in lattice}
+            return out
+
+        super().__init__(tate.complex, M, tate.basis, support)
         self.tate = tate
         self.M = M
+
+    @cached_property
+    def mdegs(self) -> list[dict]:
+        """e_T y^(m) has multidegree 1_T + sum_j m_j mdeg(a_j), read off the
+        key (T, m): over S a linear a_j kills its variable x_k, so the
+        differential does not fix the multidegree of e_k."""
+        return [
+            {
+                (T, m): tuple(
+                    int(k in T) + e for k, e in enumerate(_sequence_mdeg(self.tate, m))
+                )
+                for T, m in level
+            }
+            for level in self.keys
+        ]
 
     def express(self, i: int, t: int, x: KElement):
         """Coordinates, in the canonical basis, of the class of an exterior

@@ -5,6 +5,7 @@ Betti oracle and Tor dimensions read off the minimal resolution."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
@@ -51,8 +52,10 @@ def koszul_complex(elements: list[Polynomial]) -> GradedFreeComplex:
     )
 
 
+@lru_cache(maxsize=16)
 def koszul_on_variables(ring: Ring) -> GradedFreeComplex:
-    """The Koszul complex resolving the residue field over ``ring``."""
+    """The Koszul complex resolving the residue field over ``ring``, built
+    once per ring (complexes are immutable)."""
     return koszul_complex(ring.variables())
 
 

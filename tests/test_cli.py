@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -397,3 +400,33 @@ def test_resolve_staircase_rendered(capsys, tmp_path):
     # three data rows for Koszul(x1,x2): header, totals, single j-row
     block = [l for l in out.splitlines() if l.strip().startswith(("0", "total", "0:"))]
     assert any("1  2  1" in l.replace("  ", " ") or l.split()[-3:] == ["1", "2", "1"] for l in out.splitlines())
+
+
+def test_koszul_homology_of_a_high_power_enumerates_no_degree(tmp_path):
+    # the one block of H_1 is b = (99999, 0, 0); whole strands of degree
+    # 99999 in 3 variables would take minutes, so a regression fails on the
+    # timeout instead of holding the job
+    path = tmp_path / "job.json"
+    doc = job("koszul-homology", {"ideal": "I"}, ideals={"I": ["x1^99999"]},
+              ring={"vars": ["x1", "x2", "x3"], "field": "rational"})
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from transverse import cli, complexes, ideals, poly\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('monomials_of_degree called')\n"
+        "for module in (complexes, ideals, poly):\n"
+        "    module.monomials_of_degree = refuse\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["graded_dims"] == {"1,99999": 1}

@@ -445,13 +445,21 @@ class TestStrandEngine:
 class TestHomology:
     def test_stratum_is_cached(self, R4, flagship):
         from transverse.complexes import Homology
+        from transverse.ideals import lcm_lattice
         from transverse.resolutions import koszul_on_variables
 
         K = koszul_on_variables(R4)
-        H = Homology(K, ideal_product(*flagship), K.meta["subsets"])
+        IJ = ideal_product(*flagship)
+        lattice = lcm_lattice(IJ)
+        H = Homology(K, IJ, K.meta["subsets"], lambda i: lattice)
         sh = H.stratum(2, 3)
         assert H.stratum(2, 3) is sh
-        assert H.strata == {(2, 3): sh}
+        # the strand is the direct sum of its blocks in the lcm lattice, and
+        # each block is kept once
+        blocks = sorted(b for b in lattice if sum(b) == 3)
+        assert len(blocks) == 4
+        assert set(H.strata) == {(2, 3)} | {(2, b) for b in blocks}
+        assert sh.dim == sum(H.strata[(2, b)].dim for b in blocks) > 0
 
     def test_subclasses_share_the_one_cache(self):
         from transverse.golod import KoszulHomology
@@ -479,25 +487,18 @@ class TestOneStrandEngine:
 
     @staticmethod
     def record_strand_matrices(monkeypatch):
-        """Wrap strand_basis and strand_matrix; returns the (complex, Q, i, t)
-        of every strand matrix assembled and of every one ranked."""
+        """Wrap strand_matrix; returns the (complex, i, upper basis, lower
+        basis) of every strand or block matrix assembled and of every one
+        ranked."""
         from transverse import complexes, linalg
 
         keep, key_of, built, ranked = [], {}, [], []
-        basis, matrix, rank = (
-            complexes.strand_basis, complexes.strand_matrix, linalg.rank
-        )
-
-        def traced_basis(C, i, t, extra=()):
-            out = basis(C, i, t, extra)
-            keep.append(out)
-            key_of[id(out)] = (id(C), complexes._extra_gens(extra), i, t)
-            return out
+        matrix, rank = complexes.strand_matrix, linalg.rank
 
         def traced_matrix(C, i, basis_hi, basis_lo):
             rows = matrix(C, i, basis_hi, basis_lo)
             keep.append(rows)
-            key_of[id(rows)] = key_of[id(basis_hi)]
+            key_of[id(rows)] = (id(C), i, tuple(basis_hi), tuple(basis_lo))
             built.append(key_of[id(rows)])
             return rows
 
@@ -506,7 +507,6 @@ class TestOneStrandEngine:
                 ranked.append(key_of[id(rows)])
             return rank(rows, field)
 
-        monkeypatch.setattr(complexes, "strand_basis", traced_basis)
         monkeypatch.setattr(complexes, "strand_matrix", traced_matrix)
         monkeypatch.setattr(linalg, "rank", traced_rank)
         return built, ranked
@@ -521,9 +521,10 @@ class TestOneStrandEngine:
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
         rep = avramov_obstruction(a, M, 6)
         assert rep.nonzero_degrees() == [4]
-        # 83 strands, each assembled and eliminated once: the Tor^S
-        # dimensions read the ranks that the change-of-rings strata stored
-        assert len(built) == 83 and len(set(built)) == 83
+        # 197 strand and block matrices, each assembled and eliminated once:
+        # the Tor^S dimensions read the ranks that the change-of-rings
+        # strata stored
+        assert len(built) == 197 and len(set(built)) == 197
         assert ranked and set(ranked) < set(built)
 
     def test_probe_assembles_no_strand(self, monkeypatch):
@@ -559,9 +560,9 @@ class TestOneStrandEngine:
         built: dict = {}
         index = Homology.strand_index
 
-        def traced_index(self, i, t):
-            out = index(self, i, t)
-            built.setdefault((id(self), i, t), []).append(out)
+        def traced_index(self, i, s):
+            out = index(self, i, s)
+            built.setdefault((id(self), i, s), []).append(out)
             return out
 
         monkeypatch.setattr(Homology, "strand_index", traced_index)
@@ -570,6 +571,33 @@ class TestOneStrandEngine:
         assert any(len(calls) > 1 for calls in built.values())
         for calls in built.values():
             assert all(c is calls[0] for c in calls)
+        # every Kunneth image lies in the blocks of the lcm lattice of IJ,
+        # so only the direct sums of those blocks are indexed, no skipped
+        # block
+        assert all(isinstance(s, int) for _, _, s in built)
+
+    def test_kunneth_job_builds_one_koszul_complex(self, monkeypatch):
+        from transverse import resolutions
+        from transverse.cli import cmd_dispatch, parse_input
+
+        built = []
+        koszul = resolutions.koszul_complex
+
+        def traced(elements):
+            built.append(len(elements))
+            return koszul(elements)
+
+        monkeypatch.setattr(resolutions, "koszul_complex", traced)
+        resolutions.koszul_on_variables.cache_clear()
+        doc = {
+            "ring": {"vars": ["x1", "x2", "x3", "x4", "x5"]},
+            "ideals": {"I": ["x1^2", "x1*x2", "x2*x3"], "J": ["x4^2", "x4*x5"]},
+            "command": "kunneth-verify",
+            "args": {"left": "I", "right": "J"},
+        }
+        _, code = cmd_dispatch(parse_input(doc))
+        # the Koszul homologies of I, J and IJ share one Koszul complex
+        assert code == 0 and built == [5]
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
     @pytest.mark.parametrize("strata_first", [True, False])

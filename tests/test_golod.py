@@ -149,6 +149,14 @@ class TestTorIndependence:
         assert not tor_independence(I, I)
         assert (1, 1) in tor_dims(I, I)
 
+    def test_tor_lives_off_the_lattice_sums(self, Rxy):
+        # Tor_1(R/(x), R/(x)) = (x)/(x^2) = x k[y] has a class in every
+        # degree t >= 1, so Tor over R, unlike Tor(-, k), has no support in
+        # the sums m + m' of L_I + L_J = {1, x, x^2}: tor_dims keeps whole
+        # strands
+        I = ideal(Rxy, "x")
+        assert tor_dims(I, I, 6) == {(1, t): 1 for t in range(1, 7)}
+
     def test_matches_transversality(self, R4):
         rng = random.Random(2718)
         tested = 0

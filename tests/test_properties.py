@@ -3,12 +3,16 @@
 The examples are derandomized, so every run draws the same ideals.
 """
 
+from operator import add
+
 from hypothesis import given, settings, strategies as st
 
-from transverse.complexes import betti_table
+from transverse.complexes import Homology, betti_table
+from transverse.exterior import k_element
 from transverse.fields import QQ, PrimeField
 from transverse.golod import KoszulHomology
-from transverse.ideals import MonomialIdeal
+from transverse.ideals import MonomialIdeal, lcm_lattice
+from transverse.obstructions import QuotientTor, tate_resolution
 from transverse.poly import Monomial, Ring
 from transverse.resolutions import betti_numbers, minimal_resolution
 
@@ -33,3 +37,101 @@ def test_lattice_taylor_and_koszul_totals_agree(I):
     koszul = KoszulHomology(I).dims()
     assert lattice == taylor
     assert {i: v for i, v in enumerate(lattice) if i >= 1} == koszul
+
+
+# ---------------------------------------------------------------------------
+# multidegree blocks: a supported Homology against the full strands
+
+
+@st.composite
+def guard_ideals(draw):
+    """A nonzero proper monomial ideal in at most 4 variables over QQ or
+    GF(32003), given by at most 4 nonconstant monomials."""
+    nvars = draw(st.integers(1, 4))
+    field = draw(st.sampled_from([QQ, PrimeField(32003)]))
+    ring = Ring(tuple(f"x{i + 1}" for i in range(nvars)), field)
+    exps = st.tuples(*[st.integers(0, 2)] * nvars).filter(any)
+    gens = draw(st.lists(exps, min_size=1, max_size=4))
+    return MonomialIdeal(ring, tuple(Monomial(e) for e in gens))
+
+
+@st.composite
+def regular_sequence_cases(draw):
+    """(a, M): a monomial regular sequence (pairwise disjoint supports,
+    linear entries included) and an ideal M containing it."""
+    I = draw(guard_ideals())
+    ring, n = I.ring, I.ring.nvars
+    # owner[k] = j puts x_k into a_j; -1 leaves it out of the sequence
+    owner = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+                 .filter(lambda o: max(o) >= 0))
+    powers = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    seq = [
+        Monomial(tuple(e if o == j else 0 for o, e in zip(owner, powers)))
+        for j in sorted(set(owner) - {-1})
+    ]
+    return seq, MonomialIdeal(ring, I.gens + tuple(seq))
+
+
+def assert_blocks_match_strands(H, levels, degrees):
+    """H against a Homology of the same complex, Q and keys on full
+    strands: dims, keyed representatives and express/is_boundary agree, and
+    every block the support skips has zero homology."""
+    ring = H.complex.ring
+    Q = H.extra
+    full = Homology(H.complex, Q, H.keys)
+
+    def keyed(G, i, basis):
+        return [(G.keys[i][g], m) for g, m in basis]
+
+    for i in levels:
+        for t in degrees:
+            assert H.dim(i, t) == full.dim(i, t), (i, t)
+            sh, ref = H.stratum(i, t), full.stratum(i, t)
+            got = [k_element(v, keyed(H, i, sh.basis), ring)
+                   for v in sh.representatives]
+            want = [k_element(v, keyed(full, i, ref.basis), ring)
+                    for v in ref.representatives]
+            assert got == want, (i, t)
+            full_basis = keyed(full, i, ref.basis)
+            # unit vectors, most of them in skipped blocks and not cycles
+            step = max(1, len(full_basis) // 10)
+            vecs = [{c: ring.field.one} for c in range(0, len(full_basis), step)]
+            bounds = ref._boundaries.rows
+            vecs += ref.representatives + bounds[:3]
+            combo: dict = {}
+            for v in ref.representatives + bounds:
+                for c, a in v.items():
+                    combo[c] = combo.get(c, 0) + a
+            vecs.append({c: a for c, a in combo.items() if a})
+            for v in vecs:
+                x = k_element(v, full_basis, ring)
+                # the base method: QuotientTor.express takes exterior
+                # elements, and x is keyed by the Tate basis
+                assert Homology.express(H, i, t, x) == Homology.express(
+                    full, i, t, x
+                )
+                assert H.is_boundary(i, t, x) == full.is_boundary(i, t, x)
+            kept = set(H._pieces(i, t))
+            for key, m in full_basis:
+                b = tuple(map(add, H.mdegs[i][key], m.exps))
+                if b not in kept:
+                    assert H.stratum(i, b).dim == 0, (i, b)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(guard_ideals())
+def test_koszul_blocks_match_full_strands(I):
+    H = KoszulHomology(I)
+    top = max(sum(b) for b in lcm_lattice(I))
+    assert_blocks_match_strands(H, range(H.complex.length + 1), range(top + 2))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(regular_sequence_cases())
+def test_quotient_tor_blocks_match_full_strands(case):
+    a, M = case
+    n_max = 3
+    qt = QuotientTor(tate_resolution(a, M.ring, n_max), M)
+    D = qt.tate.complex.max_degree() + M.max_gen_degree() + 1
+    # the top level is cut by the truncation, not by boundaries
+    assert_blocks_match_strands(qt, range(n_max), range(D + 1))
