@@ -2,9 +2,11 @@
 
 A :class:`GradedFreeComplex` stores, per homological degree, the internal
 degrees of the free generators, plus sparse homogeneous polynomial
-differentials.  All homology is computed on strands: the internal-degree-t
-slice of ``C (x) R/Q`` is a finite complex of vector spaces whose
-differentials are exact scalar matrices.
+differentials.  All homology is computed on strands or on their multidegree
+blocks: the internal-degree-t slice of ``C (x) R/Q``, or its multidegree-b
+slice, is a finite complex of vector spaces whose differentials are exact
+scalar matrices.  Exactness in every multidegree is certified on finitely
+many cells, one block each.
 
 Sign convention for tensor products: d(f (x) g) = d(f) (x) g + (-1)^|f| f (x) d(g),
 the left factor carrying the sign.
@@ -12,15 +14,17 @@ the left factor carrying the sign.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import product
 from operator import add, ge, itemgetter, sub
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
 from .exterior import k_acc, k_coords
 from .fields import field_to_json
-from .ideals import MonomialIdeal, degree_basis_mod_ideal
+from .ideals import MonomialIdeal
 from .poly import Monomial, PolyMatrix, monomials_of_degree
 
 
@@ -134,23 +138,39 @@ def multidegrees(C: GradedFreeComplex) -> list[list[tuple[int, ...]]]:
 
     C_0 = R sits in multidegree 0.  Each entry of d_i must be one term
     c x^a, and then a generator of C_i has the multidegree of its row plus
-    a; every entry of its column must agree on it.  Raises DomainError for
-    a multi-term entry, a disagreeing column or a column with no entry.
+    a; every entry of its column must agree on it.  A generator whose
+    column is zero takes its multidegree from its row in d_{i+1}: an entry
+    c x^a there, in a column another row fixes at m, puts it at m - a.
+    Raises DomainError for a multi-term entry, a disagreeing column or a
+    generator that no entry fixes.
     """
+
+    def exps(i, r, c, p):
+        terms = p.term_dict()
+        if len(terms) != 1:
+            raise DomainError(f"d_{i}[{r},{c}] = {p} is not a single term")
+        return next(iter(terms)).exps
+
     zero = (0,) * C.ring.nvars
     out = [[zero] * C.rank(0)]
     for i in range(1, C.length + 1):
         rows = out[i - 1]
         level: list = [None] * C.rank(i)
         for (r, c), p in C.diff(i).entries.items():
-            terms = p.term_dict()
-            if len(terms) != 1:
-                raise DomainError(f"d_{i}[{r},{c}] = {p} is not a single term")
-            m = tuple(map(add, rows[r], next(iter(terms)).exps))
+            m = tuple(map(add, rows[r], exps(i, r, c, p)))
             if level[c] is None:
                 level[c] = m
             elif level[c] != m:
                 raise DomainError(f"d_{i} column {c} disagrees on its multidegree")
+        if None in level and i < C.length:
+            up = sorted(C.diff(i + 1).entries.items())
+            above: dict = {}
+            for (r, c), p in up:
+                if level[r] is not None and c not in above:
+                    above[c] = tuple(map(add, level[r], exps(i + 1, r, c, p)))
+            for (r, c), p in up:
+                if level[r] is None and c in above:
+                    level[r] = tuple(map(sub, above[c], exps(i + 1, r, c, p)))
         for c, m in enumerate(level):
             if m is None:
                 raise DomainError(
@@ -414,10 +434,13 @@ class Homology:
     asked for and the keyed index of each piece an element is expressed
     in, with the bases of those two; it keeps no matrix.  A strand is keyed
     (i, t) and a block (i, b).  ``keys[i][g]`` names generator g of C_i
-    (g itself when ``keys`` is None).
+    (g itself when ``keys`` is None); ``mdegs[i][g]`` is its multidegree,
+    read off the differentials by :func:`multidegrees` when None.
     """
 
-    def __init__(self, C: GradedFreeComplex, Q=None, keys=None, support=None):
+    def __init__(
+        self, C: GradedFreeComplex, Q=None, keys=None, support=None, mdegs=None
+    ):
         self.complex = C
         self.keys = keys
         self.extra = _extra_gens(Q)
@@ -428,6 +451,7 @@ class Homology:
         self.bases: dict = {}  # the bases of the strata and indexes
         self._blocks: dict = {}  # i -> {t: the supported blocks of degree t}
         self._kill = [g.exps for g in C.ring.modulus + self.extra]
+        self._mdegs = mdegs
 
     @cached_property
     def mdegs(self) -> list[dict]:
@@ -436,7 +460,8 @@ class Homology:
         keys = self.keys
         if keys is None:
             keys = [range(C.rank(i)) for i in range(C.length + 1)]
-        return [dict(zip(k, m)) for k, m in zip(keys, multidegrees(C))]
+        mdegs = self._mdegs if self._mdegs is not None else multidegrees(C)
+        return [dict(zip(k, m)) for k, m in zip(keys, mdegs)]
 
     def _pieces(self, i: int, t: int):
         """The pieces of the degree-t strand in degree i."""
@@ -463,9 +488,9 @@ class Homology:
         kept = self.bases.get((i, s))
         if kept is not None:
             return kept
-        if self.support is None:
-            return strand_basis(self.complex, i, s, self.extra)
         if isinstance(s, int):
+            if self.support is None:
+                return strand_basis(self.complex, i, s, self.extra)
             out = [gm for b in self._pieces(i, s) for gm in self._basis(i, b)]
             return sorted(out, key=lambda gm: (gm[0], gm[1].sort_key()))
         mdegs = self.mdegs[i].values() if 0 <= i < len(self.mdegs) else ()
@@ -509,6 +534,102 @@ class Homology:
 
     def dim(self, i: int, t: int) -> int:
         return self.strand_dims(t, i, i)[i]
+
+    def cells(self, levels, points=()) -> list:
+        """One point of each cell on which the blocks of the C_i, i in
+        ``levels``, are constant: each the lower corner of its cell.
+
+        The block of C_i at b is spanned by the generators present there
+        (m_g <= b and x^(b - m_g) not in Q), with the scalars of d as
+        matrix entries, so it changes only where b_k crosses a threshold
+        m_g[k] + q[k], q in gens(Q) or q = 0; the cells are the boxes of
+        that grid.  Over R the block at b is the block at lcm{m_g : m_g <=
+        b}, and the cells are the points of the lcm-closure of the m_g
+        (Bayer-Sturmfels, "Cellular resolutions of monomial modules", 1998;
+        Miller-Sturmfels, Ch. 4).  ``points`` are further multidegrees
+        that split the cells as generators would.  In both cases the cell
+        of b is the largest cell point <= b, when there is one; otherwise
+        no generator is present at b.
+        """
+        pts = {m for i in levels for m in self.mdegs[i].values()}
+        pts.update(points)
+        if not self._kill:
+            out: set = set()
+            for p in sorted(pts):
+                out |= {tuple(map(max, p, c)) for c in out}
+                out.add(p)
+            return sorted(out)
+        shifts = [(0,) * self.complex.ring.nvars, *self._kill]
+        axes = [
+            sorted({p[k] + q[k] for p in pts for q in shifts})
+            for k in range(self.complex.ring.nvars)
+        ]
+        return list(product(*axes))
+
+    def cell_failures(self, lo: int, hi: int, points=()) -> list:
+        """(i, b, dim H_i) for lo <= i <= hi wherever H_i is nonzero on a
+        cell of :meth:`cells`, b its lower corner, ordered by (i, |b|, b).
+
+        H_i is constant on each cell, so this is H_i in every multidegree.
+        Which generators are present at b is read off bitsets per
+        variable; the rank of d_i on a block depends only on the
+        generators present in degrees i and i - 1, and is taken once per
+        such pair on the block basis.
+        """
+        C, field = self.complex, self.complex.ring.field
+        levels = range(max(lo - 1, 0), min(hi + 1, C.length) + 1)
+        gens = [m for i in levels for m in self.mdegs[i].values()]
+        spans, start = {}, 0
+        for i in levels:
+            spans[i] = (start, (1 << len(self.mdegs[i])) - 1)
+            start += len(self.mdegs[i])
+        # per variable k: the values of m_g[k] and, at each, the generators
+        # g with m_g[k] at most that value
+        axes = []
+        for k in range(C.ring.nvars):
+            vals, masks, acc = [], [], 0
+            for v, g in sorted((m[k], g) for g, m in enumerate(gens)):
+                acc |= 1 << g
+                if vals and vals[-1] == v:
+                    masks[-1] = acc
+                else:
+                    vals.append(v)
+                    masks.append(acc)
+            axes.append((vals, masks))
+
+        def below(c):
+            out = (1 << len(gens)) - 1
+            for (vals, masks), v in zip(axes, c):
+                j = bisect_right(vals, v)
+                if not j:
+                    return 0
+                out &= masks[j - 1]
+            return out
+
+        ranks: dict = {}  # (j, present in C_j, present in C_{j-1}) -> rank
+
+        def rank(j, b, bits):
+            key = (j, bits.get(j, 0), bits.get(j - 1, 0))
+            if key not in ranks:
+                ranks[key] = 0
+                if key[1] and key[2]:
+                    rows = strand_matrix(C, j, self._basis(j, b), self._basis(j - 1, b))
+                    ranks[key] = linalg.rank(rows, field)
+            return ranks[key]
+
+        failures = []
+        for b in self.cells(levels, points):
+            present = below(b)
+            for q in self._kill:
+                if present:
+                    present &= ~below(tuple(map(sub, b, q)))
+            bits = {i: present >> s & full for i, (s, full) in spans.items()}
+            for i in range(lo, hi + 1):
+                dim = bits.get(i, 0).bit_count()
+                dim -= rank(i, b, bits) + rank(i + 1, b, bits)
+                if dim:
+                    failures.append((i, b, dim))
+        return sorted(failures, key=lambda f: (f[0], sum(f[1]), f[1]))
 
     def stratum(self, i: int, s) -> StrandHomology:
         """H_i of the strand s = t or the block s = b with canonical
@@ -641,37 +762,26 @@ def strand_homology_dim(C: GradedFreeComplex, Q, t: int, i: int) -> int:
     return Homology(C, Q).dim(i, t)
 
 
-def resolution_failures(C: GradedFreeComplex, top: int, D: int, hilbert):
-    """Where C fails to resolve a module M on the strands t <= D.
-
-    Returns ``(strand_failures, coker_failures)``, both ordered by t, then i:
-    (i, t, dim H_i) for each 1 <= i <= top with H_i != 0, and
-    (t, dim coker d_1, hilbert(t)) wherever coker d_1 misses M's Hilbert
-    function ``hilbert``.
-    """
-    H = Homology(C)
-    strand_failures, coker_failures = [], []
-    for t in range(0, D + 1):
-        dims = H.strand_dims(t, 0, top)
-        strand_failures += [(i, t, dims[i]) for i in range(1, top + 1) if dims[i]]
-        want = hilbert(t)
-        if dims[0] != want:
-            coker_failures.append((t, dims[0], want))
-    return strand_failures, coker_failures
-
-
-def resolves_k_failures(C: GradedFreeComplex, top: int, D: int):
-    """The "C resolves the residue field" certificate on the strands t <= D.
+def resolves_k_failures(C: GradedFreeComplex, top: int, mdegs=None):
+    """The "C resolves the residue field" certificate, in every multidegree.
 
     Returns ``(validation, minimal, strand_failures, coker_failures)``: the
-    d o d = 0 and homogeneity report, whether C is minimal, and the failures
-    of :func:`resolution_failures` for H_i, 1 <= i <= top, and coker d_1 = k,
-    the strand failures ordered by (i, t).
+    d o d = 0 and homogeneity report, whether C is minimal, the cells
+    (i, b, dim H_i) where H_i != 0 for 1 <= i <= top, and the cells
+    (b, dim coker d_1, dim k_b) where coker d_1 is not k, both from
+    :meth:`Homology.cell_failures`.  The unit vectors split the cells so
+    that the origin is a cell of its own.  ``mdegs`` are the generator
+    multidegrees, read off the differentials when None.
     """
-    strand_failures, coker_failures = resolution_failures(
-        C, top, D, lambda t: int(t == 0)
-    )
-    strand_failures.sort()
+    n = C.ring.nvars
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    failures = Homology(C, mdegs=mdegs).cell_failures(0, top, units)
+    zero = (0,) * n
+    h0 = {b: d for i, b, d in failures if i == 0}
+    coker_failures = [(b, d, 0) for b, d in h0.items() if b != zero]
+    if h0.get(zero, 0) != 1:
+        coker_failures.insert(0, (zero, h0.get(zero, 0), 1))
+    strand_failures = [f for f in failures if f[0] >= 1]
     return validate_complex(C), is_minimal(C), strand_failures, coker_failures
 
 
@@ -748,10 +858,9 @@ class ResolutionCertificate:
     plus the three clauses of :func:`verify_resolution`."""
 
     ideal: MonomialIdeal
-    bound: int
     validation: ValidationReport  # d o d = 0 and homogeneity
-    strand_failures: list  # (i, t, dim H_i)
-    coker_failures: list  # (t, got, want)
+    strand_failures: list  # (i, b, dim H_i) per failing cell
+    coker_failures: list  # (b, dim coker d_1, dim (R/I)_b)
     betti_ok: bool
     betti_got: BettiTable
     betti_want: BettiTable
@@ -773,7 +882,7 @@ class ResolutionCertificate:
         lines = [
             "d o d = 0 and homogeneous: "
             + ("PASS" if self.validation.ok else f"FAIL: {self.validation.problems}"),
-            f"strand exactness (t <= {self.bound}): "
+            "exactness in every multidegree: "
             + ("PASS" if self.exactness_ok else f"FAIL at {self.strand_failures[:3]}"),
             "cokernel of d_1 matches R/I: "
             + ("PASS" if self.coker_ok else f"FAIL at {self.coker_failures[:3]}"),
@@ -783,33 +892,47 @@ class ResolutionCertificate:
         return "\n".join(lines)
 
 
-def verify_resolution(
-    C: GradedFreeComplex, I: MonomialIdeal, D: int | None = None
-) -> ResolutionCertificate:
-    """Certify that C is a free resolution of R/I.
+def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCertificate:
+    """Certify that C is a free resolution of R/I, in every multidegree.
 
     C must be a complex: :func:`validate_complex` finds d o d = 0 and every
-    entry homogeneous.  Without that, ranks give no homology and the strand
-    clauses prove nothing.
-    Clause (a): every strand H_i vanishes for 1 <= i <= length, 0 <= t <= D.
-    Clause (b): coker(d_1) has the Hilbert function of R/I up to D.
+    entry homogeneous.  Without that, ranks give no homology and the
+    exactness clause proves nothing.
+    Clause (a): H_i = 0 for 1 <= i <= length on every cell of
+    :meth:`Homology.cells`, hence in every multidegree.
+    Clause (b): coker d_1 = R/I: C_0 is R in degree 0 and the monomials of
+    the entries of d_1 generate I.  A failure is (b, dim coker d_1, dim
+    (R/I)_b) at each minimal generator b of one ideal outside the other,
+    or (0, the degrees of C_0, (0,)) when C_0 is not R.
     Clause (c): the minimized Betti table equals the graded Betti numbers of
-    R/I computed independently from the lcm lattice of I — the oracle that
-    makes the finite strand check a sound certificate.
+    R/I computed independently from the lcm lattice of I, a cross-check
+    that shares no code with (a).
+    Raises DomainError when C is not Z^n-graded (see :func:`multidegrees`).
     """
     from .resolutions import betti_numbers, minimize_complex
 
-    if D is None:
-        D = C.max_degree() + 2
-    strand_failures, coker_failures = resolution_failures(
-        C, C.length, D, lambda t: len(degree_basis_mod_ideal(I, t))
-    )
+    strand_failures = Homology(C).cell_failures(1, C.length)
+    coker_failures = _coker_failures(C, I)
     got = betti_table(minimize_complex(C))
     want_table = betti_numbers(I)
     return ResolutionCertificate(
-        I, D, validate_complex(C), strand_failures, coker_failures,
+        I, validate_complex(C), strand_failures, coker_failures,
         got == want_table, got, want_table,
     )
+
+
+def _coker_failures(C: GradedFreeComplex, I: MonomialIdeal) -> list:
+    """Where coker d_1 and R/I differ, see clause (b) of
+    :func:`verify_resolution`."""
+    zero = (0,) * C.ring.nvars
+    if C.degs(0) != (0,):
+        return [(zero, C.degs(0), (0,))]
+    image = MonomialIdeal(
+        C.ring, tuple(m for p in C.diff(1).entries.values() for m in p.term_dict())
+    )
+    out = [(g.exps, 1, 0) for g in I.gens if not image.contains(g)]
+    out += [(g.exps, 0, 1) for g in image.gens if not I.contains(g)]
+    return sorted(out, key=lambda f: (sum(f[0]), f[0]))
 
 
 # ---------------------------------------------------------------------------

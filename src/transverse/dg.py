@@ -192,7 +192,9 @@ class _MonomialMatrices:
 
     QQ scalars are ints where integral and Fractions otherwise; GF(p)
     scalars are the ints ``FpElement.value``, reduced mod p only at the zero
-    test.  Nothing divides, so every sum is exact.
+    test.  Nothing divides, so every sum is exact.  A zero column, such as
+    an entry of d_1 that R/Q kills, is refused: the identities read d(f)
+    off the columns.
     """
 
     def __init__(self, C: GradedFreeComplex):
@@ -206,6 +208,9 @@ class _MonomialMatrices:
             for (r, col), p in C.diff(i).entries.items():
                 (c,) = p.term_dict().values()
                 cols.setdefault(col, []).append((r, self.scalar(c)))
+            for col in range(C.rank(i)):
+                if col not in cols:
+                    raise DomainError(f"d_{i} column {col} is zero")
             self.d[i] = cols
 
     def scalar(self, c):

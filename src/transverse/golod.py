@@ -330,8 +330,8 @@ def golod_resolution(
     T_n is spanned by words e_S (x) v_{a1,b1} (x) ... (x) v_{ap,bp} with
     |S| + sum deg(v) = n; the differential applies the Koszul differential
     to the front and contracts prefixes through mu.  The output is
-    certified: d^2 = 0, minimality, strand exactness below n_max, and
-    coker(d_1) = k.
+    certified: d^2 = 0, minimality, exactness below n_max and coker(d_1) = k,
+    each in every multidegree (see :func:`resolves_k_failures`).
     """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
@@ -357,7 +357,7 @@ def golod_resolution(
         basis.quotient, _words(basis, D, n_max), n_max, twist, word_label
     )
     rep, minimal, strand_failures, coker_failures = resolves_k_failures(
-        C, n_max - 1, D
+        C, n_max - 1
     )
     cert = GolodCertificate(
         C.total_ranks(), (), True, rep.ok, minimal, strand_failures,

@@ -12,7 +12,6 @@ subspace is the obstruction to DG-module structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from operator import add
 
@@ -37,12 +36,25 @@ def _tate_cycle(ring: Ring, a: Monomial) -> KElement:
     return {(i,): Polynomial.from_monomial(ring, a.divide(Monomial(tuple(exps))))}
 
 
-def _sequence_mdeg(tate, c) -> tuple:
-    """sum_j c_j mdeg(a_j) over the sequence a of ``tate``."""
+def _sequence_mdeg(sequence, nvars: int, c) -> tuple:
+    """sum_j c_j mdeg(a_j) over the monomials a of ``sequence``."""
     return tuple(
-        sum(cj * a.exps[k] for cj, a in zip(c, tate.sequence))
-        for k in range(tate.ring.nvars)
+        sum(cj * a.exps[k] for cj, a in zip(c, sequence)) for k in range(nvars)
     )
+
+
+def _key_mdegs(sequence, nvars: int, levels) -> list[list]:
+    """The multidegree 1_T + sum_j m_j mdeg(a_j) of each Tate basis key
+    (T, m), read off the key: over S a linear a_j kills its variable x_k,
+    so the differential does not fix the multidegree of e_k."""
+    return [
+        [
+            tuple(int(k in T) + e
+                  for k, e in enumerate(_sequence_mdeg(sequence, nvars, m)))
+            for T, m in level
+        ]
+        for level in levels
+    ]
 
 
 @dataclass
@@ -59,7 +71,9 @@ class TateComplex:
 
 def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     """Build and certify the Tate complex through homological degree n_max,
-    with the cycles z_j of :func:`_tate_cycle`."""
+    with the cycles z_j of :func:`_tate_cycle`: d o d = 0, and H_i = 0 for
+    1 <= i < n_max and coker d_1 = k in every multidegree (see
+    :func:`resolves_k_failures`), the multidegrees read off the keys."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     if ring is None:
@@ -91,7 +105,7 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     C, levels = twisted_koszul(S, words, n_max, twist, word_label)
     # a linear a_j leaves a unit entry, so minimality is reported, not required
     rep, minimal, strand_failures, coker_failures = resolves_k_failures(
-        C, n_max - 1, C.max_degree() + 1
+        C, n_max - 1, _key_mdegs(mons, ring.nvars, levels)
     )
     cert = {
         "valid": rep.ok,
@@ -130,28 +144,14 @@ class QuotientTor(Homology):
             out = set()
             for c in product(range(i // 2 + 1), repeat=len(tate.sequence)):
                 if 2 * sum(c) <= i:
-                    shift = _sequence_mdeg(tate, c)
+                    shift = _sequence_mdeg(tate.sequence, M.ring.nvars, c)
                     out |= {tuple(map(add, m, shift)) for m in lattice}
             return out
 
-        super().__init__(tate.complex, M, tate.basis, support)
+        mdegs = _key_mdegs(tate.sequence, M.ring.nvars, tate.basis)
+        super().__init__(tate.complex, M, tate.basis, support, mdegs)
         self.tate = tate
         self.M = M
-
-    @cached_property
-    def mdegs(self) -> list[dict]:
-        """e_T y^(m) has multidegree 1_T + sum_j m_j mdeg(a_j), read off the
-        key (T, m): over S a linear a_j kills its variable x_k, so the
-        differential does not fix the multidegree of e_k."""
-        return [
-            {
-                (T, m): tuple(
-                    int(k in T) + e for k, e in enumerate(_sequence_mdeg(self.tate, m))
-                )
-                for T, m in level
-            }
-            for level in self.keys
-        ]
 
     def express(self, i: int, t: int, x: KElement):
         """Coordinates, in the canonical basis, of the class of an exterior

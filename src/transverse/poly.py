@@ -113,6 +113,10 @@ class Ring:
             if m.is_one:
                 raise DomainError("cannot quotient by the unit ideal")
         object.__setattr__(self, "_one", Monomial((0,) * self.nvars))
+        # each modulus generator as its (variable, exponent) pairs, e > 0
+        object.__setattr__(self, "_kill", tuple(
+            tuple((k, e) for k, e in enumerate(m.exps) if e) for m in self.modulus
+        ))
 
     @property
     def nvars(self) -> int:
@@ -127,8 +131,17 @@ class Ring:
         return self._one
 
     def kills(self, m: Monomial) -> bool:
-        """True iff m is zero in this ring (divisible by a modulus generator)."""
-        return any(g.divides(m) for g in self.modulus)
+        """True iff m is zero in this ring (divisible by a modulus generator);
+        raises DimensionError for a monomial over another number of
+        variables when there is a modulus."""
+        if not self._kill:
+            return False
+        exps = m.exps
+        if len(exps) != self.nvars:
+            raise DimensionError(
+                f"monomials over {len(exps)} and {self.nvars} variables"
+            )
+        return any(all(exps[k] >= e for k, e in g) for g in self._kill)
 
     def quotient(self, extra) -> "Ring":
         gens = tuple(self.modulus) + tuple(extra)

@@ -38,3 +38,29 @@ def minimize_checked(C):
     H = Homology(out)
     assert [H.dim(i, t) for i, t in strands] == before
     return out
+
+
+def strand_dims_from_cells(cells, failures, D):
+    """{(i, t): dim H_i} on the strands t <= D, nonzero entries only, read
+    off cell failures (i, b, dim): each multidegree b' of degree t takes the
+    homology of its cell, whose corner is the largest cell point <= b'."""
+    from functools import reduce
+    from itertools import product
+
+    cells = set(cells)
+    at: dict = {}
+    for i, b, d in failures:
+        at.setdefault(b, []).append((i, d))
+    n = len(next(iter(cells)))
+    out: dict = {}
+    for b in product(range(D + 1), repeat=n):
+        if sum(b) > D:
+            continue
+        below = [c for c in cells if all(x <= y for x, y in zip(c, b))]
+        if not below:
+            continue
+        corner = reduce(lambda x, y: tuple(map(max, x, y)), below)
+        assert corner in cells, (b, corner)
+        for i, d in at.get(corner, ()):
+            out[(i, sum(b))] = out.get((i, sum(b)), 0) + d
+    return out

@@ -12,6 +12,7 @@ import itertools
 import random
 
 from transverse.complexes import (
+    Homology,
     betti_table,
     star_product,
     verify_resolution,
@@ -47,7 +48,7 @@ from transverse.resolutions import (
     tor_independence,
 )
 
-from conftest import ideal
+from conftest import ideal, strand_dims_from_cells
 
 
 def _pass(n, msg):
@@ -131,6 +132,13 @@ def _minimal_resolution(I):
     return minimize_complex(taylor_complex(I))
 
 
+def _cell_strand_dims(S, cert, D):
+    """{(i, t): dim H_i(S)_t} for t <= D, from the failing cells of the
+    resolution certificate ``cert`` of S."""
+    cells = Homology(S).cells(range(S.length + 1))
+    return strand_dims_from_cells(cells, cert.strand_failures, D)
+
+
 def test_criterion_1_star_product_resolutions():
     R = _flagship_ring()
     I, J = _flagship_pair(R)
@@ -166,8 +174,8 @@ def test_criterion_2_non_transversality_control_as_stated():
     x1^a, x2 and x3^c times powers of x4, giving the K-polynomial
     1 - 4t^2 + 4t^3 - t^4, i.e. Betti numbers (1,4,4,1) in degrees
     0, 2, 3, 4.  The certificate's H_1 verdict is tied to Tor_2 strand by
-    strand; the supplementary control below uses a pair with Tor_2 != 0,
-    where the H_1 failure is forced.
+    strand, its cells read back onto the strands; the supplementary control
+    below uses a pair with Tor_2 != 0, where the H_1 failure is forced.
     """
     R = _flagship_ring()
     I = ideal(R, "x1", "x2")
@@ -175,13 +183,15 @@ def test_criterion_2_non_transversality_control_as_stated():
     assert not is_transverse(I, J)
     F = koszul_complex([R.variable(0), R.variable(1)])
     G = koszul_complex([R.variable(1), R.variable(2)])
-    cert = verify_resolution(star_product(F, G), ideal_product(I, J))
-    tor = tor_dims(I, J, cert.bound)
+    S = star_product(F, G)
+    cert = verify_resolution(S, ideal_product(I, J))
+    D = S.max_degree() + 2  # the strand bound of the strand certificate
+    tor = tor_dims(I, J, D)
     assert any(i == 1 for (i, _) in tor)  # Tor_1 != 0 witnesses non-transversality
     assert not any(i == 2 for (i, _) in tor)  # Tor_2 = 0 for this pair
     # H_i(F*G)_t = Tor_{i+1}(R/I, R/J)_t: the certificate fails at i = 1
     # exactly where Tor_2 != 0, and nowhere here
-    homology = {(i, t): d for (i, t, d) in cert.strand_failures}
+    homology = _cell_strand_dims(S, cert, D)
     assert homology == {(i - 1, t): d for (i, t), d in tor.items() if i >= 2}
     assert cert.ok
     assert cert.strand_failures == [] and cert.coker_failures == []
@@ -197,10 +207,16 @@ def test_criterion_2_supplement_control_where_failure_is_forced():
     R = _flagship_ring()
     I = ideal(R, "x1", "x2")
     F = koszul_complex([R.variable(0), R.variable(1)])
-    cert = verify_resolution(star_product(F, F), ideal_product(I, I))
+    S = star_product(F, F)
+    cert = verify_resolution(S, ideal_product(I, I))
     assert not cert.ok
     assert cert.strand_failures[0][0] == 1
     assert not cert.betti_ok
+    # and H_1 is Tor_2 strand by strand, read off the cells
+    D = S.max_degree() + 2
+    tor = tor_dims(I, I, D)
+    want = {(i - 1, t): d for (i, t), d in tor.items() if i >= 2}
+    assert want and _cell_strand_dims(S, cert, D) == want
     _pass("2s", "control pair with nonvanishing Tor_2 fails at H_1 as required")
 
 

@@ -430,3 +430,54 @@ def test_koszul_homology_of_a_high_power_enumerates_no_degree(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["graded_dims"] == {"1,99999": 1}
+
+
+def test_star_resolve_of_high_powers_enumerates_no_degree(tmp_path):
+    # the certificate checks the two cells (0, 0, 0) and (99999, 99999, 0);
+    # strands up to the degree 199998 of the star product would never end
+    path = tmp_path / "job.json"
+    doc = job("star-resolve", {"left": "I", "right": "J"},
+              ideals={"I": ["x1^99999"], "J": ["x2^99999"]},
+              ring={"vars": ["x1", "x2", "x3"], "field": "rational"})
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from transverse import cli, complexes, ideals, poly\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('monomials_of_degree called')\n"
+        "for module in (complexes, ideals, poly):\n"
+        "    module.monomials_of_degree = refuse\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    verification = json.loads(out.stdout)["verification"]
+    assert verification == {"pass": True, "strand_failures": [],
+                            "coker_failures": [], "betti_ok": True}
+
+
+def test_complex_without_multidegrees_exits_2(tmp_path, capsys, monkeypatch):
+    # every complex the CLI builds is Z^n-graded; one that is not makes the
+    # cell certificate refuse it as an input error, not a traceback
+    from transverse import complexes
+    from transverse.resolutions import koszul_complex
+
+    def star_product(F, G):
+        x1, x2, x3, _ = F.ring.variables()
+        return koszul_complex([x1 + x2, x3])
+
+    monkeypatch.setattr(complexes, "star_product", star_product)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job("star-resolve", {"left": "I", "right": "J"})))
+    assert main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a single term" in err
+    assert "Traceback" not in err

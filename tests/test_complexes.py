@@ -7,6 +7,8 @@ from transverse.complexes import (
     Homology,
     betti_table,
     is_minimal,
+    multidegrees,
+    resolves_k_failures,
     star_product,
     strand_homology,
     strand_homology_dim,
@@ -18,6 +20,7 @@ from transverse.complexes import (
 from transverse.errors import CertificationError, DomainError
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal, ideal_product
+from transverse.obstructions import tate_resolution
 from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
 from transverse.resolutions import koszul_complex, taylor_complex
 
@@ -249,14 +252,15 @@ class TestVerifyResolution:
     def test_star_fails_when_higher_tor_nonzero(self, R4):
         # I = J = (x1,x2): Tor_2(R/I, R/J) != 0, so the star product of the
         # Koszul resolutions is not a resolution; the certificate pinpoints
-        # the failure at H_1 (strand t = 2).
+        # the failure at H_1 on the one cell b = (1, 1, *, *), of total
+        # degree 2, where Tor_2 = e_12 (x) R/I lives.
         F = koszul_complex(_vars(R4, 0, 1))
         S = star_product(F, F)
         I = ideal(R4, "x1", "x2")
         cert = verify_resolution(S, ideal_product(I, I))
         assert not cert.ok
-        assert cert.strand_failures[0][0] == 1
-        assert cert.strand_failures[0][1] == 2
+        assert cert.strand_failures == [(1, (1, 1, 0, 0), 1)]
+        assert sum(cert.strand_failures[0][1]) == 2
 
     def test_non_transverse_pair_with_vanishing_higher_tor_passes(self, R4):
         # (x1,x2) and (x2,x3) are NOT transverse, yet Tor_i vanishes for
@@ -287,6 +291,151 @@ class TestVerifyResolution:
         assert cert.exactness_ok and cert.coker_ok and cert.betti_ok
         assert not cert.validation.ok and not cert.ok
         assert "d_1 o d_2 != 0" in cert.summary()
+
+
+def drop_generator(C, i, g):
+    """C without generator g of C_i: its column of d_i and its row of
+    d_{i+1} go."""
+    degrees = [list(d) for d in C.degrees]
+    labels = [list(l) for l in C.labels]
+    del degrees[i][g], labels[i][g]
+    diffs = []
+    for j in range(1, C.length + 1):
+        entries = {}
+        for (r, c), p in C.diff(j).entries.items():
+            if (j == i and c == g) or (j == i + 1 and r == g):
+                continue
+            entries[(r - (j == i + 1 and r > g), c - (j == i and c > g))] = p
+        diffs.append(PolyMatrix(C.ring, len(degrees[j - 1]), len(degrees[j]), entries))
+    return GradedFreeComplex(C.ring, degrees, diffs, labels)
+
+
+class TestCellCertificates:
+    """Exactness in every multidegree, from one point per cell."""
+
+    def test_star_with_a_top_generator_dropped(self):
+        from transverse.resolutions import minimal_resolution
+
+        R = Ring(("x1", "x2", "x3", "x4", "x5"))
+        I = ideal(R, "x1^2", "x1*x2", "x2*x3")
+        J = ideal(R, "x4^2", "x4*x5")
+        S = star_product(minimal_resolution(I), minimal_resolution(J))
+        assert S.total_ranks() == (1, 6, 7, 2)
+        assert verify_resolution(S, ideal_product(I, J)).ok
+        top = S.length
+        lost = multidegrees(S)[top][-1]
+        cert = verify_resolution(
+            drop_generator(S, top, S.rank(top) - 1), ideal_product(I, J)
+        )
+        # still a complex with the right cokernel: only the exactness
+        # clause and the Betti cross-check see the lost syzygy, at the
+        # multidegree of the dropped generator and the cell above it
+        assert cert.validation.ok and cert.coker_ok and not cert.betti_ok
+        assert lost == (1, 1, 1, 2, 1)
+        assert cert.strand_failures == [(2, lost, 1), (2, (2, 1, 1, 2, 1), 1)]
+
+    def test_tate_with_a_generator_of_c5_dropped(self, R4):
+        from transverse.obstructions import _key_mdegs
+
+        a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x3*x4")]
+        T = tate_resolution(a, R4, 5)
+        mdegs = _key_mdegs(T.sequence, R4.nvars, T.basis)
+        assert T.complex.total_ranks() == (1, 4, 8, 12, 16, 20)
+        for g in range(T.complex.rank(5)):
+            C = drop_generator(T.complex, 5, g)
+            md = [list(level) for level in mdegs]
+            del md[5][g]
+            rep, _, strand_failures, coker_failures = resolves_k_failures(C, 4, md)
+            # a complex, but H_4 no longer dies, first at the multidegree
+            # of the dropped generator
+            assert rep.ok and not coker_failures
+            assert strand_failures and {f[0] for f in strand_failures} == {4}
+            assert strand_failures[0][1] == mdegs[5][g], g
+
+    def test_origin_is_a_cell_of_its_own(self, Rxy):
+        # K(x) over k[x, y] leaves coker d_1 = k[y]; the cell of the origin
+        # over R would hold every y^j without the unit points
+        K = koszul_complex([Rxy.variable(0)])
+        rep, minimal, strand_failures, coker_failures = resolves_k_failures(K, 1)
+        assert rep.ok and minimal and strand_failures == []
+        assert coker_failures == [((0, 1), 1, 0)]
+        K2 = koszul_complex(Rxy.variables())
+        assert resolves_k_failures(K2, 2)[2:] == ([], [])
+
+    def test_exactness_in_degrees_no_strand_bound_reached(self):
+        # the star product of K(x^50) and K(y^50) has two cells, where
+        # strands would need every degree up to 100
+        R = Ring(("x", "y"))
+        I, J = ideal(R, "x^50"), ideal(R, "y^50")
+        x50, y50 = (Polynomial.from_monomial(R, R.parse_monomial(m))
+                    for m in ("x^50", "y^50"))
+        S = star_product(koszul_complex([x50]), koszul_complex([y50]))
+        assert Homology(S).cells(range(S.length + 1)) == [(0, 0), (50, 50)]
+        assert verify_resolution(S, ideal_product(I, J)).ok
+
+    def test_cokernel_is_an_ideal_equality(self, R4):
+        K = koszul_complex(_vars(R4, 0, 1))
+        # the image (x1, x2) of d_1 has x2 outside I = (x1, x2^2): there
+        # coker d_1 is 0 and R/I is not
+        cert = verify_resolution(K, ideal(R4, "x1", "x2^2"))
+        assert cert.exactness_ok and cert.coker_failures == [((0, 1, 0, 0), 0, 1)]
+        # I = (x1, x2, x3) has x3 outside the image
+        cert = verify_resolution(K, ideal(R4, "x1", "x2", "x3"))
+        assert cert.coker_failures == [((0, 0, 1, 0), 1, 0)]
+        assert "cokernel of d_1 matches R/I: FAIL" in cert.summary()
+
+    def test_cokernel_needs_c0_to_be_r(self, Rxy):
+        x = Rxy.variable(0)
+        C = GradedFreeComplex(Rxy, [(1,), (2,)], [PolyMatrix(Rxy, 1, 1, {(0, 0): x})])
+        cert = verify_resolution(C, ideal(Rxy, "x"))
+        assert cert.coker_failures == [((0, 0), (1,), (0,))]
+
+
+class TestMultidegrees:
+    def test_zero_column_fixed_by_its_row_above(self):
+        # d_1 = (x 0), d_2 = (1 1)^T: the zero column sits at x, as the
+        # generator of C_2 does
+        R = Ring(("x",))
+        (x,) = R.variables()
+        one = Polynomial.one(R)
+        C = GradedFreeComplex(
+            R, [(0,), (1, 1), (1,)],
+            [PolyMatrix(R, 1, 2, {(0, 0): x}),
+             PolyMatrix(R, 2, 1, {(0, 0): one, (1, 0): one})],
+        )
+        assert multidegrees(C) == [[(0,)], [(1,), (1,)], [(1,)]]
+
+    def test_zero_column_fixed_through_a_column_above(self):
+        R = Ring(("x", "y"))
+        x, y = R.variables()
+        C = GradedFreeComplex(
+            R, [(0,), (1, 1), (2, 2)],
+            [PolyMatrix(R, 1, 2, {(0, 0): x}),
+             PolyMatrix(R, 2, 2, {(0, 0): y, (1, 0): x, (1, 1): y})],
+        )
+        # column 0 of d_2 sits at x*y, fixed by row 0, and so puts the zero
+        # column e_1 at y
+        assert multidegrees(C) == [[(0, 0)], [(1, 0), (0, 1)], [(1, 1), (0, 2)]]
+        # an entry x in row 0 of column 1 puts that column at x^2, its entry
+        # y in row 1 at y^2
+        bad = GradedFreeComplex(
+            R, [(0,), (1, 1), (2, 2)],
+            [PolyMatrix(R, 1, 2, {(0, 0): x}),
+             PolyMatrix(R, 2, 2, {(0, 0): y, (1, 0): x, (0, 1): x, (1, 1): y})],
+        )
+        with pytest.raises(DomainError, match="d_2 column 1 disagrees"):
+            multidegrees(bad)
+
+    def test_generator_nothing_fixes(self, Rxy):
+        x = Rxy.variable(0)
+        C = GradedFreeComplex(Rxy, [(0,), (1, 1)], [PolyMatrix(Rxy, 1, 2, {(0, 0): x})])
+        with pytest.raises(DomainError, match="column 1 has no entry"):
+            multidegrees(C)
+
+    def test_not_multigraded_is_a_domain_error(self, R4):
+        K = koszul_complex([R4.variable(0) + R4.variable(1), R4.variable(2)])
+        with pytest.raises(DomainError, match="not a single term"):
+            verify_resolution(K, ideal(R4, "x1", "x3"))
 
 
 class TestBettiTable:
@@ -413,7 +562,11 @@ class TestStrandEngine:
         basis = golod_basis(I, J)
         # without v_(0,0) nothing kills the class it stands for in H_1
         crippled = replace(basis, pairs=basis.pairs[1:], h=basis.h[1:])
-        with pytest.raises(CertificationError, match=r"\[\(1, 2, 1\), \(3, 4, 3\)\]"):
+        # H_1 on the cell (1, 0, 1, 0) and H_3 on three cells of degree 4
+        # (the strand failures (1, 2, 1) and (3, 4, 3) of whole strands)
+        cells = (r"\[\(1, \(1, 0, 1, 0\), 1\), \(3, \(1, 1, 1, 1\), 1\), "
+                 r"\(3, \(1, 1, 2, 0\), 1\)\]")
+        with pytest.raises(CertificationError, match=cells):
             golod_resolution(I, J, 4, basis=crippled)
 
     def test_inhomogeneous_entry_fails_loudly(self, Rxy):
@@ -514,18 +667,35 @@ class TestOneStrandEngine:
     def test_classical_obstruction_assembles_each_strand_matrix_once(
         self, R4, monkeypatch
     ):
-        from transverse.obstructions import avramov_obstruction
+        from transverse import obstructions
 
         built, ranked = self.record_strand_matrices(monkeypatch)
+        spans = []
+        check = obstructions.resolves_k_failures
+
+        def traced_check(*args, **kwargs):
+            start = len(built), len(ranked)
+            out = check(*args, **kwargs)
+            spans.append((start, (len(built), len(ranked))))
+            return out
+
+        monkeypatch.setattr(obstructions, "resolves_k_failures", traced_check)
         M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
-        rep = avramov_obstruction(a, M, 6)
+        rep = obstructions.avramov_obstruction(a, M, 6)
         assert rep.nonzero_degrees() == [4]
-        # 197 strand and block matrices, each assembled and eliminated once:
-        # the Tor^S dimensions read the ranks that the change-of-rings
-        # strata stored
-        assert len(built) == 197 and len(set(built)) == 197
-        assert ranked and set(ranked) < set(built)
+        # the Tate certificate: 357 block matrices, one per rank it takes,
+        # each assembled and ranked once
+        ((b0, r0), (b1, r1)), = spans
+        cert = built[b0:b1]
+        assert len(cert) == 357 and len(set(cert)) == 357
+        assert ranked[r0:r1] == cert
+        # Tor over S: 162 strand and block matrices, each assembled and
+        # eliminated once: the Tor^S dimensions read the ranks that the
+        # change-of-rings strata stored
+        rest, rest_ranked = built[:b0] + built[b1:], ranked[:r0] + ranked[r1:]
+        assert len(rest) == 162 and len(set(rest)) == 162
+        assert rest_ranked and set(rest_ranked) < set(rest)
 
     def test_probe_assembles_no_strand(self, monkeypatch):
         from transverse import complexes

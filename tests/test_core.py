@@ -206,6 +206,19 @@ class TestMatrixApply:
             A.apply([Polynomial.one(Rxy)])
 
 
+def test_ring_kills_matches_divisibility(R4, Rxy):
+    Q = R4.quotient([R4.parse_monomial(m) for m in ("x1^2", "x2*x3", "x4^3")])
+    for exps in itertools.product(range(4), repeat=4):
+        m = Monomial(exps)
+        assert Q.kills(m) == any(g.divides(m) for g in Q.modulus), exps
+    assert not R4.kills(R4.parse_monomial("x1^9"))
+    # a monomial over another number of variables is refused
+    with pytest.raises(DimensionError):
+        Q.kills(Rxy.parse_monomial("x"))
+    with pytest.raises(DimensionError):
+        Polynomial.from_monomial(Q, Monomial((1, 1, 1, 1, 1)))
+
+
 def test_monomials_of_degree_order(R4):
     ms = monomials_of_degree(R4, 2)
     assert len(ms) == 10

@@ -273,3 +273,31 @@ def test_counterexample_over_prime_field(R4):
     assert [(r.i, r.dim_tor_R, r.rank, r.dim_obstruction) for r in rep.rows] == [
         (2, 7, 4, 0), (3, 4, 0, 0), (4, 1, 0, 1), (5, 0, 0, 0)
     ]
+
+
+def test_six_variable_obstruction_report():
+    # M = (x1^2, x1x2, x2^2)(x3x4, x4^2) in 6 variables, a = (x1^2 x3 x4),
+    # n_max 6: the full report, as computed when the Tate self-check still
+    # eliminated every strand up to its degree bound
+    from transverse.poly import Ring
+
+    R6 = Ring(tuple(f"x{i}" for i in range(1, 7)))
+    M = ideal_product(ideal(R6, "x1^2", "x1*x2", "x2^2"), ideal(R6, "x3*x4", "x4^2"))
+    rep = avramov_obstruction([R6.parse_monomial("x1^2*x3*x4")], M, 6)
+    rows = [
+        {"i": i, "obstruction": 0, "product_subspace": 0, "rank": r,
+         "tor_R": r, "tor_S": 7}
+        for i, r in ((2, 7), (3, 2), (4, 0), (5, 0), (6, 0))
+    ]
+    assert rep.to_json() == {
+        "all_vanish": True, "product_maps_to_zero": True, "rows": rows,
+        "sequence": ["x1^2*x3*x4"],
+    }
+    assert rep.table() == "\n".join([
+        "  i   torR   prod   torS   rank    o_i",
+        "  2      7      0      7      7      0",
+        "  3      2      0      7      2      0",
+        "  4      0      0      7      0      0",
+        "  5      0      0      7      0      0",
+        "  6      0      0      7      0      0",
+    ])

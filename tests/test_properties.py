@@ -1,4 +1,5 @@
-"""Property tests: three independent pipelines agree on random monomial ideals.
+"""Property tests: independent pipelines agree on random monomial ideals
+and complexes.
 
 The examples are derandomized, so every run draws the same ideals.
 """
@@ -7,14 +8,20 @@ from operator import add
 
 from hypothesis import given, settings, strategies as st
 
-from transverse.complexes import Homology, betti_table
+from transverse.complexes import (
+    GradedFreeComplex, Homology, betti_table, star_product,
+)
 from transverse.exterior import k_element
 from transverse.fields import QQ, PrimeField
 from transverse.golod import KoszulHomology
 from transverse.ideals import MonomialIdeal, lcm_lattice
 from transverse.obstructions import QuotientTor, tate_resolution
-from transverse.poly import Monomial, Ring
-from transverse.resolutions import betti_numbers, minimal_resolution
+from transverse.poly import Monomial, Polynomial, Ring
+from transverse.resolutions import (
+    betti_numbers, koszul_complex, minimal_resolution, taylor_complex,
+)
+
+from conftest import strand_dims_from_cells
 
 
 @st.composite
@@ -135,3 +142,81 @@ def test_quotient_tor_blocks_match_full_strands(case):
     D = qt.tate.complex.max_degree() + M.max_gen_degree() + 1
     # the top level is cut by the truncation, not by boundaries
     assert_blocks_match_strands(qt, range(n_max), range(D + 1))
+
+
+# ---------------------------------------------------------------------------
+# exactness on cells: Homology.cell_failures against whole strands
+
+
+@st.composite
+def small_ideals(draw, ring):
+    """A nonzero proper monomial ideal of ``ring`` by at most 3 monomials."""
+    exps = st.tuples(*[st.integers(0, 2)] * ring.nvars).filter(any)
+    gens = draw(st.lists(exps, min_size=1, max_size=3))
+    return MonomialIdeal(ring, tuple(Monomial(e) for e in gens))
+
+
+@st.composite
+def monomial_complexes(draw):
+    """(C, Q, mdegs): a monomial complex over R or R/M with generators Q
+    added, and its generator multidegrees (None: read off d).
+
+    - star: the star product of two Taylor complexes over R, which fails
+      to be exact exactly where Tor_{>=2} of the pair lives (J = I often);
+    - koszul: the Koszul complex on 1 to 3 monomials a_j over R (Q = 0)
+      or over R/M with a random Q, with multidegrees sum_{j in S} mdeg(a_j)
+      (M may kill an a_j, and then d does not fix them); a_1 + a_2 is not
+      lcm(a_1, a_2) when they share a variable, so over R its multidegrees
+      are not lcm-closed;
+    - taylor: a Taylor complex over R with a random Q.
+    """
+    kind = draw(st.sampled_from(["star", "koszul", "koszul/M", "taylor"]))
+    nvars = draw(st.integers(2 if kind == "star" else 1, 3))
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(32003)]))
+    ring = Ring(tuple(f"x{i + 1}" for i in range(nvars)), field)
+    if kind == "star":
+        I = draw(small_ideals(ring).filter(lambda I: len(I.gens) > 1))
+        J = draw(st.just(I) | small_ideals(ring))
+        return star_product(taylor_complex(I), taylor_complex(J)), None, None
+    if kind == "taylor":
+        Q = draw(st.none() | small_ideals(ring))
+        return taylor_complex(draw(small_ideals(ring))), Q, None
+    exps = st.tuples(*[st.integers(0, 2)] * nvars).filter(any)
+    a = draw(st.lists(exps, min_size=1, max_size=3))
+    K = koszul_complex([Polynomial.from_monomial(ring, Monomial(e)) for e in a])
+    mdegs = [
+        [tuple(sum(a[j][k] for j in S) for k in range(nvars)) for S in level]
+        for level in K.meta["subsets"]
+    ]
+    if kind == "koszul":
+        return K, None, mdegs
+    quotient = ring.quotient(draw(small_ideals(ring)).gens)
+    diffs = [d.with_ring(quotient) for d in K.diffs]
+    Q = draw(st.none() | small_ideals(ring))
+    return GradedFreeComplex(quotient, K.degrees, diffs), Q, mdegs
+
+
+def strand_failures(C, Q, top, D):
+    """The strand reference: (i, t, dim H_i) for 0 <= i <= top, t <= D,
+    eliminating each whole degree-t strand."""
+    H = Homology(C, Q)
+    out = []
+    for t in range(D + 1):
+        dims = H.strand_dims(t, 0, top)
+        out += [(i, t, d) for i, d in dims.items() if d]
+    return out
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(monomial_complexes())
+def test_cells_match_whole_strands(case):
+    C, Q, mdegs = case
+    top = C.length
+    H = Homology(C, Q, mdegs=mdegs)
+    failures = H.cell_failures(0, top)
+    assert failures == sorted(failures, key=lambda f: (f[0], sum(f[1]), f[1]))
+    cells = H.cells(range(top + 1))
+    # past the highest corner every strand is a union of cells already seen
+    D = max(sum(c) for c in cells) + 1
+    want = {(i, t): d for i, t, d in strand_failures(C, Q, top, D)}
+    assert strand_dims_from_cells(cells, failures, D) == want
