@@ -568,7 +568,8 @@ class Homology:
 
     def cell_failures(self, lo: int, hi: int, points=()) -> list:
         """(i, b, dim H_i) for lo <= i <= hi wherever H_i is nonzero on a
-        cell of :meth:`cells`, b its lower corner, ordered by (i, |b|, b).
+        cell of :meth:`cells` (with ``points``), b its lower corner,
+        ordered by (i, |b|, b).
 
         H_i is constant on each cell, so this is H_i in every multidegree.
         Which generators are present at b is read off bitsets per
