@@ -518,10 +518,7 @@ class Homology:
         def rank(j, s):
             key = (j, s)
             if key not in self.ranks:
-                self.ranks[key] = 0
-                if basis(j, s) and basis(j - 1, s):
-                    rows = strand_matrix(self.complex, j, basis(j, s), basis(j - 1, s))
-                    self.ranks[key] = linalg.rank(rows, self.complex.ring.field)
+                self.ranks[key] = self._rank(j, basis(j, s), basis(j - 1, s))
             return self.ranks[key]
 
         return {
@@ -534,6 +531,14 @@ class Homology:
 
     def dim(self, i: int, t: int) -> int:
         return self.strand_dims(t, i, i)[i]
+
+    def _rank(self, j: int, upper: list, lower: list) -> int:
+        """The rank of d_j from the basis ``upper`` of a piece in degree j
+        to the basis ``lower`` of the same piece in degree j - 1."""
+        if not (upper and lower):
+            return 0
+        rows = strand_matrix(self.complex, j, upper, lower)
+        return linalg.rank(rows, self.complex.ring.field)
 
     def cells(self, levels, points=()) -> list:
         """One point of each cell on which the blocks of the C_i, i in
@@ -573,17 +578,18 @@ class Homology:
 
         H_i is constant on each cell, so this is H_i in every multidegree.
         Which generators are present at b is read off bitsets per
-        variable; the rank of d_i on a block depends only on the
-        generators present in degrees i and i - 1, and is taken once per
-        such pair on the block basis.
+        variable, and the block basis is built from those bits; the rank
+        of d_i on a block depends only on the generators present in
+        degrees i and i - 1, and is taken once per such pair.
         """
-        C, field = self.complex, self.complex.ring.field
+        C = self.complex
         levels = range(max(lo - 1, 0), min(hi + 1, C.length) + 1)
-        gens = [m for i in levels for m in self.mdegs[i].values()]
+        level_mdegs = {i: list(self.mdegs[i].values()) for i in levels}
+        gens = [m for i in levels for m in level_mdegs[i]]
         spans, start = {}, 0
         for i in levels:
-            spans[i] = (start, (1 << len(self.mdegs[i])) - 1)
-            start += len(self.mdegs[i])
+            spans[i] = (start, (1 << len(level_mdegs[i])) - 1)
+            start += len(level_mdegs[i])
         # per variable k: the values of m_g[k] and, at each, the generators
         # g with m_g[k] at most that value
         axes = []
@@ -607,15 +613,22 @@ class Homology:
                 out &= masks[j - 1]
             return out
 
+        def block(j, b, present):
+            # the basis (g, x^(b - m_g)) over the generators g present in C_j
+            out = []
+            while present:
+                g = (present & -present).bit_length() - 1
+                present &= present - 1
+                out.append((g, Monomial(tuple(map(sub, b, level_mdegs[j][g])))))
+            return out
+
         ranks: dict = {}  # (j, present in C_j, present in C_{j-1}) -> rank
 
         def rank(j, b, bits):
             key = (j, bits.get(j, 0), bits.get(j - 1, 0))
             if key not in ranks:
-                ranks[key] = 0
-                if key[1] and key[2]:
-                    rows = strand_matrix(C, j, self._basis(j, b), self._basis(j - 1, b))
-                    ranks[key] = linalg.rank(rows, field)
+                upper, lower = block(j, b, key[1]), block(j - 1, b, key[2])
+                ranks[key] = self._rank(j, upper, lower)
             return ranks[key]
 
         failures = []
