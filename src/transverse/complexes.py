@@ -919,8 +919,10 @@ def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCerti
     (R/I)_b) at each minimal generator b of one ideal outside the other,
     or (0, the degrees of C_0, (0,)) when C_0 is not R.
     Clause (c): the minimized Betti table equals the graded Betti numbers of
-    R/I computed independently from the lcm lattice of I, a cross-check
-    that shares no code with (a).
+    R/I from ``resolutions.betti_numbers``, which reads them off the upper
+    Koszul simplicial complexes K^b(I) for b in the lcm lattice of I: ranks
+    of their scalar boundaries, a cross-check that shares no code with (a)
+    or with the minimization.
     Raises DomainError when C is not Z^n-graded (see :func:`multidegrees`).
     """
     from .resolutions import betti_numbers, minimize_complex

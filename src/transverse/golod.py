@@ -41,6 +41,12 @@ class KoszulHomology(Homology):
     the lcm lattice L_I are eliminated: H_i(K (x) R/I)_b = Tor_i(R/I, k)_b,
     which the Taylor resolution computes, vanishes unless b is in L_I
     (Gasharov-Peeva-Welker, "The lcm-lattice in monomial resolutions", 1999).
+
+    Each dimension is checked against ``resolutions.betti_numbers``, and the
+    check is not circular: the block at b here has the faces T of supp b
+    with x^(b-T) not in I, the complement of the upper Koszul complex K^b(I)
+    that the oracle ranks.  The long exact sequence of 0 -> I -> R -> R/I
+    -> 0 links the two homologies, but they come from different matrices.
     """
 
     def __init__(self, I: MonomialIdeal):

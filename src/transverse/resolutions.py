@@ -1,18 +1,19 @@
 """Constructors for the concrete resolutions: Koszul and Taylor complexes,
 the twisted Koszul complexes behind the Golod and Tate resolutions,
-minimization by unit-entry pruning, comparison-map lifting, the lcm-lattice
+minimization by unit-entry pruning, comparison-map lifting, the upper-Koszul
 Betti oracle and Tor dimensions read off the minimal resolution."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 
 from . import linalg
 from .complexes import BettiTable, GradedFreeComplex, Homology, complex_from_boundary
 from .errors import DomainError, ExactnessError
 from .exterior import k_acc, k_apply, k_coords, k_diff, k_element, k_wedge
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, lcm_lattice
 from .poly import PolyMatrix, Polynomial, Ring
 
 
@@ -142,53 +143,59 @@ def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
 
 
 def betti_numbers(I: MonomialIdeal) -> BettiTable:
-    """Graded Betti numbers of R/I over the ring's field, from the lcm lattice.
+    """Graded Betti numbers of R/I over the ring's field, from the upper
+    Koszul simplicial complexes.
 
-    For m in the lcm lattice, beta_{i,m}(R/I) is H_i of the scalar complex
-    on the subsets S of generators with lcm(S) = m, where S maps to
-    sum_pos (-1)^pos (S minus its pos-th element) over the faces whose lcm
-    is still m: the multidegree-m part of Taylor (x) k, i.e. the relative
-    crosscut complex of (0, m] (Gasharov-Peeva-Welker 1999).  Only scalar
-    ranks are taken, so no complex is built or minimized.
+    beta_{i,b}(I) = dim H~_{i-1}(K^b(I); k) with K^b(I) the simplicial
+    complex of the squarefree T in supp b with x^(b-T) in I (Miller-
+    Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), and it
+    vanishes unless b is in the lcm lattice L_I (Gasharov-Peeva-Welker
+    1999).  The facets of K^b are U_g = {k : b_k > g_k}, one per generator
+    g dividing x^b; faces are bitmasks over the variables, so each b of L_I
+    costs ranks on at most 2^|supp b| faces instead of the 2^r subsets of
+    the r generators.  A face of size s contributes to
+    beta_{s+1,b}(R/I), and beta_{0,0}(R/I) = 1.
 
     This is the package's Betti oracle; it shares only ``linalg`` with the
     strand engine.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("Betti numbers need a nonzero proper ideal")
+    if I.ring.modulus:
+        raise DomainError("expected an ideal over the ambient polynomial ring")
     gens = [g.exps for g in I.gens]
-    one = (0,) * I.ring.nvars
-    lcm = {(): one}
-    blocks = {(one, 0): {(): 0}}  # (lcm, |S|) -> {S: index in the block}
-    for size in range(1, len(gens) + 1):
-        for S in combinations(range(len(gens)), size):
-            m = lcm[S] = tuple(map(max, lcm[S[:-1]], gens[S[-1]]))
-            block = blocks.setdefault((m, size), {})
-            block[S] = len(block)
-    ranks = {}  # rank of the boundary out of each block
-    for (m, size), block in blocks.items():
-        lower = blocks.get((m, size - 1))
-        if not lower:
+    bits = [1 << k for k in range(I.ring.nvars)]
+    entries = {(0, 0): 1}
+    for b in lcm_lattice(I):
+        if not any(b):
             continue
-        # the rank does not depend on the row order, but elimination in
-        # reverse lexicographic order fills in far less: 10x faster on the
-        # 16 generators of (x1,x2)^3 (x3,x4)^3, where 51,472 subsets share
-        # the top lcm
-        rows = []
-        for S in reversed(block):
-            row = {}
-            for pos in range(size):
-                face = lower.get(S[:pos] + S[pos + 1:])
-                if face is not None:
-                    row[face] = 1 if pos % 2 == 0 else -1
-            rows.append(row)
-        ranks[(m, size)] = linalg.rank(rows, I.ring.field)
-    entries: dict = {}
-    for (m, size), block in blocks.items():
-        b = len(block) - ranks.get((m, size), 0) - ranks.get((m, size + 1), 0)
-        if b:
-            key = (size, sum(m))
-            entries[key] = entries.get(key, 0) + b
+        faces = {0}  # the empty face; submask enumeration below stops short of it
+        for g in gens:
+            if all(map(le, g, b)):
+                U = sum(x for x, gk, bk in zip(bits, g, b) if bk > gk)
+                T = U
+                while T:
+                    faces.add(T)
+                    T = (T - 1) & U
+        levels: dict = {}  # face size -> {face: index}
+        for T in sorted(faces):
+            level = levels.setdefault(T.bit_count(), {})
+            level[T] = len(level)
+        ranks = {}  # rank of the boundary out of each face size
+        for s, level in levels.items():
+            if s:
+                lower = levels[s - 1]
+                rows = [
+                    {lower[T ^ bit]: -1 if pos % 2 else 1
+                     for pos, bit in enumerate(x for x in bits if T & x)}
+                    for T in level
+                ]
+                ranks[s] = linalg.rank(rows, I.ring.field)
+        for s, level in levels.items():
+            h = len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0)
+            if h:
+                key = (s + 1, sum(b))
+                entries[key] = entries.get(key, 0) + h
     return BettiTable(dict(sorted(entries.items())))
 
 

@@ -402,6 +402,20 @@ def test_resolve_staircase_rendered(capsys, tmp_path):
     assert any("1  2  1" in l.replace("  ", " ") or l.split()[-3:] == ["1", "2", "1"] for l in out.splitlines())
 
 
+def run_cli_subprocess(script, path):
+    """Run ``script`` with the job file ``path`` as its argument in a fresh
+    interpreter that imports this checkout's ``src``; 30 s at most."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+
+
 def test_koszul_homology_of_a_high_power_enumerates_no_degree(tmp_path):
     # the one block of H_1 is b = (99999, 0, 0); whole strands of degree
     # 99999 in 3 variables would take minutes, so a regression fails on the
@@ -419,15 +433,7 @@ def test_koszul_homology_of_a_high_power_enumerates_no_degree(tmp_path):
         "    module.monomials_of_degree = refuse\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(path)],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    out = run_cli_subprocess(script, path)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["graded_dims"] == {"1,99999": 1}
 
@@ -449,19 +455,27 @@ def test_star_resolve_of_high_powers_enumerates_no_degree(tmp_path):
         "    module.monomials_of_degree = refuse\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(path)],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    out = run_cli_subprocess(script, path)
     assert out.returncode == 0, out.stderr
     verification = json.loads(out.stdout)["verification"]
     assert verification == {"pass": True, "strand_failures": [],
                             "coker_failures": [], "betti_ok": True}
+
+
+def test_star_resolve_of_sixteen_generators_verifies(tmp_path):
+    # the Betti oracle of (x1,x2)^3 (x3,x4)^3 takes faces of K^b over 4
+    # variables, not the 2^16 subsets of the 16 generators
+    path = tmp_path / "job.json"
+    doc = job("star-resolve", {"left": "I", "right": "J"},
+              ideals={"I": ["x1^3", "x1^2*x2", "x1*x2^2", "x2^3"],
+                      "J": ["x3^3", "x3^2*x4", "x3*x4^2", "x4^3"]})
+    path.write_text(json.dumps(doc))
+    script = "import sys\nfrom transverse import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    out = run_cli_subprocess(script, path)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["verification"]["pass"] is True
+    assert report["betti"] == {"0,0": 1, "1,6": 16, "2,7": 24, "3,8": 9}
 
 
 def test_complex_without_multidegrees_exits_2(tmp_path, capsys, monkeypatch):

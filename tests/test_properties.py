@@ -4,12 +4,14 @@ and complexes.
 The examples are derandomized, so every run draws the same ideals.
 """
 
+from itertools import combinations, product
 from operator import add
 
 from hypothesis import given, settings, strategies as st
 
+from transverse import linalg
 from transverse.complexes import (
-    GradedFreeComplex, Homology, betti_table, star_product,
+    BettiTable, GradedFreeComplex, Homology, betti_table, star_product,
 )
 from transverse.exterior import k_element
 from transverse.fields import QQ, PrimeField
@@ -44,6 +46,73 @@ def test_lattice_taylor_and_koszul_totals_agree(I):
     koszul = KoszulHomology(I).dims()
     assert lattice == taylor
     assert {i: v for i, v in enumerate(lattice) if i >= 1} == koszul
+
+
+# ---------------------------------------------------------------------------
+# the Betti oracle against lcm blocks of Taylor (x) k
+
+
+def lcm_block_betti(I):
+    """Graded Betti numbers of R/I from the lcm blocks of Taylor (x) k.
+
+    For m in the lcm lattice, beta_{i,m}(R/I) is H_i of the scalar complex
+    on the subsets S of generators with lcm(S) = m, where S maps to
+    sum_pos (-1)^pos (S minus its pos-th element) over the faces whose lcm
+    is still m (Gasharov-Peeva-Welker 1999).  It visits all 2^r subsets of
+    the r generators, so it serves as a reference only.
+    """
+    gens = [g.exps for g in I.gens]
+    one = (0,) * I.ring.nvars
+    lcm = {(): one}
+    blocks = {(one, 0): {(): 0}}  # (lcm, |S|) -> {S: index in the block}
+    for size in range(1, len(gens) + 1):
+        for S in combinations(range(len(gens)), size):
+            m = lcm[S] = tuple(map(max, lcm[S[:-1]], gens[S[-1]]))
+            block = blocks.setdefault((m, size), {})
+            block[S] = len(block)
+    ranks = {}  # rank of the boundary out of each block
+    for (m, size), block in blocks.items():
+        lower = blocks.get((m, size - 1))
+        if not lower:
+            continue
+        # reverse lexicographic rows fill in far less during elimination
+        rows = []
+        for S in reversed(block):
+            row = {}
+            for pos in range(size):
+                face = lower.get(S[:pos] + S[pos + 1:])
+                if face is not None:
+                    row[face] = 1 if pos % 2 == 0 else -1
+            rows.append(row)
+        ranks[(m, size)] = linalg.rank(rows, I.ring.field)
+    entries: dict = {}
+    for (m, size), block in blocks.items():
+        b = len(block) - ranks.get((m, size), 0) - ranks.get((m, size + 1), 0)
+        if b:
+            key = (size, sum(m))
+            entries[key] = entries.get(key, 0) + b
+    return BettiTable(dict(sorted(entries.items())))
+
+
+@st.composite
+def oracle_ideals(draw):
+    """A nonzero proper monomial ideal in at most 5 variables over QQ,
+    GF(2) or GF(32003), given by at most 10 monomials with exponents at
+    most 2 in two adjacent degrees, so that most of them stay minimal."""
+    nvars = draw(st.integers(1, 5))
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(32003)]))
+    ring = Ring(tuple(f"x{i + 1}" for i in range(nvars)), field)
+    rng = draw(st.randoms(use_true_random=False))
+    d = rng.randint(1, 2 * nvars - 1)
+    pool = [e for e in product(range(3), repeat=nvars) if sum(e) in (d, d + 1)]
+    gens = rng.sample(pool, min(len(pool), rng.randint(1, 10)))
+    return MonomialIdeal(ring, tuple(Monomial(e) for e in gens))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(oracle_ideals())
+def test_upper_koszul_matches_lcm_blocks(I):
+    assert betti_numbers(I) == lcm_block_betti(I)
 
 
 # ---------------------------------------------------------------------------

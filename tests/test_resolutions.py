@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from transverse import resolutions
+from transverse import linalg, resolutions
 from transverse.complexes import (
     GradedFreeComplex,
     betti_table,
@@ -18,7 +18,7 @@ from transverse.complexes import (
 from transverse.errors import DomainError, ExactnessError
 from transverse.fields import QQ, PrimeField
 from transverse.golod import koszul_homology, kunneth_map
-from transverse.ideals import MonomialIdeal, ideal_product
+from transverse.ideals import MonomialIdeal, ideal_product, lcm_lattice
 from transverse.obstructions import projective_dimension
 from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import (
@@ -198,6 +198,31 @@ class TestBettiOracle:
             betti_numbers(MonomialIdeal(R4, ()))
         with pytest.raises(DomainError):
             betti_numbers(ideal(R4, "1"))
+
+    def test_rejects_ideal_over_a_quotient_ring(self, R4):
+        I = ideal(R4.quotient([R4.parse_monomial("x4^3")]), "x1", "x2")
+        with pytest.raises(DomainError, match="ambient polynomial ring"):
+            betti_numbers(I)
+
+    def test_ranks_at_most_lattice_times_faces(self, R4, monkeypatch):
+        # 20 generators: the 2^20 generator subsets are never visited, only
+        # the faces of K^b over the 4 variables for each b in L_I
+        I = ideal_product(
+            ideal(R4, "x1^4", "x1^3*x2", "x1^2*x2^2", "x1*x2^3", "x2^4"),
+            ideal(R4, "x3^3", "x3^2*x4", "x3*x4^2", "x4^3"),
+        )
+        assert len(I.gens) == 20
+        rows_in = []
+        rank = linalg.rank
+
+        def counting_rank(rows, field):
+            rows_in.append(len(rows))
+            return rank(rows, field)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        table = betti_numbers(I)
+        assert table.totals() == (1, 20, 31, 12)
+        assert sum(rows_in) <= len(lcm_lattice(I)) * 2 ** R4.nvars
 
     def test_oracle_paths_build_no_taylor_complex(self, R4, monkeypatch):
         I = ideal(R4, "x1^2", "x1*x2", "x2^2")
