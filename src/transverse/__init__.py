@@ -19,7 +19,6 @@ from .complexes import (
     verify_resolution,
 )
 from .fields import QQ, FpElement, PrimeField
-from .linalg import scalar_rank
 from .golod import (
     golod_poincare,
     golod_resolution,
@@ -48,10 +47,6 @@ from .poly import (
     PolyMatrix,
     Polynomial,
     Ring,
-    matrix_apply,
-    monomial_divides,
-    monomial_lcm,
-    poly_mul,
 )
 from .resolutions import (
     betti_numbers,

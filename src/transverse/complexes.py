@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
 from operator import add, ge, itemgetter, sub
@@ -343,6 +344,7 @@ def strand_matrix(C: GradedFreeComplex, i: int, basis_hi, basis_lo):
     """Scalar rows of d_i from the strand basis ``basis_hi`` in degree i to
     ``basis_lo`` one degree down (rows indexed by ``basis_lo``).
 
+    It serves only whole strands (see :class:`Homology` for blocks).
     Raises DomainError if some entry of d_i in a column of ``basis_hi`` is
     not homogeneous of degree deg(column) - deg(row), even where its stray
     terms die in R/Q.
@@ -430,12 +432,17 @@ class Homology:
     (``mdegs``) whose monomial survives in R/Q.  Blocks are complexes on
     disjoint coordinates, and a strand is their direct sum.
 
-    It keeps the rank of d_i on each piece it has eliminated, each stratum
-    asked for and the keyed index of each piece an element is expressed
-    in, with the bases of those two; it keeps no matrix.  A strand is keyed
-    (i, t) and a block (i, b).  ``keys[i][g]`` names generator g of C_i
-    (g itself when ``keys`` is None); ``mdegs[i][g]`` is its multidegree,
-    read off the differentials by :func:`multidegrees` when None.
+    An entry d_i[r, c] is one term s x^(m_c - m_r), so each d_i is read once
+    into a scalar table, with one homogeneity and multidegree check, and a
+    block matrix is that table on the generators present;
+    :func:`strand_matrix` serves only whole strands.
+
+    It keeps the tables, the rank of d_i on each piece it has eliminated,
+    each stratum asked for and the keyed index of each piece an element is
+    expressed in, with the bases of those two.  A strand is keyed (i, t)
+    and a block (i, b).  ``keys[i][g]`` names generator g of C_i (g itself
+    when ``keys`` is None); ``mdegs[i][g]`` is its multidegree, read off
+    the differentials by :func:`multidegrees` when None.
     """
 
     def __init__(
@@ -450,6 +457,7 @@ class Homology:
         self.indexes: dict = {}
         self.bases: dict = {}  # the bases of the strata and indexes
         self._blocks: dict = {}  # i -> {t: the supported blocks of degree t}
+        self._tables: dict = {}  # i -> the scalar table of d_i
         self._kill = [g.exps for g in C.ring.modulus + self.extra]
         self._mdegs = mdegs
 
@@ -511,14 +519,14 @@ class Homology:
         summed over the pieces.  Each rank r_i is taken once per piece for
         the life of this object.
         """
-        @cache
-        def basis(j, s):
-            return self._basis(j, s)
+        basis = cache(self._basis)
 
         def rank(j, s):
-            key = (j, s)
+            key, upper, lower = (j, s), basis(j, s), basis(j - 1, s)
             if key not in self.ranks:
-                self.ranks[key] = self._rank(j, basis(j, s), basis(j - 1, s))
+                self.ranks[key] = linalg.rank(
+                    self._rows(j, s, upper, lower), self.complex.ring.field
+                ) if upper and lower else 0
             return self.ranks[key]
 
         return {
@@ -532,13 +540,49 @@ class Homology:
     def dim(self, i: int, t: int) -> int:
         return self.strand_dims(t, i, i)[i]
 
-    def _rank(self, j: int, upper: list, lower: list) -> int:
-        """The rank of d_j from the basis ``upper`` of a piece in degree j
-        to the basis ``lower`` of the same piece in degree j - 1."""
-        if not (upper and lower):
-            return 0
-        rows = strand_matrix(self.complex, j, upper, lower)
-        return linalg.rank(rows, self.complex.ring.field)
+    def _rows(self, j: int, s, upper: list, lower: list) -> list:
+        """Scalar rows of d_j between the bases of the piece s in degrees
+        j and j - 1: by :func:`strand_matrix` on a strand s = t, from the
+        scalar table on a block s = b."""
+        if isinstance(s, int):
+            return strand_matrix(self.complex, j, upper, lower)
+        return self._block_rows(j, [g for g, _ in upper], [g for g, _ in lower])
+
+    def _table(self, j: int) -> dict:
+        """{c: [(r, s)]}: the scalar s of each entry d_j[r, c] = s x^(m_c -
+        m_r), an integral rational as an int; read once per 1 <= j <=
+        length.  Raises DomainError if an entry is not homogeneous of degree
+        deg(c) - deg(r), or has a term off x^(m_c - m_r), even one that dies
+        in R/Q."""
+        if j in self._tables:
+            return self._tables[j]
+        C, table = self.complex, {}
+        lo, hi = (list(self.mdegs[k].values()) for k in (j - 1, j))
+        rdegs, cdegs = C.degs(j - 1), C.degs(j)
+        for (r, c), p in C.diff(j).entries.items():
+            want = tuple(map(sub, hi[c], lo[r]))
+            for mono, s in p.term_dict().items():
+                if mono.degree != cdegs[c] - rdegs[r]:
+                    raise DomainError(f"d_{j}[{r},{c}] is not homogeneous")
+                if mono.exps != want:
+                    raise DomainError(f"d_{j}[{r},{c}] is off its multidegree")
+                if isinstance(s, Fraction) and s.denominator == 1:
+                    s = s.numerator
+                table.setdefault(c, []).append((r, s))
+        self._tables[j] = table
+        return table
+
+    def _block_rows(self, j: int, upper: list, lower: list) -> list:
+        """Scalar rows of d_j on a block, from the generators ``upper`` of
+        C_j present there to those ``lower`` of C_{j-1}."""
+        at = {g: k for k, g in enumerate(lower)}
+        rows: list = [{} for _ in lower]
+        table = self._table(j)
+        for col, c in enumerate(upper):
+            for r, s in table.get(c, ()):
+                if r in at:
+                    rows[at[r]][col] = s
+        return rows
 
     def cells(self, levels, points=()) -> list:
         """One point of each cell on which the blocks of the C_i, i in
@@ -578,23 +622,22 @@ class Homology:
 
         H_i is constant on each cell, so this is H_i in every multidegree.
         Which generators are present at b is read off bitsets per
-        variable, and the block basis is built from those bits; the rank
-        of d_i on a block depends only on the generators present in
-        degrees i and i - 1, and is taken once per such pair.
+        variable, and each distinct presence is swept once; the rank of d_i
+        on a block depends only on the generators present in degrees i and
+        i - 1, and is taken once per such pair, on the scalar table.
         """
         C = self.complex
         levels = range(max(lo - 1, 0), min(hi + 1, C.length) + 1)
-        level_mdegs = {i: list(self.mdegs[i].values()) for i in levels}
-        gens = [m for i in levels for m in level_mdegs[i]]
+        gens = [m for i in levels for m in self.mdegs[i].values()]
         spans, start = {}, 0
         for i in levels:
-            spans[i] = (start, (1 << len(level_mdegs[i])) - 1)
-            start += len(level_mdegs[i])
-        # per variable k: the values of m_g[k] and, at each, the generators
-        # g with m_g[k] at most that value
+            spans[i] = (start, (1 << len(self.mdegs[i])) - 1)
+            start += len(self.mdegs[i])
+        # per variable k: the values of m_g[k], at index j the generators
+        # g with m_g[k] <= the j-th value (none at j = 0), and the lookups
         axes = []
         for k in range(C.ring.nvars):
-            vals, masks, acc = [], [], 0
+            vals, masks, acc = [], [0], 0
             for v, g in sorted((m[k], g) for g, m in enumerate(gens)):
                 acc |= 1 << g
                 if vals and vals[-1] == v:
@@ -602,47 +645,43 @@ class Homology:
                 else:
                     vals.append(v)
                     masks.append(acc)
-            axes.append((vals, masks))
+            axes.append((vals, masks, {}))
 
         def below(c):
             out = (1 << len(gens)) - 1
-            for (vals, masks), v in zip(axes, c):
-                j = bisect_right(vals, v)
-                if not j:
-                    return 0
-                out &= masks[j - 1]
+            for (vals, masks, seen), v in zip(axes, c):
+                if v not in seen:
+                    seen[v] = masks[bisect_right(vals, v)]
+                out &= seen[v]
             return out
 
-        def block(j, b, present):
-            # the basis (g, x^(b - m_g)) over the generators g present in C_j
-            out = []
-            while present:
-                g = (present & -present).bit_length() - 1
-                present &= present - 1
-                out.append((g, Monomial(tuple(map(sub, b, level_mdegs[j][g])))))
-            return out
+        def present_in(present):
+            return [g for g in range(present.bit_length()) if present >> g & 1]
 
         ranks: dict = {}  # (j, present in C_j, present in C_{j-1}) -> rank
 
-        def rank(j, b, bits):
+        def rank(j, bits):
             key = (j, bits.get(j, 0), bits.get(j - 1, 0))
             if key not in ranks:
-                upper, lower = block(j, b, key[1]), block(j - 1, b, key[2])
-                ranks[key] = self._rank(j, upper, lower)
+                ranks[key] = key[1] and key[2] and linalg.rank(
+                    self._block_rows(j, present_in(key[1]), present_in(key[2])),
+                    C.ring.field,
+                )
             return ranks[key]
 
-        failures = []
+        failures, dims = [], {}  # dims: present -> [(i, dim H_i)]
         for b in self.cells(levels, points):
             present = below(b)
             for q in self._kill:
                 if present:
                     present &= ~below(tuple(map(sub, b, q)))
-            bits = {i: present >> s & full for i, (s, full) in spans.items()}
-            for i in range(lo, hi + 1):
-                dim = bits.get(i, 0).bit_count()
-                dim -= rank(i, b, bits) + rank(i + 1, b, bits)
-                if dim:
-                    failures.append((i, b, dim))
+            if present not in dims:
+                bits = {i: present >> s & full for i, (s, full) in spans.items()}
+                dims[present] = [
+                    (i, bits.get(i, 0).bit_count() - rank(i, bits) - rank(i + 1, bits))
+                    for i in range(lo, hi + 1)
+                ]
+            failures += [(i, b, d) for i, d in dims[present] if d]
         return sorted(failures, key=lambda f: (f[0], sum(f[1]), f[1]))
 
     def stratum(self, i: int, s) -> StrandHomology:
@@ -658,21 +697,21 @@ class Homology:
         return self.strata[key]
 
     def _stratum(self, i: int, s) -> StrandHomology:
-        C, field = self.complex, self.complex.ring.field
+        field = self.complex.ring.field
         basis_i = self.basis(i, s)
         n = len(basis_i)
         empty = linalg.EchelonForm(n, [], [], field)
         if not basis_i:
             return StrandHomology(i, s, basis_i, 0, 0, 0, empty, empty, field)
         if i >= 1:
-            rows = strand_matrix(C, i, basis_i, self._basis(i - 1, s))
+            rows = self._rows(i, s, basis_i, self._basis(i - 1, s))
             cycles = linalg.kernel_basis(rows, n, field)
         else:
             cycles = [{k: field.one} for k in range(n)]
         basis_hi = self._basis(i + 1, s)
         bound = empty
         if basis_hi:
-            rows_up = strand_matrix(C, i + 1, basis_hi, basis_i)
+            rows_up = self._rows(i + 1, s, basis_hi, basis_i)
             bcols = linalg.rows_from_columns(rows_up, len(basis_hi))
             bound = linalg.echelon(bcols, n, field)
         # the two eliminations give r_i = |B_i| - dim Z_i and r_{i+1} = dim B_i

@@ -45,10 +45,6 @@ def k_axpy(acc: KElement, c, x: KElement) -> None:
         k_acc(acc, key, p * c)
 
 
-def k_is_zero(x: KElement) -> bool:
-    return not x
-
-
 def k_apply(A: PolyMatrix, x: KElement) -> KElement:
     """A x for an element keyed by the column indices of A."""
     out: KElement = {}

@@ -39,10 +39,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return any(g.is_one for g in self.gens)
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def contains(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.gens)
 

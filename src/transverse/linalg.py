@@ -61,10 +61,14 @@ class EchelonForm:
 
 def _int_row(row: dict) -> dict[int, int]:
     """Clear denominators and divide by the content, in integer arithmetic
-    on the numerators and denominators (ints have both)."""
-    denom = lcm(*(v.denominator for v in row.values()))
-    ints = {c: v.numerator * (denom // v.denominator)
-            for c, v in row.items() if v}
+    on the numerators and denominators (ints have both); a row of ints has
+    no denominator to clear."""
+    if all(type(v) is int for v in row.values()):
+        ints = {c: v for c, v in row.items() if v}
+    else:
+        denom = lcm(*(v.denominator for v in row.values()))
+        ints = {c: v.numerator * (denom // v.denominator)
+                for c, v in row.items() if v}
     g = gcd(*ints.values())
     if g > 1:
         return {c: v // g for c, v in ints.items()}
@@ -228,18 +232,3 @@ def rows_from_columns(cols: list[dict], nrows: int) -> list[dict]:
         for i, v in col.items():
             rows[i][j] = v
     return rows
-
-
-def image_basis(rows, nrows: int, ncols: int, field=QQ) -> list[dict]:
-    """Canonical (RREF) basis of the column space."""
-    cols: list[dict] = [dict() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols[j][i] = v
-    return echelon(cols, nrows, field).rows
-
-
-def scalar_rank(rows, nrows: int, ncols: int, field=QQ):
-    """Rank together with canonical kernel and image bases."""
-    kern = kernel_basis(rows, ncols, field)
-    return ncols - len(kern), kern, image_basis(rows, nrows, ncols, field)

@@ -68,15 +68,6 @@ def _check_len(m1: Monomial, m2: Monomial):
         )
 
 
-def monomial_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return m1.lcm(m2)
-
-
-def monomial_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True iff m1 divides m2."""
-    return m1.divides(m2)
-
-
 def minimal_monomials(mons) -> tuple[Monomial, ...]:
     """Divisibility-minimal elements, deduplicated, in canonical order."""
     mons = sorted(set(mons), key=lambda m: (m.degree, m.sort_key()))
@@ -394,10 +385,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
 class PolyMatrix:
     """A sparse matrix of polynomials; absent entries are zero."""
 
@@ -481,7 +468,3 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
-
-
-def matrix_apply(A: PolyMatrix, v: list[Polynomial]) -> list[Polynomial]:
-    return A.apply(v)

@@ -183,7 +183,9 @@ def betti_numbers(I: MonomialIdeal) -> BettiTable:
             level[T] = len(level)
         ranks = {}  # rank of the boundary out of each face size
         for s, level in levels.items():
-            if s:
+            if s == 1:
+                ranks[s] = 1  # every vertex maps onto the empty face
+            elif s:
                 lower = levels[s - 1]
                 rows = [
                     {lower[T ^ bit]: -1 if pos % 2 else 1

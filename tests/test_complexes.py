@@ -594,6 +594,32 @@ class TestStrandEngine:
         with pytest.raises(DomainError, match=r"d_1\[0,0\] is not homogeneous"):
             strand_homology_dim(C, [Rxy.parse_monomial("y^2")], 1, 1)
 
+    def test_inhomogeneous_entry_fails_on_blocks(self, Rxy):
+        # d_1 = x is one term in the multidegree it fixes, but the generator
+        # of C_1 is declared in degree 2
+        x = Rxy.variable(0)
+        C = GradedFreeComplex(
+            Rxy, [(0,), (2,)], [PolyMatrix(Rxy, 1, 1, {(0, 0): x})]
+        )
+        with pytest.raises(DomainError, match=r"d_1\[0,0\] is not homogeneous"):
+            Homology(C).cell_failures(0, 1)
+
+    def test_term_off_its_multidegree_fails_loudly(self, Rxy):
+        # the generator of C_1 is declared at y, where d_1 = x cannot map it
+        # to the generator of C_0 at 0; the block at y used to drop the term
+        x = Rxy.variable(0)
+        C = GradedFreeComplex(
+            Rxy, [(0,), (1,)], [PolyMatrix(Rxy, 1, 1, {(0, 0): x})]
+        )
+        mdegs = [[(0, 0)], [(0, 1)]]
+        off = r"d_1\[0,0\] is off its multidegree"
+        with pytest.raises(DomainError, match=off):
+            Homology(C, mdegs=mdegs).cell_failures(0, 1)
+        with pytest.raises(DomainError, match=off):
+            Homology(C, support=lambda i: [(0, 1)], mdegs=mdegs).stratum(1, 1)
+        # read off d, the generator sits at x and C is exact in degree 1
+        assert Homology(C).cell_failures(1, 1) == []
+
 
 class TestHomology:
     def test_stratum_is_cached(self, R4, flagship):
@@ -639,21 +665,36 @@ class TestOneStrandEngine:
     """Homology is the one door to strands: counts of one small job each."""
 
     @staticmethod
-    def record_strand_matrices(monkeypatch):
-        """Wrap strand_matrix; returns the (complex, i, upper basis, lower
-        basis) of every strand or block matrix assembled and of every one
-        ranked."""
+    def record_matrices(monkeypatch):
+        """Wrap the three doors to a scalar matrix; returns the key of every
+        matrix assembled and of every one ranked: ("strand", complex, i,
+        upper basis, lower basis) for strand_matrix, ("block", complex, i,
+        upper generators, lower generators) for Homology._block_rows, and
+        ("piece", complex, i, s) for Homology._rows on the strand or block
+        s (whose rows then rank under the piece key)."""
         from transverse import complexes, linalg
 
         keep, key_of, built, ranked = [], {}, [], []
         matrix, rank = complexes.strand_matrix, linalg.rank
+        block_rows, piece_rows = Homology._block_rows, Homology._rows
+
+        def record(rows, key):
+            keep.append(rows)
+            key_of[id(rows)] = key
+            built.append(key)
+            return rows
 
         def traced_matrix(C, i, basis_hi, basis_lo):
-            rows = matrix(C, i, basis_hi, basis_lo)
-            keep.append(rows)
-            key_of[id(rows)] = (id(C), i, tuple(basis_hi), tuple(basis_lo))
-            built.append(key_of[id(rows)])
-            return rows
+            key = ("strand", id(C), i, tuple(basis_hi), tuple(basis_lo))
+            return record(matrix(C, i, basis_hi, basis_lo), key)
+
+        def traced_block_rows(self, i, upper, lower):
+            key = ("block", id(self.complex), i, tuple(upper), tuple(lower))
+            return record(block_rows(self, i, upper, lower), key)
+
+        def traced_piece_rows(self, i, s, upper, lower):
+            key = ("piece", id(self.complex), i, s)
+            return record(piece_rows(self, i, s, upper, lower), key)
 
         def traced_rank(rows, field):
             if id(rows) in key_of:
@@ -661,6 +702,8 @@ class TestOneStrandEngine:
             return rank(rows, field)
 
         monkeypatch.setattr(complexes, "strand_matrix", traced_matrix)
+        monkeypatch.setattr(Homology, "_block_rows", traced_block_rows)
+        monkeypatch.setattr(Homology, "_rows", traced_piece_rows)
         monkeypatch.setattr(linalg, "rank", traced_rank)
         return built, ranked
 
@@ -669,7 +712,7 @@ class TestOneStrandEngine:
     ):
         from transverse import obstructions
 
-        built, ranked = self.record_strand_matrices(monkeypatch)
+        built, ranked = self.record_matrices(monkeypatch)
         spans = []
         check = obstructions.resolves_k_failures
 
@@ -684,18 +727,25 @@ class TestOneStrandEngine:
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
         rep = obstructions.avramov_obstruction(a, M, 6)
         assert rep.nonzero_degrees() == [4]
-        # the Tate certificate: 357 block matrices, one per rank it takes,
-        # each assembled and ranked once
+        # no whole strand: every matrix is read off a scalar table
+        assert "strand" not in {key[0] for key in built}
+        # the Tate certificate: 357 linalg.rank calls, each on a distinct
+        # (complex, i, upper, lower), assembled once and ranked once
         ((b0, r0), (b1, r1)), = spans
         cert = built[b0:b1]
         assert len(cert) == 357 and len(set(cert)) == 357
+        assert {key[0] for key in cert} == {"block"}
         assert ranked[r0:r1] == cert
-        # Tor over S: 162 strand and block matrices, each assembled and
+        # Tor over S: the strata and dims of KoszulHomology and QuotientTor
+        # take 162 pieces, each a multidegree block assembled and
         # eliminated once: the Tor^S dimensions read the ranks that the
         # change-of-rings strata stored
-        rest, rest_ranked = built[:b0] + built[b1:], ranked[:r0] + ranked[r1:]
-        assert len(rest) == 162 and len(set(rest)) == 162
-        assert rest_ranked and set(rest_ranked) < set(rest)
+        rest = built[:b0] + built[b1:]
+        pieces = [key for key in rest if key[0] == "piece"]
+        assert len(pieces) == 162 and len(set(pieces)) == 162
+        assert all(isinstance(s, tuple) for *_, s in pieces)
+        rest_ranked = ranked[:r0] + ranked[r1:]
+        assert rest_ranked and set(rest_ranked) < set(pieces)
 
     def test_probe_assembles_no_strand(self, monkeypatch):
         from transverse import complexes
@@ -709,7 +759,7 @@ class TestOneStrandEngine:
         sp = star_degree_one_product(
             F, G, koszul_dg_product(F), koszul_dg_product(G)
         )
-        built, _ = self.record_strand_matrices(monkeypatch)
+        built, _ = self.record_matrices(monkeypatch)
         bases = []
         basis = complexes.strand_basis
 

@@ -201,6 +201,26 @@ def test_int_row_matches_fraction_multiplication(seed):
         assert all(type(v) is int for v in got.values())
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_int_row_fast_path_matches_fraction_path(seed, monkeypatch):
+    rng = random.Random(300 + seed)
+    rows = []
+    for _ in range(200):
+        cols = rng.sample(range(12), rng.randint(0, 10))
+        rows.append({c: rng.choice([0, rng.randint(-40, 40)]) for c in cols})
+    want = [linalg._int_row({c: Fraction(v) for c, v in row.items()})
+            for row in rows]
+
+    def refuse(*args):
+        raise AssertionError("an all-int row cleared its denominators")
+
+    # all-int rows take the fast path, which never calls lcm
+    monkeypatch.setattr(linalg, "lcm", refuse)
+    got = [linalg._int_row(row) for row in rows]
+    assert got == want
+    assert all(type(v) is int for row in got for v in row.values())
+
+
 # ---------------------------------------------------------------------------
 # express on the strata of Koszul homology
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from transverse.errors import DomainError
-from transverse.exterior import k_is_zero, k_wedge, k_with_ring
+from transverse.exterior import k_wedge, k_with_ring
 from transverse.golod import (
     golod_basis,
     golod_poincare,
@@ -192,19 +192,19 @@ class TestMassey:
     def test_repeated_factor_vanishes(self, Rxy):
         basis = golod_basis(ideal(Rxy, "x"), ideal(Rxy, "y"))
         assert len(basis.pairs) == 1
-        assert k_is_zero(massey_mu(basis, (0, 0)))
+        assert massey_mu(basis, (0, 0)) == {}
 
     def test_identity_exhaustive_small(self, Rxy):
         basis = golod_basis(ideal(Rxy, "x"), ideal(Rxy, "y"))
         for p in range(1, 4):
             for word in itertools.product(range(len(basis.pairs)), repeat=p):
-                assert k_is_zero(massey_identity_residual(basis, word))
+                assert massey_identity_residual(basis, word) == {}
 
     def test_identity_flagship_pairs(self, R4, flagship):
         basis = golod_basis(*flagship)
         for p in range(1, 3):
             for word in itertools.product(range(len(basis.pairs)), repeat=p):
-                assert k_is_zero(massey_identity_residual(basis, word))
+                assert massey_identity_residual(basis, word) == {}
 
 
 class TestGolodResolution:

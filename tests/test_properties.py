@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from transverse import linalg
 from transverse.complexes import (
     BettiTable, GradedFreeComplex, Homology, betti_table, star_product,
+    strand_matrix,
 )
 from transverse.exterior import k_element
 from transverse.fields import QQ, PrimeField
@@ -289,3 +290,26 @@ def test_cells_match_whole_strands(case):
     D = max(sum(c) for c in cells) + 1
     want = {(i, t): d for i, t, d in strand_failures(C, Q, top, D)}
     assert strand_dims_from_cells(cells, failures, D) == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(monomial_complexes())
+def test_scalar_block_rows_match_strand_matrix(case):
+    """On each cell, d_i read off the scalar table on the generators
+    present is the matrix that strand_matrix assembles on the block bases,
+    so it has the same rank."""
+    C, Q, mdegs = case
+    H, field = Homology(C, Q, mdegs=mdegs), C.ring.field
+    for b in H.cells(range(C.length + 1)):
+        for i in range(1, C.length + 1):
+            upper, lower = H._basis(i, b), H._basis(i - 1, b)
+            block = H._block_rows(i, [g for g, _ in upper], [g for g, _ in lower])
+            strand = strand_matrix(C, i, upper, lower)
+            assert block == strand
+            assert linalg.rank(block, field) == linalg.rank(strand, field)
+    # integral rationals are kept as ints, for the integer fast path
+    if field is QQ:
+        for i in range(1, C.length + 1):
+            assert all(
+                type(s) is int for col in H._table(i).values() for _, s in col
+            )

@@ -224,6 +224,18 @@ class TestBettiOracle:
         assert table.totals() == (1, 20, 31, 12)
         assert sum(rows_in) <= len(lcm_lattice(I)) * 2 ** R4.nvars
 
+    def test_vertices_onto_the_empty_face_rank_without_elimination(
+        self, R4, monkeypatch
+    ):
+        # every K^b of these ideals is at most two vertices and the empty
+        # face, and the boundary onto the empty face has rank 1
+        calls = []
+        monkeypatch.setattr(linalg, "rank", lambda *args: calls.append(args))
+        assert betti_numbers(ideal(R4, "x1", "x2")).totals() == (1, 2, 1)
+        assert betti_numbers(ideal(R4, "x1^2", "x2")).totals() == (1, 2, 1)
+        assert betti_numbers(ideal(R4, "x1*x2")).totals() == (1, 1)
+        assert calls == []
+
     def test_oracle_paths_build_no_taylor_complex(self, R4, monkeypatch):
         I = ideal(R4, "x1^2", "x1*x2", "x2^2")
         J = ideal(R4, "x3", "x4^2")
