@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-from operator import add, ge, itemgetter, sub
+from operator import add, ge, sub
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
@@ -423,26 +423,28 @@ class Homology:
     """Homology of C (x) R/Q: the one code that builds bases, assembles
     matrices and eliminates them.
 
-    It works on pieces of strands.  Without a ``support``, the piece of
-    (i, t) is the whole degree-t strand.  With one, the pieces are the
-    multidegree blocks b of total degree t in ``support(i)``, a set that
-    holds every multidegree where H_i can be nonzero; the caller names the
-    theorem that says so.  The block of C_i at b has the basis
-    (g, x^(b - m_g)) over the generators g of multidegree m_g <= b
-    (``mdegs``) whose monomial survives in R/Q.  Blocks are complexes on
-    disjoint coordinates, and a strand is their direct sum.
+    It works on multidegree blocks b and on whole strands t.  The block of
+    C_i at b has the basis (g, x^(b - m_g)) over the generators g of
+    multidegree m_g <= b (``mdegs``) whose monomial survives in R/Q.
+    Blocks are complexes on disjoint coordinates, and the degree-t strand
+    is the direct sum of the blocks of total degree t.  A multihomogeneous
+    element lies in one block, so :meth:`express` and :meth:`is_boundary`
+    take that block.  A ``support`` maps i to a set that holds every
+    multidegree where H_i can be nonzero (the caller names the theorem that
+    says so); :meth:`strand_dims` then sums over those blocks alone.
 
     An entry d_i[r, c] is one term s x^(m_c - m_r), so each d_i is read once
     into a scalar table, with one homogeneity and multidegree check, and a
     block matrix is that table on the generators present;
     :func:`strand_matrix` serves only whole strands.
 
-    It keeps the tables, the rank of d_i on each piece it has eliminated,
-    each stratum asked for and the keyed index of each piece an element is
-    expressed in, with the bases of those two.  A strand is keyed (i, t)
-    and a block (i, b).  ``keys[i][g]`` names generator g of C_i (g itself
-    when ``keys`` is None); ``mdegs[i][g]`` is its multidegree, read off
-    the differentials by :func:`multidegrees` when None.
+    It keeps the tables, the rank of d_i on each strand or block it has
+    eliminated, each stratum asked for and the keyed index of each block an
+    element is expressed in, with the bases of those two.  A strand is
+    keyed (i, t) and a block (i, b).  ``keys[i][g]`` names generator g of
+    C_i (g itself when ``keys`` is None); ``mdegs[i][g]`` is its
+    multidegree, read off the differentials by :func:`multidegrees` when
+    None.
     """
 
     def __init__(
@@ -472,7 +474,8 @@ class Homology:
         return [dict(zip(k, m)) for k, m in zip(keys, mdegs)]
 
     def _pieces(self, i: int, t: int):
-        """The pieces of the degree-t strand in degree i."""
+        """The pieces that :meth:`strand_dims` sums over in the degree-t
+        strand of degree i: the strand itself, or its supported blocks."""
         if self.support is None:
             return (t,)
         if i not in self._blocks:
@@ -483,9 +486,8 @@ class Homology:
         return self._blocks[i].get(t, ())
 
     def basis(self, i: int, s) -> list:
-        """The basis in degree i of the strand s = t (with a support: of its
-        supported blocks, in strand order) or of the block s = b, kept for
-        later queries."""
+        """The basis in degree i of the whole strand s = t or of the block
+        s = b, kept for later queries."""
         key = (i, s)
         if key not in self.bases:
             self.bases[key] = self._basis(i, s)
@@ -497,10 +499,7 @@ class Homology:
         if kept is not None:
             return kept
         if isinstance(s, int):
-            if self.support is None:
-                return strand_basis(self.complex, i, s, self.extra)
-            out = [gm for b in self._pieces(i, s) for gm in self._basis(i, b)]
-            return sorted(out, key=lambda gm: (gm[0], gm[1].sort_key()))
+            return strand_basis(self.complex, i, s, self.extra)
         mdegs = self.mdegs[i].values() if 0 <= i < len(self.mdegs) else ()
         out = []
         for g, m in enumerate(mdegs):
@@ -508,10 +507,6 @@ class Homology:
             if min(e) >= 0 and not any(all(map(ge, e, k)) for k in self._kill):
                 out.append((g, Monomial(e)))
         return out
-
-    def matrix(self, i: int, t: int):
-        """Scalar rows of d_i on the degree-t strand, between kept bases."""
-        return strand_matrix(self.complex, i, self.basis(i, t), self.basis(i - 1, t))
 
     def strand_dims(self, t: int, lo: int, hi: int) -> dict:
         """{i: dim H_i} of the degree-t strand for lo <= i <= hi, from ranks
@@ -685,15 +680,12 @@ class Homology:
         return sorted(failures, key=lambda f: (f[0], sum(f[1]), f[1]))
 
     def stratum(self, i: int, s) -> StrandHomology:
-        """H_i of the strand s = t or the block s = b with canonical
+        """H_i of the whole strand s = t or the block s = b with canonical
         representatives (cycles reduced against the boundary RREF),
         computed once per (i, s)."""
         key = (i, s)
         if key not in self.strata:
-            if self.support is None or not isinstance(s, int):
-                self.strata[key] = self._stratum(i, s)
-            else:
-                self.strata[key] = self._direct_sum(i, s)
+            self.strata[key] = self._stratum(i, s)
         return self.strata[key]
 
     def _stratum(self, i: int, s) -> StrandHomology:
@@ -724,38 +716,6 @@ class Homology:
             field,
         )
 
-    def _direct_sum(self, i: int, t: int) -> StrandHomology:
-        """The stratum of the supported blocks of the degree-t strand.
-
-        The RREF of a direct sum on disjoint coordinates is the union of
-        the RREFs of its summands, so these are the representatives and
-        boundaries of the whole strand (where the skipped blocks carry no
-        homology), ordered by pivot in strand order."""
-        field = self.complex.ring.field
-        basis = self.basis(i, t)
-        col = {gm: k for k, gm in enumerate(basis)}
-        blocks = [self.stratum(i, b) for b in self._pieces(i, t)]
-
-        def union(forms):
-            rows = sorted(
-                (
-                    (col[sh.basis[p]], {col[sh.basis[c]]: v for c, v in row.items()})
-                    for sh, ech in forms
-                    for p, row in zip(ech.pivots, ech.rows)
-                ),
-                key=itemgetter(0),
-            )
-            return linalg.EchelonForm(
-                len(basis), [p for p, _ in rows], [row for _, row in rows], field
-            )
-
-        classes = union((sh, sh._classes) for sh in blocks)
-        bound = union((sh, sh._boundaries) for sh in blocks)
-        return StrandHomology(
-            i, t, basis, classes.rank, sum(sh.cycle_dim for sh in blocks),
-            bound.rank, classes, bound, field,
-        )
-
     def strand_index(self, i: int, s) -> dict:
         """{(key, monomial): column} of the strand or block s in degree i,
         built once per (i, s)."""
@@ -767,39 +727,16 @@ class Homology:
             self.indexes[key] = {bm: col for col, bm in enumerate(basis)}
         return self.indexes[key]
 
-    def _coords(self, i: int, t: int, x: dict) -> dict:
-        """{s: coordinates}: x on the degree-t strand s = t, except that,
-        with a support, a term in a skipped block b goes to s = b."""
-        if self.support is None:
-            return {t: k_coords(x, self.strand_index(i, t))}
-        mdegs, kept = self.mdegs[i], set(self._pieces(i, t))
-        out: dict = {t: {}}
-        for key, p in x.items():
-            for mono, c in p.term_dict().items():
-                b = tuple(map(add, mdegs[key], mono.exps))
-                if sum(b) != t:
-                    raise KeyError((key, mono))
-                s = t if b in kept else b
-                out.setdefault(s, {})[self.strand_index(i, s)[(key, mono)]] = c
-        return out
+    def express(self, i: int, b, x: dict):
+        """Coordinates of the class of a cycle x of the block b in the
+        canonical basis of ``stratum(i, b)``, or None if it is not a cycle
+        class.  Raises KeyError for a term of x off the block."""
+        return self.stratum(i, b).express(k_coords(x, self.strand_index(i, b)))
 
-    def express(self, i: int, t: int, x: dict):
-        """Coordinates of the class of a cycle in the canonical basis, or
-        None if it is not a cycle class.  A part of x in a skipped block
-        has no class, but it must still be a cycle, so that block is
-        eliminated on demand."""
-        parts = self._coords(i, t, x)
-        for s, vec in parts.items():
-            if s != t and self.stratum(i, s).express(vec) is None:
-                return None
-        return self.stratum(i, t).express(parts[t])
-
-    def is_boundary(self, i: int, t: int, x: dict) -> bool:
-        if not x:
-            return True
-        return all(
-            self.stratum(i, s).is_boundary(vec)
-            for s, vec in self._coords(i, t, x).items() if vec
+    def is_boundary(self, i: int, b, x: dict) -> bool:
+        """Whether x, an element of the block b, is a boundary."""
+        return not x or self.stratum(i, b).is_boundary(
+            k_coords(x, self.strand_index(i, b))
         )
 
 

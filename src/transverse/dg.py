@@ -524,9 +524,9 @@ def koszul_module_action(
     phi = lift_comparison_map(K, C)
     MK = _MonomialMatrices(K)
     subsets, mK = K.meta["subsets"], MK.md
-    # the lift solves each strand system with its free unknowns at zero, so
-    # phi_1(e_s) lies in the multidegree block of a_s: its entry at w is
-    # one term c x^(mdeg a_s - m_w)
+    # the lift solves for phi_1(e_s) on the multidegree block of a_s, so
+    # it lies there by construction: its entry at w is one term
+    # c x^(mdeg a_s - m_w)
     phi1: list = [[] for _ in mons]
     for (w, s), f in phi[1].entries.items():
         (c,) = f.term_dict().values()

@@ -6,6 +6,7 @@ Poincare series certificate)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 
 from . import linalg
 from .complexes import GradedFreeComplex, Homology, resolves_k_failures
@@ -22,11 +23,13 @@ class KoszulClass:
 
     The representative is an exterior element whose coefficients are reduced
     modulo the ideal (no term lies in it), so it lifts to the ambient ring
-    or to any intermediate quotient unchanged.
+    or to any intermediate quotient unchanged.  It lies in the multidegree
+    block ``b``, of total degree ``t``.
     """
 
     i: int
     t: int
+    b: tuple
     index: int
     label: str
     rep: KElement
@@ -35,12 +38,14 @@ class KoszulClass:
 class KoszulHomology(Homology):
     """Basis data for H_{>=1}(K (x) R/I) over the ambient polynomial ring.
 
-    Strand homology objects are cached per (i, t) so classes can be
-    re-expressed in the canonical basis later (boundary tests, Kunneth
-    matrices, product triviality checks).  Only the multidegree blocks in
-    the lcm lattice L_I are eliminated: H_i(K (x) R/I)_b = Tor_i(R/I, k)_b,
-    which the Taylor resolution computes, vanishes unless b is in L_I
-    (Gasharov-Peeva-Welker, "The lcm-lattice in monomial resolutions", 1999).
+    The homology is taken on the multidegree blocks b of the lcm lattice
+    L_I: H_i(K (x) R/I)_b = Tor_i(R/I, k)_b, which the Taylor resolution
+    computes, vanishes unless b is in L_I (Gasharov-Peeva-Welker, "The
+    lcm-lattice in monomial resolutions", 1999).  The block strata are
+    cached, so a class is re-expressed in the canonical basis of its block
+    later (boundary tests, Kunneth matrices, product triviality checks).
+    Within a strand t the classes are ordered by the strand position
+    (generator, descending lex) of their pivots.
 
     Each dimension is checked against ``resolutions.betti_numbers``, and the
     check is not circular: the block at b here has the faces T of supp b
@@ -59,26 +64,29 @@ class KoszulHomology(Homology):
         lattice = lcm_lattice(I)
         super().__init__(K, I, K.meta["subsets"], lambda i: lattice)
         # the lcm-lattice Betti numbers pin the exact (i, t) support of the
-        # homology; strand elimination then recomputes each dimension
+        # homology; block elimination then recomputes each dimension
         # independently and the two pipelines must agree on the nose
         table = {
             (i, t): v for (i, t), v in betti_numbers(I).entries.items() if i >= 1
         }
         classes = []
-        for i in range(1, max((i for i, _ in table), default=0) + 1):
-            for t in sorted(t for (ii, t) in table if ii == i):
-                sh = self.stratum(i, t)
-                if sh.dim != table[(i, t)]:
-                    raise CertificationError(
-                        f"strand homology dim {sh.dim} at ({i},{t}) deviates "
-                        f"from the lcm-lattice Betti number {table[(i, t)]}"
-                    )
+        for i, t in sorted(table):
+            found = []  # (strand position of the pivot, b, representative)
+            for b in self._pieces(i, t):
+                sh = self.stratum(i, b)
                 keyed = [(self.keys[i][g], m) for g, m in sh.basis]
                 for v in sh.representatives:
-                    rep = k_element(v, keyed, ring)
-                    classes.append(
-                        KoszulClass(i, t, len(classes), f"z{len(classes)}", rep)
-                    )
+                    # the pivot of an RREF row is its leading column
+                    g, m = sh.basis[min(v)]
+                    found.append(((g, m.sort_key()), b, k_element(v, keyed, ring)))
+            if len(found) != table[(i, t)]:
+                raise CertificationError(
+                    f"strand homology dim {len(found)} at ({i},{t}) deviates "
+                    f"from the lcm-lattice Betti number {table[(i, t)]}"
+                )
+            for _, b, rep in sorted(found, key=itemgetter(0)):
+                n = len(classes)
+                classes.append(KoszulClass(i, t, b, n, f"z{n}", rep))
         self.classes = tuple(classes)
 
     def dims(self) -> dict:
@@ -96,13 +104,13 @@ class KoszulHomology(Homology):
     def classes_at(self, i: int):
         return [c for c in self.classes if c.i == i]
 
-    def class_coords(self, i: int, t: int, x: KElement):
-        """The class of a cycle as a sparse vector over ``classes_at(i)``,
-        or None if it is not a cycle class."""
-        lam = self.express(i, t, x)
+    def class_coords(self, i: int, b: tuple, x: KElement):
+        """The class of a cycle in the block b as a sparse vector over
+        ``classes_at(i)``, or None if it is not a cycle class."""
+        lam = self.express(i, b, x)
         if lam is None:
             return None
-        at = [k for k, c in enumerate(self.classes_at(i)) if c.t == t]
+        at = [k for k, c in enumerate(self.classes_at(i)) if c.b == b]
         return {k: v for k, v in zip(at, lam) if v}
 
 
@@ -177,7 +185,9 @@ def kunneth_map(
             za = k_with_ring(a.rep, quotient)
             zb = k_with_ring(b.rep, quotient)
             image = k_wedge(za, k_diff(quotient, zb))
-            col = HIJ.class_coords(n, a.t + b.t, k_with_ring(image, ring))
+            col = HIJ.class_coords(
+                n, tuple(map(add, a.b, b.b)), k_with_ring(image, ring)
+            )
             if col is None:
                 raise CertificationError(
                     f"Kunneth image of ({a.label},{b.label}) is not a cycle class"
@@ -438,6 +448,7 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
                 k_with_ring(c2.rep, basis.quotient),
             )
             prod = k_with_ring(prod, I.ring)
-            if not HIJ.is_boundary(c1.i + c2.i, c1.t + c2.t, prod):
+            b = tuple(map(add, c1.b, c2.b))
+            if not HIJ.is_boundary(c1.i + c2.i, b, prod):
                 cert.triviality_failures.append((c1.label, c2.label))
     return cert

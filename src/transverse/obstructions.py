@@ -123,15 +123,16 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
 
 
 class QuotientTor(Homology):
-    """Strand homology data of T (x)_S R/M with cached strata.
+    """Homology of T (x)_S R/M on multidegree blocks, with cached strata.
 
-    Only the multidegree blocks b = m + sum_j c_j mdeg(a_j) with m in the
-    lcm lattice L_M, c_j >= 0 and 2 sum_j c_j <= i are eliminated in
-    degree i: R/M has the S-free resolution F (x) D(y_1..y_c), F the
-    R-free resolution of R/M (generators in L_M) and y_j of homological
-    degree 2 and multidegree mdeg(a_j) (Shamash, J. Algebra 12, 1969;
-    Eisenbud, "Homological algebra on a complete intersection", Trans. AMS
-    260, 1980), so Tor_i^S(R/M, k)_b vanishes off these blocks.
+    In degree i the support is the blocks b = m + sum_j c_j mdeg(a_j) with
+    m in the lcm lattice L_M, c_j >= 0 and 2 sum_j c_j <= i: R/M has the
+    S-free resolution F (x) D(y_1..y_c), F the R-free resolution of R/M
+    (generators in L_M) and y_j of homological degree 2 and multidegree
+    mdeg(a_j) (Shamash, J. Algebra 12, 1969; Eisenbud, "Homological algebra
+    on a complete intersection", Trans. AMS 260, 1980), so Tor_i^S(R/M,
+    k)_b vanishes off these blocks.  Classes are expressed in the block of
+    their multidegree.
     """
 
     def __init__(self, tate: TateComplex, M: MonomialIdeal):
@@ -153,19 +154,17 @@ class QuotientTor(Homology):
         self.tate = tate
         self.M = M
 
-    def express(self, i: int, t: int, x: KElement):
-        """Coordinates, in the canonical basis, of the class of an exterior
-        cycle included into the Tate complex, or None if it is not a cycle
-        class."""
+    def express(self, i: int, b: tuple, x: KElement):
+        """Coordinates, in the canonical basis of the block b, of the class
+        of an exterior cycle included into the Tate complex, or None if it
+        is not a cycle class."""
         zero = (0,) * len(self.tate.sequence)
-        return super().express(i, t, {(S, zero): p for S, p in x.items()})
+        return super().express(i, b, {(S, zero): p for S, p in x.items()})
 
     def total_dim(self, i: int) -> int:
-        """dim Tor_i^S(R/M, k), summed over the internal degrees up to the
-        reporting bound: the top Tate degree plus the top generator degree
-        of M, plus one."""
-        D = self.tate.complex.max_degree() + self.M.max_gen_degree() + 1
-        return sum(self.dim(i, t) for t in range(D + 1))
+        """dim Tor_i^S(R/M, k): dim H_i summed over the degrees of the
+        supported blocks, a finite set."""
+        return sum(self.dim(i, t) for t in {sum(b) for b in self.support(i)})
 
 
 def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6):
@@ -190,23 +189,24 @@ def change_of_rings_map(
     source: KoszulHomology, qt: QuotientTor, i: int
 ) -> ChangeOfRingsMap:
     """The map H_i(K^R (x) R/M) -> H_i(T (x)_S R/M) induced by the exterior
-    inclusion, assembled per strand in the canonical homology bases."""
+    inclusion, assembled per multidegree block of the source classes in the
+    canonical homology bases."""
     if i == 0:
         return ChangeOfRingsMap(1, 1, 1)
     srcs = source.classes_at(i)
     offsets: dict = {}
     total_target = 0
-    for t in sorted({c.t for c in srcs}):
-        offsets[t] = total_target
-        total_target += qt.stratum(i, t).dim
+    for b in sorted({c.b for c in srcs}):
+        offsets[b] = total_target
+        total_target += qt.stratum(i, b).dim
     cols = []
     for cls in srcs:
-        lam = qt.express(i, cls.t, cls.rep)
+        lam = qt.express(i, cls.b, cls.rep)
         if lam is None:
             raise CertificationError(
                 f"exterior image of class {cls.label} is not a cycle class"
             )
-        cols.append({offsets[cls.t] + k: v for k, v in enumerate(lam) if v})
+        cols.append({offsets[cls.b] + k: v for k, v in enumerate(lam) if v})
     rows = linalg.rows_from_columns(cols, total_target)
     return ChangeOfRingsMap(
         len(srcs), total_target, linalg.rank(rows, qt.M.ring.field)
@@ -216,31 +216,32 @@ def change_of_rings_map(
 def tor_product_subspace(source: KoszulHomology, qt: QuotientTor, i: int):
     """The subspace Tor_1(S,k) . Tor_{i-1}(M-quotient,k) inside Tor_i,
     spanned by classes [z_j ^ w]; returned as echelonized coordinate vectors
-    in the canonical basis of H_i together with the raw wedge cycles."""
+    in the canonical basis of H_i together with the raw wedge cycles, each
+    with its multidegree block mdeg(a_j) + mdeg(w)."""
     if i < 1:
         raise DomainError("the product subspace lives in positive degrees")
     ring = qt.M.ring
     quotient = qt.M.quotient_ring()
     if i == 1:
-        lowers = [({(): Polynomial.one(quotient)}, 0)]
+        lowers = [({(): Polynomial.one(quotient)}, (0,) * ring.nvars)]
     else:
         lowers = [
-            (k_with_ring(c.rep, quotient), c.t) for c in source.classes_at(i - 1)
+            (k_with_ring(c.rep, quotient), c.b) for c in source.classes_at(i - 1)
         ]
     vectors = []
     cycles = []
     for z, zm in zip(qt.tate.cycles, qt.tate.sequence):
         z = k_with_ring(z, quotient)
-        for w, tw in lowers:
+        for w, bw in lowers:
             wedge = k_wedge(z, w)
-            t = zm.degree + tw
+            b = tuple(map(add, zm.exps, bw))
             if not wedge:
                 continue
-            vec = source.class_coords(i, t, k_with_ring(wedge, ring))
+            vec = source.class_coords(i, b, k_with_ring(wedge, ring))
             if vec is None:
                 raise CertificationError("product wedge is not a cycle class")
             vectors.append(vec)
-            cycles.append((wedge, t))
+            cycles.append((wedge, b))
     ech = linalg.echelon(vectors, len(source.classes_at(i)), ring.field)
     return ech, cycles
 
@@ -326,8 +327,8 @@ def avramov_obstruction(
         phi = change_of_rings_map(source, qt, i)
         ech, cycles = tor_product_subspace(source, qt, i)
         # certify the induced map is well defined: products map to zero
-        for wedge, t in cycles:
-            lam = qt.express(i, t, wedge)
+        for wedge, b in cycles:
+            lam = qt.express(i, b, wedge)
             if lam is None or any(lam):
                 product_ok = False
         s, p = phi.dim_source, ech.rank

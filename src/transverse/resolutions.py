@@ -10,7 +10,9 @@ from itertools import combinations
 from operator import le
 
 from . import linalg
-from .complexes import BettiTable, GradedFreeComplex, Homology, complex_from_boundary
+from .complexes import (
+    BettiTable, GradedFreeComplex, Homology, complex_from_boundary, multidegrees,
+)
 from .errors import DomainError, ExactnessError
 from .exterior import k_acc, k_apply, k_coords, k_diff, k_element, k_wedge
 from .ideals import MonomialIdeal, lcm_lattice
@@ -295,14 +297,17 @@ def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
     return dict(sorted(out.items()))
 
 
-def tor_independence(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> bool:
-    """True iff Tor_i(R/I, R/J) = 0 for all i >= 1 on the strands t <= D.
+def tor_independence(I: MonomialIdeal, J: MonomialIdeal) -> bool:
+    """True iff Tor_i(R/I, R/J) = 0 for all i >= 1, in every multidegree.
 
-    By rigidity of Tor over the polynomial ring this bounded check decides
-    Tor-independence outright: a nonzero Tor_1 = (I cap J)/IJ has a witness
-    below the generator-degree bound.
+    Tor_i(R/I, R/J) = H_i(F (x) R/J), F the minimal free resolution of R/I,
+    is constant on each cell of :meth:`Homology.cells`, so the check runs
+    on finitely many cells.
     """
-    return not tor_dims(I, J, D)
+    if any(K.is_zero or K.is_unit for K in (I, J)):
+        raise DomainError("Tor dimensions need nonzero proper ideals")
+    F = minimal_resolution(I)
+    return not Homology(F, J).cell_failures(1, F.length)
 
 
 def lift_comparison_map(
@@ -310,10 +315,13 @@ def lift_comparison_map(
 ) -> list[PolyMatrix]:
     """Lift the identity on degree 0 to a chain map source -> target.
 
-    Each generator's image is solved strand-by-strand as an exact scalar
-    system; among the (homotopy-many) solutions the echelon-canonical one is
-    chosen.  Raises :class:`ExactnessError` when some strand system has no
-    solution, i.e. the target fails to be exact where needed.
+    The image of each generator e is solved as an exact scalar system on
+    the multidegree block mdeg(e) of the target, the only block where the
+    right-hand side lives; among the (homotopy-many) solutions the
+    echelon-canonical one is chosen, so the image lies in that block.
+    Raises :class:`ExactnessError` when some block system has no solution,
+    i.e. the target fails to be exact where needed.  Raises DomainError
+    when either complex is not Z^n-graded (see :func:`multidegrees`).
     """
     ring = source.ring
     if target.ring != ring:
@@ -322,27 +330,27 @@ def lift_comparison_map(
         raise DomainError("comparison lifting needs rank-1 degree-0 terms")
     phis = [PolyMatrix.identity(ring, 1)]
     H = Homology(target)
-    for i in range(1, source.length + 1):
+    for i, mdegs in enumerate(multidegrees(source)[1:], start=1):
         entries = {}
-        for e in range(source.rank(i)):
-            t = source.degs(i)[e]
-            # rhs = phi_{i-1}(d^S_i e) in strand coordinates of target_{i-1}
+        for e, b in enumerate(mdegs):
+            # rhs = phi_{i-1}(d^S_i e) in block coordinates of target_{i-1}
             rhs = k_coords(
                 k_apply(phis[i - 1], source.diff(i).column(e)),
-                H.strand_index(i - 1, t),
+                H.strand_index(i - 1, b),
             )
-            basis_hi = H.basis(i, t)
+            basis_hi = H.basis(i, b)
             if not basis_hi:
                 if rhs:
                     raise ExactnessError(
                         f"no solution lifting generator {e} in degree {i}: "
-                        f"target has no strand {t}"
+                        f"target is zero at multidegree {b}"
                     )
                 continue
-            sol = linalg.solve(H.matrix(i, t), len(basis_hi), rhs, ring.field)
+            rows = H._rows(i, b, basis_hi, H.basis(i - 1, b))
+            sol = linalg.solve(rows, len(basis_hi), rhs, ring.field)
             if sol is None:
                 raise ExactnessError(
-                    f"target not exact in degree {i}, strand {t}: "
+                    f"target not exact in degree {i}, multidegree {b}: "
                     f"comparison map cannot be lifted"
                 )
             for g, p in k_element(sol, basis_hi, ring).items():

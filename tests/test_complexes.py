@@ -616,7 +616,7 @@ class TestStrandEngine:
         with pytest.raises(DomainError, match=off):
             Homology(C, mdegs=mdegs).cell_failures(0, 1)
         with pytest.raises(DomainError, match=off):
-            Homology(C, support=lambda i: [(0, 1)], mdegs=mdegs).stratum(1, 1)
+            Homology(C, mdegs=mdegs).stratum(1, (0, 1))
         # read off d, the generator sits at x and C is exact in degree 1
         assert Homology(C).cell_failures(1, 1) == []
 
@@ -631,14 +631,16 @@ class TestHomology:
         IJ = ideal_product(*flagship)
         lattice = lcm_lattice(IJ)
         H = Homology(K, IJ, K.meta["subsets"], lambda i: lattice)
-        sh = H.stratum(2, 3)
-        assert H.stratum(2, 3) is sh
-        # the strand is the direct sum of its blocks in the lcm lattice, and
-        # each block is kept once
         blocks = sorted(b for b in lattice if sum(b) == 3)
         assert len(blocks) == 4
-        assert set(H.strata) == {(2, 3)} | {(2, b) for b in blocks}
-        assert sh.dim == sum(H.strata[(2, b)].dim for b in blocks) > 0
+        strata = [H.stratum(2, b) for b in blocks]
+        assert all(H.stratum(2, b) is sh for b, sh in zip(blocks, strata))
+        # only the blocks asked for are kept, each once
+        assert set(H.strata) == {(2, b) for b in blocks}
+        # the whole strand carries no more homology than its blocks in the
+        # lcm lattice, and H.dim sums over those blocks
+        whole = H.stratum(2, 3)
+        assert whole.dim == H.dim(2, 3) == sum(sh.dim for sh in strata) > 0
 
     def test_subclasses_share_the_one_cache(self):
         from transverse.golod import KoszulHomology
@@ -654,11 +656,11 @@ class TestHomology:
 
         H = koszul_homology(ideal_product(*flagship))
         for c in H.classes:
-            assert not H.is_boundary(c.i, c.t, c.rep)
+            assert not H.is_boundary(c.i, c.b, c.rep)
             # a representative expresses as its own unit vector
-            peers = [d for d in H.classes_at(c.i) if d.t == c.t]
-            assert H.express(c.i, c.t, c.rep) == [int(d is c) for d in peers]
-        assert H.is_boundary(1, 2, {})
+            peers = [d for d in H.classes_at(c.i) if d.b == c.b]
+            assert H.express(c.i, c.b, c.rep) == [int(d is c) for d in peers]
+        assert H.is_boundary(1, (1, 0, 1, 0), {})
 
 
 class TestOneStrandEngine:
@@ -737,12 +739,13 @@ class TestOneStrandEngine:
         assert {key[0] for key in cert} == {"block"}
         assert ranked[r0:r1] == cert
         # Tor over S: the strata and dims of KoszulHomology and QuotientTor
-        # take 162 pieces, each a multidegree block assembled and
-        # eliminated once: the Tor^S dimensions read the ranks that the
-        # change-of-rings strata stored
+        # take 148 pieces, each a multidegree block assembled and
+        # eliminated once: the change-of-rings strata are the blocks of the
+        # source classes, and the Tor^S dimensions rank the other supported
+        # blocks, reading the ranks those strata stored
         rest = built[:b0] + built[b1:]
         pieces = [key for key in rest if key[0] == "piece"]
-        assert len(pieces) == 162 and len(set(pieces)) == 162
+        assert len(pieces) == 148 and len(set(pieces)) == 148
         assert all(isinstance(s, tuple) for *_, s in pieces)
         rest_ranked = ranked[:r0] + ranked[r1:]
         assert rest_ranked and set(rest_ranked) < set(pieces)
@@ -775,7 +778,8 @@ class TestOneStrandEngine:
         assert built == [] and bases == []
 
     def test_kunneth_builds_each_strand_index_once(self, R4, monkeypatch):
-        from transverse.golod import kunneth_map
+        from transverse.golod import koszul_homology, kunneth_map
+        from transverse.ideals import lcm_lattice
 
         built: dict = {}
         index = Homology.strand_index
@@ -787,14 +791,16 @@ class TestOneStrandEngine:
 
         monkeypatch.setattr(Homology, "strand_index", traced_index)
         I, J = ideal(R4, "x1^2", "x1*x2"), ideal(R4, "x3*x4", "x4^2")
-        assert kunneth_map(I, J).ok
-        assert any(len(calls) > 1 for calls in built.values())
+        HIJ = koszul_homology(ideal_product(I, J))
+        # the second pass asks again for every index the first one built
+        assert kunneth_map(I, J, HIJ=HIJ).ok and kunneth_map(I, J, HIJ=HIJ).ok
+        assert built and all(len(calls) > 1 for calls in built.values())
         for calls in built.values():
             assert all(c is calls[0] for c in calls)
-        # every Kunneth image lies in the blocks of the lcm lattice of IJ,
-        # so only the direct sums of those blocks are indexed, no skipped
-        # block
-        assert all(isinstance(s, int) for _, _, s in built)
+        # every Kunneth image z_a ^ d(z_b) lies in the block b_a + b_b, a
+        # point of the lcm lattice of IJ: only such blocks are indexed
+        lattice = lcm_lattice(ideal_product(I, J))
+        assert all(isinstance(s, tuple) and s in lattice for _, _, s in built)
 
     def test_kunneth_job_builds_one_koszul_complex(self, monkeypatch):
         from transverse import resolutions

@@ -241,7 +241,11 @@ def test_express_matches_solve_on_every_stratum():
     seen_none = seen_boundary = seen_class = 0
     for H in _homologies():
         field = H.complex.ring.field
-        # strands, and the multidegree blocks they are the direct sums of
+        # the classes live on multidegree blocks; add the whole strands
+        # they sum to
+        assert {type(s) for _, s in H.strata} == {tuple}
+        for i, t in H.graded_dims():
+            H.stratum(i, t)
         assert {type(s) for _, s in H.strata} == {int, tuple}
         for sh in H.strata.values():
             bounds = sh._boundaries.rows

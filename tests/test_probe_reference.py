@@ -23,7 +23,7 @@ import random
 import pytest
 
 from transverse import linalg
-from transverse.complexes import GradedFreeComplex, Homology
+from transverse.complexes import GradedFreeComplex, Homology, strand_matrix
 from transverse.dg import (
     DegreeOneProduct,
     FullProduct,
@@ -143,7 +143,9 @@ def associativity_probe_ref(
                             unsolvable.append(((i, j), (u, v)))
                         continue
                     if t not in matrices:
-                        matrices[t] = H.matrix(n, t)
+                        matrices[t] = strand_matrix(
+                            H.complex, n, H.basis(n, t), H.basis(n - 1, t)
+                        )
                     for k, row_k in enumerate(matrices[t]):
                         row = {}
                         for c, val in row_k.items():
