@@ -1,8 +1,11 @@
 """Graded free chain complexes and their calculus.
 
 A :class:`GradedFreeComplex` stores, per homological degree, the internal
-degrees of the free generators, plus sparse homogeneous polynomial
-differentials.  All homology is computed on strands or on their multidegree
+degrees and multidegrees of the free generators, plus each differential as
+a monomial matrix: one scalar per entry, the monomial being fixed by the
+multidegrees.  Its polynomial differentials are a view built when read,
+or, for a complex given by polynomials, the input its tables are read off.
+All homology is computed on strands or on their multidegree
 blocks: the internal-degree-t slice of ``C (x) R/Q``, or its multidegree-b
 slice, is a finite complex of vector spaces whose differentials are exact
 scalar matrices.  Exactness in every multidegree is certified on finitely
@@ -26,18 +29,29 @@ from .errors import DimensionError, DomainError, RingMismatchError
 from .exterior import k_acc, k_coords
 from .fields import field_to_json
 from .ideals import MonomialIdeal
-from .poly import Monomial, PolyMatrix, monomials_of_degree
+from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
 
 
 class GradedFreeComplex:
     """A complex of graded free modules in nonnegative homological degrees.
 
     ``degrees[i]`` lists the internal degrees of the generators of the i-th
-    term; ``diffs[i-1]`` is the matrix of d_i : F_i -> F_{i-1}.  Instances
-    are immutable.
+    term.  Every complex the package builds on monomials is Z^n-graded, each
+    entry of d_i one term s x^(m_c - m_r): ``mdegs[i]`` lists the
+    multidegrees m_g of the generators of C_i, and ``table(i)`` is d_i as a
+    monomial matrix (Miller-Sturmfels, Combinatorial Commutative Algebra,
+    ch. 1), the scalars {c: [(r, s)]} of its nonzero entries.  A GF(p)
+    scalar is its int value in [0, p) and an integral rational an int, so
+    elimination rows need no conversion.  ``diffs[i-1]``, the matrix of
+    d_i : F_i -> F_{i-1} with polynomial entries, is a view built on first
+    read from a complex made by :meth:`from_tables`.
+
+    A complex given by polynomial differentials reads its multidegrees and
+    tables off them on first use, and raises DomainError there when it is
+    not Z^n-graded (see :meth:`_read_tables`).  Instances are immutable.
     """
 
-    __slots__ = ("ring", "degrees", "diffs", "labels", "meta")
+    __slots__ = ("ring", "degrees", "labels", "meta", "_diffs", "_mdegs", "_tables")
 
     def __init__(self, ring, degrees, diffs, labels=None, meta=None):
         degrees = tuple(tuple(d) for d in degrees)
@@ -47,8 +61,28 @@ class GradedFreeComplex:
         for i, mat in enumerate(diffs, start=1):
             if mat.ring != ring:
                 raise RingMismatchError("differential over wrong ring")
-            if mat.nrows != len(degrees[i - 1]) or mat.ncols != len(degrees[i]):
+            if (mat.nrows, mat.ncols) != (len(degrees[i - 1]), len(degrees[i])):
                 raise DimensionError(f"differential {i} has wrong shape")
+        self._set(ring, degrees, labels, meta)
+        self._diffs, self._mdegs, self._tables = diffs, None, None
+
+    @classmethod
+    def from_tables(cls, ring, mdegs, tables, labels=None, meta=None):
+        """The complex with generator multidegrees ``mdegs``, internal
+        degrees their totals, and d_i given by ``tables[i-1]`` in the
+        scalar form of :meth:`table`; each entry s at (r, c) stands for
+        s x^(m_c - m_r), which the caller keeps a monomial."""
+        mdegs = tuple(tuple(m) for m in mdegs)
+        tables = tuple(tables)
+        if len(tables) != max(len(mdegs) - 1, 0):
+            raise DimensionError("need one differential per positive degree")
+        self = cls.__new__(cls)
+        degrees = tuple(tuple(sum(m) for m in level) for level in mdegs)
+        self._set(ring, degrees, labels, meta)
+        self._diffs, self._mdegs, self._tables = None, mdegs, tables
+        return self
+
+    def _set(self, ring, degrees, labels, meta):
         if labels is None:
             labels = tuple(
                 tuple(f"F{i}[{k}]" for k in range(len(degs)))
@@ -58,9 +92,88 @@ class GradedFreeComplex:
             labels = tuple(tuple(ls) for ls in labels)
         self.ring = ring
         self.degrees = degrees
-        self.diffs = diffs
         self.labels = labels
         self.meta = dict(meta) if meta else {}
+
+    @property
+    def diffs(self) -> tuple:
+        if self._diffs is None:
+            ring, md = self.ring, self._mdegs
+            self._diffs = tuple(
+                PolyMatrix(ring, self.rank(i - 1), self.rank(i), {
+                    (r, c): _term(ring, md[i][c], md[i - 1][r], s)
+                    for c, col in table.items() for r, s in col
+                })
+                for i, table in enumerate(self._tables, start=1)
+            )
+        return self._diffs
+
+    @property
+    def mdegs(self) -> tuple:
+        """The multidegree of every generator, per homological degree."""
+        if self._mdegs is None:
+            self._read_tables()
+        return self._mdegs
+
+    def table(self, i: int) -> dict:
+        """{c: [(r, s)]}: the scalar s of each nonzero entry d_i[r, c] =
+        s x^(m_c - m_r); empty off the range."""
+        if self._tables is None:
+            self._read_tables()
+        return self._tables[i - 1] if 1 <= i <= self.length else {}
+
+    def _read_tables(self):
+        """Read the multidegrees and tables off polynomial differentials.
+
+        C_0 = R sits in multidegree 0.  Each entry of d_i must be one term
+        s x^a of degree deg(c) - deg(r), and then a generator of C_i has
+        the multidegree of its row plus a; every entry of its column must
+        agree on it.  A generator whose column is zero takes its
+        multidegree from its row in d_{i+1}: an entry s x^a there, in a
+        column another row fixes at m, puts it at m - a.  Raises
+        DomainError for a multi-term or inhomogeneous entry, a disagreeing
+        column or a generator that no entry fixes.
+        """
+
+        def term(i, r, c, p):
+            terms = p.term_dict()
+            if len(terms) != 1:
+                raise DomainError(f"d_{i}[{r},{c}] = {p} is not a single term")
+            return next(iter(terms.items()))
+
+        scalar = table_scalar(self.ring.field)
+        out, tables = [[(0,) * self.ring.nvars] * self.rank(0)], []
+        for i in range(1, self.length + 1):
+            rows, level, table = out[i - 1], [None] * self.rank(i), {}
+            for (r, c), p in self._diffs[i - 1].entries.items():
+                mono, s = term(i, r, c, p)
+                if mono.degree != self.degrees[i][c] - self.degrees[i - 1][r]:
+                    raise DomainError(f"d_{i}[{r},{c}] is not homogeneous")
+                m = tuple(map(add, rows[r], mono.exps))
+                if level[c] is None:
+                    level[c] = m
+                elif level[c] != m:
+                    raise DomainError(f"d_{i} column {c} disagrees on its multidegree")
+                table.setdefault(c, []).append((r, scalar(s)))
+            if None in level and i < self.length:
+                up = [(r, c, term(i + 1, r, c, p)[0].exps)
+                      for (r, c), p in sorted(self._diffs[i].entries.items())]
+                above: dict = {}
+                for r, c, a in up:
+                    if level[r] is not None and c not in above:
+                        above[c] = tuple(map(add, level[r], a))
+                for r, c, a in up:
+                    if level[r] is None and c in above:
+                        level[r] = tuple(map(sub, above[c], a))
+            for c, m in enumerate(level):
+                if m is None:
+                    raise DomainError(
+                        f"d_{i} column {c} has no entry to fix its multidegree"
+                    )
+            out.append(level)
+            tables.append(table)
+        self._mdegs = tuple(tuple(level) for level in out)
+        self._tables = tuple(tables)
 
     @property
     def length(self) -> int:
@@ -92,6 +205,16 @@ class GradedFreeComplex:
         return f"GradedFreeComplex(ranks={self.total_ranks()})"
 
 
+def table_scalar(field):
+    """The map from a scalar of ``field`` (or an int) to its form in a
+    table: a GF(p) element as its int value in [0, p), a rational as an
+    int where it is integral."""
+    p = getattr(field, "p", 0)
+    if p:
+        return lambda c: (c if type(c) is int else c.value) % p
+    return lambda c: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -104,8 +227,50 @@ class ValidationReport:
 def validate_complex(C: GradedFreeComplex) -> ValidationReport:
     """Check d o d = 0 exactly and homogeneity of every entry.
 
-    Never raises; reports the first violations with their indices.
+    A complex with tables is homogeneous: reading them off polynomials
+    checks every entry, and :meth:`GradedFreeComplex.from_tables` takes
+    the internal degrees from the multidegrees.  On the tables, entry
+    (r, c) of d_i o d_{i+1} is the sum of s s' over the middle generators
+    times x^(m_c - m_r), which takes one kill test in R/Q.  A complex whose
+    entries are not single terms is checked on its polynomials.  Never
+    raises; reports the first violations with their indices.
     """
+    try:
+        md = C.mdegs
+    except DomainError:
+        return _validate_polynomials(C)
+    ring = C.ring
+    p = getattr(ring.field, "p", 0)
+    kill = [g.exps for g in ring.modulus]
+    for i in range(1, C.length):
+        lower, failures = C.table(i), []
+        for c, col in C.table(i + 1).items():
+            acc: dict = {}
+            for k, s in col:
+                for r, t in lower.get(k, ()):
+                    acc[r] = acc.get(r, 0) + t * s
+            for r, s in acc.items():
+                if s % p if p else s:
+                    e = tuple(map(sub, md[i + 1][c], md[i - 1][r]))
+                    if not any(all(map(ge, e, g)) for g in kill):
+                        failures.append((r, c, s))
+        if failures:
+            r, c, s = min(failures, key=lambda f: f[:2])
+            return ValidationReport(False, [
+                f"d_{i} o d_{i + 1} != 0, first nonzero entry at ({r},{c}): "
+                f"{_term(ring, md[i + 1][c], md[i - 1][r], s)}"
+            ])
+    return ValidationReport(True)
+
+
+def _term(ring, hi, lo, s) -> Polynomial:
+    """s x^(hi - lo) in ``ring``."""
+    return Polynomial.from_monomial(ring, Monomial(tuple(map(sub, hi, lo))), s)
+
+
+def _validate_polynomials(C: GradedFreeComplex) -> ValidationReport:
+    """:func:`validate_complex` on the polynomial differentials, the one
+    path for entries that are not single terms."""
     problems = []
     for i in range(1, C.length + 1):
         mat = C.diff(i)
@@ -134,60 +299,20 @@ def validate_complex(C: GradedFreeComplex) -> ValidationReport:
     return ValidationReport(not problems, problems)
 
 
-def multidegrees(C: GradedFreeComplex) -> list[list[tuple[int, ...]]]:
-    """The Z^n-degree of every generator, read off the differentials.
-
-    C_0 = R sits in multidegree 0.  Each entry of d_i must be one term
-    c x^a, and then a generator of C_i has the multidegree of its row plus
-    a; every entry of its column must agree on it.  A generator whose
-    column is zero takes its multidegree from its row in d_{i+1}: an entry
-    c x^a there, in a column another row fixes at m, puts it at m - a.
-    Raises DomainError for a multi-term entry, a disagreeing column or a
-    generator that no entry fixes.
-    """
-
-    def exps(i, r, c, p):
-        terms = p.term_dict()
-        if len(terms) != 1:
-            raise DomainError(f"d_{i}[{r},{c}] = {p} is not a single term")
-        return next(iter(terms)).exps
-
-    zero = (0,) * C.ring.nvars
-    out = [[zero] * C.rank(0)]
-    for i in range(1, C.length + 1):
-        rows = out[i - 1]
-        level: list = [None] * C.rank(i)
-        for (r, c), p in C.diff(i).entries.items():
-            m = tuple(map(add, rows[r], exps(i, r, c, p)))
-            if level[c] is None:
-                level[c] = m
-            elif level[c] != m:
-                raise DomainError(f"d_{i} column {c} disagrees on its multidegree")
-        if None in level and i < C.length:
-            up = sorted(C.diff(i + 1).entries.items())
-            above: dict = {}
-            for (r, c), p in up:
-                if level[r] is not None and c not in above:
-                    above[c] = tuple(map(add, level[r], exps(i + 1, r, c, p)))
-            for (r, c), p in up:
-                if level[r] is None and c in above:
-                    level[r] = tuple(map(sub, above[c], exps(i + 1, r, c, p)))
-        for c, m in enumerate(level):
-            if m is None:
-                raise DomainError(
-                    f"d_{i} column {c} has no entry to fix its multidegree"
-                )
-        out.append(level)
-    return out
-
-
 def is_minimal(C: GradedFreeComplex) -> bool:
-    """True iff no differential entry has a nonzero constant term."""
-    for mat in C.diffs:
-        for p in mat.entries.values():
-            if p.constant_term:
-                return False
-    return True
+    """True iff no differential entry has a nonzero constant term: on the
+    tables, no entry has m_c = m_r."""
+    try:
+        md = C.mdegs
+    except DomainError:
+        return not any(
+            p.constant_term for mat in C.diffs for p in mat.entries.values()
+        )
+    return not any(
+        md[i][c] == md[i - 1][r]
+        for i in range(1, C.length + 1)
+        for c, col in C.table(i).items() for r, _ in col
+    )
 
 
 def complex_from_boundary(ring, levels, degree, label, boundary, meta=None):
@@ -433,23 +558,18 @@ class Homology:
     multidegree where H_i can be nonzero (the caller names the theorem that
     says so); :meth:`strand_dims` then sums over those blocks alone.
 
-    An entry d_i[r, c] is one term s x^(m_c - m_r), so each d_i is read once
-    into a scalar table, with one homogeneity and multidegree check, and a
-    block matrix is that table on the generators present;
+    An entry d_i[r, c] is one term s x^(m_c - m_r), so a block matrix is
+    the scalar table ``C.table(i)`` on the generators present;
     :func:`strand_matrix` serves only whole strands.
 
-    It keeps the tables, the rank of d_i on each strand or block it has
-    eliminated, each stratum asked for and the keyed index of each block an
-    element is expressed in, with the bases of those two.  A strand is
-    keyed (i, t) and a block (i, b).  ``keys[i][g]`` names generator g of
-    C_i (g itself when ``keys`` is None); ``mdegs[i][g]`` is its
-    multidegree, read off the differentials by :func:`multidegrees` when
-    None.
+    It keeps the rank of d_i on each strand or block it has eliminated,
+    each stratum asked for and the keyed index of each block an element is
+    expressed in, with the bases of those two.  A strand is keyed (i, t)
+    and a block (i, b).  ``keys[i][g]`` names generator g of C_i (g itself
+    when ``keys`` is None); its multidegree is ``C.mdegs[i][g]``.
     """
 
-    def __init__(
-        self, C: GradedFreeComplex, Q=None, keys=None, support=None, mdegs=None
-    ):
+    def __init__(self, C: GradedFreeComplex, Q=None, keys=None, support=None):
         self.complex = C
         self.keys = keys
         self.extra = _extra_gens(Q)
@@ -459,9 +579,7 @@ class Homology:
         self.indexes: dict = {}
         self.bases: dict = {}  # the bases of the strata and indexes
         self._blocks: dict = {}  # i -> {t: the supported blocks of degree t}
-        self._tables: dict = {}  # i -> the scalar table of d_i
         self._kill = [g.exps for g in C.ring.modulus + self.extra]
-        self._mdegs = mdegs
 
     @cached_property
     def mdegs(self) -> list[dict]:
@@ -470,8 +588,7 @@ class Homology:
         keys = self.keys
         if keys is None:
             keys = [range(C.rank(i)) for i in range(C.length + 1)]
-        mdegs = self._mdegs if self._mdegs is not None else multidegrees(C)
-        return [dict(zip(k, m)) for k, m in zip(keys, mdegs)]
+        return [dict(zip(k, m)) for k, m in zip(keys, C.mdegs)]
 
     def _pieces(self, i: int, t: int):
         """The pieces that :meth:`strand_dims` sums over in the degree-t
@@ -543,36 +660,12 @@ class Homology:
             return strand_matrix(self.complex, j, upper, lower)
         return self._block_rows(j, [g for g, _ in upper], [g for g, _ in lower])
 
-    def _table(self, j: int) -> dict:
-        """{c: [(r, s)]}: the scalar s of each entry d_j[r, c] = s x^(m_c -
-        m_r), an integral rational as an int; read once per 1 <= j <=
-        length.  Raises DomainError if an entry is not homogeneous of degree
-        deg(c) - deg(r), or has a term off x^(m_c - m_r), even one that dies
-        in R/Q."""
-        if j in self._tables:
-            return self._tables[j]
-        C, table = self.complex, {}
-        lo, hi = (list(self.mdegs[k].values()) for k in (j - 1, j))
-        rdegs, cdegs = C.degs(j - 1), C.degs(j)
-        for (r, c), p in C.diff(j).entries.items():
-            want = tuple(map(sub, hi[c], lo[r]))
-            for mono, s in p.term_dict().items():
-                if mono.degree != cdegs[c] - rdegs[r]:
-                    raise DomainError(f"d_{j}[{r},{c}] is not homogeneous")
-                if mono.exps != want:
-                    raise DomainError(f"d_{j}[{r},{c}] is off its multidegree")
-                if isinstance(s, Fraction) and s.denominator == 1:
-                    s = s.numerator
-                table.setdefault(c, []).append((r, s))
-        self._tables[j] = table
-        return table
-
     def _block_rows(self, j: int, upper: list, lower: list) -> list:
         """Scalar rows of d_j on a block, from the generators ``upper`` of
         C_j present there to those ``lower`` of C_{j-1}."""
         at = {g: k for k, g in enumerate(lower)}
         rows: list = [{} for _ in lower]
-        table = self._table(j)
+        table = self.complex.table(j)
         for col, c in enumerate(upper):
             for r, s in table.get(c, ()):
                 if r in at:
@@ -752,7 +845,7 @@ def strand_homology_dim(C: GradedFreeComplex, Q, t: int, i: int) -> int:
     return Homology(C, Q).dim(i, t)
 
 
-def resolves_k_failures(C: GradedFreeComplex, top: int, mdegs=None):
+def resolves_k_failures(C: GradedFreeComplex, top: int):
     """The "C resolves the residue field" certificate, in every multidegree.
 
     Returns ``(validation, minimal, strand_failures, coker_failures)``: the
@@ -760,12 +853,11 @@ def resolves_k_failures(C: GradedFreeComplex, top: int, mdegs=None):
     (i, b, dim H_i) where H_i != 0 for 1 <= i <= top, and the cells
     (b, dim coker d_1, dim k_b) where coker d_1 is not k, both from
     :meth:`Homology.cell_failures`.  The unit vectors split the cells so
-    that the origin is a cell of its own.  ``mdegs`` are the generator
-    multidegrees, read off the differentials when None.
+    that the origin is a cell of its own.
     """
     n = C.ring.nvars
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    failures = Homology(C, mdegs=mdegs).cell_failures(0, top, units)
+    failures = Homology(C).cell_failures(0, top, units)
     zero = (0,) * n
     h0 = {b: d for i, b, d in failures if i == 0}
     coker_failures = [(b, d, 0) for b, d in h0.items() if b != zero]
@@ -899,7 +991,7 @@ def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCerti
     Koszul simplicial complexes K^b(I) for b in the lcm lattice of I: ranks
     of their scalar boundaries, a cross-check that shares no code with (a)
     or with the minimization.
-    Raises DomainError when C is not Z^n-graded (see :func:`multidegrees`).
+    Raises DomainError when C is not Z^n-graded (see ``GradedFreeComplex.mdegs``).
     """
     from .resolutions import betti_numbers, minimize_complex
 

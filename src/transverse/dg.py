@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
-from .complexes import (
-    GradedFreeComplex,
-    multidegrees,
-    star_basis,
-    star_product,
-)
+from .complexes import GradedFreeComplex, star_basis, star_product, table_scalar
 from .errors import CertificationError, DomainError
 from .exterior import KElement, wedge_subsets
 from .ideals import MonomialIdeal, regular_sequence
@@ -199,24 +194,17 @@ class _MonomialMatrices:
 
     def __init__(self, C: GradedFreeComplex):
         self.complex = C
-        self.md = multidegrees(C)
+        self.md = C.mdegs
         self.p = getattr(C.ring.field, "p", 0)
         self.modulus = [g.exps for g in C.ring.modulus]
-        self.d: dict = {}  # i -> {col: [(row, c)]}
+        self.scalar = table_scalar(C.ring.field)
+        self.d: dict = {}  # i -> {col: [(row, c)]}, the tables of C
         for i in range(1, C.length + 1):
-            cols: dict = {}
-            for (r, col), p in C.diff(i).entries.items():
-                (c,) = p.term_dict().values()
-                cols.setdefault(col, []).append((r, self.scalar(c)))
+            cols = C.table(i)
             for col in range(C.rank(i)):
                 if col not in cols:
                     raise DomainError(f"d_{i} column {col} is zero")
             self.d[i] = cols
-
-    def scalar(self, c):
-        if self.p:
-            return c.value
-        return c.numerator if c.denominator == 1 else c
 
     def elements(self, level: int, table: dict, left, right) -> dict:
         """The polynomial values {(u, v): {w: c x^(left[u] + right[v] - m_w)}}
@@ -490,7 +478,7 @@ class ModuleAction:
     def tables(self) -> dict:
         """(i, j) -> {(subset, v): KElement}"""
         M, subsets = self.matrices, self.koszul.meta["subsets"]
-        mK = multidegrees(self.koszul)
+        mK = self.koszul.mdegs
         return {
             (i, j): M.elements(i + j, tab, dict(zip(subsets[i], mK[i])), M.md[j])
             for (i, j), tab in self.scalars.items()

@@ -226,9 +226,9 @@ class GolodBasis:
         a, b = self.pairs[k]
         return self.HI.classes[a].i + self.HJ.classes[b].i
 
-    def vdeg_internal(self, k: int) -> int:
+    def vmdeg(self, k: int) -> tuple:
         a, b = self.pairs[k]
-        return self.HI.classes[a].t + self.HJ.classes[b].t
+        return tuple(map(add, self.HI.classes[a].b, self.HJ.classes[b].b))
 
     def zI(self, k: int) -> KElement:
         a, _ = self.pairs[k]
@@ -319,19 +319,19 @@ class GolodCertificate:
 
 
 def _words(basis: GolodBasis, max_internal: int, max_deg: int):
-    """All tensor words in the v symbols with homological degree <= max_deg,
-    ordered by (length, lex); repetition allowed."""
-    out = [((), 0, 0)]
-    frontier = [((), 0, 0)]
+    """All tensor words in the v symbols with homological degree <= max_deg
+    and internal degree <= max_internal, as (word, homological degree,
+    multidegree), ordered by (length, lex); repetition allowed."""
+    out = [((), 0, (0,) * basis.quotient.nvars)]
+    frontier = out[:]
     while frontier:
         nxt = []
-        for word, d, ti in frontier:
+        for word, d, m in frontier:
             for k in range(len(basis.pairs)):
                 dd = d + basis.vdeg(k)
-                tt = ti + basis.vdeg_internal(k)
-                if dd <= max_deg and tt <= max_internal:
-                    item = (word + (k,), dd, tt)
-                    nxt.append(item)
+                mm = tuple(map(add, m, basis.vmdeg(k)))
+                if dd <= max_deg and sum(mm) <= max_internal:
+                    nxt.append((word + (k,), dd, mm))
         out.extend(sorted(nxt))
         frontier = nxt
     return out

@@ -43,20 +43,6 @@ def _sequence_mdeg(sequence, nvars: int, c) -> tuple:
     )
 
 
-def _key_mdegs(sequence, nvars: int, levels) -> list[list]:
-    """The multidegree 1_T + sum_j m_j mdeg(a_j) of each Tate basis key
-    (T, m), read off the key: over S a linear a_j kills its variable x_k,
-    so the differential does not fix the multidegree of e_k."""
-    return [
-        [
-            tuple(int(k in T) + e
-                  for k, e in enumerate(_sequence_mdeg(sequence, nvars, m)))
-            for T, m in level
-        ]
-        for level in levels
-    ]
-
-
 @dataclass
 class TateComplex:
     """Truncated Tate resolution of k over S = R/(a)."""
@@ -73,7 +59,9 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     """Build and certify the Tate complex through homological degree n_max,
     with the cycles z_j of :func:`_tate_cycle`: d o d = 0, and H_i = 0 for
     1 <= i < n_max and coker d_1 = k in every multidegree (see
-    :func:`resolves_k_failures`), the multidegrees read off the keys."""
+    :func:`resolves_k_failures`).  The key (T, m) sits in multidegree
+    1_T + sum_j m_j mdeg(a_j): over S a linear a_j kills its variable x_k,
+    so the differential alone would not fix the multidegree of e_k."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     if ring is None:
@@ -88,7 +76,7 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     zs = [_tate_cycle(S, m) for m in mons]
     # d(e_S y^(m)) = d(e_S) y^(m) + (-1)^|S| e_S ^ z_j y^(m - 1_j)
     words = [
-        (m, 2 * sum(m), sum(e * g.degree for e, g in zip(m, mons)))
+        (m, 2 * sum(m), _sequence_mdeg(mons, ring.nvars, m))
         for m in product(range(n_max // 2 + 1), repeat=len(mons))
         if 2 * sum(m) <= n_max
     ]
@@ -105,7 +93,7 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     C, levels = twisted_koszul(S, words, n_max, twist, word_label)
     # a linear a_j leaves a unit entry, so minimality is reported, not required
     rep, minimal, strand_failures, coker_failures = resolves_k_failures(
-        C, n_max - 1, _key_mdegs(mons, ring.nvars, levels)
+        C, n_max - 1
     )
     cert = {
         "valid": rep.ok,
@@ -149,8 +137,7 @@ class QuotientTor(Homology):
                     out |= {tuple(map(add, m, shift)) for m in lattice}
             return out
 
-        mdegs = _key_mdegs(tate.sequence, M.ring.nvars, tate.basis)
-        super().__init__(tate.complex, M, tate.basis, support, mdegs)
+        super().__init__(tate.complex, M, tate.basis, support)
         self.tate = tate
         self.M = M
 

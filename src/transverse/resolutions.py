@@ -7,16 +7,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from operator import le
+from operator import le, sub
 
 from . import linalg
 from .complexes import (
-    BettiTable, GradedFreeComplex, Homology, complex_from_boundary, multidegrees,
+    BettiTable, GradedFreeComplex, Homology, complex_from_boundary, table_scalar,
 )
 from .errors import DomainError, ExactnessError
-from .exterior import k_acc, k_apply, k_coords, k_diff, k_element, k_wedge
+from .exterior import k_acc, k_apply, k_coords, k_element, wedge_subsets
 from .ideals import MonomialIdeal, lcm_lattice
-from .poly import PolyMatrix, Polynomial, Ring
+from .poly import Monomial, PolyMatrix, Polynomial, Ring
 
 
 def _subset_label(prefix: str, S: tuple[int, ...]) -> str:
@@ -67,38 +67,77 @@ def twisted_koszul(S: Ring, words, n_max: int, twist, word_label):
     symbols, with a differential twisted by chosen cycles, through
     homological degree n_max (Tate 1957; Avramov 1998, section 5).
 
-    ``words`` lists (word, homological degree, internal degree) triples in
+    ``words`` lists (word, homological degree, multidegree) triples in
     basis order.  A basis key (T, w) stands for e_T (x) w, of homological
-    degree |T| + deg w, labelled "e{T}" + ``word_label(w)``; its boundary is
-    d(e_T) w + (-1)^|T| sum s e_T ^ a w' over the triples (s, a, w') of
-    ``twist(w)``, which is computed once per word.  Returns the complex and
-    its basis keys per level.
+    degree |T| + deg w and multidegree 1_T + mdeg w, labelled "e{T}" +
+    ``word_label(w)``; its boundary is d(e_T) w + (-1)^|T| sum s e_T ^ a w'
+    over the triples (s, a, w') of ``twist(w)``, which is computed once per
+    word.  Each term c x^a e_S of a must lie in multidegree mdeg w - mdeg
+    w', so the complex is written as monomial-matrix scalars with no
+    polynomial arithmetic: d(e_T) gives +-1 at x_k and e_T ^ c x^a e_S gives
+    +-c, and an entry whose monomial S kills is dropped.  Raises DomainError
+    for a term off its multidegree.  Returns the complex and its basis keys
+    per level.
     """
     n = S.nvars
+    scalar = table_scalar(S.field)
     levels: list[list] = [[] for _ in range(n_max + 1)]
-    internal = {}
-    for w, d, ti in words:
-        internal[w] = ti
+    mdeg = {}
+    for w, d, m in words:
+        mdeg[w] = m
         for h in range(min(n, n_max - d) + 1):
             levels[d + h].extend((T, w) for T in combinations(range(n), h))
+    mdegs = [
+        [tuple(e + (k in T) for k, e in enumerate(mdeg[w])) for T, w in level]
+        for level in levels
+    ]
+    live = [not S.kills(Monomial(tuple(int(k == j) for k in range(n))))
+            for j in range(n)]
     twists: dict = {}
 
-    def boundary(key):
-        T, w = key
-        front = {T: Polynomial.one(S)}
-        out = {(U, w): p for U, p in k_diff(S, front).items()}
-        if w not in twists:
-            twists[w] = twist(w)
-        base = -1 if len(T) % 2 else 1
-        for s, a, rest in twists[w]:
-            for U, p in k_wedge(front, a).items():
-                k_acc(out, (U, rest), p.scale(base * s))
+    def scalars(w):
+        """twist(w) as [(w', [(S, +-c)])], each term checked to lie in its
+        multidegree."""
+        out = []
+        for s, a, rest in twist(w):
+            want = tuple(map(sub, mdeg[w], mdeg[rest]))
+            terms = []
+            for U, p in a.items():
+                for mono, c in p.term_dict().items():
+                    if tuple(e + (k in U) for k, e in enumerate(mono.exps)) != want:
+                        raise DomainError(
+                            f"a term of the twist of {word_label(w)!r} is off "
+                            f"its multidegree"
+                        )
+                    terms.append((U, s * scalar(c)))
+            out.append((rest, terms))
         return out
 
-    C = complex_from_boundary(
-        S, levels, lambda key: len(key[0]) + internal[key[1]],
-        lambda key: _subset_label("e", key[0]) + word_label(key[1]),
-        boundary,
+    tables = []
+    for i in range(1, n_max + 1):
+        idx = {key: r for r, key in enumerate(levels[i - 1])}
+        table = {}
+        for c, (T, w) in enumerate(levels[i]):
+            acc: dict = {}  # row -> scalar
+            for pos, k in enumerate(T):
+                if live[k]:
+                    acc[idx[(T[:pos] + T[pos + 1:], w)]] = -1 if pos % 2 else 1
+            if w not in twists:
+                twists[w] = scalars(w)
+            base = -1 if len(T) % 2 else 1
+            for rest, terms in twists[w]:
+                for U, s in terms:
+                    st = wedge_subsets(T, U)
+                    if st is not None:
+                        r = idx[(st[1], rest)]
+                        acc[r] = acc.get(r, 0) + base * st[0] * s
+            if col := [(r, v) for r, x in acc.items() if (v := scalar(x))]:
+                table[c] = col
+        tables.append(table)
+    C = GradedFreeComplex.from_tables(
+        S, mdegs, tables,
+        [[_subset_label("e", T) + word_label(w) for T, w in level]
+         for level in levels],
     )
     return C, levels
 
@@ -321,7 +360,7 @@ def lift_comparison_map(
     echelon-canonical one is chosen, so the image lies in that block.
     Raises :class:`ExactnessError` when some block system has no solution,
     i.e. the target fails to be exact where needed.  Raises DomainError
-    when either complex is not Z^n-graded (see :func:`multidegrees`).
+    when either complex is not Z^n-graded (see ``GradedFreeComplex.mdegs``).
     """
     ring = source.ring
     if target.ring != ring:
@@ -330,7 +369,7 @@ def lift_comparison_map(
         raise DomainError("comparison lifting needs rank-1 degree-0 terms")
     phis = [PolyMatrix.identity(ring, 1)]
     H = Homology(target)
-    for i, mdegs in enumerate(multidegrees(source)[1:], start=1):
+    for i, mdegs in enumerate(source.mdegs[1:], start=1):
         entries = {}
         for e, b in enumerate(mdegs):
             # rhs = phi_{i-1}(d^S_i e) in block coordinates of target_{i-1}

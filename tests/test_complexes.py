@@ -7,7 +7,6 @@ from transverse.complexes import (
     Homology,
     betti_table,
     is_minimal,
-    multidegrees,
     resolves_k_failures,
     star_product,
     strand_homology,
@@ -296,18 +295,20 @@ class TestVerifyResolution:
 def drop_generator(C, i, g):
     """C without generator g of C_i: its column of d_i and its row of
     d_{i+1} go."""
-    degrees = [list(d) for d in C.degrees]
-    labels = [list(l) for l in C.labels]
-    del degrees[i][g], labels[i][g]
-    diffs = []
+    labels, mdegs = ([list(x) for x in y] for y in (C.labels, C.mdegs))
+    del labels[i][g], mdegs[i][g]
+    tables = []
     for j in range(1, C.length + 1):
-        entries = {}
-        for (r, c), p in C.diff(j).entries.items():
-            if (j == i and c == g) or (j == i + 1 and r == g):
+        table = {}
+        for c, col in C.table(j).items():
+            if j == i and c == g:
                 continue
-            entries[(r - (j == i + 1 and r > g), c - (j == i and c > g))] = p
-        diffs.append(PolyMatrix(C.ring, len(degrees[j - 1]), len(degrees[j]), entries))
-    return GradedFreeComplex(C.ring, degrees, diffs, labels)
+            col = [(r - (j == i + 1 and r > g), s)
+                   for r, s in col if not (j == i + 1 and r == g)]
+            if col:
+                table[c - (j == i and c > g)] = col
+        tables.append(table)
+    return GradedFreeComplex.from_tables(C.ring, mdegs, tables, labels)
 
 
 class TestCellCertificates:
@@ -323,7 +324,7 @@ class TestCellCertificates:
         assert S.total_ranks() == (1, 6, 7, 2)
         assert verify_resolution(S, ideal_product(I, J)).ok
         top = S.length
-        lost = multidegrees(S)[top][-1]
+        lost = S.mdegs[top][-1]
         cert = verify_resolution(
             drop_generator(S, top, S.rank(top) - 1), ideal_product(I, J)
         )
@@ -335,17 +336,13 @@ class TestCellCertificates:
         assert cert.strand_failures == [(2, lost, 1), (2, (2, 1, 1, 2, 1), 1)]
 
     def test_tate_with_a_generator_of_c5_dropped(self, R4):
-        from transverse.obstructions import _key_mdegs
-
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x3*x4")]
         T = tate_resolution(a, R4, 5)
-        mdegs = _key_mdegs(T.sequence, R4.nvars, T.basis)
+        mdegs = T.complex.mdegs
         assert T.complex.total_ranks() == (1, 4, 8, 12, 16, 20)
         for g in range(T.complex.rank(5)):
             C = drop_generator(T.complex, 5, g)
-            md = [list(level) for level in mdegs]
-            del md[5][g]
-            rep, _, strand_failures, coker_failures = resolves_k_failures(C, 4, md)
+            rep, _, strand_failures, coker_failures = resolves_k_failures(C, 4)
             # a complex, but H_4 no longer dies, first at the multidegree
             # of the dropped generator
             assert rep.ok and not coker_failures
@@ -403,7 +400,7 @@ class TestMultidegrees:
             [PolyMatrix(R, 1, 2, {(0, 0): x}),
              PolyMatrix(R, 2, 1, {(0, 0): one, (1, 0): one})],
         )
-        assert multidegrees(C) == [[(0,)], [(1,), (1,)], [(1,)]]
+        assert C.mdegs == (((0,),), ((1,), (1,)), ((1,),))
 
     def test_zero_column_fixed_through_a_column_above(self):
         R = Ring(("x", "y"))
@@ -415,7 +412,7 @@ class TestMultidegrees:
         )
         # column 0 of d_2 sits at x*y, fixed by row 0, and so puts the zero
         # column e_1 at y
-        assert multidegrees(C) == [[(0, 0)], [(1, 0), (0, 1)], [(1, 1), (0, 2)]]
+        assert C.mdegs == (((0, 0),), ((1, 0), (0, 1)), ((1, 1), (0, 2)))
         # an entry x in row 0 of column 1 puts that column at x^2, its entry
         # y in row 1 at y^2
         bad = GradedFreeComplex(
@@ -424,13 +421,13 @@ class TestMultidegrees:
              PolyMatrix(R, 2, 2, {(0, 0): y, (1, 0): x, (0, 1): x, (1, 1): y})],
         )
         with pytest.raises(DomainError, match="d_2 column 1 disagrees"):
-            multidegrees(bad)
+            bad.mdegs
 
     def test_generator_nothing_fixes(self, Rxy):
         x = Rxy.variable(0)
         C = GradedFreeComplex(Rxy, [(0,), (1, 1)], [PolyMatrix(Rxy, 1, 2, {(0, 0): x})])
         with pytest.raises(DomainError, match="column 1 has no entry"):
-            multidegrees(C)
+            C.mdegs
 
     def test_not_multigraded_is_a_domain_error(self, R4):
         K = koszul_complex([R4.variable(0) + R4.variable(1), R4.variable(2)])
@@ -605,19 +602,24 @@ class TestStrandEngine:
             Homology(C).cell_failures(0, 1)
 
     def test_term_off_its_multidegree_fails_loudly(self, Rxy):
-        # the generator of C_1 is declared at y, where d_1 = x cannot map it
-        # to the generator of C_0 at 0; the block at y used to drop the term
-        x = Rxy.variable(0)
-        C = GradedFreeComplex(
-            Rxy, [(0,), (1,)], [PolyMatrix(Rxy, 1, 1, {(0, 0): x})]
-        )
-        mdegs = [[(0, 0)], [(0, 1)]]
-        off = r"d_1\[0,0\] is off its multidegree"
-        with pytest.raises(DomainError, match=off):
-            Homology(C, mdegs=mdegs).cell_failures(0, 1)
-        with pytest.raises(DomainError, match=off):
-            Homology(C, mdegs=mdegs).stratum(1, (0, 1))
-        # read off d, the generator sits at x and C is exact in degree 1
+        # over k[x, y]/(xy) the symbol y kills the cycle x e_2 of multidegree
+        # x*y; declared at x*y^2 it cannot map there, and the builder used
+        # to take the monomial of a twist term as given
+        from transverse.resolutions import twisted_koszul
+
+        S = Rxy.quotient([Rxy.parse_monomial("x*y")])
+        x = S.variable(0)
+
+        def build(m):
+            return twisted_koszul(
+                S, [((), 0, (0, 0)), (("y",), 2, m)], 2,
+                lambda w: [(1, {(1,): x}, ())] if w else [], "".join,
+            )[0]
+
+        with pytest.raises(DomainError, match="twist of 'y' is off its multidegree"):
+            build((1, 2))
+        C = build((1, 1))
+        assert validate_complex(C).ok
         assert Homology(C).cell_failures(1, 1) == []
 
 

@@ -360,3 +360,54 @@ def test_golod_three_by_two_complete_intersections():
         [1, 5, 10, 10, 5, 1], [1, 0, -6, -9, -5, -1], 4
     )
     assert cert.ranks == (1, 5, 16, 49, 151)
+
+
+def test_golod_certificate_does_no_polynomial_arithmetic(flagship, monkeypatch):
+    # the resolution is written and checked as monomial-matrix scalars: no
+    # Polynomial is built, multiplied or scaled inside twisted_koszul,
+    # validate_complex or is_minimal, only inside the Massey values and the
+    # Koszul homology they are made of; the polynomial view of the
+    # resolution is never built
+    from transverse import complexes, golod
+    from transverse.poly import Polynomial
+
+    inside, polynomial_ops, built = [], [], []
+
+    def entered(module, name, done=None):
+        original = getattr(module, name)
+
+        def run(*args, **kwargs):
+            inside.append(name)
+            try:
+                out = original(*args, **kwargs)
+            finally:
+                inside.pop()
+            if done:
+                done(out)
+            return out
+
+        monkeypatch.setattr(module, name, run)
+
+    def watched(op):
+        original = getattr(Polynomial, op)
+
+        def run(*args):
+            if inside:
+                polynomial_ops.append((op, inside[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(Polynomial, op, run)
+
+    for name in ("twisted_koszul", "massey_mu", "golod_basis"):
+        entered(golod, name)
+    entered(golod, "golod_resolution", built.append)
+    for name in ("validate_complex", "is_minimal"):
+        entered(complexes, name)
+    for op in ("__init__", "__mul__", "scale"):
+        watched(op)
+    cert = verify_golod(*flagship, n_max=5)
+    assert cert.ok and cert.ranks == (1, 4, 10, 24, 58, 140)
+    assert polynomial_ops
+    assert {where for _, where in polynomial_ops} == {"massey_mu", "golod_basis"}
+    (C,) = built
+    assert C._diffs is None

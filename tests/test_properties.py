@@ -5,7 +5,7 @@ The examples are derandomized, so every run draws the same ideals.
 """
 
 from itertools import combinations, product
-from operator import add
+from operator import add, sub
 
 from hypothesis import given, settings, strategies as st
 
@@ -247,14 +247,14 @@ def small_ideals(draw, ring):
 
 @st.composite
 def monomial_complexes(draw):
-    """(C, Q, mdegs): a monomial complex over R or R/M with generators Q
-    added, and its generator multidegrees (None: read off d).
+    """(C, Q): a monomial complex over R or R/M with generators Q added.
 
     - star: the star product of two Taylor complexes over R, which fails
       to be exact exactly where Tor_{>=2} of the pair lives (J = I often);
     - koszul: the Koszul complex on 1 to 3 monomials a_j over R (Q = 0)
       or over R/M with a random Q, with multidegrees sum_{j in S} mdeg(a_j)
-      (M may kill an a_j, and then d does not fix them); a_1 + a_2 is not
+      (M may kill an a_j, and then d alone does not fix them, so the
+      complex over R/M keeps those of K); a_1 + a_2 is not
       lcm(a_1, a_2) when they share a variable, so over R its multidegrees
       are not lcm-closed;
     - taylor: a Taylor complex over R with a random Q.
@@ -266,23 +266,27 @@ def monomial_complexes(draw):
     if kind == "star":
         I = draw(small_ideals(ring).filter(lambda I: len(I.gens) > 1))
         J = draw(st.just(I) | small_ideals(ring))
-        return star_product(taylor_complex(I), taylor_complex(J)), None, None
+        return star_product(taylor_complex(I), taylor_complex(J)), None
     if kind == "taylor":
         Q = draw(st.none() | small_ideals(ring))
-        return taylor_complex(draw(small_ideals(ring))), Q, None
+        return taylor_complex(draw(small_ideals(ring))), Q
     exps = st.tuples(*[st.integers(0, 2)] * nvars).filter(any)
     a = draw(st.lists(exps, min_size=1, max_size=3))
     K = koszul_complex([Polynomial.from_monomial(ring, Monomial(e)) for e in a])
-    mdegs = [
-        [tuple(sum(a[j][k] for j in S) for k in range(nvars)) for S in level]
-        for level in K.meta["subsets"]
-    ]
     if kind == "koszul":
-        return K, None, mdegs
+        return K, None
     quotient = ring.quotient(draw(small_ideals(ring)).gens)
-    diffs = [d.with_ring(quotient) for d in K.diffs]
+    md, tables = K.mdegs, []
+    for i in range(1, K.length + 1):
+        table = {}
+        for c, col in K.table(i).items():
+            col = [(r, s) for r, s in col if not quotient.kills(
+                Monomial(tuple(map(sub, md[i][c], md[i - 1][r]))))]
+            if col:
+                table[c] = col
+        tables.append(table)
     Q = draw(st.none() | small_ideals(ring))
-    return GradedFreeComplex(quotient, K.degrees, diffs), Q, mdegs
+    return GradedFreeComplex.from_tables(quotient, md, tables), Q
 
 
 def strand_failures(C, Q, top, D):
@@ -299,9 +303,9 @@ def strand_failures(C, Q, top, D):
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(monomial_complexes())
 def test_cells_match_whole_strands(case):
-    C, Q, mdegs = case
+    C, Q = case
     top = C.length
-    H = Homology(C, Q, mdegs=mdegs)
+    H = Homology(C, Q)
     failures = H.cell_failures(0, top)
     assert failures == sorted(failures, key=lambda f: (f[0], sum(f[1]), f[1]))
     cells = H.cells(range(top + 1))
@@ -317,8 +321,8 @@ def test_scalar_block_rows_match_strand_matrix(case):
     """On each cell, d_i read off the scalar table on the generators
     present is the matrix that strand_matrix assembles on the block bases,
     so it has the same rank."""
-    C, Q, mdegs = case
-    H, field = Homology(C, Q, mdegs=mdegs), C.ring.field
+    C, Q = case
+    H, field = Homology(C, Q), C.ring.field
     for b in H.cells(range(C.length + 1)):
         for i in range(1, C.length + 1):
             upper, lower = H._basis(i, b), H._basis(i - 1, b)
@@ -330,5 +334,5 @@ def test_scalar_block_rows_match_strand_matrix(case):
     if field is QQ:
         for i in range(1, C.length + 1):
             assert all(
-                type(s) is int for col in H._table(i).values() for _, s in col
+                type(s) is int for col in C.table(i).values() for _, s in col
             )

@@ -315,6 +315,8 @@ def test_untwisted_koszul_is_the_koszul_complex(R4):
     from transverse.complexes import complex_to_json
     from transverse.resolutions import koszul_on_variables, twisted_koszul
 
-    C, levels = twisted_koszul(R4, [((), 0, 0)], R4.nvars, lambda w: [], lambda w: "")
+    C, levels = twisted_koszul(
+        R4, [((), 0, (0,) * R4.nvars)], R4.nvars, lambda w: [], lambda w: ""
+    )
     assert complex_to_json(C) == complex_to_json(koszul_on_variables(R4))
     assert [len(lvl) for lvl in levels] == [1, 4, 6, 4, 1]
