@@ -21,6 +21,7 @@ from .ideals import (
     is_sequentially_transverse,
     is_transverse,
     minimalize_generators,
+    regular_sequence,
     transversality_witness,
 )
 from .poly import Ring
@@ -165,8 +166,10 @@ def _resolution_for(spec: JobSpec, I: MonomialIdeal, method: str):
     if method == "koszul":
         from .poly import Polynomial
 
+        # the Koszul complex resolves R/I only on a regular sequence
         return resolutions.koszul_complex(
-            [Polynomial.from_monomial(I.ring, g) for g in I.gens]
+            [Polynomial.from_monomial(I.ring, g)
+             for g in regular_sequence(I.ring, I.gens)]
         )
     if method == "minimal":
         return resolutions.minimal_resolution(I)

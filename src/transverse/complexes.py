@@ -1,15 +1,14 @@
 """Graded free chain complexes and their calculus.
 
-A :class:`GradedFreeComplex` stores, per homological degree, the internal
-degrees and multidegrees of the free generators, plus each differential as
-a monomial matrix: one scalar per entry, the monomial being fixed by the
-multidegrees.  Its polynomial differentials are a view built when read,
-or, for a complex given by polynomials, the input its tables are read off.
-All homology is computed on strands or on their multidegree
-blocks: the internal-degree-t slice of ``C (x) R/Q``, or its multidegree-b
-slice, is a finite complex of vector spaces whose differentials are exact
-scalar matrices.  Exactness in every multidegree is certified on finitely
-many cells, one block each.
+A :class:`GradedFreeComplex` stores, per homological degree, the
+multidegrees of the free generators, plus each differential as a monomial
+matrix: one scalar per entry, the monomial being fixed by the
+multidegrees.  Every builder writes these tables; the polynomial
+differentials are a read-only view for output.  All homology is computed
+on strands or on their multidegree blocks: the internal-degree-t slice of
+``C (x) R/Q``, or its multidegree-b slice, is a finite complex of vector
+spaces whose differentials are exact scalar matrices.  Exactness in every
+multidegree is certified on finitely many cells, one block each.
 
 Sign convention for tensor products: d(f (x) g) = d(f) (x) g + (-1)^|f| f (x) d(g),
 the left factor carrying the sign.
@@ -26,79 +25,71 @@ from operator import add, ge, sub
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
-from .exterior import k_acc, k_coords
+from .exterior import k_coords
 from .fields import field_to_json
 from .ideals import MonomialIdeal
 from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
 
 
 class GradedFreeComplex:
-    """A complex of graded free modules in nonnegative homological degrees.
+    """A complex of Z^n-graded free modules in nonnegative homological
+    degrees, stored as monomial matrices (Miller-Sturmfels, Combinatorial
+    Commutative Algebra, ch. 1).
 
-    ``degrees[i]`` lists the internal degrees of the generators of the i-th
-    term.  Every complex the package builds on monomials is Z^n-graded, each
-    entry of d_i one term s x^(m_c - m_r): ``mdegs[i]`` lists the
-    multidegrees m_g of the generators of C_i, and ``table(i)`` is d_i as a
-    monomial matrix (Miller-Sturmfels, Combinatorial Commutative Algebra,
-    ch. 1), the scalars {c: [(r, s)]} of its nonzero entries.  A GF(p)
-    scalar is its int value in [0, p) and an integral rational an int, so
-    elimination rows need no conversion.  ``diffs[i-1]``, the matrix of
-    d_i : F_i -> F_{i-1} with polynomial entries, is a view built on first
-    read from a complex made by :meth:`from_tables`.
+    ``mdegs[i]`` lists the multidegrees m_g of the generators of C_i, and
+    ``degrees[i]`` their totals, the internal degrees.  Each entry of d_i is
+    one term s x^(m_c - m_r), so ``table(i)`` holds d_i as the scalars
+    {c: [(r, s)]} of its nonzero entries.  A GF(p) scalar is its int value
+    in [0, p) and an integral rational an int, so elimination rows need no
+    conversion.  ``diffs[i-1]``, the matrix of d_i : F_i -> F_{i-1} with
+    polynomial entries, is a read-only view built on first read, for text
+    and JSON output.
 
-    A complex given by polynomial differentials reads its multidegrees and
-    tables off them on first use, and raises DomainError there when it is
-    not Z^n-graded (see :meth:`_read_tables`).  Instances are immutable.
+    Raises DimensionError for a table index out of range or a multidegree
+    of the wrong length, and DomainError for an entry whose exponent
+    m_c - m_r is negative.  Instances are immutable.
     """
 
-    __slots__ = ("ring", "degrees", "labels", "meta", "_diffs", "_mdegs", "_tables")
+    __slots__ = ("ring", "mdegs", "degrees", "labels", "meta", "_tables", "_diffs")
 
-    def __init__(self, ring, degrees, diffs, labels=None, meta=None):
-        degrees = tuple(tuple(d) for d in degrees)
-        diffs = tuple(diffs)
-        if len(diffs) != max(len(degrees) - 1, 0):
-            raise DimensionError("need one differential per positive degree")
-        for i, mat in enumerate(diffs, start=1):
-            if mat.ring != ring:
-                raise RingMismatchError("differential over wrong ring")
-            if (mat.nrows, mat.ncols) != (len(degrees[i - 1]), len(degrees[i])):
-                raise DimensionError(f"differential {i} has wrong shape")
-        self._set(ring, degrees, labels, meta)
-        self._diffs, self._mdegs, self._tables = diffs, None, None
-
-    @classmethod
-    def from_tables(cls, ring, mdegs, tables, labels=None, meta=None):
-        """The complex with generator multidegrees ``mdegs``, internal
-        degrees their totals, and d_i given by ``tables[i-1]`` in the
-        scalar form of :meth:`table`; each entry s at (r, c) stands for
-        s x^(m_c - m_r), which the caller keeps a monomial."""
-        mdegs = tuple(tuple(m) for m in mdegs)
+    def __init__(self, ring, mdegs, tables, labels=None, meta=None):
+        mdegs = tuple(tuple(level) for level in mdegs)
         tables = tuple(tables)
         if len(tables) != max(len(mdegs) - 1, 0):
             raise DimensionError("need one differential per positive degree")
-        self = cls.__new__(cls)
-        degrees = tuple(tuple(sum(m) for m in level) for level in mdegs)
-        self._set(ring, degrees, labels, meta)
-        self._diffs, self._mdegs, self._tables = None, mdegs, tables
-        return self
-
-    def _set(self, ring, degrees, labels, meta):
+        n = ring.nvars
+        if any(len(m) != n for level in mdegs for m in level):
+            raise DimensionError(f"a multidegree is not over {n} variables")
+        for i, table in enumerate(tables, start=1):
+            hi, lo = mdegs[i], mdegs[i - 1]
+            for c, col in table.items():
+                if not 0 <= c < len(hi):
+                    raise DimensionError(f"d_{i} column {c} out of range")
+                for r, _ in col:
+                    if not 0 <= r < len(lo):
+                        raise DimensionError(f"d_{i} row {r} out of range")
+                    if not all(map(ge, hi[c], lo[r])):
+                        raise DomainError(
+                            f"d_{i}[{r},{c}] has a negative exponent"
+                        )
         if labels is None:
             labels = tuple(
-                tuple(f"F{i}[{k}]" for k in range(len(degs)))
-                for i, degs in enumerate(degrees)
+                tuple(f"F{i}[{k}]" for k in range(len(level)))
+                for i, level in enumerate(mdegs)
             )
         else:
             labels = tuple(tuple(ls) for ls in labels)
         self.ring = ring
-        self.degrees = degrees
+        self.mdegs = mdegs
+        self.degrees = tuple(tuple(sum(m) for m in level) for level in mdegs)
         self.labels = labels
         self.meta = dict(meta) if meta else {}
+        self._tables, self._diffs = tables, None
 
     @property
     def diffs(self) -> tuple:
         if self._diffs is None:
-            ring, md = self.ring, self._mdegs
+            ring, md = self.ring, self.mdegs
             self._diffs = tuple(
                 PolyMatrix(ring, self.rank(i - 1), self.rank(i), {
                     (r, c): _term(ring, md[i][c], md[i - 1][r], s)
@@ -108,72 +99,10 @@ class GradedFreeComplex:
             )
         return self._diffs
 
-    @property
-    def mdegs(self) -> tuple:
-        """The multidegree of every generator, per homological degree."""
-        if self._mdegs is None:
-            self._read_tables()
-        return self._mdegs
-
     def table(self, i: int) -> dict:
         """{c: [(r, s)]}: the scalar s of each nonzero entry d_i[r, c] =
         s x^(m_c - m_r); empty off the range."""
-        if self._tables is None:
-            self._read_tables()
         return self._tables[i - 1] if 1 <= i <= self.length else {}
-
-    def _read_tables(self):
-        """Read the multidegrees and tables off polynomial differentials.
-
-        C_0 = R sits in multidegree 0.  Each entry of d_i must be one term
-        s x^a of degree deg(c) - deg(r), and then a generator of C_i has
-        the multidegree of its row plus a; every entry of its column must
-        agree on it.  A generator whose column is zero takes its
-        multidegree from its row in d_{i+1}: an entry s x^a there, in a
-        column another row fixes at m, puts it at m - a.  Raises
-        DomainError for a multi-term or inhomogeneous entry, a disagreeing
-        column or a generator that no entry fixes.
-        """
-
-        def term(i, r, c, p):
-            terms = p.term_dict()
-            if len(terms) != 1:
-                raise DomainError(f"d_{i}[{r},{c}] = {p} is not a single term")
-            return next(iter(terms.items()))
-
-        scalar = table_scalar(self.ring.field)
-        out, tables = [[(0,) * self.ring.nvars] * self.rank(0)], []
-        for i in range(1, self.length + 1):
-            rows, level, table = out[i - 1], [None] * self.rank(i), {}
-            for (r, c), p in self._diffs[i - 1].entries.items():
-                mono, s = term(i, r, c, p)
-                if mono.degree != self.degrees[i][c] - self.degrees[i - 1][r]:
-                    raise DomainError(f"d_{i}[{r},{c}] is not homogeneous")
-                m = tuple(map(add, rows[r], mono.exps))
-                if level[c] is None:
-                    level[c] = m
-                elif level[c] != m:
-                    raise DomainError(f"d_{i} column {c} disagrees on its multidegree")
-                table.setdefault(c, []).append((r, scalar(s)))
-            if None in level and i < self.length:
-                up = [(r, c, term(i + 1, r, c, p)[0].exps)
-                      for (r, c), p in sorted(self._diffs[i].entries.items())]
-                above: dict = {}
-                for r, c, a in up:
-                    if level[r] is not None and c not in above:
-                        above[c] = tuple(map(add, level[r], a))
-                for r, c, a in up:
-                    if level[r] is None and c in above:
-                        level[r] = tuple(map(sub, above[c], a))
-            for c, m in enumerate(level):
-                if m is None:
-                    raise DomainError(
-                        f"d_{i} column {c} has no entry to fix its multidegree"
-                    )
-            out.append(level)
-            tables.append(table)
-        self._mdegs = tuple(tuple(level) for level in out)
-        self._tables = tuple(tables)
 
     @property
     def length(self) -> int:
@@ -225,23 +154,17 @@ class ValidationReport:
 
 
 def validate_complex(C: GradedFreeComplex) -> ValidationReport:
-    """Check d o d = 0 exactly and homogeneity of every entry.
+    """Check d o d = 0 exactly.
 
-    A complex with tables is homogeneous: reading them off polynomials
-    checks every entry, and :meth:`GradedFreeComplex.from_tables` takes
-    the internal degrees from the multidegrees.  On the tables, entry
-    (r, c) of d_i o d_{i+1} is the sum of s s' over the middle generators
-    times x^(m_c - m_r), which takes one kill test in R/Q.  A complex whose
-    entries are not single terms is checked on its polynomials.  Never
-    raises; reports the first violations with their indices.
+    Every entry is homogeneous by construction: it is one term whose
+    monomial the multidegrees fix.  On the tables, entry (r, c) of
+    d_i o d_{i+1} is the sum of s s' over the middle generators times
+    x^(m_c - m_r), which takes one kill test in R/Q.  Never raises;
+    reports the first violation with its indices.
     """
-    try:
-        md = C.mdegs
-    except DomainError:
-        return _validate_polynomials(C)
-    ring = C.ring
+    ring, md = C.ring, C.mdegs
     p = getattr(ring.field, "p", 0)
-    kill = [g.exps for g in ring.modulus]
+    killed = _killer(ring)
     for i in range(1, C.length):
         lower, failures = C.table(i), []
         for c, col in C.table(i + 1).items():
@@ -251,8 +174,7 @@ def validate_complex(C: GradedFreeComplex) -> ValidationReport:
                     acc[r] = acc.get(r, 0) + t * s
             for r, s in acc.items():
                 if s % p if p else s:
-                    e = tuple(map(sub, md[i + 1][c], md[i - 1][r]))
-                    if not any(all(map(ge, e, g)) for g in kill):
+                    if not killed(tuple(map(sub, md[i + 1][c], md[i - 1][r]))):
                         failures.append((r, c, s))
         if failures:
             r, c, s = min(failures, key=lambda f: f[:2])
@@ -268,46 +190,15 @@ def _term(ring, hi, lo, s) -> Polynomial:
     return Polynomial.from_monomial(ring, Monomial(tuple(map(sub, hi, lo))), s)
 
 
-def _validate_polynomials(C: GradedFreeComplex) -> ValidationReport:
-    """:func:`validate_complex` on the polynomial differentials, the one
-    path for entries that are not single terms."""
-    problems = []
-    for i in range(1, C.length + 1):
-        mat = C.diff(i)
-        rdegs, cdegs = C.degs(i - 1), C.degs(i)
-        for (r, c), p in sorted(mat.entries.items()):
-            want = cdegs[c] - rdegs[r]
-            if want < 0:
-                problems.append(
-                    f"d_{i}[{r},{c}] maps degree {cdegs[c]} below degree {rdegs[r]}"
-                )
-            elif p.homogeneous_degree != want:
-                problems.append(
-                    f"d_{i}[{r},{c}] = {p} is not homogeneous of degree {want}"
-                )
-        if problems:
-            break
-    for i in range(1, C.length):
-        comp = C.diff(i) @ C.diff(i + 1)
-        if not comp.is_zero:
-            r, c = sorted(comp.entries)[0]
-            problems.append(
-                f"d_{i} o d_{i + 1} != 0, first nonzero entry at ({r},{c}): "
-                f"{comp.entries[(r, c)]}"
-            )
-            break
-    return ValidationReport(not problems, problems)
+def _killer(ring):
+    """The test whether x^e is zero in ``ring``, on exponent tuples."""
+    kill = [g.exps for g in ring.modulus]
+    return lambda e: any(all(map(ge, e, g)) for g in kill)
 
 
 def is_minimal(C: GradedFreeComplex) -> bool:
-    """True iff no differential entry has a nonzero constant term: on the
-    tables, no entry has m_c = m_r."""
-    try:
-        md = C.mdegs
-    except DomainError:
-        return not any(
-            p.constant_term for mat in C.diffs for p in mat.entries.values()
-        )
+    """True iff no differential entry is a unit: no entry has m_c = m_r."""
+    md = C.mdegs
     return not any(
         md[i][c] == md[i - 1][r]
         for i in range(1, C.length + 1)
@@ -315,24 +206,35 @@ def is_minimal(C: GradedFreeComplex) -> bool:
     )
 
 
-def complex_from_boundary(ring, levels, degree, label, boundary, meta=None):
+def complex_from_boundary(ring, levels, mdeg, label, boundary, meta=None):
     """The free complex with basis keys ``levels[i]`` in homological degree
-    i, generator degrees ``degree(key)`` and labels ``label(key)``.
+    i, generator multidegrees ``mdeg(key)`` and labels ``label(key)``.
 
-    ``boundary(key)`` is d(key) as an element keyed by the previous level;
-    column order follows ``levels[i]`` and row order ``levels[i - 1]``.
+    ``boundary(key)`` is d(key) as scalars {lower key: s}, each standing
+    for s x^(mdeg(key) - mdeg(lower)); column order follows ``levels[i]``
+    and row order that of the boundary.  A zero scalar, or an entry whose
+    monomial R/Q kills, is dropped.
     """
-    diffs = []
+    scalar = table_scalar(ring.field)
+    killed = _killer(ring) if ring.modulus else None
+    mdegs = [[mdeg(key) for key in level] for level in levels]
+    tables = []
     for i in range(1, len(levels)):
         idx = {key: r for r, key in enumerate(levels[i - 1])}
-        entries: dict = {}
-        for col, key in enumerate(levels[i]):
-            for lower, p in boundary(key).items():
-                k_acc(entries, (idx[lower], col), p)
-        diffs.append(PolyMatrix(ring, len(levels[i - 1]), len(levels[i]), entries))
-    degrees = [[degree(key) for key in lvl] for lvl in levels]
-    labels = [[label(key) for key in lvl] for lvl in levels]
-    return GradedFreeComplex(ring, degrees, diffs, labels, meta)
+        lo, table = mdegs[i - 1], {}
+        for c, (key, m) in enumerate(zip(levels[i], mdegs[i])):
+            col = []
+            for lower, s in boundary(key).items():
+                r = idx[lower]
+                if (s := scalar(s)) and not (
+                    killed and killed(tuple(map(sub, m, lo[r])))
+                ):
+                    col.append((r, s))
+            if col:
+                table[c] = col
+        tables.append(table)
+    labels = [[label(key) for key in level] for level in levels]
+    return GradedFreeComplex(ring, mdegs, tables, labels, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +254,27 @@ def tensor_basis(F: GradedFreeComplex, G: GradedFreeComplex, n: int):
 
 def _tensor_boundary(F: GradedFreeComplex, G: GradedFreeComplex, lo: int = 0):
     """d(f (x) g) = d(f) (x) g + (-1)^|f| f (x) d(g) on keys (i, j, fi, gj),
-    without the terms whose factor drops below homological degree ``lo``."""
+    as scalars, without the terms whose factor drops below homological
+    degree ``lo``."""
 
     def boundary(key):
         i, j, fi, gj = key
         out: dict = {}
         if i > lo:
-            for r, p in F.diff(i).column(fi).items():
-                k_acc(out, (i - 1, j, r, gj), p)
+            for r, s in F.table(i).get(fi, ()):
+                out[(i - 1, j, r, gj)] = s
         if j > lo:
             sign = -1 if i % 2 else 1
-            for r, p in G.diff(j).column(gj).items():
-                k_acc(out, (i, j - 1, fi, r), p.scale(sign))
+            for r, s in G.table(j).get(gj, ()):
+                out[(i, j - 1, fi, r)] = sign * s
         return out
 
     return boundary
+
+
+def _tensor_mdeg(F: GradedFreeComplex, G: GradedFreeComplex):
+    """The multidegree m_f + m_g of a key (i, j, fi, gj)."""
+    return lambda k: tuple(map(add, F.mdegs[k[0]][k[2]], G.mdegs[k[1]][k[3]]))
 
 
 def tensor_complexes(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComplex:
@@ -375,7 +283,7 @@ def tensor_complexes(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeCo
     return complex_from_boundary(
         F.ring,
         [tensor_basis(F, G, n) for n in range(F.length + G.length + 1)],
-        lambda k: F.degs(k[0])[k[2]] + G.degs(k[1])[k[3]],
+        _tensor_mdeg(F, G),
         lambda k: f"{F.labels[k[0]][k[2]]}(x){G.labels[k[1]][k[3]]}",
         _tensor_boundary(F, G),
     )
@@ -389,17 +297,13 @@ def stupid_truncation(C: GradedFreeComplex, n: int) -> GradedFreeComplex:
         return C
     if n > C.length:
         return GradedFreeComplex(C.ring, ((),), ())
-    degrees = [() if i < n else C.degs(i) for i in range(C.length + 1)]
-    diffs = []
-    for i in range(1, C.length + 1):
-        if i > n:
-            diffs.append(C.diff(i))
-        else:
-            diffs.append(
-                PolyMatrix.zero(C.ring, len(degrees[i - 1]), len(degrees[i]))
-            )
-    labels = [() if i < n else C.labels[i] for i in range(C.length + 1)]
-    return GradedFreeComplex(C.ring, degrees, diffs, labels)
+    keep = range(C.length + 1)
+    return GradedFreeComplex(
+        C.ring,
+        [() if i < n else C.mdegs[i] for i in keep],
+        [C.table(i) if i > n else {} for i in keep[1:]],
+        [() if i < n else C.labels[i] for i in keep],
+    )
 
 
 def star_basis(F: GradedFreeComplex, G: GradedFreeComplex, n: int):
@@ -423,18 +327,24 @@ def star_product(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeComple
     # the generator 1 of (F*G)_0 is keyed as f_0 (x) g_0
     unit = (0, 0, 0, 0)
     higher = _tensor_boundary(F, G, lo=1)
+    mdeg = _tensor_mdeg(F, G)
+    # d_1 has one row, so a column of d_1 holds at most the scalar at row 0
+    front_F, front_G = (
+        {c: col[0][1] for c, col in X.table(1).items()} for X in (F, G)
+    )
 
     def boundary(key):
         i, j, fi, gj = key
         if i + j > 2:
             return higher(key)
-        p = F.diff(1).entry(0, fi) * G.diff(1).entry(0, gj)
-        return {} if p.is_zero else {unit: p}
+        if fi in front_F and gj in front_G:
+            return {unit: front_F[fi] * front_G[gj]}
+        return {}
 
     return complex_from_boundary(
         F.ring,
         [[unit]] + [star_basis(F, G, n) for n in range(1, F.length + G.length)],
-        lambda k: F.degs(k[0])[k[2]] + G.degs(k[1])[k[3]] if k[0] else 0,
+        lambda k: mdeg(k) if k[0] else (0,) * F.ring.nvars,
         lambda k: f"{F.labels[k[0]][k[2]]}*{G.labels[k[1]][k[3]]}" if k[0] else "1",
         boundary,
     )
@@ -467,31 +377,22 @@ def strand_basis(C: GradedFreeComplex, i: int, t: int, extra=()):
 
 def strand_matrix(C: GradedFreeComplex, i: int, basis_hi, basis_lo):
     """Scalar rows of d_i from the strand basis ``basis_hi`` in degree i to
-    ``basis_lo`` one degree down (rows indexed by ``basis_lo``).
+    ``basis_lo`` one degree down (rows indexed by ``basis_lo``), read off
+    the polynomial view.
 
-    It serves only whole strands (see :class:`Homology` for blocks).
-    Raises DomainError if some entry of d_i in a column of ``basis_hi`` is
-    not homogeneous of degree deg(column) - deg(row), even where its stray
-    terms die in R/Q.
+    It serves only whole strands (see :class:`Homology` for blocks).  Every
+    entry is one term of degree deg(column) - deg(row), so m*mono has the
+    degree of the lower basis and a lookup that misses it can only be a
+    monomial killed in R/Q.
     """
-    # every entry used is checked once to be homogeneous of degree
-    # deg(col) - deg(row), so m*mono has the degree of the lower basis and a
-    # lookup that misses it can only be a monomial killed in R/Q
     idx = {(r, m.exps): k for k, (r, m) in enumerate(basis_lo)}
     rows = [dict() for _ in basis_lo]
-    rdegs, cdegs = C.degs(i - 1), C.degs(i)
     cols = {g for g, _ in basis_hi}
     by_col: dict[int, list] = {}
     for (r, c), p in C.diff(i).entries.items():
-        if c not in cols:
-            continue
-        want = cdegs[c] - rdegs[r]
-        terms = []
-        for mono, coeff in p.term_dict().items():
-            if mono.degree != want:
-                raise DomainError(f"d_{i}[{r},{c}] is not homogeneous")
-            terms.append((mono.exps, coeff))
-        by_col.setdefault(c, []).append((r, terms))
+        if c in cols:
+            terms = [(mono.exps, coeff) for mono, coeff in p.term_dict().items()]
+            by_col.setdefault(c, []).append((r, terms))
     for col, (g, m) in enumerate(basis_hi):
         for r, terms in by_col.get(g, ()):
             for exps, coeff in terms:
@@ -991,7 +892,6 @@ def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCerti
     Koszul simplicial complexes K^b(I) for b in the lcm lattice of I: ranks
     of their scalar boundaries, a cross-check that shares no code with (a)
     or with the minimization.
-    Raises DomainError when C is not Z^n-graded (see ``GradedFreeComplex.mdegs``).
     """
     from .resolutions import betti_numbers, minimize_complex
 
@@ -1011,9 +911,11 @@ def _coker_failures(C: GradedFreeComplex, I: MonomialIdeal) -> list:
     zero = (0,) * C.ring.nvars
     if C.degs(0) != (0,):
         return [(zero, C.degs(0), (0,))]
-    image = MonomialIdeal(
-        C.ring, tuple(m for p in C.diff(1).entries.values() for m in p.term_dict())
-    )
+    md = C.mdegs
+    image = MonomialIdeal(C.ring, tuple(
+        Monomial(tuple(map(sub, md[1][c], md[0][r])))
+        for c, col in C.table(1).items() for r, _ in col
+    ))
     out = [(g.exps, 1, 0) for g in I.gens if not image.contains(g)]
     out += [(g.exps, 0, 1) for g in image.gens if not I.contains(g)]
     return sorted(out, key=lambda f: (sum(f[0]), f[0]))

@@ -156,7 +156,7 @@ def _exterior_full_product(C: GradedFreeComplex) -> FullProduct:
 
 def koszul_dg_product(K: GradedFreeComplex) -> FullProduct:
     """The exterior-algebra product on a Koszul complex; raises
-    DomainError unless K is multigraded."""
+    DomainError unless K was built by ``koszul_complex``."""
     if "subsets" not in K.meta:
         raise DomainError("expected a complex built by koszul_complex")
     return _exterior_full_product(K)

@@ -6,6 +6,7 @@ Poincare series certificate)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, itemgetter
 
 from . import linalg
@@ -174,6 +175,9 @@ def kunneth_map(
             (a.i + b.i - 1 for a in HI.classes for b in HJ.classes), default=0
         ),
     )
+    # each representative moves to R/IJ once, and d(z_b) is taken once
+    za = [k_with_ring(a.rep, quotient) for a in HI.classes]
+    dzb = [k_diff(quotient, k_with_ring(b.rep, quotient)) for b in HJ.classes]
     rows = []
     for n in range(1, nmax + 1):
         pairs = [
@@ -182,9 +186,7 @@ def kunneth_map(
         target = HIJ.classes_at(n)
         cols = []
         for a, b in pairs:
-            za = k_with_ring(a.rep, quotient)
-            zb = k_with_ring(b.rep, quotient)
-            image = k_wedge(za, k_diff(quotient, zb))
+            image = k_wedge(za[a.index], dzb[b.index])
             col = HIJ.class_coords(
                 n, tuple(map(add, a.b, b.b)), k_with_ring(image, ring)
             )
@@ -211,6 +213,7 @@ class GolodBasis:
     homological degree is |z_a| + |z_b| and its internal degree adds the
     internal degrees of the two classes.  ``h[k]`` is the canonical cycle
     d(z_a) ^ z_b representing the corresponding basis class of H(R/IJ).
+    Each class representative is moved to R/IJ once, on first use.
     """
 
     I: MonomialIdeal
@@ -230,13 +233,19 @@ class GolodBasis:
         a, b = self.pairs[k]
         return tuple(map(add, self.HI.classes[a].b, self.HJ.classes[b].b))
 
+    @cached_property
+    def _reps(self) -> tuple:
+        """The representatives of H(R/I) and of H(R/J) in R/IJ."""
+        return tuple(
+            [k_with_ring(c.rep, self.quotient) for c in H.classes]
+            for H in (self.HI, self.HJ)
+        )
+
     def zI(self, k: int) -> KElement:
-        a, _ = self.pairs[k]
-        return k_with_ring(self.HI.classes[a].rep, self.quotient)
+        return self._reps[0][self.pairs[k][0]]
 
     def zJ(self, k: int) -> KElement:
-        _, b = self.pairs[k]
-        return k_with_ring(self.HJ.classes[b].rep, self.quotient)
+        return self._reps[1][self.pairs[k][1]]
 
 
 def golod_basis(I: MonomialIdeal, J: MonomialIdeal) -> GolodBasis:
@@ -267,12 +276,17 @@ def massey_mu(basis: GolodBasis, word: tuple) -> KElement:
     reduced in K (x) R/IJ."""
     if not word:
         raise DomainError("Massey operation needs a nonempty tuple")
-    quotient = basis.quotient
-    out = k_wedge(k_diff(quotient, basis.zI(word[0])), basis.zJ(word[0]))
-    for k in word[1:]:
-        out = k_wedge(out, basis.zI(k))
-        out = k_wedge(out, basis.zJ(k))
+    out = k_wedge(k_diff(basis.quotient, basis.zI(word[0])), basis.zJ(word[0]))
+    for j in range(2, len(word) + 1):
+        out = _massey_extend(basis, word[:j], out)
     return out
+
+
+def _massey_extend(basis: GolodBasis, word: tuple, prefix: KElement) -> KElement:
+    """mu(word) from ``prefix`` = mu(word[:-1]): the last two wedges of the
+    left fold in :func:`massey_mu`."""
+    k = word[-1]
+    return k_wedge(k_wedge(prefix, basis.zI(k)), basis.zJ(k))
 
 
 def mu_bar(basis: GolodBasis, word: tuple) -> KElement:
@@ -353,7 +367,7 @@ def golod_resolution(
         raise DomainError("n_max must be at least 1")
     basis = basis or golod_basis(I, J)
     D = n_max * max(1, ideal_product(I, J).max_gen_degree())
-    mu: dict = {}  # prefix -> massey_mu(basis, prefix), one call per prefix
+    mu: dict = {}  # prefix -> mu(prefix), built once from mu(prefix[:-1])
 
     def twist(w):
         # Massey corrections e_S ^ mu(prefix) (x) suffix, the prefix value
@@ -361,9 +375,11 @@ def golod_resolution(
         # makes the squares cancel
         out = []
         for j in range(1, len(w) + 1):
-            if w[:j] not in mu:
-                mu[w[:j]] = massey_mu(basis, w[:j])
-            out.append((1 if (j + 1) % 2 == 0 else -1, mu[w[:j]], w[j:]))
+            p = w[:j]
+            if p not in mu:
+                mu[p] = (massey_mu(basis, p) if j == 1
+                         else _massey_extend(basis, p, mu[p[:-1]]))
+            out.append((1 if (j + 1) % 2 == 0 else -1, mu[p], w[j:]))
         return out
 
     def word_label(w):
@@ -441,13 +457,10 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
     cert.series_coeffs = tuple(series.coefficients)
     cert.ranks_match = tuple(C.total_ranks()) == cert.series_coeffs[: n_max + 1]
     HIJ = basis.HIJ
-    for c1 in HIJ.classes:
-        for c2 in HIJ.classes:
-            prod = k_wedge(
-                k_with_ring(c1.rep, basis.quotient),
-                k_with_ring(c2.rep, basis.quotient),
-            )
-            prod = k_with_ring(prod, I.ring)
+    reps = [k_with_ring(c.rep, basis.quotient) for c in HIJ.classes]
+    for c1, z1 in zip(HIJ.classes, reps):
+        for c2, z2 in zip(HIJ.classes, reps):
+            prod = k_with_ring(k_wedge(z1, z2), I.ring)
             b = tuple(map(add, c1.b, c2.b))
             if not HIJ.is_boundary(c1.i + c2.i, b, prod):
                 cert.triviality_failures.append((c1.label, c2.label))

@@ -5,18 +5,21 @@ Betti oracle and Tor dimensions read off the minimal resolution."""
 
 from __future__ import annotations
 
+import heapq
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import le, sub
+from operator import add, le, sub
 
 from . import linalg
 from .complexes import (
-    BettiTable, GradedFreeComplex, Homology, complex_from_boundary, table_scalar,
+    BettiTable, GradedFreeComplex, Homology, _killer, complex_from_boundary,
+    table_scalar,
 )
 from .errors import DomainError, ExactnessError
-from .exterior import k_acc, k_apply, k_coords, k_element, wedge_subsets
+from .exterior import k_apply, k_coords, k_element, wedge_subsets
 from .ideals import MonomialIdeal, lcm_lattice
-from .poly import Monomial, PolyMatrix, Polynomial, Ring
+from .poly import PolyMatrix, Polynomial, Ring
 
 
 def _subset_label(prefix: str, S: tuple[int, ...]) -> str:
@@ -24,34 +27,44 @@ def _subset_label(prefix: str, S: tuple[int, ...]) -> str:
 
 
 def koszul_complex(elements: list[Polynomial]) -> GradedFreeComplex:
-    """The Koszul complex on homogeneous elements of positive degree.
+    """The Koszul complex on single-term elements c x^a of positive degree.
 
     Generators e_S for subsets S, with d(e_{j1}^...^e_{jr}) =
-    sum_l (-1)^(l+1) a_{jl} e_{S \\ jl}; generator degrees add.
+    sum_l (-1)^(l+1) a_{jl} e_{S \\ jl}; generator multidegrees add.
+    Raises DomainError for an element that is not one such term.
     """
     if not elements:
         raise DomainError("need at least one element")
     ring = elements[0].ring
-    degs = []
+    terms = []
     for a in elements:
         if a.ring != ring:
             raise DomainError("elements over different rings")
-        d = a.homogeneous_degree
-        if d is None or d <= 0 or a.is_zero:
+        if len(a.term_dict()) != 1:
+            raise DomainError(f"{a} is not a single term c x^a")
+        ((mono, c),) = a.term_dict().items()
+        if mono.degree <= 0:
             raise DomainError(f"{a} is not homogeneous of positive degree")
-        degs.append(d)
+        terms.append((mono.exps, c))
     c = len(elements)
     subsets = [sorted(combinations(range(c), i)) for i in range(c + 1)]
+    zero = (0,) * ring.nvars
+
+    def mdeg(S):
+        m = zero
+        for j in S:
+            m = tuple(map(add, m, terms[j][0]))
+        return m
 
     def boundary(S):
         return {
-            S[:pos] + S[pos + 1:]: elements[j].scale(1 if pos % 2 == 0 else -1)
+            S[:pos] + S[pos + 1:]: -terms[j][1] if pos % 2 else terms[j][1]
             for pos, j in enumerate(S)
         }
 
     return complex_from_boundary(
-        ring, subsets, lambda S: sum(degs[j] for j in S),
-        lambda S: _subset_label("e", S), boundary, meta={"subsets": subsets},
+        ring, subsets, mdeg, lambda S: _subset_label("e", S), boundary,
+        meta={"subsets": subsets},
     )
 
 
@@ -79,20 +92,13 @@ def twisted_koszul(S: Ring, words, n_max: int, twist, word_label):
     for a term off its multidegree.  Returns the complex and its basis keys
     per level.
     """
-    n = S.nvars
     scalar = table_scalar(S.field)
     levels: list[list] = [[] for _ in range(n_max + 1)]
     mdeg = {}
     for w, d, m in words:
         mdeg[w] = m
-        for h in range(min(n, n_max - d) + 1):
-            levels[d + h].extend((T, w) for T in combinations(range(n), h))
-    mdegs = [
-        [tuple(e + (k in T) for k, e in enumerate(mdeg[w])) for T, w in level]
-        for level in levels
-    ]
-    live = [not S.kills(Monomial(tuple(int(k == j) for k in range(n))))
-            for j in range(n)]
+        for h in range(min(S.nvars, n_max - d) + 1):
+            levels[d + h].extend((T, w) for T in combinations(range(S.nvars), h))
     twists: dict = {}
 
     def scalars(w):
@@ -113,31 +119,26 @@ def twisted_koszul(S: Ring, words, n_max: int, twist, word_label):
             out.append((rest, terms))
         return out
 
-    tables = []
-    for i in range(1, n_max + 1):
-        idx = {key: r for r, key in enumerate(levels[i - 1])}
-        table = {}
-        for c, (T, w) in enumerate(levels[i]):
-            acc: dict = {}  # row -> scalar
-            for pos, k in enumerate(T):
-                if live[k]:
-                    acc[idx[(T[:pos] + T[pos + 1:], w)]] = -1 if pos % 2 else 1
-            if w not in twists:
-                twists[w] = scalars(w)
-            base = -1 if len(T) % 2 else 1
-            for rest, terms in twists[w]:
-                for U, s in terms:
-                    st = wedge_subsets(T, U)
-                    if st is not None:
-                        r = idx[(st[1], rest)]
-                        acc[r] = acc.get(r, 0) + base * st[0] * s
-            if col := [(r, v) for r, x in acc.items() if (v := scalar(x))]:
-                table[c] = col
-        tables.append(table)
-    C = GradedFreeComplex.from_tables(
-        S, mdegs, tables,
-        [[_subset_label("e", T) + word_label(w) for T, w in level]
-         for level in levels],
+    def boundary(key):
+        T, w = key
+        out = {(T[:pos] + T[pos + 1:], w): -1 if pos % 2 else 1
+               for pos in range(len(T))}
+        if w not in twists:
+            twists[w] = scalars(w)
+        base = -1 if len(T) % 2 else 1
+        for rest, terms in twists[w]:
+            for U, s in terms:
+                st = wedge_subsets(T, U)
+                if st is not None:
+                    k = (st[1], rest)
+                    out[k] = out.get(k, 0) + base * st[0] * s
+        return out
+
+    C = complex_from_boundary(
+        S, levels,
+        lambda key: tuple(e + (k in key[0]) for k, e in enumerate(mdeg[key[1]])),
+        lambda key: _subset_label("e", key[0]) + word_label(key[1]),
+        boundary,
     )
     return C, levels
 
@@ -167,17 +168,10 @@ def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
     lcms = [{S: lcm_of(S) for S in subsets[i]} for i in range(r + 1)]
 
     def boundary(S):
-        out = {}
-        for pos in range(len(S)):
-            rest = S[:pos] + S[pos + 1:]
-            ratio = lcms[len(S)][S].divide(lcms[len(rest)][rest])
-            out[rest] = Polynomial.from_monomial(
-                ring, ratio, 1 if pos % 2 == 0 else -1
-            )
-        return out
+        return {S[:pos] + S[pos + 1:]: -1 if pos % 2 else 1 for pos in range(len(S))}
 
     return complex_from_boundary(
-        ring, subsets, lambda S: lcms[len(S)][S].degree,
+        ring, subsets, lambda S: lcms[len(S)][S].exps,
         lambda S: _subset_label("T", S), boundary,
         meta={"subsets": subsets, "lcms": lcms},
     )
@@ -252,71 +246,89 @@ def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
     """Prune unit entries until the complex is minimal.
 
     Scans entries in (homological degree, row, col) order, cancels the first
-    entry with a nonzero constant term via the corresponding change of basis
-    (Schur complement on d_i, drop row on d_{i+1}, drop column on d_{i-1}),
-    and repeats to a fixpoint.
+    unit entry u (one with m_c = m_r) via the corresponding change of basis
+    (Schur complement s - s_pc s_pr / u on d_i, drop row on d_{i+1}, drop
+    column on d_{i-1}), and repeats to a fixpoint.  It works on the scalar
+    tables: the Schur update of entry (r', c') lies in its multidegree
+    m_c' - m_r', and is dropped where R/Q kills that monomial.  Cancelling
+    in d_i creates no unit in another differential, so each d_i is
+    cleared in turn.
     """
-    ring = C.ring
-    length = C.length
-    mats = [dict(C.diff(i).entries) for i in range(1, length + 1)]
-    alive = [list(range(C.rank(i))) for i in range(length + 1)]
-    degs = [list(C.degs(i)) for i in range(length + 1)]
-
-    def find_unit():
-        for i in range(1, length + 1):
-            for (r, c) in sorted(mats[i - 1]):
-                if mats[i - 1][(r, c)].constant_term:
-                    return i, r, c
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        i, r, c = hit
-        mat = mats[i - 1]
-        u = mat[(r, c)].constant_term
-        rowvals = {cc: p for (rr, cc), p in mat.items() if rr == r and cc != c}
-        colvals = {rr: p for (rr, cc), p in mat.items() if cc == c and rr != r}
-        for rr, pc in colvals.items():
-            for cc, pr in rowvals.items():
-                k_acc(mat, (rr, cc), -(pc * pr).scale(1 / u))
-        for key in [k for k in mat if k[0] == r or k[1] == c]:
-            del mat[key]
-        if i <= length - 1:
-            up = mats[i]
-            for key in [k for k in up if k[0] == c]:
-                del up[key]
-        if i >= 2:
-            down = mats[i - 2]
-            for key in [k for k in down if k[1] == r]:
-                del down[key]
-        alive[i].remove(c)
-        alive[i - 1].remove(r)
-
-    remap = [
-        {old: new for new, old in enumerate(alive[i])} for i in range(length + 1)
+    ring, md, length = C.ring, C.mdegs, C.length
+    p = getattr(ring.field, "p", 0)
+    scalar = table_scalar(ring.field)
+    killed = _killer(ring) if ring.modulus else None
+    # cols[i][c] = {r: s} and rows[i][r] = {c: s} for the entries of d_i,
+    # each column in the order its entries arose
+    cols = [{}] + [
+        {c: dict(col) for c, col in C.table(i).items()} for i in range(1, length + 1)
     ]
-    new_degs = [[degs[i][old] for old in alive[i]] for i in range(length + 1)]
-    new_labels = [
-        [C.labels[i][old] for old in alive[i]] for i in range(length + 1)
-    ]
-    new_diffs = []
+    rows = [{}]
     for i in range(1, length + 1):
-        entries = {
-            (remap[i - 1][r], remap[i][c]): p for (r, c), p in mats[i - 1].items()
-        }
-        new_diffs.append(
-            PolyMatrix(ring, len(alive[i - 1]), len(alive[i]), entries)
-        )
-    # trim trailing zero terms
-    top = length
-    while top > 0 and not new_degs[top]:
+        by_row: dict = {}
+        for c, col in cols[i].items():
+            for r, s in col.items():
+                by_row.setdefault(r, {})[c] = s
+        rows.append(by_row)
+    alive = [set(range(C.rank(i))) for i in range(length + 1)]
+
+    def drop_row(i, r):
+        for c in rows[i].pop(r, {}):
+            del cols[i][c][r]
+
+    def drop_col(i, c):
+        for r in cols[i].pop(c, {}):
+            del rows[i][r][c]
+
+    for i in range(1, length + 1):
+        lo, hi = md[i - 1], md[i]
+        units = [(r, c) for c, col in cols[i].items() for r in col if hi[c] == lo[r]]
+        heapq.heapify(units)
+        while units:
+            r, c = heapq.heappop(units)
+            if r not in cols[i].get(c, ()):
+                continue
+            u = cols[i][c][r]
+            inv = pow(u, -1, p) if p else 1 / Fraction(u)
+            col_c = [(rr, s) for rr, s in cols[i][c].items() if rr != r]
+            row_r = [(cc, s) for cc, s in rows[i][r].items() if cc != c]
+            for rr, pc in col_c:
+                for cc, pr in row_r:
+                    if killed and killed(tuple(map(sub, hi[cc], lo[rr]))):
+                        continue
+                    col = cols[i].setdefault(cc, {})
+                    if t := scalar(col.get(rr, 0) - pc * pr * inv):
+                        col[rr] = rows[i].setdefault(rr, {})[cc] = t
+                        if hi[cc] == lo[rr]:
+                            heapq.heappush(units, (rr, cc))
+                    elif rr in col:
+                        del col[rr]
+                        del rows[i][rr][cc]
+            drop_row(i, r)
+            drop_col(i, c)
+            if i < length:
+                drop_row(i + 1, c)
+            if i > 1:
+                drop_col(i - 1, r)
+            alive[i].discard(c)
+            alive[i - 1].discard(r)
+
+    kept = [sorted(level) for level in alive]
+    top = length  # trim trailing zero terms
+    while top > 0 and not kept[top]:
         top -= 1
-    out = GradedFreeComplex(
-        ring, new_degs[: top + 1], new_diffs[:top], new_labels[: top + 1]
+    remap = [{old: new for new, old in enumerate(level)} for level in kept]
+    tables = [
+        {remap[i][c]: [(remap[i - 1][r], s) for r, s in cols[i][c].items()]
+         for c in kept[i] if cols[i].get(c)}
+        for i in range(1, top + 1)
+    ]
+    return GradedFreeComplex(
+        ring,
+        [[md[i][old] for old in kept[i]] for i in range(top + 1)],
+        tables,
+        [[C.labels[i][old] for old in kept[i]] for i in range(top + 1)],
     )
-    return out
 
 
 def tor_dims(I: MonomialIdeal, J: MonomialIdeal, D: int | None = None) -> dict:
@@ -359,8 +371,7 @@ def lift_comparison_map(
     right-hand side lives; among the (homotopy-many) solutions the
     echelon-canonical one is chosen, so the image lies in that block.
     Raises :class:`ExactnessError` when some block system has no solution,
-    i.e. the target fails to be exact where needed.  Raises DomainError
-    when either complex is not Z^n-graded (see ``GradedFreeComplex.mdegs``).
+    i.e. the target fails to be exact where needed.
     """
     ring = source.ring
     if target.ring != ring:

@@ -389,6 +389,55 @@ def test_readme_job_documents_run(tmp_path, capsys):
         assert not capsys.readouterr().err
 
 
+def test_readme_quick_start_runs(capsys):
+    # the ```python block of README.md runs, and each expression with a
+    # comment evaluates to the value the comment begins with
+    import ast
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text("utf-8"), re.S)
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        tail = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if isinstance(stmt, ast.Expr) and tail.startswith("#"):
+            value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+            assert tail[1:].strip().startswith(repr(value)), (tail, value)
+            checked.append(repr(value))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert checked == ["True", "True", "{1: 4, 2: 4, 3: 1}", "(1, 4, 10, 24, 58, 140)"]
+    assert "total:" in capsys.readouterr().out
+
+
+def test_resolve_koszul_refuses_a_sequence_that_is_not_regular(tmp_path, capsys):
+    # the Koszul complex on (x1^2, x1*x2) is no resolution of R/I: its
+    # table would read 2,4 where the Betti table of R/I has 2,3
+    path = tmp_path / "job.json"
+    doc = job("resolve", {"ideal": "I", "method": "koszul"},
+              ideals={"I": ["x1^2", "x1*x2"]})
+    path.write_text(json.dumps(doc))
+    assert main([str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: regular sequence needs pairwise disjoint supports\n"
+
+
+def test_resolve_koszul_on_a_regular_sequence(tmp_path, capsys):
+    from transverse.resolutions import betti_numbers
+
+    path = tmp_path / "job.json"
+    doc = job("resolve", {"ideal": "I", "method": "koszul"},
+              ideals={"I": ["x1^2", "x2*x3", "x4"]})
+    path.write_text(json.dumps(doc))
+    assert main([str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    I = parse_input(doc).ideal("I")
+    assert report["ranks"] == [1, 3, 3, 1]
+    assert report["betti"] == betti_numbers(I).to_json()
+
+
 def test_resolve_staircase_rendered(capsys, tmp_path):
     path = tmp_path / "job.json"
     path.write_text(
@@ -479,8 +528,8 @@ def test_star_resolve_of_sixteen_generators_verifies(tmp_path):
 
 
 def test_complex_without_multidegrees_exits_2(tmp_path, capsys, monkeypatch):
-    # every complex the CLI builds is Z^n-graded; one that is not makes the
-    # cell certificate refuse it as an input error, not a traceback
+    # every complex is Z^n-graded; building one that is not is refused as
+    # an input error, not a traceback
     from transverse import complexes
     from transverse.resolutions import koszul_complex
 

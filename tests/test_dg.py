@@ -15,7 +15,7 @@ from transverse.dg import (
 )
 from transverse.errors import DomainError
 from transverse.ideals import ideal_product
-from transverse.poly import PolyMatrix, Polynomial, Ring
+from transverse.poly import Polynomial, Ring
 from transverse.resolutions import koszul_complex, taylor_complex
 
 from conftest import ideal
@@ -186,10 +186,9 @@ class TestAssociativityProbe:
         assert rep.associative
 
     def test_not_multigraded(self, R4):
-        # x1 + x2 is not one term: the complex has no multidegrees
-        K = koszul_complex([R4.variable(0) + R4.variable(1), R4.variable(2)])
+        # x1 + x2 is not one term: no complex is built to probe
         with pytest.raises(DomainError, match="not a single term"):
-            associativity_probe(K, koszul_dg_product(K))
+            koszul_complex([R4.variable(0) + R4.variable(1), R4.variable(2)])
 
     def test_zero_bound_empty(self, R4):
         F = koszul_complex(_vars(R4, 0, 1))
@@ -352,9 +351,9 @@ def test_dg_verify_certifies_each_product_once(tmp_path, capsys, monkeypatch):
 def test_dg_verify_certificates_do_no_polynomial_arithmetic(
     tmp_path, capsys, monkeypatch
 ):
-    # the Taylor products, the certificates and the star degree-one product
-    # work on scalars: no Polynomial is built, multiplied or scaled inside
-    # them, except in the differentials of star_product; the certificates
+    # the Taylor products, the certificates, the star products and their
+    # degree-one products work on scalars: no Polynomial is built,
+    # multiplied or scaled inside them; the certificates
     # visit exactly the pairs and triples they did when they multiplied
     # polynomials, and no product builds its polynomial tables
     from transverse import dg
@@ -406,8 +405,7 @@ def test_dg_verify_certificates_do_no_polynomial_arithmetic(
     path = _dg_job(tmp_path, "dg-verify", {"ideals": ["A", "B", "C"]})
     assert main([str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["checked_pairs"] == 216
-    # d_1 of each star product multiplies the d_1 entries of its factors
-    assert {where for _, where in polynomial_ops} == {"star_product"}
+    assert polynomial_ops == []
     full, one = "certify_full_dg", "certify_degree_one"
     assert counts == [(full, 11, 0)] * 3 + [
         (one, 6, 0), (one, 6, 0), (one, 36, 0), (one, 6, 0), (one, 216, 0)
@@ -479,12 +477,10 @@ class TestMultigrading:
         return str(err.value)
 
     def test_two_term_differential(self, R4):
-        # neither the product nor a module action can be built on K
+        # no complex, hence no product or module action, has the entry x1 + x2
         x1, x2, x3 = _vars(R4, 0, 1, 2)
-        K = koszul_complex([x1 + x2, x3])
-        assert "d_1[0,0]" in self._refused(lambda: koszul_dg_product(K))
-        assert "d_1[0,0]" in self._refused(
-            lambda: koszul_module_action(K, koszul_dg_product(K), [x3])
+        assert "not a single term" in self._refused(
+            lambda: koszul_complex([x1 + x2, x3])
         )
 
     def test_value_with_the_wrong_monomial(self, R4):
@@ -512,8 +508,10 @@ class TestMultigrading:
         )
 
     def test_empty_column(self, R4):
-        x1 = R4.variable(0)
-        d1 = PolyMatrix(R4, 1, 2, {(0, 0): x1})
-        C = GradedFreeComplex(R4, [[0], [1, 1]], [d1])
-        assert "column 1" in self._refused(lambda: C.mdegs)
-        self._refused(lambda: from_tables(DegreeOneProduct, C, {}))
+        # d_1 = (x1 0)
+        C = GradedFreeComplex(
+            R4, [[(0, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)]], [{0: [(0, 1)]}]
+        )
+        assert "d_1 column 1 is zero" in self._refused(
+            lambda: from_tables(DegreeOneProduct, C, {})
+        )

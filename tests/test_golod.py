@@ -233,14 +233,22 @@ class TestGolodResolution:
 
         n_max = 5
         basis = golod_basis(*flagship)
+        # the Massey value of each distinct prefix is made once: by
+        # massey_mu on one symbol, from the value of the prefix one shorter
+        # on more
         calls = Counter()
-        original = golod.massey_mu
+        original, extend = golod.massey_mu, golod._massey_extend
 
         def counting(b, word):
             calls[word] += 1
             return original(b, word)
 
+        def extending(b, word, prefix):
+            calls[word] += 1
+            return extend(b, word, prefix)
+
         monkeypatch.setattr(golod, "massey_mu", counting)
+        monkeypatch.setattr(golod, "_massey_extend", extending)
         golod_resolution(*flagship, n_max=n_max, basis=basis)
         # the internal bound of golod_resolution: n_max times the largest
         # generator degree of IJ, which is 2 here
@@ -248,6 +256,30 @@ class TestGolodResolution:
         assert calls == Counter(
             {w[:j]: 1 for w, _, _ in words for j in range(1, len(w) + 1)}
         )
+
+
+    def test_massey_prefix_memo_is_the_left_fold(self, monkeypatch, flagship):
+        # the twist of every word carries the values massey_mu folds from
+        # scratch, words of three symbols included
+        from transverse import golod
+
+        seen = []
+        original = golod.twisted_koszul
+
+        def recording(S, words, n_max, twist, word_label):
+            seen.append((words, twist))
+            return original(S, words, n_max, twist, word_label)
+
+        monkeypatch.setattr(golod, "twisted_koszul", recording)
+        basis = golod_basis(*flagship)
+        golod_resolution(*flagship, n_max=6, basis=basis)
+        ((words, twist),) = seen
+        assert max(len(w) for w, _, _ in words) == 3
+        for w, _, _ in words:
+            assert twist(w) == [
+                (1 if j % 2 else -1, massey_mu(basis, w[:j]), w[j:])
+                for j in range(1, len(w) + 1)
+            ]
 
 
 class TestPoincare:
@@ -365,9 +397,10 @@ def test_golod_three_by_two_complete_intersections():
 def test_golod_certificate_does_no_polynomial_arithmetic(flagship, monkeypatch):
     # the resolution is written and checked as monomial-matrix scalars: no
     # Polynomial is built, multiplied or scaled inside twisted_koszul,
-    # validate_complex or is_minimal, only inside the Massey values and the
-    # Koszul homology they are made of; the polynomial view of the
-    # resolution is never built
+    # validate_complex or is_minimal, only inside the Massey values (one
+    # symbol by massey_mu, longer words by _massey_extend) and the Koszul
+    # homology they are made of; the polynomial view of the resolution is
+    # never built
     from transverse import complexes, golod
     from transverse.poly import Polynomial
 
@@ -398,7 +431,7 @@ def test_golod_certificate_does_no_polynomial_arithmetic(flagship, monkeypatch):
 
         monkeypatch.setattr(Polynomial, op, run)
 
-    for name in ("twisted_koszul", "massey_mu", "golod_basis"):
+    for name in ("twisted_koszul", "massey_mu", "_massey_extend", "golod_basis"):
         entered(golod, name)
     entered(golod, "golod_resolution", built.append)
     for name in ("validate_complex", "is_minimal"):
@@ -408,6 +441,8 @@ def test_golod_certificate_does_no_polynomial_arithmetic(flagship, monkeypatch):
     cert = verify_golod(*flagship, n_max=5)
     assert cert.ok and cert.ranks == (1, 4, 10, 24, 58, 140)
     assert polynomial_ops
-    assert {where for _, where in polynomial_ops} == {"massey_mu", "golod_basis"}
+    assert {where for _, where in polynomial_ops} == {
+        "massey_mu", "_massey_extend", "golod_basis"
+    }
     (C,) = built
     assert C._diffs is None

@@ -286,7 +286,7 @@ def monomial_complexes(draw):
                 table[c] = col
         tables.append(table)
     Q = draw(st.none() | small_ideals(ring))
-    return GradedFreeComplex.from_tables(quotient, md, tables), Q
+    return GradedFreeComplex(quotient, md, tables), Q
 
 
 def strand_failures(C, Q, top, D):

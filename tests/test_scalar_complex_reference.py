@@ -1,37 +1,51 @@
-"""Differential tests: complexes stored as monomial-matrix scalar tables
-against reference copies of the polynomial code they replaced.
+"""Differential tests: complexes built as monomial-matrix scalar tables
+against reference copies of the polynomial builders they replaced.
 
-``reference_twisted_koszul`` is the earlier polynomial builder of the Golod
-and Tate resolutions, unchanged except that it is handed words with their
-internal degree (the total of the multidegree the builder now takes): it
-applies ``k_diff`` and ``k_wedge`` to every basis key and collects the
-polynomials through ``complex_from_boundary``.  ``reference_validate`` is
-the earlier ``validate_complex``: the homogeneity clause and d o d as a
-``PolyMatrix`` product, which drops killed monomials on the way.
+The references below are the earlier polynomial code, copied unchanged
+except that each returns a :class:`RefComplex` (degrees, ``PolyMatrix``
+differentials, labels and meta, which the earlier complex stored) and
+``reference_twisted_koszul`` takes the internal degree of each word:
 
-On Koszul, Taylor, star, Golod and Tate complexes over R and over R/Q, and
-over QQ, GF(2) and GF(32003), the tests assert that
+- ``reference_complex_from_boundary`` collects polynomial boundaries;
+- ``reference_tensor_boundary``, ``reference_tensor`` and
+  ``reference_star`` (with its front differential d1^F (x) d1^G) multiply
+  and scale the polynomial entries of their factors;
+- ``reference_koszul``, ``reference_taylor``, ``reference_truncation`` and
+  ``reference_minimize`` (unit pruning with polynomial Schur updates);
+- ``reference_twisted_koszul`` applies ``k_diff`` and ``k_wedge`` to every
+  basis key of a Golod or Tate resolution;
+- ``reference_validate`` checks homogeneity and d o d as a ``PolyMatrix``
+  product, which drops killed monomials on the way.
+
+On seeded inputs over QQ, GF(2) and GF(32003), over R and over R/Q, the
+tests assert that
 
 - the polynomial view of each complex equals the reference complex entry
-  for entry, in the same order, with the same degrees and labels;
+  for entry and in order, with the same degrees, labels and meta.  A table
+  holds d_i column by column, so the view of a minimized complex lists its
+  columns in turn; within each column the order is the reference's;
 - ``validate_complex`` returns the same ``ok`` and ``problems`` as the
   reference, on each complex and on its mutants: a flipped sign, a dropped
-  entry, the entries of a complex over R/Q read over R (where the terms of
-  d o d that die only in R/Q survive) and an entry moved off its
-  multidegree.  Every mutant is one the reference rejects.
+  entry and the tables of a complex over R/Q read over R (where the terms
+  of d o d that die only in R/Q survive).  Every mutant is one the
+  reference rejects;
+- the builders build, multiply and scale no ``Polynomial``.
 """
 
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
-from transverse import golod, obstructions
+from transverse import complexes, golod, obstructions, resolutions
 from transverse.complexes import (
     GradedFreeComplex,
     ValidationReport,
-    complex_from_boundary,
     star_product,
+    stupid_truncation,
+    table_scalar,
+    tensor_complexes,
+    tensor_basis,
     validate_complex,
 )
 from transverse.errors import DomainError
@@ -41,7 +55,9 @@ from transverse.golod import golod_resolution
 from transverse.ideals import MonomialIdeal
 from transverse.obstructions import tate_resolution
 from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
-from transverse.resolutions import _subset_label, koszul_complex, taylor_complex
+from transverse.resolutions import (
+    _subset_label, koszul_complex, minimize_complex, taylor_complex,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
 NAMES = ("x1", "x2", "x3", "x4")
@@ -49,6 +65,36 @@ NAMES = ("x1", "x2", "x3", "x4")
 
 # ---------------------------------------------------------------------------
 # reference implementations
+
+
+class RefComplex:
+    """What the earlier complex stored: degrees, polynomial differentials,
+    labels and meta."""
+
+    def __init__(self, ring, degrees, diffs, labels=None, meta=None):
+        self.ring = ring
+        self.degrees = tuple(tuple(d) for d in degrees)
+        self.diffs = tuple(diffs)
+        if labels is None:
+            labels = [[f"F{i}[{k}]" for k in range(len(d))]
+                      for i, d in enumerate(self.degrees)]
+        self.labels = tuple(tuple(ls) for ls in labels)
+        self.meta = dict(meta) if meta else {}
+
+    @property
+    def length(self):
+        return len(self.degrees) - 1
+
+    def rank(self, i):
+        return len(self.degrees[i]) if 0 <= i < len(self.degrees) else 0
+
+    def degs(self, i):
+        return self.degrees[i] if 0 <= i < len(self.degrees) else ()
+
+    def diff(self, i):
+        if 1 <= i <= self.length:
+            return self.diffs[i - 1]
+        return PolyMatrix.zero(self.ring, self.rank(i - 1), self.rank(i))
 
 
 def reference_validate(C):
@@ -81,11 +127,209 @@ def reference_validate(C):
     return ValidationReport(not problems, problems)
 
 
+def reference_complex_from_boundary(ring, levels, degree, label, boundary, meta=None):
+    diffs = []
+    for i in range(1, len(levels)):
+        idx = {key: r for r, key in enumerate(levels[i - 1])}
+        entries: dict = {}
+        for col, key in enumerate(levels[i]):
+            for lower, p in boundary(key).items():
+                k_acc(entries, (idx[lower], col), p)
+        diffs.append(PolyMatrix(ring, len(levels[i - 1]), len(levels[i]), entries))
+    degrees = [[degree(key) for key in lvl] for lvl in levels]
+    labels = [[label(key) for key in lvl] for lvl in levels]
+    return RefComplex(ring, degrees, diffs, labels, meta)
+
+
+def reference_koszul(elements):
+    if not elements:
+        raise DomainError("need at least one element")
+    ring = elements[0].ring
+    degs = []
+    for a in elements:
+        if a.ring != ring:
+            raise DomainError("elements over different rings")
+        d = a.homogeneous_degree
+        if d is None or d <= 0 or a.is_zero:
+            raise DomainError(f"{a} is not homogeneous of positive degree")
+        degs.append(d)
+    c = len(elements)
+    subsets = [sorted(combinations(range(c), i)) for i in range(c + 1)]
+
+    def boundary(S):
+        return {
+            S[:pos] + S[pos + 1:]: elements[j].scale(1 if pos % 2 == 0 else -1)
+            for pos, j in enumerate(S)
+        }
+
+    return reference_complex_from_boundary(
+        ring, subsets, lambda S: sum(degs[j] for j in S),
+        lambda S: _subset_label("e", S), boundary, meta={"subsets": subsets},
+    )
+
+
+def reference_taylor(I, gens=None):
+    ring = I.ring
+    gens = tuple(gens) if gens is not None else I.gens
+    r = len(gens)
+    subsets = [sorted(combinations(range(r), i)) for i in range(r + 1)]
+    one = ring.one_monomial()
+
+    def lcm_of(S):
+        m = one
+        for j in S:
+            m = m.lcm(gens[j])
+        return m
+
+    lcms = [{S: lcm_of(S) for S in subsets[i]} for i in range(r + 1)]
+
+    def boundary(S):
+        out = {}
+        for pos in range(len(S)):
+            rest = S[:pos] + S[pos + 1:]
+            ratio = lcms[len(S)][S].divide(lcms[len(rest)][rest])
+            out[rest] = Polynomial.from_monomial(
+                ring, ratio, 1 if pos % 2 == 0 else -1
+            )
+        return out
+
+    return reference_complex_from_boundary(
+        ring, subsets, lambda S: lcms[len(S)][S].degree,
+        lambda S: _subset_label("T", S), boundary,
+        meta={"subsets": subsets, "lcms": lcms},
+    )
+
+
+def reference_tensor_boundary(F, G, lo=0):
+    def boundary(key):
+        i, j, fi, gj = key
+        out: dict = {}
+        if i > lo:
+            for r, p in F.diff(i).column(fi).items():
+                k_acc(out, (i - 1, j, r, gj), p)
+        if j > lo:
+            sign = -1 if i % 2 else 1
+            for r, p in G.diff(j).column(gj).items():
+                k_acc(out, (i, j - 1, fi, r), p.scale(sign))
+        return out
+
+    return boundary
+
+
+def reference_tensor(F, G):
+    return reference_complex_from_boundary(
+        F.ring,
+        [tensor_basis(F, G, n) for n in range(F.length + G.length + 1)],
+        lambda k: F.degs(k[0])[k[2]] + G.degs(k[1])[k[3]],
+        lambda k: f"{F.labels[k[0]][k[2]]}(x){G.labels[k[1]][k[3]]}",
+        reference_tensor_boundary(F, G),
+    )
+
+
+def reference_truncation(C, n):
+    degrees = [() if i < n else C.degs(i) for i in range(C.length + 1)]
+    diffs = []
+    for i in range(1, C.length + 1):
+        if i > n:
+            diffs.append(C.diff(i))
+        else:
+            diffs.append(
+                PolyMatrix.zero(C.ring, len(degrees[i - 1]), len(degrees[i]))
+            )
+    labels = [() if i < n else C.labels[i] for i in range(C.length + 1)]
+    return RefComplex(C.ring, degrees, diffs, labels)
+
+
+def reference_star(F, G):
+    for X in (F, G):
+        assert reference_validate(X).ok
+    unit = (0, 0, 0, 0)
+    higher = reference_tensor_boundary(F, G, lo=1)
+
+    def boundary(key):
+        i, j, fi, gj = key
+        if i + j > 2:
+            return higher(key)
+        p = F.diff(1).entry(0, fi) * G.diff(1).entry(0, gj)
+        return {} if p.is_zero else {unit: p}
+
+    return reference_complex_from_boundary(
+        F.ring,
+        [[unit]] + [
+            [k for k in tensor_basis(F, G, n + 1) if k[0] >= 1 and k[1] >= 1]
+            for n in range(1, F.length + G.length)
+        ],
+        lambda k: F.degs(k[0])[k[2]] + G.degs(k[1])[k[3]] if k[0] else 0,
+        lambda k: f"{F.labels[k[0]][k[2]]}*{G.labels[k[1]][k[3]]}" if k[0] else "1",
+        boundary,
+    )
+
+
+def reference_minimize(C):
+    ring = C.ring
+    length = C.length
+    mats = [dict(C.diff(i).entries) for i in range(1, length + 1)]
+    alive = [list(range(C.rank(i))) for i in range(length + 1)]
+    degs = [list(C.degs(i)) for i in range(length + 1)]
+
+    def find_unit():
+        for i in range(1, length + 1):
+            for (r, c) in sorted(mats[i - 1]):
+                if mats[i - 1][(r, c)].constant_term:
+                    return i, r, c
+        return None
+
+    while True:
+        hit = find_unit()
+        if hit is None:
+            break
+        i, r, c = hit
+        mat = mats[i - 1]
+        u = mat[(r, c)].constant_term
+        rowvals = {cc: p for (rr, cc), p in mat.items() if rr == r and cc != c}
+        colvals = {rr: p for (rr, cc), p in mat.items() if cc == c and rr != r}
+        for rr, pc in colvals.items():
+            for cc, pr in rowvals.items():
+                k_acc(mat, (rr, cc), -(pc * pr).scale(1 / u))
+        for key in [k for k in mat if k[0] == r or k[1] == c]:
+            del mat[key]
+        if i <= length - 1:
+            up = mats[i]
+            for key in [k for k in up if k[0] == c]:
+                del up[key]
+        if i >= 2:
+            down = mats[i - 2]
+            for key in [k for k in down if k[1] == r]:
+                del down[key]
+        alive[i].remove(c)
+        alive[i - 1].remove(r)
+
+    remap = [
+        {old: new for new, old in enumerate(alive[i])} for i in range(length + 1)
+    ]
+    new_degs = [[degs[i][old] for old in alive[i]] for i in range(length + 1)]
+    new_labels = [
+        [C.labels[i][old] for old in alive[i]] for i in range(length + 1)
+    ]
+    new_diffs = []
+    for i in range(1, length + 1):
+        entries = {
+            (remap[i - 1][r], remap[i][c]): p for (r, c), p in mats[i - 1].items()
+        }
+        new_diffs.append(
+            PolyMatrix(ring, len(alive[i - 1]), len(alive[i]), entries)
+        )
+    top = length
+    while top > 0 and not new_degs[top]:
+        top -= 1
+    return RefComplex(
+        ring, new_degs[: top + 1], new_diffs[:top], new_labels[: top + 1]
+    )
+
+
 def reference_twisted_koszul(S, words, n_max, twist, word_label):
     """The polynomial twisted Koszul builder; ``words`` carry the internal
     degree of each word."""
-    from itertools import combinations
-
     n = S.nvars
     levels = [[] for _ in range(n_max + 1)]
     internal = {}
@@ -107,7 +351,7 @@ def reference_twisted_koszul(S, words, n_max, twist, word_label):
                 k_acc(out, (U, rest), p.scale(base * s))
         return out
 
-    C = complex_from_boundary(
+    C = reference_complex_from_boundary(
         S, levels, lambda key: len(key[0]) + internal[key[1]],
         lambda key: _subset_label("e", key[0]) + word_label(key[1]),
         boundary,
@@ -151,24 +395,58 @@ def random_ideal(ring, rng, vars_, ngens):
     )
 
 
+def random_term(ring, rng):
+    """c x^a with x^a alive in ``ring`` and c nonzero in every field."""
+    m = random_monomial(rng, range(4))
+    while ring.kills(m):
+        m = random_monomial(rng, range(4))
+    return Polynomial.from_monomial(ring, m, rng.choice((1, -1, 3, -7)))
+
+
+def pairs(ring, rng):
+    """[(name, complex, reference)] over ``ring``: each builder on seeded
+    inputs, the same inputs handed to its reference copy."""
+    elements = [random_term(ring, rng) for _ in range(3)]
+    I = random_ideal(ring, rng, range(4), 3)
+    # a redundant generating sequence leaves unit entries to prune
+    gens = [random_monomial(rng, range(4)) for _ in range(3)]
+    gens += [gens[0].lcm(gens[1]), gens[1].lcm(gens[2])]
+    left = random_ideal(ring, rng, (0, 1), 2)
+    right = random_ideal(ring, rng, (2, 3), 2)
+
+    T, T_ref = taylor_complex(I), reference_taylor(I)
+    K, K_ref = koszul_complex(elements), reference_koszul(elements)
+    redundant = MonomialIdeal(ring, tuple(gens))
+    R, R_ref = taylor_complex(redundant, gens), reference_taylor(redundant, gens)
+    M, M_ref = minimize_complex(R), reference_minimize(R_ref)
+    F, F_ref = taylor_complex(left), reference_taylor(left)
+    G, G_ref = taylor_complex(right), reference_taylor(right)
+    MF, MF_ref = minimize_complex(F), reference_minimize(F_ref)
+    MG, MG_ref = minimize_complex(G), reference_minimize(G_ref)
+    V = ring.variables()
+    return [
+        ("koszul", K, K_ref),
+        ("koszul on the variables", koszul_complex(V), reference_koszul(V)),
+        ("taylor", T, T_ref),
+        ("taylor on redundant generators", R, R_ref),
+        ("minimized taylor", M, M_ref),
+        ("tensor", tensor_complexes(T, K), reference_tensor(T_ref, K_ref)),
+        ("truncation", stupid_truncation(R, 1), reference_truncation(R_ref, 1)),
+        ("star", star_product(F, G), reference_star(F_ref, G_ref)),
+        ("star of minimized", star_product(MF, MG), reference_star(MF_ref, MG_ref)),
+    ]
+
+
 def instances(field, seed):
-    """[(name, complex)]: complexes built from polynomials over one field."""
+    """[(name, complex, reference)] over R and over R/Q."""
     rng = random.Random(seed)
     R = Ring(NAMES, field)
     Q = R.quotient([random_monomial(rng, range(4), 2, 3) for _ in range(2)])
-    out = [
-        ("koszul over R", koszul_complex([
-            Polynomial.from_monomial(R, random_monomial(rng, range(4)))
-            for _ in range(3)
-        ])),
-        ("koszul over R/Q", koszul_complex(Q.variables())),
-        ("taylor", taylor_complex(random_ideal(R, rng, range(4), 3))),
-        ("star", star_product(
-            taylor_complex(random_ideal(R, rng, (0, 1), 2)),
-            taylor_complex(random_ideal(R, rng, (2, 3), 2)),
-        )),
+    return [
+        (f"{name} over {ring_name}", C, ref)
+        for ring_name, ring in (("R", R), ("R/Q", Q))
+        for name, C, ref in pairs(ring, rng)
     ]
-    return out
 
 
 def golod_pair(monkeypatch, R, rng):
@@ -187,58 +465,46 @@ def tate_pair(monkeypatch, R, rng):
 
 
 # ---------------------------------------------------------------------------
-# mutants of a polynomial complex
+# mutants of the tables
 
 
-def with_diffs(C, ring, diffs):
-    return GradedFreeComplex(ring, C.degrees, diffs, C.labels)
+def with_tables(C, ring, tables):
+    return GradedFreeComplex(ring, C.mdegs, tables, C.labels, C.meta)
 
 
-def replaced(C, i, key, p):
-    """C with entry ``key`` of d_i set to ``p`` (dropped when zero)."""
-    diffs = list(C.diffs)
-    entries = dict(diffs[i - 1].entries)
-    entries[key] = p
-    diffs[i - 1] = PolyMatrix(C.ring, C.rank(i - 1), C.rank(i), entries)
-    return with_diffs(C, C.ring, diffs)
-
-
-def moved_off(C, i, key):
-    """Entry ``key`` of d_i with one exponent moved to another variable,
-    each way the ring does not kill."""
-    ((mono, c),) = C.diff(i).entries[key].term_dict().items()
-    for k, e in enumerate(mono.exps):
-        for k2 in range(len(mono.exps)):
-            if e and k2 != k:
-                exps = list(mono.exps)
-                exps[k] -= 1
-                exps[k2] += 1
-                p = Polynomial(C.ring, {Monomial(tuple(exps)): c})
-                if p:
-                    yield replaced(C, i, key, p)
+def replaced(C, i, c, k, s):
+    """C with the k-th entry of column c of d_i set to the scalar ``s``,
+    dropped when zero."""
+    tables = [dict(C.table(j)) for j in range(1, C.length + 1)]
+    col = list(tables[i - 1][c])
+    if s:
+        col[k] = (col[k][0], s)
+    else:
+        del col[k]
+    tables[i - 1][c] = col
+    if not col:
+        del tables[i - 1][c]
+    return with_tables(C, C.ring, tables)
 
 
 def mutants(C, rng):
     """{kind: mutants, made when drawn} of the kinds that apply, in a
     seeded order of the entries."""
+    scalar = table_scalar(C.ring.field)
     entries = [
-        (i, key) for i in range(1, C.length + 1) for key in sorted(C.diff(i).entries)
+        (i, c, k, s)
+        for i in range(1, C.length + 1)
+        for c, col in sorted(C.table(i).items())
+        for k, (_, s) in enumerate(col)
     ]
     rng.shuffle(entries)
     out = {
-        "flipped sign": (
-            replaced(C, i, key, -C.diff(i).entries[key]) for i, key in entries
-        ),
-        "dropped entry": (
-            replaced(C, i, key, Polynomial.zero(C.ring)) for i, key in entries
-        ),
-        "off its multidegree": (m for i, key in entries for m in moved_off(C, i, key)),
+        "flipped sign": (replaced(C, i, c, k, scalar(-s)) for i, c, k, s in entries),
+        "dropped entry": (replaced(C, i, c, k, 0) for i, c, k, _ in entries),
     }
     if C.ring.modulus:
-        base = C.ring.base()
-        out["dies only in R/Q"] = iter([
-            with_diffs(C, base, [d.with_ring(base) for d in C.diffs])
-        ])
+        tables = [C.table(i) for i in range(1, C.length + 1)]
+        out["dies only in R/Q"] = iter([with_tables(C, C.ring.base(), tables)])
     return out
 
 
@@ -256,17 +522,20 @@ def assert_same_verdicts(C, rng, must_reject=()):
             assert not want.ok
 
 
-def assert_same_complex(C, ref):
-    assert C.degrees == ref.degrees and C.labels == ref.labels
+def assert_same_complex(C, ref, by_column=False, meta=True):
+    """The view of C is the reference complex; ``by_column`` compares the
+    reference's entries column by column, in their order within each, and
+    ``meta`` the meta the builders set."""
+    assert (C.degrees, C.labels) == (ref.degrees, ref.labels)
+    assert not meta or C.meta == ref.meta
+    assert C.length == ref.length
     for i in range(1, C.length + 1):
-        assert list(C.diff(i).entries.items()) == list(ref.diff(i).entries.items())
-
-
-def as_tables(C):
-    """C rebuilt from its multidegrees and scalar tables."""
-    return GradedFreeComplex.from_tables(
-        C.ring, C.mdegs, [C.table(i) for i in range(1, C.length + 1)], C.labels
-    )
+        # the view drops no entry: the tables hold none that R/Q kills
+        assert len(C.diff(i).entries) == sum(map(len, C.table(i).values()))
+        want = list(ref.diff(i).entries.items())
+        if by_column:
+            want.sort(key=lambda e: e[0][1])
+        assert list(C.diff(i).entries.items()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +545,15 @@ def as_tables(C):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("seed", range(3))
 def test_polynomial_complexes_round_trip_and_validate(field, seed):
-    cases = instances(field, seed)
+    # every builder gives the complex its polynomial reference gave, and
+    # rebuilt from its multidegrees and tables it gives the same view
     rng = random.Random(100 + seed)
-    for name, C in cases:
-        # reading the tables off the polynomials and viewing them again
-        # gives the polynomials back
-        assert_same_complex(as_tables(C), C)
-        must = {"dropped entry", "off its multidegree"}
+    for name, C, ref in instances(field, seed):
+        assert_same_complex(C, ref, by_column="minimized" in name)
+        tables = [C.table(i) for i in range(1, C.length + 1)]
+        assert_same_complex(with_tables(C, C.ring, tables), C)
+        assert validate_complex(C) == reference_validate(ref)
+        must = {"dropped entry"}
         if field.name != "GF(2)":
             must.add("flipped sign")
         assert_same_verdicts(C, rng, must if C.length > 1 else ())
@@ -295,12 +566,31 @@ def test_golod_and_tate_match_the_polynomial_builder(field, seed, monkeypatch):
     rng = random.Random(200 + seed)
     for C, ref in (golod_pair(monkeypatch, R, rng), tate_pair(monkeypatch, R, rng)):
         assert C._diffs is None  # the view is built only here
-        assert_same_complex(C, ref)
+        # the Golod resolution carries its certificate in its meta
+        assert_same_complex(C, ref, meta=False)
         assert validate_complex(C) == reference_validate(ref)
         must = {"dropped entry", "dies only in R/Q"}
         if field.name != "GF(2)":
             must.add("flipped sign")
-        assert_same_verdicts(ref, rng, must)
+        assert_same_verdicts(C, rng, must)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_minimize_drops_a_schur_update_that_r_q_kills(field):
+    # d_1 has the unit at (0, 0) and x at (1, 0) and (0, 1): pruning the
+    # unit leaves -x^2 at (1, 1) over R, and nothing over R/(x1^2)
+    R = Ring(NAMES, field)
+    x, x2 = (1, 0, 0, 0), (2, 0, 0, 0)
+    zero = (0, 0, 0, 0)
+    for ring, want in ((R, 1), (R.quotient([Monomial(x2)]), 0)):
+        C = GradedFreeComplex(
+            ring, [[x, zero], [x, x2]], [{0: [(0, 1), (1, 1)], 1: [(0, 1)]}]
+        )
+        M = minimize_complex(C)
+        assert_same_complex(
+            M, reference_minimize(RefComplex(ring, C.degrees, C.diffs, C.labels))
+        )
+        assert sum(map(len, M.table(1).values())) == want
 
 
 def test_mutants_of_the_tables_match_their_views():
@@ -312,20 +602,73 @@ def test_mutants_of_the_tables_match_their_views():
         for c, col in sorted(C.table(i).items()):
             tables = [dict(C.table(j)) for j in range(1, C.length + 1)]
             tables[i - 1][c] = [(col[0][0], -col[0][1])] + col[1:]
-            mutant = GradedFreeComplex.from_tables(C.ring, C.mdegs, tables)
+            mutant = GradedFreeComplex(C.ring, C.mdegs, tables)
             want = reference_validate(mutant)
             assert validate_complex(mutant) == want
             if i < C.length:
                 assert not want.ok
 
 
-def test_not_single_terms_take_the_polynomial_path():
+def test_koszul_refuses_elements_that_are_not_one_term():
     R = Ring(NAMES)
     x1, x2, x3, _ = R.variables()
-    K = koszul_complex([x1 + x2, x3])
-    with pytest.raises(DomainError, match="not a single term"):
-        K.mdegs
-    assert validate_complex(K) == reference_validate(K)
-    bad = replaced(K, 1, (0, 0), x1 + x3)
-    assert validate_complex(bad) == reference_validate(bad)
-    assert not validate_complex(bad).ok
+    for bad in (x1 + x2, Polynomial.zero(R)):
+        with pytest.raises(DomainError, match="not a single term"):
+            koszul_complex([bad, x3])
+    with pytest.raises(DomainError, match="positive degree"):
+        koszul_complex([Polynomial.one(R), x3])
+
+
+def test_builders_do_no_polynomial_arithmetic(monkeypatch):
+    # no Polynomial is built, multiplied or scaled inside a builder, and
+    # none builds the view of a complex
+    inside, polynomial_ops = [], []
+
+    def entered(module, name):
+        original = getattr(module, name)
+
+        def run(*args, **kwargs):
+            inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, name, run)
+
+    for name in ("koszul_complex", "taylor_complex", "minimize_complex",
+                 "twisted_koszul"):
+        entered(resolutions, name)
+    for name in ("tensor_complexes", "star_product", "stupid_truncation"):
+        entered(complexes, name)
+    entered(obstructions, "twisted_koszul")
+    for op in ("__init__", "__mul__", "scale"):
+        original = getattr(Polynomial, op)
+
+        def run(*args, _op=op, _original=original):
+            if inside:
+                polynomial_ops.append((_op, inside[-1]))
+            return _original(*args)
+
+        monkeypatch.setattr(Polynomial, op, run)
+
+    R = Ring(NAMES, PrimeField(32003))
+    Q = R.quotient([Monomial((1, 1, 0, 0))])
+    x1, x2, x3, x4 = R.variables()
+    I = MonomialIdeal(R, (Monomial((2, 0, 0, 0)), Monomial((1, 1, 0, 0))))
+    J = MonomialIdeal(R, (Monomial((0, 0, 1, 1)), Monomial((0, 0, 0, 2))))
+    built = [
+        resolutions.koszul_complex([x1, x2.scale(3), x3 * x4]),
+        resolutions.koszul_complex(Q.variables()),
+        complexes.tensor_complexes(
+            resolutions.taylor_complex(I), resolutions.taylor_complex(J)
+        ),
+        complexes.stupid_truncation(resolutions.taylor_complex(I), 1),
+    ]
+    F = resolutions.minimize_complex(resolutions.taylor_complex(I))
+    G = resolutions.minimize_complex(resolutions.taylor_complex(J))
+    built.append(complexes.star_product(F, G))
+    built.append(tate_resolution([Monomial((1, 0, 0, 0)), Monomial((0, 0, 1, 1))],
+                                 R, 4).complex)
+    assert polynomial_ops == []
+    assert all(C._diffs is None for C in built)
