@@ -22,10 +22,10 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
 from operator import add, ge, sub
+from re import finditer
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
-from .exterior import k_coords
 from .fields import field_to_json
 from .ideals import MonomialIdeal
 from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
@@ -454,8 +454,10 @@ class Homology:
     multidegree m_g <= b (``mdegs``) whose monomial survives in R/Q.
     Blocks are complexes on disjoint coordinates, and the degree-t strand
     is the direct sum of the blocks of total degree t.  A multihomogeneous
-    element lies in one block, so :meth:`express` and :meth:`is_boundary`
-    take that block.  A ``support`` maps i to a set that holds every
+    element x = (b, {key: s}) (``exterior.Element``) lies in one block b,
+    which fixes the monomial of each key, so :meth:`express` and
+    :meth:`is_boundary` read its scalars as block coordinates.  A
+    ``support`` maps i to a set that holds every
     multidegree where H_i can be nonzero (the caller names the theorem that
     says so); :meth:`strand_dims` then sums over those blocks alone.
 
@@ -645,7 +647,8 @@ class Homology:
             return out
 
         def present_in(present):
-            return [g for g in range(present.bit_length()) if present >> g & 1]
+            # the set bits alone: bit g is character g of the reversed string
+            return [m.start() for m in finditer("1", bin(present)[:1:-1])]
 
         ranks: dict = {}  # (j, present in C_j, present in C_{j-1}) -> rank
 
@@ -710,28 +713,29 @@ class Homology:
             field,
         )
 
-    def strand_index(self, i: int, s) -> dict:
-        """{(key, monomial): column} of the strand or block s in degree i,
-        built once per (i, s)."""
-        key = (i, s)
-        if key not in self.indexes:
-            basis = self.basis(i, s)
-            if self.keys is not None:
-                basis = [(self.keys[i][g], m) for g, m in basis]
-            self.indexes[key] = {bm: col for col, bm in enumerate(basis)}
-        return self.indexes[key]
+    def strand_index(self, i: int, b) -> dict:
+        """{key: column} of the block b in degree i, built once per (i, b):
+        b fixes the monomial of every key."""
+        if (i, b) not in self.indexes:
+            keys, basis = list(self.mdegs[i]), self.basis(i, b)
+            self.indexes[(i, b)] = {keys[g]: c for c, (g, _) in enumerate(basis)}
+        return self.indexes[(i, b)]
 
-    def express(self, i: int, b, x: dict):
-        """Coordinates of the class of a cycle x of the block b in the
+    def coords(self, i: int, x) -> dict:
+        """{column: s} of an element x = (b, {key: s}) in degree i on its
+        block b.  Raises KeyError for a key absent from the block."""
+        index = self.strand_index(i, x.b)
+        return {index[key]: s for key, s in x.terms.items()}
+
+    def express(self, i: int, x):
+        """Coordinates of the class of a cycle x = (b, {key: s}) in the
         canonical basis of ``stratum(i, b)``, or None if it is not a cycle
-        class.  Raises KeyError for a term of x off the block."""
-        return self.stratum(i, b).express(k_coords(x, self.strand_index(i, b)))
+        class."""
+        return self.stratum(i, x.b).express(self.coords(i, x))
 
-    def is_boundary(self, i: int, b, x: dict) -> bool:
-        """Whether x, an element of the block b, is a boundary."""
-        return not x or self.stratum(i, b).is_boundary(
-            k_coords(x, self.strand_index(i, b))
-        )
+    def is_boundary(self, i: int, x) -> bool:
+        """Whether the element x = (b, {key: s}) is a boundary."""
+        return not x.terms or self.stratum(i, x.b).is_boundary(self.coords(i, x))
 
 
 def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:
@@ -754,8 +758,12 @@ def resolves_k_failures(C: GradedFreeComplex, top: int):
     (i, b, dim H_i) where H_i != 0 for 1 <= i <= top, and the cells
     (b, dim coker d_1, dim k_b) where coker d_1 is not k, both from
     :meth:`Homology.cell_failures`.  The unit vectors split the cells so
-    that the origin is a cell of its own.
+    that the origin is a cell of its own.  No cell is swept when C is not
+    a complex: ranks then give no homology, and both lists are empty.
     """
+    validation, minimal = validate_complex(C), is_minimal(C)
+    if not validation.ok:
+        return validation, minimal, [], []
     n = C.ring.nvars
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     failures = Homology(C).cell_failures(0, top, units)
@@ -765,7 +773,7 @@ def resolves_k_failures(C: GradedFreeComplex, top: int):
     if h0.get(zero, 0) != 1:
         coker_failures.insert(0, (zero, h0.get(zero, 0), 1))
     strand_failures = [f for f in failures if f[0] >= 1]
-    return validate_complex(C), is_minimal(C), strand_failures, coker_failures
+    return validation, minimal, strand_failures, coker_failures
 
 
 # ---------------------------------------------------------------------------
@@ -862,9 +870,10 @@ class ResolutionCertificate:
         return all(clauses)
 
     def summary(self) -> str:
+        if not self.validation.ok:
+            return f"d o d = 0 and homogeneous: FAIL: {self.validation.problems}"
         lines = [
-            "d o d = 0 and homogeneous: "
-            + ("PASS" if self.validation.ok else f"FAIL: {self.validation.problems}"),
+            "d o d = 0 and homogeneous: PASS",
             "exactness in every multidegree: "
             + ("PASS" if self.exactness_ok else f"FAIL at {self.strand_failures[:3]}"),
             "cokernel of d_1 matches R/I: "
@@ -879,8 +888,8 @@ def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCerti
     """Certify that C is a free resolution of R/I, in every multidegree.
 
     C must be a complex: :func:`validate_complex` finds d o d = 0 and every
-    entry homogeneous.  Without that, ranks give no homology and the
-    exactness clause proves nothing.
+    entry homogeneous.  Without that, ranks give no homology, so no clause
+    is run and the certificate reports the validation alone.
     Clause (a): H_i = 0 for 1 <= i <= length on every cell of
     :meth:`Homology.cells`, hence in every multidegree.
     Clause (b): coker d_1 = R/I: C_0 is R in degree 0 and the monomials of
@@ -895,13 +904,14 @@ def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCerti
     """
     from .resolutions import betti_numbers, minimize_complex
 
+    validation, want = validate_complex(C), betti_numbers(I)
+    if not validation.ok:
+        return ResolutionCertificate(I, validation, [], [], False, BettiTable({}), want)
     strand_failures = Homology(C).cell_failures(1, C.length)
     coker_failures = _coker_failures(C, I)
     got = betti_table(minimize_complex(C))
-    want_table = betti_numbers(I)
     return ResolutionCertificate(
-        I, validate_complex(C), strand_failures, coker_failures,
-        got == want_table, got, want_table,
+        I, validation, strand_failures, coker_failures, got == want, got, want,
     )
 
 

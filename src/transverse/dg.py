@@ -18,7 +18,7 @@ from functools import cached_property
 from . import linalg
 from .complexes import GradedFreeComplex, star_basis, star_product, table_scalar
 from .errors import CertificationError, DomainError
-from .exterior import KElement, wedge_subsets
+from .exterior import wedge_subsets
 from .ideals import MonomialIdeal, regular_sequence
 from .poly import Monomial, Polynomial
 from .resolutions import koszul_complex, lift_comparison_map, taylor_complex
@@ -39,7 +39,7 @@ class _Product:
 
     @cached_property
     def tables(self) -> dict:
-        """key -> {(u, v): KElement}"""
+        """key -> {(u, v): {w: Polynomial}}"""
         M = self.matrices
         out = {}
         for key, tab in self.scalars.items():
@@ -67,7 +67,7 @@ class DegreeOneProduct(_Product):
 
     _label = str
 
-    def value(self, j: int, u: int, v: int) -> KElement:
+    def value(self, j: int, u: int, v: int) -> dict:
         return self.tables.get(j, {}).get((u, v), {})
 
     def degree_one(self) -> DegreeOneProduct:
@@ -90,7 +90,7 @@ class FullProduct(_Product):
     def _label(key: tuple) -> str:
         return "%d,%d" % key
 
-    def value(self, i: int, j: int, u: int, v: int) -> KElement:
+    def value(self, i: int, j: int, u: int, v: int) -> dict:
         return self.tables.get((i, j), {}).get((u, v), {})
 
     def degree_one(self) -> DegreeOneProduct:
@@ -476,7 +476,7 @@ class ModuleAction:
 
     @cached_property
     def tables(self) -> dict:
-        """(i, j) -> {(subset, v): KElement}"""
+        """(i, j) -> {(subset, v): {w: Polynomial}}"""
         M, subsets = self.matrices, self.koszul.meta["subsets"]
         mK = self.koszul.mdegs
         return {

@@ -1,23 +1,35 @@
-"""Sparse elements of free modules with polynomial coefficients.
+"""Multihomogeneous elements of the Koszul algebra K (x) R/Q, on scalars.
 
-An element is a plain dict mapping a basis key to a nonzero polynomial
-coefficient.  The key is a generator index of a free module (a term of a
-resolution) or a sorted index tuple (an exterior basis subset of the
-Koszul algebra K (x) R/Q).  These are the cycles, wedges, Massey values
-and comparison-map columns of the Golod and obstruction machinery; the DG
-products and module actions work on monomial-matrix scalars (see ``dg``).
+Every element the Golod and obstruction machinery makes lies in one
+multidegree b: the Koszul cycles, the Kunneth images z_a ^ d(z_b), the
+trivial Massey values and the Tate cycles.  On b each exterior basis key
+S, a sorted tuple of variable indices of multidegree 1_S, has the fixed
+monomial x^(b - 1_S) (the monomial-matrix view of Miller-Sturmfels,
+Combinatorial Commutative Algebra, ch. 1).  So an :class:`Element` is its
+block b and one scalar per key: the term at S is s x^(b - 1_S) e_S.  A
+scalar is stored as ``complexes.table_scalar`` stores a table entry, so
+``Homology`` reads an element as block coordinates with no conversion.
 
-The accumulating helpers write in place, and only into dicts their caller
-created; every other helper returns a fresh element.  A strand basis is a
-list of (key, monomial) pairs, and :func:`k_coords` and :func:`k_element`
-convert between elements and scalar coordinates on it.
+An element holds no zero scalar and no term its ring kills.  It does not
+carry its ring: each operation takes the ring it works in, and
+:func:`k_restrict` reads an element in a quotient of its ring.
 """
 
 from __future__ import annotations
 
-from .poly import Monomial, PolyMatrix, Polynomial, Ring
+from functools import lru_cache
+from operator import add
+from typing import NamedTuple
 
-KElement = dict  # generator index or subset tuple -> Polynomial
+from .complexes import _killer, table_scalar
+from .errors import DomainError
+
+
+class Element(NamedTuple):
+    """sum of s x^(b - 1_S) e_S over the items (S, s) of ``terms``."""
+
+    b: tuple
+    terms: dict
 
 
 def wedge_subsets(S: tuple, T: tuple):
@@ -29,83 +41,72 @@ def wedge_subsets(S: tuple, T: tuple):
     return sign, tuple(sorted(S + T))
 
 
-def k_acc(acc: dict, key, p: Polynomial) -> None:
-    """acc[key] += p in place, dropping the key when the sum is zero."""
-    cur = acc.get(key)
-    s = p if cur is None else cur + p
-    if s.is_zero:
-        acc.pop(key, None)
-    else:
-        acc[key] = s
+@lru_cache(maxsize=32)
+def _arithmetic(ring):
+    """The table form of a scalar of ``ring`` and its kill test on
+    exponent tuples, None over a ring with no modulus."""
+    return table_scalar(ring.field), _killer(ring) if ring.modulus else None
 
 
-def k_axpy(acc: KElement, c, x: KElement) -> None:
-    """acc += c x in place; c is a scalar or a polynomial."""
-    for key, p in x.items():
-        k_acc(acc, key, p * c)
+def _monomial(b: tuple, S: tuple) -> tuple:
+    """The exponents of x^(b - 1_S)."""
+    return tuple(e - (k in S) for k, e in enumerate(b))
 
 
-def k_apply(A: PolyMatrix, x: KElement) -> KElement:
-    """A x for an element keyed by the column indices of A."""
-    out: KElement = {}
-    for c, p in x.items():
-        k_axpy(out, p, A.column(c))
-    return out
+def _element(ring, b: tuple, acc: dict) -> Element:
+    """The element of block b with the sums ``acc``, without the zero
+    scalars and the terms ``ring`` kills."""
+    scalar, killed = _arithmetic(ring)
+    return Element(b, {
+        S: s for S, v in acc.items()
+        if (s := scalar(v)) and not (killed and killed(_monomial(b, S)))
+    })
 
 
-def k_wedge(x: KElement, y: KElement) -> KElement:
-    out: KElement = {}
-    for S, p in x.items():
-        for T, q in y.items():
+def k_wedge(ring, x: Element, y: Element) -> Element:
+    """x ^ y: the blocks add, and each pair of keys merges with the sign
+    of :func:`wedge_subsets`."""
+    acc: dict = {}
+    for S, s in x.terms.items():
+        for T, t in y.terms.items():
             st = wedge_subsets(S, T)
             if st is not None:
-                k_acc(out, st[1], (p * q).scale(st[0]))
-    return out
+                acc[st[1]] = acc.get(st[1], 0) + st[0] * s * t
+    return _element(ring, tuple(map(add, x.b, y.b)), acc)
 
 
-def _var_monomial(ring: Ring, j: int):
-    exps = [0] * ring.nvars
-    exps[j] = 1
-    return Monomial(tuple(exps))
-
-
-def k_diff(ring: Ring, x: KElement) -> KElement:
-    """Koszul differential with d(e_i) = x_i, extended as an antiderivation:
-    d(p e_{j1..jr}) = sum_l (-1)^(l+1) x_{jl} p e_{S minus jl}."""
-    out: KElement = {}
-    for S, p in x.items():
-        for pos, j in enumerate(S):
-            rest = tuple(v for v in S if v != j)
-            sign = 1 if pos % 2 == 0 else -1
-            k_acc(out, rest, p.mul_monomial(_var_monomial(ring, j)).scale(sign))
-    return out
-
-
-def k_with_ring(x: KElement, ring: Ring) -> KElement:
-    out = {}
-    for S, p in x.items():
-        q = p.with_ring(ring)
-        if not q.is_zero:
-            out[S] = q
-    return out
-
-
-def k_coords(x: KElement, index: dict) -> dict:
-    """Coordinates of ``x`` in a strand basis {(key, monomial): column}.
-
-    Raises KeyError if some term lies outside the strand (wrong degree)."""
-    return {
-        index[(key, mono)]: coeff
-        for key, p in x.items()
-        for mono, coeff in p.term_dict().items()
-    }
-
-
-def k_element(vec: dict, basis: list, ring: Ring) -> KElement:
-    """Inverse of :func:`k_coords` for a strand basis [(key, monomial)] of
-    monomials nonzero in ``ring``."""
+def k_diff(ring, x: Element) -> Element:
+    """The Koszul differential d(e_i) = x_i as an antiderivation: the term
+    s x^(b - 1_S) e_S goes to sum_l (-1)^(l+1) s x^(b - 1_{S minus j_l})
+    e_{S minus j_l}, in the same block b."""
     acc: dict = {}
-    for col, coeff in vec.items():
-        key, mono = basis[col]
-        acc.setdefault(key, {})[mono] = coeff
-    return {key: Polynomial(ring, terms) for key, terms in acc.items()}
+    for S, s in x.terms.items():
+        for pos in range(len(S)):
+            rest = S[:pos] + S[pos + 1:]
+            acc[rest] = acc.get(rest, 0) + (-s if pos % 2 else s)
+    return _element(ring, x.b, acc)
+
+
+def k_restrict(ring, x: Element) -> Element:
+    """x read in ``ring``, a ring on the same variables and field: the
+    terms it kills dropped."""
+    killed = _arithmetic(ring)[1]
+    if killed is None:
+        return x
+    return Element(x.b, {
+        S: s for S, s in x.terms.items() if not killed(_monomial(x.b, S))
+    })
+
+
+def k_sum(ring, parts) -> Element:
+    """sum c x over the pairs (c, x) of ``parts``, a nonempty list of
+    elements of one block and integer coefficients c.  Raises DomainError
+    for elements of different blocks."""
+    b = parts[0][1].b
+    acc: dict = {}
+    for c, x in parts:
+        if x.b != b:
+            raise DomainError(f"elements of the blocks {b} and {x.b} added")
+        for S, s in x.terms.items():
+            acc[S] = acc.get(S, 0) + c * s
+    return _element(ring, b, acc)

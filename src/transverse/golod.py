@@ -10,9 +10,9 @@ from functools import cached_property
 from operator import add, itemgetter
 
 from . import linalg
-from .complexes import GradedFreeComplex, Homology, resolves_k_failures
+from .complexes import GradedFreeComplex, Homology, resolves_k_failures, table_scalar
 from .errors import CertificationError, DomainError
-from .exterior import KElement, k_axpy, k_diff, k_element, k_wedge, k_with_ring
+from .exterior import Element, k_diff, k_restrict, k_sum, k_wedge
 from .ideals import MonomialIdeal, ideal_product, is_transverse, lcm_lattice
 from .poly import Ring
 from .resolutions import betti_numbers, koszul_on_variables, twisted_koszul
@@ -22,10 +22,11 @@ from .resolutions import betti_numbers, koszul_on_variables, twisted_koszul
 class KoszulClass:
     """A basis class of H_i(K (x) R/I) with its canonical cycle representative.
 
-    The representative is an exterior element whose coefficients are reduced
-    modulo the ideal (no term lies in it), so it lifts to the ambient ring
-    or to any intermediate quotient unchanged.  It lies in the multidegree
-    block ``b``, of total degree ``t``.
+    The representative is an :class:`exterior.Element` of the multidegree
+    block ``b``, of total degree ``t``: the scalars {S: s} of its terms
+    s x^(b - 1_S) e_S, one per exterior key, read off the canonical
+    representative of the block's stratum.  No term lies in I, so it is a
+    cycle over the ambient ring and, restricted, over any quotient between.
     """
 
     i: int
@@ -33,7 +34,7 @@ class KoszulClass:
     b: tuple
     index: int
     label: str
-    rep: KElement
+    rep: Element
 
 
 class KoszulHomology(Homology):
@@ -70,16 +71,18 @@ class KoszulHomology(Homology):
         table = {
             (i, t): v for (i, t), v in betti_numbers(I).entries.items() if i >= 1
         }
+        scalar = table_scalar(ring.field)
         classes = []
         for i, t in sorted(table):
             found = []  # (strand position of the pivot, b, representative)
             for b in self._pieces(i, t):
                 sh = self.stratum(i, b)
-                keyed = [(self.keys[i][g], m) for g, m in sh.basis]
+                keys = [self.keys[i][g] for g, _ in sh.basis]
                 for v in sh.representatives:
                     # the pivot of an RREF row is its leading column
                     g, m = sh.basis[min(v)]
-                    found.append(((g, m.sort_key()), b, k_element(v, keyed, ring)))
+                    rep = Element(b, {keys[c]: scalar(s) for c, s in v.items()})
+                    found.append(((g, m.sort_key()), b, rep))
             if len(found) != table[(i, t)]:
                 raise CertificationError(
                     f"strand homology dim {len(found)} at ({i},{t}) deviates "
@@ -105,13 +108,13 @@ class KoszulHomology(Homology):
     def classes_at(self, i: int):
         return [c for c in self.classes if c.i == i]
 
-    def class_coords(self, i: int, b: tuple, x: KElement):
-        """The class of a cycle in the block b as a sparse vector over
-        ``classes_at(i)``, or None if it is not a cycle class."""
-        lam = self.express(i, b, x)
+    def class_coords(self, i: int, x: Element):
+        """The class of a cycle x as a sparse vector over ``classes_at(i)``,
+        or None if it is not a cycle class."""
+        lam = self.express(i, x)
         if lam is None:
             return None
-        at = [k for k, c in enumerate(self.classes_at(i)) if c.b == b]
+        at = [k for k, c in enumerate(self.classes_at(i)) if c.b == x.b]
         return {k: v for k, v in zip(at, lam) if v}
 
 
@@ -176,8 +179,8 @@ def kunneth_map(
         ),
     )
     # each representative moves to R/IJ once, and d(z_b) is taken once
-    za = [k_with_ring(a.rep, quotient) for a in HI.classes]
-    dzb = [k_diff(quotient, k_with_ring(b.rep, quotient)) for b in HJ.classes]
+    za = [k_restrict(quotient, a.rep) for a in HI.classes]
+    dzb = [k_diff(quotient, k_restrict(quotient, b.rep)) for b in HJ.classes]
     rows = []
     for n in range(1, nmax + 1):
         pairs = [
@@ -186,9 +189,9 @@ def kunneth_map(
         target = HIJ.classes_at(n)
         cols = []
         for a, b in pairs:
-            image = k_wedge(za[a.index], dzb[b.index])
+            # z_a ^ d(z_b) lies in the block b_a + b_b
             col = HIJ.class_coords(
-                n, tuple(map(add, a.b, b.b)), k_with_ring(image, ring)
+                n, k_wedge(quotient, za[a.index], dzb[b.index])
             )
             if col is None:
                 raise CertificationError(
@@ -237,14 +240,14 @@ class GolodBasis:
     def _reps(self) -> tuple:
         """The representatives of H(R/I) and of H(R/J) in R/IJ."""
         return tuple(
-            [k_with_ring(c.rep, self.quotient) for c in H.classes]
+            [k_restrict(self.quotient, c.rep) for c in H.classes]
             for H in (self.HI, self.HJ)
         )
 
-    def zI(self, k: int) -> KElement:
+    def zI(self, k: int) -> Element:
         return self._reps[0][self.pairs[k][0]]
 
-    def zJ(self, k: int) -> KElement:
+    def zJ(self, k: int) -> Element:
         return self._reps[1][self.pairs[k][1]]
 
 
@@ -266,47 +269,52 @@ def golod_basis(I: MonomialIdeal, J: MonomialIdeal) -> GolodBasis:
     )
     basis = GolodBasis(I, J, HI, HJ, HIJ, quotient, pairs, [])
     for k in range(len(pairs)):
-        basis.h.append(k_wedge(k_diff(quotient, basis.zI(k)), basis.zJ(k)))
+        basis.h.append(
+            k_wedge(quotient, k_diff(quotient, basis.zI(k)), basis.zJ(k))
+        )
     return basis
 
 
-def massey_mu(basis: GolodBasis, word: tuple) -> KElement:
+def massey_mu(basis: GolodBasis, word: tuple) -> Element:
     """The trivial Massey operation on tuples of basis classes h_{a,b}:
     mu(h_1, ..., h_p) = d(z_{a1}) ^ z_{b1} ^ z_{a2} ^ z_{b2} ^ ... ^ z_{bp},
-    reduced in K (x) R/IJ."""
+    reduced in K (x) R/IJ, in the block that sums the multidegrees of the
+    symbols of the word."""
     if not word:
         raise DomainError("Massey operation needs a nonempty tuple")
-    out = k_wedge(k_diff(basis.quotient, basis.zI(word[0])), basis.zJ(word[0]))
+    q = basis.quotient
+    out = k_wedge(q, k_diff(q, basis.zI(word[0])), basis.zJ(word[0]))
     for j in range(2, len(word) + 1):
         out = _massey_extend(basis, word[:j], out)
     return out
 
 
-def _massey_extend(basis: GolodBasis, word: tuple, prefix: KElement) -> KElement:
+def _massey_extend(basis: GolodBasis, word: tuple, prefix: Element) -> Element:
     """mu(word) from ``prefix`` = mu(word[:-1]): the last two wedges of the
     left fold in :func:`massey_mu`."""
-    k = word[-1]
-    return k_wedge(k_wedge(prefix, basis.zI(k)), basis.zJ(k))
+    k, q = word[-1], basis.quotient
+    return k_wedge(q, k_wedge(q, prefix, basis.zI(k)), basis.zJ(k))
 
 
-def mu_bar(basis: GolodBasis, word: tuple) -> KElement:
+def mu_bar(basis: GolodBasis, word: tuple) -> Element:
     """The bar-twisted value of mu on a tuple, with the degree bookkeeping of
     the defining equality chain: bar carries (-1)^(w+1) where w is the sum of
     |z_a| + |z_b| over the tuple (one more than the homological degree of the
     wedge itself, whose leading factor is a differential)."""
     w = sum(basis.vdeg(k) for k in word)
-    out: KElement = {}
-    k_axpy(out, 1 if (w + 1) % 2 == 0 else -1, massey_mu(basis, word))
-    return out
+    return k_sum(basis.quotient, [(1 if (w + 1) % 2 == 0 else -1,
+                                   massey_mu(basis, word))])
 
 
-def massey_identity_residual(basis: GolodBasis, word: tuple) -> KElement:
+def massey_identity_residual(basis: GolodBasis, word: tuple) -> Element:
     """d mu(word) - sum_i bar(mu(prefix)) ^ mu(suffix); zero exactly when the
-    defining trivial-Massey identity holds for this tuple."""
-    res = k_diff(basis.quotient, massey_mu(basis, word))
-    for i in range(1, len(word)):
-        k_axpy(res, -1, k_wedge(mu_bar(basis, word[:i]), massey_mu(basis, word[i:])))
-    return res
+    defining trivial-Massey identity holds for this tuple.  Every term lies
+    in the block of the word."""
+    q = basis.quotient
+    return k_sum(q, [(1, k_diff(q, massey_mu(basis, word)))] + [
+        (-1, k_wedge(q, mu_bar(basis, word[:i]), massey_mu(basis, word[i:])))
+        for i in range(1, len(word))
+    ])
 
 
 @dataclass
@@ -456,12 +464,11 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
     series = golod_poincare(I, J, n_max, HIJ=basis.HIJ)
     cert.series_coeffs = tuple(series.coefficients)
     cert.ranks_match = tuple(C.total_ranks()) == cert.series_coeffs[: n_max + 1]
-    HIJ = basis.HIJ
-    reps = [k_with_ring(c.rep, basis.quotient) for c in HIJ.classes]
+    HIJ, q = basis.HIJ, basis.quotient
+    reps = [k_restrict(q, c.rep) for c in HIJ.classes]
     for c1, z1 in zip(HIJ.classes, reps):
         for c2, z2 in zip(HIJ.classes, reps):
-            prod = k_with_ring(k_wedge(z1, z2), I.ring)
-            b = tuple(map(add, c1.b, c2.b))
-            if not HIJ.is_boundary(c1.i + c2.i, b, prod):
+            # the product lies in the block b_1 + b_2
+            if not HIJ.is_boundary(c1.i + c2.i, k_wedge(q, z1, z2)):
                 cert.triviality_failures.append((c1.label, c2.label))
     return cert

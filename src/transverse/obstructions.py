@@ -18,7 +18,7 @@ from operator import add
 from . import linalg
 from .complexes import GradedFreeComplex, Homology, resolves_k_failures
 from .errors import CertificationError, DomainError
-from .exterior import KElement, k_wedge, k_with_ring
+from .exterior import Element, k_restrict, k_wedge
 from .golod import KoszulHomology
 from .ideals import (
     MonomialIdeal, ideal_product, is_transverse, lcm_lattice, regular_sequence,
@@ -27,13 +27,11 @@ from .poly import Monomial, Polynomial, Ring
 from .resolutions import betti_numbers, twisted_koszul
 
 
-def _tate_cycle(ring: Ring, a: Monomial) -> KElement:
-    """z = (a / x_i) e_i over ``ring`` for the smallest variable index i
-    dividing a, so that d(z) = a; any other choice differs by a boundary."""
-    i = min(a.support())
-    exps = [0] * ring.nvars
-    exps[i] = 1
-    return {(i,): Polynomial.from_monomial(ring, a.divide(Monomial(tuple(exps))))}
+def _tate_cycle(a: Monomial) -> Element:
+    """z = (a / x_i) e_i for the smallest variable index i dividing a, so
+    that d(z) = a; any other choice differs by a boundary.  It lies in the
+    block mdeg(a)."""
+    return Element(a.exps, {(min(a.support()),): 1})
 
 
 def _sequence_mdeg(sequence, nvars: int, c) -> tuple:
@@ -49,7 +47,7 @@ class TateComplex:
 
     ring: Ring  # the quotient ring S
     sequence: list
-    cycles: list  # z_j as exterior elements over S, see _tate_cycle
+    cycles: list  # z_j as exterior elements, see _tate_cycle
     complex: GradedFreeComplex
     basis: list  # per homological degree: list of (subset, exponent tuple)
     certificate: dict
@@ -73,7 +71,7 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
             raise DomainError("pass the ambient ring explicitly")
     mons = regular_sequence(ring, a)
     S = ring.quotient(mons) if mons else ring
-    zs = [_tate_cycle(S, m) for m in mons]
+    zs = [_tate_cycle(m) for m in mons]
     # d(e_S y^(m)) = d(e_S) y^(m) + (-1)^|S| e_S ^ z_j y^(m - 1_j)
     words = [
         (m, 2 * sum(m), _sequence_mdeg(mons, ring.nvars, m))
@@ -141,12 +139,15 @@ class QuotientTor(Homology):
         self.tate = tate
         self.M = M
 
-    def express(self, i: int, b: tuple, x: KElement):
-        """Coordinates, in the canonical basis of the block b, of the class
-        of an exterior cycle included into the Tate complex, or None if it
-        is not a cycle class."""
+    def express(self, i: int, x: Element):
+        """Coordinates, in the canonical basis of its block, of the class
+        of an exterior cycle x included into the Tate complex, or None if
+        it is not a cycle class.  The key S of x is the key (S, 0) of the
+        Tate complex, of the same multidegree 1_S."""
         zero = (0,) * len(self.tate.sequence)
-        return super().express(i, b, {(S, zero): p for S, p in x.items()})
+        return super().express(
+            i, Element(x.b, {(S, zero): s for S, s in x.terms.items()})
+        )
 
     def total_dim(self, i: int) -> int:
         """dim Tor_i^S(R/M, k): dim H_i summed over the degrees of the
@@ -188,7 +189,7 @@ def change_of_rings_map(
         total_target += qt.stratum(i, b).dim
     cols = []
     for cls in srcs:
-        lam = qt.express(i, cls.b, cls.rep)
+        lam = qt.express(i, cls.rep)
         if lam is None:
             raise CertificationError(
                 f"exterior image of class {cls.label} is not a cycle class"
@@ -203,32 +204,29 @@ def change_of_rings_map(
 def tor_product_subspace(source: KoszulHomology, qt: QuotientTor, i: int):
     """The subspace Tor_1(S,k) . Tor_{i-1}(M-quotient,k) inside Tor_i,
     spanned by classes [z_j ^ w]; returned as echelonized coordinate vectors
-    in the canonical basis of H_i together with the raw wedge cycles, each
-    with its multidegree block mdeg(a_j) + mdeg(w)."""
+    in the canonical basis of H_i together with the nonzero wedge cycles,
+    each in its multidegree block mdeg(a_j) + mdeg(w)."""
     if i < 1:
         raise DomainError("the product subspace lives in positive degrees")
     ring = qt.M.ring
     quotient = qt.M.quotient_ring()
     if i == 1:
-        lowers = [({(): Polynomial.one(quotient)}, (0,) * ring.nvars)]
+        lowers = [Element((0,) * ring.nvars, {(): 1})]
     else:
-        lowers = [
-            (k_with_ring(c.rep, quotient), c.b) for c in source.classes_at(i - 1)
-        ]
+        lowers = [k_restrict(quotient, c.rep) for c in source.classes_at(i - 1)]
     vectors = []
     cycles = []
-    for z, zm in zip(qt.tate.cycles, qt.tate.sequence):
-        z = k_with_ring(z, quotient)
-        for w, bw in lowers:
-            wedge = k_wedge(z, w)
-            b = tuple(map(add, zm.exps, bw))
-            if not wedge:
+    for z in qt.tate.cycles:
+        z = k_restrict(quotient, z)
+        for w in lowers:
+            wedge = k_wedge(quotient, z, w)
+            if not wedge.terms:
                 continue
-            vec = source.class_coords(i, b, k_with_ring(wedge, ring))
+            vec = source.class_coords(i, wedge)
             if vec is None:
                 raise CertificationError("product wedge is not a cycle class")
             vectors.append(vec)
-            cycles.append((wedge, b))
+            cycles.append(wedge)
     ech = linalg.echelon(vectors, len(source.classes_at(i)), ring.field)
     return ech, cycles
 
@@ -314,8 +312,8 @@ def avramov_obstruction(
         phi = change_of_rings_map(source, qt, i)
         ech, cycles = tor_product_subspace(source, qt, i)
         # certify the induced map is well defined: products map to zero
-        for wedge, b in cycles:
-            lam = qt.express(i, b, wedge)
+        for wedge in cycles:
+            lam = qt.express(i, wedge)
             if lam is None or any(lam):
                 product_ok = False
         s, p = phi.dim_source, ech.rank

@@ -268,9 +268,6 @@ class Polynomial:
     def term_dict(self) -> dict:
         return dict(self._terms)
 
-    def coeff(self, m: Monomial):
-        return self._terms.get(m, self.ring.field.zero)
-
     @property
     def constant_term(self):
         return self._terms.get(self.ring.one_monomial(), self.ring.field.zero)
@@ -334,23 +331,6 @@ class Polynomial:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def mul_monomial(self, m: Monomial, coeff=None) -> "Polynomial":
-        acc = {}
-        for m1, c1 in self._terms.items():
-            mm = m1 * m
-            if self.ring.kills(mm):
-                continue
-            acc[mm] = c1 * coeff if coeff is not None else c1
-        return Polynomial(self.ring, acc)
-
-    def with_ring(self, ring: Ring) -> "Polynomial":
-        """Reinterpret in another ring with the same variables (coefficients
-        converted, monomials killed by the new modulus dropped)."""
-        if ring.nvars != self.ring.nvars:
-            raise DimensionError("rings have different variable counts")
-        conv = ring.field.convert
-        return Polynomial(ring, {m: conv(c) for m, c in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -448,14 +428,6 @@ class PolyMatrix:
     @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def with_ring(self, ring: Ring) -> "PolyMatrix":
-        return PolyMatrix(
-            ring,
-            self.nrows,
-            self.ncols,
-            {k: p.with_ring(ring) for k, p in self.entries.items()},
-        )
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

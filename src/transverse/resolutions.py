@@ -13,11 +13,11 @@ from operator import add, le, sub
 
 from . import linalg
 from .complexes import (
-    BettiTable, GradedFreeComplex, Homology, _killer, complex_from_boundary,
-    table_scalar,
+    BettiTable, GradedFreeComplex, Homology, _killer, _term,
+    complex_from_boundary, table_scalar,
 )
 from .errors import DomainError, ExactnessError
-from .exterior import k_apply, k_coords, k_element, wedge_subsets
+from .exterior import wedge_subsets
 from .ideals import MonomialIdeal, lcm_lattice
 from .poly import PolyMatrix, Polynomial, Ring
 
@@ -85,14 +85,13 @@ def twisted_koszul(S: Ring, words, n_max: int, twist, word_label):
     degree |T| + deg w and multidegree 1_T + mdeg w, labelled "e{T}" +
     ``word_label(w)``; its boundary is d(e_T) w + (-1)^|T| sum s e_T ^ a w'
     over the triples (s, a, w') of ``twist(w)``, which is computed once per
-    word.  Each term c x^a e_S of a must lie in multidegree mdeg w - mdeg
-    w', so the complex is written as monomial-matrix scalars with no
-    polynomial arithmetic: d(e_T) gives +-1 at x_k and e_T ^ c x^a e_S gives
-    +-c, and an entry whose monomial S kills is dropped.  Raises DomainError
-    for a term off its multidegree.  Returns the complex and its basis keys
-    per level.
+    word.  Each a is an :class:`exterior.Element`, whose block must be
+    mdeg w - mdeg w', so the complex is written as monomial-matrix scalars
+    with no polynomial arithmetic: d(e_T) gives +-1 at x_k and e_T ^ s x^(b
+    - 1_U) e_U gives +-s, and an entry whose monomial S kills is dropped.
+    Raises DomainError for a twist value off its multidegree.  Returns the
+    complex and its basis keys per level.
     """
-    scalar = table_scalar(S.field)
     levels: list[list] = [[] for _ in range(n_max + 1)]
     mdeg = {}
     for w, d, m in words:
@@ -102,21 +101,15 @@ def twisted_koszul(S: Ring, words, n_max: int, twist, word_label):
     twists: dict = {}
 
     def scalars(w):
-        """twist(w) as [(w', [(S, +-c)])], each term checked to lie in its
-        multidegree."""
+        """twist(w) as [(w', [(U, +-s)])], each value checked to lie in
+        its multidegree."""
         out = []
         for s, a, rest in twist(w):
-            want = tuple(map(sub, mdeg[w], mdeg[rest]))
-            terms = []
-            for U, p in a.items():
-                for mono, c in p.term_dict().items():
-                    if tuple(e + (k in U) for k, e in enumerate(mono.exps)) != want:
-                        raise DomainError(
-                            f"a term of the twist of {word_label(w)!r} is off "
-                            f"its multidegree"
-                        )
-                    terms.append((U, s * scalar(c)))
-            out.append((rest, terms))
+            if a.b != tuple(map(sub, mdeg[w], mdeg[rest])):
+                raise DomainError(
+                    f"the twist of {word_label(w)!r} is off its multidegree"
+                )
+            out.append((rest, [(U, s * c) for U, c in a.terms.items()]))
         return out
 
     def boundary(key):
@@ -367,27 +360,35 @@ def lift_comparison_map(
     """Lift the identity on degree 0 to a chain map source -> target.
 
     The image of each generator e is solved as an exact scalar system on
-    the multidegree block mdeg(e) of the target, the only block where the
-    right-hand side lives; among the (homotopy-many) solutions the
+    the multidegree block b = mdeg(e) of the target, the only block where
+    the right-hand side lives; among the (homotopy-many) solutions the
     echelon-canonical one is chosen, so the image lies in that block.
-    Raises :class:`ExactnessError` when some block system has no solution,
-    i.e. the target fails to be exact where needed.
+    Each map is kept as a scalar table {e: [(g, s)]}, an entry s x^(b -
+    m_g), and the right-hand side phi(d e) is read off the tables: an
+    entry s x^(b - m_r) of d e and s' x^(m_r - m_g) of phi(r) give s s'
+    at the generator g of the block.  The polynomial matrices returned
+    are a view of the tables.  Raises :class:`ExactnessError` when some
+    block system has no solution, i.e. the target fails to be exact where
+    needed.
     """
     ring = source.ring
     if target.ring != ring:
         raise DomainError("source and target over different rings")
     if source.rank(0) != 1 or target.rank(0) != 1:
         raise DomainError("comparison lifting needs rank-1 degree-0 terms")
-    phis = [PolyMatrix.identity(ring, 1)]
+    scalar = table_scalar(ring.field)
+    tables = [{0: [(0, 1)]}]
     H = Homology(target)
     for i, mdegs in enumerate(source.mdegs[1:], start=1):
-        entries = {}
+        table, d = {}, source.table(i)
         for e, b in enumerate(mdegs):
-            # rhs = phi_{i-1}(d^S_i e) in block coordinates of target_{i-1}
-            rhs = k_coords(
-                k_apply(phis[i - 1], source.diff(i).column(e)),
-                H.strand_index(i - 1, b),
-            )
+            # a generator g absent from the block has x^(b - m_g) killed
+            index, acc = H.strand_index(i - 1, b), {}
+            for r, s in d.get(e, ()):
+                for g, t in tables[i - 1].get(r, ()):
+                    if (col := index.get(g)) is not None:
+                        acc[col] = acc.get(col, 0) + s * t
+            rhs = {col: c for col, v in acc.items() if (c := scalar(v))}
             basis_hi = H.basis(i, b)
             if not basis_hi:
                 if rhs:
@@ -403,7 +404,13 @@ def lift_comparison_map(
                     f"target not exact in degree {i}, multidegree {b}: "
                     f"comparison map cannot be lifted"
                 )
-            for g, p in k_element(sol, basis_hi, ring).items():
-                entries[(g, e)] = p
-        phis.append(PolyMatrix(ring, target.rank(i), source.rank(i), entries))
-    return phis
+            if sol:
+                table[e] = [(basis_hi[c][0], scalar(v)) for c, v in sol.items()]
+        tables.append(table)
+    return [
+        PolyMatrix(ring, target.rank(i), source.rank(i), {
+            (g, e): _term(ring, source.mdegs[i][e], target.mdegs[i][g], s)
+            for e, col in table.items() for g, s in col
+        })
+        for i, table in enumerate(tables)
+    ]

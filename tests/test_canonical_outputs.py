@@ -35,6 +35,7 @@ from transverse.poly import Polynomial, Ring
 from transverse.resolutions import koszul_complex, taylor_complex
 
 from conftest import ideal
+from polynomial_elements import as_polynomial
 
 VARS4 = ["x1", "x2", "x3", "x4"]
 VARS5 = ["x1", "x2", "x3", "x4", "x5"]
@@ -184,7 +185,7 @@ def _koszul_reps() -> str:
     H = koszul_homology(IJ)
     return _dumps([
         [c.i, c.t, c.index, c.label,
-         [[list(S), str(p)] for S, p in sorted(c.rep.items())]]
+         [[list(S), str(p)] for S, p in sorted(as_polynomial(R, c.rep).items())]]
         for c in H.classes
     ])
 

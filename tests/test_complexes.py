@@ -3,6 +3,7 @@ import random
 import pytest
 
 from transverse.complexes import (
+    BettiTable,
     GradedFreeComplex,
     Homology,
     betti_table,
@@ -17,6 +18,7 @@ from transverse.complexes import (
     verify_resolution,
 )
 from transverse.errors import CertificationError, DimensionError, DomainError
+from transverse.exterior import Element
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal, ideal_product
 from transverse.obstructions import tate_resolution
@@ -281,16 +283,22 @@ class TestVerifyResolution:
 
     def test_non_complex_fails(self):
         # over Q[x], d_1 = (x 0) and d_2 = (1 1)^T give d_1 d_2 = x != 0;
-        # every strand clause passes, so only the d o d = 0 clause can catch it
+        # every strand clause would pass, so only the d o d = 0 clause can
+        # catch it; ranks of a non-complex give no homology, so no other
+        # clause is run and the summary reports the validation alone
         R = Ring(("x",))
         C = GradedFreeComplex(
             R, [[(0,)], [(1,), (1,)], [(1,)]],
             [{0: [(0, 1)]}, {0: [(0, 1), (1, 1)]}],
         )
         cert = verify_resolution(C, ideal(R, "x"))
-        assert cert.exactness_ok and cert.coker_ok and cert.betti_ok
+        assert cert.strand_failures == cert.coker_failures == []
+        assert not cert.betti_ok and cert.betti_got == BettiTable({})
         assert not cert.validation.ok and not cert.ok
-        assert "d_1 o d_2 != 0" in cert.summary()
+        assert cert.summary() == (
+            "d o d = 0 and homogeneous: FAIL: ['d_1 o d_2 != 0, first nonzero "
+            "entry at (0,0): x']"
+        )
 
 
 def drop_generator(C, i, g):
@@ -349,6 +357,40 @@ class TestCellCertificates:
             assert rep.ok and not coker_failures
             assert strand_failures and {f[0] for f in strand_failures} == {4}
             assert strand_failures[0][1] == mdegs[5][g], g
+
+    def test_non_complex_reports_the_validation_alone(self, R4):
+        # a generator of C_5 dropped with d_6 kept leaves d_5 o d_6 != 0;
+        # there dim H_i = |B_i| - r_i - r_{i+1} reads negative
+        # "dimensions" off the ranks, so no cell is swept
+        a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x3*x4")]
+        T = tate_resolution(a, R4, 6)
+        broken = [drop_generator(T.complex, 5, g) for g in range(T.complex.rank(5))]
+        broken = [C for C in broken if not validate_complex(C).ok]
+        assert broken
+        assert any(
+            d < 0 for C in broken for _, _, d in Homology(C).cell_failures(0, 5)
+        )
+        for C in broken:
+            rep, _, strand_failures, coker_failures = resolves_k_failures(C, 5)
+            assert not rep.ok and "d_5 o d_6 != 0" in rep.problems[0]
+            assert strand_failures == coker_failures == []
+        # the same for verify_resolution, on a star product with a generator
+        # of C_2 dropped and d_3 kept
+        from transverse.resolutions import minimal_resolution
+
+        R = Ring(("x1", "x2", "x3", "x4", "x5"))
+        I = ideal(R, "x1^2", "x1*x2", "x2*x3")
+        J = ideal(R, "x4^2", "x4*x5")
+        S = star_product(minimal_resolution(I), minimal_resolution(J))
+        broken = [drop_generator(S, 2, g) for g in range(S.rank(2))]
+        broken = [C for C in broken if not validate_complex(C).ok]
+        assert broken
+        for C in broken:
+            cert = verify_resolution(C, ideal_product(I, J))
+            assert not cert.ok and cert.summary().startswith(
+                "d o d = 0 and homogeneous: FAIL"
+            )
+            assert cert.strand_failures == cert.coker_failures == []
 
     def test_origin_is_a_cell_of_its_own(self, Rxy):
         # K(x) over k[x, y] leaves coker d_1 = k[y]; the cell of the origin
@@ -523,17 +565,19 @@ class TestStrandEngine:
 
     def test_term_off_its_multidegree_fails_loudly(self, Rxy):
         # over k[x, y]/(xy) the symbol y kills the cycle x e_2 of multidegree
-        # x*y; declared at x*y^2 it cannot map there, and the builder used
-        # to take the monomial of a twist term as given
+        # x*y; declared at x*y^2 it cannot map there: the block of the
+        # twist value must be mdeg(w) - mdeg(w'), and the builder used to
+        # take the monomial of a twist term as given
         from transverse.resolutions import twisted_koszul
 
         S = Rxy.quotient([Rxy.parse_monomial("x*y")])
-        x = S.variable(0)
+        # x e_2 lies in the block x*y
+        x_e2 = Element((1, 1), {(1,): 1})
 
         def build(m):
             return twisted_koszul(
                 S, [((), 0, (0, 0)), (("y",), 2, m)], 2,
-                lambda w: [(1, {(1,): x}, ())] if w else [], "".join,
+                lambda w: [(1, x_e2, ())] if w else [], "".join,
             )[0]
 
         with pytest.raises(DomainError, match="twist of 'y' is off its multidegree"):
@@ -578,11 +622,11 @@ class TestHomology:
 
         H = koszul_homology(ideal_product(*flagship))
         for c in H.classes:
-            assert not H.is_boundary(c.i, c.b, c.rep)
+            assert c.rep.b == c.b and not H.is_boundary(c.i, c.rep)
             # a representative expresses as its own unit vector
             peers = [d for d in H.classes_at(c.i) if d.b == c.b]
-            assert H.express(c.i, c.b, c.rep) == [int(d is c) for d in peers]
-        assert H.is_boundary(1, (1, 0, 1, 0), {})
+            assert H.express(c.i, c.rep) == [int(d is c) for d in peers]
+        assert H.is_boundary(1, Element((1, 0, 1, 0), {}))
 
 
 class TestOneStrandEngine:

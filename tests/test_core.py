@@ -2,14 +2,15 @@ import ast
 import itertools
 import random
 from fractions import Fraction
+from operator import add, sub
 from pathlib import Path
 
 import pytest
 
 from transverse import linalg
-from transverse.complexes import strand_basis
-from transverse.errors import DimensionError
-from transverse.exterior import k_acc, k_apply, k_axpy, k_coords, k_element
+from transverse.complexes import Homology, strand_basis
+from transverse.errors import DimensionError, DomainError
+from transverse.exterior import Element, k_diff, k_restrict, k_sum, k_wedge
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import minimalize_generators
 from transverse.poly import (
@@ -336,93 +337,90 @@ class TestAgainstDenseOracle:
 
 
 class TestElements:
-    """Sparse free-module elements {key: Polynomial} and their one
-    accumulate, apply and strand-coordinate path."""
+    """Block elements (b, {key: scalar}) and their one wedge, differential,
+    restriction, sum and block-coordinate path."""
 
     def test_cancelling_sum_drops_key(self, Rxy):
-        x, y = Rxy.variable(0), Rxy.variable(1)
-        acc = {0: x, 1: y}
-        k_acc(acc, 0, -x)
-        assert acc == {1: y}
-        k_acc(acc, 2, Polynomial.zero(Rxy))
-        assert acc == {1: y}
-        k_axpy(acc, -1, {1: y})
-        assert acc == {}
+        x = Element((1, 1), {(0,): 1, (1,): 2})
+        y = Element((1, 1), {(0,): 1})
+        assert k_sum(Rxy, [(1, x), (-1, y)]) == Element((1, 1), {(1,): 2})
+        assert k_sum(Rxy, [(1, x), (-1, x)]) == Element((1, 1), {})
+        # over GF(2) the scalars are ints in [0, 2), and 1 + 1 cancels
+        F2 = Rxy.with_field(PrimeField(2))
+        assert k_sum(F2, [(1, y), (1, y)]) == Element((1, 1), {})
+        assert k_sum(F2, [(-1, y)]) == y
+        with pytest.raises(DomainError, match="blocks"):
+            k_sum(Rxy, [(1, x), (1, Element((1, 0), {(0,): 1}))])
 
-    def test_axpy_polynomial_over_quotient_drops_killed_terms(self):
+    def test_wedge_and_diff_over_quotient_drop_killed_terms(self):
         base = Ring(("x", "y"))
         Q = base.quotient([base.parse_monomial("x^2"), base.parse_monomial("x*y")])
-        x, y = Q.variable(0), Q.variable(1)
-        acc = {(0,): y * y}
-        # x * (x + y) = 0 and x * y = 0 in Q: both targets vanish
-        k_axpy(acc, x, {(0,): x + y, (1,): y})
-        assert acc == {(0,): y * y}
-        k_axpy(acc, y, {(0,): x + y})
-        assert acc == {(0,): (y * y).scale(2)}
-        # a scalar coefficient scales without touching the caller's element
-        x_elem = {(1,): y}
-        k_axpy(acc, 3, x_elem)
-        assert acc[(1,)] == y.scale(3) and x_elem == {(1,): y}
+        ex, ey = Element((1, 0), {(0,): 1}), Element((0, 1), {(1,): 1})
+        x = Element((1, 0), {(): 1})
+        # e_x ^ e_y survives; d of it is x e_y - y e_x, alive in Q
+        exy = k_wedge(Q, ex, ey)
+        assert exy == Element((1, 1), {(0, 1): 1})
+        assert k_wedge(Q, ey, ex) == Element((1, 1), {(0, 1): -1})
+        assert k_diff(Q, exy) == Element((1, 1), {(1,): 1, (0,): -1})
+        # x * (y e_x) = xy e_x and d(y e_x) = xy: both zero in Q, not in R
+        y_ex = Element((1, 1), {(0,): 1})
+        assert k_wedge(Q, x, y_ex) == Element((2, 1), {})
+        assert k_wedge(base, x, y_ex) == Element((2, 1), {(0,): 1})
+        assert k_diff(Q, y_ex) == Element((1, 1), {})
+        assert k_diff(base, y_ex) == Element((1, 1), {(): 1})
+        # overlapping keys wedge to zero
+        assert k_wedge(base, ex, ex) == Element((2, 0), {})
+        # restriction drops the killed terms and keeps the rest
+        mixed = Element((1, 1), {(): 3, (0,): 5, (1,): 7})
+        assert k_restrict(Q, mixed) == Element((1, 1), {(0,): 5, (1,): 7})
+        assert k_restrict(base, mixed) is mixed
 
     @staticmethod
-    def _round_trip(basis, ring, seed):
+    def _round_trip(H, i, t, seed):
+        """Elements of the blocks of the degree-t strand of C_i, keyed as H
+        is: their scalars are their block coordinates, and the block fixes
+        the monomial x^(b - m_key) of each basis column."""
         rng = random.Random(seed)
-        index = {bm: k for k, bm in enumerate(basis)}
-        vec = {k: Fraction(rng.randint(-3, 3)) for k in range(len(basis))}
-        vec = {k: v for k, v in vec.items() if v}
-        x = k_element(vec, basis, ring)
-        assert k_coords(x, index) == vec
-        assert all(not p.is_zero for p in x.values())
-        assert k_element(k_coords(x, index), basis, ring) == x
-        return x
+        keys = list(H.mdegs[i])
+        blocks = sorted({tuple(map(add, H.mdegs[i][keys[g]], m.exps))
+                         for g, m in strand_basis(H.complex, i, t, H.extra)})
+        assert blocks
+        for b in blocks:
+            basis = H.basis(i, b)
+            assert [m.exps for _, m in basis] == [
+                tuple(map(sub, b, H.mdegs[i][keys[g]])) for g, _ in basis
+            ]
+            vec = {k: rng.choice((1, -1, 2, Fraction(1, 3)))
+                   for k in range(len(basis))}
+            x = Element(b, {keys[g]: vec[k] for k, (g, _) in enumerate(basis)})
+            assert H.coords(i, x) == vec
 
     def test_coordinates_round_trip_koszul_strand(self, R4):
         K = koszul_on_variables(R4)
-        subsets = K.meta["subsets"]
         Q = [R4.parse_monomial("x1^2"), R4.parse_monomial("x2*x3")]
+        H = Homology(K, Q, K.meta["subsets"])
         for i, t in ((1, 3), (2, 3), (2, 4)):
-            basis = [
-                (subsets[i][g], m) for g, m in strand_basis(K, i, t, Q)
-            ]
-            assert basis
-            x = self._round_trip(basis, R4, seed=10 * i + t)
-            assert all(len(S) == i for S in x)
+            self._round_trip(H, i, t, seed=10 * i + t)
 
     def test_coordinates_round_trip_taylor_strand(self, R4):
         I = minimalize_generators(
             R4, [R4.parse_monomial(g) for g in ("x1^2", "x1*x2", "x3*x4")]
         )
-        C = taylor_complex(I)
+        H = Homology(taylor_complex(I))
         for i, t in ((1, 3), (2, 4), (3, 5)):
-            basis = strand_basis(C, i, t)
-            assert basis
-            x = self._round_trip(basis, R4, seed=10 * i + t)
-            assert all(0 <= g < C.rank(i) for g in x)
+            self._round_trip(H, i, t, seed=10 * i + t)
 
     def test_coordinates_reject_terms_outside_the_strand(self, R4):
         K = koszul_on_variables(R4)
-        basis = [(K.meta["subsets"][1][g], m) for g, m in strand_basis(K, 1, 2)]
-        index = {bm: k for k, bm in enumerate(basis)}
+        H = Homology(K, None, K.meta["subsets"])
+        # e_2 has multidegree x2, which lies below no block of x1^2
         with pytest.raises(KeyError):
-            k_coords({(0,): R4.variable(1) * R4.variable(1)}, index)
-
-    def test_apply_matches_polymatrix_apply(self, R4):
-        I = minimalize_generators(
-            R4, [R4.parse_monomial(g) for g in ("x1^2", "x1*x2", "x2*x3", "x4")]
-        )
-        C = taylor_complex(I)
-        rng = random.Random(7)
-        gens = R4.variables() + [Polynomial.one(R4)]
-        for i in range(1, C.length + 1):
-            A = C.diff(i)
-            for _ in range(5):
-                dense = [
-                    rng.choice(gens).scale(rng.randint(-2, 2))
-                    for _ in range(A.ncols)
-                ]
-                x = {c: p for c, p in enumerate(dense) if not p.is_zero}
-                want = {r: p for r, p in enumerate(A.apply(dense)) if not p.is_zero}
-                assert k_apply(A, x) == want
+            H.coords(1, Element((2, 0, 0, 0), {(1,): 1}))
+        # x1^2 e_{} is absent from the block x1^2 over R/(x1^2)
+        H = Homology(K, [R4.parse_monomial("x1^2")], K.meta["subsets"])
+        assert H.coords(1, Element((2, 0, 0, 0), {(0,): 1})) == {0: 1}
+        with pytest.raises(KeyError):
+            H.coords(0, Element((2, 0, 0, 0), {(): 1}))
 
 
 def _unused_imports(source: str) -> list[str]:

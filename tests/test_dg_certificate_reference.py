@@ -32,11 +32,12 @@ from transverse.dg import (
     taylor_dg_product,
 )
 from transverse.errors import DomainError
-from transverse.exterior import KElement, k_acc, k_apply, k_axpy
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
 from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import taylor_complex
+
+from polynomial_elements import KElement, k_acc, k_apply, k_axpy
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")

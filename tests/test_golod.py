@@ -4,7 +4,7 @@ import random
 import pytest
 
 from transverse.errors import DomainError
-from transverse.exterior import k_wedge, k_with_ring
+from transverse.exterior import k_diff, k_restrict, k_wedge
 from transverse.golod import (
     golod_basis,
     golod_poincare,
@@ -40,8 +40,11 @@ class TestKoszulHomology:
         assert H.dims() == {1: 2, 2: 1}
         # representatives: e1, e2 in degree 1 and e1^e2 in degree 2
         reps = [c.rep for c in H.classes_at(1)]
-        assert [set(r.keys()) for r in reps] == [{(0,)}, {(1,)}]
-        assert [set(c.rep.keys()) for c in H.classes_at(2)] == [{(0, 1)}]
+        assert [set(r.terms) for r in reps] == [{(0,)}, {(1,)}]
+        assert [set(c.rep.terms) for c in H.classes_at(2)] == [{(0, 1)}]
+        # each in its block, where its monomial is 1
+        assert [c.b for c in H.classes] == [(1, 0, 0, 0), (0, 1, 0, 0),
+                                            (1, 1, 0, 0)]
 
     def test_principal_xy(self, Rxy):
         H = koszul_homology(ideal(Rxy, "x*y"))
@@ -81,18 +84,17 @@ class TestKunneth:
     def test_principal_image_is_not_a_boundary(self, Rxy):
         # the image z1 ^ d(z2) of the generator pair is a multiple of y*e1
         # (up to sign), and it generates H_1(R/(xy))
-        from transverse.exterior import k_diff, k_wedge, k_with_ring
-
         I, J = ideal(Rxy, "x"), ideal(Rxy, "y")
         HI, HJ = koszul_homology(I), koszul_homology(J)
         HIJ = koszul_homology(ideal_product(I, J))
         quotient = ideal_product(I, J).quotient_ring()
-        z1 = k_with_ring(HI.classes[0].rep, quotient)
-        z2 = k_with_ring(HJ.classes[0].rep, quotient)
-        image = k_wedge(z1, k_diff(quotient, z2))
-        assert set(image) == {(0,)}
-        assert str(image[(0,)]) in ("y", "-y")
-        assert not HIJ.is_boundary(1, 2, k_with_ring(image, Rxy))
+        z1 = k_restrict(quotient, HI.classes[0].rep)
+        z2 = k_restrict(quotient, HJ.classes[0].rep)
+        image = k_wedge(quotient, z1, k_diff(quotient, z2))
+        # the block xy gives e1 the monomial y
+        assert image.b == (1, 1) and set(image.terms) == {(0,)}
+        assert image.terms[(0,)] in (1, -1)
+        assert not HIJ.is_boundary(1, image)
 
     def test_flagship(self, R4, flagship):
         cert = kunneth_map(*flagship)
@@ -182,29 +184,25 @@ class TestMassey:
     def test_singleton_is_representative(self, R4, flagship):
         basis = golod_basis(*flagship)
         for k in range(len(basis.pairs)):
-            mu = massey_mu(basis, (k,))
-            diff = {
-                S: p - basis.h[k].get(S, p * 0) for S, p in mu.items()
-            }
-            assert all(p.is_zero for p in diff.values())
-            assert set(mu) == set(basis.h[k])
+            assert massey_mu(basis, (k,)) == basis.h[k]
+            assert basis.h[k].b == basis.vmdeg(k)
 
     def test_repeated_factor_vanishes(self, Rxy):
         basis = golod_basis(ideal(Rxy, "x"), ideal(Rxy, "y"))
         assert len(basis.pairs) == 1
-        assert massey_mu(basis, (0, 0)) == {}
+        assert massey_mu(basis, (0, 0)).terms == {}
 
     def test_identity_exhaustive_small(self, Rxy):
         basis = golod_basis(ideal(Rxy, "x"), ideal(Rxy, "y"))
         for p in range(1, 4):
             for word in itertools.product(range(len(basis.pairs)), repeat=p):
-                assert massey_identity_residual(basis, word) == {}
+                assert massey_identity_residual(basis, word).terms == {}
 
     def test_identity_flagship_pairs(self, R4, flagship):
         basis = golod_basis(*flagship)
         for p in range(1, 3):
             for word in itertools.product(range(len(basis.pairs)), repeat=p):
-                assert massey_identity_residual(basis, word) == {}
+                assert massey_identity_residual(basis, word).terms == {}
 
 
 class TestGolodResolution:
@@ -395,13 +393,14 @@ def test_golod_three_by_two_complete_intersections():
 
 
 def test_golod_certificate_does_no_polynomial_arithmetic(flagship, monkeypatch):
-    # the resolution is written and checked as monomial-matrix scalars: no
-    # Polynomial is built, multiplied or scaled inside twisted_koszul,
-    # validate_complex or is_minimal, only inside the Massey values (one
-    # symbol by massey_mu, longer words by _massey_extend) and the Koszul
-    # homology they are made of; the polynomial view of the resolution is
-    # never built
-    from transverse import complexes, golod
+    # the resolution is written and checked as monomial-matrix scalars and
+    # every element (Koszul classes, Kunneth images, Massey values, Tate
+    # cycles and their wedges) is a block of scalars: no Polynomial is
+    # added, multiplied or scaled anywhere inside verify_golod, kunneth_map
+    # or avramov_obstruction, none is built inside the twisted Koszul
+    # builder, its checks or the Massey values, and the polynomial view of
+    # the resolution is never built
+    from transverse import complexes, golod, obstructions
     from transverse.poly import Polynomial
 
     inside, polynomial_ops, built = [], [], []
@@ -421,28 +420,36 @@ def test_golod_certificate_does_no_polynomial_arithmetic(flagship, monkeypatch):
 
         monkeypatch.setattr(module, name, run)
 
-    def watched(op):
+    def watched(op, where=None):
         original = getattr(Polynomial, op)
 
         def run(*args):
-            if inside:
+            if inside and (where is None or inside[-1] in where):
                 polynomial_ops.append((op, inside[-1]))
             return original(*args)
 
         monkeypatch.setattr(Polynomial, op, run)
 
-    for name in ("twisted_koszul", "massey_mu", "_massey_extend", "golod_basis"):
+    for name in ("verify_golod", "kunneth_map", "twisted_koszul", "massey_mu",
+                 "_massey_extend", "golod_basis"):
         entered(golod, name)
     entered(golod, "golod_resolution", built.append)
+    entered(obstructions, "avramov_obstruction")
     for name in ("validate_complex", "is_minimal"):
         entered(complexes, name)
-    for op in ("__init__", "__mul__", "scale"):
+    # the removed helpers cannot run
+    assert not any(hasattr(Polynomial, op) for op in ("mul_monomial", "with_ring"))
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "scale"):
         watched(op)
-    cert = verify_golod(*flagship, n_max=5)
+    watched("__init__", {"twisted_koszul", "massey_mu", "_massey_extend",
+                         "validate_complex", "is_minimal"})
+    cert = golod.verify_golod(*flagship, n_max=5)
     assert cert.ok and cert.ranks == (1, 4, 10, 24, 58, 140)
-    assert polynomial_ops
-    assert {where for _, where in polynomial_ops} == {
-        "massey_mu", "_massey_extend", "golod_basis"
-    }
+    assert golod.kunneth_map(*flagship).ok
+    R = flagship[0].ring
+    M = ideal(R, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
+    a = [R.parse_monomial("x1^2"), R.parse_monomial("x4^2")]
+    assert obstructions.avramov_obstruction(a, M, 5).nonzero_degrees() == [4]
+    assert polynomial_ops == []
     (C,) = built
     assert C._diffs is None

@@ -31,12 +31,12 @@ from transverse.dg import (
     taylor_dg_product,
 )
 from transverse.errors import DomainError
-from transverse.exterior import KElement, k_acc, k_apply, k_axpy
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal, regular_sequence
 from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import koszul_complex, lift_comparison_map, taylor_complex
 
+from polynomial_elements import KElement, k_acc, k_apply, k_axpy
 from test_dg_certificate_reference import from_tables, k_bilinear, mutants, random_ideal
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]

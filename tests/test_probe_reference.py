@@ -34,12 +34,12 @@ from transverse.dg import (
     star_degree_one_product,
     taylor_dg_product,
 )
-from transverse.exterior import KElement, k_axpy, k_coords, k_element
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
 from transverse.poly import Polynomial, Ring
 from transverse.resolutions import koszul_complex, taylor_complex
 
+from polynomial_elements import KElement, k_axpy, k_coords, k_element
 from test_dg_certificate_reference import (
     from_tables,
     k_bilinear,
@@ -77,6 +77,13 @@ def associativity_probe_ref(
     for j, tab in prod.tables.items():
         known[(1, j)] = dict(tab)
     H = Homology(C)
+    indexes: dict = {}
+
+    def strand_index(n: int, t: int) -> dict:
+        """{(generator, monomial): column} of the degree-t strand of C_n."""
+        if (n, t) not in indexes:
+            indexes[(n, t)] = {gm: k for k, gm in enumerate(H.basis(n, t))}
+        return indexes[(n, t)]
 
     def mul(i: int, j: int, left: KElement, right: KElement) -> KElement:
         out: KElement = {}
@@ -110,7 +117,7 @@ def associativity_probe_ref(
 
         def emit_unknown(rowmap, block, pair, t_pair, coeff_poly, level_t, sign):
             """Add sign * coeff_poly * m_block(pair) into rowmap coordinates."""
-            idx_out = H.strand_index(n, level_t)
+            idx_out = strand_index(n, level_t)
             for c, (g, m) in enumerate(H.basis(n, t_pair)):
                 var = var_index.get((block, pair, c))
                 if var is None:
@@ -137,7 +144,7 @@ def associativity_probe_ref(
                     rhs_vec = mul(i - 1, j, C.diff(i).column(u), {v: one})
                     term = mul(i, j - 1, {u: one}, C.diff(j).column(v))
                     k_axpy(rhs_vec, -1 if i % 2 else 1, term)
-                    rhs_coords = k_coords(rhs_vec, H.strand_index(n - 1, t))
+                    rhs_coords = k_coords(rhs_vec, strand_index(n - 1, t))
                     if not H.basis(n, t):
                         if rhs_coords:
                             unsolvable.append(((i, j), (u, v)))
@@ -194,7 +201,7 @@ def associativity_probe_ref(
                                         p, t_total, -1,
                                     )
                             const_coords = k_coords(
-                                const, H.strand_index(n, t_total)
+                                const, strand_index(n, t_total)
                             )
                             for k in set(rowmap) | set(const_coords):
                                 row = rowmap.get(k, {})

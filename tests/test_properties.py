@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from transverse import linalg
 from transverse.complexes import (
     BettiTable, GradedFreeComplex, Homology, betti_table, star_product,
-    strand_matrix,
+    strand_matrix, table_scalar,
 )
-from transverse.exterior import k_element
+from transverse.exterior import Element
 from transverse.fields import QQ, PrimeField
 from transverse.golod import KoszulHomology
 from transverse.ideals import MonomialIdeal, lcm_lattice
@@ -24,6 +24,7 @@ from transverse.resolutions import (
     betti_numbers, koszul_complex, minimal_resolution, taylor_complex,
 )
 
+from polynomial_elements import k_element
 from conftest import strand_dims_from_cells
 
 
@@ -156,6 +157,7 @@ def assert_blocks_match_strands(H, levels, degrees):
     express/is_boundary agree on the part of a strand vector in one block,
     and every block the support skips has zero homology."""
     ring = H.complex.ring
+    scalar = table_scalar(ring.field)
     full = Homology(H.complex, H.extra, H.keys)
 
     def keyed(G, i, basis):
@@ -202,16 +204,19 @@ def assert_blocks_match_strands(H, levels, degrees):
                 for c, a in v.items():
                     parts.setdefault(block_of(i, *full_basis[c]), {})[c] = a
                 for b, part in parts.items():
-                    x = k_element(part, full_basis, ring)
+                    # the part as an element of its block, keyed as H is
+                    x = Element(b, {
+                        full_basis[c][0]: scalar(a) for c, a in part.items()
+                    })
                     # the base method: QuotientTor.express takes exterior
                     # elements, and x is keyed by the Tate basis
-                    got = Homology.express(H, i, b, x)
-                    want = Homology.express(full, i, t, x)
+                    got = Homology.express(H, i, x)
+                    want = ref.express(part)
                     assert (got is None) == (want is None), (i, b)
                     if got is not None:
                         assert got == [w for w, o in zip(want, owner) if o == b]
                         assert not any(w for w, o in zip(want, owner) if o != b)
-                    assert H.is_boundary(i, b, x) == full.is_boundary(i, t, x)
+                    assert H.is_boundary(i, x) == ref.is_boundary(part)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None, database=None)

@@ -13,7 +13,8 @@ differentials, labels and meta, which the earlier complex stored) and
 - ``reference_koszul``, ``reference_taylor``, ``reference_truncation`` and
   ``reference_minimize`` (unit pruning with polynomial Schur updates);
 - ``reference_twisted_koszul`` applies ``k_diff`` and ``k_wedge`` to every
-  basis key of a Golod or Tate resolution;
+  basis key of a Golod or Tate resolution, with each twist value read as a
+  polynomial element (``polynomial_elements.as_polynomial``);
 - ``reference_validate`` checks homogeneity and d o d as a ``PolyMatrix``
   product, which drops killed monomials on the way.
 
@@ -49,7 +50,6 @@ from transverse.complexes import (
     validate_complex,
 )
 from transverse.errors import DomainError
-from transverse.exterior import k_acc, k_diff, k_wedge
 from transverse.fields import QQ, PrimeField
 from transverse.golod import golod_resolution
 from transverse.ideals import MonomialIdeal
@@ -58,6 +58,8 @@ from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
 from transverse.resolutions import (
     _subset_label, koszul_complex, minimize_complex, taylor_complex,
 )
+
+from polynomial_elements import as_polynomial, k_acc, k_diff, k_wedge
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
 NAMES = ("x1", "x2", "x3", "x4")
@@ -329,7 +331,8 @@ def reference_minimize(C):
 
 def reference_twisted_koszul(S, words, n_max, twist, word_label):
     """The polynomial twisted Koszul builder; ``words`` carry the internal
-    degree of each word."""
+    degree of each word, and the twist values are read as polynomial
+    elements."""
     n = S.nvars
     levels = [[] for _ in range(n_max + 1)]
     internal = {}
@@ -347,7 +350,7 @@ def reference_twisted_koszul(S, words, n_max, twist, word_label):
             twists[w] = twist(w)
         base = -1 if len(T) % 2 else 1
         for s, a, rest in twists[w]:
-            for U, p in k_wedge(front, a).items():
+            for U, p in k_wedge(front, as_polynomial(S, a)).items():
                 k_acc(out, (U, rest), p.scale(base * s))
         return out
 

@@ -32,12 +32,12 @@ from transverse.dg import (
     taylor_dg_product,
 )
 from transverse.errors import CertificationError, DomainError
-from transverse.exterior import KElement, k_acc
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
 from transverse.poly import Ring
 from transverse.resolutions import taylor_complex
 
+from polynomial_elements import KElement, k_acc
 from test_dg_certificate_reference import (
     certify_degree_one_ref,
     from_tables,
