@@ -362,6 +362,15 @@ def _extra_gens(Q) -> tuple[Monomial, ...]:
     return tuple(Q)
 
 
+def _lcm_closure(pts) -> list:
+    """The lcms of the nonempty subsets of ``pts``, sorted."""
+    out: set = set()
+    for p in sorted(pts):
+        out |= {tuple(map(max, p, c)) for c in out}
+        out.add(p)
+    return sorted(out)
+
+
 def strand_basis(C: GradedFreeComplex, i: int, t: int, extra=()):
     """Basis of the degree-t strand of (C (x) R/Q)_i as (generator, monomial)
     pairs, ordered by (generator, descending lex)."""
@@ -591,20 +600,21 @@ class Homology:
         of b is the largest cell point <= b, when there is one; otherwise
         no generator is present at b.
         """
+        pts, axes = self._grid(levels, points)
+        return list(product(*axes)) if self._kill else _lcm_closure(pts)
+
+    def _grid(self, levels, points) -> tuple:
+        """(pts, axes) of :meth:`cells`: the multidegrees that split the
+        cells, and per variable k the sorted thresholds p[k] + q[k], p in
+        ``pts``, q = 0 or q in gens(Q)."""
         pts = {m for i in levels for m in self.mdegs[i].values()}
         pts.update(points)
-        if not self._kill:
-            out: set = set()
-            for p in sorted(pts):
-                out |= {tuple(map(max, p, c)) for c in out}
-                out.add(p)
-            return sorted(out)
         shifts = [(0,) * self.complex.ring.nvars, *self._kill]
         axes = [
             sorted({p[k] + q[k] for p in pts for q in shifts})
             for k in range(self.complex.ring.nvars)
         ]
-        return list(product(*axes))
+        return pts, axes
 
     def cell_failures(self, lo: int, hi: int, points=()) -> list:
         """(i, b, dim H_i) for lo <= i <= hi wherever H_i is nonzero on a
@@ -612,10 +622,17 @@ class Homology:
         ordered by (i, |b|, b).
 
         H_i is constant on each cell, so this is H_i in every multidegree.
-        Which generators are present at b is read off bitsets per
-        variable, and each distinct presence is swept once; the rank of d_i
-        on a block depends only on the generators present in degrees i and
-        i - 1, and is taken once per such pair, on the scalar table.
+        Generator g is present at b when m_g <= b and, for no q in gens(Q),
+        m_g <= b - q; each of these is an AND over the variables of bitsets
+        looked up once per threshold of :meth:`cells`.  Over R/Q the grid
+        is walked depth first, one variable at a time, ANDing the bitsets
+        of each prefix; a prefix where no generator has m_g <= b has no
+        generator present in any cell below it, so none of those cells can
+        fail and the walk skips them.  Over R the lcm-closure points are
+        read with the same bitsets.  Each distinct presence is swept once;
+        the rank of d_i on a block depends only on the generators present
+        in degrees i and i - 1, and is taken once per such pair, on the
+        scalar table.
         """
         C = self.complex
         levels = range(max(lo - 1, 0), min(hi + 1, C.length) + 1)
@@ -624,10 +641,12 @@ class Homology:
         for i in levels:
             spans[i] = (start, (1 << len(self.mdegs[i])) - 1)
             start += len(self.mdegs[i])
-        # per variable k: the values of m_g[k], at index j the generators
-        # g with m_g[k] <= the j-th value (none at j = 0), and the lookups
-        axes = []
-        for k in range(C.ring.nvars):
+        pts, axes = self._grid(levels, points)
+        kill = self._kill
+        # per variable k, one step per threshold v: v, the generators g
+        # with m_g[k] <= v, and those with m_g[k] <= v - q[k] per q
+        steps = []
+        for k, values in enumerate(axes):
             vals, masks, acc = [], [0], 0
             for v, g in sorted((m[k], g) for g, m in enumerate(gens)):
                 acc |= 1 << g
@@ -636,15 +655,11 @@ class Homology:
                 else:
                     vals.append(v)
                     masks.append(acc)
-            axes.append((vals, masks, {}))
-
-        def below(c):
-            out = (1 << len(gens)) - 1
-            for (vals, masks, seen), v in zip(axes, c):
-                if v not in seen:
-                    seen[v] = masks[bisect_right(vals, v)]
-                out &= seen[v]
-            return out
+            steps.append([
+                (v, masks[bisect_right(vals, v)],
+                 [masks[bisect_right(vals, v - q[k])] for q in kill])
+                for v in values
+            ])
 
         def present_in(present):
             # the set bits alone: bit g is character g of the reversed string
@@ -662,18 +677,40 @@ class Homology:
             return ranks[key]
 
         failures, dims = [], {}  # dims: present -> [(i, dim H_i)]
-        for b in self.cells(levels, points):
-            present = below(b)
-            for q in self._kill:
-                if present:
-                    present &= ~below(tuple(map(sub, b, q)))
+
+        def sweep(b, present):
             if present not in dims:
                 bits = {i: present >> s & full for i, (s, full) in spans.items()}
                 dims[present] = [
                     (i, bits.get(i, 0).bit_count() - rank(i, bits) - rank(i + 1, bits))
                     for i in range(lo, hi + 1)
                 ]
-            failures += [(i, b, d) for i, d in dims[present] if d]
+            failures.extend((i, b, d) for i, d in dims[present] if d)
+
+        every = (1 << len(gens)) - 1
+
+        def walk(k, prefix, here, killed):
+            # here: the generators with m_g <= b on the variables before k;
+            # killed: per q, those with m_g <= b - q there
+            if k == len(steps):
+                for a in killed:
+                    here &= ~a
+                sweep(prefix, here)
+                return
+            for v, at, shifted in steps[k]:
+                if at := at & here:
+                    walk(k + 1, (*prefix, v), at,
+                         [a & s for a, s in zip(killed, shifted)])
+
+        if kill:
+            walk(0, (), every, [every] * len(kill))
+        else:
+            lookup = [{v: at for v, at, _ in step} for step in steps]
+            for b in _lcm_closure(pts):
+                present = every
+                for at, v in zip(lookup, b):
+                    present &= at[v]
+                sweep(b, present)
         return sorted(failures, key=lambda f: (f[0], sum(f[1]), f[1]))
 
     def stratum(self, i: int, s) -> StrandHomology:

@@ -24,6 +24,7 @@ from transverse.resolutions import (
     betti_numbers, koszul_complex, minimal_resolution, taylor_complex,
 )
 
+from cell_sweep_reference import reference_cell_failures
 from polynomial_elements import k_element
 from conftest import strand_dims_from_cells
 
@@ -318,6 +319,14 @@ def test_cells_match_whole_strands(case):
     D = max(sum(c) for c in cells) + 1
     want = {(i, t): d for i, t, d in strand_failures(C, Q, top, D)}
     assert strand_dims_from_cells(cells, failures, D) == want
+    # the walk of the grid equals the earlier per-cell sweep, also with the
+    # unit points and a range that leaves C_0 out
+    n = C.ring.nvars
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    for lo, points in ((0, ()), (0, units), (2, units)):
+        assert H.cell_failures(lo, top, points) == reference_cell_failures(
+            H, lo, top, points
+        )
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
