@@ -20,8 +20,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
-from operator import add, ge, sub
+from itertools import accumulate, product
+from operator import add, ge, or_, sub
 from re import finditer
 
 from . import linalg
@@ -622,13 +622,11 @@ class Homology:
         ordered by (i, |b|, b).
 
         H_i is constant on each cell, so this is H_i in every multidegree.
-        Generator g is present at b when m_g <= b and, for no q in gens(Q),
-        m_g <= b - q; each of these is an AND over the variables of bitsets
-        looked up once per threshold of :meth:`cells`.  Over R/Q the grid
-        is walked depth first, one variable at a time, ANDing the bitsets
-        of each prefix; a prefix where no generator has m_g <= b has no
-        generator present in any cell below it, so none of those cells can
-        fail and the walk skips them.  Over R the lcm-closure points are
+        Generator g is present at b when m_g <= b and m_g <= b - q for no q
+        in gens(Q): ANDs over the variables of bitsets looked up once per
+        threshold.  Over R/Q the grid is walked depth first, one variable
+        at a time, and a prefix where no generator has m_g <= b is skipped,
+        since no cell below it can fail; over R the lcm-closure points are
         read with the same bitsets.  Each distinct presence is swept once;
         the rank of d_i on a block depends only on the generators present
         in degrees i and i - 1, and is taken once per such pair, on the
@@ -644,17 +642,13 @@ class Homology:
         pts, axes = self._grid(levels, points)
         kill = self._kill
         # per variable k, one step per threshold v: v, the generators g
-        # with m_g[k] <= v, and those with m_g[k] <= v - q[k] per q
+        # with m_g[k] <= v, and those with m_g[k] <= v - q[k] per q; the
+        # first j generators in the order of m_g[k] are masks[j]
         steps = []
         for k, values in enumerate(axes):
-            vals, masks, acc = [], [0], 0
-            for v, g in sorted((m[k], g) for g, m in enumerate(gens)):
-                acc |= 1 << g
-                if vals and vals[-1] == v:
-                    masks[-1] = acc
-                else:
-                    vals.append(v)
-                    masks.append(acc)
+            order = sorted(range(len(gens)), key=lambda g: gens[g][k])
+            vals = [gens[g][k] for g in order]
+            masks = list(accumulate((1 << g for g in order), or_, initial=0))
             steps.append([
                 (v, masks[bisect_right(vals, v)],
                  [masks[bisect_right(vals, v - q[k])] for q in kill])
