@@ -42,6 +42,7 @@ COMMANDS = (
 
 DOCUMENT_KEYS = ("ring", "ideals", "command", "args", "format")
 RING_KEYS = ("vars", "field")
+FIELD_KEYS = ("prime",)
 # the args key that --bound sets, for the commands that take a bound
 BOUND_KEYS = dict.fromkeys(("golod", "obstruction", "injectivity-verify"), "n_max")
 BOUND_KEYS["associativity-probe"] = "bound"
@@ -88,7 +89,8 @@ def _refuse_unknown_keys(spec: dict, known: tuple, where: str) -> None:
 
 def parse_input(document, field_override=None) -> JobSpec:
     """Validate a job document (dict or JSON text) into a JobSpec; unknown
-    keys of the document or its ring are refused (those of args vary)."""
+    keys of the document, its ring or its field are refused (those of args
+    vary)."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -112,12 +114,10 @@ def parse_input(document, field_override=None) -> JobSpec:
     if field_spec == "rational":
         field = QQ
     elif isinstance(field_spec, dict) and "prime" in field_spec:
-        try:
-            p = int(field_spec["prime"])
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"ring.field.prime: expected an integer, got {field_spec['prime']!r}"
-            )
+        _refuse_unknown_keys(field_spec, FIELD_KEYS, "ring.field")
+        p = field_spec["prime"]
+        if type(p) is not int:
+            raise ParseError(f"ring.field.prime: expected an integer, got {p!r}")
         field = PrimeField(p)
     else:
         raise ParseError(

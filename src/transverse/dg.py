@@ -1,50 +1,67 @@
 """Multiplicative structures on resolutions.
 
-Every complex here is multigraded, so a product or module action is stored
-once, as the scalars of monomial matrices on basis pairs (see
-_MonomialMatrices); its polynomial tables are a read-only view.  All
-identities (Leibniz, square-zero, commutativity, associativity) are
-certified exactly on basis pairs/triples by comparing scalars.  Square-zero
-is a quadratic identity, so it is certified on the spanning set of
-generators (diagonal plus S_1 squares), which is exactly what the iterated
-star construction consumes.
+Every complex here is multigraded: a GradedFreeComplex holds the
+multidegrees ``mdegs`` of its generators and each differential as the
+scalars ``table(i)`` of monomial matrices (Miller-Sturmfels, Combinatorial
+Commutative Algebra, ch. 1).  So a product or module action is stored once,
+as scalars on basis pairs: its value at target f_w is one term
+c x^(m_u + m_v - m_w), with the monomial forced by the multidegrees.  Its
+polynomial tables are a read-only view.
+
+All identities (Leibniz, square-zero, commutativity, associativity) are
+certified exactly on basis pairs/triples as sums of scalars keyed by target
+generator, with one kill test per target (see _nonzero).  QQ scalars are
+ints where integral and Fractions otherwise; GF(p) scalars are the ints
+``FpElement.value``, reduced mod p only at the zero test.  Nothing divides,
+so every sum is exact.  Square-zero is a quadratic identity, so it is
+certified on the spanning set of generators (diagonal plus S_1 squares),
+which is exactly what the iterated star construction consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 
 from . import linalg
-from .complexes import GradedFreeComplex, star_basis, star_product, table_scalar
+from .complexes import (
+    GradedFreeComplex,
+    _killer,
+    _term,
+    star_basis,
+    star_product,
+    table_scalar,
+)
 from .errors import CertificationError, DomainError
 from .exterior import wedge_subsets
 from .ideals import MonomialIdeal, regular_sequence
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 from .resolutions import koszul_complex, lift_comparison_map, taylor_complex
 
 
 class _Product:
-    """A product on basis pairs of a multigraded complex, stored as the
-    scalars of its monomial matrices (see _MonomialMatrices):
+    """A product on basis pairs of a multigraded complex, stored as scalars:
     ``scalars[key][(u, v)]`` lists the (w, c) with
     f_u . f_v = sum_w c x^(m_u + m_v - m_w) f_w.  ``tables`` is the same
     product with polynomial values, a read-only view built when read.
+    Raises DomainError if the complex has a zero column (see
+    _refuse_zero_columns).
     """
 
-    def __init__(self, matrices: _MonomialMatrices, scalars: dict):
-        self.matrices = matrices
-        self.complex = matrices.complex
+    def __init__(self, C: GradedFreeComplex, scalars: dict):
+        _refuse_zero_columns(C)
+        self.complex = C
         self.scalars = scalars
 
     @cached_property
     def tables(self) -> dict:
         """key -> {(u, v): {w: Polynomial}}"""
-        M = self.matrices
+        C, md = self.complex, self.complex.mdegs
         out = {}
         for key, tab in self.scalars.items():
             i, j = self._bidegree(key)
-            out[key] = M.elements(i + j, tab, M.md[i], M.md[j])
+            out[key] = _elements(C, i + j, tab, md[i], md[j])
         return out
 
     def to_json(self) -> dict:
@@ -56,6 +73,62 @@ class _Product:
             ]
             for key, tab in sorted(self.tables.items())
         }
+
+
+def _refuse_zero_columns(C: GradedFreeComplex) -> None:
+    """Raise DomainError if some column of a differential of C is zero, such
+    as an entry of d_1 that R/Q kills: the identities read d(f) off the
+    columns."""
+    for i in range(1, C.length + 1):
+        cols = C.table(i)
+        for col in range(C.rank(i)):
+            if col not in cols:
+                raise DomainError(f"d_{i} column {col} is zero")
+
+
+def _elements(C: GradedFreeComplex, level: int, table: dict, left, right) -> dict:
+    """The polynomial values {(u, v): {w: c x^(left[u] + right[v] - m_w)}}
+    of the scalars ``table`` of a map into C_level; ``left`` and ``right``
+    give the multidegrees of the sources."""
+    ring, md = C.ring, C.mdegs
+    return {
+        (u, v): {
+            w: _term(ring, tuple(map(add, left[u], right[v])), md[level][w], c)
+            for w, c in terms
+        }
+        for (u, v), terms in table.items()
+    }
+
+
+def _exponents(m, sources) -> tuple:
+    """The multidegree of the product of ``sources`` (multidegree vectors)
+    minus m."""
+    return tuple(sum(s) - e for s, e in zip(zip(*sources), m))
+
+
+def _nonzero(C: GradedFreeComplex):
+    """The function ``nonzero(pairs, level, sources)``: the (w, c) of
+    ``pairs``, scalars keyed by generator of C_level in the multidegree of
+    the product of ``sources``, that are nonzero in R/Q, with c reduced mod
+    p.  The monomial at w is that multidegree minus m_w, so each target
+    takes one kill test.  A sum is zero in R/Q iff none is left.
+
+    It runs for every basis pair or triple of a certificate, so p and the
+    kill test are bound here, once per certificate or assembly, and not
+    looked up per target.
+    """
+    md, p = C.mdegs, getattr(C.ring.field, "p", 0)
+    killed = _killer(C.ring) if C.ring.modulus else None
+
+    def nonzero(pairs, level: int, sources) -> list:
+        out = []
+        for w, c in pairs:
+            c = c % p if p else c
+            if c and not (killed and killed(_exponents(md[level][w], sources))):
+                out.append((w, c))
+        return out
+
+    return nonzero
 
 
 class DegreeOneProduct(_Product):
@@ -94,9 +167,9 @@ class FullProduct(_Product):
         return self.tables.get((i, j), {}).get((u, v), {})
 
     def degree_one(self) -> DegreeOneProduct:
-        """The C_1 (x) C_j part, on the same matrices and scalars."""
+        """The C_1 (x) C_j part, on the same complex and scalars."""
         return DegreeOneProduct(
-            self.matrices, {j: tab for (i, j), tab in self.scalars.items() if i == 1}
+            self.complex, {j: tab for (i, j), tab in self.scalars.items() if i == 1}
         )
 
 
@@ -128,8 +201,7 @@ def _exterior_full_product(C: GradedFreeComplex) -> FullProduct:
     subset-indexed complex: the monomial is 1 on a Koszul complex and
     lcm_S lcm_T / lcm_{S u T} on a Taylor complex.  A pair whose monomial
     R/Q kills has no value."""
-    M = _MonomialMatrices(C)
-    md = M.md
+    md, nonzero = C.mdegs, _nonzero(C)
     subsets = C.meta["subsets"]
     index = [
         {S: k for k, S in enumerate(subsets[i])} for i in range(len(subsets))
@@ -145,13 +217,13 @@ def _exterior_full_product(C: GradedFreeComplex) -> FullProduct:
                     if st is None:
                         continue
                     sign, U = st
-                    terms = M.terms(
+                    terms = nonzero(
                         [(index[i + j][U], sign)], i + j, (md[i][u], md[j][v])
                     )
                     if terms:
                         tab[(u, v)] = terms
             scalars[(i, j)] = tab
-    return FullProduct(M, scalars)
+    return FullProduct(C, scalars)
 
 
 def koszul_dg_product(K: GradedFreeComplex) -> FullProduct:
@@ -178,92 +250,6 @@ def taylor_dg_product(I: MonomialIdeal, C: GradedFreeComplex | None = None) -> F
     return prod
 
 
-class _MonomialMatrices:
-    """The differentials of a multigraded complex, and products on it, as
-    monomial matrices (Miller-Sturmfels, Combinatorial Commutative Algebra,
-    ch. 1): every entry is one term c x^a with x^a forced by the
-    multidegrees, so an identity on a basis pair or triple is a sum of
-    scalars keyed by target generator.
-
-    QQ scalars are ints where integral and Fractions otherwise; GF(p)
-    scalars are the ints ``FpElement.value``, reduced mod p only at the zero
-    test.  Nothing divides, so every sum is exact.  A zero column, such as
-    an entry of d_1 that R/Q kills, is refused: the identities read d(f)
-    off the columns.
-    """
-
-    def __init__(self, C: GradedFreeComplex):
-        self.complex = C
-        self.md = C.mdegs
-        self.p = getattr(C.ring.field, "p", 0)
-        self.modulus = [g.exps for g in C.ring.modulus]
-        self.scalar = table_scalar(C.ring.field)
-        self.d: dict = {}  # i -> {col: [(row, c)]}, the tables of C
-        for i in range(1, C.length + 1):
-            cols = C.table(i)
-            for col in range(C.rank(i)):
-                if col not in cols:
-                    raise DomainError(f"d_{i} column {col} is zero")
-            self.d[i] = cols
-
-    def elements(self, level: int, table: dict, left, right) -> dict:
-        """The polynomial values {(u, v): {w: c x^(left[u] + right[v] - m_w)}}
-        of the scalars ``table`` of a map into C_level; ``left`` and
-        ``right`` give the multidegrees of the sources."""
-        md, ring = self.md, self.complex.ring
-        convert = ring.field.convert
-        return {
-            (u, v): {
-                w: Polynomial.from_monomial(ring, Monomial(tuple(
-                    a + b - e for a, b, e in zip(left[u], right[v], md[level][w])
-                )), convert(c))
-                for w, c in terms
-            }
-            for (u, v), terms in table.items()
-        }
-
-    def terms(self, pairs, level: int, sources) -> list:
-        """The (w, c) of ``pairs``, scalars keyed by generator of C_level in
-        the multidegree of ``sources``, that are nonzero in R/Q, with c
-        reduced mod p."""
-        p, out = self.p, []
-        for w, c in pairs:
-            c = c % p if p else c
-            if c and not self._killed(level, w, sources):
-                out.append((w, c))
-        return out
-
-    def vanishes(self, res: dict, level: int, sources) -> bool:
-        """True iff the sum with scalars ``res``, keyed by generator of
-        C_level, is zero in R/Q.  The sum lies in the multidegree of the
-        product of ``sources`` (multidegree vectors), so the monomial of
-        coefficient w is that minus m_w: one kill test per target."""
-        return not self.terms(res.items(), level, sources)
-
-    def support(self, level: int, sources) -> list:
-        """The generators w of C_level that a sum in the multidegree of the
-        product of ``sources`` can reach: those where that multidegree
-        minus m_w is a monomial and R/Q does not kill it."""
-        md = self.md
-        return [
-            w for w in range(len(md[level]) if level < len(md) else 0)
-            if min(self._exponents(level, w, sources)) >= 0
-            and not self._killed(level, w, sources)
-        ]
-
-    def _exponents(self, level: int, w: int, sources) -> list:
-        m = [-e for e in self.md[level][w]]
-        for s in sources:
-            m = [a + b for a, b in zip(m, s)]
-        return m
-
-    def _killed(self, level: int, w: int, sources) -> bool:
-        if not self.modulus:
-            return False
-        m = self._exponents(level, w, sources)
-        return any(all(a >= b for a, b in zip(m, g)) for g in self.modulus)
-
-
 def _axpy(res: dict, c, terms) -> None:
     """res += c * terms on scalars keyed by generator."""
     for w, e in terms:
@@ -272,17 +258,15 @@ def _axpy(res: dict, c, terms) -> None:
 
 def certify_full_dg(prod: FullProduct) -> ProductCertificate:
     """All four DG-algebra axioms plus associativity, exhaustively on basis
-    pairs and triples, on the scalars of the monomial matrices."""
-    C = prod.complex
-    top = C.length
-    M, P = prod.matrices, prod.scalars
-    d, md = M.d, M.md
+    pairs and triples, on the scalars of the product and the differentials."""
+    C, P = prod.complex, prod.scalars
+    top, md, nonzero = C.length, C.mdegs, _nonzero(C)
     cert = ProductCertificate()
     for i in range(0, top + 1):
         for j in range(0, top - i + 1):
             Pij, Pji = P.get((i, j), {}), P.get((j, i), {})
             Pdi, Pdj = P.get((i - 1, j), {}), P.get((i, j - 1), {})
-            d_ij, d_i, d_j = d.get(i + j, {}), d.get(i, {}), d.get(j, {})
+            d_ij, d_i, d_j = C.table(i + j), C.table(i), C.table(j)
             sign = 1 if i % 2 else -1
             comm = 1 if (i * j) % 2 else -1
             for u in range(C.rank(i)):
@@ -298,17 +282,30 @@ def certify_full_dg(prod: FullProduct) -> ProductCertificate:
                     for r, e in d_j.get(v, ()):
                         _axpy(res, sign * e, Pdj.get((u, r), ()))
                     sources = (md[i][u], md[j][v])
-                    if not M.vanishes(res, i + j - 1, sources):
+                    if nonzero(res.items(), i + j - 1, sources):
                         cert.leibniz_failures.append((i, j, u, v))
                     # graded commutativity: xy - (-1)^(ij) yx = 0
                     res = dict(uv)
                     _axpy(res, comm, Pji.get((v, u), ()))
-                    if not M.vanishes(res, i + j, sources):
+                    if nonzero(res.items(), i + j, sources):
                         cert.commutativity_failures.append((i, j, u, v))
             if i % 2 and i == j:
                 for u in range(C.rank(i)):
                     if Pij.get((u, u)):
                         cert.square_failures.append((i, u))
+    cert.associativity_failures, cert.checked_triples = _associator_sweep(
+        C, P, top, nonzero
+    )
+    return cert
+
+
+def _associator_sweep(C: GradedFreeComplex, P: dict, top: int, nonzero) -> tuple:
+    """The basis triples (i, j, k, u, v, w) with i, j, k >= 1 and
+    i + j + k <= top whose associator (f_u f_v) f_w - f_u (f_v f_w) is
+    nonzero in R/Q, in sweep order, and the number of triples swept.  ``P``
+    holds the product's scalars keyed by bidegree (i, j); ``nonzero`` is
+    ``_nonzero(C)``."""
+    md, failures, swept = C.mdegs, [], 0
     for i in range(1, top + 1):
         for j in range(1, top - i + 1):
             for k in range(1, top - i - j + 1):
@@ -318,37 +315,34 @@ def certify_full_dg(prod: FullProduct) -> ProductCertificate:
                     for v in range(C.rank(j)):
                         uv = Pij.get((u, v), ())
                         for w in range(C.rank(k)):
-                            cert.checked_triples += 1
+                            swept += 1
                             # (xy)z - x(yz) = 0
-                            res = {}
+                            res: dict = {}
                             for x, c in uv:
                                 _axpy(res, c, Pij_k.get((x, w), ()))
                             for x, c in Pjk.get((v, w), ()):
                                 _axpy(res, -c, Pi_jk.get((u, x), ()))
                             sources = (md[i][u], md[j][v], md[k][w])
-                            if not M.vanishes(res, i + j + k, sources):
-                                cert.associativity_failures.append(
-                                    (i, j, k, u, v, w)
-                                )
-    return cert
+                            if nonzero(res.items(), i + j + k, sources):
+                                failures.append((i, j, k, u, v, w))
+    return failures, swept
 
 
 def certify_degree_one(prod: DegreeOneProduct) -> ProductCertificate:
     """The two degree-one identities, exhaustively on basis pairs:
     (a) d(f1.fj) = d(f1) fj - f1.d(fj), and (b) f1.(f1.fj) = 0, together
     with the degree-one squares f1.f1 = 0 that iterated constructions need;
-    on the scalars of the monomial matrices."""
-    C = prod.complex
+    on the scalars of the product and the differentials."""
+    C, P = prod.complex, prod.scalars
     if C.rank(0) != 1:
         raise DomainError("degree-one certification expects C_0 = R")
-    top = C.length
-    M, P = prod.matrices, prod.scalars
-    d, md = M.d, M.md
-    alpha = [d[1][u][0][1] for u in range(C.rank(1))]
+    top, md, nonzero = C.length, C.mdegs, _nonzero(C)
+    d_1 = C.table(1)
+    alpha = [d_1[u][0][1] for u in range(C.rank(1))]
     cert = ProductCertificate()
     for j in range(1, top + 1):
         Pj, Pdown, Pup = P.get(j, {}), P.get(j - 1, {}), P.get(j + 1, {})
-        d_up, d_j = d.get(j + 1, {}), d[j]
+        d_up, d_j = C.table(j + 1), C.table(j)
         for u in range(C.rank(1)):
             a = alpha[u]
             for v in range(C.rank(j)):
@@ -363,12 +357,12 @@ def certify_degree_one(prod: DegreeOneProduct) -> ProductCertificate:
                 else:
                     for r, e in d_j.get(v, ()):
                         _axpy(res, e, Pdown.get((u, r), ()))
-                if not M.vanishes(res, j, (md[1][u], md[j][v])):
+                if nonzero(res.items(), j, (md[1][u], md[j][v])):
                     cert.leibniz_failures.append(("leibniz", j, u, v))
                 sq: dict = {}
                 for w, c in uv:
                     _axpy(sq, c, Pup.get((u, w), ()))
-                if not M.vanishes(sq, j + 2, (md[1][u], md[1][u], md[j][v])):
+                if nonzero(sq.items(), j + 2, (md[1][u], md[1][u], md[j][v])):
                     cert.square_failures.append(("square", j, u, v))
         if j == 1:
             for u in range(C.rank(1)):
@@ -392,24 +386,28 @@ def star_degree_one_product(
     (f1 (x) g1) . (fa (x) gb) = (-1)^a d(f1) fa (x) g1.gb,  plus
     d(gb) f1.fa (x) g1 when b = 1.
 
-    Inputs must satisfy the degree-one identities; the output is certified
-    the same way (exhaustively on basis pairs) before being returned.  The
-    table is assembled as scalars on the monomial matrices of F*G: the term
-    at target w is the product of the scalars of d(f1) or d(gb) and of the
-    input value, times x^(m_p + m_x - m_w).
+    Each input product must live on its factor (same multidegrees, else
+    DomainError) and satisfy the degree-one identities; the output is
+    certified the same way (exhaustively on basis pairs) before being
+    returned.  The table is assembled as scalars on F*G: the term at target
+    w is the product of the scalars of d(f1) or d(gb) and of the input
+    value, times x^(m_p + m_x - m_w).
     """
     prodF, prodG = prodF.degree_one(), prodG.degree_one()
-    for name, pr in (("left", prodF), ("right", prodG)):
+    for name, X, pr in (("left", F, prodF), ("right", G, prodG)):
+        if pr.complex.mdegs != X.mdegs:
+            raise DomainError(
+                f"{name} input product is not on the {name} factor's complex"
+            )
         if not pr.certificate.ok:
             raise CertificationError(
                 f"{name} input product fails the degree-one identities"
             )
     S = star_product(F, G)
-    M = _MonomialMatrices(S)
-    md = M.md
+    md, nonzero = S.mdegs, _nonzero(S)
     bases = {n: star_basis(F, G, n) for n in range(1, S.length + 1)}
     index = {n: {key: k for k, key in enumerate(bases[n])} for n in bases}
-    dF, dG = prodF.matrices.d[1], prodG.matrices.d[1]
+    dF, dG = prodF.complex.table(1), prodG.complex.table(1)
     PF, PG = prodF.scalars, prodG.scalars
     scalars: dict = {}
     for j in range(1, S.length + 1):
@@ -428,11 +426,11 @@ def star_degree_one_product(
                         found.append((target[(a + 1, 1, w, ug)], beta * q))
                 # the two cases land on (a, b + 1, ., .) and (a + 1, 1, ., .),
                 # so each target has one term; R/Q may kill its monomial
-                terms = M.terms(found, j + 1, (md[1][p_idx], md[j][x_idx]))
+                terms = nonzero(found, j + 1, (md[1][p_idx], md[j][x_idx]))
                 if terms:
                     tab[(p_idx, x_idx)] = terms
         scalars[j] = tab
-    prod = DegreeOneProduct(M, scalars)
+    prod = DegreeOneProduct(S, scalars)
     cert = prod.certificate
     if not cert.ok:
         raise CertificationError(
@@ -460,27 +458,25 @@ class ActionCertificate:
 @dataclass
 class ModuleAction:
     """A DG-module action of a Koszul complex K on a resolution C, stored
-    as monomial-matrix scalars: ``scalars[(i, j)][(S, v)]`` lists the
-    (w, c) with e_S * f_v = sum_w c x^(m_S + m_v - m_w) f_w, for e_S in K_i
-    and f_v in C_j.  ``tables`` is the polynomial view, built when read."""
+    as scalars: ``scalars[(i, j)][(S, v)]`` lists the (w, c) with
+    e_S * f_v = sum_w c x^(m_S + m_v - m_w) f_w, for e_S in K_i and f_v in
+    C_j.  ``tables`` is the polynomial view, built when read."""
 
     koszul: GradedFreeComplex
-    matrices: _MonomialMatrices
+    complex: GradedFreeComplex
     phi: list
     scalars: dict
     certificate: ActionCertificate
 
-    @property
-    def complex(self) -> GradedFreeComplex:
-        return self.matrices.complex
-
     @cached_property
     def tables(self) -> dict:
         """(i, j) -> {(subset, v): {w: Polynomial}}"""
-        M, subsets = self.matrices, self.koszul.meta["subsets"]
-        mK = self.koszul.mdegs
+        subsets, mK = self.koszul.meta["subsets"], self.koszul.mdegs
+        md = self.complex.mdegs
         return {
-            (i, j): M.elements(i + j, tab, dict(zip(subsets[i], mK[i])), M.md[j])
+            (i, j): _elements(
+                self.complex, i + j, tab, dict(zip(subsets[i], mK[i])), md[j]
+            )
             for (i, j), tab in self.scalars.items()
         }
 
@@ -495,14 +491,12 @@ def koszul_module_action(
     The extension is certified: the action kills the exterior relations on a
     spanning set (diagonal and polarized degree-one pairs) and satisfies the
     module Leibniz rule on all basis pairs.  Like the product, the action
-    works on monomial-matrix scalars: every value and identity is a sum of
-    scalars keyed by target generator, with one kill test per target.  C is
-    the complex of the product.
+    works on scalars: every value and identity is a sum of scalars keyed by
+    target generator, with one kill test per target.  C is the complex of
+    the product.
     """
-    prod = prod.degree_one()
-    M, P = prod.matrices, prod.scalars
-    d, md = M.d, M.md
-    ring = C.ring
+    P = prod.degree_one().scalars
+    md, nonzero, ring = C.mdegs, _nonzero(C), C.ring
     mons = regular_sequence(ring, elements)
     polys = [Polynomial.from_monomial(ring, m) for m in mons]
     for m, f in zip(mons, polys):
@@ -510,15 +504,16 @@ def koszul_module_action(
             raise DomainError(f"{f} is not in the resolved ideal")
     K = koszul_complex(polys)
     phi = lift_comparison_map(K, C)
-    MK = _MonomialMatrices(K)
-    subsets, mK = K.meta["subsets"], MK.md
+    _refuse_zero_columns(K)
+    subsets, mK = K.meta["subsets"], K.mdegs
     # the lift solves for phi_1(e_s) on the multidegree block of a_s, so
     # it lies there by construction: its entry at w is one term
     # c x^(mdeg a_s - m_w)
     phi1: list = [[] for _ in mons]
+    scalar = table_scalar(ring.field)
     for (w, s), f in phi[1].entries.items():
         (c,) = f.term_dict().values()
-        phi1[s].append((w, M.scalar(c)))
+        phi1[s].append((w, scalar(c)))
 
     def act(S: tuple, j: int, vec):
         """e_S * vec on (generator of C_j, scalar) pairs: e_s * f =
@@ -538,7 +533,7 @@ def koszul_module_action(
             tab = {}
             for S, mS in zip(subsets[i], mK[i]):
                 for v in range(C.rank(j)):
-                    terms = M.terms(act(S, j, [(v, 1)]), i + j, (mS, md[j][v]))
+                    terms = nonzero(act(S, j, [(v, 1)]), i + j, (mS, md[j][v]))
                     if terms:
                         tab[(S, v)] = terms
             if tab:
@@ -554,15 +549,15 @@ def koszul_module_action(
                     if s != s2:
                         _axpy(res, 1, act((s2, s), j, [(v, 1)]))
                     sources = (mK[1][s], mK[1][s2], md[j][v])
-                    if not M.vanishes(res, j + 2, sources):
+                    if nonzero(res.items(), j + 2, sources):
                         cert.relation_failures.append((s, s2, j, v))
     # module Leibniz: d(e_S * f) = d(e_S) * f + (-1)^|S| e_S * d(f)
     for i in range(1, K.length + 1):
-        sign = 1 if i % 2 else -1
+        sign, dK = 1 if i % 2 else -1, K.table(i)
         for j in range(1, C.length + 1):
             if i + j > C.length + 1:
                 continue
-            tab, d_ij = scalars.get((i, j), {}), d.get(i + j, {})
+            tab, d_ij, d_j = scalars.get((i, j), {}), C.table(i + j), C.table(j)
             lower, left = scalars.get((i - 1, j), {}), scalars.get((i, j - 1), {})
             for Sidx, (S, mS) in enumerate(zip(subsets[i], mK[i])):
                 for v in range(C.rank(j)):
@@ -570,7 +565,7 @@ def koszul_module_action(
                     res = {}
                     for w, c in tab.get((S, v), ()):
                         _axpy(res, c, d_ij.get(w, ()))
-                    for r, q in MK.d[i][Sidx]:
+                    for r, q in dK[Sidx]:
                         if i == 1:
                             res[v] = res.get(v, 0) - q
                         else:
@@ -578,14 +573,14 @@ def koszul_module_action(
                     if j == 1:
                         # d(f) lands in C_0 = R, where e_s acts on the unit
                         # as phi_1(e_s)
-                        ((_, beta),) = d[1][v]
+                        ((_, beta),) = d_j[v]
                         _axpy(res, sign * beta, act(S[:-1], 1, phi1[S[-1]]))
                     else:
-                        for r, e in d[j][v]:
+                        for r, e in d_j[v]:
                             _axpy(res, sign * e, left.get((S, r), ()))
-                    if not M.vanishes(res, i + j - 1, (mS, md[j][v])):
+                    if nonzero(res.items(), i + j - 1, (mS, md[j][v])):
                         cert.leibniz_failures.append((i, j, S, v))
-    return ModuleAction(K, M, phi, scalars, cert)
+    return ModuleAction(K, C, phi, scalars, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +631,7 @@ def associativity_probe(
     The unknowns are the scalars c_uvw of f_u.f_v = sum_w c_uvw
     x^(m_u + m_v - m_w) f_w, one per generator w of C_{i+j} whose monomial
     R/Q does not kill, and each constraint is a sum of scalars keyed by
-    target generator (see _MonomialMatrices).  C_0 = R acts as the unit.
+    target generator (see _nonzero).  C_0 = R acts as the unit.
     C is the complex of the product; raises DomainError unless C and the
     product are multigraded.
     """
@@ -645,10 +640,11 @@ def associativity_probe(
         bound = C.length + 1
     if bound <= 0:
         return ProbeReport(bound=bound, stages=[])
-    M = prod.matrices
-    d, md, p = M.d, M.md, M.p
+    md, p = C.mdegs, getattr(C.ring.field, "p", 0)
+    nonzero, killed = _nonzero(C), _killer(C.ring)
+    scalar = table_scalar(C.ring.field)
     known = {(1, j): tab for j, tab in prod.scalars.items()}
-    unit = {v: e for v, col in d.get(1, {}).items() for r, e in col if r == 0}
+    unit = {v: e for v, col in C.table(1).items() for r, e in col if r == 0}
 
     def value(i: int, j: int, u: int, v: int):
         return known.get((i, j), {}).get((u, v), ())
@@ -656,12 +652,23 @@ def associativity_probe(
     def reduced(c):
         return c % p if p else c
 
+    def support(level: int, sources) -> list:
+        """The generators w of C_level that a sum in the multidegree of the
+        product of ``sources`` can reach: those where that multidegree
+        minus m_w is a monomial and R/Q does not kill it."""
+        out = []
+        for w in range(C.rank(level)):
+            e = _exponents(md[level][w], sources)
+            if min(e) >= 0 and not killed(e):
+                out.append(w)
+        return out
+
     def emit(rows: list, rhs_of: dict, eqs: dict, rhs: dict, level: int, sources):
         """Append one row per target generator of C_level whose monomial
         R/Q does not kill; ``eqs`` holds its unknowns, ``rhs`` its right
         side."""
         for g in sorted(set(eqs) | set(rhs)):
-            if M._killed(level, g, sources):
+            if killed(_exponents(md[level][g], sources)):
                 continue
             row = {x: c for x, c in eqs.get(g, {}).items() if reduced(c)}
             c = reduced(rhs.get(g, 0))
@@ -679,7 +686,7 @@ def associativity_probe(
         for i, j in blocks:
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
-                    ws = M.support(n, (md[i][u], md[j][v]))
+                    ws = support(n, (md[i][u], md[j][v]))
                     unknowns[(i, j, u, v)] = {w: nvars + k for k, w in enumerate(ws)}
                     nvars += len(ws)
         rows: list = []
@@ -687,23 +694,23 @@ def associativity_probe(
         unsolvable = []
 
         # Leibniz: d(f_u.f_v) = d(f_u).f_v + (-1)^i f_u.d(f_v)
-        d_n = d.get(n, {})
+        d_n = C.table(n)
         for i, j in blocks:
-            sign = -1 if i % 2 else 1
+            sign, d_i, d_j = -1 if i % 2 else 1, C.table(i), C.table(j)
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
                     sources = (md[i][u], md[j][v])
                     rhs: dict = {}
-                    for r, e in d[i].get(u, ()):
+                    for r, e in d_i.get(u, ()):
                         _axpy(rhs, e, value(i - 1, j, r, v))
                     if j == 1:
                         rhs[u] = rhs.get(u, 0) + sign * unit.get(v, 0)
                     else:
-                        for r, e in d[j].get(v, ()):
+                        for r, e in d_j.get(v, ()):
                             _axpy(rhs, sign * e, value(i, j - 1, u, r))
                     cols = unknowns[(i, j, u, v)]
                     if not cols:
-                        if not M.vanishes(rhs, n - 1, sources):
+                        if nonzero(rhs.items(), n - 1, sources):
                             unsolvable.append(((i, j), (u, v)))
                         continue
                     eqs: dict = {}
@@ -752,28 +759,15 @@ def associativity_probe(
         for block in blocks:
             known[block] = {}
         for (i, j, u, v), cols in unknowns.items():
-            terms = [(w, M.scalar(sol[x])) for w, x in cols.items() if x in sol]
+            terms = [(w, scalar(sol[x])) for w, x in cols.items() if x in sol]
             if terms:
                 known[(i, j)][(u, v)] = terms
         stages.append(ProbeStage(n, blocks, nvars, assoc_enforced, unsolvable))
 
-    report = ProbeReport(bound=bound, stages=stages)
-    for a in range(1, bound - 1):
-        for b in range(1, bound - a):
-            for c_deg in range(1, bound - a - b + 1):
-                for x in range(C.rank(a)):
-                    for y in range(C.rank(b)):
-                        xy = value(a, b, x, y)
-                        for z in range(C.rank(c_deg)):
-                            report.tested_triples += 1
-                            res: dict = {}
-                            for w, s in xy:
-                                _axpy(res, s, value(a + b, c_deg, w, z))
-                            for w, s in value(b, c_deg, y, z):
-                                _axpy(res, -s, value(a, b + c_deg, x, w))
-                            sources = (md[a][x], md[b][y], md[c_deg][z])
-                            if not M.vanishes(res, a + b + c_deg, sources):
-                                report.residual_triples.append(
-                                    ((a, b, c_deg), (x, y, z))
-                                )
-    return report
+    failures, tested = _associator_sweep(C, known, bound, nonzero)
+    return ProbeReport(
+        bound=bound,
+        stages=stages,
+        tested_triples=tested,
+        residual_triples=[((i, j, k), (u, v, w)) for i, j, k, u, v, w in failures],
+    )

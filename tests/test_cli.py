@@ -270,6 +270,20 @@ class TestInputErrorsExitTwo:
         doc["ring"] = {"vars": ["x1", "x2", "x3", "x4"], "field": {"prime": "q"}}
         assert "ring.field.prime" in self.run(tmp_path, capsys, doc)
 
+    @pytest.mark.parametrize("prime", [2.5, 7.0, "7", True, None, [7]])
+    def test_document_prime_not_an_integer(self, tmp_path, capsys, prime):
+        # only a JSON integer is a prime, as for args.n_max: 2.5 must not
+        # run over GF(2), nor "7" or 7.0 over GF(7)
+        doc = job("koszul-homology", {"ideal": "I"})
+        doc["ring"] = {"vars": ["x1", "x2", "x3", "x4"], "field": {"prime": prime}}
+        assert "ring.field.prime" in self.run(tmp_path, capsys, doc)
+
+    def test_document_field_unknown_key(self, tmp_path, capsys):
+        doc = job("koszul-homology", {"ideal": "I"})
+        doc["ring"] = {"vars": ["x1", "x2", "x3", "x4"],
+                       "field": {"prime": 7, "bogus": 1}}
+        assert "ring.field: unknown key 'bogus'" in self.run(tmp_path, capsys, doc)
+
     def test_n_max_as_string(self, tmp_path, capsys):
         doc = job("golod", {"left": "I", "right": "J", "n_max": "5"})
         assert "args.n_max" in self.run(tmp_path, capsys, doc)
