@@ -1,21 +1,16 @@
 """Multiplicative structures on resolutions.
 
-Every complex here is multigraded: a GradedFreeComplex holds the
-multidegrees ``mdegs`` of its generators and each differential as the
-scalars ``table(i)`` of monomial matrices (Miller-Sturmfels, Combinatorial
-Commutative Algebra, ch. 1).  So a product or module action is stored once,
-as scalars on basis pairs: its value at target f_w is one term
-c x^(m_u + m_v - m_w), with the monomial forced by the multidegrees.  Its
-polynomial tables are a read-only view.
-
-All identities (Leibniz, square-zero, commutativity, associativity) are
+Every complex here is multigraded, with its differentials stored as the
+scalars ``table(i)`` of monomial matrices over the multidegrees ``mdegs``.
+So a product or module action is stored once, as scalars on basis pairs
+read the same way; its polynomial tables are a read-only view.  All
+identities (Leibniz, square-zero, commutativity, associativity) are
 certified exactly on basis pairs/triples as sums of scalars keyed by target
-generator, with one kill test per target (see _nonzero).  QQ scalars are
-ints where integral and Fractions otherwise; GF(p) scalars are the ints
-``FpElement.value``, reduced mod p only at the zero test.  Nothing divides,
-so every sum is exact.  Square-zero is a quadratic identity, so it is
-certified on the spanning set of generators (diagonal plus S_1 squares),
-which is exactly what the iterated star construction consumes.
+generator (see _nonzero).  GF(p) scalars are reduced mod p only at the zero
+test and nothing divides, so every sum is exact.  Square-zero is a
+quadratic identity, so it is certified on the spanning set of generators
+(diagonal plus S_1 squares), which is exactly what the iterated star
+construction consumes.
 """
 
 from __future__ import annotations
@@ -111,11 +106,8 @@ def _nonzero(C: GradedFreeComplex):
     ``pairs``, scalars keyed by generator of C_level in the multidegree of
     the product of ``sources``, that are nonzero in R/Q, with c reduced mod
     p.  The monomial at w is that multidegree minus m_w, so each target
-    takes one kill test.  A sum is zero in R/Q iff none is left.
-
-    It runs for every basis pair or triple of a certificate, so p and the
-    kill test are bound here, once per certificate or assembly, and not
-    looked up per target.
+    takes one kill test.  A sum is zero in R/Q iff none is left.  p and the
+    kill test are bound once per certificate or assembly, not per target.
     """
     md, p = C.mdegs, getattr(C.ring.field, "p", 0)
     killed = _killer(C.ring) if C.ring.modulus else None
@@ -493,8 +485,10 @@ def koszul_module_action(
     module Leibniz rule on all basis pairs.  Like the product, the action
     works on scalars: every value and identity is a sum of scalars keyed by
     target generator, with one kill test per target.  C is the complex of
-    the product.
+    the product; raises DomainError unless their multidegrees agree.
     """
+    if prod.complex.mdegs != C.mdegs:
+        raise DomainError("the product is not on the complex it acts on")
     P = prod.degree_one().scalars
     md, nonzero, ring = C.mdegs, _nonzero(C), C.ring
     mons = regular_sequence(ring, elements)
@@ -632,9 +626,11 @@ def associativity_probe(
     x^(m_u + m_v - m_w) f_w, one per generator w of C_{i+j} whose monomial
     R/Q does not kill, and each constraint is a sum of scalars keyed by
     target generator (see _nonzero).  C_0 = R acts as the unit.
-    C is the complex of the product; raises DomainError unless C and the
-    product are multigraded.
+    C is the complex of the product; raises DomainError unless their
+    multidegrees agree.
     """
+    if prod.complex.mdegs != C.mdegs:
+        raise DomainError("the product is not on the probed complex")
     prod = prod.degree_one()
     if bound is None:
         bound = C.length + 1

@@ -494,7 +494,9 @@ class TestMultigrading:
 
     def test_product_on_another_complex(self):
         # F = Taylor of (x1^2, x1*x2), G = Koszul on x3, x4, x5: with the two
-        # products swapped, each lives on the other factor's complex
+        # products swapped, each lives on the other factor's complex; a
+        # module action or probe of G with the product of F is no
+        # certified failure either
         R5 = Ring(("x1", "x2", "x3", "x4", "x5"))
         I = ideal(R5, "x1^2", "x1*x2")
         F, G = taylor_complex(I), koszul_complex(_vars(R5, 2, 3, 4))
@@ -504,6 +506,12 @@ class TestMultigrading:
         )
         assert "right input product" in self._refused(
             lambda: star_degree_one_product(F, G, prodF, prodF)
+        )
+        assert "acts on" in self._refused(
+            lambda: koszul_module_action(G, prodF, [_mono(R5, "x3")])
+        )
+        assert "probed complex" in self._refused(
+            lambda: associativity_probe(G, prodF)
         )
 
     def test_empty_column(self, R4):
