@@ -7,7 +7,9 @@ no report prints: degree-one product tables, the Golod and Tate complexes
 (a minimal one, a non-minimal one and one over an empty sequence), the
 Koszul, Taylor (with a redundant generator), tensor and star complexes,
 Koszul class representatives, comparison maps and module-action tables,
-and the associativity probe's findings.
+and the associativity probe's findings.  The GF(p) cases run the jobs whose
+reports hold scalars over GF(2), GF(3) and GF(32003), and a comparison map,
+Koszul class representatives and a star degree-one product table over GF(3).
 
 A refactor that changes no algorithm, basis order or canonical choice must
 leave every digest unchanged, so the digests are never edited; print the
@@ -21,6 +23,7 @@ import pytest
 
 from transverse.cli import COMMANDS, cmd_dispatch, parse_input, render_report
 from transverse.complexes import complex_to_json, star_product, tensor_complexes
+from transverse.fields import QQ, PrimeField
 from transverse.dg import (
     associativity_probe,
     koszul_dg_product,
@@ -32,7 +35,12 @@ from transverse.golod import golod_resolution, koszul_homology
 from transverse.ideals import ideal_product, is_sequentially_transverse
 from transverse.obstructions import tate_resolution
 from transverse.poly import Polynomial, Ring
-from transverse.resolutions import koszul_complex, taylor_complex
+from transverse.resolutions import (
+    koszul_complex,
+    lift_comparison_map,
+    minimal_resolution,
+    taylor_complex,
+)
 
 from conftest import ideal
 from polynomial_elements import as_polynomial
@@ -88,10 +96,17 @@ JOBS = {
 }
 
 
-def _run_job(command: str) -> str:
+# the commands whose reports hold scalars, run again over these primes
+PRIME_COMMANDS = (
+    "resolve", "star-resolve", "koszul-homology", "module-action", "obstruction",
+)
+PRIMES = (2, 3, 32003)
+
+
+def _run_job(command: str, field="rational") -> str:
     names, ideals, args = JOBS[command]
     spec = parse_input({
-        "ring": {"vars": names, "field": "rational"},
+        "ring": {"vars": names, "field": field},
         "ideals": ideals,
         "command": command,
         "args": args,
@@ -114,8 +129,8 @@ def _vec(v: dict) -> dict:
     return {str(k): str(p) for k, p in sorted(v.items())}
 
 
-def _star_triple() -> str:
-    R = Ring(tuple(VARS5))
+def _star_triple(field=QQ) -> str:
+    R = Ring(tuple(VARS5), field)
     ideals = [ideal(R, "x1^2", "x1*x2"), ideal(R, "x3", "x4"), ideal(R, "x5^2")]
     assert is_sequentially_transverse(ideals)
     C = taylor_complex(ideals[0])
@@ -179,8 +194,8 @@ def _taylor_redundant() -> str:
     return _dumps(complex_to_json(taylor_complex(I, gens=gens)))
 
 
-def _koszul_reps() -> str:
-    R = Ring(tuple(VARS4))
+def _koszul_reps(field=QQ) -> str:
+    R = Ring(tuple(VARS4), field)
     IJ = ideal_product(ideal(R, "x1^2", "x1*x2"), ideal(R, "x3", "x4^2"))
     H = koszul_homology(IJ)
     return _dumps([
@@ -188,6 +203,16 @@ def _koszul_reps() -> str:
          [[list(S), str(p)] for S, p in sorted(as_polynomial(R, c.rep).items())]]
         for c in H.classes
     ])
+
+
+def _comparison_map(field) -> str:
+    R = Ring(tuple(VARS4), field)
+    I = ideal(R, "x1^2", "x1*x2", "x2*x3")
+    # the sequence against the generator order, so phi_2 carries -1 = 2
+    K = koszul_complex([Polynomial.from_monomial(R, R.parse_monomial(g))
+                        for g in ("x2*x3", "x1^2")])
+    phi = lift_comparison_map(K, minimal_resolution(I))
+    return _dumps([_matrix(A) for A in phi])
 
 
 def _module_action() -> str:
@@ -243,6 +268,9 @@ OBJECTS = {
     "koszul_representatives": _koszul_reps,
     "module_action": _module_action,
     "associativity_probe": _probe,
+    "gf3_comparison_map": lambda: _comparison_map(PrimeField(3)),
+    "gf3_koszul_representatives": lambda: _koszul_reps(PrimeField(3)),
+    "gf3_star_degree_one_triple": lambda: _star_triple(PrimeField(3)),
 }
 
 DIGESTS = {
@@ -257,7 +285,25 @@ DIGESTS = {
     "cli:obstruction": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
     "cli:injectivity-verify": "275742692612ad4d807b7886b196d43f865e299b0abcb61387ebaba3de84d54d",
     "cli:associativity-probe": "9ecb8da0017ed3dc47e1c8bc72a39b58f3460c257ce6f930d963dcc5f9d5aa80",
+    "cli:resolve:GF(2)": "d95a3846014443b467fd67d2e43f4e68ee76b4c2c5764b6c572e47d428ca4b84",
+    "cli:resolve:GF(3)": "1e6524bae204bbeaa936db7716d20b841b35b9c2ace5c6253cd54ebe7f7f5eb0",
+    "cli:resolve:GF(32003)": "b1e98fadf06362629e93f72d3b610b65d0a33064a08397e9e4d816b83b73bb29",
+    "cli:star-resolve:GF(2)": "bcbe0bd64c01d02ed5eb95b1d3d76aba51ae0a9c30517a81cff4d5f26fcb648d",
+    "cli:star-resolve:GF(3)": "66d7d097578cf33055285b3e6aff01e74379709ea5bbd45689712e738005b5a2",
+    "cli:star-resolve:GF(32003)": "205dca2a833b0452bb4ad05ced0093304393abebbc194ef319eb7ea8d4f5299d",
+    "cli:koszul-homology:GF(2)": "b49f79f1f95ed21e7e4bffa32b5d0365a49622f5f789e7412daf2ed59edf3135",
+    "cli:koszul-homology:GF(3)": "b49f79f1f95ed21e7e4bffa32b5d0365a49622f5f789e7412daf2ed59edf3135",
+    "cli:koszul-homology:GF(32003)": "b49f79f1f95ed21e7e4bffa32b5d0365a49622f5f789e7412daf2ed59edf3135",
+    "cli:module-action:GF(2)": "89c5fad9726d386686d1980b05f1e687871d555b3d497f3c1f0f1ce0f386f0de",
+    "cli:module-action:GF(3)": "89c5fad9726d386686d1980b05f1e687871d555b3d497f3c1f0f1ce0f386f0de",
+    "cli:module-action:GF(32003)": "89c5fad9726d386686d1980b05f1e687871d555b3d497f3c1f0f1ce0f386f0de",
+    "cli:obstruction:GF(2)": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
+    "cli:obstruction:GF(3)": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
+    "cli:obstruction:GF(32003)": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
     "obj:associativity_probe": "019b6fe10137ccfd46ecac0beaa0e1ce9d172cf7574b1446e68527dc297d98df",
+    "obj:gf3_comparison_map": "2c1157d61dc44ef4a8c5a90bdf05fd44c858687f38746b479c610d978e47db12",
+    "obj:gf3_koszul_representatives": "d8bf4e07e2d40280be8ab2b00e772ea9f1b5a70c94ce6614fc0450e80c5a6484",
+    "obj:gf3_star_degree_one_triple": "800d57dc1d77082ace60de46706b42d0c12102c67a514dfa3b273ca0cb841e5d",
     "obj:golod_resolution_flagship": "49372344b27926061a5360db86b3d099cb5649412bf73e35327d0ea1c5edf124",
     "obj:koszul_mixed_degrees": "95d55551ba1f66c2ef9f1aca6a361a60672ed47dcdbbd8101fba4505a6050510",
     "obj:koszul_representatives": "c408e6d4b6e10cc257072bb019995401df61d5b6e99babcabba8a329d59052c6",
@@ -285,6 +331,12 @@ def test_command_report_unchanged(command):
     assert _digest(_run_job(command)) == DIGESTS[f"cli:{command}"]
 
 
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("command", PRIME_COMMANDS)
+def test_prime_field_report_unchanged(command, p):
+    assert _digest(_run_job(command, {"prime": p})) == DIGESTS[f"cli:{command}:GF({p})"]
+
+
 @pytest.mark.parametrize("name", sorted(OBJECTS))
 def test_object_unchanged(name):
     assert _digest(OBJECTS[name]()) == DIGESTS[f"obj:{name}"]
@@ -293,5 +345,9 @@ def test_object_unchanged(name):
 if __name__ == "__main__":
     for command in COMMANDS:
         print(f'    "cli:{command}": "{_digest(_run_job(command))}",')
+    for command in PRIME_COMMANDS:
+        for p in PRIMES:
+            digest = _digest(_run_job(command, {"prime": p}))
+            print(f'    "cli:{command}:GF({p})": "{digest}",')
     for name in sorted(OBJECTS):
         print(f'    "obj:{name}": "{_digest(OBJECTS[name]())}",')
