@@ -18,7 +18,7 @@ from .complexes import (
     validate_complex,
     verify_resolution,
 )
-from .fields import QQ, FpElement, PrimeField
+from .fields import QQ, PrimeField
 from .golod import (
     golod_poincare,
     golod_resolution,

@@ -365,10 +365,7 @@ def cmd_dispatch(spec: JobSpec):
         if star is None:
             return {"command": spec.command, **_NOT_TRANSVERSE}, 1
         C, prod = star
-        from .poly import Polynomial
-
-        elems = [Polynomial.from_monomial(spec.ring, m) for m in ci]
-        action = dg.koszul_module_action(C, prod, elems)
+        action = dg.koszul_module_action(C, prod, ci)
         cert = action.certificate
         report = {
             "command": "module-action",

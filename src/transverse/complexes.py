@@ -26,7 +26,7 @@ from re import finditer
 
 from . import linalg
 from .errors import DimensionError, DomainError, RingMismatchError
-from .fields import field_to_json
+from .fields import PrimeField, field_to_json
 from .ideals import MonomialIdeal
 from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
 
@@ -135,12 +135,11 @@ class GradedFreeComplex:
 
 
 def table_scalar(field):
-    """The map from a scalar of ``field`` (or an int) to its form in a
-    table: a GF(p) element as its int value in [0, p), a rational as an
-    int where it is integral."""
-    p = getattr(field, "p", 0)
-    if p:
-        return lambda c: (c if type(c) is int else c.value) % p
+    """The map from a scalar of ``field`` (an int or a Fraction) to its
+    form in a table: over GF(p) the int in [0, p) of
+    :meth:`PrimeField.scalar`, over QQ an int where it is integral."""
+    if isinstance(field, PrimeField):
+        return field.scalar
     return lambda c: c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 

@@ -1,9 +1,9 @@
 """Exact coefficient arithmetic: arbitrary-precision rationals and prime fields.
 
-Every scalar in the package is either a ``fractions.Fraction`` (rational
-backend, the default and the ground truth) or an :class:`FpElement` (prime
-field backend, faster on large strands).  There is no floating point
-anywhere.
+Over the rationals (the default and the ground truth) a scalar is an
+``int`` or a ``fractions.Fraction``.  Over GF(p) it is an ``int`` in
+[0, p), and :meth:`PrimeField.scalar` is the one rule that brings an int or
+a Fraction there.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,86 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-
-
-class FpElement:
-    """An element of GF(p), stored as the canonical representative in [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise DomainError(f"mixed prime moduli {self.p} and {other.p}")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return FpElement(self.value * pow(o.value, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return str(self.value)
 
 
 def _is_prime(p: int) -> bool:
@@ -107,19 +27,12 @@ def _is_prime(p: int) -> bool:
 
 
 class Rationals:
-    """The field of rationals; elements are ``fractions.Fraction``."""
+    """The field of rationals; elements are ints and ``fractions.Fraction``."""
 
     name = "rational"
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
-
-    def convert(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise DomainError(f"cannot interpret {x!r} as a rational")
 
     @property
     def zero(self) -> Fraction:
@@ -140,7 +53,7 @@ class Rationals:
 
 
 class PrimeField:
-    """GF(p) for a prime p; elements are :class:`FpElement`."""
+    """GF(p) for a prime p; elements are ints in [0, p)."""
 
     def __init__(self, p: int = 32003):
         if not _is_prime(p):
@@ -148,29 +61,28 @@ class PrimeField:
         self.p = p
         self.name = f"GF({p})"
 
-    def from_int(self, n: int) -> FpElement:
-        return FpElement(n, self.p)
-
-    def convert(self, x) -> FpElement:
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise DomainError(f"mixed prime moduli {self.p} and {x.p}")
-            return x
+    def scalar(self, x) -> int:
+        """x in GF(p) as the int in [0, p): an int reduced mod p, a
+        Fraction n/d read exactly as n times the inverse of d.  Raises
+        DomainError when d vanishes mod p or x is neither."""
+        p = self.p
         if isinstance(x, int):
-            return FpElement(x, self.p)
+            return x % p
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise DomainError(f"denominator of {x} vanishes mod {self.p}")
-            return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
-        raise DomainError(f"cannot interpret {x!r} in GF({self.p})")
+            if not x.denominator % p:
+                raise DomainError(f"denominator of {x} vanishes mod {p}")
+            return x.numerator * pow(x.denominator, -1, p) % p
+        raise DomainError(f"cannot interpret {x!r} in GF({p})")
+
+    from_int = scalar
 
     @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
+    def one(self) -> int:
+        return 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

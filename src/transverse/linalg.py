@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import FpElement, PrimeField, QQ
+from .fields import PrimeField, QQ
 
 
 @dataclass
@@ -40,9 +40,12 @@ class EchelonForm:
         Each row vanishes at every other pivot, so subtracting it changes no
         other pivot coordinate: only the pivots in the support of ``vec``
         need a visit, in ascending order as a full sweep would make them.
+        Over GF(p) the result is reduced mod p.
         """
-        v = dict(vec)
         row_at = self.row_at
+        if isinstance(self.field, PrimeField):
+            return _reduce_prime(vec, row_at, self.field)
+        v = dict(vec)
         for p in sorted(c for c in vec if c in row_at):
             c = v[p]
             if not c:
@@ -57,6 +60,21 @@ class EchelonForm:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
+
+
+def _reduce_prime(vec: dict, row_at: dict, field: PrimeField) -> dict:
+    """:meth:`EchelonForm.reduce` over GF(p)."""
+    p, scalar = field.p, field.scalar
+    v = {col: s for col, val in vec.items() if (s := scalar(val))}
+    for q in sorted(col for col in v if col in row_at):
+        c = v[q]
+        for col, val in row_at[q].items():
+            s = (v.get(col, 0) - c * val) % p
+            if s:
+                v[col] = s
+            else:
+                v.pop(col, None)
+    return v
 
 
 def _int_row(row: dict) -> dict[int, int]:
@@ -108,14 +126,11 @@ def _forward_rational(rows) -> dict[int, dict]:
     return pivrows
 
 
-def _forward_prime(rows, p: int) -> dict[int, dict]:
+def _forward_prime(rows, field: PrimeField) -> dict[int, dict]:
+    p, scalar = field.p, field.scalar
     pivrows: dict[int, dict] = {}
     for raw in rows:
-        row = {}
-        for c, v in raw.items():
-            iv = (v.value if isinstance(v, FpElement) else int(v)) % p
-            if iv:
-                row[c] = iv
+        row = {c: s for c, v in raw.items() if (s := scalar(v))}
         while row:
             c = min(row)
             piv = pivrows.get(c)
@@ -136,7 +151,7 @@ def _forward_prime(rows, p: int) -> dict[int, dict]:
 def rank(rows, field=QQ) -> int:
     """Rank via forward elimination only."""
     if isinstance(field, PrimeField):
-        return len(_forward_prime(rows, field.p))
+        return len(_forward_prime(rows, field))
     return len(_forward_rational(rows))
 
 
@@ -144,7 +159,7 @@ def echelon(rows, ncols: int, field=QQ) -> EchelonForm:
     """The unique RREF of the span of ``rows``."""
     if isinstance(field, PrimeField):
         p = field.p
-        pivrows = _forward_prime(rows, p)
+        pivrows = _forward_prime(rows, field)
         pivots = sorted(pivrows)
         # back-reduce, descending pivot order
         for pc in reversed(pivots):
@@ -159,10 +174,7 @@ def echelon(rows, ncols: int, field=QQ) -> EchelonForm:
                         row[k] = s
                     else:
                         row.pop(k, None)
-        out = [
-            {c: FpElement(v, p) for c, v in pivrows[pc].items()} for pc in pivots
-        ]
-        return EchelonForm(ncols, pivots, out, field)
+        return EchelonForm(ncols, pivots, [pivrows[pc] for pc in pivots], field)
 
     pivrows = _forward_rational(rows)
     pivots = sorted(pivrows)

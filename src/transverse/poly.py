@@ -227,12 +227,16 @@ class Polynomial:
     """A sparse polynomial: finite map monomial -> nonzero scalar.
 
     Construction drops zero coefficients and monomials that vanish in the
-    ring (quotient by a monomial ideal), so values are always canonical.
+    ring (quotient by a monomial ideal), and over GF(p) brings each
+    coefficient into [0, p) by :meth:`PrimeField.scalar`, so values are
+    always canonical.
     """
 
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: Ring, terms: dict):
+        if isinstance(ring.field, PrimeField):
+            terms = {m: ring.field.scalar(c) for m, c in terms.items()}
         clean = {}
         for m, c in terms.items():
             if not c:
@@ -253,8 +257,6 @@ class Polynomial:
 
     @classmethod
     def from_monomial(cls, ring: Ring, m: Monomial, coeff=1) -> "Polynomial":
-        if isinstance(coeff, int):
-            coeff = ring.field.from_int(coeff)
         return cls(ring, {m: coeff})
 
     @property
@@ -280,9 +282,6 @@ class Polynomial:
             return degs.pop()
         return None
 
-    def max_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=-1)
-
     def _check_ring(self, other: "Polynomial"):
         if self.ring != other.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
@@ -305,8 +304,6 @@ class Polynomial:
         return Polynomial(self.ring, {m: -c for m, c in self._terms.items()})
 
     def scale(self, c) -> "Polynomial":
-        if isinstance(c, int):
-            c = self.ring.field.from_int(c)
         if not c:
             return Polynomial.zero(self.ring)
         return Polynomial(self.ring, {m: c * v for m, v in self._terms.items()})
@@ -328,9 +325,6 @@ class Polynomial:
                 else:
                     acc.pop(m, None)
         return Polynomial(self.ring, acc)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -74,7 +74,7 @@ def k_diff(ring: Ring, x: KElement) -> KElement:
 def k_with_ring(x: KElement, ring: Ring) -> KElement:
     out = {}
     for S, p in x.items():
-        q = Polynomial(ring, {m: ring.field.convert(c) for m, c in p.term_dict().items()})
+        q = Polynomial(ring, p.term_dict())
         if not q.is_zero:
             out[S] = q
     return out
@@ -107,6 +107,6 @@ def as_polynomial(ring: Ring, x: Element) -> KElement:
     return {
         S: Polynomial(ring, {Monomial(tuple(
             e - (k in S) for k, e in enumerate(x.b)
-        )): ring.field.convert(s)})
+        )): s})
         for S, s in x.terms.items()
     }

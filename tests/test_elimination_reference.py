@@ -35,12 +35,15 @@ FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
 def reduce_ref(ech, vec):
     """Subtract the projection of ``vec``, sweeping every pivot."""
     v = dict(vec)
+    prime = getattr(ech.field, "p", 0)
     for p, row in zip(ech.pivots, ech.rows):
         c = v.get(p)
         if not c:
             continue
         for col, val in row.items():
             s = v.get(col, 0) - c * val
+            if prime:
+                s %= prime
             if s:
                 v[col] = s
             else:
@@ -109,11 +112,14 @@ def scalar(rng, field):
 
 
 def combination(rng, field, vecs):
+    prime = getattr(field, "p", 0)
     out = {}
     for v in vecs:
         c = scalar(rng, field)
         for col, val in v.items():
             s = out.get(col, 0) + c * val
+            if prime:
+                s %= prime
             if s:
                 out[col] = s
             else:

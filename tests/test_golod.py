@@ -438,8 +438,9 @@ def test_golod_certificate_does_no_polynomial_arithmetic(flagship, monkeypatch):
     for name in ("validate_complex", "is_minimal"):
         entered(complexes, name)
     # the removed helpers cannot run
-    assert not any(hasattr(Polynomial, op) for op in ("mul_monomial", "with_ring"))
-    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "scale"):
+    assert not any(hasattr(Polynomial, op)
+                   for op in ("mul_monomial", "with_ring", "__rmul__"))
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "scale"):
         watched(op)
     watched("__init__", {"twisted_koszul", "massey_mu", "_massey_extend",
                          "validate_complex", "is_minimal"})

@@ -34,6 +34,7 @@ tests assert that
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
@@ -292,7 +293,7 @@ def reference_minimize(C):
         colvals = {rr: p for (rr, cc), p in mat.items() if cc == c and rr != r}
         for rr, pc in colvals.items():
             for cc, pr in rowvals.items():
-                k_acc(mat, (rr, cc), -(pc * pr).scale(1 / u))
+                k_acc(mat, (rr, cc), -(pc * pr).scale(Fraction(1, u)))
         for key in [k for k in mat if k[0] == r or k[1] == c]:
             del mat[key]
         if i <= length - 1:
