@@ -7,9 +7,9 @@ no report prints: degree-one product tables, the Golod and Tate complexes
 (a minimal one, a non-minimal one and one over an empty sequence), the
 Koszul, Taylor (with a redundant generator), tensor and star complexes,
 Koszul class representatives, comparison maps and module-action tables,
-and the associativity probe's findings.  The GF(p) cases run the jobs whose
-reports hold scalars over GF(2), GF(3) and GF(32003), and a comparison map,
-Koszul class representatives and a star degree-one product table over GF(3).
+and the associativity probe's findings.  The GF(p) cases run five of the
+jobs over GF(2), GF(3) and GF(32003), and build a comparison map, Koszul
+class representatives and a star degree-one product table over GF(3).
 
 A refactor that changes no algorithm, basis order or canonical choice must
 leave every digest unchanged, so the digests are never edited; print the
@@ -23,7 +23,6 @@ import pytest
 
 from transverse.cli import COMMANDS, cmd_dispatch, parse_input, render_report
 from transverse.complexes import complex_to_json, star_product, tensor_complexes
-from transverse.fields import QQ, PrimeField
 from transverse.dg import (
     associativity_probe,
     koszul_dg_product,
@@ -31,6 +30,7 @@ from transverse.dg import (
     star_degree_one_product,
     taylor_dg_product,
 )
+from transverse.fields import QQ, PrimeField
 from transverse.golod import golod_resolution, koszul_homology
 from transverse.ideals import ideal_product, is_sequentially_transverse
 from transverse.obstructions import tate_resolution
@@ -96,7 +96,8 @@ JOBS = {
 }
 
 
-# the commands whose reports hold scalars, run again over these primes
+# the jobs run again over GF(p): the two whose JSON holds a complex, and
+# three that eliminate over the field
 PRIME_COMMANDS = (
     "resolve", "star-resolve", "koszul-homology", "module-action", "obstruction",
 )
