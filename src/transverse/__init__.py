@@ -36,12 +36,6 @@ from .ideals import (
     is_transverse,
     minimalize_generators,
 )
-from .obstructions import (
-    avramov_obstruction,
-    tate_resolution,
-    tor_over_quotient,
-    verify_injectivity,
-)
 from .poly import (
     Monomial,
     PolyMatrix,
@@ -58,3 +52,26 @@ from .resolutions import (
 )
 
 __version__ = "0.1.0"
+
+# the names of ``obstructions`` exported here; the module loads on the
+# first access to one of them, so importing the package does not load it
+_OBSTRUCTIONS = (
+    "avramov_obstruction",
+    "tate_resolution",
+    "tor_over_quotient",
+    "verify_injectivity",
+)
+
+
+def __getattr__(name):
+    if name in _OBSTRUCTIONS:
+        from . import obstructions
+
+        return getattr(obstructions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# ``from transverse import *`` brings what it brought before the names
+# were deferred, the module and its four names too, so it loads the module
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += ["obstructions", *_OBSTRUCTIONS]

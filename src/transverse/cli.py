@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import complexes, dg, golod, obstructions, resolutions
+from . import complexes, dg, golod, resolutions
 from .errors import AlgebraError, ParseError
 from .fields import QQ, PrimeField, field_to_json
 from .ideals import (
@@ -377,6 +377,9 @@ def cmd_dispatch(spec: JobSpec):
         return report, 0 if cert.ok else 1
 
     if spec.command == "obstruction":
+        # only this command and injectivity-verify load the module
+        from . import obstructions
+
         M = spec.ideal(spec.args.get("module", "M"))
         seq = _ci_monomials(spec)
         rep = obstructions.avramov_obstruction(seq, M, bound)
@@ -385,6 +388,8 @@ def cmd_dispatch(spec: JobSpec):
         return report, 0
 
     if spec.command == "injectivity-verify":
+        from . import obstructions
+
         I = spec.ideal(spec.args.get("left", "I"))
         J = spec.ideal(spec.args.get("right", "J"))
         seq = _ci_monomials(spec)

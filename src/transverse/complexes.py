@@ -17,7 +17,6 @@ the left factor carrying the sign.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, product
@@ -25,7 +24,7 @@ from operator import add, ge, or_, sub
 from re import finditer
 
 from . import linalg
-from .errors import DimensionError, DomainError, RingMismatchError
+from .errors import DimensionError, DomainError, Record, RingMismatchError
 from .fields import PrimeField, field_to_json
 from .ideals import MonomialIdeal
 from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
@@ -143,10 +142,12 @@ def table_scalar(field):
     return lambda c: c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    problems: list[str] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = _fields = ("ok", "problems")
+
+    def __init__(self, ok: bool, problems: list[str] | None = None):
+        self.ok = ok
+        self.problems = [] if problems is None else problems
 
     def __bool__(self):
         return self.ok
@@ -416,20 +417,29 @@ def strand_matrix(C: GradedFreeComplex, i: int, basis_hi, basis_lo):
     return rows
 
 
-@dataclass
-class StrandHomology:
+class StrandHomology(Record):
     """Homology of one strand or block, with canonical (RREF) cycle
     representatives."""
 
-    i: int
-    t: object  # the degree t of a strand or the multidegree b of a block
-    basis: list
-    dim: int
-    cycle_dim: int
-    boundary_dim: int
-    _classes: linalg.EchelonForm  # the RREF of the representatives
-    _boundaries: linalg.EchelonForm
-    _field: object
+    __slots__ = _fields = (
+        "i", "t", "basis", "dim", "cycle_dim", "boundary_dim",
+        "_classes", "_boundaries", "_field",
+    )
+
+    def __init__(
+        self, i: int, t, basis: list, dim: int, cycle_dim: int,
+        boundary_dim: int, _classes: linalg.EchelonForm,
+        _boundaries: linalg.EchelonForm, _field,
+    ):
+        self.i = i
+        self.t = t  # the degree t of a strand or the multidegree b of a block
+        self.basis = basis
+        self.dim = dim
+        self.cycle_dim = cycle_dim
+        self.boundary_dim = boundary_dim
+        self._classes = _classes  # the RREF of the representatives
+        self._boundaries = _boundaries
+        self._field = _field
 
     @property
     def representatives(self) -> list[dict]:
@@ -810,12 +820,14 @@ def resolves_k_failures(C: GradedFreeComplex, top: int):
 # Betti tables and resolution certificates
 
 
-@dataclass
-class BettiTable:
+class BettiTable(Record):
     """Graded Betti numbers beta_{i,t}, read off a minimal complex or
     computed by ``resolutions.betti_numbers``."""
 
-    entries: dict
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: dict):
+        self.entries = entries
 
     def total(self, i: int) -> int:
         return sum(v for (ii, _), v in self.entries.items() if ii == i)
@@ -873,18 +885,27 @@ def betti_table(C: GradedFreeComplex) -> BettiTable:
     return BettiTable(entries)
 
 
-@dataclass
-class ResolutionCertificate:
+class ResolutionCertificate(Record):
     """Outcome of the resolution check for a monomial ideal: C is a complex,
     plus the three clauses of :func:`verify_resolution`."""
 
-    ideal: MonomialIdeal
-    validation: ValidationReport  # d o d = 0 and homogeneity
-    strand_failures: list  # (i, b, dim H_i) per failing cell
-    coker_failures: list  # (b, dim coker d_1, dim (R/I)_b)
-    betti_ok: bool
-    betti_got: BettiTable
-    betti_want: BettiTable
+    __slots__ = _fields = (
+        "ideal", "validation", "strand_failures", "coker_failures",
+        "betti_ok", "betti_got", "betti_want",
+    )
+
+    def __init__(
+        self, ideal: MonomialIdeal, validation: ValidationReport,
+        strand_failures: list, coker_failures: list, betti_ok: bool,
+        betti_got: BettiTable, betti_want: BettiTable,
+    ):
+        self.ideal = ideal
+        self.validation = validation  # d o d = 0 and homogeneity
+        self.strand_failures = strand_failures  # (i, b, dim H_i) per failing cell
+        self.coker_failures = coker_failures  # (b, dim coker d_1, dim (R/I)_b)
+        self.betti_ok = betti_ok
+        self.betti_got = betti_got
+        self.betti_want = betti_want
 
     @property
     def exactness_ok(self) -> bool:

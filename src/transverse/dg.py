@@ -15,7 +15,6 @@ construction consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
@@ -28,7 +27,7 @@ from .complexes import (
     star_product,
     table_scalar,
 )
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, Record
 from .exterior import wedge_subsets
 from .ideals import MonomialIdeal, regular_sequence
 from .poly import Polynomial
@@ -165,14 +164,32 @@ class FullProduct(_Product):
         )
 
 
-@dataclass
-class ProductCertificate:
-    leibniz_failures: list = field(default_factory=list)
-    square_failures: list = field(default_factory=list)
-    commutativity_failures: list = field(default_factory=list)
-    associativity_failures: list = field(default_factory=list)
-    checked_pairs: int = 0
-    checked_triples: int = 0
+def _list(failures: list | None) -> list:
+    """The list a certificate was given, or a new empty one."""
+    return [] if failures is None else failures
+
+
+class ProductCertificate(Record):
+    __slots__ = _fields = (
+        "leibniz_failures", "square_failures", "commutativity_failures",
+        "associativity_failures", "checked_pairs", "checked_triples",
+    )
+
+    def __init__(
+        self,
+        leibniz_failures: list | None = None,
+        square_failures: list | None = None,
+        commutativity_failures: list | None = None,
+        associativity_failures: list | None = None,
+        checked_pairs: int = 0,
+        checked_triples: int = 0,
+    ):
+        self.leibniz_failures = _list(leibniz_failures)
+        self.square_failures = _list(square_failures)
+        self.commutativity_failures = _list(commutativity_failures)
+        self.associativity_failures = _list(associativity_failures)
+        self.checked_pairs = checked_pairs
+        self.checked_triples = checked_triples
 
     @property
     def ok(self) -> bool:
@@ -436,29 +453,41 @@ def star_degree_one_product(
 # DG-module structure over a Koszul complex
 
 
-@dataclass
-class ActionCertificate:
-    leibniz_failures: list = field(default_factory=list)
-    relation_failures: list = field(default_factory=list)
-    checked: int = 0
+class ActionCertificate(Record):
+    __slots__ = _fields = ("leibniz_failures", "relation_failures", "checked")
+
+    def __init__(
+        self,
+        leibniz_failures: list | None = None,
+        relation_failures: list | None = None,
+        checked: int = 0,
+    ):
+        self.leibniz_failures = _list(leibniz_failures)
+        self.relation_failures = _list(relation_failures)
+        self.checked = checked
 
     @property
     def ok(self) -> bool:
         return not (self.leibniz_failures or self.relation_failures)
 
 
-@dataclass
-class ModuleAction:
+class ModuleAction(Record):
     """A DG-module action of a Koszul complex K on a resolution C, stored
     as scalars: ``scalars[(i, j)][(S, v)]`` lists the (w, c) with
     e_S * f_v = sum_w c x^(m_S + m_v - m_w) f_w, for e_S in K_i and f_v in
     C_j.  ``tables`` is the polynomial view, built when read."""
 
-    koszul: GradedFreeComplex
-    complex: GradedFreeComplex
-    phi: list
-    scalars: dict
-    certificate: ActionCertificate
+    _fields = ("koszul", "complex", "phi", "scalars", "certificate")
+
+    def __init__(
+        self, koszul: GradedFreeComplex, complex: GradedFreeComplex,
+        phi: list, scalars: dict, certificate: ActionCertificate,
+    ):
+        self.koszul = koszul
+        self.complex = complex
+        self.phi = phi
+        self.scalars = scalars
+        self.certificate = certificate
 
     @cached_property
     def tables(self) -> dict:
@@ -581,17 +610,23 @@ def koszul_module_action(
 # experimental associativity probe
 
 
-@dataclass
-class ProbeStage:
-    n: int
-    blocks: list
-    variables: int
-    assoc_enforced: bool
-    leibniz_unsolvable: list
+class ProbeStage(Record):
+    __slots__ = _fields = (
+        "n", "blocks", "variables", "assoc_enforced", "leibniz_unsolvable",
+    )
+
+    def __init__(
+        self, n: int, blocks: list, variables: int, assoc_enforced: bool,
+        leibniz_unsolvable: list,
+    ):
+        self.n = n
+        self.blocks = blocks
+        self.variables = variables
+        self.assoc_enforced = assoc_enforced
+        self.leibniz_unsolvable = leibniz_unsolvable
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(Record):
     """Findings of the experimental extension attempt; never a claim.
 
     ``extension_found`` records whether Leibniz-compatible products exist in
@@ -599,10 +634,16 @@ class ProbeReport:
     also has vanishing associators on all tested basis triples.
     """
 
-    bound: int
-    stages: list
-    tested_triples: int = 0
-    residual_triples: list = field(default_factory=list)
+    __slots__ = _fields = ("bound", "stages", "tested_triples", "residual_triples")
+
+    def __init__(
+        self, bound: int, stages: list, tested_triples: int = 0,
+        residual_triples: list | None = None,
+    ):
+        self.bound = bound
+        self.stages = stages
+        self.tested_triples = tested_triples
+        self.residual_triples = _list(residual_triples)
 
     @property
     def extension_found(self) -> bool:

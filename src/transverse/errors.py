@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the record base shared across the package.
+
+Every module of the package loads this one before it runs (``fields``
+imports it too), so the record base here adds no module to any import
+graph.
+"""
+
+from operator import attrgetter
 
 
 class AlgebraError(Exception):
@@ -27,3 +34,42 @@ class CertificationError(AlgebraError):
 
 class ParseError(AlgebraError):
     """Malformed textual input (monomials, job documents)."""
+
+
+class Record:
+    """Base of the package's record classes.
+
+    A subclass names its fields in ``_fields``, in the order of its
+    ``__init__`` parameters.  Two records are equal when they are of the
+    same class and their field tuples are equal; any other operand gets
+    ``NotImplemented``.  The repr is ``Name(field=value, ...)``.  Because
+    this class defines ``__eq__``, a record is unhashable unless its class
+    defines ``__hash__``; the immutable ones do, on the field tuple, and set
+    ``__setattr__`` and ``__delattr__`` to :meth:`_immutable`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # reads the fields in one C call: the tuple of them, or the value of
+        # a lone field, which compares as its 1-tuple does for every value
+        # equal to itself
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _immutable(self, name, value=None):
+        raise AttributeError(
+            f"cannot assign to or delete {name!r}: "
+            f"{type(self).__qualname__} is immutable"
+        )

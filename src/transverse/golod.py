@@ -5,21 +5,23 @@ Poincare series certificate)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, itemgetter
 
 from . import linalg
 from .complexes import GradedFreeComplex, Homology, resolves_k_failures, table_scalar
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_diff, k_restrict, k_sum, k_wedge
 from .ideals import MonomialIdeal, ideal_product, is_transverse, lcm_lattice
 from .poly import Ring
 from .resolutions import betti_numbers, koszul_on_variables, twisted_koszul
 
 
-@dataclass(frozen=True)
-class KoszulClass:
+# sets a field of an immutable record, past its refusing __setattr__
+_set = object.__setattr__
+
+
+class KoszulClass(Record):
     """A basis class of H_i(K (x) R/I) with its canonical cycle representative.
 
     The representative is an :class:`exterior.Element` of the multidegree
@@ -27,14 +29,23 @@ class KoszulClass:
     s x^(b - 1_S) e_S, one per exterior key, read off the canonical
     representative of the block's stratum.  No term lies in I, so it is a
     cycle over the ambient ring and, restricted, over any quotient between.
+    Immutable; its hash is that of its field tuple, which the dict of
+    ``rep`` makes unhashable.
     """
 
-    i: int
-    t: int
-    b: tuple
-    index: int
-    label: str
-    rep: Element
+    __slots__ = _fields = ("i", "t", "b", "index", "label", "rep")
+    __setattr__ = __delattr__ = Record._immutable
+
+    def __init__(self, i: int, t: int, b: tuple, index: int, label: str, rep: Element):
+        _set(self, "i", i)
+        _set(self, "t", t)
+        _set(self, "b", b)
+        _set(self, "index", index)
+        _set(self, "label", label)
+        _set(self, "rep", rep)
+
+    def __hash__(self):
+        return hash((self.i, self.t, self.b, self.index, self.label, self.rep))
 
 
 class KoszulHomology(Homology):
@@ -128,23 +139,27 @@ def koszul_homology(I: MonomialIdeal) -> KoszulHomology:
 # Kunneth map
 
 
-@dataclass
-class KunnethRow:
-    n: int
-    dim_source: int
-    dim_target: int
-    rank: int
+class KunnethRow(Record):
+    __slots__ = _fields = ("n", "dim_source", "dim_target", "rank")
+
+    def __init__(self, n: int, dim_source: int, dim_target: int, rank: int):
+        self.n = n
+        self.dim_source = dim_source
+        self.dim_target = dim_target
+        self.rank = rank
 
     @property
     def bijective(self) -> bool:
         return self.dim_source == self.dim_target == self.rank
 
 
-@dataclass
-class KunnethCertificate:
-    I: MonomialIdeal
-    J: MonomialIdeal
-    rows: list
+class KunnethCertificate(Record):
+    __slots__ = _fields = ("I", "J", "rows")
+
+    def __init__(self, I: MonomialIdeal, J: MonomialIdeal, rows: list):
+        self.I = I
+        self.J = J
+        self.rows = rows
 
     @property
     def ok(self) -> bool:
@@ -208,8 +223,7 @@ def kunneth_map(
 # the Golod construction
 
 
-@dataclass
-class GolodBasis:
+class GolodBasis(Record):
     """Index data for the Golod resolution of k over R/IJ.
 
     ``pairs[k] = (a, b)`` enumerates the formal symbols v_{a,b}; the symbol's
@@ -219,14 +233,21 @@ class GolodBasis:
     Each class representative is moved to R/IJ once, on first use.
     """
 
-    I: MonomialIdeal
-    J: MonomialIdeal
-    HI: KoszulHomology
-    HJ: KoszulHomology
-    HIJ: KoszulHomology
-    quotient: Ring
-    pairs: list
-    h: list
+    _fields = ("I", "J", "HI", "HJ", "HIJ", "quotient", "pairs", "h")
+
+    def __init__(
+        self, I: MonomialIdeal, J: MonomialIdeal, HI: KoszulHomology,
+        HJ: KoszulHomology, HIJ: KoszulHomology, quotient: Ring, pairs: list,
+        h: list,
+    ):
+        self.I = I
+        self.J = J
+        self.HI = HI
+        self.HJ = HJ
+        self.HIJ = HIJ
+        self.quotient = quotient
+        self.pairs = pairs
+        self.h = h
 
     def vdeg(self, k: int) -> int:
         a, b = self.pairs[k]
@@ -317,16 +338,27 @@ def massey_identity_residual(basis: GolodBasis, word: tuple) -> Element:
     ])
 
 
-@dataclass
-class GolodCertificate:
-    ranks: tuple
-    series_coeffs: tuple
-    ranks_match: bool
-    valid: bool
-    minimal: bool
-    strand_failures: list
-    coker_failures: list
-    triviality_failures: list = field(default_factory=list)
+class GolodCertificate(Record):
+    __slots__ = _fields = (
+        "ranks", "series_coeffs", "ranks_match", "valid", "minimal",
+        "strand_failures", "coker_failures", "triviality_failures",
+    )
+
+    def __init__(
+        self, ranks: tuple, series_coeffs: tuple, ranks_match: bool,
+        valid: bool, minimal: bool, strand_failures: list,
+        coker_failures: list, triviality_failures: list | None = None,
+    ):
+        self.ranks = ranks
+        self.series_coeffs = series_coeffs
+        self.ranks_match = ranks_match
+        self.valid = valid
+        self.minimal = minimal
+        self.strand_failures = strand_failures
+        self.coker_failures = coker_failures
+        self.triviality_failures = (
+            [] if triviality_failures is None else triviality_failures
+        )
 
     @property
     def ok(self) -> bool:
@@ -413,13 +445,15 @@ def golod_resolution(
     return C
 
 
-@dataclass
-class PoincareSeries:
+class PoincareSeries(Record):
     """(1+t)^n over 1 - sum dim H_i t^(i+1), expanded to a bound."""
 
-    numerator: tuple
-    denominator: tuple
-    coefficients: tuple
+    __slots__ = _fields = ("numerator", "denominator", "coefficients")
+
+    def __init__(self, numerator: tuple, denominator: tuple, coefficients: tuple):
+        self.numerator = numerator
+        self.denominator = denominator
+        self.coefficients = coefficients
 
     def coefficient(self, n: int) -> int:
         return self.coefficients[n]

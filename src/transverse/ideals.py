@@ -7,29 +7,31 @@ ideals, and that covers every construction in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
-from .errors import DomainError, RingMismatchError
+from .errors import DomainError, Record, RingMismatchError
 from .poly import Monomial, Polynomial, Ring, minimal_monomials, monomials_of_degree
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal, stored by its minimal generators in canonical order.
 
     The zero ideal is the empty generator list; the unit ideal is generated
-    by 1.
+    by 1.  Immutable, and hashed on ``(ring, gens)``.
     """
 
-    ring: Ring
-    gens: tuple[Monomial, ...]
+    __slots__ = _fields = ("ring", "gens")
+    __setattr__ = __delattr__ = Record._immutable
 
-    def __post_init__(self):
-        for g in self.gens:
-            if len(g.exps) != self.ring.nvars:
+    def __init__(self, ring: Ring, gens: tuple[Monomial, ...]):
+        for g in gens:
+            if len(g.exps) != ring.nvars:
                 raise DomainError("generator has wrong variable count")
-        object.__setattr__(self, "gens", minimal_monomials(self.gens))
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gens", minimal_monomials(gens))
+
+    def __hash__(self):
+        return hash((self.ring, self.gens))
 
     @property
     def is_zero(self) -> bool:

@@ -10,25 +10,26 @@ unique RREF of the row space — canonical and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import Record
 from .fields import PrimeField, QQ
 
 
-@dataclass
-class EchelonForm:
-    """Reduced row echelon form: unit pivots, pivot columns ascending."""
+class EchelonForm(Record):
+    """Reduced row echelon form: unit pivots, pivot columns ascending.
+    ``row_at`` maps each pivot to its row and is not a field."""
 
-    ncols: int
-    pivots: list[int]
-    rows: list[dict]  # rows[k][pivots[k]] == 1, fully reduced
-    field: object
-    row_at: dict = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("ncols", "pivots", "rows", "field", "row_at")
+    _fields = ("ncols", "pivots", "rows", "field")
 
-    def __post_init__(self):
-        self.row_at = dict(zip(self.pivots, self.rows))
+    def __init__(self, ncols: int, pivots: list[int], rows: list[dict], field):
+        self.ncols = ncols
+        self.pivots = pivots
+        self.rows = rows  # rows[k][pivots[k]] == 1, fully reduced
+        self.field = field
+        self.row_at = dict(zip(pivots, rows))
 
     @property
     def rank(self) -> int:

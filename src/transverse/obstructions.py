@@ -11,13 +11,12 @@ subspace is the obstruction to DG-module structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import add
 
 from . import linalg
 from .complexes import GradedFreeComplex, Homology, resolves_k_failures
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_restrict, k_wedge
 from .golod import KoszulHomology
 from .ideals import (
@@ -41,16 +40,24 @@ def _sequence_mdeg(sequence, nvars: int, c) -> tuple:
     )
 
 
-@dataclass
-class TateComplex:
+class TateComplex(Record):
     """Truncated Tate resolution of k over S = R/(a)."""
 
-    ring: Ring  # the quotient ring S
-    sequence: list
-    cycles: list  # z_j as exterior elements, see _tate_cycle
-    complex: GradedFreeComplex
-    basis: list  # per homological degree: list of (subset, exponent tuple)
-    certificate: dict
+    __slots__ = _fields = (
+        "ring", "sequence", "cycles", "complex", "basis", "certificate",
+    )
+
+    def __init__(
+        self, ring: Ring, sequence: list, cycles: list,
+        complex: GradedFreeComplex, basis: list, certificate: dict,
+    ):
+        self.ring = ring  # the quotient ring S
+        self.sequence = sequence
+        self.cycles = cycles  # z_j as exterior elements, see _tate_cycle
+        self.complex = complex
+        # per homological degree: list of (subset, exponent tuple)
+        self.basis = basis
+        self.certificate = certificate
 
 
 def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
@@ -166,11 +173,13 @@ def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6):
     return [qt.total_dim(i) for i in range(n_max + 1)]
 
 
-@dataclass
-class ChangeOfRingsMap:
-    dim_source: int
-    dim_target_blocks: int
-    rank: int
+class ChangeOfRingsMap(Record):
+    __slots__ = _fields = ("dim_source", "dim_target_blocks", "rank")
+
+    def __init__(self, dim_source: int, dim_target_blocks: int, rank: int):
+        self.dim_source = dim_source
+        self.dim_target_blocks = dim_target_blocks
+        self.rank = rank
 
 
 def change_of_rings_map(
@@ -231,22 +240,34 @@ def tor_product_subspace(source: KoszulHomology, qt: QuotientTor, i: int):
     return ech, cycles
 
 
-@dataclass
-class ObstructionRow:
-    i: int
-    dim_tor_R: int
-    dim_product: int
-    dim_tor_S: int
-    rank: int
-    dim_obstruction: int
+class ObstructionRow(Record):
+    __slots__ = _fields = (
+        "i", "dim_tor_R", "dim_product", "dim_tor_S", "rank", "dim_obstruction",
+    )
+
+    def __init__(
+        self, i: int, dim_tor_R: int, dim_product: int, dim_tor_S: int,
+        rank: int, dim_obstruction: int,
+    ):
+        self.i = i
+        self.dim_tor_R = dim_tor_R
+        self.dim_product = dim_product
+        self.dim_tor_S = dim_tor_S
+        self.rank = rank
+        self.dim_obstruction = dim_obstruction
 
 
-@dataclass
-class ObstructionReport:
-    sequence: list
-    M: MonomialIdeal
-    rows: list
-    product_maps_to_zero: bool = True
+class ObstructionReport(Record):
+    __slots__ = _fields = ("sequence", "M", "rows", "product_maps_to_zero")
+
+    def __init__(
+        self, sequence: list, M: MonomialIdeal, rows: list,
+        product_maps_to_zero: bool = True,
+    ):
+        self.sequence = sequence
+        self.M = M
+        self.rows = rows
+        self.product_maps_to_zero = product_maps_to_zero
 
     @property
     def all_vanish(self) -> bool:
@@ -324,9 +345,11 @@ def avramov_obstruction(
     return ObstructionReport(qt.tate.sequence, M, rows, product_ok)
 
 
-@dataclass
-class InjectivityCertificate:
-    rows: list  # (i, dim_tor_R, rank)
+class InjectivityCertificate(Record):
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows  # (i, dim_tor_R, rank)
 
     @property
     def ok(self) -> bool:

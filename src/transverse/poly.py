@@ -9,22 +9,32 @@ byte-deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionError, DomainError, ParseError, RingMismatchError
+from .errors import (
+    DimensionError, DomainError, ParseError, Record, RingMismatchError,
+)
 from .fields import QQ, PrimeField, Rationals
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """A monomial given by its exponent vector."""
+# sets a field of an immutable record, past its refusing __setattr__
+_set = object.__setattr__
 
-    exps: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.exps):
-            raise DomainError(f"negative exponent in {self.exps}")
+class Monomial(Record):
+    """A monomial given by its exponent vector; immutable and hashed on
+    ``(exps,)``."""
+
+    __slots__ = _fields = ("exps",)
+    __setattr__ = __delattr__ = Record._immutable
+
+    def __init__(self, exps: tuple[int, ...]):
+        if exps and min(exps) < 0:
+            raise DomainError(f"negative exponent in {exps}")
+        _set(self, "exps", exps)
+
+    def __hash__(self):
+        return hash((self.exps,))
 
     @property
     def degree(self) -> int:
@@ -81,33 +91,44 @@ def minimal_monomials(mons) -> tuple[Monomial, ...]:
 _NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Record):
     """A standard graded polynomial ring, optionally modulo a monomial ideal.
 
     ``modulus`` holds the minimal monomial generators of the ideal being
     quotiented out; the residue ring has k-basis the monomials divisible by
-    none of them.  All variables have internal degree 1.
+    none of them.  All variables have internal degree 1.  Immutable, and
+    hashed on ``(names, field, modulus)``.
     """
 
-    names: tuple[str, ...]
-    field: Rationals | PrimeField = QQ
-    modulus: tuple[Monomial, ...] = ()
+    __slots__ = ("names", "field", "modulus", "_one", "_kill")
+    _fields = ("names", "field", "modulus")
+    __setattr__ = __delattr__ = Record._immutable
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        field: Rationals | PrimeField = QQ,
+        modulus: tuple[Monomial, ...] = (),
+    ):
+        if len(set(names)) != len(names):
             raise DomainError("variable names must be distinct")
-        object.__setattr__(self, "modulus", minimal_monomials(self.modulus))
-        for m in self.modulus:
-            if len(m.exps) != self.nvars:
+        modulus = minimal_monomials(modulus)
+        for m in modulus:
+            if len(m.exps) != len(names):
                 raise DimensionError("modulus monomial has wrong variable count")
             if m.is_one:
                 raise DomainError("cannot quotient by the unit ideal")
-        object.__setattr__(self, "_one", Monomial((0,) * self.nvars))
+        _set(self, "names", names)
+        _set(self, "field", field)
+        _set(self, "modulus", modulus)
+        _set(self, "_one", Monomial((0,) * len(names)))
         # each modulus generator as its (variable, exponent) pairs, e > 0
-        object.__setattr__(self, "_kill", tuple(
-            tuple((k, e) for k, e in enumerate(m.exps) if e) for m in self.modulus
+        _set(self, "_kill", tuple(
+            tuple((k, e) for k, e in enumerate(m.exps) if e) for m in modulus
         ))
+
+    def __hash__(self):
+        return hash((self.names, self.field, self.modulus))
 
     @property
     def nvars(self) -> int:

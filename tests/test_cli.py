@@ -465,18 +465,76 @@ def test_resolve_staircase_rendered(capsys, tmp_path):
     assert any("1  2  1" in l.replace("  ", " ") or l.split()[-3:] == ["1", "2", "1"] for l in out.splitlines())
 
 
-def run_cli_subprocess(script, path):
-    """Run ``script`` with the job file ``path`` as its argument in a fresh
-    interpreter that imports this checkout's ``src``; 30 s at most."""
+def run_cli_subprocess(script, *paths, flags=()):
+    """Run ``script`` with the job files ``paths`` as its arguments in a
+    fresh interpreter, started with ``flags``, that imports this checkout's
+    ``src``; 30 s at most."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", script, str(path)],
+        [sys.executable, *flags, "-c", script, *map(str, paths)],
         capture_output=True, text=True, timeout=30, env=env,
     )
+
+
+# run in a fresh interpreter, since pytest itself loads dataclasses; -S
+# keeps site hooks (.pth files) from loading modules before the script
+IMPORT_GATE = """\
+import io, sys
+from contextlib import redirect_stdout
+
+UNUSED = ("dataclasses", "inspect", "transverse.obstructions")
+
+
+def loaded():
+    return [name for name in UNUSED if name in sys.modules]
+
+
+def run(path):
+    with redirect_stdout(io.StringIO()):
+        code = cli.main([path])
+    if code != 0:
+        sys.exit(f"{path}: exit {code}")
+
+
+if loaded():
+    sys.exit(f"loaded at start-up: {loaded()}")
+from transverse import cli
+if loaded():
+    sys.exit(f"loaded by import transverse.cli: {loaded()}")
+*paths, obstruction = sys.argv[1:]
+for path in paths:
+    run(path)
+    if loaded():
+        sys.exit(f"loaded by {path}: {loaded()}")
+run(obstruction)
+if "transverse.obstructions" not in sys.modules:
+    sys.exit("the obstruction job did not load transverse.obstructions")
+"""
+
+
+def test_commands_import_only_what_they_use(tmp_path):
+    # a deterministic start-up gate: the package imports neither
+    # dataclasses nor inspect, and only the obstruction commands load
+    # transverse.obstructions
+    docs = {
+        "golod": job("golod", {"left": "I", "right": "J", "mode": "verify",
+                               "n_max": 3}),
+        "star-resolve": job("star-resolve", {"left": "I", "right": "J"}),
+        "kunneth-verify": job("kunneth-verify", {"left": "I", "right": "J"}),
+        "dg-verify": job("dg-verify", {"ideals": ["I", "J"]}),
+        "obstruction": job("obstruction", {"module": "M", "ci": ["x1^2", "x4^2"]},
+                           ideals={"M": ["x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2"]}),
+    }
+    paths = []
+    for command, doc in docs.items():
+        paths.append(tmp_path / f"{command}.json")
+        paths[-1].write_text(json.dumps(doc))
+    out = run_cli_subprocess(IMPORT_GATE, *paths, flags=("-S", "-W", "error"))
+    assert out.returncode == 0, out.stderr
 
 
 def test_koszul_homology_of_a_high_power_enumerates_no_degree(tmp_path):

@@ -548,14 +548,14 @@ class TestStrandEngine:
         self.assert_dims_agree(S, None)
 
     def test_golod_certificate_catches_a_missing_symbol(self, R4, flagship):
-        from dataclasses import replace
-
-        from transverse.golod import golod_basis, golod_resolution
+        from transverse.golod import GolodBasis, golod_basis, golod_resolution
 
         I, J = flagship
-        basis = golod_basis(I, J)
+        b = golod_basis(I, J)
         # without v_(0,0) nothing kills the class it stands for in H_1
-        crippled = replace(basis, pairs=basis.pairs[1:], h=basis.h[1:])
+        crippled = GolodBasis(
+            b.I, b.J, b.HI, b.HJ, b.HIJ, b.quotient, b.pairs[1:], b.h[1:]
+        )
         # H_1 on the cell (1, 0, 1, 0) and H_3 on three cells of degree 4
         # (the strand failures (1, 2, 1) and (3, 4, 3) of whole strands)
         cells = (r"\[\(1, \(1, 0, 1, 0\), 1\), \(3, \(1, 1, 1, 1\), 1\), "

@@ -52,6 +52,120 @@ class TestMonomials:
         assert R4.one_monomial().degree == 0
 
 
+def _records():
+    """(record, its field tuple, an equal record, an unequal record of the
+    same class, its repr) for the four hashed value types."""
+    from transverse.golod import KoszulClass
+    from transverse.ideals import MonomialIdeal
+
+    R = Ring(("x", "y"))
+    x2, x3, xy, y = (Monomial(e) for e in ((2, 0), (3, 0), (1, 1), (0, 1)))
+    # the modulus and the generators are made minimal on construction
+    Q = Ring(("x", "y"), PrimeField(3), (x3, x2, xy))
+    I = MonomialIdeal(R, (x3, y, x2))
+    # a stand-in rep keeps the field tuple hashable; an Element holds a dict
+    z = KoszulClass(1, 1, (1, 0), 0, "z0", None)
+    return [
+        (Monomial((1, 2)), ((1, 2),), Monomial((1, 2)), Monomial((2, 1)),
+         "Monomial(exps=(1, 2))"),
+        (R, (("x", "y"), QQ, ()), Ring(("x", "y")), Ring(("x", "z")),
+         "QQ[x,y]"),
+        (Q, (("x", "y"), PrimeField(3), (x2, xy)),
+         Ring(("x", "y"), PrimeField(3), (xy, x2)),
+         Ring(("x", "y"), QQ, (x2, xy)), "GF(3)[x,y]/(x^2,x*y)"),
+        (I, (R, (x2, y)), MonomialIdeal(R, (y, x2)), MonomialIdeal(R, (x3, y)),
+         "MonomialIdeal(ring=QQ[x,y], gens=(Monomial(exps=(2, 0)), "
+         "Monomial(exps=(0, 1))))"),
+        (z, (1, 1, (1, 0), 0, "z0", None),
+         KoszulClass(1, 1, (1, 0), 0, "z0", None),
+         KoszulClass(1, 1, (1, 0), 1, "z1", None),
+         "KoszulClass(i=1, t=1, b=(1, 0), index=0, label='z0', rep=None)"),
+    ]
+
+
+class TestRecords:
+    """The hashed value types hash their field tuple, compare on it within
+    one class and refuse assignment.  ``lcm_lattice`` returns a frozenset
+    of Monomials, so the hash fixes an iteration order and with it output
+    bytes."""
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_hash_equality_and_repr(self, case):
+        x, fields, twin, other, text = _records()[case]
+        assert hash(x) == hash(fields)
+        assert x == twin and hash(x) == hash(twin) and not x != twin
+        assert x != other and not x == other
+        assert x != fields and not x == fields and x != "x"
+        assert x.__eq__(fields) is NotImplemented
+        assert repr(x) == text
+
+    @pytest.mark.parametrize(
+        "case, name", enumerate(("exps", "names", "modulus", "gens", "rep"))
+    )
+    def test_fields_are_immutable(self, case, name):
+        x, fields = _records()[case][:2]
+        value = getattr(x, name)
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert getattr(x, name) is value and value in fields
+
+    def test_a_koszul_class_with_its_representative_is_unhashable(self, R4):
+        from transverse.golod import koszul_homology
+
+        H = koszul_homology(minimalize_generators(R4, [R4.parse_monomial("x1")]))
+        with pytest.raises(TypeError):
+            hash(H.classes[0])
+
+    def test_construction_checks(self, R4):
+        from transverse.ideals import MonomialIdeal
+
+        with pytest.raises(DomainError, match="negative exponent"):
+            Monomial((1, -1))
+        with pytest.raises(DomainError, match="distinct"):
+            Ring(("x", "x"))
+        with pytest.raises(DimensionError, match="variable count"):
+            Ring(("x", "y"), QQ, (Monomial((1, 0, 0)),))
+        with pytest.raises(DomainError, match="unit ideal"):
+            Ring(("x", "y"), QQ, (Monomial((0, 0)),))
+        with pytest.raises(DomainError, match="variable count"):
+            MonomialIdeal(R4, (Monomial((1, 0)),))
+
+    def test_mutable_records_compare_by_fields_and_do_not_hash(self):
+        # row_at is derived, so neither equality nor repr reads it
+        a = linalg.EchelonForm(2, [0], [{0: 1, 1: 2}], QQ)
+        assert a == linalg.echelon([{0: 2, 1: 4}], 2, QQ)
+        assert a != linalg.EchelonForm(3, [0], [{0: 1, 1: 2}], QQ)
+        assert a.row_at == {0: {0: 1, 1: 2}}
+        assert repr(a) == (
+            "EchelonForm(ncols=2, pivots=[0], rows=[{0: 1, 1: 2}], field=QQ)"
+        )
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_obstruction_names_load_on_first_access():
+    # importing the package does not load transverse.obstructions (the
+    # import gate in test_cli.py checks that in a fresh interpreter); its
+    # four exported names still resolve through the package
+    import transverse
+    from transverse import obstructions, tate_resolution
+
+    assert transverse.avramov_obstruction is obstructions.avramov_obstruction
+    assert tate_resolution is obstructions.tate_resolution
+    for name in ("tor_over_quotient", "verify_injectivity"):
+        assert getattr(transverse, name) is getattr(obstructions, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        transverse.no_such_name
+    star: dict = {}
+    exec("from transverse import *", star)
+    assert star["verify_injectivity"] is obstructions.verify_injectivity
+    assert star["obstructions"] is obstructions
+
+
 class TestPolynomials:
     def test_product_of_conjugates(self, Rxy):
         x = Rxy.variable(0)
