@@ -164,13 +164,8 @@ def _resolution_for(spec: JobSpec, I: MonomialIdeal, method: str):
     if method == "taylor":
         return resolutions.taylor_complex(I)
     if method == "koszul":
-        from .poly import Polynomial
-
         # the Koszul complex resolves R/I only on a regular sequence
-        return resolutions.koszul_complex(
-            [Polynomial.from_monomial(I.ring, g)
-             for g in regular_sequence(I.ring, I.gens)]
-        )
+        return resolutions.koszul_complex(regular_sequence(I.ring, I.gens), I.ring)
     if method == "minimal":
         return resolutions.minimal_resolution(I)
     raise ParseError(f"args.method: unknown method {method!r}")

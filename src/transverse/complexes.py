@@ -387,33 +387,25 @@ def strand_basis(C: GradedFreeComplex, i: int, t: int, extra=()):
 def strand_matrix(C: GradedFreeComplex, i: int, basis_hi, basis_lo):
     """Scalar rows of d_i from the strand basis ``basis_hi`` in degree i to
     ``basis_lo`` one degree down (rows indexed by ``basis_lo``), read off
-    the polynomial view.
+    the scalar table.
 
     It serves only whole strands (see :class:`Homology` for blocks).  Every
-    entry is one term of degree deg(column) - deg(row), so m*mono has the
-    degree of the lower basis and a lookup that misses it can only be a
+    entry d_i[r, c] is the one term s x^(m_c - m_r), so x^(m_c - m_r) m has
+    the degree of the lower basis and a lookup that misses it can only be a
     monomial killed in R/Q.
     """
     idx = {(r, m.exps): k for k, (r, m) in enumerate(basis_lo)}
     rows = [dict() for _ in basis_lo]
-    cols = {g for g, _ in basis_hi}
-    by_col: dict[int, list] = {}
-    for (r, c), p in C.diff(i).entries.items():
-        if c in cols:
-            terms = [(mono.exps, coeff) for mono, coeff in p.term_dict().items()]
-            by_col.setdefault(c, []).append((r, terms))
+    md, table = C.mdegs, C.table(i)
+    shifts = {
+        c: [(r, tuple(map(sub, md[i][c], md[i - 1][r])), s) for r, s in table[c]]
+        for c in {g for g, _ in basis_hi} if c in table
+    }
     for col, (g, m) in enumerate(basis_hi):
-        for r, terms in by_col.get(g, ()):
-            for exps, coeff in terms:
-                row = idx.get((r, tuple(map(add, m.exps, exps))))
-                if row is None:
-                    continue
-                cur = rows[row].get(col)
-                s = coeff if cur is None else cur + coeff
-                if s:
-                    rows[row][col] = s
-                else:
-                    del rows[row][col]
+        for r, e, s in shifts.get(g, ()):
+            row = idx.get((r, tuple(map(add, m.exps, e))))
+            if row is not None:
+                rows[row][col] = s
     return rows
 
 
@@ -474,10 +466,7 @@ class Homology:
     is the direct sum of the blocks of total degree t.  A multihomogeneous
     element x = (b, {key: s}) (``exterior.Element``) lies in one block b,
     which fixes the monomial of each key, so :meth:`express` and
-    :meth:`is_boundary` read its scalars as block coordinates.  A
-    ``support`` maps i to a set that holds every
-    multidegree where H_i can be nonzero (the caller names the theorem that
-    says so); :meth:`strand_dims` then sums over those blocks alone.
+    :meth:`is_boundary` read its scalars as block coordinates.
 
     An entry d_i[r, c] is one term s x^(m_c - m_r), so a block matrix is
     the scalar table ``C.table(i)`` on the generators present;
@@ -490,16 +479,14 @@ class Homology:
     when ``keys`` is None); its multidegree is ``C.mdegs[i][g]``.
     """
 
-    def __init__(self, C: GradedFreeComplex, Q=None, keys=None, support=None):
+    def __init__(self, C: GradedFreeComplex, Q=None, keys=None):
         self.complex = C
         self.keys = keys
         self.extra = _extra_gens(Q)
-        self.support = support
         self.ranks: dict = {}  # (i, piece) -> rank of d_i on the piece
         self.strata: dict = {}
         self.indexes: dict = {}
         self.bases: dict = {}  # the bases of the strata and indexes
-        self._blocks: dict = {}  # i -> {t: the supported blocks of degree t}
         self._kill = [g.exps for g in C.ring.modulus + self.extra]
 
     @cached_property
@@ -510,18 +497,6 @@ class Homology:
         if keys is None:
             keys = [range(C.rank(i)) for i in range(C.length + 1)]
         return [dict(zip(k, m)) for k, m in zip(keys, C.mdegs)]
-
-    def _pieces(self, i: int, t: int):
-        """The pieces that :meth:`strand_dims` sums over in the degree-t
-        strand of degree i: the strand itself, or its supported blocks."""
-        if self.support is None:
-            return (t,)
-        if i not in self._blocks:
-            by_degree: dict = {}
-            for b in sorted(self.support(i)):
-                by_degree.setdefault(sum(b), []).append(b)
-            self._blocks[i] = by_degree
-        return self._blocks[i].get(t, ())
 
     def basis(self, i: int, s) -> list:
         """The basis in degree i of the whole strand s = t or of the block
@@ -546,15 +521,15 @@ class Homology:
                 out.append((g, Monomial(e)))
         return out
 
-    def strand_dims(self, t: int, lo: int, hi: int) -> dict:
-        """{i: dim H_i} of the degree-t strand for lo <= i <= hi, from ranks
-        alone: dim H_i = |B_i| - r_i - r_{i+1} (dim coker d_1 for i = 0),
-        summed over the pieces.  Each rank r_i is taken once per piece for
-        the life of this object.
+    def strand_dims(self, s, lo: int, hi: int) -> dict:
+        """{i: dim H_i} of the whole strand s = t or of the block s = b for
+        lo <= i <= hi, from ranks alone: dim H_i = |B_i| - r_i - r_{i+1}
+        (dim coker d_1 for i = 0).  Each rank r_i is taken once per piece
+        for the life of this object.
         """
         basis = cache(self._basis)
 
-        def rank(j, s):
+        def rank(j):
             key, upper, lower = (j, s), basis(j, s), basis(j - 1, s)
             if key not in self.ranks:
                 self.ranks[key] = linalg.rank(
@@ -563,15 +538,12 @@ class Homology:
             return self.ranks[key]
 
         return {
-            i: sum(
-                len(basis(i, s)) - rank(i, s) - rank(i + 1, s)
-                for s in self._pieces(i, t)
-            )
-            for i in range(lo, hi + 1)
+            i: len(basis(i, s)) - rank(i) - rank(i + 1) for i in range(lo, hi + 1)
         }
 
-    def dim(self, i: int, t: int) -> int:
-        return self.strand_dims(t, i, i)[i]
+    def dim(self, i: int, s) -> int:
+        """dim H_i of the whole strand s = t or of the block s = b."""
+        return self.strand_dims(s, i, i)[i]
 
     def _rows(self, j: int, s, upper: list, lower: list) -> list:
         """Scalar rows of d_j between the bases of the piece s in degrees

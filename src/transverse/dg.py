@@ -30,7 +30,6 @@ from .complexes import (
 from .errors import CertificationError, DomainError, Record
 from .exterior import wedge_subsets
 from .ideals import MonomialIdeal, regular_sequence
-from .poly import Polynomial
 from .resolutions import koszul_complex, lift_comparison_map, taylor_complex
 
 
@@ -50,7 +49,7 @@ class _Product:
 
     @cached_property
     def tables(self) -> dict:
-        """key -> {(u, v): {w: Polynomial}}"""
+        """key -> {(u, v): {w: polynomial}}"""
         C, md = self.complex, self.complex.mdegs
         out = {}
         for key, tab in self.scalars.items():
@@ -475,7 +474,9 @@ class ModuleAction(Record):
     """A DG-module action of a Koszul complex K on a resolution C, stored
     as scalars: ``scalars[(i, j)][(S, v)]`` lists the (w, c) with
     e_S * f_v = sum_w c x^(m_S + m_v - m_w) f_w, for e_S in K_i and f_v in
-    C_j.  ``tables`` is the polynomial view, built when read."""
+    C_j.  ``phi`` is the comparison map K -> C as the scalar tables of
+    :func:`lift_comparison_map`.  ``tables`` is the polynomial view, built
+    when read."""
 
     _fields = ("koszul", "complex", "phi", "scalars", "certificate")
 
@@ -491,7 +492,7 @@ class ModuleAction(Record):
 
     @cached_property
     def tables(self) -> dict:
-        """(i, j) -> {(subset, v): {w: Polynomial}}"""
+        """(i, j) -> {(subset, v): {w: polynomial}}"""
         subsets, mK = self.koszul.meta["subsets"], self.koszul.mdegs
         md = self.complex.mdegs
         return {
@@ -521,22 +522,16 @@ def koszul_module_action(
     P = prod.degree_one().scalars
     md, nonzero, ring = C.mdegs, _nonzero(C), C.ring
     mons = regular_sequence(ring, elements)
-    polys = [Polynomial.from_monomial(ring, m) for m in mons]
-    for m, f in zip(mons, polys):
+    for m in mons:
         if not any(all(a >= b for a, b in zip(m.exps, g)) for g in md[1]):
-            raise DomainError(f"{f} is not in the resolved ideal")
-    K = koszul_complex(polys)
+            raise DomainError(f"{ring.format_monomial(m)} is not in the resolved ideal")
+    K = koszul_complex(mons, ring)
     phi = lift_comparison_map(K, C)
     _refuse_zero_columns(K)
     subsets, mK = K.meta["subsets"], K.mdegs
-    # the lift solves for phi_1(e_s) on the multidegree block of a_s, so
-    # it lies there by construction: its entry at w is one term
-    # c x^(mdeg a_s - m_w)
-    phi1: list = [[] for _ in mons]
-    scalar = table_scalar(ring.field)
-    for (w, s), f in phi[1].entries.items():
-        (c,) = f.term_dict().values()
-        phi1[s].append((w, scalar(c)))
+    # the lift solves for phi_1(e_s) on the multidegree block of a_s: its
+    # entry at w is one term c x^(mdeg a_s - m_w), and the table holds c
+    phi1 = [phi[1].get(s, []) for s in range(len(mons))]
 
     def act(S: tuple, j: int, vec):
         """e_S * vec on (generator of C_j, scalar) pairs: e_s * f =

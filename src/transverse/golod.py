@@ -29,8 +29,7 @@ class KoszulClass(Record):
     s x^(b - 1_S) e_S, one per exterior key, read off the canonical
     representative of the block's stratum.  No term lies in I, so it is a
     cycle over the ambient ring and, restricted, over any quotient between.
-    Immutable; its hash is that of its field tuple, which the dict of
-    ``rep`` makes unhashable.
+    Immutable and unhashable, like the dict its ``rep`` holds.
     """
 
     __slots__ = _fields = ("i", "t", "b", "index", "label", "rep")
@@ -43,9 +42,6 @@ class KoszulClass(Record):
         _set(self, "index", index)
         _set(self, "label", label)
         _set(self, "rep", rep)
-
-    def __hash__(self):
-        return hash((self.i, self.t, self.b, self.index, self.label, self.rep))
 
 
 class KoszulHomology(Homology):
@@ -74,8 +70,10 @@ class KoszulHomology(Homology):
         if ring.modulus:
             raise DomainError("expected an ideal over the ambient polynomial ring")
         K = koszul_on_variables(ring)
-        lattice = lcm_lattice(I)
-        super().__init__(K, I, K.meta["subsets"], lambda i: lattice)
+        super().__init__(K, I, K.meta["subsets"])
+        blocks: dict = {}  # t -> the blocks of L_I of degree t, in order
+        for b in sorted(lcm_lattice(I)):
+            blocks.setdefault(sum(b), []).append(b)
         # the lcm-lattice Betti numbers pin the exact (i, t) support of the
         # homology; block elimination then recomputes each dimension
         # independently and the two pipelines must agree on the nose
@@ -86,7 +84,7 @@ class KoszulHomology(Homology):
         classes = []
         for i, t in sorted(table):
             found = []  # (strand position of the pivot, b, representative)
-            for b in self._pieces(i, t):
+            for b in blocks.get(t, ()):
                 sh = self.stratum(i, b)
                 keys = [self.keys[i][g] for g, _ in sh.basis]
                 for v in sh.representatives:

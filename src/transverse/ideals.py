@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import DomainError, Record, RingMismatchError
-from .poly import Monomial, Polynomial, Ring, minimal_monomials, monomials_of_degree
+from .poly import Monomial, Ring, minimal_monomials, monomials_of_degree
 
 
 class MonomialIdeal(Record):
@@ -109,18 +109,14 @@ def transversality_witness(I: MonomialIdeal, J: MonomialIdeal):
 
 def regular_sequence(ring: Ring, elems) -> list[Monomial]:
     """The monomials of a monomial regular sequence: nonunit monomials with
-    pairwise disjoint supports, given as monomials, one-term polynomials or
-    monomial strings."""
+    pairwise disjoint supports, given as monomials or monomial strings."""
     mons = []
     for a in elems:
-        if isinstance(a, Polynomial):
-            terms = a.term_dict()
-            if len(terms) != 1:
-                raise DomainError("regular sequence entries must be monomials")
-            a = next(iter(terms))
-        if not isinstance(a, Monomial):
+        if isinstance(a, str):
             a = ring.parse_monomial(a)
-        if a.is_one or a.degree < 1:
+        elif not isinstance(a, Monomial):
+            raise DomainError("regular sequence entries must be monomials")
+        if a.is_one:
             raise DomainError("regular sequence entries must be nonunits")
         mons.append(a)
     for i in range(len(mons)):

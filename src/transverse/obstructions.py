@@ -22,7 +22,7 @@ from .golod import KoszulHomology
 from .ideals import (
     MonomialIdeal, ideal_product, is_transverse, lcm_lattice, regular_sequence,
 )
-from .poly import Monomial, Polynomial, Ring
+from .poly import Monomial, Ring
 from .resolutions import betti_numbers, twisted_koszul
 
 
@@ -60,7 +60,7 @@ class TateComplex(Record):
         self.certificate = certificate
 
 
-def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
+def tate_resolution(a, ring: Ring, n_max: int = 6) -> TateComplex:
     """Build and certify the Tate complex through homological degree n_max,
     with the cycles z_j of :func:`_tate_cycle`: d o d = 0, and H_i = 0 for
     1 <= i < n_max and coker d_1 = k in every multidegree (see
@@ -69,13 +69,6 @@ def tate_resolution(a, ring: Ring | None = None, n_max: int = 6) -> TateComplex:
     so the differential alone would not fix the multidegree of e_k."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    if ring is None:
-        if not a:
-            raise DomainError("need a ring when the sequence is empty")
-        first = a[0]
-        ring = first.ring if isinstance(first, Polynomial) else None
-        if ring is None:
-            raise DomainError("pass the ambient ring explicitly")
     mons = regular_sequence(ring, a)
     S = ring.quotient(mons) if mons else ring
     zs = [_tate_cycle(m) for m in mons]
@@ -132,19 +125,19 @@ class QuotientTor(Homology):
         for a in tate.sequence:
             if not M.contains(a):
                 raise DomainError("the regular sequence must lie in M")
-        lattice = lcm_lattice(M)
-
-        def support(i):
-            out = set()
-            for c in product(range(i // 2 + 1), repeat=len(tate.sequence)):
-                if 2 * sum(c) <= i:
-                    shift = _sequence_mdeg(tate.sequence, M.ring.nvars, c)
-                    out |= {tuple(map(add, m, shift)) for m in lattice}
-            return out
-
-        super().__init__(tate.complex, M, tate.basis, support)
+        super().__init__(tate.complex, M, tate.basis)
         self.tate = tate
         self.M = M
+        self._lattice = lcm_lattice(M)
+
+    def support(self, i: int) -> set:
+        """The blocks where Tor_i^S(R/M, k) can be nonzero, see the class."""
+        seq, out = self.tate.sequence, set()
+        for c in product(range(i // 2 + 1), repeat=len(seq)):
+            if 2 * sum(c) <= i:
+                shift = _sequence_mdeg(seq, self.M.ring.nvars, c)
+                out |= {tuple(map(add, m, shift)) for m in self._lattice}
+        return out
 
     def express(self, i: int, x: Element):
         """Coordinates, in the canonical basis of its block, of the class
@@ -157,9 +150,9 @@ class QuotientTor(Homology):
         )
 
     def total_dim(self, i: int) -> int:
-        """dim Tor_i^S(R/M, k): dim H_i summed over the degrees of the
-        supported blocks, a finite set."""
-        return sum(self.dim(i, t) for t in {sum(b) for b in self.support(i)})
+        """dim Tor_i^S(R/M, k): dim H_i summed over the supported blocks, a
+        finite set."""
+        return sum(self.dim(i, b) for b in sorted(self.support(i)))
 
 
 def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6):

@@ -1,5 +1,8 @@
-"""Monomials, sparse polynomials, and sparse polynomial matrices.
+"""Monomials, rings, and the polynomial view of the scalar tables.
 
+The package computes on monomials and on monomial-matrix scalar tables;
+:class:`Polynomial` and :class:`PolyMatrix` only display a finished table
+entry or differential, for text and JSON output, and carry no arithmetic.
 Everything is immutable after construction.  The canonical order used
 throughout the package (term iteration, generator lists, monomial bases)
 is descending lexicographic order on exponent vectors, so all outputs are
@@ -165,14 +168,6 @@ class Ring(Record):
     def with_field(self, field) -> "Ring":
         return Ring(self.names, field, self.modulus)
 
-    def variable(self, i: int) -> "Polynomial":
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Polynomial(self, {Monomial(tuple(exps)): self.field.one})
-
-    def variables(self) -> list["Polynomial"]:
-        return [self.variable(i) for i in range(self.nvars)]
-
     def parse_monomial(self, text: str) -> Monomial:
         """Parse strings like ``x1^2*x2`` or ``1`` into a monomial."""
         text = text.strip()
@@ -245,7 +240,7 @@ def _degree_monomials(ring: Ring, t: int, extra: tuple[Monomial, ...]):
 
 
 class Polynomial:
-    """A sparse polynomial: finite map monomial -> nonzero scalar.
+    """A sparse polynomial, read-only: finite map monomial -> nonzero scalar.
 
     Construction drops zero coefficients and monomials that vanish in the
     ring (quotient by a monomial ideal), and over GF(p) brings each
@@ -258,23 +253,8 @@ class Polynomial:
     def __init__(self, ring: Ring, terms: dict):
         if isinstance(ring.field, PrimeField):
             terms = {m: ring.field.scalar(c) for m, c in terms.items()}
-        clean = {}
-        for m, c in terms.items():
-            if not c:
-                continue
-            if ring.kills(m):
-                continue
-            clean[m] = c
         self.ring = ring
-        self._terms = clean
-
-    @classmethod
-    def zero(cls, ring: Ring) -> "Polynomial":
-        return cls(ring, {})
-
-    @classmethod
-    def one(cls, ring: Ring) -> "Polynomial":
-        return cls(ring, {ring.one_monomial(): ring.field.one})
+        self._terms = {m: c for m, c in terms.items() if c and not ring.kills(m)}
 
     @classmethod
     def from_monomial(cls, ring: Ring, m: Monomial, coeff=1) -> "Polynomial":
@@ -290,62 +270,6 @@ class Polynomial:
 
     def term_dict(self) -> dict:
         return dict(self._terms)
-
-    @property
-    def constant_term(self):
-        return self._terms.get(self.ring.one_monomial(), self.ring.field.zero)
-
-    @property
-    def homogeneous_degree(self):
-        """Total degree if all terms share it, else None; None when zero."""
-        degs = {m.degree for m in self._terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.ring, terms)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self._terms.items()})
-
-    def scale(self, c) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.ring)
-        return Polynomial(self.ring, {m: c * v for m, v in self._terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        self._check_ring(other)
-        acc: dict = {}
-        kills = self.ring.kills
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                if kills(m):
-                    continue
-                s = acc.get(m, 0) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return Polynomial(self.ring, acc)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -381,7 +305,7 @@ class Polynomial:
 
 
 class PolyMatrix:
-    """A sparse matrix of polynomials; absent entries are zero."""
+    """A sparse matrix of polynomials, read-only; absent entries are zero."""
 
     __slots__ = ("ring", "nrows", "ncols", "entries")
 
@@ -404,45 +328,6 @@ class PolyMatrix:
     @classmethod
     def zero(cls, ring: Ring, nrows: int, ncols: int) -> "PolyMatrix":
         return cls(ring, nrows, ncols, {})
-
-    @classmethod
-    def identity(cls, ring: Ring, n: int) -> "PolyMatrix":
-        one = Polynomial.one(ring)
-        return cls(ring, n, n, {(i, i): one for i in range(n)})
-
-    def entry(self, r: int, c: int) -> Polynomial:
-        return self.entries.get((r, c), Polynomial.zero(self.ring))
-
-    def column(self, c: int) -> dict[int, Polynomial]:
-        return {r: p for (r, cc), p in self.entries.items() if cc == c}
-
-    def apply(self, vec: list[Polynomial]) -> list[Polynomial]:
-        if len(vec) != self.ncols:
-            raise DimensionError(f"expected vector of length {self.ncols}")
-        out = [Polynomial.zero(self.ring) for _ in range(self.nrows)]
-        for (r, c), p in self.entries.items():
-            out[r] = out[r] + p * vec[c]
-        return out
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionError("matrix shapes do not compose")
-        if self.ring != other.ring:
-            raise RingMismatchError("matrices over different rings")
-        acc: dict = {}
-        by_col: dict[int, list] = {}
-        for (r, c), p in self.entries.items():
-            by_col.setdefault(c, []).append((r, p))
-        for (k, c), q in other.entries.items():
-            for r, p in by_col.get(k, []):
-                key = (r, c)
-                prod = p * q
-                acc[key] = acc[key] + prod if key in acc else prod
-        return PolyMatrix(self.ring, self.nrows, other.ncols, acc)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -13,39 +13,37 @@ from operator import add, le, sub
 
 from . import linalg
 from .complexes import (
-    BettiTable, GradedFreeComplex, Homology, _killer, _term,
+    BettiTable, GradedFreeComplex, Homology, _killer,
     complex_from_boundary, table_scalar,
 )
-from .errors import DomainError, ExactnessError
+from .errors import DimensionError, DomainError, ExactnessError
 from .exterior import wedge_subsets
 from .ideals import MonomialIdeal, lcm_lattice
-from .poly import PolyMatrix, Polynomial, Ring
+from .poly import Monomial, Ring
 
 
 def _subset_label(prefix: str, S: tuple[int, ...]) -> str:
     return prefix + "{" + ",".join(str(s + 1) for s in S) + "}"
 
 
-def koszul_complex(elements: list[Polynomial]) -> GradedFreeComplex:
-    """The Koszul complex on single-term elements c x^a of positive degree.
+def koszul_complex(elements: list[Monomial], ring: Ring) -> GradedFreeComplex:
+    """The Koszul complex over ``ring`` on monomials x^a of positive degree.
 
     Generators e_S for subsets S, with d(e_{j1}^...^e_{jr}) =
-    sum_l (-1)^(l+1) a_{jl} e_{S \\ jl}; generator multidegrees add.
-    Raises DomainError for an element that is not one such term.
+    sum_l (-1)^(l+1) x^(a_jl) e_{S \\ jl}; generator multidegrees add.
+    Raises DomainError for an element that is not a nonunit monomial or
+    that ``ring`` kills, and DimensionError for one over another number of
+    variables.
     """
     if not elements:
         raise DomainError("need at least one element")
-    ring = elements[0].ring
-    terms = []
     for a in elements:
-        if a.ring != ring:
-            raise DomainError("elements over different rings")
-        if len(a.term_dict()) != 1:
-            raise DomainError(f"{a} is not a single term c x^a")
-        ((mono, c),) = a.term_dict().items()
-        if mono.degree <= 0:
-            raise DomainError(f"{a} is not homogeneous of positive degree")
-        terms.append((mono.exps, c))
+        if not isinstance(a, Monomial) or a.is_one:
+            raise DomainError(f"{a!r} is not a monomial of positive degree")
+        if len(a.exps) != ring.nvars:
+            raise DimensionError(f"{a!r} is not over {ring.nvars} variables")
+        if ring.kills(a):
+            raise DomainError(f"{ring.format_monomial(a)} is zero in {ring}")
     c = len(elements)
     subsets = [sorted(combinations(range(c), i)) for i in range(c + 1)]
     zero = (0,) * ring.nvars
@@ -53,14 +51,11 @@ def koszul_complex(elements: list[Polynomial]) -> GradedFreeComplex:
     def mdeg(S):
         m = zero
         for j in S:
-            m = tuple(map(add, m, terms[j][0]))
+            m = tuple(map(add, m, elements[j].exps))
         return m
 
     def boundary(S):
-        return {
-            S[:pos] + S[pos + 1:]: -terms[j][1] if pos % 2 else terms[j][1]
-            for pos, j in enumerate(S)
-        }
+        return {S[:pos] + S[pos + 1:]: -1 if pos % 2 else 1 for pos in range(len(S))}
 
     return complex_from_boundary(
         ring, subsets, mdeg, lambda S: _subset_label("e", S), boundary,
@@ -72,7 +67,10 @@ def koszul_complex(elements: list[Polynomial]) -> GradedFreeComplex:
 def koszul_on_variables(ring: Ring) -> GradedFreeComplex:
     """The Koszul complex resolving the residue field over ``ring``, built
     once per ring (complexes are immutable)."""
-    return koszul_complex(ring.variables())
+    n = ring.nvars
+    return koszul_complex(
+        [Monomial(tuple(int(k == j) for k in range(n))) for j in range(n)], ring
+    )
 
 
 def twisted_koszul(S: Ring, words, n_max: int, twist, word_label):
@@ -356,20 +354,20 @@ def tor_independence(I: MonomialIdeal, J: MonomialIdeal) -> bool:
 
 def lift_comparison_map(
     source: GradedFreeComplex, target: GradedFreeComplex
-) -> list[PolyMatrix]:
+) -> list[dict]:
     """Lift the identity on degree 0 to a chain map source -> target.
 
     The image of each generator e is solved as an exact scalar system on
     the multidegree block b = mdeg(e) of the target, the only block where
     the right-hand side lives; among the (homotopy-many) solutions the
     echelon-canonical one is chosen, so the image lies in that block.
-    Each map is kept as a scalar table {e: [(g, s)]}, an entry s x^(b -
-    m_g), and the right-hand side phi(d e) is read off the tables: an
-    entry s x^(b - m_r) of d e and s' x^(m_r - m_g) of phi(r) give s s'
-    at the generator g of the block.  The polynomial matrices returned
-    are a view of the tables.  Raises :class:`ExactnessError` when some
-    block system has no solution, i.e. the target fails to be exact where
-    needed.
+    Each map phi_i is returned as a scalar table {e: [(g, s)]} in the form
+    of :meth:`GradedFreeComplex.table`, an entry s x^(b - m_g), with
+    phi_0 = {0: [(0, 1)]}; the right-hand side phi(d e) is read off the
+    tables: an entry s x^(b - m_r) of d e and s' x^(m_r - m_g) of phi(r)
+    give s s' at the generator g of the block.  Raises
+    :class:`ExactnessError` when some block system has no solution, i.e.
+    the target fails to be exact where needed.
     """
     ring = source.ring
     if target.ring != ring:
@@ -407,10 +405,4 @@ def lift_comparison_map(
             if sol:
                 table[e] = [(basis_hi[c][0], scalar(v)) for c, v in sol.items()]
         tables.append(table)
-    return [
-        PolyMatrix(ring, target.rank(i), source.rank(i), {
-            (g, e): _term(ring, source.mdegs[i][e], target.mdegs[i][g], s)
-            for e, col in table.items() for g, s in col
-        })
-        for i, table in enumerate(tables)
-    ]
+    return tables

@@ -1,7 +1,7 @@
 import pytest
 
 from transverse.ideals import minimalize_generators
-from transverse.poly import Ring
+from transverse.poly import Monomial, Ring
 
 
 @pytest.fixture
@@ -18,10 +18,47 @@ def ideal(ring, *gens):
     return minimalize_generators(ring, [ring.parse_monomial(g) for g in gens])
 
 
+def variables(ring, *idx):
+    """The monomials x_k of ``ring`` for k in idx, every one when idx is
+    empty."""
+    n = ring.nvars
+    return [Monomial(tuple(int(k == j) for k in range(n))) for j in idx or range(n)]
+
+
+def koszul(ring, *idx):
+    """The Koszul complex over ``ring`` on :func:`variables` (ring, *idx)."""
+    from transverse.resolutions import koszul_complex
+
+    return koszul_complex(variables(ring, *idx), ring)
+
+
 @pytest.fixture
 def flagship(R4):
     # the running example: transverse pair (x1,x2), (x3,x4)
     return ideal(R4, "x1", "x2"), ideal(R4, "x3", "x4")
+
+
+def assert_polynomials_only_a_view():
+    """Polynomial and PolyMatrix have no arithmetic to call, and no module
+    of the package but ``poly`` (the view), ``complexes`` (which renders
+    it) and the package itself names either class."""
+    import re
+    from importlib import import_module
+    from pathlib import Path
+
+    from transverse.poly import PolyMatrix, Polynomial
+
+    assert not [op for op in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                              "scale", "one", "mul_monomial", "with_ring")
+                if hasattr(Polynomial, op)]
+    assert not [op for op in ("__matmul__", "apply", "column", "entry", "identity")
+                if hasattr(PolyMatrix, op)]
+    for name in ("cli", "dg", "ideals", "obstructions", "resolutions"):
+        module = import_module(f"transverse.{name}")
+        assert not {"Polynomial", "PolyMatrix"} & set(vars(module)), name
+    for path in Path(import_module("transverse").__file__).parent.glob("*.py"):
+        if path.stem not in ("__init__", "poly", "complexes"):
+            assert not re.search(r"\bPoly(nomial|Matrix)\b", path.read_text()), path
 
 
 def minimize_checked(C):

@@ -1,26 +1,88 @@
 """Reference copies of the polynomial element helpers that the package
-replaced by block elements on scalars (``transverse.exterior.Element``).
+replaced by block elements on scalars (``transverse.exterior.Element``),
+and the polynomial arithmetic they compute with.
+
+``transverse.poly.Polynomial`` and ``PolyMatrix`` are a read-only view, so
+the sum, product, scaling, column and composition that the references
+call are the plain functions :func:`p_add`, :func:`p_mul`, :func:`column`
+and :func:`compose` here; :func:`one` is the unit, and :func:`chain_map`
+reads the scalar tables of a chain map as polynomial matrices.
 
 An element here is a plain dict mapping a basis key to a nonzero
 ``Polynomial``.  ``KElement``, ``k_acc``, ``k_axpy``, ``k_apply``,
 ``k_coords``, ``k_element``, ``k_wedge``, ``k_diff`` and ``k_with_ring``
-are the earlier code, copied unchanged except that ``k_diff`` and
+are the earlier code, copied unchanged except that they call these
+functions for the removed operators, and that ``k_diff`` and
 ``k_with_ring`` build with the ``Polynomial`` constructor what the removed
 ``Polynomial.mul_monomial`` and ``Polynomial.with_ring`` returned.  The
 reference tests compute with them; :func:`as_polynomial` reads a block
 element as one of them.
 """
 
+from transverse.complexes import _term
 from transverse.exterior import Element, wedge_subsets
 from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
 
 KElement = dict  # generator index or subset tuple -> Polynomial
 
 
+def one(ring: Ring) -> Polynomial:
+    return Polynomial(ring, {ring.one_monomial(): 1})
+
+
+def p_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p + q, in the ring of p."""
+    terms = p.term_dict()
+    for m, c in q.term_dict().items():
+        terms[m] = terms.get(m, 0) + c
+    return Polynomial(p.ring, terms)
+
+
+def p_mul(p: Polynomial, q) -> Polynomial:
+    """p q for a polynomial q, or p scaled by a scalar q; terms that the
+    ring kills drop out on construction."""
+    if not isinstance(q, Polynomial):
+        return Polynomial(p.ring, {m: q * c for m, c in p.term_dict().items()})
+    acc: dict = {}
+    for m1, c1 in p.term_dict().items():
+        for m2, c2 in q.term_dict().items():
+            acc[m1 * m2] = acc.get(m1 * m2, 0) + c1 * c2
+    return Polynomial(p.ring, acc)
+
+
+def column(A: PolyMatrix, c: int) -> dict:
+    """{r: A[r, c]} over the nonzero entries of column c."""
+    return {r: p for (r, cc), p in A.entries.items() if cc == c}
+
+
+def compose(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    """The matrix product A B."""
+    acc: dict = {}
+    for (r, k), p in A.entries.items():
+        for c, q in ((c, q) for (kk, c), q in B.entries.items() if kk == k):
+            pq = p_mul(p, q)
+            acc[r, c] = p_add(acc[r, c], pq) if (r, c) in acc else pq
+    return PolyMatrix(A.ring, A.nrows, B.ncols, acc)
+
+
+def chain_map(source, target, tables) -> list:
+    """The polynomial view of the scalar tables {e: [(g, s)]} of a chain
+    map source -> target (``resolutions.lift_comparison_map``): phi_i as a
+    PolyMatrix with the entry s x^(m_e - m_g) at (g, e)."""
+    ring = source.ring
+    return [
+        PolyMatrix(ring, target.rank(i), source.rank(i), {
+            (g, e): _term(ring, source.mdegs[i][e], target.mdegs[i][g], s)
+            for e, col in table.items() for g, s in col
+        })
+        for i, table in enumerate(tables)
+    ]
+
+
 def k_acc(acc: dict, key, p: Polynomial) -> None:
     """acc[key] += p in place, dropping the key when the sum is zero."""
     cur = acc.get(key)
-    s = p if cur is None else cur + p
+    s = p if cur is None else p_add(cur, p)
     if s.is_zero:
         acc.pop(key, None)
     else:
@@ -30,14 +92,14 @@ def k_acc(acc: dict, key, p: Polynomial) -> None:
 def k_axpy(acc: KElement, c, x: KElement) -> None:
     """acc += c x in place; c is a scalar or a polynomial."""
     for key, p in x.items():
-        k_acc(acc, key, p * c)
+        k_acc(acc, key, p_mul(p, c))
 
 
 def k_apply(A: PolyMatrix, x: KElement) -> KElement:
     """A x for an element keyed by the column indices of A."""
     out: KElement = {}
     for c, p in x.items():
-        k_axpy(out, p, A.column(c))
+        k_axpy(out, p, column(A, c))
     return out
 
 
@@ -47,7 +109,7 @@ def k_wedge(x: KElement, y: KElement) -> KElement:
         for T, q in y.items():
             st = wedge_subsets(S, T)
             if st is not None:
-                k_acc(out, st[1], (p * q).scale(st[0]))
+                k_acc(out, st[1], p_mul(p_mul(p, q), st[0]))
     return out
 
 
@@ -67,7 +129,7 @@ def k_diff(ring: Ring, x: KElement) -> KElement:
             sign = 1 if pos % 2 == 0 else -1
             xj = _var_monomial(ring, j)
             shifted = Polynomial(p.ring, {m * xj: c for m, c in p.term_dict().items()})
-            k_acc(out, rest, shifted.scale(sign))
+            k_acc(out, rest, p_mul(shifted, sign))
     return out
 
 

@@ -47,7 +47,7 @@ from transverse.resolutions import (
     tor_independence,
 )
 
-from conftest import ideal, strand_dims_from_cells
+from conftest import ideal, koszul, strand_dims_from_cells
 
 
 def _pass(n, msg):
@@ -141,8 +141,8 @@ def _cell_strand_dims(S, cert, D):
 def test_criterion_1_star_product_resolutions():
     R = _flagship_ring()
     I, J = _flagship_pair(R)
-    F = koszul_complex([R.variable(0), R.variable(1)])
-    G = koszul_complex([R.variable(2), R.variable(3)])
+    F = koszul_complex(I.gens, R)
+    G = koszul_complex(J.gens, R)
     S = star_product(F, G)
     IJ = ideal_product(I, J)
     cert = verify_resolution(S, IJ)
@@ -180,8 +180,8 @@ def test_criterion_2_non_transversality_control_as_stated():
     I = ideal(R, "x1", "x2")
     J = ideal(R, "x2", "x3")
     assert not is_transverse(I, J)
-    F = koszul_complex([R.variable(0), R.variable(1)])
-    G = koszul_complex([R.variable(1), R.variable(2)])
+    F = koszul_complex(I.gens, R)
+    G = koszul_complex(J.gens, R)
     S = star_product(F, G)
     cert = verify_resolution(S, ideal_product(I, J))
     D = S.max_degree() + 2  # the strand bound of the strand certificate
@@ -205,7 +205,7 @@ def test_criterion_2_supplement_control_where_failure_is_forced():
     # product fail exactly at H_1.
     R = _flagship_ring()
     I = ideal(R, "x1", "x2")
-    F = koszul_complex([R.variable(0), R.variable(1)])
+    F = koszul_complex(I.gens, R)
     S = star_product(F, F)
     cert = verify_resolution(S, ideal_product(I, I))
     assert not cert.ok
@@ -296,9 +296,9 @@ def test_criterion_6_degree_one_products_exhaustive():
         checked.append(cert.checked_pairs)
     # three-fold sequentially transverse product
     R6 = Ring(("x1", "x2", "x3", "x4", "x5", "x6"))
-    F = koszul_complex([R6.variable(0), R6.variable(1)])
-    G = koszul_complex([R6.variable(2), R6.variable(3)])
-    H = koszul_complex([R6.variable(4), R6.variable(5)])
+    F = koszul(R6, 0, 1)
+    G = koszul(R6, 2, 3)
+    H = koszul(R6, 4, 5)
     sp = star_degree_one_product(F, G, koszul_dg_product(F), koszul_dg_product(G))
     sp3 = star_degree_one_product(sp.complex, H, sp, koszul_dg_product(H))
     cert = certify_degree_one(sp3)

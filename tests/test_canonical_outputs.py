@@ -34,7 +34,7 @@ from transverse.fields import QQ, PrimeField
 from transverse.golod import golod_resolution, koszul_homology
 from transverse.ideals import ideal_product, is_sequentially_transverse
 from transverse.obstructions import tate_resolution
-from transverse.poly import Polynomial, Ring
+from transverse.poly import Ring
 from transverse.resolutions import (
     koszul_complex,
     lift_comparison_map,
@@ -42,8 +42,8 @@ from transverse.resolutions import (
     taylor_complex,
 )
 
-from conftest import ideal
-from polynomial_elements import as_polynomial
+from conftest import ideal, koszul
+from polynomial_elements import as_polynomial, chain_map
 
 VARS4 = ["x1", "x2", "x3", "x4"]
 VARS5 = ["x1", "x2", "x3", "x4", "x5"]
@@ -126,6 +126,11 @@ def _matrix(A) -> list:
             [[r, c, str(p)] for (r, c), p in sorted(A.entries.items())]]
 
 
+def _map(source, target, tables) -> list:
+    """A chain map given by scalar tables, rendered through its view."""
+    return [_matrix(A) for A in chain_map(source, target, tables)]
+
+
 def _vec(v: dict) -> dict:
     return {str(k): str(p) for k, p in sorted(v.items())}
 
@@ -170,22 +175,21 @@ def _tate_empty() -> str:
 def _taylor_tensor_koszul() -> str:
     R = Ring(tuple(VARS4))
     F = taylor_complex(ideal(R, "x1^2", "x1*x2"))
-    G = koszul_complex([R.variable(2), R.variable(3)])
+    G = koszul(R, 2, 3)
     return _dumps(complex_to_json(tensor_complexes(F, G)))
 
 
 def _star_taylor_koszul() -> str:
     R = Ring(tuple(VARS4))
     F = taylor_complex(ideal(R, "x1^2", "x1*x2"))
-    G = koszul_complex([R.variable(2), R.variable(3)])
+    G = koszul(R, 2, 3)
     return _dumps(complex_to_json(star_product(F, G)))
 
 
 def _koszul_mixed() -> str:
     R = Ring(tuple(VARS4))
-    elems = [Polynomial.from_monomial(R, R.parse_monomial(g))
-             for g in ("x1^2", "x2*x3", "x4")]
-    return _dumps(complex_to_json(koszul_complex(elems)))
+    elems = [R.parse_monomial(g) for g in ("x1^2", "x2*x3", "x4")]
+    return _dumps(complex_to_json(koszul_complex(elems, R)))
 
 
 def _taylor_redundant() -> str:
@@ -210,24 +214,22 @@ def _comparison_map(field) -> str:
     R = Ring(tuple(VARS4), field)
     I = ideal(R, "x1^2", "x1*x2", "x2*x3")
     # the sequence against the generator order, so phi_2 carries -1 = 2
-    K = koszul_complex([Polynomial.from_monomial(R, R.parse_monomial(g))
-                        for g in ("x2*x3", "x1^2")])
-    phi = lift_comparison_map(K, minimal_resolution(I))
-    return _dumps([_matrix(A) for A in phi])
+    K = koszul_complex([R.parse_monomial(g) for g in ("x2*x3", "x1^2")], R)
+    F = minimal_resolution(I)
+    return _dumps(_map(K, F, lift_comparison_map(K, F)))
 
 
 def _module_action() -> str:
     R = Ring(tuple(VARS4))
     F = taylor_complex(ideal(R, "x1^2", "x1*x2"))
-    G = koszul_complex([R.variable(2), R.variable(3)])
+    G = koszul(R, 2, 3)
     sp = star_degree_one_product(
         F, G, taylor_dg_product(ideal(R, "x1^2", "x1*x2"), F),
         koszul_dg_product(G),
     )
-    ci = [Polynomial.from_monomial(R, R.parse_monomial("x1^2*x3"))]
-    act = koszul_module_action(sp.complex, sp, ci)
+    act = koszul_module_action(sp.complex, sp, [R.parse_monomial("x1^2*x3")])
     return _dumps({
-        "phi": [_matrix(A) for A in act.phi],
+        "phi": _map(act.koszul, act.complex, act.phi),
         "tables": [
             [i, j, [[list(S), v, _vec(val)]
                     for (S, v), val in sorted(tab.items())]]
@@ -240,8 +242,8 @@ def _module_action() -> str:
 
 def _probe() -> str:
     R = Ring(tuple(VARS5))
-    F = koszul_complex([R.variable(0), R.variable(1)])
-    G = koszul_complex([R.variable(2), R.variable(3), R.variable(4)])
+    F = koszul(R, 0, 1)
+    G = koszul(R, 2, 3, 4)
     sp = star_degree_one_product(F, G, koszul_dg_product(F), koszul_dg_product(G))
     rep = associativity_probe(sp.complex, sp)
     return _dumps({

@@ -18,7 +18,7 @@ from transverse.fields import QQ, PrimeField
 from transverse.golod import golod_resolution
 from transverse.ideals import ideal_product
 from transverse.obstructions import tate_resolution
-from transverse.poly import Polynomial, Ring
+from transverse.poly import Ring
 from transverse.resolutions import koszul_complex, koszul_on_variables, taylor_complex
 
 from cell_sweep_reference import reference_cell_failures, reference_cells
@@ -115,8 +115,7 @@ def test_a_whole_prefix_with_nothing_present(monkeypatch):
     # the whole prefix b_1 = 0
     R = Ring(("x1", "x2", "x3"))
     S = R.quotient([R.parse_monomial("x1^3")])
-    a = [Polynomial.from_monomial(S, S.parse_monomial(m)) for m in ("x1^2*x2", "x1*x3")]
-    K = koszul_complex(a)
+    K = koszul_complex([S.parse_monomial(m) for m in ("x1^2*x2", "x1*x3")], S)
     H = Homology(K)
     gens = [m for i in (1, 2) for m in K.mdegs[i]]
     cells = reference_cells(H, (1, 2), units(3))

@@ -603,16 +603,17 @@ def test_complex_without_multidegrees_exits_2(tmp_path, capsys, monkeypatch):
     # every complex is Z^n-graded; building one that is not is refused as
     # an input error, not a traceback
     from transverse import complexes
+    from transverse.poly import Polynomial
     from transverse.resolutions import koszul_complex
 
     def star_product(F, G):
-        x1, x2, x3, _ = F.ring.variables()
-        return koszul_complex([x1 + x2, x3])
+        x1, x2, x3 = (F.ring.parse_monomial(x) for x in ("x1", "x2", "x3"))
+        return koszul_complex([Polynomial(F.ring, {x1: 1, x2: 1}), x3], F.ring)
 
     monkeypatch.setattr(complexes, "star_product", star_product)
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job("star-resolve", {"left": "I", "right": "J"})))
     assert main([str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "not a single term" in err
+    assert err.startswith("error: ") and "not a monomial" in err
     assert "Traceback" not in err

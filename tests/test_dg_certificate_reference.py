@@ -3,8 +3,9 @@ of the polynomial code they replaced.
 
 ``certify_degree_one`` and ``certify_full_dg`` check each identity on the
 scalars of monomial matrices, with one kill test per target coefficient.
-The references below compute every identity with ``Polynomial``
-arithmetic, which drops killed monomials on the way.  They are the earlier
+The references below compute every identity with the polynomial
+arithmetic of ``polynomial_elements``, which drops killed monomials on the
+way.  They are the earlier
 bodies, unchanged except that both products are applied through
 :func:`k_bilinear` on their polynomial tables.  Each test asserts that the two give equal
 certificates, field by field: the failure lists with their order, and the
@@ -38,7 +39,8 @@ from transverse.ideals import MonomialIdeal
 from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import taylor_complex
 
-from polynomial_elements import KElement, k_acc, k_apply, k_axpy
+from polynomial_elements import KElement, column, k_acc, k_apply, k_axpy, p_mul
+from polynomial_elements import one as unit
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -55,7 +57,7 @@ def k_bilinear(table: dict, x: KElement, y: KElement) -> KElement:
         for v, q in y.items():
             val = table.get((u, v))
             if val:
-                k_axpy(out, p * q, val)
+                k_axpy(out, p_mul(p, q), val)
     return out
 
 
@@ -107,7 +109,7 @@ def certify_full_dg_ref(prod) -> ProductCertificate:
     C = prod.complex
     cert = ProductCertificate()
     top = C.length
-    one = Polynomial.one(C.ring)
+    one = unit(C.ring)
     for i in range(0, top + 1):
         for j in range(0, top - i + 1):
             for u in range(C.rank(i)):
@@ -117,10 +119,10 @@ def certify_full_dg_ref(prod) -> ProductCertificate:
                     # Leibniz: d(xy) - dx.y - (-1)^i x.dy = 0
                     res = k_apply(C.diff(i + j), uv) if i + j >= 1 else {}
                     if i >= 1:
-                        term = full_apply(prod, i - 1, j, C.diff(i).column(u), {v: one})
+                        term = full_apply(prod, i - 1, j, column(C.diff(i), u), {v: one})
                         k_axpy(res, -1, term)
                     if j >= 1:
-                        term = full_apply(prod, i, j - 1, {u: one}, C.diff(j).column(v))
+                        term = full_apply(prod, i, j - 1, {u: one}, column(C.diff(j), v))
                         k_axpy(res, 1 if i % 2 else -1, term)
                     if res:
                         cert.leibniz_failures.append((i, j, u, v))
@@ -160,25 +162,25 @@ def certify_degree_one_ref(prod) -> ProductCertificate:
     with the degree-one squares f1.f1 = 0 that iterated constructions need."""
     C = prod.complex
     cert = ProductCertificate()
-    one = Polynomial.one(C.ring)
+    one, zero = unit(C.ring), Polynomial(C.ring, {})
     if C.rank(0) != 1:
         raise DomainError("degree-one certification expects C_0 = R")
     for j in sorted(set(prod.tables) | set(range(1, C.length + 1))):
         if j < 1 or j > C.length:
             continue
         for u in range(C.rank(1)):
-            alpha = C.diff(1).entry(0, u)
+            alpha = column(C.diff(1), u).get(0, zero)
             for v in range(C.rank(j)):
                 cert.checked_pairs += 1
                 uv = prod.value(j, u, v)
                 # d(f1.fj) - d(f1) fj + f1.d(fj) = 0
                 res = k_apply(C.diff(j + 1), uv)
-                k_acc(res, v, -alpha)
+                k_acc(res, v, p_mul(alpha, -1))
                 if j == 1:
-                    k_acc(res, u, C.diff(1).entry(0, v))
+                    k_acc(res, u, column(C.diff(1), v).get(0, zero))
                 else:
                     term = k_bilinear(
-                        prod.tables.get(j - 1, {}), {u: one}, C.diff(j).column(v)
+                        prod.tables.get(j - 1, {}), {u: one}, column(C.diff(j), v)
                     )
                     k_axpy(res, 1, term)
                 if res:
@@ -246,11 +248,11 @@ def mutants(rng, tables, count):
             }
             val = new[key][pair]
             if kind == "flip":
-                val[w] = -val[w]
+                val[w] = p_mul(val[w], -1)
             elif kind == "drop":
                 del val[w]
             else:
-                new[key][pair] = {x: p.scale(2) for x, p in val.items()}
+                new[key][pair] = {x: p_mul(p, 2) for x, p in val.items()}
             yield new
 
 
@@ -341,7 +343,7 @@ def test_nonzero_self_square(field):
     R = Ring(NAMES[:2], field)
     prod = taylor_dg_product(MonomialIdeal(R, (Monomial((2, 0)), Monomial((1, 1)))))
     tables = {k: dict(tab) for k, tab in prod.tables.items()}
-    tables[(1, 1)][(1, 1)] = {0: R.variable(1)}
+    tables[(1, 1)][(1, 1)] = {0: Polynomial.from_monomial(R, Monomial((0, 1)))}
     mutant = from_tables(FullProduct, prod.complex, tables)
     cert = certify_full_dg(mutant)
     assert cert.square_failures == [(1, 1)]

@@ -20,9 +20,9 @@ GF(32003), the tests assert that
   classes, change-of-rings images and Tate wedges give what the stratum
   gives on ``k_coords`` of the polynomial reading in the block's
   {(key, monomial): column} index;
-- ``lift_comparison_map`` on the scalar tables gives the polynomial
-  matrices, or the error, of the earlier lift (``reference_lift``), over R
-  and over R/Q.
+- ``lift_comparison_map`` on the scalar tables gives, read through
+  ``chain_map``, the polynomial matrices, or the error, of the earlier lift
+  (``reference_lift``), over R and over R/Q.
 """
 
 import itertools
@@ -50,7 +50,8 @@ from transverse.resolutions import (
 )
 
 from polynomial_elements import (
-    as_polynomial, k_apply, k_axpy, k_coords, k_element, k_with_ring,
+    as_polynomial, chain_map, column, k_apply, k_axpy, k_coords, k_element,
+    k_with_ring, one,
 )
 import polynomial_elements as ref
 from test_scalar_complex_reference import NAMES, random_ideal, random_monomial
@@ -255,13 +256,13 @@ def reference_lift(source, target):
     """The earlier ``lift_comparison_map`` on polynomial elements, with the
     {(key, monomial): column} index of each block built here."""
     ring = source.ring
-    phis = [PolyMatrix.identity(ring, 1)]
+    phis = [PolyMatrix(ring, 1, 1, {(0, 0): one(ring)})]
     H = Homology(target)
     for i, mdegs in enumerate(source.mdegs[1:], start=1):
         entries = {}
         for e, b in enumerate(mdegs):
             index = {gm: col for col, gm in enumerate(H.basis(i - 1, b))}
-            rhs = k_coords(k_apply(phis[i - 1], source.diff(i).column(e)), index)
+            rhs = k_coords(k_apply(phis[i - 1], column(source.diff(i), e)), index)
             basis_hi = H.basis(i, b)
             if not basis_hi:
                 if rhs:
@@ -281,6 +282,11 @@ def reference_lift(source, target):
                 entries[(g, e)] = p
         phis.append(PolyMatrix(ring, target.rank(i), source.rank(i), entries))
     return phis
+
+
+def lift(source, target):
+    """``lift_comparison_map`` read through its polynomial view."""
+    return chain_map(source, target, lift_comparison_map(source, target))
 
 
 def lift_or_error(lift, source, target):
@@ -305,10 +311,10 @@ def test_lift_on_the_tables_matches_the_polynomial_lift(field, seed):
         regular = [g for g in I.gens]
         regular = [g for k, g in enumerate(regular)
                    if not any(g.support() & h.support() for h in regular[:k])]
-        elements = [Polynomial.from_monomial(ring, g) for g in regular]
+        K = koszul_complex(regular, ring)
         for target in (taylor_complex(I), minimize_complex(taylor_complex(I))):
-            got = lift_or_error(lift_comparison_map, koszul_complex(elements), target)
-            want = lift_or_error(reference_lift, koszul_complex(elements), target)
+            got = lift_or_error(lift, K, target)
+            want = lift_or_error(reference_lift, K, target)
             assert got == want
             found.append(isinstance(got, str))
     assert not all(found)
@@ -322,8 +328,7 @@ def test_lift_drops_a_product_that_r_q_kills(field):
     R = Ring(NAMES, field)
     S = R.quotient([R.parse_monomial("x1*x3")])
     I = MonomialIdeal(S, (R.parse_monomial("x1"), R.parse_monomial("x2")))
-    K = koszul_complex([Polynomial.from_monomial(S, m)
-                        for m in (R.parse_monomial("x1"), R.parse_monomial("x2*x3"))])
-    got = lift_comparison_map(K, taylor_complex(I))
+    K = koszul_complex([R.parse_monomial("x1"), R.parse_monomial("x2*x3")], S)
+    got = lift(K, taylor_complex(I))
     assert got == reference_lift(K, taylor_complex(I))
-    assert str(got[2].entry(0, 0)) == "x3"
+    assert str(got[2].entries[0, 0]) == "x3"

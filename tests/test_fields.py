@@ -9,10 +9,10 @@ from transverse.errors import DomainError, RingMismatchError
 from transverse.fields import QQ, PrimeField
 from transverse.golod import koszul_homology
 from transverse.ideals import ideal_product
-from transverse.poly import Polynomial, Ring
-from transverse.resolutions import koszul_complex, taylor_complex
+from transverse.poly import PolyMatrix, Polynomial, Ring
+from transverse.resolutions import taylor_complex
 
-from conftest import ideal
+from conftest import ideal, koszul
 
 PRIMES = (2, 3, 32003)
 
@@ -75,12 +75,6 @@ def test_fraction_scalars_in_rank_and_koszul_complex():
     assert linalg.rank([{0: Fraction(1, 2)}, {0: 4}], F) == 1
     with pytest.raises(DomainError):
         linalg.rank([{0: Fraction(1, 7)}], F)
-    R = Ring(("x1", "x2"), F)
-    x1 = R.parse_monomial("x1")
-    K = koszul_complex([Polynomial.from_monomial(R, x1, Fraction(1, 2))])
-    assert K.table(1) == {0: [(0, 4)]}
-    with pytest.raises(DomainError):
-        koszul_complex([Polynomial.from_monomial(R, x1, Fraction(1, 7))])
 
 
 def test_nonprime_modulus_rejected():
@@ -91,13 +85,13 @@ def test_nonprime_modulus_rejected():
 def test_rings_over_different_primes_do_not_mix():
     R7 = Ring(("x1", "x2"), PrimeField(7))
     R11 = Ring(("x1", "x2"), PrimeField(11))
+    x1 = R7.parse_monomial("x1")
     with pytest.raises(RingMismatchError):
-        R7.variable(0) + R11.variable(0)
+        PolyMatrix(R7, 1, 1, {(0, 0): Polynomial.from_monomial(R11, x1)})
     with pytest.raises(RingMismatchError):
         ideal_product(ideal(R7, "x1"), ideal(R11, "x2"))
     with pytest.raises(RingMismatchError):
-        tensor_complexes(koszul_complex([R7.variable(0)]),
-                         koszul_complex([R11.variable(1)]))
+        tensor_complexes(koszul(R7, 0), koszul(R11, 1))
 
 
 def _assert_in_range(p, scalars):

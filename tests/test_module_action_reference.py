@@ -1,12 +1,13 @@
 """Differential tests: the Koszul module action, on the scalars of monomial
 matrices, against a reference copy of the polynomial code it replaced.
 
-``koszul_module_action`` converts the phi_1 columns to scalars once and
-computes every action value and every certificate identity as a sum of
-scalars keyed by target generator, with one kill test per target.  The
-reference below is the earlier body, unchanged except that the product and
-the action are applied through :func:`k_bilinear` on their polynomial
-tables.  Each test asserts equal comparison maps, equal action tables and
+``koszul_module_action`` reads the phi_1 columns off the scalar tables of
+the lift and computes every action value and every certificate identity as
+a sum of scalars keyed by target generator, with one kill test per target.
+The reference below is the earlier body, unchanged except that the product
+and the action are applied through :func:`k_bilinear` on their polynomial
+tables, that it reads the lift through ``chain_map``, and that it calls
+the arithmetic of ``polynomial_elements`` for the removed operators.  Each test asserts equal comparison maps, equal action tables and
 equal certificates (the failure lists in order, and the count of checked
 pairs), or the same error with the same text.
 
@@ -36,7 +37,8 @@ from transverse.ideals import MonomialIdeal, regular_sequence
 from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import koszul_complex, lift_comparison_map, taylor_complex
 
-from polynomial_elements import KElement, k_acc, k_apply, k_axpy
+from polynomial_elements import KElement, chain_map, column, k_acc, k_apply, k_axpy, p_mul
+from polynomial_elements import one as unit
 from test_dg_certificate_reference import from_tables, k_bilinear, mutants, random_ideal
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
@@ -67,15 +69,15 @@ def koszul_module_action_ref(C, prod, elements):
         for m, p in zip(mons, polys):
             if not any(g.divides(m) for g in d1_monos):
                 raise DomainError(f"{p} is not in the resolved ideal")
-    K = koszul_complex(polys)
-    phi = lift_comparison_map(K, C)
-    phi1_cols = [phi[1].column(s) for s in range(len(polys))]
+    K = koszul_complex(mons, ring)
+    phi = chain_map(K, C, lift_comparison_map(K, C))
+    phi1_cols = [column(phi[1], s) for s in range(len(polys))]
 
     def act1(s: int, j: int, vec: KElement) -> KElement:
         return k_bilinear(prod.tables.get(j, {}), phi1_cols[s], vec)
 
     subsets = K.meta["subsets"]
-    one = Polynomial.one(ring)
+    one, zero = unit(ring), Polynomial(ring, {})
 
     # e_S acting on 1 in C_0: the iterated product of the phi_1 images
     scalar_act: dict = {(): {0: one}}
@@ -127,24 +129,24 @@ def koszul_module_action_ref(C, prod, elements):
                 continue
             tab = tables.get((i, j), {})
             for Sidx, S in enumerate(subsets[i]):
-                dS = K.diff(i).column(Sidx)
+                dS = column(K.diff(i), Sidx)
                 sign = 1 if i % 2 else -1
                 for v in range(C.rank(j)):
                     cert.checked += 1
                     res = k_apply(C.diff(i + j), tab.get((S, v), {}))
                     for r, q in dS.items():
                         if i - 1 == 0:
-                            k_acc(res, v, -q)
+                            k_acc(res, v, p_mul(q, -1))
                         else:
                             Sr = subsets[i - 1][r]
-                            k_axpy(res, -q, act(i - 1, j, Sr, {v: one}))
+                            k_axpy(res, p_mul(q, -1), act(i - 1, j, Sr, {v: one}))
                     if j == 1:
                         # d(f) lands in C_0 = R: e_S acts through its
                         # iterated product on the unit
-                        beta = C.diff(1).entry(0, v)
-                        k_axpy(res, beta.scale(sign), scalar_act[S])
+                        beta = column(C.diff(1), v).get(0, zero)
+                        k_axpy(res, p_mul(beta, sign), scalar_act[S])
                     else:
-                        term = act(i, j - 1, S, C.diff(j).column(v))
+                        term = act(i, j - 1, S, column(C.diff(j), v))
                         k_axpy(res, sign, term)
                     if res:
                         cert.leibniz_failures.append((i, j, S, v))
@@ -162,7 +164,7 @@ def outcome(C, prod, elements):
         act = koszul_module_action(C, prod, elements)
     except DomainError as e:
         return type(e), str(e)
-    return act.phi, act.tables, act.certificate
+    return chain_map(act.koszul, C, act.phi), act.tables, act.certificate
 
 
 def assert_same(C, prod, elements):
@@ -194,7 +196,7 @@ def sequences(ring, ideals):
         [m, n] for (m,), (n,) in zip(singles, singles[1:] + singles[:1])
         if m != n and not m.support() & n.support()
     ]
-    return [[Polynomial.from_monomial(ring, m) for m in seq] for seq in singles + pairs]
+    return singles + pairs
 
 
 def star(ideals):
@@ -242,9 +244,9 @@ def test_koszul_complexes(field):
     R = Ring(NAMES, field)
 
     def monomials(*names):
-        return [Polynomial.from_monomial(R, R.parse_monomial(s)) for s in names]
+        return [R.parse_monomial(s) for s in names]
 
-    K = koszul_complex(monomials("x1^2", "x2*x3", "x4"))
+    K = koszul_complex(monomials("x1^2", "x2*x3", "x4"), R)
     prod = koszul_dg_product(K)
     for names in (("x1^2*x2", "x4*x5"), ("x1^2", "x2*x3"), ("x1^2*x4", "x2*x3*x5")):
         cert = assert_same(K, prod, monomials(*names))
@@ -267,7 +269,7 @@ def test_quotient_rings(field):
         B = random_ideal(rng, R, (2, 3), rng.choice(((1, 2), (2, 2))))
         a = rng.choice(A.gens) * rng.choice(B.gens) * x5
         prod = star([A, B])
-        act = koszul_module_action(prod.complex, prod, [Polynomial.from_monomial(R, a)])
+        act = koszul_module_action(prod.complex, prod, [a])
         c = min(
             (m for tab in act.tables.values() for val in tab.values()
              for p in val.values() for m in p.term_dict()
@@ -276,9 +278,8 @@ def test_quotient_rings(field):
         )
         Q = R.quotient([c])
         prod_Q = star([MonomialIdeal(Q, A.gens), MonomialIdeal(Q, B.gens)])
-        elements_Q = [Polynomial.from_monomial(Q, a)]
-        assert assert_same(prod_Q.complex, prod_Q, elements_Q).ok
-        act_Q = koszul_module_action(prod_Q.complex, prod_Q, elements_Q)
+        assert assert_same(prod_Q.complex, prod_Q, [a]).ok
+        act_Q = koszul_module_action(prod_Q.complex, prod_Q, [a])
         assert terms(act_Q) < terms(act)
 
 
@@ -294,10 +295,9 @@ def test_mutated_products():
         rng = random.Random(f"action-ref-mutants:{field}")
         R = Ring(NAMES, field)
         monomials = [
-            Polynomial.from_monomial(R, R.parse_monomial(s))
-            for s in ("x1^2", "x2*x3", "x4", "x1^2*x4", "x2*x3*x5")
+            R.parse_monomial(s) for s in ("x1^2", "x2*x3", "x4", "x1^2*x4", "x2*x3*x5")
         ]
-        K = koszul_complex(monomials[:3])
+        K = koszul_complex(monomials[:3], R)
         ideals = [
             random_ideal(rng, R, (0, 1), (2, 2)),
             random_ideal(rng, R, (2, 3), (1, 2)),

@@ -16,7 +16,7 @@ from transverse.obstructions import (
     tor_product_subspace,
     verify_injectivity,
 )
-from conftest import ideal
+from conftest import ideal, koszul
 
 
 def divided_weight_count(c, w):
@@ -160,17 +160,12 @@ class TestObstruction:
     def test_consistency_with_dg_module_existence(self, R4, flagship):
         # where a certified DG K-module action exists, obstructions vanish
         from transverse.dg import koszul_dg_product, koszul_module_action, star_degree_one_product
-        from transverse.poly import Polynomial
-        from transverse.resolutions import koszul_complex
 
         I, J = flagship
-        F = koszul_complex([R4.variable(0), R4.variable(1)])
-        G = koszul_complex([R4.variable(2), R4.variable(3)])
+        F = koszul(R4, 0, 1)
+        G = koszul(R4, 2, 3)
         sp = star_degree_one_product(F, G, koszul_dg_product(F), koszul_dg_product(G))
-        act = koszul_module_action(
-            sp.complex, sp,
-            [Polynomial.from_monomial(R4, R4.parse_monomial("x1*x3"))],
-        )
+        act = koszul_module_action(sp.complex, sp, [R4.parse_monomial("x1*x3")])
         assert act.certificate.ok
         rep = avramov_obstruction(
             [R4.parse_monomial("x1*x3")], ideal_product(I, J), 4

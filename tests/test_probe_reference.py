@@ -37,9 +37,10 @@ from transverse.dg import (
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
 from transverse.poly import Polynomial, Ring
-from transverse.resolutions import koszul_complex, taylor_complex
+from transverse.resolutions import taylor_complex
 
-from polynomial_elements import KElement, k_axpy, k_coords, k_element
+from conftest import koszul
+from polynomial_elements import KElement, column, k_axpy, k_coords, k_element
 from test_dg_certificate_reference import (
     from_tables,
     k_bilinear,
@@ -72,7 +73,7 @@ def associativity_probe_ref(
         return ProbeReport(bound=bound, stages=[])
     ring = C.ring
     field_ = ring.field
-    one = Polynomial.one(ring)
+    one = Polynomial(ring, {ring.one_monomial(): 1})
     known: dict = {}
     for j, tab in prod.tables.items():
         known[(1, j)] = dict(tab)
@@ -88,9 +89,9 @@ def associativity_probe_ref(
     def mul(i: int, j: int, left: KElement, right: KElement) -> KElement:
         out: KElement = {}
         if i == 0:
-            k_axpy(out, left.get(0, Polynomial.zero(ring)), right)
+            k_axpy(out, left.get(0, Polynomial(ring, {})), right)
         elif j == 0:
-            k_axpy(out, right.get(0, Polynomial.zero(ring)), left)
+            k_axpy(out, right.get(0, Polynomial(ring, {})), left)
         else:
             out = k_bilinear(known.get((i, j), {}), left, right)
         return out
@@ -141,8 +142,8 @@ def associativity_probe_ref(
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
                     t = C.degs(i)[u] + C.degs(j)[v]
-                    rhs_vec = mul(i - 1, j, C.diff(i).column(u), {v: one})
-                    term = mul(i, j - 1, {u: one}, C.diff(j).column(v))
+                    rhs_vec = mul(i - 1, j, column(C.diff(i), u), {v: one})
+                    term = mul(i, j - 1, {u: one}, column(C.diff(j), v))
                     k_axpy(rhs_vec, -1 if i % 2 else 1, term)
                     rhs_coords = k_coords(rhs_vec, strand_index(n - 1, t))
                     if not H.basis(n, t):
@@ -288,8 +289,8 @@ def taylor_star(field, left, right, modulus=()):
 
 def koszul_star(field):
     R = Ring(NAMES, field)
-    F = koszul_complex([R.variable(0), R.variable(1)])
-    G = koszul_complex([R.variable(2), R.variable(3), R.variable(4)])
+    F = koszul(R, 0, 1)
+    G = koszul(R, 2, 3, 4)
     return star_degree_one_product(F, G, koszul_dg_product(F), koszul_dg_product(G))
 
 

@@ -3,7 +3,9 @@ against reference copies of the polynomial builders they replaced.
 
 The references below are the earlier polynomial code, copied unchanged
 except that each returns a :class:`RefComplex` (degrees, ``PolyMatrix``
-differentials, labels and meta, which the earlier complex stored) and
+differentials, labels and meta, which the earlier complex stored), that
+they call the arithmetic of ``polynomial_elements`` for the removed
+``Polynomial`` and ``PolyMatrix`` operators, and that
 ``reference_twisted_koszul`` takes the internal degree of each word:
 
 - ``reference_complex_from_boundary`` collects polynomial boundaries;
@@ -30,7 +32,7 @@ tests assert that
   entry and the tables of a complex over R/Q read over R (where the terms
   of d o d that die only in R/Q survive).  Every mutant is one the
   reference rejects;
-- the builders build, multiply and scale no ``Polynomial``.
+- the builders build no ``Polynomial``, which has no arithmetic.
 """
 
 import random
@@ -50,7 +52,7 @@ from transverse.complexes import (
     tensor_basis,
     validate_complex,
 )
-from transverse.errors import DomainError
+from transverse.errors import DimensionError, DomainError
 from transverse.fields import QQ, PrimeField
 from transverse.golod import golod_resolution
 from transverse.ideals import MonomialIdeal
@@ -60,7 +62,10 @@ from transverse.resolutions import (
     _subset_label, koszul_complex, minimize_complex, taylor_complex,
 )
 
-from polynomial_elements import as_polynomial, k_acc, k_diff, k_wedge
+from conftest import assert_polynomials_only_a_view, koszul, variables
+from polynomial_elements import (
+    as_polynomial, column, compose, k_acc, k_diff, k_wedge, one, p_mul,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
 NAMES = ("x1", "x2", "x3", "x4")
@@ -112,15 +117,15 @@ def reference_validate(C):
                 problems.append(
                     f"d_{i}[{r},{c}] maps degree {cdegs[c]} below degree {rdegs[r]}"
                 )
-            elif p.homogeneous_degree != want:
+            elif {m.degree for m in p.term_dict()} != {want}:
                 problems.append(
                     f"d_{i}[{r},{c}] = {p} is not homogeneous of degree {want}"
                 )
         if problems:
             break
     for i in range(1, C.length):
-        comp = C.diff(i) @ C.diff(i + 1)
-        if not comp.is_zero:
+        comp = compose(C.diff(i), C.diff(i + 1))
+        if comp.entries:
             r, c = sorted(comp.entries)[0]
             problems.append(
                 f"d_{i} o d_{i + 1} != 0, first nonzero entry at ({r},{c}): "
@@ -152,16 +157,16 @@ def reference_koszul(elements):
     for a in elements:
         if a.ring != ring:
             raise DomainError("elements over different rings")
-        d = a.homogeneous_degree
-        if d is None or d <= 0 or a.is_zero:
+        d = {m.degree for m in a.term_dict()}
+        if len(d) != 1 or 0 in d:
             raise DomainError(f"{a} is not homogeneous of positive degree")
-        degs.append(d)
+        degs.append(d.pop())
     c = len(elements)
     subsets = [sorted(combinations(range(c), i)) for i in range(c + 1)]
 
     def boundary(S):
         return {
-            S[:pos] + S[pos + 1:]: elements[j].scale(1 if pos % 2 == 0 else -1)
+            S[:pos] + S[pos + 1:]: p_mul(elements[j], 1 if pos % 2 == 0 else -1)
             for pos, j in enumerate(S)
         }
 
@@ -208,12 +213,12 @@ def reference_tensor_boundary(F, G, lo=0):
         i, j, fi, gj = key
         out: dict = {}
         if i > lo:
-            for r, p in F.diff(i).column(fi).items():
+            for r, p in column(F.diff(i), fi).items():
                 k_acc(out, (i - 1, j, r, gj), p)
         if j > lo:
             sign = -1 if i % 2 else 1
-            for r, p in G.diff(j).column(gj).items():
-                k_acc(out, (i, j - 1, fi, r), p.scale(sign))
+            for r, p in column(G.diff(j), gj).items():
+                k_acc(out, (i, j - 1, fi, r), p_mul(p, sign))
         return out
 
     return boundary
@@ -253,7 +258,8 @@ def reference_star(F, G):
         i, j, fi, gj = key
         if i + j > 2:
             return higher(key)
-        p = F.diff(1).entry(0, fi) * G.diff(1).entry(0, gj)
+        zero = Polynomial(F.ring, {})
+        p = p_mul(column(F.diff(1), fi).get(0, zero), column(G.diff(1), gj).get(0, zero))
         return {} if p.is_zero else {unit: p}
 
     return reference_complex_from_boundary(
@@ -275,10 +281,13 @@ def reference_minimize(C):
     alive = [list(range(C.rank(i))) for i in range(length + 1)]
     degs = [list(C.degs(i)) for i in range(length + 1)]
 
+    def constant_term(p):
+        return p.term_dict().get(ring.one_monomial(), 0)
+
     def find_unit():
         for i in range(1, length + 1):
             for (r, c) in sorted(mats[i - 1]):
-                if mats[i - 1][(r, c)].constant_term:
+                if constant_term(mats[i - 1][(r, c)]):
                     return i, r, c
         return None
 
@@ -288,12 +297,12 @@ def reference_minimize(C):
             break
         i, r, c = hit
         mat = mats[i - 1]
-        u = mat[(r, c)].constant_term
+        u = constant_term(mat[(r, c)])
         rowvals = {cc: p for (rr, cc), p in mat.items() if rr == r and cc != c}
         colvals = {rr: p for (rr, cc), p in mat.items() if cc == c and rr != r}
         for rr, pc in colvals.items():
             for cc, pr in rowvals.items():
-                k_acc(mat, (rr, cc), -(pc * pr).scale(Fraction(1, u)))
+                k_acc(mat, (rr, cc), p_mul(p_mul(pc, pr), -Fraction(1, u)))
         for key in [k for k in mat if k[0] == r or k[1] == c]:
             del mat[key]
         if i <= length - 1:
@@ -345,14 +354,14 @@ def reference_twisted_koszul(S, words, n_max, twist, word_label):
 
     def boundary(key):
         T, w = key
-        front = {T: Polynomial.one(S)}
+        front = {T: one(S)}
         out = {(U, w): p for U, p in k_diff(S, front).items()}
         if w not in twists:
             twists[w] = twist(w)
         base = -1 if len(T) % 2 else 1
         for s, a, rest in twists[w]:
             for U, p in k_wedge(front, as_polynomial(S, a)).items():
-                k_acc(out, (U, rest), p.scale(base * s))
+                k_acc(out, (U, rest), p_mul(p, base * s))
         return out
 
     C = reference_complex_from_boundary(
@@ -400,11 +409,14 @@ def random_ideal(ring, rng, vars_, ngens):
 
 
 def random_term(ring, rng):
-    """c x^a with x^a alive in ``ring`` and c nonzero in every field."""
+    """x^a alive in ``ring``.  The coefficient that the Koszul inputs
+    carried before they became monomials is still drawn, so the seeded
+    inputs drawn after it stay as they were."""
     m = random_monomial(rng, range(4))
     while ring.kills(m):
         m = random_monomial(rng, range(4))
-    return Polynomial.from_monomial(ring, m, rng.choice((1, -1, 3, -7)))
+    rng.choice((1, -1, 3, -7))
+    return m
 
 
 def pairs(ring, rng):
@@ -419,7 +431,8 @@ def pairs(ring, rng):
     right = random_ideal(ring, rng, (2, 3), 2)
 
     T, T_ref = taylor_complex(I), reference_taylor(I)
-    K, K_ref = koszul_complex(elements), reference_koszul(elements)
+    K = koszul_complex(elements, ring)
+    K_ref = reference_koszul([Polynomial.from_monomial(ring, m) for m in elements])
     redundant = MonomialIdeal(ring, tuple(gens))
     R, R_ref = taylor_complex(redundant, gens), reference_taylor(redundant, gens)
     M, M_ref = minimize_complex(R), reference_minimize(R_ref)
@@ -427,10 +440,10 @@ def pairs(ring, rng):
     G, G_ref = taylor_complex(right), reference_taylor(right)
     MF, MF_ref = minimize_complex(F), reference_minimize(F_ref)
     MG, MG_ref = minimize_complex(G), reference_minimize(G_ref)
-    V = ring.variables()
+    V = [Polynomial.from_monomial(ring, m) for m in variables(ring)]
     return [
         ("koszul", K, K_ref),
-        ("koszul on the variables", koszul_complex(V), reference_koszul(V)),
+        ("koszul on the variables", koszul(ring), reference_koszul(V)),
         ("taylor", T, T_ref),
         ("taylor on redundant generators", R, R_ref),
         ("minimized taylor", M, M_ref),
@@ -615,17 +628,20 @@ def test_mutants_of_the_tables_match_their_views():
 
 def test_koszul_refuses_elements_that_are_not_one_term():
     R = Ring(NAMES)
-    x1, x2, x3, _ = R.variables()
-    for bad in (x1 + x2, Polynomial.zero(R)):
-        with pytest.raises(DomainError, match="not a single term"):
-            koszul_complex([bad, x3])
-    with pytest.raises(DomainError, match="positive degree"):
-        koszul_complex([Polynomial.one(R), x3])
+    x1, x2, x3, _ = variables(R)
+    for bad in (Polynomial(R, {x1: 1, x2: 1}), Polynomial.from_monomial(R, x1),
+                R.one_monomial(), "x1"):
+        with pytest.raises(DomainError, match="not a monomial of positive degree"):
+            koszul_complex([bad, x3], R)
+    with pytest.raises(DomainError, match="x1\\^2 is zero in"):
+        koszul_complex([x1 * x1, x3], R.quotient([x1 * x1]))
+    with pytest.raises(DimensionError, match="not over 4 variables"):
+        koszul_complex([Monomial((1, 0)), x3], R)
 
 
 def test_builders_do_no_polynomial_arithmetic(monkeypatch):
-    # no Polynomial is built, multiplied or scaled inside a builder, and
-    # none builds the view of a complex
+    # no Polynomial is built inside a builder, and none builds the view of
+    # a complex; there is no Polynomial arithmetic to call
     inside, polynomial_ops = [], []
 
     def entered(module, name):
@@ -646,24 +662,24 @@ def test_builders_do_no_polynomial_arithmetic(monkeypatch):
     for name in ("tensor_complexes", "star_product", "stupid_truncation"):
         entered(complexes, name)
     entered(obstructions, "twisted_koszul")
-    for op in ("__init__", "__mul__", "scale"):
-        original = getattr(Polynomial, op)
+    assert_polynomials_only_a_view()
+    original = Polynomial.__init__
 
-        def run(*args, _op=op, _original=original):
-            if inside:
-                polynomial_ops.append((_op, inside[-1]))
-            return _original(*args)
+    def init(*args):
+        if inside:
+            polynomial_ops.append(inside[-1])
+        original(*args)
 
-        monkeypatch.setattr(Polynomial, op, run)
+    monkeypatch.setattr(Polynomial, "__init__", init)
 
     R = Ring(NAMES, PrimeField(32003))
     Q = R.quotient([Monomial((1, 1, 0, 0))])
-    x1, x2, x3, x4 = R.variables()
+    x1, x2, x3, x4 = variables(R)
     I = MonomialIdeal(R, (Monomial((2, 0, 0, 0)), Monomial((1, 1, 0, 0))))
     J = MonomialIdeal(R, (Monomial((0, 0, 1, 1)), Monomial((0, 0, 0, 2))))
     built = [
-        resolutions.koszul_complex([x1, x2.scale(3), x3 * x4]),
-        resolutions.koszul_complex(Q.variables()),
+        resolutions.koszul_complex([x1, x2, x3 * x4], R),
+        koszul(Q),
         complexes.tensor_complexes(
             resolutions.taylor_complex(I), resolutions.taylor_complex(J)
         ),

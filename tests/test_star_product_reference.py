@@ -5,8 +5,9 @@ assembly it replaced.
 ``star_degree_one_product`` builds the table of F*G as scalars
 {j: {(p, x): [(w, c)]}}, the value at target w being c x^(m_p + m_x - m_w),
 and builds its polynomial tables only when they are read.  The reference
-below is the earlier body, unchanged: it multiplies ``Polynomial`` values
-on every basis pair.  Each test asserts the same outcome from both: equal
+below is the earlier body, unchanged but for the arithmetic of
+``polynomial_elements`` in place of the removed operators: it multiplies
+``Polynomial`` values on every basis pair.  Each test asserts the same outcome from both: equal
 tables, with the pairs and the targets inside each value in the same order
 (the polynomial reference code follows that order), and equal
 certificates; or the same error with the same text.
@@ -34,10 +35,10 @@ from transverse.dg import (
 from transverse.errors import CertificationError, DomainError
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
-from transverse.poly import Ring
+from transverse.poly import Polynomial, Ring
 from transverse.resolutions import taylor_complex
 
-from polynomial_elements import KElement, k_acc
+from polynomial_elements import KElement, column, k_acc, p_mul
 from test_dg_certificate_reference import (
     certify_degree_one_ref,
     from_tables,
@@ -86,24 +87,25 @@ def star_degree_one_product_ref(
     bases = {n: star_basis(F, G, n) for n in range(1, S.length + 1)}
     index = {n: {key: k for k, key in enumerate(bases[n])} for n in bases}
     tables: dict = {}
+    zero = Polynomial(S.ring, {})
     for j in range(1, S.length + 1):
         tab: dict = {}
         target = index.get(j + 1, {})
         for p_idx, (_, _, uf, ug) in enumerate(bases[1]):
-            alpha = F.diff(1).entry(0, uf)
+            alpha = column(F.diff(1), uf).get(0, zero)
             for x_idx, (a, b, fa, gb) in enumerate(bases[j]):
                 out: KElement = {}
                 sign = -1 if a % 2 else 1
                 for w, q in prodG.value(b, ug, gb).items():
                     key = (a, b + 1, fa, w)
                     if key in target:
-                        k_acc(out, target[key], (alpha * q).scale(sign))
+                        k_acc(out, target[key], p_mul(p_mul(alpha, q), sign))
                 if b == 1:
-                    beta = G.diff(1).entry(0, gb)
+                    beta = column(G.diff(1), gb).get(0, zero)
                     for w, q in prodF.value(a, uf, fa).items():
                         key = (a + 1, 1, w, ug)
                         if key in target:
-                            k_acc(out, target[key], beta * q)
+                            k_acc(out, target[key], p_mul(beta, q))
                 if out:
                     tab[(p_idx, x_idx)] = out
         tables[j] = tab
