@@ -26,7 +26,7 @@ from re import finditer
 from . import linalg
 from .errors import DimensionError, DomainError, Record, RingMismatchError
 from .fields import PrimeField, field_to_json
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, lcm_closure
 from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
 
 
@@ -362,15 +362,6 @@ def _extra_gens(Q) -> tuple[Monomial, ...]:
     return tuple(Q)
 
 
-def _lcm_closure(pts) -> list:
-    """The lcms of the nonempty subsets of ``pts``, sorted."""
-    out: set = set()
-    for p in sorted(pts):
-        out |= {tuple(map(max, p, c)) for c in out}
-        out.add(p)
-    return sorted(out)
-
-
 def strand_basis(C: GradedFreeComplex, i: int, t: int, extra=()):
     """Basis of the degree-t strand of (C (x) R/Q)_i as (generator, monomial)
     pairs, ordered by (generator, descending lex)."""
@@ -582,7 +573,7 @@ class Homology:
         no generator is present at b.
         """
         pts, axes = self._grid(levels, points)
-        return list(product(*axes)) if self._kill else _lcm_closure(pts)
+        return list(product(*axes)) if self._kill else sorted(lcm_closure(pts))
 
     def _grid(self, levels, points) -> tuple:
         """(pts, axes) of :meth:`cells`: the multidegrees that split the
@@ -681,7 +672,7 @@ class Homology:
             walk(0, (), every, [every] * len(kill))
         else:
             lookup = [{v: at for v, at, _ in step} for step in steps]
-            for b in _lcm_closure(pts):
+            for b in sorted(lcm_closure(pts)):
                 present = every
                 for at, v in zip(lookup, b):
                     present &= at[v]

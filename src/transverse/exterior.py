@@ -1,7 +1,7 @@
 """Multihomogeneous elements of the Koszul algebra K (x) R/Q, on scalars.
 
 Every element the Golod and obstruction machinery makes lies in one
-multidegree b: the Koszul cycles, the Kunneth images z_a ^ d(z_b), the
+multidegree b: the Koszul cycles, the Kunneth images d(z_a) ^ z_b, the
 trivial Massey values and the Tate cycles.  On b each exterior basis key
 S, a sorted tuple of variable indices of multidegree 1_S, has the fixed
 monomial x^(b - 1_S) (the monomial-matrix view of Miller-Sturmfels,
@@ -17,7 +17,6 @@ carry its ring: each operation takes the ring it works in, and
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
@@ -41,13 +40,6 @@ def wedge_subsets(S: tuple, T: tuple):
     return sign, tuple(sorted(S + T))
 
 
-@lru_cache(maxsize=32)
-def _arithmetic(ring):
-    """The table form of a scalar of ``ring`` and its kill test on
-    exponent tuples, None over a ring with no modulus."""
-    return table_scalar(ring.field), _killer(ring) if ring.modulus else None
-
-
 def _monomial(b: tuple, S: tuple) -> tuple:
     """The exponents of x^(b - 1_S)."""
     return tuple(e - (k in S) for k, e in enumerate(b))
@@ -56,7 +48,8 @@ def _monomial(b: tuple, S: tuple) -> tuple:
 def _element(ring, b: tuple, acc: dict) -> Element:
     """The element of block b with the sums ``acc``, without the zero
     scalars and the terms ``ring`` kills."""
-    scalar, killed = _arithmetic(ring)
+    scalar = table_scalar(ring.field)
+    killed = _killer(ring) if ring.modulus else None
     return Element(b, {
         S: s for S, v in acc.items()
         if (s := scalar(v)) and not (killed and killed(_monomial(b, S)))
@@ -90,9 +83,9 @@ def k_diff(ring, x: Element) -> Element:
 def k_restrict(ring, x: Element) -> Element:
     """x read in ``ring``, a ring on the same variables and field: the
     terms it kills dropped."""
-    killed = _arithmetic(ring)[1]
-    if killed is None:
+    if not ring.modulus:
         return x
+    killed = _killer(ring)
     return Element(x.b, {
         S: s for S, s in x.terms.items() if not killed(_monomial(x.b, S))
     })

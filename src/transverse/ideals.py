@@ -89,13 +89,19 @@ def is_transverse(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     return ideal_intersection(I, J).gens == ideal_product(I, J).gens
 
 
+def lcm_closure(pts) -> frozenset:
+    """The lcms of the nonempty subsets of ``pts``, exponent tuples."""
+    out: set = set()
+    for p in pts:
+        out |= {tuple(map(max, p, c)) for c in out}
+        out.add(p)
+    return frozenset(out)
+
+
 def lcm_lattice(I: MonomialIdeal) -> frozenset:
     """The lcm lattice L_I: the exponent vectors of the lcms of all subsets
     of the generators, the empty lcm 1 included."""
-    out = {(0,) * I.ring.nvars}
-    for g in I.gens:
-        out |= {tuple(map(max, m, g.exps)) for m in out}
-    return frozenset(out)
+    return lcm_closure([(0,) * I.ring.nvars, *(g.exps for g in I.gens)])
 
 
 def transversality_witness(I: MonomialIdeal, J: MonomialIdeal):

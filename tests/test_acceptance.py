@@ -225,7 +225,7 @@ def test_criterion_3_kunneth_isomorphism():
     HJ = koszul_homology(J)
     HIJ = koszul_homology(ideal_product(I, J))
     assert HIJ.dims() == {1: 4, 2: 4, 3: 1}
-    cert = kunneth_map(I, J, HI=HI, HJ=HJ, HIJ=HIJ)
+    cert = kunneth_map(I, J)
     assert cert.ok
 
     pairs = generated_transverse_pairs(10, seed=777)
@@ -238,7 +238,7 @@ def test_criterion_3_kunneth_isomorphism():
                 for i in range(1, n + 1)
             )
             assert HIJ.dims().get(n, 0) == want
-        assert kunneth_map(I, J, HI=HI, HJ=HJ, HIJ=HIJ).ok
+        assert kunneth_map(I, J).ok
     _pass(3, f"dimension identity and bijectivity on flagship + {len(pairs)} pairs")
 
 

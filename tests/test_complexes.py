@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -544,21 +546,57 @@ class TestStrandEngine:
         S = star_product(F, koszul(R4, 2, 3))
         self.assert_dims_agree(S, None)
 
-    def test_golod_certificate_catches_a_missing_symbol(self, R4, flagship):
-        from transverse.golod import GolodBasis, golod_basis, golod_resolution
+    @staticmethod
+    def cripple_golod_basis(monkeypatch, I, J):
+        """Make the Golod constructions on (I, J) use a basis without
+        v_(0,0): nothing then kills the class it stands for in H_1."""
+        from transverse import golod
 
-        I, J = flagship
-        b = golod_basis(I, J)
-        # without v_(0,0) nothing kills the class it stands for in H_1
-        crippled = GolodBasis(
+        b = golod.golod_basis(I, J)
+        crippled = golod.GolodBasis(
             b.I, b.J, b.HI, b.HJ, b.HIJ, b.quotient, b.pairs[1:], b.h[1:]
         )
-        # H_1 on the cell (1, 0, 1, 0) and H_3 on three cells of degree 4
-        # (the strand failures (1, 2, 1) and (3, 4, 3) of whole strands)
-        cells = (r"\[\(1, \(1, 0, 1, 0\), 1\), \(3, \(1, 1, 1, 1\), 1\), "
-                 r"\(3, \(1, 1, 2, 0\), 1\)\]")
-        with pytest.raises(CertificationError, match=cells):
-            golod_resolution(I, J, 4, basis=crippled)
+        monkeypatch.setattr(golod, "golod_basis", lambda *_: crippled)
+
+    # H_1 on the cell (1, 0, 1, 0) and H_3 on three cells of degree 4 (the
+    # strand failures (1, 2, 1) and (3, 4, 3) of whole strands)
+    CRIPPLED_FAILURES = [(1, (1, 0, 1, 0), 1), (3, (1, 1, 1, 1), 1),
+                         (3, (1, 1, 2, 0), 1), (3, (2, 0, 1, 1), 1)]
+
+    def test_golod_certificate_catches_a_missing_symbol(
+        self, R4, flagship, monkeypatch
+    ):
+        from transverse.golod import golod_resolution
+
+        self.cripple_golod_basis(monkeypatch, *flagship)
+        with pytest.raises(CertificationError, match=re.escape(
+            f"strands {self.CRIPPLED_FAILURES[:3]}"
+        )):
+            golod_resolution(*flagship, 4)
+
+    def test_golod_verify_reports_a_missing_symbol(
+        self, R4, flagship, monkeypatch, tmp_path, capsys
+    ):
+        # a resolution that fails its own certificate is a certified
+        # failure of the golod verify job: pass false and exit 1
+        from transverse.cli import main
+        from transverse.golod import verify_golod
+
+        self.cripple_golod_basis(monkeypatch, *flagship)
+        cert = verify_golod(*flagship, 4)
+        assert not cert.ok and cert.valid and cert.minimal
+        assert cert.strand_failures == self.CRIPPLED_FAILURES
+        job = tmp_path / "golod.json"
+        job.write_text(json.dumps({
+            "ring": {"vars": ["x1", "x2", "x3", "x4"]},
+            "ideals": {"I": ["x1", "x2"], "J": ["x3", "x4"]},
+            "command": "golod",
+            "args": {"left": "I", "right": "J", "mode": "verify", "n_max": 4},
+            "format": "json",
+        }))
+        assert main([str(job)]) == 1
+        out = capsys.readouterr()
+        assert '"pass": false' in out.out and out.err == ""
 
     def test_term_off_its_multidegree_fails_loudly(self, Rxy):
         # over k[x, y]/(xy) the symbol y kills the cycle x e_2 of multidegree
@@ -741,7 +779,7 @@ class TestOneStrandEngine:
         assert built == [] and bases == []
 
     def test_kunneth_builds_each_strand_index_once(self, R4, monkeypatch):
-        from transverse.golod import koszul_homology, kunneth_map
+        from transverse.golod import golod_basis
         from transverse.ideals import lcm_lattice
 
         built: dict = {}
@@ -754,13 +792,21 @@ class TestOneStrandEngine:
 
         monkeypatch.setattr(Homology, "strand_index", traced_index)
         I, J = ideal(R4, "x1^2", "x1*x2"), ideal(R4, "x3*x4", "x4^2")
-        HIJ = koszul_homology(ideal_product(I, J))
+        basis = golod_basis(I, J)
+        HIJ = basis.HIJ
+
+        def kunneth_columns():
+            # the columns of the Kunneth certificate: the classes of the h
+            return [HIJ.class_coords(basis.vdeg(k) - 1, h)
+                    for k, h in enumerate(basis.h)]
+
+        first = kunneth_columns()
         # the second pass asks again for every index the first one built
-        assert kunneth_map(I, J, HIJ=HIJ).ok and kunneth_map(I, J, HIJ=HIJ).ok
+        assert None not in first and kunneth_columns() == first
         assert built and all(len(calls) > 1 for calls in built.values())
         for calls in built.values():
             assert all(c is calls[0] for c in calls)
-        # every Kunneth image z_a ^ d(z_b) lies in the block b_a + b_b, a
+        # every Kunneth image d(z_a) ^ z_b lies in the block b_a + b_b, a
         # point of the lcm lattice of IJ: only such blocks are indexed
         lattice = lcm_lattice(ideal_product(I, J))
         assert all(isinstance(s, tuple) and s in lattice for _, _, s in built)

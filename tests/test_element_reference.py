@@ -160,7 +160,7 @@ def test_koszul_classes_and_massey_values(field, seed):
             ))
         assert massey_identity_residual(basis, word).terms == want == {}
     # express and is_boundary on the Kunneth images and the products
-    assert kunneth_map(I, J, basis.HI, basis.HJ, H).ok
+    assert kunneth_map(I, J).ok
     checked = 0
     for a, b in itertools.product(basis.HI.classes, basis.HJ.classes):
         image = k_wedge(q, k_restrict(q, a.rep), k_diff(q, k_restrict(q, b.rep)))

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from transverse.complexes import table_scalar
 from transverse.errors import DomainError
 from transverse.exterior import k_diff, k_restrict, k_wedge
+from transverse.fields import QQ, PrimeField
 from transverse.golod import (
     golod_basis,
     golod_poincare,
@@ -132,11 +134,43 @@ class TestKunneth:
                     for i in range(1, n + 1)
                 )
                 assert HIJ.dims().get(n, 0) == want
-            assert kunneth_map(I, J, HI=HI, HJ=HJ, HIJ=HIJ).ok
+            assert kunneth_map(I, J).ok
 
     def test_requires_transverse(self, R4):
         with pytest.raises(DomainError):
             kunneth_map(ideal(R4, "x1", "x2"), ideal(R4, "x2", "x3"))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+    def test_the_two_representatives_differ_by_a_sign(self, field):
+        # d(z_a ^ z_b) = d(z_a) ^ z_b + (-1)^|z_a| z_a ^ d(z_b) is a boundary,
+        # so the class of h_{a,b} is -(-1)^|z_a| that of z_a ^ d(z_b)
+        rng = random.Random(29)
+        R = Ring(("x1", "x2", "x3", "x4"), field)
+        scalar = table_scalar(field)
+
+        def random_ideal(vars_):
+            return MonomialIdeal(R, tuple(
+                Monomial(tuple(rng.randint(0, 2) if k in vars_ else 0
+                               for k in range(4)))
+                for _ in range(rng.randint(1, 3))
+            ))
+
+        checked = 0
+        while checked < 40:
+            I, J = random_ideal((0, 1)), random_ideal((2, 3))
+            if I.is_unit or J.is_unit:
+                continue
+            basis = golod_basis(I, J)
+            q, HIJ = basis.quotient, basis.HIJ
+            for k, (a, b) in enumerate(basis.pairs):
+                n, sign = basis.vdeg(k) - 1, -(-1) ** basis.HI.classes[a].i
+                other = k_wedge(q, basis.zI(k), k_diff(q, basis.zJ(k)))
+                want = HIJ.class_coords(n, other)
+                assert want is not None
+                assert HIJ.class_coords(n, basis.h[k]) == {
+                    c: scalar(sign * s) for c, s in want.items()
+                }
+                checked += 1
 
 
 class TestTorIndependence:
@@ -215,9 +249,8 @@ class TestGolodResolution:
         assert C.total_ranks() == (1, 4, 10, 24, 58, 140)
 
     def test_certificate_attached(self, Rxy):
-        C = golod_resolution(ideal(Rxy, "x"), ideal(Rxy, "y"), 3)
-        cert = C.meta["certificate"]
-        assert cert.valid and cert.minimal
+        cert = verify_golod(ideal(Rxy, "x"), ideal(Rxy, "y"), 3)
+        assert cert.ok and cert.valid and cert.minimal
         assert not cert.strand_failures and not cert.coker_failures
 
     def test_requires_transverse(self, R4):
@@ -247,7 +280,8 @@ class TestGolodResolution:
 
         monkeypatch.setattr(golod, "massey_mu", counting)
         monkeypatch.setattr(golod, "_massey_extend", extending)
-        golod_resolution(*flagship, n_max=n_max, basis=basis)
+        monkeypatch.setattr(golod, "golod_basis", lambda *_: basis)
+        golod_resolution(*flagship, n_max=n_max)
         # the internal bound of golod_resolution: n_max times the largest
         # generator degree of IJ, which is 2 here
         words = golod._words(basis, 2 * n_max, n_max)
@@ -270,7 +304,8 @@ class TestGolodResolution:
 
         monkeypatch.setattr(golod, "twisted_koszul", recording)
         basis = golod_basis(*flagship)
-        golod_resolution(*flagship, n_max=6, basis=basis)
+        monkeypatch.setattr(golod, "golod_basis", lambda *_: basis)
+        golod_resolution(*flagship, n_max=6)
         ((words, twist),) = seen
         assert max(len(w) for w, _, _ in words) == 3
         for w, _, _ in words:
@@ -422,7 +457,7 @@ def test_golod_certificate_does_no_polynomial_arithmetic(flagship, monkeypatch):
     for name in ("verify_golod", "kunneth_map", "twisted_koszul", "massey_mu",
                  "_massey_extend", "golod_basis"):
         entered(golod, name)
-    entered(golod, "golod_resolution", built.append)
+    entered(golod, "_golod_complex", lambda out: built.append(out[0]))
     entered(obstructions, "avramov_obstruction")
     for name in ("validate_complex", "is_minimal"):
         entered(complexes, name)

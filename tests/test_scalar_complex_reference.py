@@ -30,14 +30,16 @@ tests assert that
 - ``validate_complex`` returns the same ``ok`` and ``problems`` as the
   reference, on each complex and on its mutants: a flipped sign, a dropped
   entry and the tables of a complex over R/Q read over R (where the terms
-  of d o d that die only in R/Q survive).  Every mutant is one the
-  reference rejects;
+  of d o d that die only in R/Q survive).  A flipped sign or a dropped
+  entry is rejected exactly when some term of some d_i o d_{i+1} survives
+  in R/Q;
 - the builders build no ``Polynomial``, which has no arithmetic.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, islice
+from operator import sub
 
 import pytest
 
@@ -525,26 +527,50 @@ def mutants(C, rng):
     return out
 
 
-def assert_same_verdicts(C, rng, must_reject=()):
-    """validate_complex agrees with the reference on C and on the first
-    mutant of each kind that the reference rejects; ``must_reject`` names
-    the kinds where some mutant has to be rejected."""
+def composite_survives(C):
+    """True when some term s s' x^(m_c - m_r) of some d_i o d_{i+1}, one
+    per entry (r, k) of d_i and (k, c) of d_{i+1}, survives in R/Q.
+
+    Flipping the sign of such an entry, or dropping it, changes the entry
+    (r, c) of a zero d_i o d_{i+1} by -2 s s' or -s s', so some flip (in
+    odd characteristic) and some drop is rejected exactly when one does."""
+    md = C.mdegs
+    return any(
+        not C.ring.kills(Monomial(tuple(map(sub, md[i + 1][c], md[i - 1][r]))))
+        for i in range(1, C.length)
+        for c, col in C.table(i + 1).items()
+        for k, _ in col
+        for r, _ in C.table(i).get(k, ())
+    )
+
+
+def assert_same_verdicts(C, rng, must_reject=(), never_rejected=()):
+    """validate_complex agrees with the reference on C and on the first two
+    mutants of each kind that the reference rejects, among the first eight
+    or, for a kind in ``must_reject``, the first rejected at all.  Some
+    mutant of each kind in ``must_reject`` has to be rejected, and none of
+    a kind in ``never_rejected`` may be."""
     assert validate_complex(C) == reference_validate(C)
     for kind, found in mutants(C, rng).items():
-        rejected = [m for m in islice(found, 8) if not reference_validate(m).ok]
-        assert rejected or kind not in must_reject, kind
+        verdicts = ((m, reference_validate(m)) for m in found)
+        rejected = [m for m, v in islice(verdicts, 8) if not v.ok]
+        if kind in must_reject and not rejected:
+            rejected = [next((m for m, v in verdicts if not v.ok), None)]
+            assert rejected[0] is not None, kind
+        if kind in never_rejected:
+            assert not rejected and all(v.ok for _, v in verdicts), kind
         for m in rejected[:2]:
             want = reference_validate(m)
             assert validate_complex(m) == want, (kind, want.problems)
             assert not want.ok
 
 
-def assert_same_complex(C, ref, by_column=False, meta=True):
-    """The view of C is the reference complex; ``by_column`` compares the
-    reference's entries column by column, in their order within each, and
-    ``meta`` the meta the builders set."""
+def assert_same_complex(C, ref, by_column=False):
+    """The view of C is the reference complex, meta included; ``by_column``
+    compares the reference's entries column by column, in their order
+    within each."""
     assert (C.degrees, C.labels) == (ref.degrees, ref.labels)
-    assert not meta or C.meta == ref.meta
+    assert C.meta == ref.meta
     assert C.length == ref.length
     for i in range(1, C.length + 1):
         # the view drops no entry: the tables hold none that R/Q kills
@@ -570,10 +596,31 @@ def test_polynomial_complexes_round_trip_and_validate(field, seed):
         tables = [C.table(i) for i in range(1, C.length + 1)]
         assert_same_complex(with_tables(C, C.ring, tables), C)
         assert validate_complex(C) == reference_validate(ref)
-        must = {"dropped entry"}
+        # a mutant is rejected exactly when some term of d o d survives
+        kinds = {"dropped entry"}
         if field.name != "GF(2)":
-            must.add("flipped sign")
-        assert_same_verdicts(C, rng, must if C.length > 1 else ())
+            kinds.add("flipped sign")
+        if composite_survives(C):
+            assert_same_verdicts(C, rng, must_reject=kinds)
+        else:
+            assert_same_verdicts(C, rng, never_rejected=kinds)
+
+
+def test_no_mutant_rejected_when_every_term_of_d_o_d_dies():
+    # over QQ[x1..x4]/(x1x2x4, x4^2) the Taylor complex of (x1x4, x2x4)
+    # has ranks (1, 2, 1) and d_1 o d_2 lives in the one monomial
+    # lcm = x1x2x4, which R/Q kills: flipped or dropped, it stays a complex
+    Q = Ring(NAMES, QQ).quotient([Monomial((1, 1, 0, 1)), Monomial((0, 0, 0, 2))])
+    I = MonomialIdeal(Q, (Monomial((1, 0, 0, 1)), Monomial((0, 1, 0, 1))))
+    C = taylor_complex(I)
+    assert C.total_ranks() == (1, 2, 1) and not composite_survives(C)
+    assert_same_complex(C, reference_taylor(I))
+    kinds = ("flipped sign", "dropped entry")
+    assert_same_verdicts(C, random.Random(0), never_rejected=kinds)
+    # over R the same tables have the surviving term x1x2x4
+    R = with_tables(C, Q.base(), [C.table(1), C.table(2)])
+    assert composite_survives(R)
+    assert_same_verdicts(R, random.Random(0), must_reject=kinds)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -583,8 +630,7 @@ def test_golod_and_tate_match_the_polynomial_builder(field, seed, monkeypatch):
     rng = random.Random(200 + seed)
     for C, ref in (golod_pair(monkeypatch, R, rng), tate_pair(monkeypatch, R, rng)):
         assert C._diffs is None  # the view is built only here
-        # the Golod resolution carries its certificate in its meta
-        assert_same_complex(C, ref, meta=False)
+        assert_same_complex(C, ref)
         assert validate_complex(C) == reference_validate(ref)
         must = {"dropped entry", "dies only in R/Q"}
         if field.name != "GF(2)":
