@@ -505,10 +505,12 @@ class Homology:
         if isinstance(s, int):
             return strand_basis(self.complex, i, s, self.extra)
         mdegs = self.mdegs[i].values() if 0 <= i < len(self.mdegs) else ()
+        # x^(b - m_g) divides x^b, so only a q dividing x^b can kill it
+        kill = [k for k in self._kill if all(map(ge, s, k))]
         out = []
         for g, m in enumerate(mdegs):
             e = tuple(map(sub, s, m))
-            if min(e) >= 0 and not any(all(map(ge, e, k)) for k in self._kill):
+            if min(e) >= 0 and not any(all(map(ge, e, k)) for k in kill):
                 out.append((g, Monomial(e)))
         return out
 
@@ -681,12 +683,29 @@ class Homology:
 
     def stratum(self, i: int, s) -> StrandHomology:
         """H_i of the whole strand s = t or the block s = b with canonical
-        representatives (cycles reduced against the boundary RREF),
-        computed once per (i, s)."""
+        representatives, computed once per (i, s).
+
+        Let Z be the kernel of d_i on the piece, B the image of d_{i+1} and
+        P the pivot columns of the RREF of B, whose pivots are units.  When
+        d o d = 0, so that B lies in Z, reducing by that RREF maps Z onto
+        Z' = {z in Z : z_p = 0 for p in P} with kernel B: Z = B (+) Z'.  So
+        the representatives, the RREF of the cycles reduced against the
+        boundaries, are the RREF kernel basis of d_i on the columns outside
+        P, and dim Z = dim Z' + rank B gives r_i = |B_i| - dim Z' - rank B.
+        d o d = 0 is checked once per object on the scalar tables
+        (:func:`validate_complex`, no elimination); on a map that is not a
+        complex this raises DomainError.
+        """
         key = (i, s)
         if key not in self.strata:
+            if not self._is_complex:
+                raise DomainError("homology needs a complex, but d o d != 0")
             self.strata[key] = self._stratum(i, s)
         return self.strata[key]
+
+    @cached_property
+    def _is_complex(self) -> bool:
+        return validate_complex(self.complex).ok
 
     def _stratum(self, i: int, s) -> StrandHomology:
         field = self.complex.ring.field
@@ -695,24 +714,28 @@ class Homology:
         empty = linalg.EchelonForm(n, [], [], field)
         if not basis_i:
             return StrandHomology(i, s, basis_i, 0, 0, 0, empty, empty, field)
-        if i >= 1:
-            rows = self._rows(i, s, basis_i, self._basis(i - 1, s))
-            cycles = linalg.kernel_basis(rows, n, field)
-        else:
-            cycles = [{k: field.one} for k in range(n)]
         basis_hi = self._basis(i + 1, s)
         bound = empty
         if basis_hi:
             rows_up = self._rows(i + 1, s, basis_hi, basis_i)
             bcols = linalg.rows_from_columns(rows_up, len(basis_hi))
             bound = linalg.echelon(bcols, n, field)
-        # the two eliminations give r_i = |B_i| - dim Z_i and r_{i+1} = dim B_i
-        self.ranks[(i, s)] = n - len(cycles)
+        # Z' of the lemma: the cycles on the columns off the boundary pivots,
+        # each row with its columns ascending
+        kept = [c for c in range(n) if c not in bound.row_at]
+        lower = self._basis(i - 1, s)
+        if lower and kept:
+            rows = self._rows(i, s, [basis_i[c] for c in kept], lower)
+            reps = [{kept[c]: z[c] for c in sorted(z)}
+                    for z in linalg.kernel_basis(rows, len(kept), field)]
+        else:  # d_i maps to zero, or no column is kept: unit vectors span Z'
+            reps = [{c: field.one} for c in kept]
+        classes = linalg.EchelonForm(n, [min(z) for z in reps], reps, field)
+        cycle_dim = len(reps) + bound.rank
+        self.ranks[(i, s)] = n - cycle_dim
         self.ranks[(i + 1, s)] = bound.rank
-        reduced = [v for v in map(bound.reduce, cycles) if v]
-        classes = linalg.echelon(reduced, n, field) if reduced else empty
         return StrandHomology(
-            i, s, basis_i, classes.rank, len(cycles), bound.rank, classes, bound,
+            i, s, basis_i, len(reps), cycle_dim, bound.rank, classes, bound,
             field,
         )
 

@@ -180,7 +180,7 @@ def kunneth_map(I: MonomialIdeal, J: MonomialIdeal) -> KunnethCertificate:
     """
     if not is_transverse(I, J):
         raise DomainError("Kunneth map requires transverse ideals")
-    basis = golod_basis(I, J)
+    basis = _golod_basis(I, J)
     HIJ = basis.HIJ
     symbols = range(len(basis.pairs))
     nmax = max((c.i for c in HIJ.classes), default=0)
@@ -266,6 +266,11 @@ class GolodBasis(Record):
 def golod_basis(I: MonomialIdeal, J: MonomialIdeal) -> GolodBasis:
     if not is_transverse(I, J):
         raise DomainError("the Golod construction requires transverse ideals")
+    return _golod_basis(I, J)
+
+
+def _golod_basis(I: MonomialIdeal, J: MonomialIdeal) -> GolodBasis:
+    """:func:`golod_basis` of a pair already known to be transverse."""
     HI = koszul_homology(I)
     HJ = koszul_homology(J)
     IJ = ideal_product(I, J)
@@ -447,17 +452,18 @@ class PoincareSeries(Record):
         return self.coefficients[n]
 
 
-def golod_poincare(
-    I: MonomialIdeal, J: MonomialIdeal, n_max: int = 6,
-    HIJ: KoszulHomology | None = None,
-) -> PoincareSeries:
+def golod_poincare(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 6) -> PoincareSeries:
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     if not is_transverse(I, J):
         raise DomainError("the Golod series requires transverse ideals")
-    n = I.ring.nvars
-    HIJ = HIJ or koszul_homology(ideal_product(I, J))
-    dims = HIJ.dims()
+    dims = koszul_homology(ideal_product(I, J)).dims()
+    return _poincare(I.ring.nvars, dims, n_max)
+
+
+def _poincare(n: int, dims: dict, n_max: int) -> PoincareSeries:
+    """The series of :func:`golod_poincare` in n variables from the
+    dimensions {i: dim H_i(R/IJ)}, checked by the caller."""
     num = [1]
     for _ in range(n):
         num = [a + b for a, b in zip(num + [0], [0] + num)]
@@ -485,8 +491,8 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
     rep, minimal, strand_failures, coker_failures = resolves_k_failures(
         C, n_max - 1
     )
-    series = tuple(golod_poincare(I, J, n_max, HIJ=basis.HIJ).coefficients)
     HIJ, q = basis.HIJ, basis.quotient
+    series = _poincare(I.ring.nvars, HIJ.dims(), n_max).coefficients
     reps = [k_restrict(q, c.rep) for c in HIJ.classes]
     triviality_failures = []
     for c1, z1 in zip(HIJ.classes, reps):

@@ -361,6 +361,48 @@ class TestVerifyGolod:
         assert not cert.triviality_failures
 
 
+def count_transverse(monkeypatch):
+    """The list that gets one entry per ``is_transverse`` call in golod."""
+    from transverse import golod
+
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return is_transverse(I, J)
+
+    monkeypatch.setattr(golod, "is_transverse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("job", ["kunneth", "verify"])
+def test_one_transversality_test_per_job(monkeypatch, flagship, job):
+    calls = count_transverse(monkeypatch)
+    if job == "kunneth":
+        assert kunneth_map(*flagship).ok
+    else:
+        assert verify_golod(*flagship, n_max=3).ok
+    assert calls == [flagship]
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda I, J: kunneth_map(I, J), "Kunneth map requires transverse ideals"),
+    (lambda I, J: verify_golod(I, J, 3),
+     "the Golod construction requires transverse ideals"),
+    (lambda I, J: golod_basis(I, J),
+     "the Golod construction requires transverse ideals"),
+    (lambda I, J: golod_poincare(I, J, 3),
+     "the Golod series requires transverse ideals"),
+])
+def test_one_refusal_per_non_transverse_job(monkeypatch, R4, run, message):
+    calls = count_transverse(monkeypatch)
+    I, J = ideal(R4, "x1", "x2"), ideal(R4, "x2", "x3")
+    with pytest.raises(DomainError) as err:
+        run(I, J)
+    assert str(err.value) == message
+    assert calls == [(I, J)]
+
+
 def test_multi_ideal_kunneth_dims(R4):
     # iterated formula for a sequentially transverse triple in 6 variables
     R6 = Ring(("x1", "x2", "x3", "x4", "x5", "x6"))
