@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import complexes, dg, golod, resolutions
@@ -502,7 +503,13 @@ def main(argv=None) -> int:
     except AlgebraError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    print(render_report(report, spec.format))
+    try:
+        print(render_report(report, spec.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: the verdict stands, and the
+        # flush at interpreter exit must not write to the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

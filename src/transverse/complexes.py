@@ -464,10 +464,11 @@ class Homology:
     :func:`strand_matrix` serves only whole strands.
 
     It keeps the rank of d_i on each strand or block it has eliminated,
-    each stratum asked for and the keyed index of each block an element is
-    expressed in, with the bases of those two.  A strand is keyed (i, t)
-    and a block (i, b).  ``keys[i][g]`` names generator g of C_i (g itself
-    when ``keys`` is None); its multidegree is ``C.mdegs[i][g]``.
+    each stratum and boundary RREF asked for and the keyed index of each
+    block an element is expressed in, with the bases of those.  A strand is
+    keyed (i, t) and a block (i, b).  ``keys[i][g]`` names generator g of
+    C_i (g itself when ``keys`` is None); its multidegree is
+    ``C.mdegs[i][g]``.
     """
 
     def __init__(self, C: GradedFreeComplex, Q=None, keys=None):
@@ -476,6 +477,7 @@ class Homology:
         self.extra = _extra_gens(Q)
         self.ranks: dict = {}  # (i, piece) -> rank of d_i on the piece
         self.strata: dict = {}
+        self.images: dict = {}  # (i, piece) -> RREF of the image of d_{i+1}
         self.indexes: dict = {}
         self.bases: dict = {}  # the bases of the strata and indexes
         self._kill = [g.exps for g in C.ring.modulus + self.extra]
@@ -681,9 +683,42 @@ class Homology:
                 sweep(b, present)
         return sorted(failures, key=lambda f: (f[0], sum(f[1]), f[1]))
 
+    def boundaries(self, i: int, s) -> linalg.EchelonForm:
+        """The RREF of the image of d_{i+1} on the whole strand s = t or the
+        block s = b, in the columns of ``basis(i, s)``, computed once per
+        (i, s); it keeps the rank of d_{i+1} there.
+
+        d o d = 0 is checked once per object on the scalar tables
+        (:func:`validate_complex`, no elimination); on a map that is not a
+        complex this raises DomainError, since its boundaries need not be
+        cycles.
+        """
+        key = (i, s)
+        if key not in self.images:
+            if not self._is_complex:
+                raise DomainError("homology needs a complex, but d o d != 0")
+            field = self.complex.ring.field
+            basis_i, basis_hi = self.basis(i, s), self._basis(i + 1, s)
+            n = len(basis_i)
+            if basis_i and basis_hi:
+                rows = self._rows(i + 1, s, basis_hi, basis_i)
+                form = linalg.echelon(
+                    linalg.rows_from_columns(rows, len(basis_hi)), n, field
+                )
+            else:
+                form = linalg.EchelonForm(n, [], [], field)
+            self.ranks[(i + 1, s)] = form.rank
+            self.images[key] = form
+        return self.images[key]
+
+    @cached_property
+    def _is_complex(self) -> bool:
+        return validate_complex(self.complex).ok
+
     def stratum(self, i: int, s) -> StrandHomology:
         """H_i of the whole strand s = t or the block s = b with canonical
-        representatives, computed once per (i, s).
+        representatives, computed once per (i, s) on :meth:`boundaries`,
+        which refuses a map that is not a complex.
 
         Let Z be the kernel of d_i on the piece, B the image of d_{i+1} and
         P the pivot columns of the RREF of B, whose pivots are units.  When
@@ -692,34 +727,19 @@ class Homology:
         the representatives, the RREF of the cycles reduced against the
         boundaries, are the RREF kernel basis of d_i on the columns outside
         P, and dim Z = dim Z' + rank B gives r_i = |B_i| - dim Z' - rank B.
-        d o d = 0 is checked once per object on the scalar tables
-        (:func:`validate_complex`, no elimination); on a map that is not a
-        complex this raises DomainError.
         """
         key = (i, s)
         if key not in self.strata:
-            if not self._is_complex:
-                raise DomainError("homology needs a complex, but d o d != 0")
             self.strata[key] = self._stratum(i, s)
         return self.strata[key]
 
-    @cached_property
-    def _is_complex(self) -> bool:
-        return validate_complex(self.complex).ok
-
     def _stratum(self, i: int, s) -> StrandHomology:
         field = self.complex.ring.field
+        bound = self.boundaries(i, s)
         basis_i = self.basis(i, s)
         n = len(basis_i)
-        empty = linalg.EchelonForm(n, [], [], field)
         if not basis_i:
-            return StrandHomology(i, s, basis_i, 0, 0, 0, empty, empty, field)
-        basis_hi = self._basis(i + 1, s)
-        bound = empty
-        if basis_hi:
-            rows_up = self._rows(i + 1, s, basis_hi, basis_i)
-            bcols = linalg.rows_from_columns(rows_up, len(basis_hi))
-            bound = linalg.echelon(bcols, n, field)
+            return StrandHomology(i, s, basis_i, 0, 0, 0, bound, bound, field)
         # Z' of the lemma: the cycles on the columns off the boundary pivots,
         # each row with its columns ascending
         kept = [c for c in range(n) if c not in bound.row_at]
@@ -733,7 +753,6 @@ class Homology:
         classes = linalg.EchelonForm(n, [min(z) for z in reps], reps, field)
         cycle_dim = len(reps) + bound.rank
         self.ranks[(i, s)] = n - cycle_dim
-        self.ranks[(i + 1, s)] = bound.rank
         return StrandHomology(
             i, s, basis_i, len(reps), cycle_dim, bound.rank, classes, bound,
             field,
@@ -760,8 +779,9 @@ class Homology:
         return self.stratum(i, x.b).express(self.coords(i, x))
 
     def is_boundary(self, i: int, x) -> bool:
-        """Whether the element x = (b, {key: s}) is a boundary."""
-        return not x.terms or self.stratum(i, x.b).is_boundary(self.coords(i, x))
+        """Whether the element x = (b, {key: s}) is a boundary, read on
+        :meth:`boundaries` alone."""
+        return not x.terms or self.boundaries(i, x.b).contains(self.coords(i, x))
 
 
 def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:

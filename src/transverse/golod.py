@@ -5,7 +5,9 @@ Poincare series certificate)."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
+from itertools import product
 from operator import add, itemgetter
 
 from . import linalg
@@ -52,7 +54,7 @@ class KoszulHomology(Homology):
     computes, vanishes unless b is in L_I (Gasharov-Peeva-Welker, "The
     lcm-lattice in monomial resolutions", 1999).  The block strata are
     cached, so a class is re-expressed in the canonical basis of its block
-    later (boundary tests, Kunneth matrices, product triviality checks).
+    later (the Tor_1-product subspace of the obstructions).
     Within a strand t the classes are ordered by the strand position
     (generator, descending lex) of their pivots.
 
@@ -174,35 +176,52 @@ def kunneth_map(I: MonomialIdeal, J: MonomialIdeal) -> KunnethCertificate:
     the symbols of degree n + 1 in H_n (the Kunneth bijectivity, Avramov,
     "Infinite free resolutions", 5.2).
 
+    No basis of H(R/IJ) is built.  Each h is checked to be a cycle, and on
+    each block b of degree n the rank of the h there modulo the boundaries
+    B (:meth:`Homology.boundaries`) is their rank in H_n(R/IJ)_b.  The
+    blocks are disjoint, so row n sums these ranks.  Its target dimension
+    is the lcm-lattice Betti number beta_n(R/IJ) (``betti_numbers``), as
+    H_n(K (x) R/IJ) = Tor_n(R/IJ, k).  Independent classes as many as the
+    dimension form a basis, so a row with dim_source = dim_target = rank
+    is bijective.
+
     d(z_a ^ z_b) = d(z_a) ^ z_b + (-1)^|z_a| z_a ^ d(z_b) is a boundary in
     K (x) R/IJ, so [d(z_a) ^ z_b] = -(-1)^|z_a| [z_a ^ d(z_b)]: the other
     representative changes each column at most by its sign, and no row.
     """
     if not is_transverse(I, J):
         raise DomainError("Kunneth map requires transverse ideals")
-    basis = _golod_basis(I, J)
-    HIJ = basis.HIJ
-    symbols = range(len(basis.pairs))
-    nmax = max((c.i for c in HIJ.classes), default=0)
-    nmax = max(nmax, max((basis.vdeg(k) - 1 for k in symbols), default=0))
-    rows = []
-    for n in range(1, nmax + 1):
-        source = [k for k in symbols if basis.vdeg(k) == n + 1]
-        target = HIJ.classes_at(n)
-        cols = []
-        for k in source:
-            # h_{a,b} lies in the block b_a + b_b
-            col = HIJ.class_coords(n, basis.h[k])
-            if col is None:
-                a, b = basis.pairs[k]
-                raise CertificationError(
-                    f"Kunneth image of ({basis.HI.classes[a].label},"
-                    f"{basis.HJ.classes[b].label}) is not a cycle class"
-                )
-            cols.append(col)
-        rank = linalg.rank(linalg.rows_from_columns(cols, len(target)), I.ring.field)
-        rows.append(KunnethRow(n, len(source), len(target), rank))
-    return KunnethCertificate(I, J, rows)
+    return KunnethCertificate(I, J, _kunneth_rows(_golod_basis(I, J)))
+
+
+def _kunneth_rows(basis: GolodBasis) -> list:
+    """The rows of :func:`kunneth_map` on the classes ``basis.h``.  Raises
+    CertificationError on an h that is not a cycle."""
+    q, KIJ, field = basis.quotient, basis.KIJ, basis.I.ring.field
+    blocks: dict = {}  # (n, b) -> the coordinates of the h of the block
+    for k, h in enumerate(basis.h):
+        if k_diff(q, h).terms:
+            a, b = basis.pairs[k]
+            raise CertificationError(
+                f"Kunneth image of ({basis.HI.classes[a].label},"
+                f"{basis.HJ.classes[b].label}) is not a cycle class"
+            )
+        # h_{a,b} lies in the block b_a + b_b
+        n = basis.vdeg(k) - 1
+        blocks.setdefault((n, h.b), []).append(KIJ.coords(n, h))
+    ranks: dict = {}
+    for (n, b), cols in blocks.items():
+        B = KIJ.boundaries(n, b)
+        # rank [B; h] - rank B: the h reduced modulo B
+        reduced = [v for c in cols if (v := B.reduce(c))]
+        rank = linalg.rank(reduced, field) if len(reduced) > 1 else len(reduced)
+        ranks[n] = ranks.get(n, 0) + rank
+    dims = basis.dims
+    sources = Counter(basis.vdeg(k) - 1 for k in range(len(basis.pairs)))
+    return [
+        KunnethRow(n, sources[n], dims.get(n, 0), ranks.get(n, 0))
+        for n in range(1, max([*dims, *sources], default=0) + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +236,35 @@ class GolodBasis(Record):
     internal degrees of the two classes.  ``h[k]`` is the canonical cycle
     d(z_a) ^ z_b representing the corresponding basis class of H(R/IJ).
     Each class representative is moved to R/IJ once, and d(z_a) is taken
-    once per class of H(R/I), on first use.
+    once per class of H(R/I), on first use.  No basis of H(R/IJ) is built:
+    ``KIJ`` answers the boundary queries of the certificates and ``dims``
+    holds the dimensions, both on first use.
     """
 
-    _fields = ("I", "J", "HI", "HJ", "HIJ", "quotient", "pairs", "h")
+    _fields = ("I", "J", "HI", "HJ", "quotient", "pairs", "h")
 
     def __init__(
         self, I: MonomialIdeal, J: MonomialIdeal, HI: KoszulHomology,
-        HJ: KoszulHomology, HIJ: KoszulHomology, quotient: Ring, pairs: list,
-        h: list,
+        HJ: KoszulHomology, quotient: Ring, pairs: list, h: list,
     ):
         self.I = I
         self.J = J
         self.HI = HI
         self.HJ = HJ
-        self.HIJ = HIJ
         self.quotient = quotient
         self.pairs = pairs
         self.h = h
+
+    @cached_property
+    def KIJ(self) -> Homology:
+        """K (x) R/IJ over the ambient ring, keyed by exterior keys."""
+        K = koszul_on_variables(self.I.ring)
+        return Homology(K, self.quotient.modulus, K.meta["subsets"])
+
+    @cached_property
+    def dims(self) -> dict:
+        """{n: dim H_n(R/IJ)} for n >= 1, from the lcm-lattice oracle."""
+        return _homology_dims(ideal_product(self.I, self.J))
 
     def vdeg(self, k: int) -> int:
         a, b = self.pairs[k]
@@ -273,14 +303,12 @@ def _golod_basis(I: MonomialIdeal, J: MonomialIdeal) -> GolodBasis:
     """:func:`golod_basis` of a pair already known to be transverse."""
     HI = koszul_homology(I)
     HJ = koszul_homology(J)
-    IJ = ideal_product(I, J)
-    HIJ = koszul_homology(IJ)
-    quotient = IJ.quotient_ring()
+    quotient = ideal_product(I, J).quotient_ring()
     pairs = sorted(
         ((a.index, b.index) for a in HI.classes for b in HJ.classes),
         key=lambda ab: (HI.classes[ab[0]].i + HJ.classes[ab[1]].i, *ab),
     )
-    basis = GolodBasis(I, J, HI, HJ, HIJ, quotient, pairs, [])
+    basis = GolodBasis(I, J, HI, HJ, quotient, pairs, [])
     basis.h.extend(
         k_wedge(quotient, basis.dzI(k), basis.zJ(k)) for k in range(len(pairs))
     )
@@ -332,13 +360,14 @@ def massey_identity_residual(basis: GolodBasis, word: tuple) -> Element:
 class GolodCertificate(Record):
     __slots__ = _fields = (
         "ranks", "series_coeffs", "ranks_match", "valid", "minimal",
-        "strand_failures", "coker_failures", "triviality_failures",
+        "strand_failures", "coker_failures", "kunneth_rows",
+        "triviality_failures",
     )
 
     def __init__(
         self, ranks: tuple, series_coeffs: tuple, ranks_match: bool,
         valid: bool, minimal: bool, strand_failures: list,
-        coker_failures: list, triviality_failures: list,
+        coker_failures: list, kunneth_rows: list, triviality_failures: list,
     ):
         self.ranks = ranks
         self.series_coeffs = series_coeffs
@@ -347,6 +376,7 @@ class GolodCertificate(Record):
         self.minimal = minimal
         self.strand_failures = strand_failures
         self.coker_failures = coker_failures
+        self.kunneth_rows = kunneth_rows  # the rows of :func:`kunneth_map`
         self.triviality_failures = triviality_failures
 
     @property
@@ -357,6 +387,7 @@ class GolodCertificate(Record):
             and self.minimal
             and not self.strand_failures
             and not self.coker_failures
+            and all(r.bijective for r in self.kunneth_rows)
             and not self.triviality_failures
         )
 
@@ -457,8 +488,17 @@ def golod_poincare(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 6) -> Poinca
         raise DomainError("n_max must be nonnegative")
     if not is_transverse(I, J):
         raise DomainError("the Golod series requires transverse ideals")
-    dims = koszul_homology(ideal_product(I, J)).dims()
-    return _poincare(I.ring.nvars, dims, n_max)
+    return _poincare(I.ring.nvars, _homology_dims(ideal_product(I, J)), n_max)
+
+
+def _homology_dims(IJ: MonomialIdeal) -> dict:
+    """{n: dim H_n(K (x) R/IJ)} for n >= 1: the total lcm-lattice Betti
+    numbers beta_n(R/IJ), since H_n(K (x) R/IJ) = Tor_n(R/IJ, k)."""
+    dims: dict = {}
+    for (n, _), v in betti_numbers(IJ).entries.items():
+        if n:
+            dims[n] = dims.get(n, 0) + v
+    return dims
 
 
 def _poincare(n: int, dims: dict, n_max: int) -> PoincareSeries:
@@ -486,22 +526,34 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
     """Full Golod certificate: the resolution's own checks, rank agreement
     with the Poincare series, and triviality of all pairwise products of
     positive-degree Koszul homology classes of R/IJ.  A resolution that
-    fails its checks is a certified failure here, not an error."""
+    fails its checks is a certified failure here, not an error.
+
+    The products are taken on the classes h = d(z_a) ^ z_b of the basis the
+    resolution is built on, certified to be a basis of H_{>=1}(R/IJ) by the
+    rows of :func:`kunneth_map`: a row that is not bijective is a certified
+    failure.  On a basis, every product of classes is trivial exactly when
+    each h_k ^ h_l is a boundary, since a boundary times a cycle is a
+    boundary; so the products are tested against the boundaries alone.
+    The series is read off the lcm-lattice Betti numbers of IJ, which are
+    the dimensions of H(R/IJ).
+    """
     C, basis = _golod_complex(I, J, n_max)
     rep, minimal, strand_failures, coker_failures = resolves_k_failures(
         C, n_max - 1
     )
-    HIJ, q = basis.HIJ, basis.quotient
-    series = _poincare(I.ring.nvars, HIJ.dims(), n_max).coefficients
-    reps = [k_restrict(q, c.rep) for c in HIJ.classes]
-    triviality_failures = []
-    for c1, z1 in zip(HIJ.classes, reps):
-        for c2, z2 in zip(HIJ.classes, reps):
-            # the product lies in the block b_1 + b_2
-            if not HIJ.is_boundary(c1.i + c2.i, k_wedge(q, z1, z2)):
-                triviality_failures.append((c1.label, c2.label))
+    kunneth_rows = _kunneth_rows(basis)
+    series = _poincare(I.ring.nvars, basis.dims, n_max).coefficients
+    q, KIJ, h = basis.quotient, basis.KIJ, basis.h
+    labels = [f"v({a},{b})" for a, b in basis.pairs]
+    triviality_failures = [
+        # the product lies in the block b_k + b_l
+        (labels[k], labels[l])
+        for k, l in product(range(len(h)), repeat=2)
+        if not KIJ.is_boundary(basis.vdeg(k) + basis.vdeg(l) - 2,
+                               k_wedge(q, h[k], h[l]))
+    ]
     ranks = C.total_ranks()
     return GolodCertificate(
         ranks, series, tuple(ranks) == series[: n_max + 1], rep.ok, minimal,
-        strand_failures, coker_failures, triviality_failures,
+        strand_failures, coker_failures, kunneth_rows, triviality_failures,
     )

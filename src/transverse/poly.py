@@ -113,6 +113,7 @@ class Ring(Record):
         field: Rationals | PrimeField = QQ,
         modulus: tuple[Monomial, ...] = (),
     ):
+        names = tuple(names)
         if len(set(names)) != len(names):
             raise DomainError("variable names must be distinct")
         modulus = minimal_monomials(modulus)

@@ -465,18 +465,24 @@ def test_resolve_staircase_rendered(capsys, tmp_path):
     assert any("1  2  1" in l.replace("  ", " ") or l.split()[-3:] == ["1", "2", "1"] for l in out.splitlines())
 
 
-def run_cli_subprocess(script, *paths, flags=()):
-    """Run ``script`` with the job files ``paths`` as its arguments in a
-    fresh interpreter, started with ``flags``, that imports this checkout's
-    ``src``; 30 s at most."""
+def src_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    ``src``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_cli_subprocess(script, *paths, flags=()):
+    """Run ``script`` with the job files ``paths`` as its arguments in a
+    fresh interpreter, started with ``flags``, that imports this checkout's
+    ``src``; 30 s at most."""
     return subprocess.run(
         [sys.executable, *flags, "-c", script, *map(str, paths)],
-        capture_output=True, text=True, timeout=30, env=env,
+        capture_output=True, text=True, timeout=30, env=src_env(),
     )
 
 
@@ -617,3 +623,25 @@ def test_complex_without_multidegrees_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not a monomial" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, args, ideals, code", [
+    ("golod", {"left": "I", "right": "J", "mode": "verify"}, None, 0),
+    ("check-transverse", {"left": "I", "right": "J"},
+     {"I": ["x1", "x2"], "J": ["x2", "x3"]}, 1),
+])
+def test_a_closed_pipe_keeps_the_exit_code(tmp_path, command, args, ideals, code):
+    # a reader that closes stdout before the report is written, as
+    # `| head -c 10` may: no traceback, and the job's own exit code
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job(command, args, ideals=ideals)))
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "transverse.cli", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
+    )
+    # the interpreter takes far longer to start than this close
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == code
+    assert err == b""

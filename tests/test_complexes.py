@@ -554,7 +554,7 @@ class TestStrandEngine:
 
         b = golod.golod_basis(I, J)
         crippled = golod.GolodBasis(
-            b.I, b.J, b.HI, b.HJ, b.HIJ, b.quotient, b.pairs[1:], b.h[1:]
+            b.I, b.J, b.HI, b.HJ, b.quotient, b.pairs[1:], b.h[1:]
         )
         monkeypatch.setattr(golod, "golod_basis", lambda *_: crippled)
 
@@ -780,8 +780,10 @@ class TestOneStrandEngine:
         assert built == [] and bases == []
 
     def test_kunneth_builds_each_strand_index_once(self, R4, monkeypatch):
-        from transverse.golod import golod_basis
+        from transverse.golod import _kunneth_rows, golod_basis
         from transverse.ideals import lcm_lattice
+
+        from kunneth_reference import reference_homology
 
         built: dict = {}
         index = Homology.strand_index
@@ -794,16 +796,21 @@ class TestOneStrandEngine:
         monkeypatch.setattr(Homology, "strand_index", traced_index)
         I, J = ideal(R4, "x1^2", "x1*x2"), ideal(R4, "x3*x4", "x4^2")
         basis = golod_basis(I, J)
-        HIJ = basis.HIJ
+        HIJ = reference_homology(basis)
 
         def kunneth_columns():
-            # the columns of the Kunneth certificate: the classes of the h
+            # the columns of the earlier Kunneth certificate: the classes of
+            # the h in the basis of H(R/IJ)
             return [HIJ.class_coords(basis.vdeg(k) - 1, h)
                     for k, h in enumerate(basis.h)]
 
         first = kunneth_columns()
-        # the second pass asks again for every index the first one built
+        rows = _kunneth_rows(basis)
+        # the second passes ask again for every index the first ones built,
+        # on the basis of H(R/IJ) and on K (x) R/IJ
         assert None not in first and kunneth_columns() == first
+        assert _kunneth_rows(basis) == rows and all(r.bijective for r in rows)
+        assert {s[0] for s in built} == {id(HIJ), id(basis.KIJ)}
         assert built and all(len(calls) > 1 for calls in built.values())
         for calls in built.values():
             assert all(c is calls[0] for c in calls)

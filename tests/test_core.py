@@ -143,6 +143,16 @@ class TestRecords:
         with pytest.raises(DomainError, match="variable count"):
             MonomialIdeal(R4, (Monomial((1, 0)),))
 
+    def test_ring_names_in_a_list_are_a_tuple(self):
+        from transverse.golod import koszul_homology
+
+        R = Ring(["x1", "x2"])
+        assert R.names == ("x1", "x2") and R == Ring(("x1", "x2"))
+        assert hash(R) == hash(Ring(("x1", "x2")))
+        # koszul_homology hashes the ring (koszul_on_variables is cached)
+        H = koszul_homology(minimalize_generators(R, [R.parse_monomial("x1*x2")]))
+        assert H.dims() == {1: 1}
+
     def test_mutable_records_compare_by_fields_and_do_not_hash(self):
         # row_at is derived, so neither equality nor repr reads it
         a = linalg.EchelonForm(2, [0], [{0: 1, 1: 2}], QQ)
