@@ -20,6 +20,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate, product
+from math import lcm
 from operator import add, ge, or_, sub
 from re import finditer
 
@@ -46,10 +47,14 @@ class GradedFreeComplex:
 
     Raises DimensionError for a table index out of range or a multidegree
     of the wrong length, and DomainError for an entry whose exponent
-    m_c - m_r is negative.  Instances are immutable.
+    m_c - m_r is negative.  Instances are immutable, so the report of
+    :func:`validate_complex` is kept on first use.
     """
 
-    __slots__ = ("ring", "mdegs", "degrees", "labels", "meta", "_tables", "_diffs")
+    __slots__ = (
+        "ring", "mdegs", "degrees", "labels", "meta", "_tables", "_diffs",
+        "_validation",
+    )
 
     def __init__(self, ring, mdegs, tables, labels=None, meta=None):
         mdegs = tuple(tuple(level) for level in mdegs)
@@ -83,7 +88,7 @@ class GradedFreeComplex:
         self.degrees = tuple(tuple(sum(m) for m in level) for level in mdegs)
         self.labels = labels
         self.meta = dict(meta) if meta else {}
-        self._tables, self._diffs = tables, None
+        self._tables, self._diffs, self._validation = tables, None, None
 
     @property
     def diffs(self) -> tuple:
@@ -154,7 +159,7 @@ class ValidationReport(Record):
 
 
 def validate_complex(C: GradedFreeComplex) -> ValidationReport:
-    """Check d o d = 0 exactly.
+    """Check d o d = 0 exactly, once per complex: the report is kept on C.
 
     Every entry is homogeneous by construction: it is one term whose
     monomial the multidegrees fix.  On the tables, entry (r, c) of
@@ -162,6 +167,13 @@ def validate_complex(C: GradedFreeComplex) -> ValidationReport:
     x^(m_c - m_r), which takes one kill test in R/Q.  Never raises;
     reports the first violation with its indices.
     """
+    if C._validation is None:
+        C._validation = _validate(C)
+    return C._validation
+
+
+def _validate(C: GradedFreeComplex) -> ValidationReport:
+    """The report of :func:`validate_complex`, computed."""
     ring, md = C.ring, C.mdegs
     p = getattr(ring.field, "p", 0)
     killed = _killer(ring)
@@ -605,8 +617,19 @@ class Homology:
         since no cell below it can fail; over R the lcm-closure points are
         read with the same bitsets.  Each distinct presence is swept once;
         the rank of d_i on a block depends only on the generators present
-        in degrees i and i - 1, and is taken once per such pair, on the
-        scalar table.
+        in degrees i and i - 1, and is taken once per such pair.
+
+        Ranks are taken over GF(2) first, by XOR on bitsets: per column of
+        d_j, the rows where its scalar is odd, a QQ column scaled first by
+        the lcm of its denominators.  Over GF(2) these ranks are exact.
+        Over QQ, on a complex (:func:`validate_complex`), they decide a
+        block by this lemma: an integer matrix has GF(2) rank rho <= its
+        QQ rank r, since a minor that is odd is nonzero, and d o d = 0
+        gives r_i + r_{i+1} <= n_i on each block with n_i generators.  So
+        n_i - rho_i - rho_{i+1} = 0 proves H_i = 0 and r = rho for both
+        maps; only where it is nonzero are the QQ ranks taken exactly, on
+        the scalar table.  Over GF(p) with p odd, and over QQ on a map
+        that is not a complex, every rank is taken on the scalar table.
         """
         C = self.complex
         levels = range(max(lo - 1, 0), min(hi + 1, C.length) + 1)
@@ -635,27 +658,67 @@ class Homology:
             # the set bits alone: bit g is character g of the reversed string
             return [m.start() for m in finditer("1", bin(present)[:1:-1])]
 
+        field = C.ring.field
+        p = getattr(field, "p", 0)
+        odd: dict = {}  # j -> per column of d_j, the bitset of its odd rows
+        bounded = p == 2 or (not p and self._is_complex)
+        if bounded:
+            for j in levels[1:]:
+                odd[j] = cols = [0] * len(self.mdegs[j])
+                for c, col in C.table(j).items():
+                    scale = lcm(*(s.denominator for _, s in col))
+                    for r, s in col:
+                        if s * scale % 2:
+                            cols[c] |= 1 << r
         ranks: dict = {}  # (j, present in C_j, present in C_{j-1}) -> rank
+        ranks2: dict = {}  # the same keys -> rank over GF(2) of the odd bits
 
-        def rank(j, bits):
-            key = (j, bits.get(j, 0), bits.get(j - 1, 0))
+        def rank(key):
             if key not in ranks:
-                ranks[key] = key[1] and key[2] and linalg.rank(
-                    self._block_rows(j, present_in(key[1]), present_in(key[2])),
-                    C.ring.field,
+                j, upper, lower = key
+                ranks[key] = upper and lower and linalg.rank(
+                    self._block_rows(j, present_in(upper), present_in(lower)),
+                    field,
                 )
             return ranks[key]
 
-        failures, dims = [], {}  # dims: present -> [(i, dim H_i)]
+        def rank2(key):
+            if key not in ranks2:
+                j, upper, lower = key
+                ranks2[key] = upper and lower and linalg.xor_rank(
+                    [v for g in present_in(upper) if (v := odd[j][g] & lower)]
+                )
+            return ranks2[key]
+
+        def block_dims(bits):
+            # [(i, dim H_i)] on the block with these generators present
+            keys = [(j, bits.get(j, 0), bits.get(j - 1, 0))
+                    for j in range(lo, hi + 2)]
+            n = [bits.get(i, 0).bit_count() for i in range(lo, hi + 1)]
+            if bounded:
+                rho = [rank2(key) for key in keys]
+                dims = [size - a - b for size, a, b in zip(n, rho, rho[1:])]
+                # the GF(2) ranks are exact over GF(2); over QQ, a zero
+                # proves both its ranks exact (the lemma)
+                if p == 2 or not any(dims):
+                    ranks.update(zip(keys, rho))
+                    return list(zip(range(lo, hi + 1), dims))
+                for t, d in enumerate(dims):
+                    if not d:
+                        ranks[keys[t]], ranks[keys[t + 1]] = rho[t], rho[t + 1]
+            return [(lo + t, size - rank(keys[t]) - rank(keys[t + 1]))
+                    for t, size in enumerate(n)]
+
+        failures, nonzero = [], {}  # present -> [(i, dim H_i)] where nonzero
 
         def sweep(b, present):
-            if present not in dims:
-                bits = {i: present >> s & full for i, (s, full) in spans.items()}
-                dims[present] = [
-                    (i, bits.get(i, 0).bit_count() - rank(i, bits) - rank(i + 1, bits))
-                    for i in range(lo, hi + 1)
-                ]
-            failures.extend((i, b, d) for i, d in dims[present] if d)
+            found = nonzero.get(present)
+            if found is None:
+                found = nonzero[present] = [(i, d) for i, d in block_dims(
+                    {i: present >> s & full for i, (s, full) in spans.items()}
+                ) if d]
+            if found:
+                failures.extend((i, b, d) for i, d in found)
 
         every = (1 << len(gens)) - 1
 
@@ -711,7 +774,7 @@ class Homology:
             self.images[key] = form
         return self.images[key]
 
-    @cached_property
+    @property
     def _is_complex(self) -> bool:
         return validate_complex(self.complex).ok
 

@@ -14,7 +14,7 @@ from . import linalg
 from .complexes import GradedFreeComplex, Homology, resolves_k_failures, table_scalar
 from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_diff, k_restrict, k_sum, k_wedge
-from .ideals import MonomialIdeal, ideal_product, is_transverse, lcm_lattice
+from .ideals import MonomialIdeal, lcm_lattice, transverse_product
 from .poly import Ring
 from .resolutions import betti_numbers, koszul_on_variables, twisted_koszul
 
@@ -189,9 +189,10 @@ def kunneth_map(I: MonomialIdeal, J: MonomialIdeal) -> KunnethCertificate:
     K (x) R/IJ, so [d(z_a) ^ z_b] = -(-1)^|z_a| [z_a ^ d(z_b)]: the other
     representative changes each column at most by its sign, and no row.
     """
-    if not is_transverse(I, J):
+    IJ = transverse_product(I, J)
+    if IJ is None:
         raise DomainError("Kunneth map requires transverse ideals")
-    return KunnethCertificate(I, J, _kunneth_rows(_golod_basis(I, J)))
+    return KunnethCertificate(I, J, _kunneth_rows(_golod_basis(I, J, IJ)))
 
 
 def _kunneth_rows(basis: GolodBasis) -> list:
@@ -238,22 +239,27 @@ class GolodBasis(Record):
     Each class representative is moved to R/IJ once, and d(z_a) is taken
     once per class of H(R/I), on first use.  No basis of H(R/IJ) is built:
     ``KIJ`` answers the boundary queries of the certificates and ``dims``
-    holds the dimensions, both on first use.
+    holds the dimensions, both on first use.  ``IJ`` is the product, built
+    once per job, and ``quotient`` its quotient ring R/IJ.
     """
 
-    _fields = ("I", "J", "HI", "HJ", "quotient", "pairs", "h")
+    _fields = ("I", "J", "HI", "HJ", "IJ", "pairs", "h")
 
     def __init__(
         self, I: MonomialIdeal, J: MonomialIdeal, HI: KoszulHomology,
-        HJ: KoszulHomology, quotient: Ring, pairs: list, h: list,
+        HJ: KoszulHomology, IJ: MonomialIdeal, pairs: list, h: list,
     ):
         self.I = I
         self.J = J
         self.HI = HI
         self.HJ = HJ
-        self.quotient = quotient
+        self.IJ = IJ
         self.pairs = pairs
         self.h = h
+
+    @cached_property
+    def quotient(self) -> Ring:
+        return self.IJ.quotient_ring()
 
     @cached_property
     def KIJ(self) -> Homology:
@@ -264,7 +270,7 @@ class GolodBasis(Record):
     @cached_property
     def dims(self) -> dict:
         """{n: dim H_n(R/IJ)} for n >= 1, from the lcm-lattice oracle."""
-        return _homology_dims(ideal_product(self.I, self.J))
+        return _homology_dims(self.IJ)
 
     def vdeg(self, k: int) -> int:
         a, b = self.pairs[k]
@@ -294,21 +300,23 @@ class GolodBasis(Record):
 
 
 def golod_basis(I: MonomialIdeal, J: MonomialIdeal) -> GolodBasis:
-    if not is_transverse(I, J):
+    IJ = transverse_product(I, J)
+    if IJ is None:
         raise DomainError("the Golod construction requires transverse ideals")
-    return _golod_basis(I, J)
+    return _golod_basis(I, J, IJ)
 
 
-def _golod_basis(I: MonomialIdeal, J: MonomialIdeal) -> GolodBasis:
-    """:func:`golod_basis` of a pair already known to be transverse."""
+def _golod_basis(I: MonomialIdeal, J: MonomialIdeal, IJ: MonomialIdeal) -> GolodBasis:
+    """:func:`golod_basis` of a pair already known to be transverse, with
+    their product IJ."""
     HI = koszul_homology(I)
     HJ = koszul_homology(J)
-    quotient = ideal_product(I, J).quotient_ring()
     pairs = sorted(
         ((a.index, b.index) for a in HI.classes for b in HJ.classes),
         key=lambda ab: (HI.classes[ab[0]].i + HJ.classes[ab[1]].i, *ab),
     )
-    basis = GolodBasis(I, J, HI, HJ, quotient, pairs, [])
+    basis = GolodBasis(I, J, HI, HJ, IJ, pairs, [])
+    quotient = basis.quotient
     basis.h.extend(
         k_wedge(quotient, basis.dzI(k), basis.zJ(k)) for k in range(len(pairs))
     )
@@ -417,7 +425,7 @@ def _golod_complex(I: MonomialIdeal, J: MonomialIdeal, n_max: int) -> tuple:
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     basis = golod_basis(I, J)
-    D = n_max * max(1, ideal_product(I, J).max_gen_degree())
+    D = n_max * max(1, basis.IJ.max_gen_degree())
     mu: dict = {}  # prefix -> mu(prefix), built once from mu(prefix[:-1])
 
     def twist(w):
@@ -486,9 +494,10 @@ class PoincareSeries(Record):
 def golod_poincare(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 6) -> PoincareSeries:
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    if not is_transverse(I, J):
+    IJ = transverse_product(I, J)
+    if IJ is None:
         raise DomainError("the Golod series requires transverse ideals")
-    return _poincare(I.ring.nvars, _homology_dims(ideal_product(I, J)), n_max)
+    return _poincare(I.ring.nvars, _homology_dims(IJ), n_max)
 
 
 def _homology_dims(IJ: MonomialIdeal) -> dict:

@@ -82,11 +82,18 @@ def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 def is_transverse(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     """True iff the intersection and the product have the same minimal
     generators (the generating sets are canonical, so set equality decides)."""
+    return transverse_product(I, J) is not None
+
+
+def transverse_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal | None:
+    """IJ when I and J are transverse (see :func:`is_transverse`), else
+    None, so that a caller who needs both builds the product once."""
     _check_rings(I, J)
     for K in (I, J):
         if K.is_zero or K.is_unit:
             raise DomainError("transversality needs nonzero proper ideals")
-    return ideal_intersection(I, J).gens == ideal_product(I, J).gens
+    IJ = ideal_product(I, J)
+    return IJ if ideal_intersection(I, J).gens == IJ.gens else None
 
 
 def lcm_closure(pts) -> frozenset:
@@ -140,9 +147,9 @@ def is_sequentially_transverse(ideals) -> bool:
         raise DomainError("need at least two ideals")
     prefix = ideals[0]
     for nxt in ideals[1:]:
-        if not is_transverse(prefix, nxt):
+        prefix = transverse_product(prefix, nxt)
+        if prefix is None:
             return False
-        prefix = ideal_product(prefix, nxt)
     return True
 
 

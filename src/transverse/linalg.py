@@ -5,7 +5,8 @@ denominators and runs fraction-free integer elimination with gcd
 normalization, so the hot loop never touches ``Fraction``; unit pivots are
 restored only when the reduced echelon form is assembled.  Pivot columns
 are always the leading (smallest) columns, which makes every output the
-unique RREF of the row space — canonical and deterministic.
+unique RREF of the row space — canonical and deterministic.  Over GF(2)
+a rank can also be taken on rows packed into int bitsets (:func:`xor_rank`).
 """
 
 from __future__ import annotations
@@ -154,6 +155,22 @@ def rank(rows, field=QQ) -> int:
     if isinstance(field, PrimeField):
         return len(_forward_prime(rows, field))
     return len(_forward_rational(rows))
+
+
+def xor_rank(rows) -> int:
+    """Rank over GF(2) of rows given as int bitsets, by XOR elimination:
+    a row is reduced by the pivot row of its leading bit until it is zero
+    or leads with a bit that has no pivot row yet."""
+    pivrows: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            piv = pivrows.get(top)
+            if piv is None:
+                pivrows[top] = row
+                break
+            row ^= piv
+    return len(pivrows)
 
 
 def echelon(rows, ncols: int, field=QQ) -> EchelonForm:

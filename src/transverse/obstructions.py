@@ -20,7 +20,7 @@ from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_restrict, k_wedge
 from .golod import KoszulHomology
 from .ideals import (
-    MonomialIdeal, ideal_product, is_transverse, lcm_lattice, regular_sequence,
+    MonomialIdeal, lcm_lattice, regular_sequence, transverse_product,
 )
 from .poly import Monomial, Ring
 from .resolutions import betti_numbers, twisted_koszul
@@ -353,9 +353,9 @@ def verify_injectivity(a, I: MonomialIdeal, J: MonomialIdeal, n_max: int = 4):
     """Certify that Tor_i^R(R/IJ,k) -> Tor_i^S(R/IJ,k) is injective for
     2 <= i <= n_max, the change-of-rings consequence of a trivial Tor
     algebra."""
-    if not is_transverse(I, J):
+    M = transverse_product(I, J)
+    if M is None:
         raise DomainError("injectivity certificate needs transverse ideals")
-    M = ideal_product(I, J)
     report = avramov_obstruction(a, M, n_max)
     if not report.product_maps_to_zero:
         raise CertificationError("product subspace does not map to zero")

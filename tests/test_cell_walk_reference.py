@@ -2,17 +2,25 @@
 cells by prefixes of its variables, against the earlier per-cell sweep
 (``cell_sweep_reference``), compared as raw lists.
 
-Each case also counts the ``linalg.rank`` calls of both: the walk skips
-only cells where no generator is present, whose ranks are 0 without an
-elimination, so the two take the same ranks.
+Each case also counts the eliminations of both.  The walk skips only
+cells where no generator is present, whose ranks are 0 without an
+elimination, so it ranks the same keys as the sweep.  Where the walk's
+GF(2) bound applies (over GF(2), and over QQ on a complex) it takes one
+``linalg.xor_rank`` per key the sweep ranks with ``linalg.rank``, and a
+``linalg.rank`` only where the bound leaves a gap; otherwise it takes the
+sweep's ``linalg.rank`` calls and no XOR rank.  Mutants of the Golod, Tate
+and star complexes whose tables have a smaller rank mod 2 reach the QQ
+ranks that close such gaps.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from transverse import linalg
 from transverse.complexes import (
     GradedFreeComplex, Homology, resolves_k_failures, star_product,
-    validate_complex,
+    table_scalar, validate_complex,
 )
 from transverse.fields import QQ, PrimeField
 from transverse.golod import golod_resolution
@@ -32,27 +40,46 @@ def units(n):
 
 
 def counted(monkeypatch, f, *args):
-    """f(*args) and the number of linalg.rank calls it made."""
-    calls = []
-    rank = linalg.rank
+    """f(*args) and the numbers of its linalg.rank and linalg.xor_rank
+    calls, as {"rank": n, "xor_rank": m}."""
+    calls = {"rank": 0, "xor_rank": 0}
 
-    def counting(*a, **k):
-        calls.append(1)
-        return rank(*a, **k)
+    def counting(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return original(*a, **k)
+
+        return wrapper
 
     with monkeypatch.context() as m:
-        m.setattr(linalg, "rank", counting)
+        for name in calls:
+            m.setattr(linalg, name, counting(name))
         out = f(*args)
-    return out, len(calls)
+    return out, calls
 
 
-def assert_walk_is_sweep(monkeypatch, H, lo, hi, points=()):
-    walk, walk_ranks = counted(monkeypatch, H.cell_failures, lo, hi, points)
-    sweep, sweep_ranks = counted(
+def bounded(H):
+    """Whether the walk ranks H's blocks over GF(2) first: over GF(2), and
+    over QQ on a complex."""
+    p = getattr(H.complex.ring.field, "p", 0)
+    return p == 2 or not p and validate_complex(H.complex).ok
+
+
+def assert_walk_is_sweep(monkeypatch, H, lo, hi, points=(), gaps=0):
+    """The walk equals the sweep, ranking the same keys; where the GF(2)
+    bound applies, exactly ``gaps`` keys take a QQ rank."""
+    walk, walk_calls = counted(monkeypatch, H.cell_failures, lo, hi, points)
+    sweep, sweep_calls = counted(
         monkeypatch, reference_cell_failures, H, lo, hi, points
     )
     assert walk == sweep
-    assert walk_ranks == sweep_ranks
+    assert sweep_calls["xor_rank"] == 0
+    if bounded(H):
+        assert walk_calls == {"rank": gaps, "xor_rank": sweep_calls["rank"]}
+    else:
+        assert walk_calls == sweep_calls
     return walk
 
 
@@ -122,7 +149,9 @@ def test_a_whole_prefix_with_nothing_present(monkeypatch):
     assert min(b[0] for b in cells) < min(m[0] for m in gens)
     assert [b for b in cells if b[0] == 0]
     assert assert_walk_is_sweep(monkeypatch, H, 2, 2, units(3))
-    assert_walk_is_sweep(monkeypatch, H, 1, 2, units(3))
+    # H_1 != 0 where d_1 maps both generators of C_1 to that of C_0: no
+    # bound proves H_1 = 0 there, so that one key takes a QQ rank
+    assert_walk_is_sweep(monkeypatch, H, 1, 2, units(3), gaps=1)
 
 
 def test_a_map_that_is_not_a_complex(monkeypatch):
@@ -145,12 +174,162 @@ def test_a_map_that_is_not_a_complex(monkeypatch):
 
 
 def test_rank_count_gate_on_the_golod_flagship(monkeypatch):
-    # the cells of the flagship certificate take exactly these eliminations;
-    # a walk that ranks a key twice, or bypasses the rank memo, takes more
+    # the cells of the flagship certificate take exactly these eliminations,
+    # one XOR rank per key, and the GF(2) bound decides every block, so no
+    # QQ rank; a walk that ranks a key twice, or bypasses the rank memo,
+    # takes more
     R = ring4(QQ)
     I, J = ideal(R, "x1", "x2"), ideal(R, "x3", "x4")
     for n_max, want in ((5, 226), (6, 373)):
         G = golod_resolution(I, J, n_max)
-        out, ranks = counted(monkeypatch, resolves_k_failures, G, n_max - 1)
+        out, calls = counted(monkeypatch, resolves_k_failures, G, n_max - 1)
         assert out[0].ok and out[2:] == ([], [])
-        assert ranks == want
+        assert calls == {"rank": 0, "xor_rank": want}
+
+
+# mutants on which the GF(2) bound falls short: complexes over QQ whose
+# integer tables have a smaller rank mod 2, so that only the exact QQ ranks
+# decide their blocks
+
+
+def mapped(C, j, f):
+    """C with each column c of d_j replaced by f(c, [(r, s)]), zeros
+    dropped and scalars put in the form of the tables."""
+    scalar = table_scalar(C.ring.field)
+    table = {}
+    for c in range(C.rank(j)):
+        col = [(r, v) for r, s in f(c, C.table(j).get(c, ())) if (v := scalar(s))]
+        if col:
+            table[c] = col
+    tables = [table if i == j else C.table(i) for i in range(1, C.length + 1)]
+    return GradedFreeComplex(C.ring, C.mdegs, tables)
+
+
+def scaled(C, j, s):
+    """d_j times s: still a complex."""
+    return mapped(C, j, lambda c, col: [(r, s * t) for r, t in col])
+
+
+def rebased(C, j, gens, A, inv):
+    """C in the basis of C_j that takes the generators ``gens``, all of one
+    multidegree, to their combinations by the columns of the matrix A,
+    whose inverse is ``inv``: d_j times A, and inv times d_{j+1}."""
+    at = {g: k for k, g in enumerate(gens)}
+
+    def new_columns(c, col):
+        if c not in at:
+            return col
+        out: dict = {}
+        for k, g in enumerate(gens):
+            for r, s in C.table(j).get(g, ()):
+                out[r] = out.get(r, 0) + A[k][at[c]] * s
+        return sorted(out.items())
+
+    def new_rows(c, col):
+        out = dict(col)
+        old = [out.pop(g, 0) for g in gens]
+        for k, g in enumerate(gens):
+            out[g] = sum(inv[k][m] * v for m, v in enumerate(old))
+        return sorted(out.items())
+
+    return mapped(mapped(C, j, new_columns), j + 1, new_rows)
+
+
+def same_multidegree(C):
+    """(j, g, h): the first two generators g < h of one C_j, 2 <= j <
+    length, with one multidegree and nonzero columns of d_j."""
+    for j in range(2, C.length):
+        seen = {}
+        for g, m in enumerate(C.mdegs[j]):
+            if g in C.table(j):
+                if m in seen:
+                    return j, seen[m], g
+                seen[m] = g
+    raise AssertionError("no two generators of one multidegree")
+
+
+def mutants(C):
+    """{name: (mutant, whether it must take QQ ranks over QQ)}."""
+    j, g, h = same_multidegree(C)
+    p = getattr(C.ring.field, "p", 0)
+    out = {
+        # every entry of d_2 doubled, of d_3 times -2: even over GF(2)
+        "d_2 times 2": (scaled(C, 2, 2), True),
+        "d_3 times -2": (scaled(C, 3, -2), True),
+    }
+    if p != 2:  # 1/2 is no scalar of GF(2)
+        # e_g -> 2 e_g: column g of d_j doubled and row g of d_{j+1}
+        # halved, so that the columns of d_{j+1} through g hold Fractions
+        half = Fraction(1, 2)
+        out["e_g doubled"] = (rebased(C, j, [g], [[2]], [[half]]), False)
+        # e_g + e_h and e_g - e_h: H = 0 over QQ still, but the two new
+        # columns of d_j agree mod 2, as do the rows of d_{j+1} scaled to
+        # integers
+        out["e_g + e_h, e_g - e_h"] = (rebased(
+            C, j, [g, h], [[1, 1], [1, -1]], [[half, half], [half, -half]]
+        ), True)
+    else:
+        out["e_g + e_h, e_h"] = (rebased(
+            C, j, [g, h], [[1, 0], [1, 1]], [[1, 0], [-1, 1]]
+        ), False)
+    return out
+
+
+def golod_flagship_like(R):
+    return golod_resolution(ideal(R, "x1", "x2^2"), ideal(R, "x3", "x4"), 4)
+
+
+def tate(R):
+    # the divided power on x3x4 shares its multidegree with e_3 ^ e_4
+    a = [R.parse_monomial("x1^2"), R.parse_monomial("x3*x4")]
+    return tate_resolution(a, R, 5).complex
+
+
+def star(R):
+    R5 = Ring(("x1", "x2", "x3", "x4", "x5"), R.field)
+    return star_product(
+        taylor_complex(ideal(R5, "x1^2", "x1*x2", "x2*x3")),
+        taylor_complex(ideal(R5, "x4^2", "x4*x5", "x5^2")),
+    )
+
+
+@pytest.mark.parametrize("build", [golod_flagship_like, tate, star])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_mutants_where_the_bound_falls_short(monkeypatch, field, build):
+    C = build(ring4(field))
+    n = C.ring.nvars
+    for name, (M, short) in mutants(C).items():
+        assert validate_complex(M).ok, name
+        H = Homology(M)
+        walk, calls = counted(monkeypatch, H.cell_failures, 0, M.length, units(n))
+        sweep, _ = counted(
+            monkeypatch, reference_cell_failures, H, 0, M.length, units(n)
+        )
+        assert walk == sweep, name
+        if field == QQ:
+            # where the bound left a gap, the exact QQ ranks closed it
+            assert calls["rank"] or not short, name
+            # a change of basis over QQ keeps the homology
+            assert walk == Homology(C).cell_failures(0, M.length, units(n)), name
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_a_column_of_fractions_scaled_to_integers(monkeypatch, field):
+    # d_2 has the columns (1/2, 1) and (1, 2) = 2 (1/2, 1), of rank 1, and
+    # d_1 = (2, -1) kills both; H_2 = 1.  Scaled by the lcm of its
+    # denominators the first column is (1, 2), odd at row 0 alone, so the
+    # GF(2) rank of d_2 is 1; read unscaled, 1/2 would count as odd and
+    # give rank 2 > 1, and the bound would prove H_2 = 0.  Here H_1 = 0
+    # by the bound, which proves both ranks exact, so no QQ rank is taken
+    scalar = table_scalar(field)
+    R = Ring(("x",), field)
+    zero = (0,)
+    C = GradedFreeComplex(R, [[zero], [zero] * 2, [zero] * 2], [
+        {0: [(0, scalar(2))], 1: [(0, scalar(-1))]},
+        {0: [(0, scalar(Fraction(1, 2))), (1, 1)], 1: [(0, 1), (1, scalar(2))]},
+    ])
+    assert validate_complex(C).ok
+    H = Homology(C)
+    assert assert_walk_is_sweep(monkeypatch, H, 0, 2) == [
+        (2, zero, 1)
+    ]

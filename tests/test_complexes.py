@@ -554,7 +554,7 @@ class TestStrandEngine:
 
         b = golod.golod_basis(I, J)
         crippled = golod.GolodBasis(
-            b.I, b.J, b.HI, b.HJ, b.quotient, b.pairs[1:], b.h[1:]
+            b.I, b.J, b.HI, b.HJ, b.IJ, b.pairs[1:], b.h[1:]
         )
         monkeypatch.setattr(golod, "golod_basis", lambda *_: crippled)
 
@@ -713,18 +713,23 @@ class TestOneStrandEngine:
     def test_classical_obstruction_assembles_each_strand_matrix_once(
         self, R4, monkeypatch
     ):
-        from transverse import obstructions
+        from transverse import linalg, obstructions
 
         built, ranked = self.record_matrices(monkeypatch)
-        spans = []
-        check = obstructions.resolves_k_failures
+        spans, xor_ranked = [], []
+        check, xor_rank = obstructions.resolves_k_failures, linalg.xor_rank
+
+        def traced_xor_rank(rows):
+            xor_ranked.append(1)
+            return xor_rank(rows)
 
         def traced_check(*args, **kwargs):
-            start = len(built), len(ranked)
+            start = len(built), len(ranked), len(xor_ranked)
             out = check(*args, **kwargs)
-            spans.append((start, (len(built), len(ranked))))
+            spans.append((start, (len(built), len(ranked), len(xor_ranked))))
             return out
 
+        monkeypatch.setattr(linalg, "xor_rank", traced_xor_rank)
         monkeypatch.setattr(obstructions, "resolves_k_failures", traced_check)
         M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
@@ -732,13 +737,13 @@ class TestOneStrandEngine:
         assert rep.nonzero_degrees() == [4]
         # no whole strand: every matrix is read off a scalar table
         assert "strand" not in {key[0] for key in built}
-        # the Tate certificate: 357 linalg.rank calls, each on a distinct
-        # (complex, i, upper, lower), assembled once and ranked once
-        ((b0, r0), (b1, r1)), = spans
-        cert = built[b0:b1]
-        assert len(cert) == 357 and len(set(cert)) == 357
-        assert {key[0] for key in cert} == {"block"}
-        assert ranked[r0:r1] == cert
+        # the Tate certificate: 357 linalg.xor_rank calls, one per distinct
+        # (i, upper, lower), on the odd bits of the tables; the GF(2) bound
+        # decides every block, so no block matrix is assembled and no QQ
+        # rank taken
+        ((b0, r0, x0), (b1, r1, x1)), = spans
+        assert built[b0:b1] == [] and ranked[r0:r1] == []
+        assert x1 - x0 == len(xor_ranked) == 357
         # Tor over S: the strata and dims of KoszulHomology and QuotientTor
         # take 119 pieces, each a multidegree block assembled and
         # eliminated once: the change-of-rings strata are the blocks of the

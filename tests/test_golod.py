@@ -364,16 +364,18 @@ class TestVerifyGolod:
 
 
 def count_transverse(monkeypatch):
-    """The list that gets one entry per ``is_transverse`` call in golod."""
+    """The list that gets one entry per transversality test in golod: a
+    ``transverse_product`` call, which also builds IJ."""
     from transverse import golod
+    from transverse.ideals import transverse_product
 
     calls = []
 
     def counting(I, J):
         calls.append((I, J))
-        return is_transverse(I, J)
+        return transverse_product(I, J)
 
-    monkeypatch.setattr(golod, "is_transverse", counting)
+    monkeypatch.setattr(golod, "transverse_product", counting)
     return calls
 
 

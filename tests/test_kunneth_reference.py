@@ -114,7 +114,7 @@ def mutant(basis, kind):
             h = list(basis.h)
             h[k] = x
             return k, GolodBasis(basis.I, basis.J, basis.HI, basis.HJ,
-                                 basis.quotient, basis.pairs, h)
+                                 basis.IJ, basis.pairs, h)
     raise AssertionError(f"no {kind} mutant")
 
 
@@ -209,7 +209,7 @@ def test_no_koszul_homology_of_the_product(monkeypatch, flagship):
     assert kunneth_map(*flagship).ok
     assert built == list(flagship)
     built.clear()
-    basis = golod._golod_basis(*flagship)
+    basis = golod.golod_basis(*flagship)
     monkeypatch.setattr(golod, "golod_basis", lambda *_: basis)
     assert verify_golod(*flagship, 3).ok
     assert built == list(flagship)
