@@ -13,7 +13,6 @@ from .complexes import (
     is_minimal,
     star_product,
     strand_homology,
-    stupid_truncation,
     tensor_complexes,
     validate_complex,
     verify_resolution,

@@ -14,7 +14,7 @@ import sys
 
 from . import complexes, dg, golod, resolutions
 from .errors import AlgebraError, ParseError
-from .fields import QQ, PrimeField, field_to_json
+from .fields import QQ, PrimeField
 from .ideals import (
     MonomialIdeal,
     ideal_intersection,
@@ -65,19 +65,6 @@ class JobSpec:
         if name not in self.ideals:
             raise ParseError(f"args reference undefined ideal {name!r}")
         return self.ideals[name]
-
-    def to_document(self) -> dict:
-        return {
-            "ring": {"vars": list(self.ring.names),
-                     "field": field_to_json(self.ring.field)},
-            "ideals": {
-                name: [self.ring.format_monomial(g) for g in I.gens]
-                for name, I in sorted(self.ideals.items())
-            },
-            "command": self.command,
-            "args": self.args,
-            "format": self.format,
-        }
 
 
 def _refuse_unknown_keys(spec: dict, known: tuple, where: str) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from math import lcm
 from operator import add, ge, or_, sub
 from re import finditer
@@ -250,7 +250,7 @@ def complex_from_boundary(ring, levels, mdeg, label, boundary, meta=None):
 
 
 # ---------------------------------------------------------------------------
-# tensor products, truncation, star product
+# tensor products, star product
 
 
 def tensor_basis(F: GradedFreeComplex, G: GradedFreeComplex, n: int):
@@ -298,23 +298,6 @@ def tensor_complexes(F: GradedFreeComplex, G: GradedFreeComplex) -> GradedFreeCo
         _tensor_mdeg(F, G),
         lambda k: f"{F.labels[k[0]][k[2]]}(x){G.labels[k[1]][k[3]]}",
         _tensor_boundary(F, G),
-    )
-
-
-def stupid_truncation(C: GradedFreeComplex, n: int) -> GradedFreeComplex:
-    """(F_{>=n}, d_{>=n}): terms below n zeroed, d_n zeroed, the rest kept."""
-    if n < 0:
-        raise DomainError("truncation index must be nonnegative")
-    if n == 0:
-        return C
-    if n > C.length:
-        return GradedFreeComplex(C.ring, ((),), ())
-    keep = range(C.length + 1)
-    return GradedFreeComplex(
-        C.ring,
-        [() if i < n else C.mdegs[i] for i in keep],
-        [C.table(i) if i > n else {} for i in keep[1:]],
-        [() if i < n else C.labels[i] for i in keep],
     )
 
 
@@ -439,9 +422,6 @@ class StrandHomology(Record):
     @property
     def representatives(self) -> list[dict]:
         return self._classes.rows
-
-    def is_boundary(self, vec: dict) -> bool:
-        return self._boundaries.contains(vec)
 
     def express(self, vec: dict):
         """Coordinates of a cycle's class in the representative basis, or
@@ -572,43 +552,18 @@ class Homology:
                     rows[at[r]][col] = s
         return rows
 
-    def cells(self, levels, points=()) -> list:
-        """One point of each cell on which the blocks of the C_i, i in
-        ``levels``, are constant: each the lower corner of its cell.
-
-        The block of C_i at b is spanned by the generators present there
-        (m_g <= b and x^(b - m_g) not in Q), with the scalars of d as
-        matrix entries, so it changes only where b_k crosses a threshold
-        m_g[k] + q[k], q in gens(Q) or q = 0; the cells are the boxes of
-        that grid.  Over R the block at b is the block at lcm{m_g : m_g <=
-        b}, and the cells are the points of the lcm-closure of the m_g
-        (Bayer-Sturmfels, "Cellular resolutions of monomial modules", 1998;
-        Miller-Sturmfels, Ch. 4).  ``points`` are further multidegrees
-        that split the cells as generators would.  In both cases the cell
-        of b is the largest cell point <= b, when there is one; otherwise
-        no generator is present at b.
-        """
-        pts, axes = self._grid(levels, points)
-        return list(product(*axes)) if self._kill else sorted(lcm_closure(pts))
-
-    def _grid(self, levels, points) -> tuple:
-        """(pts, axes) of :meth:`cells`: the multidegrees that split the
-        cells, and per variable k the sorted thresholds p[k] + q[k], p in
-        ``pts``, q = 0 or q in gens(Q)."""
-        pts = {m for i in levels for m in self.mdegs[i].values()}
-        pts.update(points)
-        shifts = [(0,) * self.complex.ring.nvars, *self._kill]
-        axes = [
-            sorted({p[k] + q[k] for p in pts for q in shifts})
-            for k in range(self.complex.ring.nvars)
-        ]
-        return pts, axes
-
     def cell_failures(self, lo: int, hi: int, points=()) -> list:
         """(i, b, dim H_i) for lo <= i <= hi wherever H_i is nonzero on a
-        cell of :meth:`cells` (with ``points``), b its lower corner,
-        ordered by (i, |b|, b).
+        cell, b its lower corner, ordered by (i, |b|, b).
 
+        The block of C_i at b is spanned by the generators present there,
+        with the scalars of d as matrix entries, so it changes only where
+        b_k crosses a threshold m_g[k] + q[k], q in gens(Q) or q = 0; the
+        cells are the boxes of that grid.  Over R the block at b is the
+        block at lcm{m_g : m_g <= b}, and the cells are the points of the
+        lcm-closure of the m_g (Bayer-Sturmfels, "Cellular resolutions of
+        monomial modules", 1998; Miller-Sturmfels, Ch. 4).  ``points`` are
+        further multidegrees that split the cells as generators would.
         H_i is constant on each cell, so this is H_i in every multidegree.
         Generator g is present at b when m_g <= b and m_g <= b - q for no q
         in gens(Q): ANDs over the variables of bitsets looked up once per
@@ -638,8 +593,11 @@ class Homology:
         for i in levels:
             spans[i] = (start, (1 << len(self.mdegs[i])) - 1)
             start += len(self.mdegs[i])
-        pts, axes = self._grid(levels, points)
+        pts = {*gens, *points}
         kill = self._kill
+        shifts = [(0,) * C.ring.nvars, *kill]
+        axes = [sorted({p[k] + q[k] for p in pts for q in shifts})
+                for k in range(C.ring.nvars)]
         # per variable k, one step per threshold v: v, the generators g
         # with m_g[k] <= v, and those with m_g[k] <= v - q[k] per q; the
         # first j generators in the order of m_g[k] are masks[j]
@@ -989,20 +947,6 @@ class ResolutionCertificate(Record):
         clauses = (self.validation.ok, self.exactness_ok, self.coker_ok, self.betti_ok)
         return all(clauses)
 
-    def summary(self) -> str:
-        if not self.validation.ok:
-            return f"d o d = 0 and homogeneous: FAIL: {self.validation.problems}"
-        lines = [
-            "d o d = 0 and homogeneous: PASS",
-            "exactness in every multidegree: "
-            + ("PASS" if self.exactness_ok else f"FAIL at {self.strand_failures[:3]}"),
-            "cokernel of d_1 matches R/I: "
-            + ("PASS" if self.coker_ok else f"FAIL at {self.coker_failures[:3]}"),
-            "Betti table matches lcm-lattice Betti numbers: "
-            + ("PASS" if self.betti_ok else "FAIL"),
-        ]
-        return "\n".join(lines)
-
 
 def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCertificate:
     """Certify that C is a free resolution of R/I, in every multidegree.
@@ -1011,7 +955,7 @@ def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCerti
     entry homogeneous.  Without that, ranks give no homology, so no clause
     is run and the certificate reports the validation alone.
     Clause (a): H_i = 0 for 1 <= i <= length on every cell of
-    :meth:`Homology.cells`, hence in every multidegree.
+    :meth:`Homology.cell_failures`, hence in every multidegree.
     Clause (b): coker d_1 = R/I: C_0 is R in degree 0 and the monomials of
     the entries of d_1 generate I.  A failure is (b, dim coker d_1, dim
     (R/I)_b) at each minimal generator b of one ideal outside the other,

@@ -3,26 +3,23 @@
 Every complex here is multigraded, with its differentials stored as the
 scalars ``table(i)`` of monomial matrices over the multidegrees ``mdegs``.
 So a product or module action is stored once, as scalars on basis pairs
-read the same way; its polynomial tables are a read-only view.  All
-identities (Leibniz, square-zero, commutativity, associativity) are
-certified exactly on basis pairs/triples as sums of scalars keyed by target
-generator (see _nonzero).  GF(p) scalars are reduced mod p only at the zero
-test and nothing divides, so every sum is exact.  Square-zero is a
-quadratic identity, so it is certified on the spanning set of generators
-(diagonal plus S_1 squares), which is exactly what the iterated star
-construction consumes.
+read the same way.  All identities (Leibniz, square-zero, commutativity,
+associativity) are certified exactly on basis pairs/triples as sums of
+scalars keyed by target generator (see _nonzero).  GF(p) scalars are
+reduced mod p only at the zero test and nothing divides, so every sum is
+exact.  Square-zero is a quadratic identity, so it is certified on the
+spanning set of generators (diagonal plus S_1 squares), which is exactly
+what the iterated star construction consumes.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add
 
 from . import linalg
 from .complexes import (
     GradedFreeComplex,
     _killer,
-    _term,
     star_basis,
     star_product,
     table_scalar,
@@ -36,36 +33,14 @@ from .resolutions import koszul_complex, lift_comparison_map, taylor_complex
 class _Product:
     """A product on basis pairs of a multigraded complex, stored as scalars:
     ``scalars[key][(u, v)]`` lists the (w, c) with
-    f_u . f_v = sum_w c x^(m_u + m_v - m_w) f_w.  ``tables`` is the same
-    product with polynomial values, a read-only view built when read.
-    Raises DomainError if the complex has a zero column (see
-    _refuse_zero_columns).
+    f_u . f_v = sum_w c x^(m_u + m_v - m_w) f_w.  Raises DomainError if the
+    complex has a zero column (see _refuse_zero_columns).
     """
 
     def __init__(self, C: GradedFreeComplex, scalars: dict):
         _refuse_zero_columns(C)
         self.complex = C
         self.scalars = scalars
-
-    @cached_property
-    def tables(self) -> dict:
-        """key -> {(u, v): {w: polynomial}}"""
-        C, md = self.complex, self.complex.mdegs
-        out = {}
-        for key, tab in self.scalars.items():
-            i, j = self._bidegree(key)
-            out[key] = _elements(C, i + j, tab, md[i], md[j])
-        return out
-
-    def to_json(self) -> dict:
-        """Tables as triple lists: [left index, right index, result vector]."""
-        return {
-            self._label(key): [
-                [u, v, {str(w): str(p) for w, p in sorted(val.items())}]
-                for (u, v), val in sorted(tab.items())
-            ]
-            for key, tab in sorted(self.tables.items())
-        }
 
 
 def _refuse_zero_columns(C: GradedFreeComplex) -> None:
@@ -77,20 +52,6 @@ def _refuse_zero_columns(C: GradedFreeComplex) -> None:
         for col in range(C.rank(i)):
             if col not in cols:
                 raise DomainError(f"d_{i} column {col} is zero")
-
-
-def _elements(C: GradedFreeComplex, level: int, table: dict, left, right) -> dict:
-    """The polynomial values {(u, v): {w: c x^(left[u] + right[v] - m_w)}}
-    of the scalars ``table`` of a map into C_level; ``left`` and ``right``
-    give the multidegrees of the sources."""
-    ring, md = C.ring, C.mdegs
-    return {
-        (u, v): {
-            w: _term(ring, tuple(map(add, left[u], right[v])), md[level][w], c)
-            for w, c in terms
-        }
-        for (u, v), terms in table.items()
-    }
 
 
 def _exponents(m, sources) -> tuple:
@@ -124,15 +85,6 @@ def _nonzero(C: GradedFreeComplex):
 class DegreeOneProduct(_Product):
     """A product C_1 (x) C_j -> C_{j+1}, keyed by j."""
 
-    @staticmethod
-    def _bidegree(j: int) -> tuple:
-        return 1, j
-
-    _label = str
-
-    def value(self, j: int, u: int, v: int) -> dict:
-        return self.tables.get(j, {}).get((u, v), {})
-
     def degree_one(self) -> DegreeOneProduct:
         return self
 
@@ -144,17 +96,6 @@ class DegreeOneProduct(_Product):
 
 class FullProduct(_Product):
     """A product on all bidegrees C_i (x) C_j -> C_{i+j}, keyed by (i, j)."""
-
-    @staticmethod
-    def _bidegree(key: tuple) -> tuple:
-        return key
-
-    @staticmethod
-    def _label(key: tuple) -> str:
-        return "%d,%d" % key
-
-    def value(self, i: int, j: int, u: int, v: int) -> dict:
-        return self.tables.get((i, j), {}).get((u, v), {})
 
     def degree_one(self) -> DegreeOneProduct:
         """The C_1 (x) C_j part, on the same complex and scalars."""
@@ -475,8 +416,7 @@ class ModuleAction(Record):
     as scalars: ``scalars[(i, j)][(S, v)]`` lists the (w, c) with
     e_S * f_v = sum_w c x^(m_S + m_v - m_w) f_w, for e_S in K_i and f_v in
     C_j.  ``phi`` is the comparison map K -> C as the scalar tables of
-    :func:`lift_comparison_map`.  ``tables`` is the polynomial view, built
-    when read."""
+    :func:`lift_comparison_map`."""
 
     _fields = ("koszul", "complex", "phi", "scalars", "certificate")
 
@@ -489,18 +429,6 @@ class ModuleAction(Record):
         self.phi = phi
         self.scalars = scalars
         self.certificate = certificate
-
-    @cached_property
-    def tables(self) -> dict:
-        """(i, j) -> {(subset, v): {w: polynomial}}"""
-        subsets, mK = self.koszul.meta["subsets"], self.koszul.mdegs
-        md = self.complex.mdegs
-        return {
-            (i, j): _elements(
-                self.complex, i + j, tab, dict(zip(subsets[i], mK[i])), md[j]
-            )
-            for (i, j), tab in self.scalars.items()
-        }
 
 
 def koszul_module_action(

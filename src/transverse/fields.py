@@ -13,16 +13,30 @@ from fractions import Fraction
 from .errors import DomainError
 
 
+# Miller-Rabin on the first thirteen primes as bases is exact below this
+# bound, psi_13 (Sorenson-Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017); the bases up to 37 alone are exact only
+# below psi_12 = 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; raises DomainError for p >= _MR_BOUND,
+    where these bases no longer decide primality."""
+    if p >= _MR_BOUND:
+        raise DomainError(f"prime fields need p < {_MR_BOUND}, got {p}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x not in (1, p - 1) and all(
+            (x := x * x % p) != p - 1 for _ in range(s - 1)
+        ):
             return False
-        d += 2
     return True
 
 
@@ -30,9 +44,6 @@ class Rationals:
     """The field of rationals; elements are ints and ``fractions.Fraction``."""
 
     name = "rational"
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
 
     @property
     def zero(self) -> Fraction:
@@ -73,8 +84,6 @@ class PrimeField:
                 raise DomainError(f"denominator of {x} vanishes mod {p}")
             return x.numerator * pow(x.denominator, -1, p) % p
         raise DomainError(f"cannot interpret {x!r} in GF({p})")
-
-    from_int = scalar
 
     @property
     def zero(self) -> int:

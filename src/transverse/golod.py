@@ -165,9 +165,6 @@ class KunnethCertificate(Record):
     def ok(self) -> bool:
         return all(r.bijective for r in self.rows)
 
-    def dims(self):
-        return {r.n: r.dim_target for r in self.rows}
-
 
 def kunneth_map(I: MonomialIdeal, J: MonomialIdeal) -> KunnethCertificate:
     """Certificate that [z_a] (x) [z_b] -> h_{a,b} = [d(z_a) ^ z_b], the
@@ -486,9 +483,6 @@ class PoincareSeries(Record):
         self.numerator = numerator
         self.denominator = denominator
         self.coefficients = coefficients
-
-    def coefficient(self, n: int) -> int:
-        return self.coefficients[n]
 
 
 def golod_poincare(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 6) -> PoincareSeries:

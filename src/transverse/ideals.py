@@ -7,8 +7,6 @@ ideals, and that covers every construction in the package.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .errors import DomainError, Record, RingMismatchError
 from .poly import Monomial, Ring, minimal_monomials, monomials_of_degree
 
@@ -49,9 +47,6 @@ class MonomialIdeal(Record):
 
     def quotient_ring(self) -> Ring:
         return self.ring.quotient(self.gens)
-
-    def with_ring(self, ring: Ring) -> "MonomialIdeal":
-        return MonomialIdeal(ring, self.gens)
 
     def __str__(self):
         if not self.gens:
@@ -153,12 +148,9 @@ def is_sequentially_transverse(ideals) -> bool:
     return True
 
 
-def product_of(ideals) -> MonomialIdeal:
-    return reduce(ideal_product, ideals)
-
-
 def degree_basis_mod_ideal(I: MonomialIdeal, t: int) -> list[Monomial]:
-    """Monomial k-basis of (R/I)_t, canonically ordered."""
+    """Monomial k-basis of (R/I)_t, canonically ordered; kept while
+    perfbench/tracer.py names this function as a span."""
     if t < 0:
         raise DomainError("degree must be nonnegative")
     return monomials_of_degree(I.ring, t, I.gens)

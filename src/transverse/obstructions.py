@@ -266,9 +266,6 @@ class ObstructionReport(Record):
     def all_vanish(self) -> bool:
         return all(r.dim_obstruction == 0 for r in self.rows)
 
-    def nonzero_degrees(self):
-        return [r.i for r in self.rows if r.dim_obstruction]
-
     def table(self) -> str:
         head = f"{'i':>3} {'torR':>6} {'prod':>6} {'torS':>6} {'rank':>6} {'o_i':>6}"
         lines = [head]

@@ -55,13 +55,6 @@ class Monomial(Record):
         _check_len(self, other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; raises if not divisible."""
-        _check_len(self, other)
-        if not other.divides(self):
-            raise DomainError("monomial quotient is not exact")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
     def lcm(self, other: "Monomial") -> "Monomial":
         _check_len(self, other)
         return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
@@ -92,6 +85,8 @@ def minimal_monomials(mons) -> tuple[Monomial, ...]:
 
 
 _NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\^(\d+))?$")
+# a variable name as _NAME_RE reads it back
+_VAR_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class Ring(Record):
@@ -114,6 +109,12 @@ class Ring(Record):
         modulus: tuple[Monomial, ...] = (),
     ):
         names = tuple(names)
+        for name in names:
+            if not (isinstance(name, str) and _VAR_RE.fullmatch(name)):
+                raise DomainError(
+                    f"variable name {name!r} is not of the form "
+                    "[A-Za-z_][A-Za-z_0-9]*"
+                )
         if len(set(names)) != len(names):
             raise DomainError("variable names must be distinct")
         modulus = minimal_monomials(modulus)
@@ -138,11 +139,6 @@ class Ring(Record):
     def nvars(self) -> int:
         return len(self.names)
 
-    def monomial(self, *exps: int) -> Monomial:
-        if len(exps) != self.nvars:
-            raise DimensionError(f"expected {self.nvars} exponents, got {len(exps)}")
-        return Monomial(tuple(exps))
-
     def one_monomial(self) -> Monomial:
         return self._one
 
@@ -162,12 +158,6 @@ class Ring(Record):
     def quotient(self, extra) -> "Ring":
         gens = tuple(self.modulus) + tuple(extra)
         return Ring(self.names, self.field, gens)
-
-    def base(self) -> "Ring":
-        return Ring(self.names, self.field, ())
-
-    def with_field(self, field) -> "Ring":
-        return Ring(self.names, field, self.modulus)
 
     def parse_monomial(self, text: str) -> Monomial:
         """Parse strings like ``x1^2*x2`` or ``1`` into a monomial."""

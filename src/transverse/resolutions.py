@@ -343,8 +343,8 @@ def tor_independence(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     """True iff Tor_i(R/I, R/J) = 0 for all i >= 1, in every multidegree.
 
     Tor_i(R/I, R/J) = H_i(F (x) R/J), F the minimal free resolution of R/I,
-    is constant on each cell of :meth:`Homology.cells`, so the check runs
-    on finitely many cells.
+    is constant on each cell of :meth:`Homology.cell_failures`, so the check
+    runs on finitely many cells.
     """
     if any(K.is_zero or K.is_unit for K in (I, J)):
         raise DomainError("Tor dimensions need nonzero proper ideals")

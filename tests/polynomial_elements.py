@@ -17,9 +17,18 @@ functions for the removed operators, and that ``k_diff`` and
 ``Polynomial.mul_monomial`` and ``Polynomial.with_ring`` returned.  The
 reference tests compute with them; :func:`as_polynomial` reads a block
 element as one of them.
+
+:func:`product_tables`, :func:`product_value`, :func:`product_to_json` and
+:func:`action_tables` are the polynomial view of the DG products and module
+actions of ``transverse.dg``, which were their ``tables``, ``value`` and
+``to_json``, moved here unchanged except that each is a function of the
+product or action, and ``product_value`` reads tables already built.
 """
 
+from operator import add
+
 from transverse.complexes import _term
+from transverse.dg import DegreeOneProduct
 from transverse.exterior import Element, wedge_subsets
 from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
 
@@ -171,4 +180,62 @@ def as_polynomial(ring: Ring, x: Element) -> KElement:
             e - (k in S) for k, e in enumerate(x.b)
         )): s})
         for S, s in x.terms.items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# the polynomial view of the DG products and module actions
+
+
+def _elements(C, level: int, table: dict, left, right) -> dict:
+    """The polynomial values {(u, v): {w: c x^(left[u] + right[v] - m_w)}}
+    of the scalars ``table`` of a map into C_level; ``left`` and ``right``
+    give the multidegrees of the sources."""
+    ring, md = C.ring, C.mdegs
+    return {
+        (u, v): {
+            w: _term(ring, tuple(map(add, left[u], right[v])), md[level][w], c)
+            for w, c in terms
+        }
+        for (u, v), terms in table.items()
+    }
+
+
+def product_tables(prod) -> dict:
+    """key -> {(u, v): {w: polynomial}} of a ``DegreeOneProduct`` (keyed by
+    j, the bidegree (1, j)) or a ``FullProduct`` (keyed by (i, j))."""
+    C, md = prod.complex, prod.complex.mdegs
+    out = {}
+    for key, tab in prod.scalars.items():
+        i, j = (1, key) if isinstance(prod, DegreeOneProduct) else key
+        out[key] = _elements(C, i + j, tab, md[i], md[j])
+    return out
+
+
+def product_value(tables: dict, key, u: int, v: int) -> dict:
+    """f_u . f_v at ``key`` (j, or (i, j)) of :func:`product_tables`."""
+    return tables.get(key, {}).get((u, v), {})
+
+
+def product_to_json(prod) -> dict:
+    """Tables as triple lists: [left index, right index, result vector]."""
+    label = str if isinstance(prod, DegreeOneProduct) else "%d,%d".__mod__
+    return {
+        label(key): [
+            [u, v, {str(w): str(p) for w, p in sorted(val.items())}]
+            for (u, v), val in sorted(tab.items())
+        ]
+        for key, tab in sorted(product_tables(prod).items())
+    }
+
+
+def action_tables(act) -> dict:
+    """(i, j) -> {(subset, v): {w: polynomial}} of a ``ModuleAction``."""
+    subsets, mK = act.koszul.meta["subsets"], act.koszul.mdegs
+    md = act.complex.mdegs
+    return {
+        (i, j): _elements(
+            act.complex, i + j, tab, dict(zip(subsets[i], mK[i])), md[j]
+        )
+        for (i, j), tab in act.scalars.items()
     }

@@ -43,7 +43,9 @@ from transverse.resolutions import (
 )
 
 from conftest import ideal, koszul
-from polynomial_elements import as_polynomial, chain_map
+from polynomial_elements import (
+    action_tables, as_polynomial, chain_map, product_to_json,
+)
 
 VARS4 = ["x1", "x2", "x3", "x4"]
 VARS5 = ["x1", "x2", "x3", "x4", "x5"]
@@ -145,7 +147,7 @@ def _star_triple(field=QQ) -> str:
         D = taylor_complex(I)
         prod = star_degree_one_product(C, D, prod, taylor_dg_product(I, D))
         C = prod.complex
-    return _dumps(prod.to_json())
+    return _dumps(product_to_json(prod))
 
 
 def _golod_flagship() -> str:
@@ -233,7 +235,7 @@ def _module_action() -> str:
         "tables": [
             [i, j, [[list(S), v, _vec(val)]
                     for (S, v), val in sorted(tab.items())]]
-            for (i, j), tab in sorted(act.tables.items())
+            for (i, j), tab in sorted(action_tables(act).items())
         ],
         "checked": act.certificate.checked,
         "ok": act.certificate.ok,

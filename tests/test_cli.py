@@ -55,9 +55,17 @@ class TestParse:
             parse_input(job("frobnicate", {}))
 
     def test_round_trip(self):
-        spec = parse_input(job("check-transverse", {"left": "I", "right": "J"}))
-        again = parse_input(spec.to_document())
-        assert again.to_document() == spec.to_document()
+        # the spec keeps everything the document says
+        doc = job("check-transverse", {"left": "I", "right": "J"})
+        spec = parse_input(doc)
+        assert list(spec.ring.names) == doc["ring"]["vars"]
+        assert {
+            name: [spec.ring.format_monomial(g) for g in I.gens]
+            for name, I in spec.ideals.items()
+        } == doc["ideals"]
+        assert (spec.command, spec.args, spec.format) == (
+            doc["command"], doc["args"], doc["format"]
+        )
 
 
 class TestDispatch:
@@ -277,6 +285,24 @@ class TestInputErrorsExitTwo:
         doc = job("koszul-homology", {"ideal": "I"})
         doc["ring"] = {"vars": ["x1", "x2", "x3", "x4"], "field": {"prime": prime}}
         assert "ring.field.prime" in self.run(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("prime", [3215031751, 3317044064679887385961981])
+    def test_field_override_composite_or_oversized(self, tmp_path, capsys, prime):
+        # a strong pseudoprime to the bases 2, 3, 5 and 7 is refused, and a
+        # p past the bound of the deterministic primality test is refused
+        # at once instead of running a test that would not decide it
+        doc = job("check-transverse", {"left": "I", "right": "J"})
+        err = self.run(tmp_path, capsys, doc, "--field", f"prime:{prime}")
+        assert str(prime) in err
+
+    @pytest.mark.parametrize("names", [["1", "x"], ["x", "x^2"], ["", "x"],
+                                       ["x*y"], ["x y"], ["x1", "é"]])
+    def test_variable_names_the_monomial_grammar_cannot_read(
+        self, tmp_path, capsys, names
+    ):
+        doc = job("check-transverse", {}, ideals={}, ring={"vars": names})
+        err = self.run(tmp_path, capsys, doc)
+        assert err.startswith("input error: ring: variable name")
 
     def test_document_field_unknown_key(self, tmp_path, capsys):
         doc = job("koszul-homology", {"ideal": "I"})

@@ -143,6 +143,18 @@ class TestRecords:
         with pytest.raises(DomainError, match="variable count"):
             MonomialIdeal(R4, (Monomial((1, 0)),))
 
+    @pytest.mark.parametrize(
+        "name", ["1", "", "x^2", "x*y", "2x", "x-y", " x", 1, None]
+    )
+    def test_ring_refuses_names_its_monomials_cannot_read(self, name):
+        with pytest.raises(DomainError, match="variable name"):
+            Ring(("x", name))
+
+    def test_ring_accepts_identifier_names(self):
+        R = Ring(("x", "_y", "z10", "X_1"))
+        m = R.parse_monomial("x*_y^2*z10*X_1^3")
+        assert R.parse_monomial(R.format_monomial(m)) == m
+
     def test_ring_names_in_a_list_are_a_tuple(self):
         from transverse.golod import koszul_homology
 
@@ -281,7 +293,7 @@ class TestScalarRank:
                 {c: Fraction(v) for (_, c, v) in row if v} for row in data
             ]
             rows_p = [
-                {c: F.from_int(v) for (_, c, v) in row if v} for row in data
+                {c: F.scalar(v) for (_, c, v) in row if v} for row in data
             ]
             assert linalg.rank(rows_q, QQ) == linalg.rank(rows_p, F)
 
@@ -454,7 +466,7 @@ class TestElements:
         assert k_sum(Rxy, [(1, x), (-1, y)]) == Element((1, 1), {(1,): 2})
         assert k_sum(Rxy, [(1, x), (-1, x)]) == Element((1, 1), {})
         # over GF(2) the scalars are ints in [0, 2), and 1 + 1 cancels
-        F2 = Rxy.with_field(PrimeField(2))
+        F2 = Ring(Rxy.names, PrimeField(2))
         assert k_sum(F2, [(1, y), (1, y)]) == Element((1, 1), {})
         assert k_sum(F2, [(-1, y)]) == y
         with pytest.raises(DomainError, match="blocks"):

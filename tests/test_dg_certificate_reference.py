@@ -5,11 +5,11 @@ of the polynomial code they replaced.
 scalars of monomial matrices, with one kill test per target coefficient.
 The references below compute every identity with the polynomial
 arithmetic of ``polynomial_elements``, which drops killed monomials on the
-way.  They are the earlier
-bodies, unchanged except that both products are applied through
-:func:`k_bilinear` on their polynomial tables.  Each test asserts that the two give equal
-certificates, field by field: the failure lists with their order, and the
-pair and triple counts.  The inputs are star products of sequentially
+way.  They are the earlier bodies, unchanged except that both products
+are applied through :func:`k_bilinear` on their polynomial tables
+(``polynomial_elements.product_tables``).  Each test asserts that the two
+give equal certificates, field by field: the failure lists with their
+order, and the pair and triple counts.  The inputs are star products of sequentially
 transverse triples, mutants of them (sign flip, dropped term, value scaled
 by 2) over QQ, GF(2), GF(3) and GF(32003), and Taylor products over a
 quotient R/Q that kills some of their lcm coefficients.
@@ -39,7 +39,10 @@ from transverse.ideals import MonomialIdeal
 from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import taylor_complex
 
-from polynomial_elements import KElement, column, k_acc, k_apply, k_axpy, p_mul
+from polynomial_elements import (
+    KElement, column, k_acc, k_apply, k_axpy, p_mul, product_tables,
+    product_value,
+)
 from polynomial_elements import one as unit
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
@@ -61,10 +64,10 @@ def k_bilinear(table: dict, x: KElement, y: KElement) -> KElement:
     return out
 
 
-def full_apply(prod, i, j, left, right):
-    """The bilinear extension of a full product, with polynomial
-    coefficients on both slots."""
-    return k_bilinear(prod.tables.get((i, j), {}), left, right)
+def full_apply(tables, i, j, left, right):
+    """The bilinear extension of a full product with polynomial tables
+    ``tables``, with polynomial coefficients on both slots."""
+    return k_bilinear(tables.get((i, j), {}), left, right)
 
 
 def from_tables(cls, C, tables: dict):
@@ -106,7 +109,7 @@ def from_tables(cls, C, tables: dict):
 def certify_full_dg_ref(prod) -> ProductCertificate:
     """All four DG-algebra axioms plus associativity, exhaustively on basis
     pairs and triples."""
-    C = prod.complex
+    C, tables = prod.complex, product_tables(prod)
     cert = ProductCertificate()
     top = C.length
     one = unit(C.ring)
@@ -115,25 +118,30 @@ def certify_full_dg_ref(prod) -> ProductCertificate:
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
                     cert.checked_pairs += 1
-                    uv = prod.value(i, j, u, v)
+                    uv = product_value(tables, (i, j), u, v)
                     # Leibniz: d(xy) - dx.y - (-1)^i x.dy = 0
                     res = k_apply(C.diff(i + j), uv) if i + j >= 1 else {}
                     if i >= 1:
-                        term = full_apply(prod, i - 1, j, column(C.diff(i), u), {v: one})
+                        term = full_apply(
+                            tables, i - 1, j, column(C.diff(i), u), {v: one}
+                        )
                         k_axpy(res, -1, term)
                     if j >= 1:
-                        term = full_apply(prod, i, j - 1, {u: one}, column(C.diff(j), v))
+                        term = full_apply(
+                            tables, i, j - 1, {u: one}, column(C.diff(j), v)
+                        )
                         k_axpy(res, 1 if i % 2 else -1, term)
                     if res:
                         cert.leibniz_failures.append((i, j, u, v))
                     # graded commutativity: xy - (-1)^(ij) yx = 0
                     res = dict(uv)
-                    k_axpy(res, 1 if (i * j) % 2 else -1, prod.value(j, i, v, u))
+                    k_axpy(res, 1 if (i * j) % 2 else -1,
+                           product_value(tables, (j, i), v, u))
                     if res:
                         cert.commutativity_failures.append((i, j, u, v))
             if i % 2 and i == j:
                 for u in range(C.rank(i)):
-                    if prod.value(i, i, u, u):
+                    if product_value(tables, (i, i), u, u):
                         cert.square_failures.append((i, u))
     for i in range(1, top + 1):
         for j in range(1, top - i + 1):
@@ -142,11 +150,13 @@ def certify_full_dg_ref(prod) -> ProductCertificate:
                     for v in range(C.rank(j)):
                         for w in range(C.rank(k)):
                             cert.checked_triples += 1
-                            res = full_apply(prod, 
-                                i + j, k, prod.value(i, j, u, v), {w: one}
+                            res = full_apply(
+                                tables, i + j, k,
+                                product_value(tables, (i, j), u, v), {w: one},
                             )
-                            right = full_apply(prod, 
-                                i, j + k, {u: one}, prod.value(j, k, v, w)
+                            right = full_apply(
+                                tables, i, j + k, {u: one},
+                                product_value(tables, (j, k), v, w),
                             )
                             k_axpy(res, -1, right)
                             if res:
@@ -160,19 +170,19 @@ def certify_degree_one_ref(prod) -> ProductCertificate:
     """The two degree-one identities, exhaustively on basis pairs:
     (a) d(f1.fj) = d(f1) fj - f1.d(fj), and (b) f1.(f1.fj) = 0, together
     with the degree-one squares f1.f1 = 0 that iterated constructions need."""
-    C = prod.complex
+    C, tables = prod.complex, product_tables(prod)
     cert = ProductCertificate()
     one, zero = unit(C.ring), Polynomial(C.ring, {})
     if C.rank(0) != 1:
         raise DomainError("degree-one certification expects C_0 = R")
-    for j in sorted(set(prod.tables) | set(range(1, C.length + 1))):
+    for j in sorted(set(tables) | set(range(1, C.length + 1))):
         if j < 1 or j > C.length:
             continue
         for u in range(C.rank(1)):
             alpha = column(C.diff(1), u).get(0, zero)
             for v in range(C.rank(j)):
                 cert.checked_pairs += 1
-                uv = prod.value(j, u, v)
+                uv = product_value(tables, j, u, v)
                 # d(f1.fj) - d(f1) fj + f1.d(fj) = 0
                 res = k_apply(C.diff(j + 1), uv)
                 k_acc(res, v, p_mul(alpha, -1))
@@ -180,17 +190,17 @@ def certify_degree_one_ref(prod) -> ProductCertificate:
                     k_acc(res, u, column(C.diff(1), v).get(0, zero))
                 else:
                     term = k_bilinear(
-                        prod.tables.get(j - 1, {}), {u: one}, column(C.diff(j), v)
+                        tables.get(j - 1, {}), {u: one}, column(C.diff(j), v)
                     )
                     k_axpy(res, 1, term)
                 if res:
                     cert.leibniz_failures.append(("leibniz", j, u, v))
-                sq = k_bilinear(prod.tables.get(j + 1, {}), {u: one}, uv)
+                sq = k_bilinear(tables.get(j + 1, {}), {u: one}, uv)
                 if sq:
                     cert.square_failures.append(("square", j, u, v))
         if j == 1:
             for u in range(C.rank(1)):
-                if prod.value(1, u, u):
+                if product_value(tables, 1, u, u):
                     cert.square_failures.append(("self-square", u))
     return cert
 
@@ -269,7 +279,7 @@ def quotient_taylor_cases(rng, field, count):
             next(iter(p.term_dict())) for mat in C.diffs for p in mat.entries.values()
         ]
         coeffs = sorted(
-            {m for tab in taylor_dg_product(I, C).tables.values()
+            {m for tab in product_tables(taylor_dg_product(I, C)).values()
              for val in tab.values() for p in val.values() for m in p.term_dict()},
             key=lambda m: (-m.degree, m.sort_key()),
         )
@@ -294,7 +304,7 @@ def test_star_products_and_their_mutants(field):
         cert = certify_degree_one(prod)
         assert cert.ok
         assert cert == certify_degree_one_ref(prod)
-        for tables in mutants(rng, prod.tables, 2):
+        for tables in mutants(rng, product_tables(prod), 2):
             mutant = from_tables(DegreeOneProduct, prod.complex, tables)
             cert = certify_degree_one(mutant)
             assert cert == certify_degree_one_ref(mutant)
@@ -327,7 +337,7 @@ def test_taylor_products_over_a_quotient(field, monkeypatch):
         assert certify_degree_one(prod.degree_one()) == certify_degree_one_ref(
             prod.degree_one()
         )
-        for tables in mutants(rng, prod.tables, 2):
+        for tables in mutants(rng, product_tables(prod), 2):
             mutant = from_tables(FullProduct, prod.complex, tables)
             cert = certify_full_dg(mutant)
             assert cert == certify_full_dg_ref(mutant)
@@ -342,7 +352,7 @@ def test_nonzero_self_square(field):
     # multihomogeneous value that the odd-square clauses must reject
     R = Ring(NAMES[:2], field)
     prod = taylor_dg_product(MonomialIdeal(R, (Monomial((2, 0)), Monomial((1, 1)))))
-    tables = {k: dict(tab) for k, tab in prod.tables.items()}
+    tables = {k: dict(tab) for k, tab in product_tables(prod).items()}
     tables[(1, 1)][(1, 1)] = {0: Polynomial.from_monomial(R, Monomial((0, 1)))}
     mutant = from_tables(FullProduct, prod.complex, tables)
     cert = certify_full_dg(mutant)

@@ -108,7 +108,7 @@ def express_ref(sh, vec):
 def scalar(rng, field):
     if field is QQ:
         return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 9)))
-    return field.from_int(rng.randrange(field.p))
+    return field.scalar(rng.randrange(field.p))
 
 
 def combination(rng, field, vecs):
@@ -236,7 +236,7 @@ def _homologies():
     yield koszul_homology(ideal_product(
         ideal(R, "x1^2", "x1*x2"), ideal(R, "x3*x4", "x4^2")
     ))
-    Rp = R.with_field(PrimeField(32003))
+    Rp = Ring(R.names, PrimeField(32003))
     yield koszul_homology(ideal_product(
         ideal(Rp, "x1", "x2^2"), ideal(Rp, "x3^2", "x3*x4")
     ))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from transverse import linalg
 from transverse.complexes import tensor_complexes
 from transverse.errors import DomainError, RingMismatchError
-from transverse.fields import QQ, PrimeField
+from transverse.fields import QQ, PrimeField, _is_prime
 from transverse.golod import koszul_homology
 from transverse.ideals import ideal_product
 from transverse.poly import PolyMatrix, Polynomial, Ring
@@ -51,11 +52,47 @@ def test_field_axioms_on_sampled_triples(backend):
             assert norm(a * norm(Fraction(1) / a)) == field.one
 
 
+def test_large_prime_accepted_quickly():
+    # trial division would take about 1.5e9 steps on 2^61 - 1
+    start = time.perf_counter()
+    F = PrimeField(2**61 - 1)
+    assert time.perf_counter() - start < 1
+    assert F.scalar(-1) == 2**61 - 2
+
+
+@pytest.mark.parametrize("n", [
+    561,  # a Carmichael number
+    3215031751,  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5, 7
+    318665857834031151167461,  # a strong pseudoprime to every base up to 37
+    0, 1, 4, 2**61 + 1,
+])
+def test_composites_refused(n):
+    with pytest.raises(DomainError, match="not prime"):
+        PrimeField(n)
+
+
+def test_primality_agrees_with_trial_division():
+    def prime(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [p for p in range(2000) if _is_prime(p)] == [
+        p for p in range(2000) if prime(p)
+    ]
+
+
+def test_oversized_prime_refused():
+    # Miller-Rabin on the bases up to 41 decides primality only below psi_13
+    with pytest.raises(DomainError, match="prime fields need p <"):
+        PrimeField(3317044064679887385961981)
+    with pytest.raises(DomainError, match="prime fields need p <"):
+        PrimeField(2**89 - 1)
+
+
 def test_prime_field_canonical_range():
     F = PrimeField(7)
-    x = F.from_int(-3)
+    x = F.scalar(-3)
     assert type(x) is int and x == 4
-    assert F.from_int(10) == F.from_int(3) == 3
+    assert F.scalar(10) == F.scalar(3) == 3
     assert (F.zero, F.one) == (0, 1)
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -11,7 +12,6 @@ from transverse.ideals import (
     is_sequentially_transverse,
     is_transverse,
     minimalize_generators,
-    product_of,
     transversality_witness,
 )
 from transverse.poly import Monomial, monomials_of_degree
@@ -154,7 +154,7 @@ class TestSequentiallyTransverse:
 
     def test_product_of(self, R4):
         fam = [ideal(R4, "x1"), ideal(R4, "x2"), ideal(R4, "x3")]
-        assert product_of(fam) == ideal(R4, "x1*x2*x3")
+        assert reduce(ideal_product, fam) == ideal(R4, "x1*x2*x3")
 
 
 class TestDegreeBasis:

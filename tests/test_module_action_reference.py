@@ -37,7 +37,10 @@ from transverse.ideals import MonomialIdeal, regular_sequence
 from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import koszul_complex, lift_comparison_map, taylor_complex
 
-from polynomial_elements import KElement, chain_map, column, k_acc, k_apply, k_axpy, p_mul
+from polynomial_elements import (
+    KElement, action_tables, chain_map, column, k_acc, k_apply, k_axpy, p_mul,
+    product_tables,
+)
 from polynomial_elements import one as unit
 from test_dg_certificate_reference import from_tables, k_bilinear, mutants, random_ideal
 
@@ -72,9 +75,10 @@ def koszul_module_action_ref(C, prod, elements):
     K = koszul_complex(mons, ring)
     phi = chain_map(K, C, lift_comparison_map(K, C))
     phi1_cols = [column(phi[1], s) for s in range(len(polys))]
+    degree_one = product_tables(prod)
 
     def act1(s: int, j: int, vec: KElement) -> KElement:
-        return k_bilinear(prod.tables.get(j, {}), phi1_cols[s], vec)
+        return k_bilinear(degree_one.get(j, {}), phi1_cols[s], vec)
 
     subsets = K.meta["subsets"]
     one, zero = unit(ring), Polynomial(ring, {})
@@ -164,7 +168,7 @@ def outcome(C, prod, elements):
         act = koszul_module_action(C, prod, elements)
     except DomainError as e:
         return type(e), str(e)
-    return chain_map(act.koszul, C, act.phi), act.tables, act.certificate
+    return chain_map(act.koszul, C, act.phi), action_tables(act), act.certificate
 
 
 def assert_same(C, prod, elements):
@@ -271,7 +275,7 @@ def test_quotient_rings(field):
         prod = star([A, B])
         act = koszul_module_action(prod.complex, prod, [a])
         c = min(
-            (m for tab in act.tables.values() for val in tab.values()
+            (m for tab in action_tables(act).values() for val in tab.values()
              for p in val.values() for m in p.term_dict()
              if m.exps[4] and not m.divides(a)),
             key=Monomial.sort_key,
@@ -284,7 +288,8 @@ def test_quotient_rings(field):
 
 
 def terms(act) -> int:
-    return sum(len(val) for tab in act.tables.values() for val in tab.values())
+    return sum(len(val) for tab in action_tables(act).values()
+               for val in tab.values())
 
 
 def test_mutated_products():
@@ -307,7 +312,7 @@ def test_mutated_products():
             (star(ideals), sequences(R, ideals)[0]),
         ]
         for prod, elements in cases:
-            for tables in mutants(rng, prod.tables, 4):
+            for tables in mutants(rng, product_tables(prod), 4):
                 mutant = from_tables(DegreeOneProduct, prod.complex, tables)
                 failing += not assert_same(mutant.complex, mutant, elements).ok
     assert failing >= 24

@@ -3,8 +3,8 @@ scalars of monomial matrices, against a reference copy of the polynomial
 assembly it replaced.
 
 ``star_degree_one_product`` builds the table of F*G as scalars
-{j: {(p, x): [(w, c)]}}, the value at target w being c x^(m_p + m_x - m_w),
-and builds its polynomial tables only when they are read.  The reference
+{j: {(p, x): [(w, c)]}}, the value at target w being c x^(m_p + m_x - m_w);
+its polynomial tables are read through ``polynomial_elements``.  The reference
 below is the earlier body, unchanged but for the arithmetic of
 ``polynomial_elements`` in place of the removed operators: it multiplies
 ``Polynomial`` values on every basis pair.  Each test asserts the same outcome from both: equal
@@ -35,10 +35,12 @@ from transverse.dg import (
 from transverse.errors import CertificationError, DomainError
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
-from transverse.poly import Polynomial, Ring
+from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import taylor_complex
 
-from polynomial_elements import KElement, column, k_acc, p_mul
+from polynomial_elements import (
+    KElement, column, k_acc, p_mul, product_tables, product_value,
+)
 from test_dg_certificate_reference import (
     certify_degree_one_ref,
     from_tables,
@@ -84,6 +86,7 @@ def star_degree_one_product_ref(
                 f"{name} input product fails the degree-one identities"
             )
     S = star_product(F, G)
+    tables_F, tables_G = product_tables(prodF), product_tables(prodG)
     bases = {n: star_basis(F, G, n) for n in range(1, S.length + 1)}
     index = {n: {key: k for k, key in enumerate(bases[n])} for n in bases}
     tables: dict = {}
@@ -96,13 +99,13 @@ def star_degree_one_product_ref(
             for x_idx, (a, b, fa, gb) in enumerate(bases[j]):
                 out: KElement = {}
                 sign = -1 if a % 2 else 1
-                for w, q in prodG.value(b, ug, gb).items():
+                for w, q in product_value(tables_G, b, ug, gb).items():
                     key = (a, b + 1, fa, w)
                     if key in target:
                         k_acc(out, target[key], p_mul(p_mul(alpha, q), sign))
                 if b == 1:
                     beta = column(G.diff(1), gb).get(0, zero)
-                    for w, q in prodF.value(a, uf, fa).items():
+                    for w, q in product_value(tables_F, a, uf, fa).items():
                         key = (a + 1, 1, w, ug)
                         if key in target:
                             k_acc(out, target[key], p_mul(beta, q))
@@ -127,7 +130,7 @@ def snapshot(prod: DegreeOneProduct):
     """Tables in their insertion order, and the certificate."""
     tables = [
         (j, [(pair, list(val.items())) for pair, val in tab.items()])
-        for j, tab in prod.tables.items()
+        for j, tab in product_tables(prod).items()
     ]
     return tables, prod.certificate
 
@@ -150,11 +153,11 @@ def assert_same(F, G, prodF, prodG):
     except (CertificationError, DomainError) as e:
         assert (type(e), str(e)) == want
         return None
-    assert "tables" not in vars(prod)
     assert snapshot(prod) == want
     assert certify_degree_one_ref(prod) == prod.certificate
     # the scalars are what the tables convert back to, reduced mod p
-    assert from_tables(DegreeOneProduct, prod.complex, prod.tables).scalars == prod.scalars
+    tables = product_tables(prod)
+    assert from_tables(DegreeOneProduct, prod.complex, tables).scalars == prod.scalars
     return prod
 
 
@@ -214,13 +217,13 @@ def test_quotient_rings(field):
             taylor_dg_product(A), taylor_dg_product(B),
         )
         coeffs = sorted(
-            {m for tab in sp.tables.values() for val in tab.values()
+            {m for tab in product_tables(sp).values() for val in tab.values()
              for p in val.values() for m in p.term_dict()},
             key=lambda m: (-m.degree, m.sort_key()),
         )
         gens = A.gens + B.gens
         killing = [m for m in coeffs if not any(m.divides(g) for g in gens)]
-        unrelated = R.monomial(max(g.exps[0] for g in gens) + 1, 0, 0, 0)
+        unrelated = Monomial((max(g.exps[0] for g in gens) + 1, 0, 0, 0))
         for c in killing[:2] + [unrelated]:
             Q = R.quotient([c])
             A_Q, B_Q = MonomialIdeal(Q, A.gens), MonomialIdeal(Q, B.gens)
@@ -252,7 +255,7 @@ def test_mutated_inputs(field):
     ]
     for F, G, prodF, prodG, side in cases:
         mutated = prodF if side == "left" else prodG
-        for tables in mutants(rng, mutated.tables, 2):
+        for tables in mutants(rng, product_tables(mutated), 2):
             mutant = from_tables(DegreeOneProduct, mutated.complex, tables)
             args = (mutant, prodG) if side == "left" else (prodF, mutant)
             if assert_same(F, G, *args) is None:
