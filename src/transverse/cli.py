@@ -106,7 +106,10 @@ def parse_input(document, field_override=None) -> JobSpec:
         p = field_spec["prime"]
         if type(p) is not int:
             raise ParseError(f"ring.field.prime: expected an integer, got {p!r}")
-        field = PrimeField(p)
+        try:
+            field = PrimeField(p)
+        except AlgebraError as e:
+            raise ParseError(f"ring.field.prime: {e}")
     else:
         raise ParseError(
             f"ring.field: expected 'rational' or {{'prime': p}}, got {field_spec!r}"
@@ -320,7 +323,7 @@ def cmd_dispatch(spec: JobSpec):
             "pass": cert.ok,
             "ranks": list(cert.ranks),
             "series": list(cert.series_coeffs),
-            "minimal": cert.minimal,
+            "minimal": cert.resolution.minimal,
             "trivial_products": not cert.triviality_failures,
         }
         return report, 0 if cert.ok else 1

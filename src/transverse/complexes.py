@@ -552,7 +552,7 @@ class Homology:
                     rows[at[r]][col] = s
         return rows
 
-    def cell_failures(self, lo: int, hi: int, points=()) -> list:
+    def cell_failures(self, lo: int, hi: int) -> list:
         """(i, b, dim H_i) for lo <= i <= hi wherever H_i is nonzero on a
         cell, b its lower corner, ordered by (i, |b|, b).
 
@@ -562,8 +562,7 @@ class Homology:
         cells are the boxes of that grid.  Over R the block at b is the
         block at lcm{m_g : m_g <= b}, and the cells are the points of the
         lcm-closure of the m_g (Bayer-Sturmfels, "Cellular resolutions of
-        monomial modules", 1998; Miller-Sturmfels, Ch. 4).  ``points`` are
-        further multidegrees that split the cells as generators would.
+        monomial modules", 1998; Miller-Sturmfels, Ch. 4).
         H_i is constant on each cell, so this is H_i in every multidegree.
         Generator g is present at b when m_g <= b and m_g <= b - q for no q
         in gens(Q): ANDs over the variables of bitsets looked up once per
@@ -593,10 +592,9 @@ class Homology:
         for i in levels:
             spans[i] = (start, (1 << len(self.mdegs[i])) - 1)
             start += len(self.mdegs[i])
-        pts = {*gens, *points}
         kill = self._kill
         shifts = [(0,) * C.ring.nvars, *kill]
-        axes = [sorted({p[k] + q[k] for p in pts for q in shifts})
+        axes = [sorted({p[k] + q[k] for p in gens for q in shifts})
                 for k in range(C.ring.nvars)]
         # per variable k, one step per threshold v: v, the generators g
         # with m_g[k] <= v, and those with m_g[k] <= v - q[k] per q; the
@@ -697,7 +695,7 @@ class Homology:
             walk(0, (), every, [every] * len(kill))
         else:
             lookup = [{v: at for v, at, _ in step} for step in steps]
-            for b in sorted(lcm_closure(pts)):
+            for b in sorted(lcm_closure(set(gens))):
                 present = every
                 for at, v in zip(lookup, b):
                     present &= at[v]
@@ -817,32 +815,6 @@ def strand_homology_dim(C: GradedFreeComplex, Q, t: int, i: int) -> int:
     return Homology(C, Q).dim(i, t)
 
 
-def resolves_k_failures(C: GradedFreeComplex, top: int):
-    """The "C resolves the residue field" certificate, in every multidegree.
-
-    Returns ``(validation, minimal, strand_failures, coker_failures)``: the
-    d o d = 0 and homogeneity report, whether C is minimal, the cells
-    (i, b, dim H_i) where H_i != 0 for 1 <= i <= top, and the cells
-    (b, dim coker d_1, dim k_b) where coker d_1 is not k, both from
-    :meth:`Homology.cell_failures`.  The unit vectors split the cells so
-    that the origin is a cell of its own.  No cell is swept when C is not
-    a complex: ranks then give no homology, and both lists are empty.
-    """
-    validation, minimal = validate_complex(C), is_minimal(C)
-    if not validation.ok:
-        return validation, minimal, [], []
-    n = C.ring.nvars
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    failures = Homology(C).cell_failures(0, top, units)
-    zero = (0,) * n
-    h0 = {b: d for i, b, d in failures if i == 0}
-    coker_failures = [(b, d, 0) for b, d in h0.items() if b != zero]
-    if h0.get(zero, 0) != 1:
-        coker_failures.insert(0, (zero, h0.get(zero, 0), 1))
-    strand_failures = [f for f in failures if f[0] >= 1]
-    return validation, minimal, strand_failures, coker_failures
-
-
 # ---------------------------------------------------------------------------
 # Betti tables and resolution certificates
 
@@ -913,25 +885,27 @@ def betti_table(C: GradedFreeComplex) -> BettiTable:
 
 
 class ResolutionCertificate(Record):
-    """Outcome of the resolution check for a monomial ideal: C is a complex,
-    plus the three clauses of :func:`verify_resolution`."""
+    """Outcome of :func:`verify_resolution`: C is a complex, whether it is
+    minimal, and the three clauses."""
 
     __slots__ = _fields = (
-        "ideal", "validation", "strand_failures", "coker_failures",
+        "ideal", "validation", "minimal", "strand_failures", "coker_failures",
         "betti_ok", "betti_got", "betti_want",
     )
 
     def __init__(
         self, ideal: MonomialIdeal, validation: ValidationReport,
-        strand_failures: list, coker_failures: list, betti_ok: bool,
-        betti_got: BettiTable, betti_want: BettiTable,
+        minimal: bool, strand_failures: list, coker_failures: list,
+        betti_ok: bool, betti_got: BettiTable | None,
+        betti_want: BettiTable | None,
     ):
         self.ideal = ideal
-        self.validation = validation  # d o d = 0 and homogeneity
+        self.validation = validation  # d o d = 0
+        self.minimal = minimal  # reported, not required
         self.strand_failures = strand_failures  # (i, b, dim H_i) per failing cell
         self.coker_failures = coker_failures  # (b, dim coker d_1, dim (R/I)_b)
         self.betti_ok = betti_ok
-        self.betti_got = betti_got
+        self.betti_got = betti_got  # None where the clause is not run
         self.betti_want = betti_want
 
     @property
@@ -948,34 +922,47 @@ class ResolutionCertificate(Record):
         return all(clauses)
 
 
-def verify_resolution(C: GradedFreeComplex, I: MonomialIdeal) -> ResolutionCertificate:
-    """Certify that C is a free resolution of R/I, in every multidegree.
+def verify_resolution(
+    C: GradedFreeComplex, I: MonomialIdeal, top: int | None = None
+) -> ResolutionCertificate:
+    """Certify that C resolves the cyclic module R/I over R = ``C.ring``,
+    a polynomial ring modulo Q = ``C.ring.modulus``, in every multidegree:
+    through homological degree ``top``, or wholly when ``top`` is None.
+    The residue field k is R/m, m = :func:`ideals.maximal_ideal`.
 
-    C must be a complex: :func:`validate_complex` finds d o d = 0 and every
-    entry homogeneous.  Without that, ranks give no homology, so no clause
-    is run and the certificate reports the validation alone.
-    Clause (a): H_i = 0 for 1 <= i <= length on every cell of
-    :meth:`Homology.cell_failures`, hence in every multidegree.
-    Clause (b): coker d_1 = R/I: C_0 is R in degree 0 and the monomials of
-    the entries of d_1 generate I.  A failure is (b, dim coker d_1, dim
-    (R/I)_b) at each minimal generator b of one ideal outside the other,
-    or (0, the degrees of C_0, (0,)) when C_0 is not R.
-    Clause (c): the minimized Betti table equals the graded Betti numbers of
-    R/I from ``resolutions.betti_numbers``, which reads them off the upper
-    Koszul simplicial complexes K^b(I) for b in the lcm lattice of I: ranks
-    of their scalar boundaries, a cross-check that shares no code with (a)
-    or with the minimization.
+    C must be a complex: :func:`validate_complex` finds d o d = 0.  Without
+    that, ranks give no homology, so no clause is run and the certificate
+    reports the validation alone.  Whether C is minimal is reported, not
+    required.
+    Clause (a): H_i = 0 for 1 <= i <= top (``C.length`` when None) on every
+    cell of :meth:`Homology.cell_failures`, hence in every multidegree.
+    Clause (b): coker d_1 = R/I: C_0 is R in degree 0 and, modulo Q, the
+    monomials of the entries of d_1 generate I.  A failure is (b, dim
+    coker d_1, dim (R/I)_b) at each minimal generator b of one of I + Q and
+    image + Q outside the other, or (0, the degrees of C_0, (0,)) when C_0
+    is not R.
+    Clause (c), on a whole resolution only: the minimized Betti table
+    equals the graded Betti numbers of R/I from
+    ``resolutions.betti_numbers``, which reads them off the upper Koszul
+    simplicial complexes K^b(I) for b in the lcm lattice of I: ranks of
+    their scalar boundaries, a cross-check that shares no code with (a) or
+    with the minimization.  With ``top`` given it holds vacuously, and
+    ``betti_got`` and ``betti_want`` are None.  The oracle takes I over a
+    polynomial ring only (DomainError otherwise), so over R/Q pass ``top``.
     """
     from .resolutions import betti_numbers, minimize_complex
 
-    validation, want = validate_complex(C), betti_numbers(I)
+    validation, minimal, whole = validate_complex(C), is_minimal(C), top is None
+    want = betti_numbers(I) if whole else None
     if not validation.ok:
-        return ResolutionCertificate(I, validation, [], [], False, BettiTable({}), want)
-    strand_failures = Homology(C).cell_failures(1, C.length)
+        got = BettiTable({}) if whole else None
+        return ResolutionCertificate(I, validation, minimal, [], [], False, got, want)
+    strand_failures = Homology(C).cell_failures(1, C.length if whole else top)
     coker_failures = _coker_failures(C, I)
-    got = betti_table(minimize_complex(C))
+    got = betti_table(minimize_complex(C)) if whole else None
     return ResolutionCertificate(
-        I, validation, strand_failures, coker_failures, got == want, got, want,
+        I, validation, minimal, strand_failures, coker_failures, got == want,
+        got, want,
     )
 
 
@@ -985,13 +972,14 @@ def _coker_failures(C: GradedFreeComplex, I: MonomialIdeal) -> list:
     zero = (0,) * C.ring.nvars
     if C.degs(0) != (0,):
         return [(zero, C.degs(0), (0,))]
-    md = C.mdegs
-    image = MonomialIdeal(C.ring, tuple(
+    md, Q = C.mdegs, C.ring.modulus
+    image = MonomialIdeal(C.ring, (*Q, *(
         Monomial(tuple(map(sub, md[1][c], md[0][r])))
         for c, col in C.table(1).items() for r, _ in col
-    ))
-    out = [(g.exps, 1, 0) for g in I.gens if not image.contains(g)]
-    out += [(g.exps, 0, 1) for g in image.gens if not I.contains(g)]
+    )))
+    want = MonomialIdeal(C.ring, (*Q, *I.gens))
+    out = [(g.exps, 1, 0) for g in want.gens if not image.contains(g)]
+    out += [(g.exps, 0, 1) for g in image.gens if not want.contains(g)]
     return sorted(out, key=lambda f: (sum(f[0]), f[0]))
 
 

@@ -11,10 +11,10 @@ from itertools import product
 from operator import add, itemgetter
 
 from . import linalg
-from .complexes import GradedFreeComplex, Homology, resolves_k_failures, table_scalar
+from .complexes import GradedFreeComplex, Homology, table_scalar, verify_resolution
 from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_diff, k_restrict, k_sum, k_wedge
-from .ideals import MonomialIdeal, lcm_lattice, transverse_product
+from .ideals import MonomialIdeal, lcm_lattice, maximal_ideal, transverse_product
 from .poly import Ring
 from .resolutions import betti_numbers, koszul_on_variables, twisted_koszul
 
@@ -364,23 +364,19 @@ def massey_identity_residual(basis: GolodBasis, word: tuple) -> Element:
 
 class GolodCertificate(Record):
     __slots__ = _fields = (
-        "ranks", "series_coeffs", "ranks_match", "valid", "minimal",
-        "strand_failures", "coker_failures", "kunneth_rows",
+        "ranks", "series_coeffs", "ranks_match", "resolution", "kunneth_rows",
         "triviality_failures",
     )
 
     def __init__(
         self, ranks: tuple, series_coeffs: tuple, ranks_match: bool,
-        valid: bool, minimal: bool, strand_failures: list,
-        coker_failures: list, kunneth_rows: list, triviality_failures: list,
+        resolution, kunneth_rows: list, triviality_failures: list,
     ):
         self.ranks = ranks
         self.series_coeffs = series_coeffs
         self.ranks_match = ranks_match
-        self.valid = valid
-        self.minimal = minimal
-        self.strand_failures = strand_failures
-        self.coker_failures = coker_failures
+        # the ResolutionCertificate that C resolves k below n_max
+        self.resolution = resolution
         self.kunneth_rows = kunneth_rows  # the rows of :func:`kunneth_map`
         self.triviality_failures = triviality_failures
 
@@ -388,10 +384,8 @@ class GolodCertificate(Record):
     def ok(self) -> bool:
         return (
             self.ranks_match
-            and self.valid
-            and self.minimal
-            and not self.strand_failures
-            and not self.coker_failures
+            and self.resolution.ok
+            and self.resolution.minimal
             and all(r.bijective for r in self.kunneth_rows)
             and not self.triviality_failures
         )
@@ -457,19 +451,18 @@ def golod_resolution(
     |S| + sum deg(v) = n; the differential applies the Koszul differential
     to the front and contracts prefixes through mu.  The output is
     certified: d^2 = 0, minimality, exactness below n_max and coker(d_1) = k,
-    each in every multidegree (see :func:`resolves_k_failures`); a failure
+    each in every multidegree (see :func:`verify_resolution`); a failure
     raises CertificationError.  :func:`verify_golod` reports the same
     checks instead.
     """
     C, _ = _golod_complex(I, J, n_max)
-    rep, minimal, strand_failures, coker_failures = resolves_k_failures(
-        C, n_max - 1
-    )
-    if not (rep.ok and minimal and not strand_failures and not coker_failures):
+    cert = verify_resolution(C, maximal_ideal(C.ring), n_max - 1)
+    if not (cert.ok and cert.minimal):
         raise CertificationError(
             "Golod resolution failed its own certificate: "
-            + ("; ".join(rep.problems) or f"strands {strand_failures[:3]}, "
-               f"coker {coker_failures[:3]}")
+            + ("; ".join(cert.validation.problems)
+               or f"strands {cert.strand_failures[:3]}, "
+               f"coker {cert.coker_failures[:3]}")
         )
     return C
 
@@ -541,9 +534,7 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
     the dimensions of H(R/IJ).
     """
     C, basis = _golod_complex(I, J, n_max)
-    rep, minimal, strand_failures, coker_failures = resolves_k_failures(
-        C, n_max - 1
-    )
+    resolution = verify_resolution(C, maximal_ideal(C.ring), n_max - 1)
     kunneth_rows = _kunneth_rows(basis)
     series = _poincare(I.ring.nvars, basis.dims, n_max).coefficients
     q, KIJ, h = basis.quotient, basis.KIJ, basis.h
@@ -557,6 +548,6 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
     ]
     ranks = C.total_ranks()
     return GolodCertificate(
-        ranks, series, tuple(ranks) == series[: n_max + 1], rep.ok, minimal,
-        strand_failures, coker_failures, kunneth_rows, triviality_failures,
+        ranks, series, tuple(ranks) == series[: n_max + 1], resolution,
+        kunneth_rows, triviality_failures,
     )

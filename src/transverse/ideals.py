@@ -54,6 +54,14 @@ class MonomialIdeal(Record):
         return "(" + ", ".join(self.ring.format_monomial(g) for g in self.gens) + ")"
 
 
+def maximal_ideal(ring: Ring) -> MonomialIdeal:
+    """The ideal m of the variables: R/m is the residue field k."""
+    n = ring.nvars
+    return MonomialIdeal(ring, tuple(
+        Monomial(tuple(int(k == j) for k in range(n))) for j in range(n)
+    ))
+
+
 def minimalize_generators(ring: Ring, gens) -> MonomialIdeal:
     return MonomialIdeal(ring, tuple(gens))
 

@@ -15,12 +15,15 @@ from itertools import product
 from operator import add
 
 from . import linalg
-from .complexes import GradedFreeComplex, Homology, resolves_k_failures
+from .complexes import (
+    GradedFreeComplex, Homology, ResolutionCertificate, verify_resolution,
+)
 from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_restrict, k_wedge
 from .golod import KoszulHomology
 from .ideals import (
-    MonomialIdeal, lcm_lattice, regular_sequence, transverse_product,
+    MonomialIdeal, lcm_lattice, maximal_ideal, regular_sequence,
+    transverse_product,
 )
 from .poly import Monomial, Ring
 from .resolutions import betti_numbers, twisted_koszul
@@ -49,7 +52,8 @@ class TateComplex(Record):
 
     def __init__(
         self, ring: Ring, sequence: list, cycles: list,
-        complex: GradedFreeComplex, basis: list, certificate: dict,
+        complex: GradedFreeComplex, basis: list,
+        certificate: ResolutionCertificate,
     ):
         self.ring = ring  # the quotient ring S
         self.sequence = sequence
@@ -64,7 +68,7 @@ def tate_resolution(a, ring: Ring, n_max: int = 6) -> TateComplex:
     """Build and certify the Tate complex through homological degree n_max,
     with the cycles z_j of :func:`_tate_cycle`: d o d = 0, and H_i = 0 for
     1 <= i < n_max and coker d_1 = k in every multidegree (see
-    :func:`resolves_k_failures`).  The key (T, m) sits in multidegree
+    :func:`verify_resolution`).  The key (T, m) sits in multidegree
     1_T + sum_j m_j mdeg(a_j): over S a linear a_j kills its variable x_k,
     so the differential alone would not fix the multidegree of e_k."""
     if n_max < 1:
@@ -90,16 +94,8 @@ def tate_resolution(a, ring: Ring, n_max: int = 6) -> TateComplex:
 
     C, levels = twisted_koszul(S, words, n_max, twist, word_label)
     # a linear a_j leaves a unit entry, so minimality is reported, not required
-    rep, minimal, strand_failures, coker_failures = resolves_k_failures(
-        C, n_max - 1
-    )
-    cert = {
-        "valid": rep.ok,
-        "minimal": minimal,
-        "strand_failures": strand_failures,
-        "coker_failures": coker_failures,
-    }
-    if not rep.ok or strand_failures or coker_failures:
+    cert = verify_resolution(C, maximal_ideal(S), n_max - 1)
+    if not cert.ok:
         raise CertificationError(f"Tate complex failed its certificate: {cert}")
     return TateComplex(S, mons, zs, C, levels, cert)
 

@@ -18,7 +18,7 @@ from .complexes import (
 )
 from .errors import DimensionError, DomainError, ExactnessError
 from .exterior import wedge_subsets
-from .ideals import MonomialIdeal, lcm_lattice
+from .ideals import MonomialIdeal, lcm_lattice, maximal_ideal
 from .poly import Monomial, Ring
 
 
@@ -67,10 +67,7 @@ def koszul_complex(elements: list[Monomial], ring: Ring) -> GradedFreeComplex:
 def koszul_on_variables(ring: Ring) -> GradedFreeComplex:
     """The Koszul complex resolving the residue field over ``ring``, built
     once per ring (complexes are immutable)."""
-    n = ring.nvars
-    return koszul_complex(
-        [Monomial(tuple(int(k == j) for k in range(n))) for j in range(n)], ring
-    )
+    return koszul_complex(maximal_ideal(ring).gens, ring)
 
 
 def twisted_koszul(S: Ring, words, n_max: int, twist, word_label):

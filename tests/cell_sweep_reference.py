@@ -3,8 +3,9 @@ replaced by a walk of the threshold grid.
 
 ``reference_cells`` and ``reference_cell_failures`` are the earlier
 ``Homology.cells`` and ``Homology.cell_failures``, copied unchanged except
-that each is a function of the ``Homology`` object ``self`` and the sweep
-lists its cells with ``reference_cells``.  The sweep visits every cell of
+that each is a function of the ``Homology`` object ``self``, the sweep
+lists its cells with ``reference_cells``, and neither takes the further
+split points it once did.  The sweep visits every cell of
 the grid and reads the presence of each generator with ``below``, one
 AND over the variables per call, 1 + |gens(Q)| calls per cell.
 """
@@ -17,7 +18,7 @@ from re import finditer
 from transverse import linalg
 
 
-def reference_cells(self, levels, points=()) -> list:
+def reference_cells(self, levels) -> list:
     """One point of each cell on which the blocks of the C_i, i in
     ``levels``, are constant: each the lower corner of its cell.
 
@@ -28,13 +29,11 @@ def reference_cells(self, levels, points=()) -> list:
     that grid.  Over R the block at b is the block at lcm{m_g : m_g <=
     b}, and the cells are the points of the lcm-closure of the m_g
     (Bayer-Sturmfels, "Cellular resolutions of monomial modules", 1998;
-    Miller-Sturmfels, Ch. 4).  ``points`` are further multidegrees
-    that split the cells as generators would.  In both cases the cell
+    Miller-Sturmfels, Ch. 4).  In both cases the cell
     of b is the largest cell point <= b, when there is one; otherwise
     no generator is present at b.
     """
     pts = {m for i in levels for m in self.mdegs[i].values()}
-    pts.update(points)
     if not self._kill:
         out: set = set()
         for p in sorted(pts):
@@ -49,9 +48,9 @@ def reference_cells(self, levels, points=()) -> list:
     return list(product(*axes))
 
 
-def reference_cell_failures(self, lo: int, hi: int, points=()) -> list:
+def reference_cell_failures(self, lo: int, hi: int) -> list:
     """(i, b, dim H_i) for lo <= i <= hi wherever H_i is nonzero on a
-    cell of :meth:`cells` (with ``points``), b its lower corner,
+    cell of :meth:`cells`, b its lower corner,
     ordered by (i, |b|, b).
 
     H_i is constant on each cell, so this is H_i in every multidegree.
@@ -105,7 +104,7 @@ def reference_cell_failures(self, lo: int, hi: int, points=()) -> list:
         return ranks[key]
 
     failures, dims = [], {}  # dims: present -> [(i, dim H_i)]
-    for b in reference_cells(self, levels, points):
+    for b in reference_cells(self, levels):
         present = below(b)
         for q in self._kill:
             if present:

@@ -261,8 +261,9 @@ def test_criterion_5_golod_resolution():
     assert cert.ok
     assert cert.ranks == (1, 4, 10, 24, 58, 140)
     assert cert.series_coeffs[:6] == (1, 4, 10, 24, 58, 140)
-    assert cert.minimal and cert.valid
-    assert not cert.strand_failures  # exactness through homological degree 4
+    assert cert.resolution.minimal and cert.resolution.validation.ok
+    # exactness through homological degree 4
+    assert not cert.resolution.strand_failures
     assert not cert.triviality_failures  # exhaustive pairwise products bound
 
     Rxy = Ring(("x", "y"))

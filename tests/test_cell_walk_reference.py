@@ -19,12 +19,12 @@ import pytest
 
 from transverse import linalg
 from transverse.complexes import (
-    GradedFreeComplex, Homology, resolves_k_failures, star_product,
-    table_scalar, validate_complex,
+    GradedFreeComplex, Homology, star_product, table_scalar,
+    validate_complex, verify_resolution,
 )
 from transverse.fields import QQ, PrimeField
 from transverse.golod import golod_resolution
-from transverse.ideals import ideal_product
+from transverse.ideals import ideal_product, maximal_ideal
 from transverse.obstructions import tate_resolution
 from transverse.poly import Ring
 from transverse.resolutions import koszul_complex, koszul_on_variables, taylor_complex
@@ -33,10 +33,6 @@ from cell_sweep_reference import reference_cell_failures, reference_cells
 from conftest import ideal
 
 FIELDS = [QQ, PrimeField(2), PrimeField(32003)]
-
-
-def units(n):
-    return [tuple(int(k == j) for k in range(n)) for j in range(n)]
 
 
 def counted(monkeypatch, f, *args):
@@ -67,13 +63,11 @@ def bounded(H):
     return p == 2 or not p and validate_complex(H.complex).ok
 
 
-def assert_walk_is_sweep(monkeypatch, H, lo, hi, points=(), gaps=0):
+def assert_walk_is_sweep(monkeypatch, H, lo, hi, gaps=0):
     """The walk equals the sweep, ranking the same keys; where the GF(2)
     bound applies, exactly ``gaps`` keys take a QQ rank."""
-    walk, walk_calls = counted(monkeypatch, H.cell_failures, lo, hi, points)
-    sweep, sweep_calls = counted(
-        monkeypatch, reference_cell_failures, H, lo, hi, points
-    )
+    walk, walk_calls = counted(monkeypatch, H.cell_failures, lo, hi)
+    sweep, sweep_calls = counted(monkeypatch, reference_cell_failures, H, lo, hi)
     assert walk == sweep
     assert sweep_calls["xor_rank"] == 0
     if bounded(H):
@@ -93,11 +87,11 @@ def test_tate_complex_over_each_field(monkeypatch, field):
     a = [R.parse_monomial("x1^2"), R.parse_monomial("x4^2")]
     H = Homology(tate_resolution(a, R, 5).complex)
     assert len(H._kill) == 2
-    # with the unit points: exact in degrees 1..4, and coker d_1 = k
-    assert assert_walk_is_sweep(monkeypatch, H, 0, 4, units(4)) == [
+    # exact in degrees 1..4, and H_0 = k
+    assert assert_walk_is_sweep(monkeypatch, H, 0, 4) == [
         (0, (0, 0, 0, 0), 1)
     ]
-    assert assert_walk_is_sweep(monkeypatch, H, 2, 4, units(4)) == []
+    assert assert_walk_is_sweep(monkeypatch, H, 2, 4) == []
     assert_walk_is_sweep(monkeypatch, H, 0, 5)
 
 
@@ -106,7 +100,7 @@ def test_golod_resolution_over_each_field(monkeypatch, field):
     R = ring4(field)
     G = golod_resolution(ideal(R, "x1", "x2^2"), ideal(R, "x3", "x4"), 4)
     H = Homology(G)
-    out = assert_walk_is_sweep(monkeypatch, H, 0, 3, units(4))
+    out = assert_walk_is_sweep(monkeypatch, H, 0, 3)
     assert out == [(0, (0, 0, 0, 0), 1)]
     assert_walk_is_sweep(monkeypatch, H, 1, 4)
 
@@ -119,12 +113,12 @@ def test_koszul_over_r_with_extra_generators(monkeypatch, field):
     H = Homology(koszul_on_variables(R), IJ)
     out = assert_walk_is_sweep(monkeypatch, H, 0, 4)
     assert {i for i, _, _ in out} == {0, 1, 2, 3}  # pd R/IJ = 3
-    assert_walk_is_sweep(monkeypatch, H, 1, 3, units(4))
+    assert_walk_is_sweep(monkeypatch, H, 1, 3)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_star_product_over_r_with_unit_points(monkeypatch, field):
-    # over R the cells are lcm-closure points, and the unit points split them
+    # over R the cells are lcm-closure points
     R = Ring(("x1", "x2", "x3", "x4", "x5"), field)
     S = star_product(
         taylor_complex(ideal(R, "x1^2", "x1*x2", "x2*x3")),
@@ -133,25 +127,29 @@ def test_star_product_over_r_with_unit_points(monkeypatch, field):
     H = Homology(S)
     assert not H._kill
     assert_walk_is_sweep(monkeypatch, H, 1, S.length)
-    assert_walk_is_sweep(monkeypatch, H, 0, S.length, units(5))
+    assert_walk_is_sweep(monkeypatch, H, 0, S.length)
 
 
 def test_a_whole_prefix_with_nothing_present(monkeypatch):
-    # every generator of C_1 and C_2 has exponent >= 1 in x1, while the unit
-    # points put the threshold 0 on that axis: over R/(x1^3) the walk skips
-    # the whole prefix b_1 = 0
+    # K(x, y) over k[x, y]/(x^2), walked from degree 2 so that C_0 is not
+    # among the levels: at b_x = 0 only e_y is present, and at b_y = 0 it
+    # drops out, so the walk skips the prefix (0, 0), a cell of the sweep
+    R = Ring(("x", "y"))
+    S = R.quotient([R.parse_monomial("x^2")])
+    K = koszul_complex([S.parse_monomial(m) for m in ("x", "y")], S)
+    H = Homology(K)
+    gens = [m for i in (1, 2) for m in K.mdegs[i]]
+    assert (0, 0) in reference_cells(H, (1, 2))
+    assert [m for m in gens if m[0] == 0] == [(0, 1)]
+    assert assert_walk_is_sweep(monkeypatch, H, 2, 2) == []
+    # H_1 = Tor_1(S, k) sits at x^2
+    assert assert_walk_is_sweep(monkeypatch, H, 1, 2) == [(1, (2, 0), 1)]
+    # over R/(x1^3), H_1 != 0 where d_1 maps both generators of C_1 to that
+    # of C_0: no bound proves H_1 = 0 there, so that one key takes a QQ rank
     R = Ring(("x1", "x2", "x3"))
     S = R.quotient([R.parse_monomial("x1^3")])
     K = koszul_complex([S.parse_monomial(m) for m in ("x1^2*x2", "x1*x3")], S)
-    H = Homology(K)
-    gens = [m for i in (1, 2) for m in K.mdegs[i]]
-    cells = reference_cells(H, (1, 2), units(3))
-    assert min(b[0] for b in cells) < min(m[0] for m in gens)
-    assert [b for b in cells if b[0] == 0]
-    assert assert_walk_is_sweep(monkeypatch, H, 2, 2, units(3))
-    # H_1 != 0 where d_1 maps both generators of C_1 to that of C_0: no
-    # bound proves H_1 = 0 there, so that one key takes a QQ rank
-    assert_walk_is_sweep(monkeypatch, H, 1, 2, units(3), gaps=1)
+    assert_walk_is_sweep(monkeypatch, Homology(K), 1, 2, gaps=1)
 
 
 def test_a_map_that_is_not_a_complex(monkeypatch):
@@ -168,7 +166,7 @@ def test_a_map_that_is_not_a_complex(monkeypatch):
         C = GradedFreeComplex(T.ring, T.mdegs, tables)
         if validate_complex(C).ok:
             continue
-        out = assert_walk_is_sweep(monkeypatch, Homology(C), 0, 5, units(4))
+        out = assert_walk_is_sweep(monkeypatch, Homology(C), 0, 5)
         negative |= any(d < 0 for _, _, d in out)
     assert negative
 
@@ -182,8 +180,10 @@ def test_rank_count_gate_on_the_golod_flagship(monkeypatch):
     I, J = ideal(R, "x1", "x2"), ideal(R, "x3", "x4")
     for n_max, want in ((5, 226), (6, 373)):
         G = golod_resolution(I, J, n_max)
-        out, calls = counted(monkeypatch, resolves_k_failures, G, n_max - 1)
-        assert out[0].ok and out[2:] == ([], [])
+        out, calls = counted(
+            monkeypatch, verify_resolution, G, maximal_ideal(G.ring), n_max - 1
+        )
+        assert out.ok and out.strand_failures == out.coker_failures == []
         assert calls == {"rank": 0, "xor_rank": want}
 
 
@@ -297,20 +297,17 @@ def star(R):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_mutants_where_the_bound_falls_short(monkeypatch, field, build):
     C = build(ring4(field))
-    n = C.ring.nvars
     for name, (M, short) in mutants(C).items():
         assert validate_complex(M).ok, name
         H = Homology(M)
-        walk, calls = counted(monkeypatch, H.cell_failures, 0, M.length, units(n))
-        sweep, _ = counted(
-            monkeypatch, reference_cell_failures, H, 0, M.length, units(n)
-        )
+        walk, calls = counted(monkeypatch, H.cell_failures, 0, M.length)
+        sweep, _ = counted(monkeypatch, reference_cell_failures, H, 0, M.length)
         assert walk == sweep, name
         if field == QQ:
             # where the bound left a gap, the exact QQ ranks closed it
             assert calls["rank"] or not short, name
             # a change of basis over QQ keeps the homology
-            assert walk == Homology(C).cell_failures(0, M.length, units(n)), name
+            assert walk == Homology(C).cell_failures(0, M.length), name
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)

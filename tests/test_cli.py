@@ -295,7 +295,23 @@ class TestInputErrorsExitTwo:
         err = self.run(tmp_path, capsys, doc, "--field", f"prime:{prime}")
         assert str(prime) in err
 
-    @pytest.mark.parametrize("names", [["1", "x"], ["x", "x^2"], ["", "x"],
+    @pytest.mark.parametrize("flags, field, p", [
+        (("--field", "prime:4"), None, 4),
+        (("--field", "prime:1"), None, 1),
+        ((), {"prime": 3215031751}, 3215031751),
+    ], ids=["--field prime:4", "--field prime:1", "document prime"])
+    def test_a_prime_that_is_refused_is_an_input_error(
+        self, tmp_path, capsys, flags, field, p
+    ):
+        # a p that PrimeField refuses reads as the other malformed rings do
+        ring = {"vars": ["x1", "x2", "x3", "x4"]}
+        if field:
+            ring["field"] = field
+        doc = job("check-transverse", {"left": "I", "right": "J"}, ring=ring)
+        err = self.run(tmp_path, capsys, doc, *flags)
+        assert err.startswith(f"input error: ring.field.prime: {p} ")
+
+    @pytest.mark.parametrize("names",[["1", "x"], ["x", "x^2"], ["", "x"],
                                        ["x*y"], ["x y"], ["x1", "é"]])
     def test_variable_names_the_monomial_grammar_cannot_read(
         self, tmp_path, capsys, names

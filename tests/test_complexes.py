@@ -10,7 +10,6 @@ from transverse.complexes import (
     Homology,
     betti_table,
     is_minimal,
-    resolves_k_failures,
     star_product,
     strand_homology,
     strand_homology_dim,
@@ -21,7 +20,7 @@ from transverse.complexes import (
 from transverse.errors import CertificationError, DimensionError, DomainError
 from transverse.exterior import Element
 from transverse.fields import QQ, PrimeField
-from transverse.ideals import MonomialIdeal, ideal_product
+from transverse.ideals import MonomialIdeal, ideal_product, maximal_ideal
 from transverse.obstructions import tate_resolution
 from transverse.poly import Monomial, Polynomial, Ring
 from transverse.resolutions import koszul_complex, taylor_complex
@@ -331,10 +330,11 @@ class TestCellCertificates:
         assert T.complex.total_ranks() == (1, 4, 8, 12, 16, 20)
         for g in range(T.complex.rank(5)):
             C = drop_generator(T.complex, 5, g)
-            rep, _, strand_failures, coker_failures = resolves_k_failures(C, 4)
+            cert = verify_resolution(C, maximal_ideal(C.ring), 4)
             # a complex, but H_4 no longer dies, first at the multidegree
             # of the dropped generator
-            assert rep.ok and not coker_failures
+            assert cert.validation.ok and not cert.coker_failures
+            strand_failures = cert.strand_failures
             assert strand_failures and {f[0] for f in strand_failures} == {4}
             assert strand_failures[0][1] == mdegs[5][g], g
 
@@ -351,9 +351,10 @@ class TestCellCertificates:
             d < 0 for C in broken for _, _, d in Homology(C).cell_failures(0, 5)
         )
         for C in broken:
-            rep, _, strand_failures, coker_failures = resolves_k_failures(C, 5)
+            cert = verify_resolution(C, maximal_ideal(C.ring), 5)
+            rep = cert.validation
             assert not rep.ok and "d_5 o d_6 != 0" in rep.problems[0]
-            assert strand_failures == coker_failures == []
+            assert cert.strand_failures == cert.coker_failures == []
         # the same for verify_resolution, on a star product with a generator
         # of C_2 dropped and d_3 kept
         from transverse.resolutions import minimal_resolution
@@ -371,14 +372,32 @@ class TestCellCertificates:
             assert cert.strand_failures == cert.coker_failures == []
 
     def test_origin_is_a_cell_of_its_own(self, Rxy):
-        # K(x) over k[x, y] leaves coker d_1 = k[y]; the cell of the origin
-        # over R would hold every y^j without the unit points
+        # K(x) over k[x, y] leaves coker d_1 = k[y]: the generator y of m
+        # lies outside the image (x) of d_1
         K = koszul(Rxy, 0)
-        rep, minimal, strand_failures, coker_failures = resolves_k_failures(K, 1)
-        assert rep.ok and minimal and strand_failures == []
-        assert coker_failures == [((0, 1), 1, 0)]
+        m = maximal_ideal(Rxy)
+        cert = verify_resolution(K, m, 1)
+        assert cert.validation.ok and cert.minimal and cert.strand_failures == []
+        assert cert.coker_failures == [((0, 1), 1, 0)]
         K2 = koszul(Rxy)
-        assert resolves_k_failures(K2, 2)[2:] == ([], [])
+        cert = verify_resolution(K2, m, 2)
+        assert cert.strand_failures == cert.coker_failures == []
+
+    def test_cokernel_is_taken_modulo_the_ring_modulus(self, Rxy):
+        # K(x) over k[x, y]/(y) resolves k = R/m: y is zero there, so the
+        # image (x) of d_1 generates m modulo (y); over k[x, y]/(y^2) the
+        # class of y stays outside it
+        S = Rxy.quotient([Rxy.parse_monomial("y")])
+        K = koszul_complex([S.parse_monomial("x")], S)
+        cert = verify_resolution(K, maximal_ideal(S), 1)
+        assert cert.ok and cert.minimal
+        # a prefix: no Betti clause is run
+        assert (cert.betti_ok, cert.betti_got, cert.betti_want) == (True, None, None)
+        S2 = Rxy.quotient([Rxy.parse_monomial("y^2")])
+        K = koszul_complex([S2.parse_monomial("x")], S2)
+        cert = verify_resolution(K, maximal_ideal(S2), 1)
+        assert cert.coker_failures == [((0, 1), 1, 0)] and not cert.ok
+        assert cert.validation.ok and cert.strand_failures == []
 
     def test_exactness_in_degrees_no_strand_bound_reached(self):
         # the star product of K(x^50) and K(y^50) has two cells, where
@@ -564,8 +583,9 @@ class TestStrandEngine:
 
         self.cripple_golod_basis(monkeypatch, *flagship)
         cert = verify_golod(*flagship, 4)
-        assert not cert.ok and cert.valid and cert.minimal
-        assert cert.strand_failures == self.CRIPPLED_FAILURES
+        resolution = cert.resolution
+        assert not cert.ok and resolution.validation.ok and resolution.minimal
+        assert resolution.strand_failures == self.CRIPPLED_FAILURES
         job = tmp_path / "golod.json"
         job.write_text(json.dumps({
             "ring": {"vars": ["x1", "x2", "x3", "x4"]},
@@ -697,7 +717,7 @@ class TestOneStrandEngine:
 
         built, ranked = self.record_matrices(monkeypatch)
         spans, xor_ranked = [], []
-        check, xor_rank = obstructions.resolves_k_failures, linalg.xor_rank
+        check, xor_rank = obstructions.verify_resolution, linalg.xor_rank
 
         def traced_xor_rank(rows):
             xor_ranked.append(1)
@@ -710,7 +730,7 @@ class TestOneStrandEngine:
             return out
 
         monkeypatch.setattr(linalg, "xor_rank", traced_xor_rank)
-        monkeypatch.setattr(obstructions, "resolves_k_failures", traced_check)
+        monkeypatch.setattr(obstructions, "verify_resolution", traced_check)
         M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
         rep = obstructions.avramov_obstruction(a, M, 6)

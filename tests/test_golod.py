@@ -255,8 +255,9 @@ class TestGolodResolution:
 
     def test_certificate_attached(self, Rxy):
         cert = verify_golod(ideal(Rxy, "x"), ideal(Rxy, "y"), 3)
-        assert cert.ok and cert.valid and cert.minimal
-        assert not cert.strand_failures and not cert.coker_failures
+        assert cert.ok and cert.resolution.validation.ok and cert.resolution.minimal
+        assert not cert.resolution.strand_failures
+        assert not cert.resolution.coker_failures
 
     def test_requires_transverse(self, R4):
         with pytest.raises(DomainError):
