@@ -2,7 +2,8 @@
 
 Each case renders one output as text and compares its sha256 digest with a
 value captured once from a known-good revision.  The cases cover one job
-per CLI command (the JSON report plus the exit code) and the objects that
+per CLI command (the JSON report plus the exit code, and the text report,
+whose key order the sorted JSON cannot see) and the objects that
 no report prints: degree-one product tables, the Golod and Tate complexes
 (a minimal one, a non-minimal one and one over an empty sequence), the
 Koszul, Taylor (with a redundant generator), tensor and star complexes,
@@ -106,17 +107,17 @@ PRIME_COMMANDS = (
 PRIMES = (2, 3, 32003)
 
 
-def _run_job(command: str, field="rational") -> str:
+def _run_job(command: str, field="rational", fmt="json") -> str:
     names, ideals, args = JOBS[command]
     spec = parse_input({
         "ring": {"vars": names, "field": field},
         "ideals": ideals,
         "command": command,
         "args": args,
-        "format": "json",
+        "format": fmt,
     })
     report, code = cmd_dispatch(spec)
-    return f"exit {code}\n" + render_report(report, "json")
+    return f"exit {code}\n" + render_report(report, fmt)
 
 
 def _dumps(obj) -> str:
@@ -305,6 +306,17 @@ DIGESTS = {
     "cli:obstruction:GF(2)": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
     "cli:obstruction:GF(3)": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
     "cli:obstruction:GF(32003)": "f188264d8f7a7afe34e3a689f53b87261024a658fc79d5f455d48cf6a67c26c7",
+    "cli-text:check-transverse": "0ad2c55e61a57560df9aeeec482f09f21fbf1faf42f51643c72a9cd9ffa1d743",
+    "cli-text:resolve": "8836a205f61ffdd07c378ec4fa13db24ac4d1a93c1b0eb0ebd5da4093e84f374",
+    "cli-text:star-resolve": "b51c9cea6be43e2aef23ba352fbe1904f474125594202876e805ffb7410f2458",
+    "cli-text:koszul-homology": "5cfe1b73ac0bdd0d2faa78c4e0c8576779b3ef3860129b9dbfc29b05268a6295",
+    "cli-text:kunneth-verify": "6e76cd070f52f9d92ea784b35589dd180508e64c19175b11d149835606ddf81b",
+    "cli-text:golod": "2bfe470c140d574b5c7d89998f8a5f6627b3e5874573edf89de9b13ed01d63f2",
+    "cli-text:dg-verify": "17c580fd969f8c98f1b3bdb6f1e651d4f1213657970d20cc05be21a2cf52691e",
+    "cli-text:module-action": "d5498bc945cc6248691f48271b02fd5db4d1660eecb75d830fd2d8bb1d092d0b",
+    "cli-text:obstruction": "a443533636e3d42695f78b0c74f4aff5f175d9b8ee3bd8354c4d9f0d2d7df640",
+    "cli-text:injectivity-verify": "227755352eb489957b11bed58f53759310358ccdea10fa081f8c78bc067d51d9",
+    "cli-text:associativity-probe": "6266623972449841ea295cee17c3c516b1e042c082a33775c5a567016a300441",
     "obj:associativity_probe": "019b6fe10137ccfd46ecac0beaa0e1ce9d172cf7574b1446e68527dc297d98df",
     "obj:gf3_comparison_map": "2c1157d61dc44ef4a8c5a90bdf05fd44c858687f38746b479c610d978e47db12",
     "obj:gf3_koszul_representatives": "d8bf4e07e2d40280be8ab2b00e772ea9f1b5a70c94ce6614fc0450e80c5a6484",
@@ -336,6 +348,11 @@ def test_command_report_unchanged(command):
     assert _digest(_run_job(command)) == DIGESTS[f"cli:{command}"]
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_text_unchanged(command):
+    assert _digest(_run_job(command, fmt="text")) == DIGESTS[f"cli-text:{command}"]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("command", PRIME_COMMANDS)
 def test_prime_field_report_unchanged(command, p):
@@ -350,6 +367,8 @@ def test_object_unchanged(name):
 if __name__ == "__main__":
     for command in COMMANDS:
         print(f'    "cli:{command}": "{_digest(_run_job(command))}",')
+    for command in COMMANDS:
+        print(f'    "cli-text:{command}": "{_digest(_run_job(command, fmt="text"))}",')
     for command in PRIME_COMMANDS:
         for p in PRIMES:
             digest = _digest(_run_job(command, {"prime": p}))
