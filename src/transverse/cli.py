@@ -27,26 +27,9 @@ from .ideals import (
 )
 from .poly import Ring
 
-COMMANDS = (
-    "check-transverse",
-    "resolve",
-    "star-resolve",
-    "koszul-homology",
-    "kunneth-verify",
-    "golod",
-    "dg-verify",
-    "module-action",
-    "obstruction",
-    "injectivity-verify",
-    "associativity-probe",
-)
-
 DOCUMENT_KEYS = ("ring", "ideals", "command", "args", "format")
 RING_KEYS = ("vars", "field")
 FIELD_KEYS = ("prime",)
-# the args key that --bound sets, for the commands that take a bound
-BOUND_KEYS = dict.fromkeys(("golod", "obstruction", "injectivity-verify"), "n_max")
-BOUND_KEYS["associativity-probe"] = "bound"
 
 
 class JobSpec:
@@ -77,8 +60,7 @@ def _refuse_unknown_keys(spec: dict, known: tuple, where: str) -> None:
 
 def parse_input(document, field_override=None) -> JobSpec:
     """Validate a job document (dict or JSON text) into a JobSpec; unknown
-    keys of the document, its ring or its field are refused (those of args
-    vary)."""
+    keys of the document, its ring, its field or its args are refused."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -140,6 +122,7 @@ def parse_input(document, field_override=None) -> JobSpec:
     args = document.get("args") or {}
     if not isinstance(args, dict):
         raise ParseError("args: expected an object")
+    _refuse_unknown_keys(args, COMMAND_TABLE[command][1], "args")
     for key in ("n_max", "bound"):
         if args.get(key) is not None and type(args[key]) is not int:
             raise ParseError(f"args.{key}: expected an integer, got {args[key]!r}")
@@ -151,15 +134,9 @@ def parse_input(document, field_override=None) -> JobSpec:
     return JobSpec(ring, ideals, command, args, fmt)
 
 
-def _resolution_for(spec: JobSpec, I: MonomialIdeal, method: str):
-    if method == "taylor":
-        return resolutions.taylor_complex(I)
-    if method == "koszul":
-        # the Koszul complex resolves R/I only on a regular sequence
-        return resolutions.koszul_complex(regular_sequence(I.ring, I.gens), I.ring)
-    if method == "minimal":
-        return resolutions.minimal_resolution(I)
-    raise ParseError(f"args.method: unknown method {method!r}")
+def _pair(spec: JobSpec):
+    args = spec.args
+    return spec.ideal(args.get("left", "I")), spec.ideal(args.get("right", "J"))
 
 
 def _ideal_list(spec: JobSpec):
@@ -197,221 +174,223 @@ def _star_with_product(ideals_list):
     return C, prod
 
 
+# Each handler runs one command and returns (report, exit code); the report
+# leaves out the "command" key, which cmd_dispatch puts first.
+
+def _check_transverse(spec: JobSpec):
+    I, J = _pair(spec)
+    ok = is_transverse(I, J)
+    report = {
+        "transverse": ok,
+        "product": [I.ring.format_monomial(m) for m in ideal_product(I, J).gens],
+        "intersection": [
+            I.ring.format_monomial(m) for m in ideal_intersection(I, J).gens
+        ],
+    }
+    if not ok:
+        report["witness"] = I.ring.format_monomial(transversality_witness(I, J))
+    return report, 0 if ok else 1
+
+
+def _resolve(spec: JobSpec):
+    I = spec.ideal(spec.args.get("ideal", "I"))
+    method = spec.args.get("method", "minimal")
+    if method == "taylor":
+        C = resolutions.taylor_complex(I)
+    elif method == "koszul":
+        # the Koszul complex resolves R/I only on a regular sequence
+        C = resolutions.koszul_complex(regular_sequence(I.ring, I.gens), I.ring)
+    elif method == "minimal":
+        C = resolutions.minimal_resolution(I)
+    else:
+        raise ParseError(f"args.method: unknown method {method!r}")
+    report = {
+        "method": method,
+        "ranks": list(C.total_ranks()),
+        "complex": complexes.complex_to_json(C),
+    }
+    if complexes.is_minimal(C):
+        table = complexes.betti_table(C)
+        report["betti"] = table.to_json()
+        report["staircase"] = table.staircase()
+    return report, 0
+
+
+def _star_resolve(spec: JobSpec):
+    I, J = _pair(spec)
+    F = resolutions.minimal_resolution(I)
+    G = resolutions.minimal_resolution(J)
+    S = complexes.star_product(F, G)
+    IJ = ideal_product(I, J)
+    report = {
+        "ranks": list(S.total_ranks()),
+        "complex": complexes.complex_to_json(S),
+    }
+    if not spec.args.get("verify", True):
+        return report, 0
+    cert = complexes.verify_resolution(S, IJ)
+    report["verification"] = {
+        "pass": cert.ok,
+        "strand_failures": cert.strand_failures[:5],
+        "coker_failures": cert.coker_failures[:5],
+        "betti_ok": cert.betti_ok,
+    }
+    report["betti"] = cert.betti_want.to_json()
+    report["staircase"] = cert.betti_want.staircase()
+    return report, 0 if cert.ok else 1
+
+
+def _koszul_homology(spec: JobSpec):
+    H = golod.koszul_homology(spec.ideal(spec.args.get("ideal", "I")))
+    return {
+        "dims": {str(i): d for i, d in sorted(H.dims().items())},
+        "graded_dims": {
+            f"{i},{t}": d for (i, t), d in sorted(H.graded_dims().items())
+        },
+    }, 0
+
+
+def _kunneth_verify(spec: JobSpec):
+    cert = golod.kunneth_map(*_pair(spec))
+    rows = [
+        {"n": r.n, "dim_source": r.dim_source, "dim_target": r.dim_target,
+         "rank": r.rank}
+        for r in cert.rows
+    ]
+    return {"pass": cert.ok, "rows": rows}, 0 if cert.ok else 1
+
+
+def _golod(spec: JobSpec):
+    I, J = _pair(spec)
+    mode = spec.args.get("mode", "verify")
+    if mode not in ("verify", "resolution", "series"):
+        raise ParseError(
+            f"args.mode: expected verify, resolution or series; got {mode!r}"
+        )
+    n_max = spec.args.get("n_max")
+    n_max = 5 if n_max is None else n_max
+    if mode == "series":
+        ps = golod.golod_poincare(I, J, n_max)
+        return {
+            "mode": "series",
+            "numerator": list(ps.numerator),
+            "denominator": list(ps.denominator),
+            "coefficients": list(ps.coefficients),
+        }, 0
+    if mode == "resolution":
+        C = golod.golod_resolution(I, J, n_max)
+        return {"mode": "resolution", "ranks": list(C.total_ranks())}, 0
+    cert = golod.verify_golod(I, J, n_max)
+    return {
+        "mode": "verify",
+        "pass": cert.ok,
+        "ranks": list(cert.ranks),
+        "series": list(cert.series_coeffs),
+        "minimal": cert.resolution.minimal,
+        "trivial_products": not cert.triviality_failures,
+    }, 0 if cert.ok else 1
+
+
+def _dg_verify(spec: JobSpec):
+    star = _star_with_product(_ideal_list(spec))
+    if star is None:
+        return _NOT_TRANSVERSE, 1
+    C, prod = star
+    cert = prod.certificate
+    return {
+        "pass": cert.ok,
+        "ranks": list(C.total_ranks()),
+        "checked_pairs": cert.checked_pairs,
+        "leibniz_failures": cert.leibniz_failures[:5],
+        "square_failures": cert.square_failures[:5],
+    }, 0 if cert.ok else 1
+
+
+def _module_action(spec: JobSpec):
+    ideals_list = _ideal_list(spec)
+    ci = _ci_monomials(spec)
+    star = _star_with_product(ideals_list)
+    if star is None:
+        return _NOT_TRANSVERSE, 1
+    C, prod = star
+    cert = dg.koszul_module_action(C, prod, ci).certificate
+    return {
+        "pass": cert.ok,
+        "checked": cert.checked,
+        "leibniz_failures": cert.leibniz_failures[:5],
+        "relation_failures": cert.relation_failures[:5],
+    }, 0 if cert.ok else 1
+
+
+def _obstruction(spec: JobSpec):
+    # only this command and injectivity-verify load the module
+    from . import obstructions
+
+    M = spec.ideal(spec.args.get("module", "M"))
+    seq = _ci_monomials(spec)
+    rep = obstructions.avramov_obstruction(seq, M, spec.args.get("n_max"))
+    return {"report": rep.to_json(), "table": rep.table()}, 0
+
+
+def _injectivity_verify(spec: JobSpec):
+    from . import obstructions
+
+    I, J = _pair(spec)
+    seq = _ci_monomials(spec)
+    n_max = spec.args.get("n_max")
+    cert = obstructions.verify_injectivity(seq, I, J, 4 if n_max is None else n_max)
+    rows = [{"i": i, "dim_tor_R": s, "rank": r} for i, s, r in cert.rows]
+    return {"pass": cert.ok, "rows": rows}, 0 if cert.ok else 1
+
+
+def _associativity_probe(spec: JobSpec):
+    bound = spec.args.get("bound")
+    # the first stage is n = 3; a smaller bound would test nothing
+    if bound is not None and bound < 3:
+        raise ParseError(f"args.bound: expected at least 3, got {bound}")
+    star = _star_with_product(_ideal_list(spec))
+    if star is None:
+        return _NOT_TRANSVERSE, 1
+    C, prod = star
+    rep = dg.associativity_probe(C, prod, bound)
+    return {
+        "note": "experimental findings only",
+        "bound": rep.bound,
+        "extension_found": rep.extension_found,
+        "associative": rep.associative,
+        "tested_triples": rep.tested_triples,
+        "residual_triples": len(rep.residual_triples),
+    }, 0
+
+
+# each command's handler and the keys its args may hold, as in README's table
+COMMAND_TABLE = {
+    "check-transverse": (_check_transverse, ("left", "right")),
+    "resolve": (_resolve, ("ideal", "method")),
+    "star-resolve": (_star_resolve, ("left", "right", "verify")),
+    "koszul-homology": (_koszul_homology, ("ideal",)),
+    "kunneth-verify": (_kunneth_verify, ("left", "right")),
+    "golod": (_golod, ("left", "right", "mode", "n_max")),
+    "dg-verify": (_dg_verify, ("ideals",)),
+    "module-action": (_module_action, ("ideals", "ci")),
+    "obstruction": (_obstruction, ("module", "ci", "n_max")),
+    "injectivity-verify": (_injectivity_verify, ("left", "right", "ci", "n_max")),
+    "associativity-probe": (_associativity_probe, ("ideals", "bound")),
+}
+COMMANDS = tuple(COMMAND_TABLE)
+# the args key that --bound sets, for the commands that take a bound
+BOUND_KEYS = {
+    name: key
+    for name, (_, keys) in COMMAND_TABLE.items()
+    for key in keys
+    if key in ("n_max", "bound")
+}
+
+
 def cmd_dispatch(spec: JobSpec):
     """Run the job; returns (report dict, exit code)."""
-    bound = spec.args.get("n_max")
-    if spec.command == "check-transverse":
-        I = spec.ideal(spec.args.get("left", "I"))
-        J = spec.ideal(spec.args.get("right", "J"))
-        ok = is_transverse(I, J)
-        report = {
-            "command": "check-transverse",
-            "transverse": ok,
-            "product": [I.ring.format_monomial(m) for m in ideal_product(I, J).gens],
-            "intersection": [
-                I.ring.format_monomial(m) for m in ideal_intersection(I, J).gens
-            ],
-        }
-        if not ok:
-            w = transversality_witness(I, J)
-            report["witness"] = I.ring.format_monomial(w)
-        return report, 0 if ok else 1
-
-    if spec.command == "resolve":
-        I = spec.ideal(spec.args.get("ideal", "I"))
-        method = spec.args.get("method", "minimal")
-        C = _resolution_for(spec, I, method)
-        report = {
-            "command": "resolve",
-            "method": method,
-            "ranks": list(C.total_ranks()),
-            "complex": complexes.complex_to_json(C),
-        }
-        if complexes.is_minimal(C):
-            table = complexes.betti_table(C)
-            report["betti"] = table.to_json()
-            report["staircase"] = table.staircase()
-        return report, 0
-
-    if spec.command == "star-resolve":
-        I = spec.ideal(spec.args.get("left", "I"))
-        J = spec.ideal(spec.args.get("right", "J"))
-        F = resolutions.minimal_resolution(I)
-        G = resolutions.minimal_resolution(J)
-        S = complexes.star_product(F, G)
-        IJ = ideal_product(I, J)
-        report = {
-            "command": "star-resolve",
-            "ranks": list(S.total_ranks()),
-            "complex": complexes.complex_to_json(S),
-        }
-        code = 0
-        if spec.args.get("verify", True):
-            cert = complexes.verify_resolution(S, IJ)
-            report["verification"] = {
-                "pass": cert.ok,
-                "strand_failures": cert.strand_failures[:5],
-                "coker_failures": cert.coker_failures[:5],
-                "betti_ok": cert.betti_ok,
-            }
-            report["betti"] = cert.betti_want.to_json()
-            report["staircase"] = cert.betti_want.staircase()
-            code = 0 if cert.ok else 1
-        return report, code
-
-    if spec.command == "koszul-homology":
-        I = spec.ideal(spec.args.get("ideal", "I"))
-        H = golod.koszul_homology(I)
-        report = {
-            "command": "koszul-homology",
-            "dims": {str(i): d for i, d in sorted(H.dims().items())},
-            "graded_dims": {
-                f"{i},{t}": d for (i, t), d in sorted(H.graded_dims().items())
-            },
-        }
-        return report, 0
-
-    if spec.command == "kunneth-verify":
-        I = spec.ideal(spec.args.get("left", "I"))
-        J = spec.ideal(spec.args.get("right", "J"))
-        cert = golod.kunneth_map(I, J)
-        report = {
-            "command": "kunneth-verify",
-            "pass": cert.ok,
-            "rows": [
-                {
-                    "n": r.n,
-                    "dim_source": r.dim_source,
-                    "dim_target": r.dim_target,
-                    "rank": r.rank,
-                }
-                for r in cert.rows
-            ],
-        }
-        return report, 0 if cert.ok else 1
-
-    if spec.command == "golod":
-        I = spec.ideal(spec.args.get("left", "I"))
-        J = spec.ideal(spec.args.get("right", "J"))
-        mode = spec.args.get("mode", "verify")
-        if mode not in ("verify", "resolution", "series"):
-            raise ParseError(
-                f"args.mode: expected verify, resolution or series; got {mode!r}"
-            )
-        n_max = 5 if bound is None else bound
-        if mode == "series":
-            ps = golod.golod_poincare(I, J, n_max)
-            report = {
-                "command": "golod",
-                "mode": "series",
-                "numerator": list(ps.numerator),
-                "denominator": list(ps.denominator),
-                "coefficients": list(ps.coefficients),
-            }
-            return report, 0
-        if mode == "resolution":
-            C = golod.golod_resolution(I, J, n_max)
-            return {
-                "command": "golod",
-                "mode": "resolution",
-                "ranks": list(C.total_ranks()),
-            }, 0
-        cert = golod.verify_golod(I, J, n_max)
-        report = {
-            "command": "golod",
-            "mode": "verify",
-            "pass": cert.ok,
-            "ranks": list(cert.ranks),
-            "series": list(cert.series_coeffs),
-            "minimal": cert.resolution.minimal,
-            "trivial_products": not cert.triviality_failures,
-        }
-        return report, 0 if cert.ok else 1
-
-    if spec.command == "dg-verify":
-        star = _star_with_product(_ideal_list(spec))
-        if star is None:
-            return {"command": spec.command, **_NOT_TRANSVERSE}, 1
-        C, prod = star
-        cert = prod.certificate
-        report = {
-            "command": "dg-verify",
-            "pass": cert.ok,
-            "ranks": list(C.total_ranks()),
-            "checked_pairs": cert.checked_pairs,
-            "leibniz_failures": cert.leibniz_failures[:5],
-            "square_failures": cert.square_failures[:5],
-        }
-        return report, 0 if cert.ok else 1
-
-    if spec.command == "module-action":
-        ideals_list = _ideal_list(spec)
-        ci = _ci_monomials(spec)
-        star = _star_with_product(ideals_list)
-        if star is None:
-            return {"command": spec.command, **_NOT_TRANSVERSE}, 1
-        C, prod = star
-        action = dg.koszul_module_action(C, prod, ci)
-        cert = action.certificate
-        report = {
-            "command": "module-action",
-            "pass": cert.ok,
-            "checked": cert.checked,
-            "leibniz_failures": cert.leibniz_failures[:5],
-            "relation_failures": cert.relation_failures[:5],
-        }
-        return report, 0 if cert.ok else 1
-
-    if spec.command == "obstruction":
-        # only this command and injectivity-verify load the module
-        from . import obstructions
-
-        M = spec.ideal(spec.args.get("module", "M"))
-        seq = _ci_monomials(spec)
-        rep = obstructions.avramov_obstruction(seq, M, bound)
-        report = {"command": "obstruction", "report": rep.to_json(),
-                  "table": rep.table()}
-        return report, 0
-
-    if spec.command == "injectivity-verify":
-        from . import obstructions
-
-        I = spec.ideal(spec.args.get("left", "I"))
-        J = spec.ideal(spec.args.get("right", "J"))
-        seq = _ci_monomials(spec)
-        n_max = 4 if bound is None else bound
-        cert = obstructions.verify_injectivity(seq, I, J, n_max)
-        report = {
-            "command": "injectivity-verify",
-            "pass": cert.ok,
-            "rows": [
-                {"i": i, "dim_tor_R": s, "rank": r} for i, s, r in cert.rows
-            ],
-        }
-        return report, 0 if cert.ok else 1
-
-    if spec.command == "associativity-probe":
-        probe_bound = spec.args.get("bound")
-        # the first stage is n = 3; a smaller bound would test nothing
-        if probe_bound is not None and probe_bound < 3:
-            raise ParseError(f"args.bound: expected at least 3, got {probe_bound}")
-        star = _star_with_product(_ideal_list(spec))
-        if star is None:
-            return {"command": spec.command, **_NOT_TRANSVERSE}, 1
-        C, prod = star
-        rep = dg.associativity_probe(C, prod, probe_bound)
-        report = {
-            "command": "associativity-probe",
-            "note": "experimental findings only",
-            "bound": rep.bound,
-            "extension_found": rep.extension_found,
-            "associative": rep.associative,
-            "tested_triples": rep.tested_triples,
-            "residual_triples": len(rep.residual_triples),
-        }
-        return report, 0
-
-    raise ParseError(f"unhandled command {spec.command!r}")
+    report, code = COMMAND_TABLE[spec.command][0](spec)
+    return {"command": spec.command, **report}, code
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -466,19 +445,20 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    field_override = None
-    if opts.field:
-        if opts.field == "rational":
-            field_override = "rational"
-        elif opts.field == "prime" or (
-            opts.field.startswith("prime:") and opts.field[6:].isdecimal()
-        ):
-            _, _, p = opts.field.partition(":")
-            field_override = {"prime": int(p) if p else 32003}
-        else:
-            print(f"error: bad --field {opts.field!r}", file=sys.stderr)
-            return 2
     try:
+        field_override = None
+        if opts.field:
+            if opts.field == "rational":
+                field_override = "rational"
+            elif opts.field == "prime" or (
+                opts.field.startswith("prime:") and opts.field[6:].isdecimal()
+            ):
+                _, _, p = opts.field.partition(":")
+                field_override = {"prime": int(p) if p else 32003}
+            else:
+                raise ParseError(
+                    f"--field: expected rational, prime or prime:p; got {opts.field!r}"
+                )
         spec = parse_input(text, field_override)
         if opts.bound is not None:
             if spec.command not in BOUND_KEYS:

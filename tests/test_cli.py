@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from transverse.cli import cmd_dispatch, main, parse_input, render_report
+from transverse.cli import COMMAND_TABLE, cmd_dispatch, main, parse_input, render_report
 from transverse.errors import ParseError
 
 RING = {"vars": ["x1", "x2", "x3", "x4"], "field": "rational"}
@@ -273,6 +273,11 @@ class TestInputErrorsExitTwo:
         err = self.run(tmp_path, capsys, doc, "--field", "prime:abc")
         assert "--field" in err
 
+    def test_malformed_field_override_is_an_input_error(self, tmp_path, capsys):
+        doc = job("koszul-homology", {"ideal": "I"})
+        err = self.run(tmp_path, capsys, doc, "--field", "bogus")
+        assert err.startswith("input error: --field: ")
+
     def test_document_prime_not_a_number(self, tmp_path, capsys):
         doc = job("koszul-homology", {"ideal": "I"})
         doc["ring"] = {"vars": ["x1", "x2", "x3", "x4"], "field": {"prime": "q"}}
@@ -417,6 +422,13 @@ class TestInputErrorsExitTwo:
         doc["ring"] = {"vars": ["x1", "x2", "x3", "x4"], "feild": {"prime": 2}}
         assert "'feild'" in self.run(tmp_path, capsys, doc)
 
+    def test_unknown_args_key(self, tmp_path, capsys):
+        # a misspelt "n_max" would otherwise run at the default n_max 5
+        doc = job("golod", {"left": "I", "right": "J", "mode": "verify", "n_mx": 2})
+        assert self.run(tmp_path, capsys, doc) == (
+            "input error: args: unknown key 'n_mx'; expected left, right, mode, n_max\n"
+        )
+
     def test_probe_bound_flag_below_first_stage(self, tmp_path, capsys):
         doc = job("associativity-probe", {"ideals": ["I", "J"]})
         assert "args.bound" in self.run(tmp_path, capsys, doc, "--bound", "1")
@@ -443,6 +455,16 @@ def test_readme_job_documents_run(tmp_path, capsys):
         path.write_text(text)
         assert main([str(path)]) == 0, text
         assert not capsys.readouterr().err
+
+
+def test_readme_command_table_matches_the_cli():
+    # each row of README's command table names a command and, in its args
+    # column, exactly the keys that command's args may hold
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = re.findall(r"^\| `([a-z-]+)` +\|([^|]*)\|", readme.read_text("utf-8"), re.M)
+    table = {command: tuple(re.findall(r"`([^`]+)`", keys)) for command, keys in rows}
+    assert table == {command: keys for command, (_, keys) in COMMAND_TABLE.items()}
+    assert list(table) == list(COMMAND_TABLE)
 
 
 def test_readme_quick_start_runs(capsys):
