@@ -101,7 +101,7 @@ def parse_input(document, field_override=None) -> JobSpec:
     except AlgebraError as e:
         raise ParseError(f"ring: {e}")
     ideals = {}
-    ideal_specs = document.get("ideals") or {}
+    ideal_specs = document.get("ideals", {})
     if not isinstance(ideal_specs, dict):
         raise ParseError("ideals: expected an object of named generator lists")
     for name, gens in ideal_specs.items():
@@ -119,7 +119,7 @@ def parse_input(document, field_override=None) -> JobSpec:
         raise ParseError(
             f"command: expected one of {', '.join(COMMANDS)}; got {command!r}"
         )
-    args = document.get("args") or {}
+    args = document.get("args", {})
     if not isinstance(args, dict):
         raise ParseError("args: expected an object")
     _refuse_unknown_keys(args, COMMAND_TABLE[command][1], "args")

@@ -42,8 +42,8 @@ class GradedFreeComplex:
     {c: [(r, s)]} of its nonzero entries.  A GF(p) scalar is its int value
     in [0, p) and an integral rational an int, so elimination rows need no
     conversion.  ``diffs[i-1]``, the matrix of d_i : F_i -> F_{i-1} with
-    polynomial entries, is a read-only view built on first read, for text
-    and JSON output.
+    polynomial entries, is a read-only view built on first read; the JSON
+    output formats the tables directly.
 
     Raises DimensionError for a table index out of range or a multidegree
     of the wrong length, and DomainError for an entry whose exponent
@@ -941,8 +941,10 @@ def verify_resolution(
     coker d_1, dim (R/I)_b) at each minimal generator b of one of I + Q and
     image + Q outside the other, or (0, the degrees of C_0, (0,)) when C_0
     is not R.
-    Clause (c), on a whole resolution only: the minimized Betti table
-    equals the graded Betti numbers of R/I from
+    Clause (c), on a whole resolution only: the minimized Betti table, read
+    off C itself when C is minimal (minimization cancels only entries with
+    m_c = m_r, so it leaves a minimal complex as it is), equals the graded
+    Betti numbers of R/I from
     ``resolutions.betti_numbers``, which reads them off the upper Koszul
     simplicial complexes K^b(I) for b in the lcm lattice of I: ranks of
     their scalar boundaries, a cross-check that shares no code with (a) or
@@ -959,7 +961,7 @@ def verify_resolution(
         return ResolutionCertificate(I, validation, minimal, [], [], False, got, want)
     strand_failures = Homology(C).cell_failures(1, C.length if whole else top)
     coker_failures = _coker_failures(C, I)
-    got = betti_table(minimize_complex(C)) if whole else None
+    got = betti_table(C if minimal else minimize_complex(C)) if whole else None
     return ResolutionCertificate(
         I, validation, minimal, strand_failures, coker_failures, got == want,
         got, want,
@@ -991,19 +993,17 @@ def complex_to_json(C: GradedFreeComplex) -> dict:
     ring = {"vars": list(C.ring.names), "field": field_to_json(C.ring.field)}
     if C.ring.modulus:
         ring["modulus"] = [C.ring.format_monomial(m) for m in C.ring.modulus]
-    diffs = []
+    fmt, md, diffs = C.ring.format_term, C.mdegs, []
     for i in range(1, C.length + 1):
-        mat = C.diff(i)
-        diffs.append(
-            {
-                "index": i,
-                "rows": mat.nrows,
-                "cols": mat.ncols,
-                "entries": [
-                    [r, c, str(p)] for (r, c), p in sorted(mat.entries.items())
-                ],
-            }
-        )
+        # each entry is one term s x^(m_c - m_r), with s nonzero and canonical
+        entries = sorted((r, c, s) for c, col in C.table(i).items() for r, s in col)
+        diffs.append({
+            "index": i,
+            "rows": C.rank(i - 1),
+            "cols": C.rank(i),
+            "entries": [[r, c, fmt(map(sub, md[i][c], md[i - 1][r]), s)]
+                        for r, c, s in entries],
+        })
     return {
         "ring": ring,
         "degrees": [list(d) for d in C.degrees],

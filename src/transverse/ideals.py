@@ -100,11 +100,19 @@ def transverse_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal | No
 
 
 def lcm_closure(pts) -> frozenset:
-    """The lcms of the nonempty subsets of ``pts``, exponent tuples."""
+    """The lcms of the nonempty subsets of ``pts``, exponent tuples.
+
+    The points are visited in a linear extension of <=, by (sum(p), p), and
+    only atoms extend the closure.  Lemma: a point p that is the lcm of
+    others is, when it is reached, already in the closure of the points
+    before it, since each of them is < p; and a point in an lcm-closed set
+    adds nothing to it.  So a point already in the closure is skipped.
+    """
     out: set = set()
-    for p in pts:
-        out |= {tuple(map(max, p, c)) for c in out}
-        out.add(p)
+    for p in sorted(set(pts), key=lambda p: (sum(p), p)):
+        if p not in out:
+            out |= {tuple(map(max, p, c)) for c in out}
+            out.add(p)
     return frozenset(out)
 
 

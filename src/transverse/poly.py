@@ -176,15 +176,17 @@ class Ring(Record):
         return Monomial(tuple(exps))
 
     def format_monomial(self, m: Monomial) -> str:
-        if m.is_one:
-            return "1"
-        parts = []
-        for name, e in zip(self.names, m.exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return self.format_term(m.exps, 1)
+
+    def format_term(self, exps, scalar) -> str:
+        """The term s x^exps as text: the scalar alone at x^0, the monomial
+        alone at s = 1, "-" and the monomial at s = -1, else "s*monomial"."""
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(self.names, exps) if e)
+        cs = str(scalar)
+        if not mono:
+            return cs
+        return mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}"
 
     def __repr__(self):
         base = f"{self.field}[{','.join(self.names)}]"
@@ -273,19 +275,7 @@ class Polynomial:
     def __str__(self):
         if not self._terms:
             return "0"
-        parts = []
-        for m, c in self.terms():
-            mono = self.ring.format_monomial(m)
-            cs = str(c)
-            if mono == "1":
-                piece = cs
-            elif cs == "1":
-                piece = mono
-            elif cs == "-1":
-                piece = f"-{mono}"
-            else:
-                piece = f"{cs}*{mono}"
-            parts.append(piece)
+        parts = [self.ring.format_term(m.exps, c) for m, c in self.terms()]
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"

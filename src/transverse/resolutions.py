@@ -176,8 +176,10 @@ def betti_numbers(I: MonomialIdeal) -> BettiTable:
     1999).  The facets of K^b are U_g = {k : b_k > g_k}, one per generator
     g dividing x^b; faces are bitmasks over the variables, so each b of L_I
     costs ranks on at most 2^|supp b| faces instead of the 2^r subsets of
-    the r generators.  A face of size s contributes to
-    beta_{s+1,b}(R/I), and beta_{0,0}(R/I) = 1.
+    the r generators.  K^b depends on b only through its facet set {U_g},
+    so its reduced homology is taken once per distinct facet set within a
+    call.  A face of size s contributes to beta_{s+1,b}(R/I), and
+    beta_{0,0}(R/I) = 1.
 
     This is the package's Betti oracle; it shares only ``linalg`` with the
     strand engine.
@@ -189,38 +191,44 @@ def betti_numbers(I: MonomialIdeal) -> BettiTable:
     gens = [g.exps for g in I.gens]
     bits = [1 << k for k in range(I.ring.nvars)]
     entries = {(0, 0): 1}
+    homology: dict = {}  # facet set -> [(face size s, dim H~_{s-1})]
     for b in lcm_lattice(I):
         if not any(b):
             continue
-        faces = {0}  # the empty face; submask enumeration below stops short of it
-        for g in gens:
-            if all(map(le, g, b)):
-                U = sum(x for x, gk, bk in zip(bits, g, b) if bk > gk)
+        facets = frozenset(
+            sum(x for x, gk, bk in zip(bits, g, b) if bk > gk)
+            for g in gens if all(map(le, g, b))
+        )
+        if facets not in homology:
+            faces = {0}  # the empty face; submask enumeration stops short of it
+            for U in facets:
                 T = U
                 while T:
                     faces.add(T)
                     T = (T - 1) & U
-        levels: dict = {}  # face size -> {face: index}
-        for T in sorted(faces):
-            level = levels.setdefault(T.bit_count(), {})
-            level[T] = len(level)
-        ranks = {}  # rank of the boundary out of each face size
-        for s, level in levels.items():
-            if s == 1:
-                ranks[s] = 1  # every vertex maps onto the empty face
-            elif s:
-                lower = levels[s - 1]
-                rows = [
-                    {lower[T ^ bit]: -1 if pos % 2 else 1
-                     for pos, bit in enumerate(x for x in bits if T & x)}
-                    for T in level
-                ]
-                ranks[s] = linalg.rank(rows, I.ring.field)
-        for s, level in levels.items():
-            h = len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0)
-            if h:
-                key = (s + 1, sum(b))
-                entries[key] = entries.get(key, 0) + h
+            levels: dict = {}  # face size -> {face: index}
+            for T in sorted(faces):
+                level = levels.setdefault(T.bit_count(), {})
+                level[T] = len(level)
+            ranks = {}  # rank of the boundary out of each face size
+            for s, level in levels.items():
+                if s == 1:
+                    ranks[s] = 1  # every vertex maps onto the empty face
+                elif s:
+                    lower = levels[s - 1]
+                    rows = [
+                        {lower[T ^ bit]: -1 if pos % 2 else 1
+                         for pos, bit in enumerate(x for x in bits if T & x)}
+                        for T in level
+                    ]
+                    ranks[s] = linalg.rank(rows, I.ring.field)
+            homology[facets] = [
+                (s, h) for s, level in levels.items()
+                if (h := len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0))
+            ]
+        for s, h in homology[facets]:
+            key = (s + 1, sum(b))
+            entries[key] = entries.get(key, 0) + h
     return BettiTable(dict(sorted(entries.items())))
 
 

@@ -429,6 +429,29 @@ class TestInputErrorsExitTwo:
             "input error: args: unknown key 'n_mx'; expected left, right, mode, n_max\n"
         )
 
+    @pytest.mark.parametrize("value", [False, [], 0, "", None, 7],
+                             ids=["false", "[]", "0", "empty string", "null", "7"])
+    def test_args_that_is_not_an_object(self, tmp_path, capsys, value):
+        # only an absent "args" reads as {}: a falsy one would otherwise run
+        # the flagship verify at the default n_max 5 and exit 0
+        doc = job("golod", value)
+        assert self.run(tmp_path, capsys, doc) == "input error: args: expected an object\n"
+
+    @pytest.mark.parametrize("value", [False, [], 0, "", None, 7],
+                             ids=["false", "[]", "0", "empty string", "null", "7"])
+    def test_ideals_that_is_not_an_object(self, tmp_path, capsys, value):
+        doc = job("golod", {"left": "I", "right": "J"})
+        doc["ideals"] = value
+        assert self.run(tmp_path, capsys, doc) == (
+            "input error: ideals: expected an object of named generator lists\n"
+        )
+
+    def test_absent_args_and_ideals_read_as_empty(self):
+        doc = job("check-transverse", {})
+        del doc["args"], doc["ideals"]
+        spec = parse_input(doc)
+        assert (spec.args, spec.ideals) == ({}, {})
+
     def test_probe_bound_flag_below_first_stage(self, tmp_path, capsys):
         doc = job("associativity-probe", {"ideals": ["I", "J"]})
         assert "args.bound" in self.run(tmp_path, capsys, doc, "--bound", "1")
