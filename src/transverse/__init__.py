@@ -35,12 +35,7 @@ from .ideals import (
     is_transverse,
     minimalize_generators,
 )
-from .poly import (
-    Monomial,
-    PolyMatrix,
-    Polynomial,
-    Ring,
-)
+from .poly import Monomial, Ring
 from .resolutions import (
     betti_numbers,
     koszul_complex,

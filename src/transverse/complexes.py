@@ -3,8 +3,8 @@
 A :class:`GradedFreeComplex` stores, per homological degree, the
 multidegrees of the free generators, plus each differential as a monomial
 matrix: one scalar per entry, the monomial being fixed by the
-multidegrees.  Every builder writes these tables; the polynomial
-differentials are a read-only view for output.  All homology is computed
+multidegrees.  Every builder writes these tables, and the output
+formats their entries one term at a time.  All homology is computed
 on strands or on their multidegree blocks: the internal-degree-t slice of
 ``C (x) R/Q``, or its multidegree-b slice, is a finite complex of vector
 spaces whose differentials are exact scalar matrices.  Exactness in every
@@ -28,7 +28,7 @@ from . import linalg
 from .errors import DimensionError, DomainError, Record, RingMismatchError
 from .fields import PrimeField, field_to_json
 from .ideals import MonomialIdeal, lcm_closure
-from .poly import Monomial, PolyMatrix, Polynomial, monomials_of_degree
+from .poly import Monomial, monomials_of_degree
 
 
 class GradedFreeComplex:
@@ -41,9 +41,8 @@ class GradedFreeComplex:
     one term s x^(m_c - m_r), so ``table(i)`` holds d_i as the scalars
     {c: [(r, s)]} of its nonzero entries.  A GF(p) scalar is its int value
     in [0, p) and an integral rational an int, so elimination rows need no
-    conversion.  ``diffs[i-1]``, the matrix of d_i : F_i -> F_{i-1} with
-    polynomial entries, is a read-only view built on first read; the JSON
-    output formats the tables directly.
+    conversion.  Text and JSON output format each entry from the tables
+    through :meth:`Ring.format_term`.
 
     Raises DimensionError for a table index out of range or a multidegree
     of the wrong length, and DomainError for an entry whose exponent
@@ -52,8 +51,7 @@ class GradedFreeComplex:
     """
 
     __slots__ = (
-        "ring", "mdegs", "degrees", "labels", "meta", "_tables", "_diffs",
-        "_validation",
+        "ring", "mdegs", "degrees", "labels", "meta", "_tables", "_validation",
     )
 
     def __init__(self, ring, mdegs, tables, labels=None, meta=None):
@@ -88,20 +86,7 @@ class GradedFreeComplex:
         self.degrees = tuple(tuple(sum(m) for m in level) for level in mdegs)
         self.labels = labels
         self.meta = dict(meta) if meta else {}
-        self._tables, self._diffs, self._validation = tables, None, None
-
-    @property
-    def diffs(self) -> tuple:
-        if self._diffs is None:
-            ring, md = self.ring, self.mdegs
-            self._diffs = tuple(
-                PolyMatrix(ring, self.rank(i - 1), self.rank(i), {
-                    (r, c): _term(ring, md[i][c], md[i - 1][r], s)
-                    for c, col in table.items() for r, s in col
-                })
-                for i, table in enumerate(self._tables, start=1)
-            )
-        return self._diffs
+        self._tables, self._validation = tables, None
 
     def table(self, i: int) -> dict:
         """{c: [(r, s)]}: the scalar s of each nonzero entry d_i[r, c] =
@@ -122,18 +107,13 @@ class GradedFreeComplex:
             return self.degrees[i]
         return ()
 
-    def diff(self, i: int) -> PolyMatrix:
-        """The matrix of d_i; a zero matrix of the right shape off the range."""
-        if 1 <= i <= self.length:
-            return self.diffs[i - 1]
-        return PolyMatrix.zero(self.ring, self.rank(i - 1), self.rank(i))
-
     def total_ranks(self) -> tuple[int, ...]:
         return tuple(len(d) for d in self.degrees)
 
     def max_degree(self) -> int:
         return max((max(d, default=0) for d in self.degrees), default=0)
 
+    # not a Record, so without this a complex would print as an address
     def __repr__(self):
         return f"GradedFreeComplex(ranks={self.total_ranks()})"
 
@@ -190,16 +170,13 @@ def _validate(C: GradedFreeComplex) -> ValidationReport:
                         failures.append((r, c, s))
         if failures:
             r, c, s = min(failures, key=lambda f: f[:2])
+            # the raw sum over GF(p) may lie outside [0, p)
+            s = ring.field.scalar(s) if p else s
             return ValidationReport(False, [
                 f"d_{i} o d_{i + 1} != 0, first nonzero entry at ({r},{c}): "
-                f"{_term(ring, md[i + 1][c], md[i - 1][r], s)}"
+                f"{ring.format_term(map(sub, md[i + 1][c], md[i - 1][r]), s)}"
             ])
     return ValidationReport(True)
-
-
-def _term(ring, hi, lo, s) -> Polynomial:
-    """s x^(hi - lo) in ``ring``."""
-    return Polynomial.from_monomial(ring, Monomial(tuple(map(sub, hi, lo))), s)
 
 
 def _killer(ring):

@@ -64,8 +64,10 @@ def _nonzero(C: GradedFreeComplex):
     ``pairs``, scalars keyed by generator of C_level in the multidegree of
     the product of ``sources``, that are nonzero in R/Q, with c reduced mod
     p.  The monomial at w is that multidegree minus m_w, so each target
-    takes one kill test.  A sum is zero in R/Q iff none is left.  p and the
-    kill test are bound once per certificate or assembly, not per target.
+    takes one kill test.  A target that C_level does not have has no
+    monomial, so it is kept, never killed.  A sum is zero in R/Q iff none
+    is left.  p and the kill test are bound once per certificate or
+    assembly, not per target.
     """
     md, p = C.mdegs, getattr(C.ring.field, "p", 0)
     killed = _killer(C.ring) if C.ring.modulus else None
@@ -74,7 +76,8 @@ def _nonzero(C: GradedFreeComplex):
         out = []
         for w, c in pairs:
             c = c % p if p else c
-            if c and not (killed and killed(_exponents(md[level][w], sources))):
+            if c and not (killed and w < len(md[level])
+                          and killed(_exponents(md[level][w], sources))):
                 out.append((w, c))
         return out
 

@@ -57,11 +57,6 @@ class MonomialIdeal(Record):
     def quotient_ring(self) -> Ring:
         return self.ring.quotient(self.gens)
 
-    def __str__(self):
-        if not self.gens:
-            return "(0)"
-        return "(" + ", ".join(self.ring.format_monomial(g) for g in self.gens) + ")"
-
 
 def maximal_ideal(ring: Ring) -> MonomialIdeal:
     """The ideal m of the variables: R/m is the residue field k."""

@@ -1,12 +1,11 @@
-"""Monomials, rings, and the polynomial view of the scalar tables.
+"""Monomials and rings.
 
-The package computes on monomials and on monomial-matrix scalar tables;
-:class:`Polynomial` and :class:`PolyMatrix` only display a finished table
-entry or differential, for text and JSON output, and carry no arithmetic.
-Everything is immutable after construction.  The canonical order used
-throughout the package (term iteration, generator lists, monomial bases)
-is descending lexicographic order on exponent vectors, so all outputs are
-byte-deterministic.
+The package computes on monomials and on monomial-matrix scalar tables,
+whose every entry is one term s x^e; :meth:`Ring.format_term` is the one
+rule that writes such a term as text.  Everything is immutable after
+construction.  The canonical order used throughout the package (term
+iteration, generator lists, monomial bases) is descending lexicographic
+order on exponent vectors, so all outputs are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import re
 from functools import lru_cache
 from operator import le
 
-from .errors import (
-    DimensionError, DomainError, ParseError, Record, RingMismatchError,
-)
+from .errors import DimensionError, DomainError, ParseError, Record
 from .fields import QQ, PrimeField, Rationals
 
 
@@ -239,94 +236,3 @@ def _degree_monomials(ring: Ring, t: int, extra: tuple[Monomial, ...]):
         for exps in _exponent_vectors(t, ring.nvars)
         if not any(all(exps[k] >= e for k, e in g) for g in gens)
     )
-
-
-class Polynomial:
-    """A sparse polynomial, read-only: finite map monomial -> nonzero scalar.
-
-    Construction drops zero coefficients and monomials that vanish in the
-    ring (quotient by a monomial ideal), and over GF(p) brings each
-    coefficient into [0, p) by :meth:`PrimeField.scalar`, so values are
-    always canonical.
-    """
-
-    __slots__ = ("ring", "_terms")
-
-    def __init__(self, ring: Ring, terms: dict):
-        if isinstance(ring.field, PrimeField):
-            terms = {m: ring.field.scalar(c) for m, c in terms.items()}
-        self.ring = ring
-        self._terms = {m: c for m, c in terms.items() if c and not ring.kills(m)}
-
-    @classmethod
-    def from_monomial(cls, ring: Ring, m: Monomial, coeff=1) -> "Polynomial":
-        return cls(ring, {m: coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self):
-        """Term pairs in canonical (descending lex) order."""
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
-
-    def term_dict(self) -> dict:
-        return dict(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = [self.ring.format_term(m.exps, c) for m, c in self.terms()]
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __repr__(self):
-        return f"Polynomial({self})"
-
-
-class PolyMatrix:
-    """A sparse matrix of polynomials, read-only; absent entries are zero."""
-
-    __slots__ = ("ring", "nrows", "ncols", "entries")
-
-    def __init__(self, ring: Ring, nrows: int, ncols: int, entries: dict):
-        if nrows < 0 or ncols < 0:
-            raise DimensionError("negative matrix dimension")
-        clean = {}
-        for (r, c), p in entries.items():
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise DimensionError(f"entry index ({r},{c}) out of range")
-            if p.ring != ring:
-                raise RingMismatchError("matrix entry in wrong ring")
-            if not p.is_zero:
-                clean[(r, c)] = p
-        self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = clean
-
-    @classmethod
-    def zero(cls, ring: Ring, nrows: int, ncols: int) -> "PolyMatrix":
-        return cls(ring, nrows, ncols, {})
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"PolyMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"

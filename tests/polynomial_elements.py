@@ -1,12 +1,17 @@
 """Reference copies of the polynomial element helpers that the package
 replaced by block elements on scalars (``transverse.exterior.Element``),
-and the polynomial arithmetic they compute with.
+and the polynomial view they compute with.
 
-``transverse.poly.Polynomial`` and ``PolyMatrix`` are a read-only view, so
-the sum, product, scaling, column and composition that the references
-call are the plain functions :func:`p_add`, :func:`p_mul`, :func:`column`
-and :func:`compose` here; :func:`one` is the unit, and :func:`chain_map`
-reads the scalar tables of a chain map as polynomial matrices.
+:class:`Polynomial` and :class:`PolyMatrix` were the package's read-only
+output view of the scalar tables.  They moved here less
+``Polynomial.__bool__``, ``PolyMatrix.zero`` and ``PolyMatrix.__repr__``,
+which nothing calls; the package formats each entry s x^(m_c - m_r) of
+``C.table(i)`` through ``Ring.format_term`` instead.  :func:`poly_diff`
+reads d_i of a complex as a ``PolyMatrix``, as ``C.diff(i)`` did.  The
+sum, product, scaling, column and composition that the references call
+are the plain functions :func:`p_add`, :func:`p_mul`, :func:`column` and
+:func:`compose` here; :func:`one` is the unit, and :func:`chain_map` reads
+the scalar tables of a chain map as polynomial matrices.
 
 An element here is a plain dict mapping a basis key to a nonzero
 ``Polynomial``.  ``KElement``, ``k_acc``, ``k_axpy``, ``k_apply``,
@@ -25,12 +30,115 @@ actions of ``transverse.dg``, which were their ``tables``, ``value`` and
 product or action, and ``product_value`` reads tables already built.
 """
 
-from operator import add
+from functools import lru_cache
+from operator import add, sub
 
-from transverse.complexes import _term
 from transverse.dg import DegreeOneProduct
+from transverse.errors import DimensionError, RingMismatchError
 from transverse.exterior import Element, wedge_subsets
-from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
+from transverse.fields import PrimeField
+from transverse.poly import Monomial, Ring
+
+
+class Polynomial:
+    """A sparse polynomial, read-only: finite map monomial -> nonzero scalar.
+
+    Construction drops zero coefficients and monomials that vanish in the
+    ring (quotient by a monomial ideal), and over GF(p) brings each
+    coefficient into [0, p) by :meth:`PrimeField.scalar`, so values are
+    always canonical.
+    """
+
+    __slots__ = ("ring", "_terms")
+
+    def __init__(self, ring: Ring, terms: dict):
+        if isinstance(ring.field, PrimeField):
+            terms = {m: ring.field.scalar(c) for m, c in terms.items()}
+        self.ring = ring
+        self._terms = {m: c for m, c in terms.items() if c and not ring.kills(m)}
+
+    @classmethod
+    def from_monomial(cls, ring: Ring, m: Monomial, coeff=1) -> "Polynomial":
+        return cls(ring, {m: coeff})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self):
+        """Term pairs in canonical (descending lex) order."""
+        return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
+
+    def term_dict(self) -> dict:
+        return dict(self._terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.ring == other.ring and self._terms == other._terms
+
+    def __str__(self):
+        if not self._terms:
+            return "0"
+        parts = [self.ring.format_term(m.exps, c) for m, c in self.terms()]
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+    def __repr__(self):
+        return f"Polynomial({self})"
+
+
+class PolyMatrix:
+    """A sparse matrix of polynomials, read-only; absent entries are zero."""
+
+    __slots__ = ("ring", "nrows", "ncols", "entries")
+
+    def __init__(self, ring: Ring, nrows: int, ncols: int, entries: dict):
+        if nrows < 0 or ncols < 0:
+            raise DimensionError("negative matrix dimension")
+        clean = {}
+        for (r, c), p in entries.items():
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise DimensionError(f"entry index ({r},{c}) out of range")
+            if p.ring != ring:
+                raise RingMismatchError("matrix entry in wrong ring")
+            if not p.is_zero:
+                clean[(r, c)] = p
+        self.ring = ring
+        self.nrows = nrows
+        self.ncols = ncols
+        self.entries = clean
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        return (
+            self.ring == other.ring
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            and self.entries == other.entries
+        )
+
+
+def _term(ring, hi, lo, s) -> Polynomial:
+    """s x^(hi - lo) in ``ring``."""
+    return Polynomial.from_monomial(ring, Monomial(tuple(map(sub, hi, lo))), s)
+
+
+@lru_cache(maxsize=1024)
+def poly_diff(C, i: int) -> PolyMatrix:
+    """d_i of the complex C as a PolyMatrix, the entry s x^(m_c - m_r) at
+    (r, c) for each scalar of ``C.table(i)``; a zero matrix of the right
+    shape off the range.  A complex hashes by identity and is immutable,
+    so the view is kept per (C, i), as the complex once kept it: the
+    references read d_i inside their loops.  Read it, do not change it."""
+    md = C.mdegs
+    return PolyMatrix(C.ring, C.rank(i - 1), C.rank(i), {
+        (r, c): _term(C.ring, md[i][c], md[i - 1][r], s)
+        for c, col in C.table(i).items() for r, s in col
+    })
+
 
 KElement = dict  # generator index or subset tuple -> Polynomial
 

@@ -696,8 +696,9 @@ def test_complex_without_multidegrees_exits_2(tmp_path, capsys, monkeypatch):
     # every complex is Z^n-graded; building one that is not is refused as
     # an input error, not a traceback
     from transverse import complexes
-    from transverse.poly import Polynomial
     from transverse.resolutions import koszul_complex
+
+    from polynomial_elements import Polynomial
 
     def star_product(F, G):
         x1, x2, x3 = (F.ring.parse_monomial(x) for x in ("x1", "x2", "x3"))

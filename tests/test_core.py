@@ -13,17 +13,13 @@ from transverse.errors import DimensionError, DomainError
 from transverse.exterior import Element, k_diff, k_restrict, k_sum, k_wedge
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import minimalize_generators
-from transverse.poly import (
-    Monomial,
-    PolyMatrix,
-    Polynomial,
-    Ring,
-    monomials_of_degree,
-)
+from transverse.poly import Monomial, Ring, monomials_of_degree
 from transverse.resolutions import koszul_on_variables, taylor_complex
 
 from conftest import koszul, variables
-from polynomial_elements import compose, p_add, p_mul
+from polynomial_elements import (
+    PolyMatrix, Polynomial, compose, p_add, p_mul, poly_diff,
+)
 
 
 class TestMonomials:
@@ -320,8 +316,8 @@ class TestMatrixApply:
     def test_koszul_relation(self, Rxy):
         # d_1 d_2 = 0 on the view of the Koszul complex on x, y
         K = koszul(Rxy)
-        assert K.diff(1).entries[0, 0] == Polynomial.from_monomial(Rxy, variables(Rxy)[0])
-        assert compose(K.diff(1), K.diff(2)) == PolyMatrix(Rxy, 1, 1, {})
+        assert poly_diff(K, 1).entries[0, 0] == Polynomial.from_monomial(Rxy, variables(Rxy)[0])
+        assert compose(poly_diff(K, 1), poly_diff(K, 2)) == PolyMatrix(Rxy, 1, 1, {})
 
 
 def test_ring_kills_matches_divisibility(R4, Rxy):

@@ -36,12 +36,12 @@ from transverse.dg import (
 from transverse.errors import DomainError
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
-from transverse.poly import Monomial, Polynomial, Ring
+from transverse.poly import Monomial, Ring
 from transverse.resolutions import taylor_complex
 
 from polynomial_elements import (
-    KElement, column, k_acc, k_apply, k_axpy, p_mul, product_tables,
-    product_value,
+    KElement, Polynomial, column, k_acc, k_apply, k_axpy, p_mul, poly_diff,
+    product_tables, product_value,
 )
 from polynomial_elements import one as unit
 
@@ -120,15 +120,15 @@ def certify_full_dg_ref(prod) -> ProductCertificate:
                     cert.checked_pairs += 1
                     uv = product_value(tables, (i, j), u, v)
                     # Leibniz: d(xy) - dx.y - (-1)^i x.dy = 0
-                    res = k_apply(C.diff(i + j), uv) if i + j >= 1 else {}
+                    res = k_apply(poly_diff(C, i + j), uv) if i + j >= 1 else {}
                     if i >= 1:
                         term = full_apply(
-                            tables, i - 1, j, column(C.diff(i), u), {v: one}
+                            tables, i - 1, j, column(poly_diff(C, i), u), {v: one}
                         )
                         k_axpy(res, -1, term)
                     if j >= 1:
                         term = full_apply(
-                            tables, i, j - 1, {u: one}, column(C.diff(j), v)
+                            tables, i, j - 1, {u: one}, column(poly_diff(C, j), v)
                         )
                         k_axpy(res, 1 if i % 2 else -1, term)
                     if res:
@@ -179,18 +179,18 @@ def certify_degree_one_ref(prod) -> ProductCertificate:
         if j < 1 or j > C.length:
             continue
         for u in range(C.rank(1)):
-            alpha = column(C.diff(1), u).get(0, zero)
+            alpha = column(poly_diff(C, 1), u).get(0, zero)
             for v in range(C.rank(j)):
                 cert.checked_pairs += 1
                 uv = product_value(tables, j, u, v)
                 # d(f1.fj) - d(f1) fj + f1.d(fj) = 0
-                res = k_apply(C.diff(j + 1), uv)
+                res = k_apply(poly_diff(C, j + 1), uv)
                 k_acc(res, v, p_mul(alpha, -1))
                 if j == 1:
-                    k_acc(res, u, column(C.diff(1), v).get(0, zero))
+                    k_acc(res, u, column(poly_diff(C, 1), v).get(0, zero))
                 else:
                     term = k_bilinear(
-                        tables.get(j - 1, {}), {u: one}, column(C.diff(j), v)
+                        tables.get(j - 1, {}), {u: one}, column(poly_diff(C, j), v)
                     )
                     k_axpy(res, 1, term)
                 if res:
@@ -276,7 +276,8 @@ def quotient_taylor_cases(rng, field, count):
         I = random_ideal(rng, R, (0, 1, 2, 3), (2, 2, 2, 2))
         C = taylor_complex(I)
         entries = [
-            next(iter(p.term_dict())) for mat in C.diffs for p in mat.entries.values()
+            next(iter(p.term_dict()))
+            for i in range(1, C.length + 1) for p in poly_diff(C, i).entries.values()
         ]
         coeffs = sorted(
             {m for tab in product_tables(taylor_dg_product(I, C)).values()
@@ -408,7 +409,7 @@ def test_keys_outside_the_levels_are_ignored(field):
         assert cert == certify_degree_one(prod) == certify_degree_one_ref(prod)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
 @pytest.mark.parametrize("j", [1, 2])
 def test_a_target_off_the_next_level(field, j):
     # f_u.f_v in C_{j+1} gets a term at a generator that C_{j+1} does not
@@ -437,6 +438,35 @@ def test_a_target_off_the_next_level(field, j):
             if any(r == v for r, _ in C.table(j + 1)[x])
         ] != []
         assert cert.square_failures == [("square", j - 1, u, t) for t in summed(u, v)]
+
+
+@pytest.mark.parametrize("ring", ["R", "R/Q"])
+def test_a_full_product_target_off_its_level(ring):
+    # f_0.f_1 in C_2 gets a term at a generator that C_2 does not have:
+    # nothing is looked up for it, but it stays a term, never killed, where
+    # the value is summed: in f_0.f_1 + f_1.f_0, in d(f_u).f_1 for each f_u
+    # in C_2 whose boundary holds f_0, and in f_0.d(f_v) for each f_v in
+    # C_2 whose boundary holds f_1
+    rng = random.Random(f"off:{ring}")
+    if ring == "R":
+        R = Ring(NAMES[:4], QQ)
+        prod = taylor_dg_product(random_ideal(rng, R, (0, 1, 2, 3), (2, 2, 2, 2)))
+    else:
+        prod = next(quotient_taylor_cases(rng, QQ, 1))
+    C, P = prod.complex, prod.scalars
+    scalars = {key: dict(tab) for key, tab in P.items()}
+    scalars[(1, 1)][(0, 1)] = [*P[(1, 1)].get((0, 1), ()), (C.rank(2), 1)]
+    cert = certify_full_dg(FullProduct(C, scalars))
+    clean, d2 = certify_full_dg(prod), C.table(2)
+    assert clean.ok and bool(C.ring.modulus) == (ring == "R/Q")
+    assert cert.leibniz_failures == [
+        (1, 2, 0, v) for v in range(C.rank(2)) if any(r == 1 for r, _ in d2[v])
+    ] + [(2, 1, u, 1) for u in range(C.rank(2)) if any(r == 0 for r, _ in d2[u])]
+    assert cert.commutativity_failures == [(1, 1, 0, 1), (1, 1, 1, 0)]
+    assert (cert.square_failures, cert.associativity_failures) == ([], [])
+    assert (cert.checked_pairs, cert.checked_triples) == (
+        clean.checked_pairs, clean.checked_triples
+    )
 
 
 @pytest.mark.parametrize("field", ROW_FIELDS, ids=str)

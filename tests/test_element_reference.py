@@ -44,15 +44,15 @@ from transverse.ideals import MonomialIdeal, ideal_product, minimalize_generator
 from transverse.obstructions import (
     QuotientTor, _tate_cycle, tate_resolution, tor_product_subspace,
 )
-from transverse.poly import Monomial, PolyMatrix, Polynomial, Ring
+from transverse.poly import Monomial, Ring
 from transverse.resolutions import (
     koszul_complex, lift_comparison_map, minimize_complex, taylor_complex,
 )
 
 from kunneth_reference import reference_homology
 from polynomial_elements import (
-    as_polynomial, chain_map, column, k_apply, k_axpy, k_coords, k_element,
-    k_with_ring, one,
+    PolyMatrix, Polynomial, as_polynomial, chain_map, column, k_apply, k_axpy,
+    k_coords, k_element, k_with_ring, one, poly_diff,
 )
 import polynomial_elements as ref
 from test_scalar_complex_reference import NAMES, random_ideal, random_monomial
@@ -264,7 +264,7 @@ def reference_lift(source, target):
         entries = {}
         for e, b in enumerate(mdegs):
             index = {gm: col for col, gm in enumerate(H.basis(i - 1, b))}
-            rhs = k_coords(k_apply(phis[i - 1], column(source.diff(i), e)), index)
+            rhs = k_coords(k_apply(phis[i - 1], column(poly_diff(source, i), e)), index)
             basis_hi = H.basis(i, b)
             if not basis_hi:
                 if rhs:

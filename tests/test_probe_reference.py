@@ -36,12 +36,13 @@ from transverse.dg import (
 )
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
-from transverse.poly import Polynomial, Ring
+from transverse.poly import Ring
 from transverse.resolutions import taylor_complex
 
 from conftest import koszul
 from polynomial_elements import (
-    KElement, column, k_axpy, k_coords, k_element, product_tables,
+    KElement, Polynomial, column, k_axpy, k_coords, k_element, poly_diff,
+    product_tables,
 )
 from test_dg_certificate_reference import (
     from_tables,
@@ -144,8 +145,8 @@ def associativity_probe_ref(
             for u in range(C.rank(i)):
                 for v in range(C.rank(j)):
                     t = C.degs(i)[u] + C.degs(j)[v]
-                    rhs_vec = mul(i - 1, j, column(C.diff(i), u), {v: one})
-                    term = mul(i, j - 1, {u: one}, column(C.diff(j), v))
+                    rhs_vec = mul(i - 1, j, column(poly_diff(C, i), u), {v: one})
+                    term = mul(i, j - 1, {u: one}, column(poly_diff(C, j), v))
                     k_axpy(rhs_vec, -1 if i % 2 else 1, term)
                     rhs_coords = k_coords(rhs_vec, strand_index(n - 1, t))
                     if not H.basis(n, t):

@@ -35,11 +35,12 @@ from transverse.dg import (
 from transverse.errors import CertificationError, DomainError
 from transverse.fields import QQ, PrimeField
 from transverse.ideals import MonomialIdeal
-from transverse.poly import Monomial, Polynomial, Ring
+from transverse.poly import Monomial, Ring
 from transverse.resolutions import taylor_complex
 
 from polynomial_elements import (
-    KElement, column, k_acc, p_mul, product_tables, product_value,
+    KElement, Polynomial, column, k_acc, p_mul, poly_diff, product_tables,
+    product_value,
 )
 from test_dg_certificate_reference import (
     certify_degree_one_ref,
@@ -95,7 +96,7 @@ def star_degree_one_product_ref(
         tab: dict = {}
         target = index.get(j + 1, {})
         for p_idx, (_, _, uf, ug) in enumerate(bases[1]):
-            alpha = column(F.diff(1), uf).get(0, zero)
+            alpha = column(poly_diff(F, 1), uf).get(0, zero)
             for x_idx, (a, b, fa, gb) in enumerate(bases[j]):
                 out: KElement = {}
                 sign = -1 if a % 2 else 1
@@ -104,7 +105,7 @@ def star_degree_one_product_ref(
                     if key in target:
                         k_acc(out, target[key], p_mul(p_mul(alpha, q), sign))
                 if b == 1:
-                    beta = column(G.diff(1), gb).get(0, zero)
+                    beta = column(poly_diff(G, 1), gb).get(0, zero)
                     for w, q in product_value(tables_F, a, uf, fa).items():
                         key = (a + 1, 1, w, ug)
                         if key in target:

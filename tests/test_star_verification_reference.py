@@ -11,7 +11,7 @@
   test by pairwise ``Monomial.divides``, on mutants of d_1.
 - ``complex_to_json`` formats each table entry s x^(m_c - m_r) through
   ``Ring.format_term``; the reference is the earlier rendering through the
-  ``Polynomial``/``PolyMatrix`` view, ``str`` of each entry of ``C.diff(i)``.
+  ``Polynomial``/``PolyMatrix`` view, ``str`` of each entry of ``poly_diff(C, i)``.
 
 The examples are derandomized, so every run draws the same point sets.
 """
@@ -33,6 +33,7 @@ from transverse.poly import Monomial, Ring
 from transverse.resolutions import minimal_resolution, minimize_complex, taylor_complex
 
 from conftest import ideal
+from polynomial_elements import poly_diff
 
 
 def reference_lcm_closure(pts) -> frozenset:
@@ -115,7 +116,7 @@ def reference_complex_json(C: GradedFreeComplex) -> dict:
         ring["modulus"] = [C.ring.format_monomial(m) for m in C.ring.modulus]
     diffs = []
     for i in range(1, C.length + 1):
-        mat = C.diff(i)
+        mat = poly_diff(C, i)
         diffs.append({
             "index": i,
             "rows": mat.nrows,
