@@ -202,10 +202,12 @@ def complex_from_boundary(ring, levels, mdeg, label, boundary, meta=None):
     ``boundary(key)`` is d(key) as scalars {lower key: s}, each standing
     for s x^(mdeg(key) - mdeg(lower)); column order follows ``levels[i]``
     and row order that of the boundary.  A zero scalar, or an entry whose
-    monomial R/Q kills, is dropped.
+    monomial R/Q kills, is dropped.  The kill test runs once per distinct
+    monomial: the entries of a complex share few of them (in a twisted
+    Koszul complex, mostly the x_k of d(e_T)).
     """
     scalar = table_scalar(ring.field)
-    killed = _killer(ring) if ring.modulus else None
+    killed = cache(_killer(ring)) if ring.modulus else None
     mdegs = [[mdeg(key) for key in level] for level in levels]
     tables = []
     for i in range(1, len(levels)):
@@ -545,10 +547,12 @@ class Homology:
         in gens(Q): ANDs over the variables of bitsets looked up once per
         threshold.  Over R/Q the grid is walked depth first, one variable
         at a time, and a prefix where no generator has m_g <= b is skipped,
-        since no cell below it can fail; over R the lcm-closure points are
-        read with the same bitsets.  Each distinct presence is swept once;
-        the rank of d_i on a block depends only on the generators present
-        in degrees i and i - 1, and is taken once per such pair.
+        since no cell below it can fail; the cells along the last variable
+        are read in one loop per prefix, with no call per cell.  Over R the
+        lcm-closure points are read with the same bitsets.  Each distinct
+        presence is swept once; the rank of d_i on a block depends only on
+        the generators present in degrees i and i - 1, and is taken once
+        per such pair.
 
         Ranks are taken over GF(2) first, by XOR on bitsets: per column of
         d_j, the rows where its scalar is odd, a QQ column scaled first by
@@ -654,14 +658,21 @@ class Homology:
                 failures.extend((i, b, d) for i, d in found)
 
         every = (1 << len(gens)) - 1
+        last = len(steps) - 1
 
         def walk(k, prefix, here, killed):
             # here: the generators with m_g <= b on the variables before k;
-            # killed: per q, those with m_g <= b - q there
-            if k == len(steps):
-                for a in killed:
-                    here &= ~a
-                sweep(prefix, here)
+            # killed: per q, those with m_g <= b - q there.  At the last
+            # variable each threshold is a cell, its presence read in this
+            # loop and its point built only where that is new or fails
+            if k == last:
+                for v, at, shifted in steps[k]:
+                    if at := at & here:
+                        for a, s in zip(killed, shifted):
+                            at &= ~(a & s)
+                        found = nonzero.get(at)
+                        if found is None or found:
+                            sweep((*prefix, v), at)
                 return
             for v, at, shifted in steps[k]:
                 if at := at & here:

@@ -529,7 +529,8 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
     rows of :func:`kunneth_map`: a row that is not bijective is a certified
     failure.  On a basis, every product of classes is trivial exactly when
     each h_k ^ h_l is a boundary, since a boundary times a cycle is a
-    boundary; so the products are tested against the boundaries alone.
+    boundary; so the products are tested against the boundaries alone,
+    each unordered pair once (:func:`_triviality_failures`).
     The series is read off the lcm-lattice Betti numbers of IJ, which are
     the dimensions of H(R/IJ).
     """
@@ -537,17 +538,37 @@ def verify_golod(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 5) -> GolodCer
     resolution = verify_resolution(C, maximal_ideal(C.ring), n_max - 1)
     kunneth_rows = _kunneth_rows(basis)
     series = _poincare(I.ring.nvars, basis.dims, n_max).coefficients
-    q, KIJ, h = basis.quotient, basis.KIJ, basis.h
-    labels = [f"v({a},{b})" for a, b in basis.pairs]
-    triviality_failures = [
-        # the product lies in the block b_k + b_l
-        (labels[k], labels[l])
-        for k, l in product(range(len(h)), repeat=2)
-        if not KIJ.is_boundary(basis.vdeg(k) + basis.vdeg(l) - 2,
-                               k_wedge(q, h[k], h[l]))
-    ]
+    triviality_failures = _triviality_failures(
+        basis.KIJ, basis.quotient, basis.h,
+        [basis.vdeg(k) - 1 for k in range(len(basis.h))],
+        [f"v({a},{b})" for a, b in basis.pairs],
+    )
     ranks = C.total_ranks()
     return GolodCertificate(
         ranks, series, tuple(ranks) == series[: n_max + 1], resolution,
         kunneth_rows, triviality_failures,
     )
+
+
+def _triviality_failures(KIJ: Homology, q: Ring, h: list, degrees: list,
+                         labels: list) -> list:
+    """The pairs (labels[k], labels[l]), in the order of ``product``, whose
+    product h_k ^ h_l is not a boundary of K (x) q, ``KIJ`` over the ring
+    ``q``; h_k is a cycle of homological degree ``degrees[k]``.
+
+    Each unordered pair is tested once, by this lemma.  K (x) q is strictly
+    graded-commutative, so h_l ^ h_k = (-1)^(|h_k| |h_l|) h_k ^ h_l, and a
+    product is a boundary exactly when its mirror is; a product of degree
+    past the number of variables is 0, a boundary, and is not tested.
+    A failing pair is listed both ways.
+    """
+    top = q.nvars
+    failing = {
+        # the product lies in the block b_k + b_l
+        (k, l)
+        for k in range(len(h)) for l in range(k, len(h))
+        if degrees[k] + degrees[l] <= top
+        and not KIJ.is_boundary(degrees[k] + degrees[l], k_wedge(q, h[k], h[l]))
+    }
+    return [(labels[k], labels[l]) for k, l in product(range(len(h)), repeat=2)
+            if (min(k, l), max(k, l)) in failing]

@@ -13,7 +13,9 @@ and star complexes whose tables have a smaller rank mod 2 reach the QQ
 ranks that close such gaps.
 """
 
+from collections import Counter
 from fractions import Fraction
+from operator import add, le
 
 import pytest
 
@@ -185,6 +187,54 @@ def test_rank_count_gate_on_the_golod_flagship(monkeypatch):
         )
         assert out.ok and out.strand_failures == out.coker_failures == []
         assert calls == {"rank": 0, "xor_rank": want}
+
+
+def without_top_generator(C, g):
+    """C without generator g of its top level C_n: column g of d_n gone,
+    so it is still a complex."""
+    n = C.length
+    mdegs = [list(m) for m in C.mdegs]
+    del mdegs[n][g]
+    top = {c - (c > g): col for c, col in C.table(n).items() if c != g}
+    return GradedFreeComplex(
+        C.ring, mdegs, [C.table(i) for i in range(1, n)] + [top]
+    )
+
+
+def present_at(H, levels, b):
+    """The generators (i, g) of the C_i, i in ``levels``, present at b:
+    m_g <= b, and m_g + q <= b for no q in gens(Q)."""
+    def below(m):
+        return all(map(le, m, b))
+
+    return frozenset(
+        (i, g) for i in levels for g, m in enumerate(H.mdegs[i].values())
+        if below(m) and not any(below(tuple(map(add, m, q))) for q in H._kill)
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_failing_presence_at_leaves_along_the_last_variable(monkeypatch, field):
+    # the Golod complex over R/IJ without its first generator of C_4, at
+    # x1x2x3x4: H_3 != 0 from there up.  The walk reads the cells along
+    # x4 in one loop per prefix, and must list a failing presence at each
+    # of its leaves, also where its dimensions are already known
+    C = golod_flagship_like(ring4(field))
+    n = C.length
+    assert C.mdegs[n][0] == (1, 1, 1, 1)
+    H = Homology(without_top_generator(C, 0))
+    # over QQ the failing blocks leave the GF(2) bound 10 gaps to close
+    walk = assert_walk_is_sweep(
+        monkeypatch, H, 0, n - 1, gaps=10 if field == QQ else 0
+    )
+    assert (0, (0, 0, 0, 0), 1) in walk
+    assert [b for i, b, _ in walk if b[:3] == (1, 1, 1)] == [
+        (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 3)
+    ]
+    leaves = Counter(
+        (b[:-1], present_at(H, range(n + 1), b)) for i, b, _ in walk if i
+    )
+    assert max(leaves.values()) >= 2
 
 
 # mutants on which the GF(2) bound falls short: complexes over QQ whose

@@ -4,11 +4,12 @@ from functools import reduce
 
 import pytest
 
-from transverse.complexes import table_scalar
+from transverse.complexes import Homology, table_scalar
 from transverse.errors import DomainError
 from transverse.exterior import k_diff, k_restrict, k_wedge
 from transverse.fields import QQ, PrimeField
 from transverse.golod import (
+    _triviality_failures,
     golod_basis,
     golod_poincare,
     golod_resolution,
@@ -20,7 +21,7 @@ from transverse.golod import (
 )
 from transverse.ideals import MonomialIdeal, ideal_product, is_transverse
 from transverse.poly import Monomial, Ring
-from transverse.resolutions import tor_dims, tor_independence
+from transverse.resolutions import koszul_on_variables, tor_dims, tor_independence
 
 from conftest import assert_polynomials_only_a_view, ideal
 from kunneth_reference import reference_homology
@@ -365,6 +366,59 @@ class TestVerifyGolod:
         # every pairwise product of positive-degree classes bounds
         cert = verify_golod(*flagship, n_max=2)
         assert not cert.triviality_failures
+
+
+def count_boundary_tests(monkeypatch):
+    """The list that gets the degree of each ``Homology.is_boundary`` test."""
+    calls = []
+    original = Homology.is_boundary
+
+    def counting(self, i, x):
+        calls.append(i)
+        return original(self, i, x)
+
+    monkeypatch.setattr(Homology, "is_boundary", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+def test_triviality_failures_equal_the_ordered_pairs(monkeypatch, field):
+    # over R/(x1^2, x2^2) the classes z0 = x1 e1 and z1 = x2 e2 of H_1
+    # multiply to the class x1x2 e12 of H_2, so H_1 H_1 != 0: the clause,
+    # which tests each unordered pair once, must list the failures of all
+    # ordered pairs, both ways and in the order of itertools.product
+    R = Ring(("x1", "x2"), field)
+    I = ideal(R, "x1^2", "x2^2")
+    q = I.quotient_ring()
+    K = koszul_on_variables(R)
+    KQ = Homology(K, q.modulus, K.meta["subsets"])
+    classes = koszul_homology(I).classes
+    h = [k_restrict(q, c.rep) for c in classes]
+    degrees = [c.i for c in classes]
+    labels = [c.label for c in classes]
+    assert degrees == [1, 1, 2]
+    want = [
+        (labels[k], labels[l])
+        for k, l in itertools.product(range(len(h)), repeat=2)
+        if not KQ.is_boundary(degrees[k] + degrees[l], k_wedge(q, h[k], h[l]))
+    ]
+    calls = count_boundary_tests(monkeypatch)
+    assert _triviality_failures(KQ, q, h, degrees, labels) == want
+    assert want == [("z0", "z1"), ("z1", "z0")]
+    # the pairs k <= l of degree at most 2: (z0, z0), (z0, z1), (z1, z1)
+    assert calls == [2, 2, 2]
+
+
+def test_boundary_test_count_gate_on_the_golod_flagship(monkeypatch, flagship):
+    # beside the cell certificate's 226 XOR ranks: the 9 classes h of the
+    # flagship (degrees 1, 1, 1, 1, 2, 2, 2, 2, 3) make 45 unordered pairs,
+    # 5 of them of degree past 4 (2 with 3, and 3 with 3), so the
+    # triviality clause takes 40 boundary tests, not one per ordered pair
+    # (81)
+    calls = count_boundary_tests(monkeypatch)
+    cert = verify_golod(*flagship, n_max=5)
+    assert cert.ok and not cert.triviality_failures
+    assert len(calls) == 40 and max(calls) == 4
 
 
 def count_transverse(monkeypatch):

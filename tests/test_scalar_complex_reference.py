@@ -56,6 +56,7 @@ from transverse.complexes import (
     validate_complex,
 )
 from transverse.errors import DimensionError, DomainError
+from transverse.exterior import Element
 from transverse.fields import QQ, PrimeField
 from transverse.golod import golod_resolution
 from transverse.ideals import MonomialIdeal
@@ -660,6 +661,73 @@ def test_golod_and_tate_match_the_polynomial_builder(field, seed, monkeypatch):
         if field.name != "GF(2)":
             must.add("flipped sign")
         assert_same_verdicts(C, rng, must)
+
+
+def kill_tests(monkeypatch, module):
+    """Per call of ``module.twisted_koszul``, the list of the exponent
+    tuples that its builder tests for death in R/Q."""
+    runs = []
+    original, killer = module.twisted_koszul, complexes._killer
+
+    def counted(*args):
+        tests = []
+        runs.append(tests)
+
+        def counting(ring):
+            killed = killer(ring)
+
+            def test(e):
+                tests.append(e)
+                return killed(e)
+
+            return test
+
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_killer", counting)
+            return original(*args)
+
+    monkeypatch.setattr(module, "twisted_koszul", counted)
+    return runs
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_twisted_koszul_tests_each_monomial_once(field, monkeypatch):
+    # the kill test runs once per distinct monomial of a build, and the
+    # tables are still the reference's: over S = R/(x1, x3x4), where
+    # d(e_1) = x1 dies, and over R/IJ
+    R = Ring(NAMES, field)
+    I = MonomialIdeal(R, (Monomial((1, 0, 0, 0)), Monomial((0, 2, 0, 0))))
+    J = MonomialIdeal(R, (Monomial((0, 0, 1, 0)), Monomial((0, 0, 0, 1))))
+    a = [Monomial((1, 0, 0, 0)), Monomial((0, 0, 1, 1))]
+    for module, build in (
+        (obstructions, lambda: tate_resolution(a, R, 4).complex),
+        (golod, lambda: golod_resolution(I, J, 4)),
+    ):
+        runs = kill_tests(monkeypatch, module)
+        C, ref = twisted_pair(monkeypatch, module, build)
+        assert_same_complex(C, ref)
+        (tests,) = runs
+        assert tests and len(tests) == len(set(tests))
+    # a twist term that S kills: over S = R/(x1^2) the value x1x2 e_1 +
+    # x1^2 e_2 on the symbol v of multidegree x1^2 x2 keeps only its first
+    # term, in d(v) as in the reference
+    S = R.quotient([Monomial((2, 0, 0, 0))])
+    value = Element((2, 1, 0, 0), {(0,): 1, (1,): 1})
+    words = [((), 0, (0, 0, 0, 0)), ((0,), 2, (2, 1, 0, 0))]
+
+    def twist(w):
+        return [(1, value, ())] if w else []
+
+    def word_label(w):
+        return "v" * len(w)
+
+    C, levels = resolutions.twisted_koszul(S, words, 3, twist, word_label)
+    ref, _ = reference_twisted_koszul(
+        S, [(w, d, sum(m)) for w, d, m in words], 3, twist, word_label
+    )
+    assert_same_complex(C, ref)
+    v = levels[2].index(((), (0,)))
+    assert C.table(2)[v] == [(levels[1].index(((0,), ())), 1)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
