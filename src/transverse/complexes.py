@@ -17,7 +17,6 @@ the left factor carrying the sign.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
 from math import lcm
@@ -26,7 +25,7 @@ from re import finditer
 
 from . import linalg
 from .errors import DimensionError, DomainError, Record, RingMismatchError
-from .fields import PrimeField, field_to_json
+from .fields import field_to_json
 from .ideals import MonomialIdeal, lcm_closure
 from .poly import Monomial, monomials_of_degree
 
@@ -118,15 +117,6 @@ class GradedFreeComplex:
         return f"GradedFreeComplex(ranks={self.total_ranks()})"
 
 
-def table_scalar(field):
-    """The map from a scalar of ``field`` (an int or a Fraction) to its
-    form in a table: over GF(p) the int in [0, p) of
-    :meth:`PrimeField.scalar`, over QQ an int where it is integral."""
-    if isinstance(field, PrimeField):
-        return field.scalar
-    return lambda c: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
 class ValidationReport(Record):
     __slots__ = _fields = ("ok", "problems")
 
@@ -156,7 +146,6 @@ def _validate(C: GradedFreeComplex) -> ValidationReport:
     """The report of :func:`validate_complex`, computed."""
     ring, md = C.ring, C.mdegs
     p = getattr(ring.field, "p", 0)
-    killed = _killer(ring)
     for i in range(1, C.length):
         lower, failures = C.table(i), []
         for c, col in C.table(i + 1).items():
@@ -166,23 +155,17 @@ def _validate(C: GradedFreeComplex) -> ValidationReport:
                     acc[r] = acc.get(r, 0) + t * s
             for r, s in acc.items():
                 if s % p if p else s:
-                    if not killed(tuple(map(sub, md[i + 1][c], md[i - 1][r]))):
+                    if not ring.kills(tuple(map(sub, md[i + 1][c], md[i - 1][r]))):
                         failures.append((r, c, s))
         if failures:
             r, c, s = min(failures, key=lambda f: f[:2])
             # the raw sum over GF(p) may lie outside [0, p)
-            s = ring.field.scalar(s) if p else s
+            s = ring.field.scalar(s)
             return ValidationReport(False, [
                 f"d_{i} o d_{i + 1} != 0, first nonzero entry at ({r},{c}): "
                 f"{ring.format_term(map(sub, md[i + 1][c], md[i - 1][r]), s)}"
             ])
     return ValidationReport(True)
-
-
-def _killer(ring):
-    """The test whether x^e is zero in ``ring``, on exponent tuples."""
-    kill = [g.exps for g in ring.modulus]
-    return lambda e: any(all(map(ge, e, g)) for g in kill)
 
 
 def is_minimal(C: GradedFreeComplex) -> bool:
@@ -206,8 +189,8 @@ def complex_from_boundary(ring, levels, mdeg, label, boundary, meta=None):
     monomial: the entries of a complex share few of them (in a twisted
     Koszul complex, mostly the x_k of d(e_T)).
     """
-    scalar = table_scalar(ring.field)
-    killed = cache(_killer(ring)) if ring.modulus else None
+    scalar = ring.field.scalar
+    killed = cache(ring.kills) if ring.modulus else None
     mdegs = [[mdeg(key) for key in level] for level in levels]
     tables = []
     for i in range(1, len(levels)):

@@ -17,12 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .complexes import (
-    GradedFreeComplex,
-    _killer,
-    star_product,
-    table_scalar,
-)
+from .complexes import GradedFreeComplex, star_product
 from .errors import CertificationError, DomainError, Record
 from .exterior import wedge_subsets
 from .ideals import MonomialIdeal, regular_sequence
@@ -70,7 +65,7 @@ def _nonzero(C: GradedFreeComplex):
     assembly, not per target.
     """
     md, p = C.mdegs, getattr(C.ring.field, "p", 0)
-    killed = _killer(C.ring) if C.ring.modulus else None
+    killed = C.ring.kills if C.ring.modulus else None
 
     def nonzero(pairs, level: int, sources) -> list:
         out = []
@@ -660,8 +655,8 @@ def associativity_probe(
     if bound <= 0:
         return ProbeReport(bound=bound, stages=[])
     md, p = C.mdegs, getattr(C.ring.field, "p", 0)
-    nonzero, killed = _nonzero(C), _killer(C.ring)
-    scalar = table_scalar(C.ring.field)
+    nonzero, killed = _nonzero(C), C.ring.kills
+    scalar = C.ring.field.scalar
     known = {(1, j): tab for j, tab in prod.scalars.items()}
     unit = {v: e for v, col in C.table(1).items() for r, e in col if r == 0}
 

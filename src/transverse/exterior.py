@@ -7,8 +7,8 @@ S, a sorted tuple of variable indices of multidegree 1_S, has the fixed
 monomial x^(b - 1_S) (the monomial-matrix view of Miller-Sturmfels,
 Combinatorial Commutative Algebra, ch. 1).  So an :class:`Element` is its
 block b and one scalar per key: the term at S is s x^(b - 1_S) e_S.  A
-scalar is stored as ``complexes.table_scalar`` stores a table entry, so
-``Homology`` reads an element as block coordinates with no conversion.
+scalar is stored in the table form of ``field.scalar``, so ``Homology``
+reads an element as block coordinates with no conversion.
 
 An element holds no zero scalar and no term its ring kills.  It does not
 carry its ring: each operation takes the ring it works in, and
@@ -20,7 +20,6 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple
 
-from .complexes import _killer, table_scalar
 from .errors import DomainError
 
 
@@ -48,8 +47,8 @@ def _monomial(b: tuple, S: tuple) -> tuple:
 def _element(ring, b: tuple, acc: dict) -> Element:
     """The element of block b with the sums ``acc``, without the zero
     scalars and the terms ``ring`` kills."""
-    scalar = table_scalar(ring.field)
-    killed = _killer(ring) if ring.modulus else None
+    scalar = ring.field.scalar
+    killed = ring.kills if ring.modulus else None
     return Element(b, {
         S: s for S, v in acc.items()
         if (s := scalar(v)) and not (killed and killed(_monomial(b, S)))
@@ -85,9 +84,8 @@ def k_restrict(ring, x: Element) -> Element:
     terms it kills dropped."""
     if not ring.modulus:
         return x
-    killed = _killer(ring)
     return Element(x.b, {
-        S: s for S, s in x.terms.items() if not killed(_monomial(x.b, S))
+        S: s for S, s in x.terms.items() if not ring.kills(_monomial(x.b, S))
     })
 
 

@@ -2,8 +2,9 @@
 
 Over the rationals (the default and the ground truth) a scalar is an
 ``int`` or a ``fractions.Fraction``.  Over GF(p) it is an ``int`` in
-[0, p), and :meth:`PrimeField.scalar` is the one rule that brings an int or
-a Fraction there.  There is no floating point anywhere.
+[0, p).  ``field.scalar`` is the one rule that brings an int or a Fraction
+to its form in a table: over GF(p) that int, over QQ an int where it is
+integral.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ class Rationals:
     """The field of rationals; elements are ints and ``fractions.Fraction``."""
 
     name = "rational"
+
+    def scalar(self, x):
+        """x as a table stores it: an integral Fraction as its int, anything
+        else unchanged."""
+        return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
     @property
     def zero(self) -> Fraction:

@@ -11,7 +11,7 @@ from itertools import product
 from operator import add, itemgetter
 
 from . import linalg
-from .complexes import GradedFreeComplex, Homology, table_scalar, verify_resolution
+from .complexes import GradedFreeComplex, Homology, verify_resolution
 from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_diff, k_restrict, k_sum, k_wedge
 from .ideals import MonomialIdeal, lcm_lattice, maximal_ideal, transverse_product
@@ -82,7 +82,7 @@ class KoszulHomology(Homology):
         table = {
             (i, t): v for (i, t), v in betti_numbers(I).entries.items() if i >= 1
         }
-        scalar = table_scalar(ring.field)
+        scalar = ring.field.scalar
         classes = []
         for i, t in sorted(table):
             found = []  # (strand position of the pivot, b, representative)
@@ -417,7 +417,8 @@ def _golod_complex(I: MonomialIdeal, J: MonomialIdeal, n_max: int) -> tuple:
         raise DomainError("n_max must be at least 1")
     basis = golod_basis(I, J)
     D = n_max * max(1, basis.IJ.max_gen_degree())
-    mu: dict = {}  # prefix -> mu(prefix), built once from mu(prefix[:-1])
+    # prefix -> mu(prefix): h[k] on one symbol k, else from mu(prefix[:-1])
+    mu: dict = {(k,): h for k, h in enumerate(basis.h)}
 
     def twist(w):
         # Massey corrections e_S ^ mu(prefix) (x) suffix, the prefix value
@@ -427,8 +428,7 @@ def _golod_complex(I: MonomialIdeal, J: MonomialIdeal, n_max: int) -> tuple:
         for j in range(1, len(w) + 1):
             p = w[:j]
             if p not in mu:
-                mu[p] = (massey_mu(basis, p) if j == 1
-                         else _massey_extend(basis, p, mu[p[:-1]]))
+                mu[p] = _massey_extend(basis, p, mu[p[:-1]])
             out.append((1 if (j + 1) % 2 == 0 else -1, mu[p], w[j:]))
         return out
 

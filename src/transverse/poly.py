@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from operator import le
+from operator import ge, le
 
 from .errors import DimensionError, DomainError, ParseError, Record
 from .fields import QQ, PrimeField, Rationals
@@ -133,10 +133,7 @@ class Ring(Record):
         _set(self, "field", field)
         _set(self, "modulus", modulus)
         _set(self, "_one", Monomial((0,) * len(names)))
-        # each modulus generator as its (variable, exponent) pairs, e > 0
-        _set(self, "_kill", tuple(
-            tuple((k, e) for k, e in enumerate(m.exps) if e) for m in modulus
-        ))
+        _set(self, "_kill", tuple(m.exps for m in modulus))
 
     def __hash__(self):
         return hash((self.names, self.field, self.modulus))
@@ -148,18 +145,17 @@ class Ring(Record):
     def one_monomial(self) -> Monomial:
         return self._one
 
-    def kills(self, m: Monomial) -> bool:
-        """True iff m is zero in this ring (divisible by a modulus generator);
-        raises DimensionError for a monomial over another number of
-        variables when there is a modulus."""
+    def kills(self, e: tuple) -> bool:
+        """True iff x^e is zero in this ring (divisible by a modulus
+        generator), for an exponent tuple e; raises DimensionError for one
+        over another number of variables when there is a modulus."""
         if not self._kill:
             return False
-        exps = m.exps
-        if len(exps) != self.nvars:
+        if len(e) != len(self.names):
             raise DimensionError(
-                f"monomials over {len(exps)} and {self.nvars} variables"
+                f"monomials over {len(e)} and {len(self.names)} variables"
             )
-        return any(all(exps[k] >= e for k, e in g) for g in self._kill)
+        return any(all(map(ge, e, g)) for g in self._kill)
 
     def quotient(self, extra) -> "Ring":
         gens = tuple(self.modulus) + tuple(extra)

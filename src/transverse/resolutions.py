@@ -13,8 +13,7 @@ from operator import add, le, sub
 
 from . import linalg
 from .complexes import (
-    BettiTable, GradedFreeComplex, Homology, _killer,
-    complex_from_boundary, table_scalar,
+    BettiTable, GradedFreeComplex, Homology, complex_from_boundary,
 )
 from .errors import DimensionError, DomainError, ExactnessError
 from .exterior import wedge_subsets
@@ -24,6 +23,30 @@ from .poly import Monomial, Ring
 
 def _subset_label(prefix: str, S: tuple[int, ...]) -> str:
     return prefix + "{" + ",".join(str(s + 1) for s in S) + "}"
+
+
+def _subset_complex(ring: Ring, exps: list, combine, prefix: str) -> GradedFreeComplex:
+    """The complex with a generator e_S, labelled prefix{S}, for each subset
+    S of range(len(exps)), listed per level in ``meta["subsets"]``: its
+    multidegree m_S folds ``combine`` over the exps[j], j in S, from zero,
+    and d(e_{j1}^...^e_{jr}) = sum_l (-1)^(l+1) x^(m_S - m_{S minus jl})
+    e_{S minus jl}."""
+    subsets = [sorted(combinations(range(len(exps)), i)) for i in range(len(exps) + 1)]
+    zero = (0,) * ring.nvars
+
+    def mdeg(S):
+        m = zero
+        for j in S:
+            m = tuple(map(combine, m, exps[j]))
+        return m
+
+    def boundary(S):
+        return {S[:pos] + S[pos + 1:]: -1 if pos % 2 else 1 for pos in range(len(S))}
+
+    return complex_from_boundary(
+        ring, subsets, mdeg, lambda S: _subset_label(prefix, S), boundary,
+        meta={"subsets": subsets},
+    )
 
 
 def koszul_complex(elements: list[Monomial], ring: Ring) -> GradedFreeComplex:
@@ -42,25 +65,9 @@ def koszul_complex(elements: list[Monomial], ring: Ring) -> GradedFreeComplex:
             raise DomainError(f"{a!r} is not a monomial of positive degree")
         if len(a.exps) != ring.nvars:
             raise DimensionError(f"{a!r} is not over {ring.nvars} variables")
-        if ring.kills(a):
+        if ring.kills(a.exps):
             raise DomainError(f"{ring.format_monomial(a)} is zero in {ring}")
-    c = len(elements)
-    subsets = [sorted(combinations(range(c), i)) for i in range(c + 1)]
-    zero = (0,) * ring.nvars
-
-    def mdeg(S):
-        m = zero
-        for j in S:
-            m = tuple(map(add, m, elements[j].exps))
-        return m
-
-    def boundary(S):
-        return {S[:pos] + S[pos + 1:]: -1 if pos % 2 else 1 for pos in range(len(S))}
-
-    return complex_from_boundary(
-        ring, subsets, mdeg, lambda S: _subset_label("e", S), boundary,
-        meta={"subsets": subsets},
-    )
+    return _subset_complex(ring, [a.exps for a in elements], add, "e")
 
 
 @lru_cache(maxsize=16)
@@ -137,32 +144,16 @@ def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
 
     It resolves every monomial ideal, and minimizing it gives
     :func:`minimal_resolution`.  ``gens`` overrides the (minimal) stored
-    generators with an explicit, possibly redundant, generating sequence.
+    generators with an explicit, possibly redundant, generating sequence;
+    raises DimensionError for one over another number of variables.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("Taylor complex needs a nonzero proper ideal")
     ring = I.ring
-    gens = tuple(gens) if gens is not None else I.gens
-    r = len(gens)
-    subsets = [sorted(combinations(range(r), i)) for i in range(r + 1)]
-    one = ring.one_monomial()
-
-    def lcm_of(S):
-        m = one
-        for j in S:
-            m = m.lcm(gens[j])
-        return m
-
-    lcms = [{S: lcm_of(S) for S in subsets[i]} for i in range(r + 1)]
-
-    def boundary(S):
-        return {S[:pos] + S[pos + 1:]: -1 if pos % 2 else 1 for pos in range(len(S))}
-
-    return complex_from_boundary(
-        ring, subsets, lambda S: lcms[len(S)][S].exps,
-        lambda S: _subset_label("T", S), boundary,
-        meta={"subsets": subsets, "lcms": lcms},
-    )
+    exps = [g.exps for g in (I.gens if gens is None else gens)]
+    if any(len(e) != ring.nvars for e in exps):
+        raise DimensionError(f"a generator is not over {ring.nvars} variables")
+    return _subset_complex(ring, exps, max, "T")
 
 
 def betti_numbers(I: MonomialIdeal) -> BettiTable:
@@ -252,8 +243,8 @@ def minimize_complex(C: GradedFreeComplex) -> GradedFreeComplex:
     """
     ring, md, length = C.ring, C.mdegs, C.length
     p = getattr(ring.field, "p", 0)
-    scalar = table_scalar(ring.field)
-    killed = _killer(ring) if ring.modulus else None
+    scalar = ring.field.scalar
+    killed = ring.kills if ring.modulus else None
     # cols[i][c] = {r: s} and rows[i][r] = {c: s} for the entries of d_i,
     # each column in the order its entries arose
     cols = [{}] + [
@@ -379,7 +370,7 @@ def lift_comparison_map(
         raise DomainError("source and target over different rings")
     if source.rank(0) != 1 or target.rank(0) != 1:
         raise DomainError("comparison lifting needs rank-1 degree-0 terms")
-    scalar = table_scalar(ring.field)
+    scalar = ring.field.scalar
     tables = [{0: [(0, 1)]}]
     H = Homology(target)
     for i, mdegs in enumerate(source.mdegs[1:], start=1):

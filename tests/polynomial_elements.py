@@ -55,7 +55,7 @@ class Polynomial:
         if isinstance(ring.field, PrimeField):
             terms = {m: ring.field.scalar(c) for m, c in terms.items()}
         self.ring = ring
-        self._terms = {m: c for m, c in terms.items() if c and not ring.kills(m)}
+        self._terms = {m: c for m, c in terms.items() if c and not ring.kills(m.exps)}
 
     @classmethod
     def from_monomial(cls, ring: Ring, m: Monomial, coeff=1) -> "Polynomial":

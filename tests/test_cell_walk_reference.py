@@ -21,7 +21,7 @@ import pytest
 
 from transverse import linalg
 from transverse.complexes import (
-    GradedFreeComplex, Homology, star_product, table_scalar,
+    GradedFreeComplex, Homology, star_product,
     validate_complex, verify_resolution,
 )
 from transverse.fields import QQ, PrimeField
@@ -245,7 +245,7 @@ def test_a_failing_presence_at_leaves_along_the_last_variable(monkeypatch, field
 def mapped(C, j, f):
     """C with each column c of d_j replaced by f(c, [(r, s)]), zeros
     dropped and scalars put in the form of the tables."""
-    scalar = table_scalar(C.ring.field)
+    scalar = C.ring.field.scalar
     table = {}
     for c in range(C.rank(j)):
         col = [(r, v) for r, s in f(c, C.table(j).get(c, ())) if (v := scalar(s))]
@@ -368,7 +368,7 @@ def test_a_column_of_fractions_scaled_to_integers(monkeypatch, field):
     # GF(2) rank of d_2 is 1; read unscaled, 1/2 would count as odd and
     # give rank 2 > 1, and the bound would prove H_2 = 0.  Here H_1 = 0
     # by the bound, which proves both ranks exact, so no QQ rank is taken
-    scalar = table_scalar(field)
+    scalar = field.scalar
     R = Ring(("x",), field)
     zero = (0,)
     C = GradedFreeComplex(R, [[zero], [zero] * 2, [zero] * 2], [

@@ -321,14 +321,17 @@ class TestMatrixApply:
 
 
 def test_ring_kills_matches_divisibility(R4, Rxy):
+    # Ring.kills reads an exponent tuple
     Q = R4.quotient([R4.parse_monomial(m) for m in ("x1^2", "x2*x3", "x4^3")])
     for exps in itertools.product(range(4), repeat=4):
         m = Monomial(exps)
-        assert Q.kills(m) == any(g.divides(m) for g in Q.modulus), exps
-    assert not R4.kills(R4.parse_monomial("x1^9"))
-    # a monomial over another number of variables is refused
+        assert Q.kills(exps) == any(g.divides(m) for g in Q.modulus), exps
+    assert not R4.kills((9, 0, 0, 0))
+    # an exponent tuple over another number of variables is refused
     with pytest.raises(DimensionError):
-        Q.kills(Rxy.parse_monomial("x"))
+        Q.kills((1, 0))
+    with pytest.raises(DimensionError):
+        Q.kills((0, 0, 0, 0, 1))
     with pytest.raises(DimensionError):
         Polynomial.from_monomial(Q, Monomial((1, 1, 1, 1, 1)))
 

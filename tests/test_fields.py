@@ -107,6 +107,32 @@ def test_fraction_conversion_mod_p():
         F.scalar(0.5)
 
 
+def test_field_scalar_is_the_table_form():
+    # the rule each table applied before fields owned it, kept here as the
+    # reference: GF(p) through PrimeField.scalar, over QQ an integral
+    # Fraction as its int and anything else unchanged
+    def reference(field, c):
+        if isinstance(field, PrimeField):
+            return field.scalar(c)
+        return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+    values = [0, 1, -1, 7, -12, 2**70, Fraction(0), Fraction(6, 3),
+              Fraction(-8, 4), Fraction(1, 2), Fraction(-3, 5),
+              Fraction(22, 7), Fraction(-2**70, 3)]
+    # no denominator above vanishes mod 11, 13 or 32003
+    for field in (QQ, PrimeField(11), PrimeField(13), PrimeField(32003)):
+        for c in values:
+            got = field.scalar(c)
+            want = reference(field, c)
+            assert got == want and type(got) is type(want), (field, c)
+    # QQ keeps a non-integral Fraction, and an int, as the same object
+    half = Fraction(1, 2)
+    assert QQ.scalar(half) is half and QQ.scalar(-5) == -5
+    assert type(QQ.scalar(Fraction(-4, 2))) is int
+    # GF(p) reduces into [0, p)
+    assert PrimeField(11).scalar(-12) == 10 and PrimeField(2).scalar(Fraction(-3, 5)) == 1
+
+
 def test_fraction_scalars_in_rank_and_koszul_complex():
     F = PrimeField(7)
     assert linalg.rank([{0: Fraction(1, 2)}], F) == 1

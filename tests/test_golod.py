@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from transverse.complexes import Homology, table_scalar
+from transverse.complexes import Homology
 from transverse.errors import DomainError
 from transverse.exterior import k_diff, k_restrict, k_wedge
 from transverse.fields import QQ, PrimeField
@@ -151,7 +151,7 @@ class TestKunneth:
         # so the class of h_{a,b} is -(-1)^|z_a| that of z_a ^ d(z_b)
         rng = random.Random(29)
         R = Ring(("x1", "x2", "x3", "x4"), field)
-        scalar = table_scalar(field)
+        scalar = field.scalar
 
         def random_ideal(vars_):
             return MonomialIdeal(R, tuple(
@@ -222,10 +222,14 @@ class TestTorIndependence:
 
 class TestMassey:
     def test_singleton_is_representative(self, R4, flagship):
-        basis = golod_basis(*flagship)
-        for k in range(len(basis.pairs)):
-            assert massey_mu(basis, (k,)) == basis.h[k]
-            assert basis.h[k].b == basis.vmdeg(k)
+        # the Golod complex seeds mu of one symbol with h[k]; on the
+        # flagship and on quadrics on both sides
+        quadrics = ideal(R4, "x1^2", "x1*x2"), ideal(R4, "x3^2", "x4^2")
+        for pair in (flagship, quadrics):
+            basis = golod_basis(*pair)
+            for k in range(len(basis.pairs)):
+                assert massey_mu(basis, (k,)) == basis.h[k]
+                assert basis.h[k].b == basis.vmdeg(k)
 
     def test_repeated_factor_vanishes(self, Rxy):
         basis = golod_basis(ideal(Rxy, "x"), ideal(Rxy, "y"))
@@ -271,9 +275,9 @@ class TestGolodResolution:
 
         n_max = 5
         basis = golod_basis(*flagship)
-        # the Massey value of each distinct prefix is made once: by
-        # massey_mu on one symbol, from the value of the prefix one shorter
-        # on more
+        # the Massey value of each distinct prefix of two or more symbols is
+        # made once, from the value of the prefix one shorter; that of one
+        # symbol k is the class h[k] of the basis, so neither is called
         calls = Counter()
         original, extend = golod.massey_mu, golod._massey_extend
 
@@ -293,7 +297,7 @@ class TestGolodResolution:
         # generator degree of IJ, which is 2 here
         words = golod._words(basis, 2 * n_max, n_max)
         assert calls == Counter(
-            {w[:j]: 1 for w, _, _ in words for j in range(1, len(w) + 1)}
+            {w[:j]: 1 for w, _, _ in words for j in range(2, len(w) + 1)}
         )
 
 

@@ -128,7 +128,7 @@ def associativity_probe_ref(
                     continue
                 for mono, sc in coeff_poly.term_dict().items():
                     mm = m * mono
-                    if ring.kills(mm):
+                    if ring.kills(mm.exps):
                         continue
                     k = idx_out[(g, mm)]
                     rowmap.setdefault(k, {})

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from transverse import linalg
 from transverse.complexes import (
     BettiTable, GradedFreeComplex, Homology, betti_table, star_product,
-    strand_matrix, table_scalar,
+    strand_matrix,
 )
 from transverse.exterior import Element
 from transverse.fields import QQ, PrimeField
@@ -158,7 +158,7 @@ def assert_blocks_match_strands(H, support, levels, degrees):
     express/is_boundary agree on the part of a strand vector in one block,
     and every block that ``support(i)`` skips has zero homology."""
     ring = H.complex.ring
-    scalar = table_scalar(ring.field)
+    scalar = ring.field.scalar
     full = Homology(H.complex, H.extra, H.keys)
 
     def keyed(G, i, basis):
@@ -290,7 +290,7 @@ def monomial_complexes(draw):
         table = {}
         for c, col in K.table(i).items():
             col = [(r, s) for r, s in col if not quotient.kills(
-                Monomial(tuple(map(sub, md[i][c], md[i - 1][r]))))]
+                tuple(map(sub, md[i][c], md[i - 1][r])))]
             if col:
                 table[c] = col
         tables.append(table)

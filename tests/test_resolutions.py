@@ -14,7 +14,7 @@ from transverse.complexes import (
     validate_complex,
     verify_resolution,
 )
-from transverse.errors import DomainError, ExactnessError
+from transverse.errors import DimensionError, DomainError, ExactnessError
 from transverse.fields import QQ, PrimeField
 from transverse.golod import koszul_homology, kunneth_map
 from transverse.ideals import MonomialIdeal, ideal_product, lcm_lattice
@@ -90,6 +90,14 @@ class TestTaylor:
             taylor_complex(MonomialIdeal(R4, ()))
         with pytest.raises(DomainError):
             taylor_complex(ideal(R4, "1"))
+
+    def test_rejects_a_generator_over_other_variables(self, R4):
+        # the lcm fold would truncate it to the shorter length instead
+        I = ideal(R4, "x1", "x2")
+        for gens in ([Monomial((1, 0, 0, 0)), Monomial((0, 1, 0))],
+                     [Monomial((1, 0, 0, 0, 1))]):
+            with pytest.raises(DimensionError):
+                taylor_complex(I, gens=gens)
 
 
 class TestMinimize:
