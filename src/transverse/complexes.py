@@ -410,8 +410,9 @@ class Homology:
     Blocks are complexes on disjoint coordinates, and the degree-t strand
     is the direct sum of the blocks of total degree t.  A multihomogeneous
     element x = (b, {key: s}) (``exterior.Element``) lies in one block b,
-    which fixes the monomial of each key, so :meth:`express` and
-    :meth:`is_boundary` read its scalars as block coordinates.
+    which fixes the monomial of each key, so :meth:`express` reads its
+    scalars as block coordinates and :meth:`rank_modulo` as scalars of the
+    generators present.
 
     An entry d_i[r, c] is one term s x^(m_c - m_r), so a block matrix is
     the scalar table ``C.table(i)`` on the generators present;
@@ -460,14 +461,24 @@ class Homology:
             return kept
         if isinstance(s, int):
             return strand_basis(self.complex, i, s, self.extra)
-        mdegs = self.mdegs[i].values() if 0 <= i < len(self.mdegs) else ()
+        return [(g, Monomial(tuple(map(sub, s, self.complex.mdegs[i][g]))))
+                for g in self._present(i, s)]
+
+    def _present(self, i: int, b) -> list:
+        """The generators g of C_i present on the block b, ascending:
+        m_g <= b, and no q in the modulus or Q divides x^(b - m_g)."""
+        mdegs = self.complex.mdegs[i] if 0 <= i < len(self.mdegs) else ()
         # x^(b - m_g) divides x^b, so only a q dividing x^b can kill it
-        kill = [k for k in self._kill if all(map(ge, s, k))]
+        kill = [k for k in self._kill if all(map(ge, b, k))]
         out = []
         for g, m in enumerate(mdegs):
-            e = tuple(map(sub, s, m))
-            if min(e) >= 0 and not any(all(map(ge, e, k)) for k in kill):
-                out.append((g, Monomial(e)))
+            if all(map(ge, b, m)):
+                e = tuple(map(sub, b, m))
+                for k in kill:
+                    if all(map(ge, e, k)):
+                        break
+                else:
+                    out.append(g)
         return out
 
     def strand_dims(self, s, lo: int, hi: int) -> dict:
@@ -676,7 +687,8 @@ class Homology:
     def boundaries(self, i: int, s) -> linalg.EchelonForm:
         """The RREF of the image of d_{i+1} on the whole strand s = t or the
         block s = b, in the columns of ``basis(i, s)``, computed once per
-        (i, s); it keeps the rank of d_{i+1} there.
+        (i, s); it keeps the rank of d_{i+1} there.  :meth:`rank_modulo`
+        does not build it.
 
         d o d = 0 is checked once per object on the scalar tables
         (:func:`validate_complex`, no elimination); on a map that is not a
@@ -768,10 +780,33 @@ class Homology:
         class."""
         return self.stratum(i, x.b).express(self.coords(i, x))
 
+    @cached_property
+    def _generator(self) -> list[dict]:
+        """{key: g} of the generators of each C_i."""
+        return [{key: g for g, key in enumerate(level)} for level in self.mdegs]
+
+    def rank_modulo(self, i: int, xs: list) -> int:
+        """The rank modulo the boundaries of elements xs = (b, {key: s}) of
+        one block b in degree i, on vectors {g: s} over the generators g
+        present: d_{i+1} spans the boundaries by its table columns there
+        (:func:`linalg.rank_modulo`).  Refuses a map that is not a complex,
+        as :meth:`boundaries` does, and a key off the block (KeyError)."""
+        if not self._is_complex:
+            raise DomainError("homology needs a complex, but d o d != 0")
+        (b,) = {x.b for x in xs}  # one block, else ValueError
+        lower, at = set(self._present(i, b)), self._generator[i]
+        vecs = [{at[key]: s for key, s in x.terms.items()} for x in xs]
+        if absent := {g for v in vecs for g in v} - lower:
+            raise KeyError(f"generators {sorted(absent)} are not on the block {b}")
+        table = self.complex.table(i + 1)
+        image = [{r: s for r, s in table.get(c, ()) if r in lower}
+                 for c in self._present(i + 1, b)]
+        return linalg.rank_modulo(image, vecs, self.complex.ring.field)
+
     def is_boundary(self, i: int, x) -> bool:
-        """Whether the element x = (b, {key: s}) is a boundary, read on
-        :meth:`boundaries` alone."""
-        return not x.terms or self.boundaries(i, x.b).contains(self.coords(i, x))
+        """Whether the element x = (b, {key: s}) is a boundary: its rank
+        modulo the boundaries of its block is 0 (:meth:`rank_modulo`)."""
+        return not x.terms or not self.rank_modulo(i, [x])
 
 
 def strand_homology(C: GradedFreeComplex, Q, t: int, i: int) -> StrandHomology:

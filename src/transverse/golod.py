@@ -10,7 +10,6 @@ from functools import cached_property
 from itertools import product
 from operator import add, itemgetter
 
-from . import linalg
 from .complexes import GradedFreeComplex, Homology, verify_resolution
 from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_diff, k_restrict, k_sum, k_wedge
@@ -175,12 +174,12 @@ def kunneth_map(I: MonomialIdeal, J: MonomialIdeal) -> KunnethCertificate:
 
     No basis of H(R/IJ) is built.  Each h is checked to be a cycle, and on
     each block b of degree n the rank of the h there modulo the boundaries
-    B (:meth:`Homology.boundaries`) is their rank in H_n(R/IJ)_b.  The
-    blocks are disjoint, so row n sums these ranks.  Its target dimension
-    is the lcm-lattice Betti number beta_n(R/IJ) (``betti_numbers``), as
-    H_n(K (x) R/IJ) = Tor_n(R/IJ, k).  Independent classes as many as the
-    dimension form a basis, so a row with dim_source = dim_target = rank
-    is bijective.
+    (:meth:`Homology.rank_modulo`, no RREF) is their rank in H_n(R/IJ)_b.
+    The blocks are disjoint, so row n sums these ranks.  Its target
+    dimension is the lcm-lattice Betti number beta_n(R/IJ)
+    (``betti_numbers``), as H_n(K (x) R/IJ) = Tor_n(R/IJ, k).  Independent
+    classes as many as the dimension form a basis, so a row with
+    dim_source = dim_target = rank is bijective.
 
     d(z_a ^ z_b) = d(z_a) ^ z_b + (-1)^|z_a| z_a ^ d(z_b) is a boundary in
     K (x) R/IJ, so [d(z_a) ^ z_b] = -(-1)^|z_a| [z_a ^ d(z_b)]: the other
@@ -193,10 +192,11 @@ def kunneth_map(I: MonomialIdeal, J: MonomialIdeal) -> KunnethCertificate:
 
 
 def _kunneth_rows(basis: GolodBasis) -> list:
-    """The rows of :func:`kunneth_map` on the classes ``basis.h``.  Raises
+    """The rows of :func:`kunneth_map` on the classes ``basis.h``, ranked
+    by degree and block modulo the boundaries of ``basis.KIJ``.  Raises
     CertificationError on an h that is not a cycle."""
-    q, KIJ, field = basis.quotient, basis.KIJ, basis.I.ring.field
-    blocks: dict = {}  # (n, b) -> the coordinates of the h of the block
+    q, KIJ = basis.quotient, basis.KIJ
+    blocks: dict = {}  # (n, b) -> the h of the block
     for k, h in enumerate(basis.h):
         if k_diff(q, h).terms:
             a, b = basis.pairs[k]
@@ -206,14 +206,10 @@ def _kunneth_rows(basis: GolodBasis) -> list:
             )
         # h_{a,b} lies in the block b_a + b_b
         n = basis.vdeg(k) - 1
-        blocks.setdefault((n, h.b), []).append(KIJ.coords(n, h))
+        blocks.setdefault((n, h.b), []).append(h)
     ranks: dict = {}
-    for (n, b), cols in blocks.items():
-        B = KIJ.boundaries(n, b)
-        # rank [B; h] - rank B: the h reduced modulo B
-        reduced = [v for c in cols if (v := B.reduce(c))]
-        rank = linalg.rank(reduced, field) if len(reduced) > 1 else len(reduced)
-        ranks[n] = ranks.get(n, 0) + rank
+    for (n, _), hs in blocks.items():
+        ranks[n] = ranks.get(n, 0) + KIJ.rank_modulo(n, hs)
     dims = basis.dims
     sources = Counter(basis.vdeg(k) - 1 for k in range(len(basis.pairs)))
     return [
@@ -235,7 +231,7 @@ class GolodBasis(Record):
     d(z_a) ^ z_b representing the corresponding basis class of H(R/IJ).
     Each class representative is moved to R/IJ once, and d(z_a) is taken
     once per class of H(R/I), on first use.  No basis of H(R/IJ) is built:
-    ``KIJ`` answers the boundary queries of the certificates and ``dims``
+    ``KIJ`` ranks the classes of the certificates modulo boundaries, ``dims``
     holds the dimensions, both on first use.  ``IJ`` is the product, built
     once per job, and ``quotient`` its quotient ring R/IJ.
     """
@@ -560,7 +556,8 @@ def _triviality_failures(KIJ: Homology, q: Ring, h: list, degrees: list,
     graded-commutative, so h_l ^ h_k = (-1)^(|h_k| |h_l|) h_k ^ h_l, and a
     product is a boundary exactly when its mirror is; a product of degree
     past the number of variables is 0, a boundary, and is not tested.
-    A failing pair is listed both ways.
+    A failing pair is listed both ways.  Each test is a rank modulo the
+    boundaries of one block (:meth:`Homology.is_boundary`).
     """
     top = q.nvars
     failing = {

@@ -114,8 +114,8 @@ def _axpy_int(a: int, row: dict, b: int, piv: dict) -> dict:
     return out
 
 
-def _forward_rational(rows) -> dict[int, dict]:
-    pivrows: dict[int, dict] = {}
+def _forward_rational(rows, pivrows=None) -> dict[int, dict]:
+    pivrows = {} if pivrows is None else pivrows  # continued in place
     for raw in rows:
         row = _int_row(raw)
         while row:
@@ -128,9 +128,9 @@ def _forward_rational(rows) -> dict[int, dict]:
     return pivrows
 
 
-def _forward_prime(rows, field: PrimeField) -> dict[int, dict]:
+def _forward_prime(rows, field: PrimeField, pivrows=None) -> dict[int, dict]:
     p, scalar = field.p, field.scalar
-    pivrows: dict[int, dict] = {}
+    pivrows = {} if pivrows is None else pivrows  # continued in place
     for raw in rows:
         row = {c: s for c, v in raw.items() if (s := scalar(v))}
         while row:
@@ -152,9 +152,20 @@ def _forward_prime(rows, field: PrimeField) -> dict[int, dict]:
 
 def rank(rows, field=QQ) -> int:
     """Rank via forward elimination only."""
+    return rank_modulo((), rows, field)
+
+
+def rank_modulo(base, rows, field=QQ) -> int:
+    """rank [base; rows] - rank base in one forward pass: the elimination
+    of ``base`` goes on with ``rows``, and the pivot rows they add are
+    counted.  Exact, with no back-reduction and no ``Fraction``."""
     if isinstance(field, PrimeField):
-        return len(_forward_prime(rows, field))
-    return len(_forward_rational(rows))
+        pivrows = _forward_prime(base, field)
+        n = len(pivrows)
+        return len(_forward_prime(rows, field, pivrows)) - n
+    pivrows = _forward_rational(base)
+    n = len(pivrows)
+    return len(_forward_rational(rows, pivrows)) - n
 
 
 def xor_rank(rows) -> int:

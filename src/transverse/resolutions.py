@@ -18,7 +18,7 @@ from .complexes import (
 from .errors import DimensionError, DomainError, ExactnessError
 from .exterior import wedge_subsets
 from .ideals import MonomialIdeal, lcm_lattice, maximal_ideal
-from .poly import Monomial, Ring
+from .poly import Monomial, Ring, minimal_monomials
 
 
 def _subset_label(prefix: str, S: tuple[int, ...]) -> str:
@@ -144,8 +144,8 @@ def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
 
     It resolves every monomial ideal, and minimizing it gives
     :func:`minimal_resolution`.  ``gens`` overrides the (minimal) stored
-    generators with an explicit, possibly redundant, generating sequence;
-    raises DimensionError for one over another number of variables.
+    generators with a possibly redundant generating sequence of I; raises
+    DomainError for another ideal, DimensionError for other variables.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("Taylor complex needs a nonzero proper ideal")
@@ -153,6 +153,8 @@ def taylor_complex(I: MonomialIdeal, gens=None) -> GradedFreeComplex:
     exps = [g.exps for g in (I.gens if gens is None else gens)]
     if any(len(e) != ring.nvars for e in exps):
         raise DimensionError(f"a generator is not over {ring.nvars} variables")
+    if gens is not None and minimal_monomials(gens) != I.gens:
+        raise DomainError("gens do not generate the ideal")
     return _subset_complex(ring, exps, max, "T")
 
 

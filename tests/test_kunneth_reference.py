@@ -196,7 +196,8 @@ def test_a_failed_row_is_a_certified_failure(
 
 def test_no_koszul_homology_of_the_product(monkeypatch, flagship):
     # kunneth_map and verify_golod build the Koszul homology of I and of J
-    # and no basis of H(R/IJ): no stratum of K (x) R/IJ, only boundaries;
+    # and no basis of H(R/IJ): no stratum and no boundary RREF of K (x)
+    # R/IJ, only ranks modulo the boundaries;
     # golod_poincare builds none
     built = []
     init = KoszulHomology.__init__
@@ -213,7 +214,7 @@ def test_no_koszul_homology_of_the_product(monkeypatch, flagship):
     monkeypatch.setattr(golod, "golod_basis", lambda *_: basis)
     assert verify_golod(*flagship, 3).ok
     assert built == list(flagship)
-    assert basis.KIJ.images and not basis.KIJ.strata
+    assert not basis.KIJ.strata and not basis.KIJ.images
     built.clear()
     assert golod_poincare(*flagship, 4).coefficients == (1, 4, 10, 24, 58)
     assert built == []

@@ -99,6 +99,23 @@ class TestTaylor:
             with pytest.raises(DimensionError):
                 taylor_complex(I, gens=gens)
 
+    def test_rejects_gens_that_do_not_generate_the_ideal(self, R4):
+        # a sequence is taken only when its minimal monomials are I.gens:
+        # a smaller ideal, two larger ones, the unit ideal, the empty
+        # sequence and another principal ideal are refused; a redundant
+        # generating sequence is built
+        I = ideal(R4, "x1^2", "x1*x2")
+        m = R4.parse_monomial
+        for gens in ([m("x1^2")], [m("x1^2"), m("x1*x2"), m("x3")],
+                     [m("x1"), m("x1*x2")], [m("1")], []):
+            with pytest.raises(DomainError):
+                taylor_complex(I, gens=gens)
+        with pytest.raises(DomainError):
+            taylor_complex(ideal(R4, "x1"), gens=[m("x2")])
+        T = taylor_complex(I, gens=[m("x1*x2"), m("x1^2*x2"), m("x1^2")])
+        assert T.total_ranks() == (1, 3, 3, 1)
+        assert validate_complex(T).ok and not is_minimal(T)
+
 
 class TestMinimize:
     def test_flagship(self, R4, flagship):
