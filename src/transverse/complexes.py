@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, islice, pairwise, repeat
 from math import lcm
-from operator import add, ge, or_, sub
+from operator import add, ge, lshift, sub
 from re import finditer
 
 from . import linalg
@@ -359,27 +359,17 @@ def strand_matrix(C: GradedFreeComplex, i: int, basis_hi, basis_lo):
 
 class StrandHomology(Record):
     """Homology of one strand or block, with canonical (RREF) cycle
-    representatives."""
+    representatives.
+
+    ``t`` is the degree t of a strand or the multidegree b of a block;
+    ``_classes`` is the RREF of the representatives and ``_boundaries``
+    that of the boundaries, both :class:`linalg.EchelonForm`.
+    """
 
     __slots__ = _fields = (
         "i", "t", "basis", "dim", "cycle_dim", "boundary_dim",
         "_classes", "_boundaries", "_field",
     )
-
-    def __init__(
-        self, i: int, t, basis: list, dim: int, cycle_dim: int,
-        boundary_dim: int, _classes: linalg.EchelonForm,
-        _boundaries: linalg.EchelonForm, _field,
-    ):
-        self.i = i
-        self.t = t  # the degree t of a strand or the multidegree b of a block
-        self.basis = basis
-        self.dim = dim
-        self.cycle_dim = cycle_dim
-        self.boundary_dim = boundary_dim
-        self._classes = _classes  # the RREF of the representatives
-        self._boundaries = _boundaries
-        self._field = _field
 
     @property
     def representatives(self) -> list[dict]:
@@ -573,12 +563,18 @@ class Homology:
                 for k in range(C.ring.nvars)]
         # per variable k, one step per threshold v: v, the generators g
         # with m_g[k] <= v, and those with m_g[k] <= v - q[k] per q; the
-        # first j generators in the order of m_g[k] are masks[j]
+        # first j generators in the order of m_g[k] are masks[j], built only
+        # for the j a step reads, so that the masks hold O(thresholds * N)
+        # bits and not the Theta(N^2) of every prefix.  The bits 1 << g are
+        # distinct, so the sum of a run of them is their OR
         steps = []
         for k, values in enumerate(axes):
             order = sorted(range(len(gens)), key=lambda g: gens[g][k])
             vals = [gens[g][k] for g in order]
-            masks = list(accumulate((1 << g for g in order), or_, initial=0))
+            read = sorted({bisect_right(vals, v - q[k]) for v in values for q in shifts})
+            bits = map(lshift, repeat(1), order)
+            runs = (sum(islice(bits, b - a)) for a, b in pairwise([0, *read]))
+            masks = dict(zip(read, accumulate(runs)))
             steps.append([
                 (v, masks[bisect_right(vals, v)],
                  [masks[bisect_right(vals, v - q[k])] for q in kill])
@@ -831,9 +827,6 @@ class BettiTable(Record):
 
     __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: dict):
-        self.entries = entries
-
     def total(self, i: int) -> int:
         return sum(v for (ii, _), v in self.entries.items() if ii == i)
 
@@ -892,27 +885,19 @@ def betti_table(C: GradedFreeComplex) -> BettiTable:
 
 class ResolutionCertificate(Record):
     """Outcome of :func:`verify_resolution`: C is a complex, whether it is
-    minimal, and the three clauses."""
+    minimal, and the three clauses.
+
+    ``validation`` is the :class:`ValidationReport` of d o d = 0;
+    ``minimal`` is reported, not required; ``strand_failures`` holds
+    (i, b, dim H_i) per failing cell and ``coker_failures``
+    (b, dim coker d_1, dim (R/I)_b); ``betti_got`` and ``betti_want`` are
+    :class:`BettiTable` or None where the clause is not run.
+    """
 
     __slots__ = _fields = (
         "ideal", "validation", "minimal", "strand_failures", "coker_failures",
         "betti_ok", "betti_got", "betti_want",
     )
-
-    def __init__(
-        self, ideal: MonomialIdeal, validation: ValidationReport,
-        minimal: bool, strand_failures: list, coker_failures: list,
-        betti_ok: bool, betti_got: BettiTable | None,
-        betti_want: BettiTable | None,
-    ):
-        self.ideal = ideal
-        self.validation = validation  # d o d = 0
-        self.minimal = minimal  # reported, not required
-        self.strand_failures = strand_failures  # (i, b, dim H_i) per failing cell
-        self.coker_failures = coker_failures  # (b, dim coker d_1, dim (R/I)_b)
-        self.betti_ok = betti_ok
-        self.betti_got = betti_got  # None where the clause is not run
-        self.betti_want = betti_want
 
     @property
     def exactness_ok(self) -> bool:

@@ -474,16 +474,6 @@ class ModuleAction(Record):
 
     _fields = ("koszul", "complex", "phi", "scalars", "certificate")
 
-    def __init__(
-        self, koszul: GradedFreeComplex, complex: GradedFreeComplex,
-        phi: list, scalars: dict, certificate: ActionCertificate,
-    ):
-        self.koszul = koszul
-        self.complex = complex
-        self.phi = phi
-        self.scalars = scalars
-        self.certificate = certificate
-
 
 def koszul_module_action(
     C: GradedFreeComplex, prod: DegreeOneProduct | FullProduct, elements: list
@@ -591,16 +581,6 @@ class ProbeStage(Record):
     __slots__ = _fields = (
         "n", "blocks", "variables", "assoc_enforced", "leibniz_unsolvable",
     )
-
-    def __init__(
-        self, n: int, blocks: list, variables: int, assoc_enforced: bool,
-        leibniz_unsolvable: list,
-    ):
-        self.n = n
-        self.blocks = blocks
-        self.variables = variables
-        self.assoc_enforced = assoc_enforced
-        self.leibniz_unsolvable = leibniz_unsolvable
 
 
 class ProbeReport(Record):

@@ -7,6 +7,9 @@ graph.
 
 from operator import attrgetter
 
+# sets a field, also of an immutable record past its refusing __setattr__
+_set = object.__setattr__
+
 
 class AlgebraError(Exception):
     """Base class for all errors raised by this package."""
@@ -39,8 +42,11 @@ class ParseError(AlgebraError):
 class Record:
     """Base of the package's record classes.
 
-    A subclass names its fields in ``_fields``, in the order of its
-    ``__init__`` parameters.  Two records are equal when they are of the
+    A subclass names its fields in ``_fields``.  Unless it defines its own
+    ``__init__``, which takes the fields in that order, the base gives it
+    one: exactly ``len(_fields)`` positional arguments, in ``_fields``
+    order, each stored with ``object.__setattr__``, so that it also builds
+    the immutable records.  Two records are equal when they are of the
     same class and their field tuples are equal; any other operand gets
     ``NotImplemented``.  The repr is ``Name(field=value, ...)``.  Because
     this class defines ``__eq__``, a record is unhashable unless its class
@@ -57,6 +63,8 @@ class Record:
         # a lone field, which compares as its 1-tuple does for every value
         # equal to itself
         cls._values = attrgetter(*cls._fields)
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _constructor(cls.__qualname__, cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -73,3 +81,19 @@ class Record:
             f"cannot assign to or delete {name!r}: "
             f"{type(self).__qualname__} is immutable"
         )
+
+
+def _constructor(name: str, fields: tuple[str, ...]):
+    """The ``__init__`` that :class:`Record` gives a subclass with none."""
+    n = len(fields)
+
+    def __init__(self, *values):
+        if len(values) != n:
+            raise TypeError(
+                f"{name}() takes {n} positional arguments "
+                f"but {len(values)} were given"
+            )
+        for field, value in zip(fields, values):
+            _set(self, field, value)
+
+    return __init__

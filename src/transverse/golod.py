@@ -18,10 +18,6 @@ from .poly import Ring
 from .resolutions import betti_numbers, koszul_on_variables, twisted_koszul
 
 
-# sets a field of an immutable record, past its refusing __setattr__
-_set = object.__setattr__
-
-
 class KoszulClass(Record):
     """A basis class of H_i(K (x) R/I) with its canonical cycle representative.
 
@@ -35,14 +31,6 @@ class KoszulClass(Record):
 
     __slots__ = _fields = ("i", "t", "b", "index", "label", "rep")
     __setattr__ = __delattr__ = Record._immutable
-
-    def __init__(self, i: int, t: int, b: tuple, index: int, label: str, rep: Element):
-        _set(self, "i", i)
-        _set(self, "t", t)
-        _set(self, "b", b)
-        _set(self, "index", index)
-        _set(self, "label", label)
-        _set(self, "rep", rep)
 
 
 class KoszulHomology(Homology):
@@ -141,12 +129,6 @@ def koszul_homology(I: MonomialIdeal) -> KoszulHomology:
 class KunnethRow(Record):
     __slots__ = _fields = ("n", "dim_source", "dim_target", "rank")
 
-    def __init__(self, n: int, dim_source: int, dim_target: int, rank: int):
-        self.n = n
-        self.dim_source = dim_source
-        self.dim_target = dim_target
-        self.rank = rank
-
     @property
     def bijective(self) -> bool:
         return self.dim_source == self.dim_target == self.rank
@@ -154,11 +136,6 @@ class KunnethRow(Record):
 
 class KunnethCertificate(Record):
     __slots__ = _fields = ("I", "J", "rows")
-
-    def __init__(self, I: MonomialIdeal, J: MonomialIdeal, rows: list):
-        self.I = I
-        self.J = J
-        self.rows = rows
 
     @property
     def ok(self) -> bool:
@@ -237,18 +214,6 @@ class GolodBasis(Record):
     """
 
     _fields = ("I", "J", "HI", "HJ", "IJ", "pairs", "h")
-
-    def __init__(
-        self, I: MonomialIdeal, J: MonomialIdeal, HI: KoszulHomology,
-        HJ: KoszulHomology, IJ: MonomialIdeal, pairs: list, h: list,
-    ):
-        self.I = I
-        self.J = J
-        self.HI = HI
-        self.HJ = HJ
-        self.IJ = IJ
-        self.pairs = pairs
-        self.h = h
 
     @cached_property
     def quotient(self) -> Ring:
@@ -359,22 +324,13 @@ def massey_identity_residual(basis: GolodBasis, word: tuple) -> Element:
 
 
 class GolodCertificate(Record):
+    """``resolution`` is the ResolutionCertificate that C resolves k below
+    n_max, and ``kunneth_rows`` are the rows of :func:`kunneth_map`."""
+
     __slots__ = _fields = (
         "ranks", "series_coeffs", "ranks_match", "resolution", "kunneth_rows",
         "triviality_failures",
     )
-
-    def __init__(
-        self, ranks: tuple, series_coeffs: tuple, ranks_match: bool,
-        resolution, kunneth_rows: list, triviality_failures: list,
-    ):
-        self.ranks = ranks
-        self.series_coeffs = series_coeffs
-        self.ranks_match = ranks_match
-        # the ResolutionCertificate that C resolves k below n_max
-        self.resolution = resolution
-        self.kunneth_rows = kunneth_rows  # the rows of :func:`kunneth_map`
-        self.triviality_failures = triviality_failures
 
     @property
     def ok(self) -> bool:
@@ -467,11 +423,6 @@ class PoincareSeries(Record):
     """(1+t)^n over 1 - sum dim H_i t^(i+1), expanded to a bound."""
 
     __slots__ = _fields = ("numerator", "denominator", "coefficients")
-
-    def __init__(self, numerator: tuple, denominator: tuple, coefficients: tuple):
-        self.numerator = numerator
-        self.denominator = denominator
-        self.coefficients = coefficients
 
 
 def golod_poincare(I: MonomialIdeal, J: MonomialIdeal, n_max: int = 6) -> PoincareSeries:

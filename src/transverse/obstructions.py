@@ -15,9 +15,7 @@ from itertools import product
 from operator import add
 
 from . import linalg
-from .complexes import (
-    GradedFreeComplex, Homology, ResolutionCertificate, verify_resolution,
-)
+from .complexes import Homology, verify_resolution
 from .errors import CertificationError, DomainError, Record
 from .exterior import Element, k_restrict, k_wedge
 from .golod import KoszulHomology
@@ -44,24 +42,17 @@ def _sequence_mdeg(sequence, nvars: int, c) -> tuple:
 
 
 class TateComplex(Record):
-    """Truncated Tate resolution of k over S = R/(a)."""
+    """Truncated Tate resolution of k over S = R/(a).
+
+    ``ring`` is the quotient ring S; ``cycles`` are the z_j as exterior
+    elements, see :func:`_tate_cycle`; ``basis`` lists (subset, exponent
+    tuple) per homological degree; ``certificate`` is the
+    ResolutionCertificate of ``complex``.
+    """
 
     __slots__ = _fields = (
         "ring", "sequence", "cycles", "complex", "basis", "certificate",
     )
-
-    def __init__(
-        self, ring: Ring, sequence: list, cycles: list,
-        complex: GradedFreeComplex, basis: list,
-        certificate: ResolutionCertificate,
-    ):
-        self.ring = ring  # the quotient ring S
-        self.sequence = sequence
-        self.cycles = cycles  # z_j as exterior elements, see _tate_cycle
-        self.complex = complex
-        # per homological degree: list of (subset, exponent tuple)
-        self.basis = basis
-        self.certificate = certificate
 
 
 def tate_resolution(a, ring: Ring, n_max: int = 6) -> TateComplex:
@@ -165,11 +156,6 @@ def tor_over_quotient(a, M: MonomialIdeal, n_max: int = 6):
 class ChangeOfRingsMap(Record):
     __slots__ = _fields = ("dim_source", "dim_target_blocks", "rank")
 
-    def __init__(self, dim_source: int, dim_target_blocks: int, rank: int):
-        self.dim_source = dim_source
-        self.dim_target_blocks = dim_target_blocks
-        self.rank = rank
-
 
 def change_of_rings_map(
     source: KoszulHomology, qt: QuotientTor, i: int
@@ -234,29 +220,9 @@ class ObstructionRow(Record):
         "i", "dim_tor_R", "dim_product", "dim_tor_S", "rank", "dim_obstruction",
     )
 
-    def __init__(
-        self, i: int, dim_tor_R: int, dim_product: int, dim_tor_S: int,
-        rank: int, dim_obstruction: int,
-    ):
-        self.i = i
-        self.dim_tor_R = dim_tor_R
-        self.dim_product = dim_product
-        self.dim_tor_S = dim_tor_S
-        self.rank = rank
-        self.dim_obstruction = dim_obstruction
-
 
 class ObstructionReport(Record):
     __slots__ = _fields = ("sequence", "M", "rows", "product_maps_to_zero")
-
-    def __init__(
-        self, sequence: list, M: MonomialIdeal, rows: list,
-        product_maps_to_zero: bool = True,
-    ):
-        self.sequence = sequence
-        self.M = M
-        self.rows = rows
-        self.product_maps_to_zero = product_maps_to_zero
 
     @property
     def all_vanish(self) -> bool:
@@ -332,10 +298,9 @@ def avramov_obstruction(
 
 
 class InjectivityCertificate(Record):
-    __slots__ = _fields = ("rows",)
+    """``rows`` holds (i, dim_tor_R, rank) per degree."""
 
-    def __init__(self, rows: list):
-        self.rows = rows  # (i, dim_tor_R, rank)
+    __slots__ = _fields = ("rows",)
 
     @property
     def ok(self) -> bool:

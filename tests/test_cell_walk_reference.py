@@ -13,6 +13,7 @@ and star complexes whose tables have a smaller rank mod 2 reach the QQ
 ranks that close such gaps.
 """
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import add, le
@@ -25,7 +26,7 @@ from transverse.complexes import (
     validate_complex, verify_resolution,
 )
 from transverse.fields import QQ, PrimeField
-from transverse.golod import golod_resolution
+from transverse.golod import _golod_complex, golod_resolution
 from transverse.ideals import ideal_product, maximal_ideal
 from transverse.obstructions import tate_resolution
 from transverse.poly import Ring
@@ -187,6 +188,22 @@ def test_rank_count_gate_on_the_golod_flagship(monkeypatch):
         )
         assert out.ok and out.strand_failures == out.coker_failures == []
         assert calls == {"rank": 0, "xor_rank": want}
+
+
+def test_mask_memory_gate_on_the_golod_flagship():
+    # the cell certificate builds the prefix masks of the generators only
+    # at the thresholds a step reads: at n_max 9 its traced peak is about
+    # 3.5 MiB, where every prefix of every variable took about 17.7 MiB
+    R = ring4(QQ)
+    C, _ = _golod_complex(ideal(R, "x1", "x2"), ideal(R, "x3", "x4"), 9)
+    H = Homology(C)
+    tracemalloc.start()
+    try:
+        assert H.cell_failures(1, 8) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def without_top_generator(C, g):

@@ -51,6 +51,75 @@ class TestMonomials:
         assert R4.one_monomial().degree == 0
 
 
+# the records that keep a hand-written constructor, since each validates,
+# normalises or derives a value, or gives each instance fresh lists
+HAND_WRITTEN = {
+    "Monomial", "Ring", "MonomialIdeal", "EchelonForm", "ValidationReport",
+    "ProductCertificate", "ActionCertificate", "ProbeReport",
+}
+
+
+def _record_classes() -> dict:
+    """{name: class} of every Record subclass the package defines."""
+    # dg and obstructions are the modules with records that importing the
+    # package does not load
+    import transverse.dg
+    import transverse.obstructions
+    from transverse.errors import Record
+
+    found, todo = {}, [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("transverse."):
+                found[sub.__name__] = sub
+            todo.append(sub)
+    return found
+
+
+def _generated(cls) -> bool:
+    from transverse.errors import _constructor
+
+    return cls.__init__.__code__ is _constructor("", ()).__code__
+
+
+def _stores_only(init: ast.FunctionDef) -> bool:
+    """Whether the body of ``init`` only stores parameters as they are,
+    by ``self.f = p`` or ``_set(self, "f", p)`` (a docstring aside)."""
+    params = {a.arg for a in init.args.args[1:]}
+    body = init.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(
+        body[0].value, ast.Constant
+    ):
+        body = body[1:]
+
+    def stores(node):
+        if isinstance(node, ast.Assign):
+            value, (target,) = node.value, node.targets
+            return isinstance(target, ast.Attribute) and isinstance(
+                value, ast.Name) and value.id in params
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            args = node.value.args
+            return len(args) == 3 and isinstance(args[2], ast.Name) and (
+                args[2].id in params)
+        return False
+
+    return bool(body) and all(map(stores, body))
+
+
+def _plain_constructors(source: str) -> list[str]:
+    """The Record subclasses of ``source`` whose ``__init__`` only stores
+    its parameters, the work the generated constructor does."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id == "Record" for b in node.bases
+        ):
+            found += [node.name for f in node.body
+                      if isinstance(f, ast.FunctionDef)
+                      and f.name == "__init__" and _stores_only(f)]
+    return found
+
+
 def _records():
     """(record, its field tuple, an equal record, an unequal record of the
     same class, its repr) for the four hashed value types and for
@@ -88,7 +157,8 @@ class TestRecords:
     one class and refuse assignment; KoszulClass compares and refuses the
     same way but has no hash.  ``lcm_lattice`` returns a frozenset of
     Monomials, so the hash fixes an iteration order and with it output
-    bytes."""
+    bytes.  A record with no ``__init__`` of its own gets one from the base
+    that takes exactly its fields, positionally and in ``_fields`` order."""
 
     @pytest.mark.parametrize("case", range(5))
     def test_hash_equality_and_repr(self, case):
@@ -172,6 +242,53 @@ class TestRecords:
         )
         with pytest.raises(TypeError):
             hash(a)
+
+    def test_the_records_that_keep_their_constructor(self):
+        records = _record_classes()
+        kept = {name for name, cls in records.items() if not _generated(cls)}
+        assert kept == HAND_WRITTEN
+        assert len(records) - len(kept) == 16
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n, c in _record_classes().items() if _generated(c)))
+    def test_fields_round_trip(self, name):
+        cls = _record_classes()[name]
+        n = len(cls._fields)
+        values = tuple(object() for _ in range(n))
+        x = cls(*values)
+        got = x._values(x)
+        assert (got,) == values if n == 1 else got == values
+        assert all(getattr(x, f) is v for f, v in zip(cls._fields, values))
+        with pytest.raises(TypeError, match=f"takes {n} positional"):
+            cls(*values[1:])
+        with pytest.raises(TypeError, match=f"but {n + 1} were given"):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*values[1:], **{cls._fields[0]: values[0]})
+
+    def test_plain_constructors_detected(self):
+        src = (
+            "class A(Record):\n"
+            "    def __init__(self, a, b):\n"
+            "        'doc'\n"
+            "        self.a = a\n"
+            "        _set(self, 'b', b)\n"
+            "class B(Record):\n"
+            "    def __init__(self, a):\n"
+            "        self.a = [] if a is None else a\n"
+            "class C:\n"
+            "    def __init__(self, a):\n"
+            "        self.a = a\n"
+        )
+        assert _plain_constructors(src) == ["A"]
+
+    def test_no_record_writes_a_constructor_that_only_stores(self):
+        package = Path(__file__).resolve().parent.parent / "src" / "transverse"
+        found = {
+            path.name: _plain_constructors(path.read_text())
+            for path in sorted(package.glob("*.py"))
+        }
+        assert found and not {name: c for name, c in found.items() if c}
 
 
 def test_obstruction_names_load_on_first_access():
