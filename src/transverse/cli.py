@@ -467,14 +467,26 @@ def main(argv=None) -> int:
         if opts.format:
             spec.format = opts.format
         report, code = cmd_dispatch(spec)
+        out = render_report(report, spec.format)
     except ParseError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except AlgebraError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the exception holds the job's frames, and so their memory, until
+        # this clause ends; the report is dropped too, and the message is
+        # printed after the clause, when there is memory to print it
+        report = None
+    if report is None:
+        # exit 1 is a certified failure: a job too large for memory is
+        # refused like any other job the program cannot answer
+        print("error: out of memory: the job needs more memory than the "
+              "process can get", file=sys.stderr)
+        return 2
     try:
-        print(render_report(report, spec.format))
+        print(out)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe early: the verdict stands, and the

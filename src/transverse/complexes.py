@@ -965,15 +965,18 @@ def _coker_failures(C: GradedFreeComplex, I: MonomialIdeal) -> list:
     zero = (0,) * C.ring.nvars
     if C.degs(0) != (0,):
         return [(zero, C.degs(0), (0,))]
-    md, Q = C.mdegs, C.ring.modulus
+    md, Q, d1 = C.mdegs, C.ring.modulus, C.table(1)
+    # C_0 is R in degree 0, so a nonzero column c of d_1 has the monomial
+    # x^(m_c): when these are the minimal generators of I, image = I
+    n = len(I.gens)
+    if (n and C.rank(1) == n and all(d1.get(c) for c in range(n))
+            and set(md[1]) == {g.exps for g in I.gens}):
+        return []
     image = MonomialIdeal(C.ring, (*Q, *(
         Monomial(tuple(map(sub, md[1][c], md[0][r])))
-        for c, col in C.table(1).items() for r, _ in col
+        for c, col in d1.items() for r, _ in col
     )))
     want = MonomialIdeal(C.ring, (*Q, *I.gens))
-    # both are minimal generating sets in canonical order
-    if image.gens == want.gens:
-        return []
     out = [(g.exps, 1, 0) for g in want.gens if not image.contains(g)]
     out += [(g.exps, 0, 1) for g in image.gens if not want.contains(g)]
     return sorted(out, key=lambda f: (sum(f[0]), f[0]))

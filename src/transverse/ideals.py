@@ -103,27 +103,91 @@ def transverse_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal | No
     return IJ if ideal_intersection(I, J).gens == IJ.gens else None
 
 
-def lcm_closure(pts) -> frozenset:
-    """The lcms of the nonempty subsets of ``pts``, exponent tuples.
+def _code(pts):
+    """The rank code of the exponent tuples ``pts``, a nonempty list: the
+    distinct nonzero exponents of x_k in ``pts`` get the ranks 1, ..., m_k in
+    increasing order, and rank j is j consecutive bits from the offset of
+    x_k, so a variable is at most as wide as the number of points, whatever
+    its exponents.  Ranks keep the order of each variable, so lcm is |, g
+    divides b iff g & ~b == 0, b_k > g_k iff b has the bit offset_k +
+    rank(g_k), and the exponent of x_k is read off the bit count of its
+    run.  Returns the codes of ``pts`` and, per variable, (offset, run
+    mask, the exponents by rank)."""
+    runs, codes, at = [], [0] * len(pts), 0
+    for col in zip(*pts):
+        vals = sorted({0, *col})
+        bits = {e: ((1 << j) - 1) << at for j, e in enumerate(vals)}
+        codes = [c | bits[e] for c, e in zip(codes, col)]
+        runs.append((at, (1 << (len(vals) - 1)) - 1, vals))
+        at += len(vals) - 1
+    return codes, runs
 
-    The points are visited in a linear extension of <=, by (sum(p), p), and
+
+def _fold(codes) -> set:
+    """The lcms of the nonempty subsets of the coded points ``codes``.
+
+    The points are visited in a linear extension of <=, by bit count, and
     only atoms extend the closure.  Lemma: a point p that is the lcm of
     others is, when it is reached, already in the closure of the points
     before it, since each of them is < p; and a point in an lcm-closed set
     adds nothing to it.  So a point already in the closure is skipped.
     """
     out: set = set()
-    for p in sorted(set(pts), key=lambda p: (sum(p), p)):
+    for p in sorted(set(codes), key=int.bit_count):
         if p not in out:
-            out |= {tuple(map(max, p, c)) for c in out}
+            out |= {p | c for c in out}
             out.add(p)
-    return frozenset(out)
+    return out
+
+
+def lcm_closure(pts) -> frozenset:
+    """The lcms of the nonempty subsets of ``pts``, exponent tuples."""
+    pts = list(set(pts))
+    if not pts:
+        return frozenset()
+    codes, runs = _code(pts)
+    return frozenset(
+        tuple([vals[(c >> o & m).bit_count()] for o, m, vals in runs])
+        for c in _fold(codes)
+    )
 
 
 def lcm_lattice(I: MonomialIdeal) -> frozenset:
     """The lcm lattice L_I: the exponent vectors of the lcms of all subsets
     of the generators, the empty lcm 1 included."""
     return lcm_closure([(0,) * I.ring.nvars, *(g.exps for g in I.gens)])
+
+
+def upper_koszul_facets(I: MonomialIdeal):
+    """For each point b != 0 of the lcm lattice L_I, its total degree and
+    the facet set {U_g} of the upper Koszul complex K^b(I): U_g = {k : b_k
+    > g_k}, a bitmask over the variables, for each generator g dividing
+    x^b, read on the rank code."""
+    gens = [g.exps for g in I.gens]
+    codes, runs = _code(gens)
+    # per g, (the bit of b_k > g_k, the bit of x_k), for g_k below the top
+    probes = [
+        [(1 << (o + j), 1 << k)
+         for k, ((o, m, vals), e) in enumerate(zip(runs, g))
+         if m >> (j := vals.index(e))]
+        for g in gens
+    ]
+    # |b| is the bit count of b and, for each bit that stands for a step of
+    # w > 1 in an exponent, w - 1 more: one mask per such w
+    extra: dict = {}
+    for o, _, vals in runs:
+        for j, (lo, hi) in enumerate(zip(vals, vals[1:])):
+            if hi - lo > 1:
+                extra[hi - lo - 1] = extra.get(hi - lo - 1, 0) | 1 << (o + j)
+    extra = list(extra.items())
+    for b in _fold(codes):
+        t = b.bit_count()
+        if extra:
+            t += sum([w * (b & M).bit_count() for w, M in extra])
+        yield t, frozenset(
+            sum(x for bit, x in probe if b & bit)
+            for g, probe in zip(codes, probes) if not g & ~b
+        )
 
 
 def transversality_witness(I: MonomialIdeal, J: MonomialIdeal):

@@ -9,7 +9,7 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add, le, sub
+from operator import add, sub
 
 from . import linalg
 from .complexes import (
@@ -17,7 +17,7 @@ from .complexes import (
 )
 from .errors import DimensionError, DomainError, ExactnessError
 from .exterior import wedge_subsets
-from .ideals import MonomialIdeal, lcm_lattice, maximal_ideal
+from .ideals import MonomialIdeal, maximal_ideal, upper_koszul_facets
 from .poly import Monomial, Ring, minimal_monomials
 
 
@@ -166,13 +166,13 @@ def betti_numbers(I: MonomialIdeal) -> BettiTable:
     complex of the squarefree T in supp b with x^(b-T) in I (Miller-
     Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), and it
     vanishes unless b is in the lcm lattice L_I (Gasharov-Peeva-Welker
-    1999).  The facets of K^b are U_g = {k : b_k > g_k}, one per generator
-    g dividing x^b; faces are bitmasks over the variables, so each b of L_I
-    costs ranks on at most 2^|supp b| faces instead of the 2^r subsets of
-    the r generators.  K^b depends on b only through its facet set {U_g},
-    so its reduced homology is taken once per distinct facet set within a
-    call.  A face of size s contributes to beta_{s+1,b}(R/I), and
-    beta_{0,0}(R/I) = 1.
+    1999).  ``ideals.upper_koszul_facets`` gives the facets U_g = {k : b_k
+    > g_k} of each K^b; faces are bitmasks over the variables, so each b of
+    L_I costs ranks on at most 2^|supp b| faces instead of the 2^r subsets
+    of the r generators.  K^b depends on b only through its facet set, so
+    its reduced homology is taken once per distinct facet set within a
+    call (:func:`_reduced_homology`).  A face of size s contributes to
+    beta_{s+1,b}(R/I), and beta_{0,0}(R/I) = 1.
 
     This is the package's Betti oracle; it shares only ``linalg`` with the
     strand engine.
@@ -181,48 +181,64 @@ def betti_numbers(I: MonomialIdeal) -> BettiTable:
         raise DomainError("Betti numbers need a nonzero proper ideal")
     if I.ring.modulus:
         raise DomainError("expected an ideal over the ambient polynomial ring")
-    gens = [g.exps for g in I.gens]
-    bits = [1 << k for k in range(I.ring.nvars)]
     entries = {(0, 0): 1}
     homology: dict = {}  # facet set -> [(face size s, dim H~_{s-1})]
-    for b in lcm_lattice(I):
-        if not any(b):
-            continue
-        facets = frozenset(
-            sum(x for x, gk, bk in zip(bits, g, b) if bk > gk)
-            for g in gens if all(map(le, g, b))
-        )
+    for t, facets in upper_koszul_facets(I):
         if facets not in homology:
-            faces = {0}  # the empty face; submask enumeration stops short of it
-            for U in facets:
-                T = U
-                while T:
-                    faces.add(T)
-                    T = (T - 1) & U
-            levels: dict = {}  # face size -> {face: index}
-            for T in sorted(faces):
-                level = levels.setdefault(T.bit_count(), {})
-                level[T] = len(level)
-            ranks = {}  # rank of the boundary out of each face size
-            for s, level in levels.items():
-                if s == 1:
-                    ranks[s] = 1  # every vertex maps onto the empty face
-                elif s:
-                    lower = levels[s - 1]
-                    rows = [
-                        {lower[T ^ bit]: -1 if pos % 2 else 1
-                         for pos, bit in enumerate(x for x in bits if T & x)}
-                        for T in level
-                    ]
-                    ranks[s] = linalg.rank(rows, I.ring.field)
-            homology[facets] = [
-                (s, h) for s, level in levels.items()
-                if (h := len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0))
-            ]
+            homology[facets] = _reduced_homology(facets, I.ring.field)
         for s, h in homology[facets]:
-            key = (s + 1, sum(b))
+            key = (s + 1, t)
             entries[key] = entries.get(key, 0) + h
     return BettiTable(dict(sorted(entries.items())))
+
+
+def _reduced_homology(facets, field) -> list:
+    """[(s, dim H~_{s-1})] of the simplicial complex with these facets,
+    bitmasks over the variables, where it is nonzero.
+
+    Over QQ the boundaries are first ranked over GF(2) by XOR.  Lemma: the
+    GF(2) rank of an integer matrix is at most its QQ rank, so dim_QQ H~ <=
+    dim_GF(2) H~ in each degree, and both alternate to the same Euler
+    characteristic; so where the GF(2) homology lies in one degree at most,
+    the QQ homology equals it.  Only where it spans two or more (torsion,
+    as on the projective plane) are QQ ranks taken.  Over GF(p), p odd,
+    the ranks are taken over GF(p) alone.
+    """
+    faces = {0}  # the empty face; submask enumeration stops short of it
+    for U in facets:
+        T = U
+        while T:
+            faces.add(T)
+            T = (T - 1) & U
+    levels: dict = {}  # face size -> {face: index}
+    for T in sorted(faces):
+        level = levels.setdefault(T.bit_count(), {})
+        level[T] = len(level)
+
+    def vertices(T):
+        while T:
+            yield T & -T
+            T &= T - 1
+
+    def dims(rank_of):
+        # every vertex maps onto the empty face, a boundary of rank 1
+        ranks = {s: 1 if s == 1 else rank_of(level, levels[s - 1])
+                 for s, level in levels.items() if s}
+        return [(s, h) for s, level in levels.items()
+                if (h := len(level) - ranks.get(s, 0) - ranks.get(s + 1, 0))]
+
+    p = getattr(field, "p", 0)
+    if p in (0, 2):
+        out = dims(lambda level, lower: linalg.xor_rank(
+            [sum(1 << lower[T ^ x] for x in vertices(T)) for T in level]
+        ))
+        if p or len(out) <= 1:
+            return out
+    return dims(lambda level, lower: linalg.rank([
+        {lower[T ^ x]: -1 if pos % 2 else 1
+         for pos, x in enumerate(vertices(T))}
+        for T in level
+    ], field))
 
 
 def minimal_resolution(I: MonomialIdeal) -> GradedFreeComplex:

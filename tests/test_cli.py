@@ -733,3 +733,53 @@ def test_a_closed_pipe_keeps_the_exit_code(tmp_path, command, args, ideals, code
     proc.stderr.close()
     assert proc.wait(timeout=30) == code
     assert err == b""
+
+
+@pytest.mark.parametrize("where", ["dispatch", "render"])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, where):
+    # exit 1 is a certified failure; a job that runs out of memory, in its
+    # computation or in rendering its report, is refused with a message
+    from transverse import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    if where == "dispatch":
+        handler, *rest = COMMAND_TABLE["golod"]
+        monkeypatch.setitem(COMMAND_TABLE, "golod", (exhausted, *rest))
+    else:
+        monkeypatch.setattr(cli, "render_report", exhausted)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job("golod", {"left": "I", "right": "J", "mode": "verify"})))
+    assert main([str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: out of memory: the job needs more memory than the "
+                   "process can get\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("limit_kb", [60_000, 100_000])
+def test_out_of_memory_under_an_address_space_limit(tmp_path, limit_kb):
+    # the flagship certificate at n_max 12 needs about 343 MB, so under
+    # these limits it runs out in the strand checks; the message itself
+    # needs memory, which the job's frames hold until the handler has left
+    # them, so it must still be printed, once, with exit 2
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_kb * 1024,) * 2)
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job("golod", {"left": "I", "right": "J", "mode": "verify"})))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "transverse.cli", str(path),
+         "--bound", "12"],
+        capture_output=True, text=True, env=src_env(), preexec_fn=limit,
+        timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: out of memory: the job needs more memory "
+                          "than the process can get\n")

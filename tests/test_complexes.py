@@ -714,15 +714,25 @@ class TestOneStrandEngine:
     def test_classical_obstruction_assembles_each_strand_matrix_once(
         self, R4, monkeypatch
     ):
-        from transverse import linalg, obstructions
+        from transverse import golod, linalg, obstructions
 
         built, ranked = self.record_matrices(monkeypatch)
-        spans, xor_ranked = [], []
+        spans, xor_ranked, oracle, inside = [], [], [], []
         check, xor_rank = obstructions.verify_resolution, linalg.xor_rank
+        betti_numbers = obstructions.betti_numbers
 
         def traced_xor_rank(rows):
-            xor_ranked.append(1)
+            # the Betti oracle's XOR ranks go on their own counter
+            (oracle[-1] if inside else xor_ranked).append(1)
             return xor_rank(rows)
+
+        def traced_betti_numbers(I):
+            oracle.append([])
+            inside.append(I)
+            try:
+                return betti_numbers(I)
+            finally:
+                inside.pop()
 
         def traced_check(*args, **kwargs):
             start = len(built), len(ranked), len(xor_ranked)
@@ -732,6 +742,8 @@ class TestOneStrandEngine:
 
         monkeypatch.setattr(linalg, "xor_rank", traced_xor_rank)
         monkeypatch.setattr(obstructions, "verify_resolution", traced_check)
+        for module in (golod, obstructions):
+            monkeypatch.setattr(module, "betti_numbers", traced_betti_numbers)
         M = ideal(R4, "x1^2", "x1*x2", "x2*x3", "x3*x4", "x4^2")
         a = [R4.parse_monomial("x1^2"), R4.parse_monomial("x4^2")]
         rep = obstructions.avramov_obstruction(a, M, 6)
@@ -745,6 +757,11 @@ class TestOneStrandEngine:
         ((b0, r0, x0), (b1, r1, x1)), = spans
         assert built[b0:b1] == [] and ranked[r0:r1] == []
         assert x1 - x0 == len(xor_ranked) == 357
+        # the Betti oracle of M, called once by its Koszul homology outside
+        # the certificate, takes 13 XOR ranks of its own: its GF(2)
+        # homology lies in one degree on every facet set, so QQ needs no
+        # exact rank
+        assert [len(calls) for calls in oracle] == [13]
         # Tor over S: the strata and dims of KoszulHomology and QuotientTor
         # take 119 pieces, each a multidegree block assembled and
         # eliminated once: the change-of-rings strata are the blocks of the

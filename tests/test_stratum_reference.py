@@ -214,14 +214,16 @@ def test_elimination_count_gate():
     # koszul_homology of IJ = (x1^2, x1x2, x2x3)(x4^2, x4x5) over QQ takes
     # exactly these eliminations: one echelon of the boundaries and one
     # kernel on the columns off their pivots per stratum, none where d_i
-    # is zero, and the rank calls of the Betti oracle, one per face size of
-    # each distinct facet set.  The earlier strata took 66 echelon calls on
-    # 221 rows; before the facet-set memo the oracle took 6 rank calls, and
-    # all calls 128 rows
+    # is zero, and, on their own counter, the ranks of the Betti oracle,
+    # one XOR rank per face size of each distinct facet set; its GF(2)
+    # homology lies in one degree on each, so it takes no QQ rank.  The
+    # earlier strata took 66 echelon calls on 221 rows; before the facet-set
+    # memo the oracle took 6 rank calls and all calls 128 rows; before its
+    # XOR ranks it took 5 QQ rank calls on the same 22 rows
     R = Ring(("x1", "x2", "x3", "x4", "x5"))
     IJ = ideal_product(ideal(R, "x1^2", "x1*x2", "x2*x3"),
                        ideal(R, "x4^2", "x4*x5"))
-    calls = {"echelon": 0, "rank": 0}
+    calls = {"echelon": 0, "rank": 0, "xor_rank": 0}
     rows_in = []
 
     def counting(name, f):
@@ -233,9 +235,9 @@ def test_elimination_count_gate():
         return counted
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(linalg, "echelon", counting("echelon", linalg.echelon))
-        m.setattr(linalg, "rank", counting("rank", linalg.rank))
+        for name in calls:
+            m.setattr(linalg, name, counting(name, getattr(linalg, name)))
         H = koszul_homology(IJ)
     assert H.dims() == {1: 6, 2: 7, 3: 2}
-    assert calls == {"echelon": 37, "rank": 5}
+    assert calls == {"echelon": 37, "rank": 0, "xor_rank": 5}
     assert sum(rows_in) == 126
